@@ -1,8 +1,7 @@
 //! Experiment E12: sharded vs. single-threaded matching of one hot query.
 //!
 //! StreamWorks targets a *single* standing query that must keep up with the
-//! stream; `ParallelRunner` cannot help there (it shards across queries).
-//! This bench measures the `ShardedMatcher` against the in-process
+//! stream. This bench measures the `ShardedMatcher` against the in-process
 //! `SjTreeMatcher` on the regime sharding exists for: a join-dominated hot
 //! query planned with single-edge primitives (like
 //! `incremental_vs_baseline`'s wedge matching) over a stream whose keywords

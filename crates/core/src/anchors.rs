@@ -2,7 +2,7 @@
 //! end.
 //!
 //! Both the per-query [`SjTreeMatcher`](crate::SjTreeMatcher) and the
-//! cross-query `SharedPrimitiveIndex` answer the same question on every
+//! cross-query `SharedIndex` answer the same question on every
 //! incoming edge: *which (owner, anchor query edge) pairs could this edge
 //! realise?* The answer is a hash lookup on the edge's resolved type plus the
 //! anchors whose query edge carries no type constraint — and it has to be
@@ -12,8 +12,7 @@
 //! [`AnchorIndex`] owns that dispatch table, the schema-version gate, the
 //! dirty flag, and the per-event scratch buffer, generically over the owner
 //! key `K` (an SJ-Tree leaf id for the matcher, an entry index for the shared
-//! index). ROADMAP groundwork: subtree sharing will add a third front end,
-//! which now costs a type parameter instead of a third copy of this code.
+//! index).
 
 use streamworks_graph::hash::FxHashMap;
 use streamworks_graph::TypeId;

@@ -672,8 +672,16 @@ mod tests {
     /// genuinely stores partial matches (the default 2-edge decomposition
     /// collapses the pair into one stateless leaf).
     fn register_stateful(engine: &mut ContinuousQueryEngine, name: &str) -> crate::QueryHandle {
+        register_stateful_windowed(engine, name, 1_000)
+    }
+
+    fn register_stateful_windowed(
+        engine: &mut ContinuousQueryEngine,
+        name: &str,
+        window_secs: i64,
+    ) -> crate::QueryHandle {
         let q = QueryGraphBuilder::new(name)
-            .window(Duration::from_secs(1_000))
+            .window(Duration::from_secs(window_secs))
             .vertex("a1", "Article")
             .vertex("a2", "Article")
             .vertex("k", "Keyword")
@@ -792,15 +800,13 @@ mod tests {
 
     #[test]
     fn multiple_pause_timestamps_split_the_replay_per_query() {
-        // Leaf-only sharing: with subtree sharing on, "late"'s identical join
-        // tree is served by "early"'s shared entry and its partials live in
-        // the shared layer, not the private matcher this test inspects.
-        let mut engine = ContinuousQueryEngine::builder()
-            .subtree_sharing(false)
-            .build()
-            .unwrap();
+        // Windows one second apart: entries are interned per window, so the
+        // two otherwise identical join trees share nothing and each query's
+        // partials live in the private matcher this test inspects (with equal
+        // windows "late" would be served whole by a shared entry).
+        let mut engine = ContinuousQueryEngine::builder().build().unwrap();
         let early = register_stateful(&mut engine, "early");
-        let late = register_stateful(&mut engine, "late");
+        let late = register_stateful_windowed(&mut engine, "late", 999);
         engine.ingest(&ev("a1", "rust", "mentions", 10)).unwrap();
         engine.pause(early).unwrap();
         engine.ingest(&ev("b1", "go", "mentions", 20)).unwrap();
@@ -1150,9 +1156,12 @@ mod tests {
 
     #[test]
     fn restore_re_interns_shared_subtrees_and_lifted_entries() {
-        // Two lifted constant-variants plus two exact structural copies:
-        // after advertise-then-promote, one lifted entry (subscriber
-        // t_sports) and one plain subtree entry (subscriber pair2).
+        // Two lifted constant-variants plus two exact structural copies. In
+        // each family the first query advertises its root and interns its
+        // two single-edge leaves (one entry, two subscriptions), and the
+        // second promotes the root into a whole-pair entry it subscribes to.
+        // The labelled family's two entries dispatch on a lifted constant
+        // and count as subtrees; the plain family's are one leaf search each.
         let mut engine = ContinuousQueryEngine::builder().build().unwrap();
         register_tenant(&mut engine, "t_politics", "politics");
         register_tenant(&mut engine, "t_sports", "sports");
@@ -1164,21 +1173,24 @@ mod tests {
         engine
             .ingest(&labelled_ev("s1", "football", "sports", 11))
             .unwrap();
-        let before = engine.engine_metrics();
-        assert_eq!(before.distinct_subtrees, 2);
-        assert_eq!(before.subscribed_subtrees, 2);
+        let dedup = |m: crate::EngineMetrics| {
+            (
+                (m.distinct_subtrees, m.subscribed_subtrees, m.lifted_entries),
+                (m.distinct_primitives, m.subscribed_primitives),
+            )
+        };
+        assert_eq!(dedup(engine.engine_metrics()), ((2, 3, 2), (2, 3)));
 
         // Through JSON, like a real restart. Registration order is the
         // query-id order, so the advertise-then-promote choreography — and
         // with it every sharing role — reproduces exactly.
         let json = engine.checkpoint().to_json().unwrap();
         let mut restored = EngineCheckpoint::load(&json).unwrap().restore();
-        let after = restored.engine_metrics();
         assert_eq!(
-            after.distinct_subtrees, 2,
+            dedup(restored.engine_metrics()),
+            ((2, 3, 2), (2, 3)),
             "restore re-interns the shared subtree and lifted entries"
         );
-        assert_eq!(after.subscribed_subtrees, 2);
 
         // The replayed partials live inside the restored entries' matchers:
         // the completing mentions produce identical matches on both engines,
@@ -1220,7 +1232,10 @@ mod tests {
 
         let json = engine.checkpoint().to_json().unwrap();
         let mut restored = EngineCheckpoint::load(&json).unwrap().restore();
-        assert_eq!(restored.engine_metrics().distinct_subtrees, 1);
+        // One entry for pair1's two leaves, one — advertised by pair1,
+        // promoted by pair2 — serving pair2 whole.
+        let m = restored.engine_metrics();
+        assert_eq!((m.distinct_primitives, m.subscribed_primitives), (2, 3));
         let h = restored
             .handles()
             .into_iter()
@@ -1249,50 +1264,5 @@ mod tests {
             0,
             "the gap-anchored go partial stays invisible to the paused-then-resumed query"
         );
-    }
-
-    #[test]
-    fn legacy_checkpoints_without_sharing_fields_stay_leaf_only() {
-        // A checkpoint written by the leaf-only sharing release has no
-        // `subtree_sharing` / `lifted_sharing` config fields: it must load
-        // with both layers off and restore with leaf-level sharing only.
-        let mut engine = ContinuousQueryEngine::builder().build().unwrap();
-        register_tenant(&mut engine, "t_politics", "politics");
-        register_tenant(&mut engine, "t_sports", "sports");
-        engine
-            .ingest(&labelled_ev("a1", "rust", "politics", 10))
-            .unwrap();
-        let mut legacy = engine.checkpoint().to_json().unwrap();
-        for field in ["subtree_sharing", "lifted_sharing"] {
-            let needle = format!("\"{field}\":true,");
-            assert!(legacy.contains(&needle), "field {field} missing from JSON");
-            legacy = legacy.replacen(&needle, "", 1);
-        }
-
-        let parsed = EngineCheckpoint::load(&legacy).unwrap();
-        assert!(!parsed.config.subtree_sharing);
-        assert!(!parsed.config.lifted_sharing);
-        let mut restored = parsed.restore();
-        let m = restored.engine_metrics();
-        assert_eq!(
-            m.distinct_subtrees, 0,
-            "legacy snapshots keep leaf-only sharing"
-        );
-        assert!(
-            m.distinct_primitives > 0,
-            "the leaf-level index still interns"
-        );
-        // Exact-constant matching still works end to end.
-        let matches = restored
-            .ingest(&labelled_ev("a2", "rust", "politics", 20))
-            .unwrap();
-        assert_eq!(
-            matches
-                .iter()
-                .filter(|m| m.query_name == "t_politics")
-                .count(),
-            2
-        );
-        assert!(matches.iter().all(|m| m.query_name == "t_politics"));
     }
 }

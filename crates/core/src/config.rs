@@ -51,38 +51,19 @@ pub struct EngineConfig {
     /// existed keep restoring.
     #[serde(default = "default_shards")]
     pub shards: usize,
-    /// Whether registered queries share anchored local searches through the
-    /// engine's canonical primitive index (`true`, the default): isomorphic
-    /// SJ-Tree leaf primitives across — and within — queries are searched
-    /// once per event and fanned out to every subscriber, making the
-    /// per-event cost of a registry of template-derived queries
-    /// `O(#distinct primitives)` instead of `O(#queries)`. Matching results
-    /// are identical either way; disable to measure the sharing win
-    /// (`multi_query` bench) or to force strictly per-query execution.
-    /// Defaults to `true` when absent from serialized form.
+    /// Whether registered queries share work through the engine's interning
+    /// index (`true`, the default): isomorphic SJ-Tree nodes across — and
+    /// within — queries, from single leaf primitives up to whole trees and
+    /// up to the literals their `eq` predicates compare against, run their
+    /// anchored searches and join climb once per event and fan the matches
+    /// out to every subscriber, making the per-event cost of a registry of
+    /// template-derived queries `O(#distinct forms)` instead of
+    /// `O(#queries)`. Matching results are identical either way; disable to
+    /// measure the sharing win (`multi_query` bench) or to force strictly
+    /// per-query execution. Defaults to `true` when absent from serialized
+    /// form.
     #[serde(default = "default_shared_matching")]
     pub shared_matching: bool,
-    /// Whether the shared index also interns common SJ-Tree *subtrees*
-    /// (`true`, the default): when several queries' trees contain an
-    /// isomorphic join subtree — up to and including the whole tree — the
-    /// subtree's local searches *and* its join climb run once in a shared
-    /// entry, and the *joined* partial matches fan out to every subscriber's
-    /// subscription node. Requires `shared_matching`; matching results are
-    /// identical either way. Defaults to `false` when absent from serialized
-    /// form, so checkpoints written by the leaf-only release restore with
-    /// their original (leaf-only) sharing behaviour.
-    #[serde(default = "default_subtree_sharing")]
-    pub subtree_sharing: bool,
-    /// Whether subtree interning abstracts edge `eq` constants to slots
-    /// (`true`, the default): queries identical up to compared literals (one
-    /// labelled template across tenants) share one entry; the search runs
-    /// against the constant-free pattern and each embedding is dispatched by
-    /// an O(1) hash on the constants its data edges actually bound. Requires
-    /// `subtree_sharing`; matching results are identical either way.
-    /// Defaults to `false` when absent from serialized form (legacy
-    /// checkpoints keep leaf-only behaviour).
-    #[serde(default = "default_lifted_sharing")]
-    pub lifted_sharing: bool,
     /// Capacity (in queued items) of every channel in the sharded execution
     /// path: the ingest-to-shard routing channels, the shard-to-shard
     /// handoff channels and the results fan-in. Bounded channels give the
@@ -153,20 +134,6 @@ fn default_shared_matching() -> bool {
     true
 }
 
-/// Serde fallback for [`EngineConfig::subtree_sharing`]: checkpoints written
-/// by the leaf-only sharing release restore with leaf-only behaviour — the
-/// new layers never switch on silently under a restored legacy snapshot.
-fn default_subtree_sharing() -> bool {
-    false
-}
-
-/// Serde fallback for [`EngineConfig::lifted_sharing`]: like
-/// [`default_subtree_sharing`], legacy snapshots keep exact-constant,
-/// leaf-only sharing.
-fn default_lifted_sharing() -> bool {
-    false
-}
-
 /// Serde fallback for [`EngineConfig::shards`]: pre-sharding checkpoints
 /// deserialize to the single-threaded execution (a bare `default` would give
 /// 0, which validation rejects).
@@ -211,8 +178,6 @@ impl Default for EngineConfig {
             summary: SummaryConfig::full(),
             shards: 1,
             shared_matching: true,
-            subtree_sharing: true,
-            lifted_sharing: true,
             channel_capacity: 1024,
             shard_failure_policy: ShardFailurePolicy::FailFast,
             retry_policy: RetryPolicy::default(),
@@ -397,29 +362,11 @@ impl EngineBuilder {
         self
     }
 
-    /// Enables or disables multi-query sharing through the canonical
-    /// primitive index (see [`EngineConfig::shared_matching`]; `true` by
-    /// default). The emitted match multiset is identical either way.
+    /// Enables or disables multi-query sharing through the interning index
+    /// (see [`EngineConfig::shared_matching`]; `true` by default). The
+    /// emitted match multiset is identical either way.
     pub fn shared_matching(mut self, enabled: bool) -> Self {
         self.config.shared_matching = enabled;
-        self
-    }
-
-    /// Enables or disables shared-subtree interning (see
-    /// [`EngineConfig::subtree_sharing`]; `true` by default, no effect unless
-    /// `shared_matching` is on). The emitted match multiset is identical
-    /// either way.
-    pub fn subtree_sharing(mut self, enabled: bool) -> Self {
-        self.config.subtree_sharing = enabled;
-        self
-    }
-
-    /// Enables or disables predicate-constant lifting inside the subtree
-    /// layer (see [`EngineConfig::lifted_sharing`]; `true` by default, no
-    /// effect unless `subtree_sharing` is on). The emitted match multiset is
-    /// identical either way.
-    pub fn lifted_sharing(mut self, enabled: bool) -> Self {
-        self.config.lifted_sharing = enabled;
         self
     }
 
@@ -560,42 +507,6 @@ mod tests {
         let config: EngineConfig = serde_json::from_str(&json).unwrap();
         assert!(config.shared_matching, "legacy configs share by default");
         assert!(config.validate().is_ok());
-    }
-
-    #[test]
-    fn configs_serialized_before_the_subtree_fields_keep_leaf_only_sharing() {
-        // A checkpoint written by the leaf-only (PR 5) release has neither
-        // key; unlike every other sharing default, these must come back
-        // *false* so a restored legacy snapshot keeps its original
-        // leaf-only behaviour.
-        let mut json = serde_json::to_string(&EngineConfig::default()).unwrap();
-        assert!(json.contains("\"subtree_sharing\""));
-        assert!(json.contains("\"lifted_sharing\""));
-        json = json.replace(",\"subtree_sharing\":true", "");
-        json = json.replace(",\"lifted_sharing\":true", "");
-        assert!(!json.contains("subtree_sharing"));
-        assert!(!json.contains("lifted_sharing"));
-        let config: EngineConfig = serde_json::from_str(&json).unwrap();
-        assert!(!config.subtree_sharing, "legacy snapshots stay leaf-only");
-        assert!(
-            !config.lifted_sharing,
-            "legacy snapshots stay exact-constant"
-        );
-        assert!(config.shared_matching, "leaf sharing itself stays on");
-        assert!(config.validate().is_ok());
-    }
-
-    #[test]
-    fn subtree_and_lifted_builder_toggles() {
-        let engine = EngineBuilder::new()
-            .subtree_sharing(false)
-            .lifted_sharing(false)
-            .build()
-            .unwrap();
-        assert!(!engine.config().subtree_sharing);
-        assert!(!engine.config().lifted_sharing);
-        assert!(EngineConfig::default().subtree_sharing);
-        assert!(EngineConfig::default().lifted_sharing);
     }
 
     #[test]

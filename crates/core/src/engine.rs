@@ -29,7 +29,7 @@ use crate::ingest::Ingest;
 use crate::metrics::{EngineMetrics, QueryMetrics, ShardMetrics};
 use crate::parallel::{panic_message, ShardFailure, ShardedMatcher};
 use crate::rpq::{RpqMatcher, RpqPathMatch};
-use crate::shared_index::{Delivery, SharedPrimitiveIndex, SharedSubtreeIndex};
+use crate::shared_index::{Delivery, SharedIndex};
 use crate::sj_matcher::SjTreeMatcher;
 use crate::telemetry::{
     shard_skew, DeliverySnapshot, QuerySnapshot, ShardSetSnapshot, Stage, StageSnapshot,
@@ -40,7 +40,7 @@ use streamworks_graph::{
 };
 use streamworks_query::{
     DecompositionStrategy, Planner, QueryGraph, QueryPlan, RpqQuery, SelectivityOrdered, SjNodeId,
-    SjTreeShape, TreeShapeKind,
+    TreeShapeKind,
 };
 use streamworks_summarize::GraphSummary;
 
@@ -140,8 +140,8 @@ enum QueryExec {
     /// A windowed regular path query, evaluated on the product graph (see
     /// `crate::rpq`). The engine's second query class: it shares the whole
     /// lifecycle — slots, handles, pause/resume, subscriptions, checkpoints —
-    /// but has no SJ-Tree plan, never runs sharded, and is never covered by
-    /// the shared primitive index.
+    /// but has no SJ-Tree plan, never runs sharded, and never subscribes to
+    /// the sharing index.
     Rpq(Box<RpqMatcher>),
 }
 
@@ -182,6 +182,21 @@ impl QueryExec {
         }
     }
 
+    /// Files a match a shared entry produced (already remapped into this
+    /// query's space) at `node` of the query's SJ-Tree. In-process, matches
+    /// it completes are appended to `out`; sharded, it is routed under
+    /// stream position `seq` and completions surface at the next quiescent
+    /// point (see `flush_sharded`).
+    fn absorb(&mut self, node: SjNodeId, m: PartialMatch, seq: u64, out: &mut Vec<PartialMatch>) {
+        match self {
+            QueryExec::Single(matcher) => matcher.absorb(node, m, out),
+            QueryExec::Sharded(sharded) => sharded.absorb(node, m, seq),
+            // RPQs never subscribe to the sharing index (they have no SJ-Tree
+            // to intern), so the fan-out cannot list one.
+            QueryExec::Rpq(_) => unreachable!("RPQ in shared fan-out"),
+        }
+    }
+
     /// The registered query's name, whichever class it is.
     fn query_name(&self) -> &str {
         match self {
@@ -209,17 +224,16 @@ struct QueryState {
     /// skew straddle the boundaries), and a single pause bound could not
     /// represent mid-stream registration or pause/resume cycles.
     observed: Vec<u64>,
-    /// True when every SJ-Tree leaf of the query is interned in the shared
-    /// primitive index: with sharing active, the query's local searches run
-    /// through the index and its matcher only receives remapped embeddings.
-    /// False (pathologically symmetric primitive, or sharing disabled) keeps
-    /// the query on the classic per-query dispatch path.
+    /// True when the query's SJ-Tree is subscribed to the sharing index:
+    /// with sharing active, its searches (and the joins below its
+    /// subscription nodes) run inside shared entries and its matcher only
+    /// receives remapped matches. False (pathologically symmetric primitive,
+    /// or sharing disabled) keeps the query on the private loop.
     shared: bool,
-    /// Shared-dispatch events accounted over closed active intervals (the
+    /// Index-dispatched events accounted over closed active intervals (the
     /// per-query `edges_processed` contribution of the shared path).
     shared_edges_accum: u64,
-    /// `SharedPrimitiveIndex::shared_events` at the start of the current
-    /// active interval.
+    /// `SharedIndex::events` at the start of the current active interval.
     shared_edges_base: u64,
     /// Per-query subscriptions, in subscription order.
     subscribers: Vec<Subscription>,
@@ -287,27 +301,6 @@ impl QuerySlot {
     }
 }
 
-/// The SJ-Tree leaves of `shape` not lying under any covered node: the
-/// leaves the query still subscribes to the leaf-level index (its private
-/// join climb absorbs them below the covered nodes' parents).
-fn uncovered_leaves(shape: &SjTreeShape, covered: &[SjNodeId]) -> Vec<SjNodeId> {
-    shape
-        .leaves()
-        .iter()
-        .copied()
-        .filter(|&leaf| {
-            let mut n = Some(leaf);
-            while let Some(id) = n {
-                if covered.contains(&id) {
-                    return false;
-                }
-                n = shape.node(id).parent;
-            }
-            true
-        })
-        .collect()
-}
-
 /// Drops leading *closed* observation intervals lying wholly behind the
 /// live-edge horizon: none of their edges can appear in a checkpoint's
 /// retained set any more, so they can never affect a replay. Keeps the
@@ -324,7 +317,7 @@ fn trim_observed(observed: &mut Vec<u64>, live_horizon: u64) {
 
 /// Delivers one complete match to the query's subscriptions and the
 /// call-level sink — the single emission point every dispatch path (the
-/// classic per-query loop, the shared-index fan-out, and the sharded
+/// private per-query loop, the shared-index fan-out, and the sharded
 /// fan-in flush) goes through, so emission semantics cannot diverge
 /// between paths.
 ///
@@ -414,28 +407,22 @@ pub struct ContinuousQueryEngine {
     /// change (register / deregister / pause / resume), so paused or
     /// deregistered queries cost nothing per event.
     dispatch: Vec<u32>,
-    /// The multi-query sharing layer: every index-covered query's SJ-Tree
-    /// leaves, interned by canonical primitive so one anchored local search
-    /// per distinct primitive serves every subscriber.
-    shared: SharedPrimitiveIndex,
-    /// The second sharing layer: maximal common SJ-Tree *subtrees* (and,
-    /// with lifting, constant-abstracted subtrees), each owning one matcher
-    /// whose join climb runs once per event; joined matches fan out to every
-    /// subscriber's parent node, observation-gated per subscriber.
-    subtree: SharedSubtreeIndex,
-    /// True while the shared dispatch path is in use: sharing is enabled and
-    /// at least one interned primitive fans out to two or more active
-    /// subscriptions. Recomputed on every lifecycle change; with no overlap
-    /// the engine stays on the classic per-query path (identical results,
-    /// zero sharing overhead).
+    /// The multi-query sharing layer: every subscribed query's SJ-Tree nodes
+    /// — leaves and maximal common subtrees alike — interned by lifted
+    /// canonical form, so each distinct form's searches and join climb run
+    /// once per event and fan out to every subscriber, constant-dispatched
+    /// and observation-gated per subscriber.
+    shared: SharedIndex,
+    /// True while events are dispatched through the index: sharing is
+    /// enabled and [`SharedIndex::needs_dispatch`]. Recomputed on every
+    /// lifecycle change; with no overlap the engine stays on the private
+    /// per-query loop (identical results, zero sharing overhead).
     sharing_active: bool,
-    /// Live, unpaused queries *not* covered by the shared index — dispatched
-    /// classically even while `sharing_active`.
-    classic_dispatch: Vec<u32>,
-    /// Reusable buffer of the current event's leaf-level fan-out work.
+    /// Live, unpaused queries *not* subscribed to the index — dispatched
+    /// privately even while `sharing_active`.
+    private_dispatch: Vec<u32>,
+    /// Reusable buffer of the current event's fan-out work.
     delivery_scratch: Vec<Delivery>,
-    /// Reusable buffer of the current event's subtree-level fan-out work.
-    subtree_scratch: Vec<Delivery>,
     /// Monotonic token generator for subscription ids.
     next_subscription: u64,
     /// Type info of live edges, used to update the summary on expiry.
@@ -450,10 +437,8 @@ pub struct ContinuousQueryEngine {
     match_scratch: Vec<PartialMatch>,
     /// Reusable buffer for RPQ path matches produced per event.
     rpq_scratch: Vec<RpqPathMatch>,
-    /// Reusable buffer for a sampled event's leaf embeddings: the telemetry
-    /// path splits a Single matcher's `process_edge` into its search and
-    /// climb halves to time them separately, and this buffer carries the
-    /// embeddings between the halves.
+    /// Reusable buffer carrying an in-process matcher's leaf embeddings from
+    /// its search half to its climb half.
     primitive_scratch: Vec<(SjNodeId, PartialMatch)>,
     /// `Some` while [`crate::TelemetryLevel::Sampled`]: the shared stage
     /// histograms plus the driver thread's span ring. `None` means every
@@ -495,12 +480,10 @@ impl ContinuousQueryEngine {
             queries: Vec::new(),
             free_slots: Vec::new(),
             dispatch: Vec::new(),
-            shared: SharedPrimitiveIndex::default(),
-            subtree: SharedSubtreeIndex::new(config.lifted_sharing, config.max_matches_per_node),
+            shared: SharedIndex::new(config.max_matches_per_node),
             sharing_active: false,
-            classic_dispatch: Vec::new(),
+            private_dispatch: Vec::new(),
             delivery_scratch: Vec::new(),
-            subtree_scratch: Vec::new(),
             next_subscription: 0,
             live_edge_types: EdgeTypeSlab::default(),
             edges_since_prune: 0,
@@ -539,33 +522,6 @@ impl ContinuousQueryEngine {
                 SjTreeMatcher::new(plan, &self.graph)
                     .with_match_cap(self.config.max_matches_per_node),
             )
-        }
-    }
-
-    /// Interns a plan into both sharing layers for `slot`: subtree coverage
-    /// first (when enabled), then every leaf not under a covered node into
-    /// the leaf-level index. All-or-nothing: if any uncovered leaf fails
-    /// canonicalization, the subtree subscriptions are rolled back too and
-    /// the query runs classic — a query is either fully shared-dispatched
-    /// or fully private, never half.
-    fn subscribe_sharing(&mut self, slot: u32, plan: &QueryPlan) -> bool {
-        if !self.config.shared_matching {
-            return false;
-        }
-        let covered = if self.config.subtree_sharing {
-            self.subtree.cover_plan(slot, plan, &self.graph)
-        } else {
-            Vec::new()
-        };
-        let uncovered = uncovered_leaves(&plan.shape, &covered);
-        if self
-            .shared
-            .subscribe_plan(slot, plan, &uncovered, &self.graph)
-        {
-            true
-        } else {
-            self.subtree.unsubscribe_slot(slot);
-            false
         }
     }
 
@@ -655,18 +611,17 @@ impl ContinuousQueryEngine {
     /// table grows.
     ///
     /// With [`EngineConfig::shared_matching`] enabled (the default), the
-    /// plan's SJ-Tree is interned into the engine's sharing layers at this
-    /// point. With [`EngineConfig::subtree_sharing`] the tree is first
-    /// walked top-down for maximal subtrees matching an already-interned
-    /// (or advertised) subtree — those nodes' whole join climbs are shared;
-    /// every leaf not under a covered node is then interned into the
-    /// canonical primitive index, so leaves isomorphic to a primitive some
-    /// registered query already watches share one anchored local search per
-    /// event instead of each running their own.
+    /// plan's SJ-Tree is interned into the engine's sharing index at this
+    /// point: the tree is walked top-down for maximal subtrees matching an
+    /// already-interned (or advertised) form — those nodes' whole join
+    /// climbs are shared — down to the leaves, so a leaf isomorphic to a
+    /// primitive some registered query already watches shares one anchored
+    /// local search per event instead of running its own.
     pub fn register_plan(&mut self, plan: QueryPlan) -> QueryHandle {
         self.extend_retention(plan.query.window());
         let index = self.alloc_slot();
-        let shared = self.subscribe_sharing(index as u32, &plan);
+        let shared =
+            self.config.shared_matching && self.shared.subscribe(index as u32, &plan, &self.graph);
         let state = QueryState {
             exec: self.build_exec(plan),
             paused: false,
@@ -674,7 +629,7 @@ impl ContinuousQueryEngine {
             observed: vec![self.graph.ingested_edge_count()],
             shared,
             shared_edges_accum: 0,
-            shared_edges_base: self.shared.shared_events(),
+            shared_edges_base: self.shared.events(),
             subscribers: Vec::new(),
             durables: Vec::new(),
         };
@@ -737,7 +692,7 @@ impl ContinuousQueryEngine {
             observed: vec![self.graph.ingested_edge_count()],
             shared: false,
             shared_edges_accum: 0,
-            shared_edges_base: self.shared.shared_events(),
+            shared_edges_base: self.shared.events(),
             subscribers: Vec::new(),
             durables: Vec::new(),
         };
@@ -798,11 +753,9 @@ impl ContinuousQueryEngine {
         slot.state = None;
         slot.generation = slot.generation.wrapping_add(1);
         self.free_slots.push(handle.id().0 as u32);
-        // Release the query's shared-index subscriptions (both layers);
-        // entries it was the last subscriber of are freed, and its subtree
-        // adverts are purged.
-        self.shared.unsubscribe_slot(handle.id().0 as u32);
-        self.subtree.unsubscribe_slot(handle.id().0 as u32);
+        // Release the query's shared-index subscriptions; entries it was the
+        // last subscriber of are freed, and its adverts are purged.
+        self.shared.unsubscribe(handle.id().0 as u32);
         self.rebuild_dispatch();
         Ok(())
     }
@@ -815,7 +768,7 @@ impl ContinuousQueryEngine {
         let now = self.graph.now();
         let bound = self.graph.ingested_edge_count();
         let live_horizon = self.observed_live_horizon();
-        let shared_events = self.shared.shared_events();
+        let shared_events = self.shared.events();
         let state = self.state_mut(handle)?;
         if !state.paused {
             state.paused = true;
@@ -823,12 +776,8 @@ impl ContinuousQueryEngine {
             state.observed.push(bound);
             trim_observed(&mut state.observed, live_horizon);
             state.shared_edges_accum += shared_events - state.shared_edges_base;
-            let drop_from_fanout = state.shared;
-            if drop_from_fanout {
-                // The query leaves the shared fan-out; an entry whose
-                // subscribers are all paused stops being searched entirely.
+            if state.shared {
                 self.shared.set_active(handle.id().0 as u32, false);
-                self.subtree.set_active(handle.id().0 as u32, false);
             }
             self.rebuild_dispatch();
         }
@@ -842,7 +791,7 @@ impl ContinuousQueryEngine {
     pub fn resume(&mut self, handle: QueryHandle) -> Result<(), EngineError> {
         let bound = self.graph.ingested_edge_count();
         let live_horizon = self.observed_live_horizon();
-        let shared_events = self.shared.shared_events();
+        let shared_events = self.shared.events();
         let state = self.state_mut(handle)?;
         if state.paused {
             state.paused = false;
@@ -850,10 +799,8 @@ impl ContinuousQueryEngine {
             state.observed.push(bound);
             trim_observed(&mut state.observed, live_horizon);
             state.shared_edges_base = shared_events;
-            let rejoin_fanout = state.shared;
-            if rejoin_fanout {
+            if state.shared {
                 self.shared.set_active(handle.id().0 as u32, true);
-                self.subtree.set_active(handle.id().0 as u32, true);
             }
             self.rebuild_dispatch();
         }
@@ -939,14 +886,12 @@ impl ContinuousQueryEngine {
             .tree_kind(tree_kind)
             .plan_with(query, strategy)?;
         // Re-intern under the new plan: the old subscriptions are released
-        // in both layers (freeing entries this query was the last
-        // subscriber of) and the new decomposition subscribes afresh —
-        // subtree coverage first, then the uncovered leaves.
+        // (freeing entries this query was the last subscriber of) and the
+        // new decomposition subscribes afresh.
         let id = handle.id().0 as u32;
-        self.shared.unsubscribe_slot(id);
-        self.subtree.unsubscribe_slot(id);
-        let shared = self.subscribe_sharing(id, &plan);
-        let shared_events = self.shared.shared_events();
+        self.shared.unsubscribe(id);
+        let shared = self.config.shared_matching && self.shared.subscribe(id, &plan, &self.graph);
+        let shared_events = self.shared.events();
         let bound = self.graph.ingested_edge_count();
         let exec = self.build_exec(plan);
         let state = self.state_mut(handle)?;
@@ -966,7 +911,6 @@ impl ContinuousQueryEngine {
         if paused && shared {
             // Subscribing activates; a paused query stays out of fan-out.
             self.shared.set_active(id, false);
-            self.subtree.set_active(id, false);
         }
         self.rebuild_dispatch();
         Ok(())
@@ -1008,18 +952,20 @@ impl ContinuousQueryEngine {
     /// event dispatched while the query was active, and
     /// `local_search_candidates` attributes each shared search's work to
     /// every query it served — so the counters read the same whether the
-    /// query's searches ran privately or through the shared index.
+    /// query's searches ran privately or through the shared index. (One
+    /// exception: a *lifted* entry searches once for all the constants its
+    /// subscribers watch, and each of them is charged that whole walk, not
+    /// only the part its own constant caused.)
     pub fn metrics(&self, handle: QueryHandle) -> Result<QueryMetrics, EngineError> {
         let state = self.state(handle)?;
         let mut m = state.exec.metrics();
         if state.shared {
             let mut shared_edges = state.shared_edges_accum;
             if !state.paused {
-                shared_edges += self.shared.shared_events() - state.shared_edges_base;
+                shared_edges += self.shared.events() - state.shared_edges_base;
             }
             m.edges_processed += shared_edges;
             m.local_search_candidates += self.shared.slot_candidates(handle.id().0 as u32);
-            m.local_search_candidates += self.subtree.slot_candidates(handle.id().0 as u32);
         }
         m.sink_events_dropped += state
             .subscribers
@@ -1048,12 +994,6 @@ impl ContinuousQueryEngine {
     /// [`EngineConfig::shared_matching`] is disabled.
     pub fn engine_metrics(&self) -> EngineMetrics {
         let mut m = self.shared.metrics();
-        let s = self.subtree.metrics();
-        m.distinct_subtrees = s.distinct_subtrees;
-        m.subscribed_subtrees = s.subscribed_subtrees;
-        m.subtree_joins_run = s.subtree_joins_run;
-        m.subtree_joins_saved = s.subtree_joins_saved;
-        m.lifted_dispatch_hits = s.lifted_dispatch_hits;
         for slot in &self.queries {
             if let Some(state) = &slot.state {
                 for d in &state.durables {
@@ -1067,10 +1007,10 @@ impl ContinuousQueryEngine {
         m
     }
 
-    /// True while events are dispatched through the shared primitive index:
-    /// sharing is enabled and at least one distinct primitive currently fans
-    /// out to two or more active query leaves. With no structural overlap
-    /// the engine stays on the per-query path.
+    /// True while events are dispatched through the sharing index: sharing
+    /// is enabled and at least one entry currently serves two or more active
+    /// subscriptions, or serves a whole join subtree. With no structural
+    /// overlap the engine stays on the per-query path.
     pub fn sharing_active(&self) -> bool {
         self.sharing_active
     }
@@ -1478,25 +1418,21 @@ impl ContinuousQueryEngine {
 
     fn rebuild_dispatch(&mut self) {
         self.dispatch.clear();
-        self.classic_dispatch.clear();
+        self.private_dispatch.clear();
         for (i, slot) in self.queries.iter().enumerate() {
             if let Some(state) = &slot.state {
                 if !state.paused {
                     self.dispatch.push(i as u32);
                     if !state.shared {
-                        self.classic_dispatch.push(i as u32);
+                        self.private_dispatch.push(i as u32);
                     }
                 }
             }
         }
         // The shared path only pays off (and only changes the work profile)
-        // when some primitive actually fans out; otherwise every query stays
-        // on the classic loop and the index lies dormant. A live subtree
-        // entry keeps the path active even with a single subscriber: a
-        // covered query's private matcher never sees the covered leaves, so
-        // the entry must be fed for as long as the subscription exists.
-        self.sharing_active = self.config.shared_matching
-            && (self.shared.sharing_possible() || self.subtree.has_entries());
+        // when some entry actually fans out or holds join state; otherwise
+        // every query stays on the private loop and the index lies dormant.
+        self.sharing_active = self.config.shared_matching && self.shared.needs_dispatch();
     }
 
     /// Errors with [`EngineError::Poisoned`] once an uncontained shard
@@ -1623,7 +1559,7 @@ impl ContinuousQueryEngine {
         }
         // Cover the trailing partial prune interval so a sequence of batches
         // never carries more than `prune_every` edges of stale partials.
-        // (`prune_async` inside records the expiry-sweep stage itself.)
+        // (`prune_now` records the expiry-sweep stage itself.)
         if trailing_prune && self.edges_since_prune > 0 {
             self.prune_now();
         }
@@ -1809,23 +1745,31 @@ impl ContinuousQueryEngine {
             h.driver_ring.push(seq, Stage::IngestFront, start, dur);
         }
 
-        // 3. Matching. With sharing active, the anchored local search runs
-        // once per distinct primitive in the shared index and every
-        // embedding is fanned out — remapped through the subscriber's vertex
-        // permutation — to each subscribing query's leaf, where the
-        // per-query join climb proceeds exactly as on the classic path;
-        // queries not covered by the index keep the classic loop. Without
-        // sharing, every live, unpaused matcher (the dispatch table) runs
-        // its own search. Sharded matchers only route here — their completed
-        // matches surface at the next quiescent point (see `flush_sharded`).
+        // 3. Matching. With sharing active, every shared entry the edge can
+        // reach runs its anchored searches and join climb once, and each
+        // resulting match is fanned out — constant-dispatched, observation-
+        // gated and remapped through the subscriber's vertex permutation — to
+        // the subscribing queries' nodes, where the per-query join climb
+        // proceeds exactly as on the private loop; queries not subscribed to
+        // the index keep the private loop. Without sharing, every live,
+        // unpaused matcher (the dispatch table) runs its own search.
+        // Sharded matchers only route here — their completed matches surface
+        // at the next quiescent point (see `flush_sharded`).
         //
         // Telemetry: a sampled event's search work and climb work are
-        // accumulated separately across every dispatch path below and
-        // recorded once each, so one edge contributes one local-search and
-        // one join-climb observation no matter how many queries it touched.
-        // (A sharded matcher times its own front search and routing — see
+        // accumulated separately across both loops below and recorded once
+        // each, so one edge contributes one local-search and one join-climb
+        // observation no matter how many queries it touched. The clock is
+        // only read for sampled events (`now` is `None` otherwise). (A
+        // sharded matcher times its own front search and routing — see
         // `ShardedMatcher::process_edge_at` — so it is excluded here.)
-        let match_start = hub.as_ref().map(|h| h.core.now_ns());
+        let now = || hub.as_ref().map(|h| h.core.now_ns());
+        let lap = |total: &mut Option<u64>, from: Option<u64>, to: Option<u64>| {
+            if let (Some(from), Some(to)) = (from, to) {
+                *total.get_or_insert(0) += to.saturating_sub(from);
+            }
+        };
+        let match_start = now();
         let mut search_ns: Option<u64> = None;
         let mut climb_ns: Option<u64> = None;
         let mut emitted = 0usize;
@@ -1833,157 +1777,51 @@ impl ContinuousQueryEngine {
         let graph = &self.graph;
         let policy = self.config.retry_policy;
         if self.sharing_active {
-            let t0 = hub.as_ref().map(|h| h.core.now_ns());
+            let t0 = now();
             self.shared.search_edge(graph, edge);
-            if let (Some(h), Some(t)) = (&hub, t0) {
-                *search_ns.get_or_insert(0) += h.core.now_ns().saturating_sub(t);
-            }
+            let t1 = now();
+            lap(&mut search_ns, t0, t1);
             let mut deliveries = std::mem::take(&mut self.delivery_scratch);
             deliveries.clear();
             self.shared.collect_deliveries(&mut deliveries);
-            // (slot, leaf) order mirrors the classic loop's per-event query
+            // (slot, node) order mirrors the private loop's per-event query
             // order, so subscribers observe the same stream either way.
             deliveries.sort_unstable();
-            let mut delivered = 0u64;
-            let t0 = hub.as_ref().map(|h| h.core.now_ns());
             for d in &deliveries {
-                let (results, sub) = self.shared.delivery(d);
-                delivered += results.len() as u64;
-                let slot = &mut self.queries[sub.slot as usize];
-                let handle = QueryHandle::new(QueryId(sub.slot as usize), slot.generation);
+                let slot = &mut self.queries[d.0 as usize];
+                let handle = QueryHandle::new(QueryId(d.0 as usize), slot.generation);
                 let state = slot
                     .state
                     .as_mut()
                     .expect("the fan-out only lists live queries");
-                match &mut state.exec {
-                    QueryExec::Single(matcher) => {
-                        complete.clear();
-                        for m in results {
-                            matcher.absorb_embedding(sub.leaf, sub.remap(m), &mut complete);
-                        }
-                        for m in complete.drain(..) {
-                            deliver_match(
-                                handle,
-                                &matcher.plan().query,
-                                graph,
-                                &m,
-                                &mut state.subscribers,
-                                &mut state.durables,
-                                &policy,
-                                sink,
-                            );
-                            emitted += 1;
-                        }
-                    }
-                    QueryExec::Sharded(sharded) => {
-                        for m in results {
-                            sharded.absorb_embedding_at(sub.leaf, sub.remap(m), seq);
-                        }
-                    }
-                    // RPQs never subscribe to the shared index (they have no
-                    // leaf primitives to intern), so the fan-out cannot list
-                    // one.
-                    QueryExec::Rpq(_) => unreachable!("RPQ in shared fan-out"),
+                let exec = &mut state.exec;
+                complete.clear();
+                self.shared.fan_out(d, &state.observed, |node, m| {
+                    exec.absorb(node, m, seq, &mut complete)
+                });
+                for m in complete.drain(..) {
+                    deliver_match(
+                        handle,
+                        &exec.plan().expect("subscribers carry a plan").query,
+                        graph,
+                        &m,
+                        &mut state.subscribers,
+                        &mut state.durables,
+                        &policy,
+                        sink,
+                    );
+                    emitted += 1;
                 }
             }
-            if let (Some(h), Some(t)) = (&hub, t0) {
-                *climb_ns.get_or_insert(0) += h.core.now_ns().saturating_sub(t);
-            }
-            self.shared.add_deliveries(delivered);
+            lap(&mut climb_ns, t1, now());
             self.delivery_scratch = deliveries;
-
-            // Subtree fan-out: each shared subtree's anchored searches AND
-            // join climb already ran once inside its entry (search_edge);
-            // the joined matches are filtered by bound constants (lifted
-            // entries), observation-gated per subscriber, remapped, and
-            // absorbed at the subscriber's own node — for a whole-tree
-            // subscription that is the root, where absorbed matches are
-            // complete.
-            if self.config.subtree_sharing {
-                let t0 = hub.as_ref().map(|h| h.core.now_ns());
-                self.subtree.search_edge(graph, edge);
-                if let (Some(h), Some(t)) = (&hub, t0) {
-                    *search_ns.get_or_insert(0) += h.core.now_ns().saturating_sub(t);
-                }
-                let mut deliveries = std::mem::take(&mut self.subtree_scratch);
-                deliveries.clear();
-                self.subtree.collect_deliveries(&mut deliveries);
-                deliveries.sort_unstable();
-                let t0 = hub.as_ref().map(|h| h.core.now_ns());
-                let mut lifted_hits = 0u64;
-                for d in &deliveries {
-                    let (results, consts, sub, lifted) = self.subtree.delivery(d);
-                    let slot = &mut self.queries[sub.slot as usize];
-                    let handle = QueryHandle::new(QueryId(sub.slot as usize), slot.generation);
-                    let state = slot
-                        .state
-                        .as_mut()
-                        .expect("the fan-out only lists live queries");
-                    let observed = &state.observed;
-                    match &mut state.exec {
-                        QueryExec::Single(matcher) => {
-                            complete.clear();
-                            for (i, m) in results.iter().enumerate() {
-                                if lifted {
-                                    match &consts[i] {
-                                        Some(c) if c.as_slice() == sub.constants() => {
-                                            lifted_hits += 1;
-                                        }
-                                        _ => continue,
-                                    }
-                                }
-                                if !sub.admits(m, observed) {
-                                    continue;
-                                }
-                                matcher.absorb_joined(sub.node, sub.remap(m), &mut complete);
-                            }
-                            for m in complete.drain(..) {
-                                deliver_match(
-                                    handle,
-                                    &matcher.plan().query,
-                                    graph,
-                                    &m,
-                                    &mut state.subscribers,
-                                    &mut state.durables,
-                                    &policy,
-                                    sink,
-                                );
-                                emitted += 1;
-                            }
-                        }
-                        QueryExec::Sharded(sharded) => {
-                            for (i, m) in results.iter().enumerate() {
-                                if lifted {
-                                    match &consts[i] {
-                                        Some(c) if c.as_slice() == sub.constants() => {
-                                            lifted_hits += 1;
-                                        }
-                                        _ => continue,
-                                    }
-                                }
-                                if !sub.admits(m, observed) {
-                                    continue;
-                                }
-                                sharded.absorb_joined_at(sub.node, sub.remap(m), seq);
-                            }
-                        }
-                        // RPQs never subscribe to the subtree index.
-                        QueryExec::Rpq(_) => unreachable!("RPQ in subtree fan-out"),
-                    }
-                }
-                if let (Some(h), Some(t)) = (&hub, t0) {
-                    *climb_ns.get_or_insert(0) += h.core.now_ns().saturating_sub(t);
-                }
-                self.subtree.add_lifted_hits(lifted_hits);
-                self.subtree_scratch = deliveries;
-            }
         }
-        let classic = if self.sharing_active {
-            &self.classic_dispatch
+        let private = if self.sharing_active {
+            &self.private_dispatch
         } else {
             &self.dispatch
         };
-        for &idx in classic {
+        for &idx in private {
             let slot = &mut self.queries[idx as usize];
             let handle = QueryHandle::new(QueryId(idx as usize), slot.generation);
             let state = slot
@@ -2004,11 +1842,9 @@ impl ContinuousQueryEngine {
                     // search — no join climb — so its time lands there.
                     let mut paths = std::mem::take(&mut self.rpq_scratch);
                     paths.clear();
-                    let t0 = hub.as_ref().map(|h| h.core.now_ns());
+                    let t0 = now();
                     rpq.process_edge(graph, edge, &mut paths);
-                    if let (Some(h), Some(t)) = (&hub, t0) {
-                        *search_ns.get_or_insert(0) += h.core.now_ns().saturating_sub(t);
-                    }
+                    lap(&mut search_ns, t0, now());
                     let name = rpq.query().name();
                     for p in paths.drain(..) {
                         let event = MatchEvent::from_path(handle, name, graph, &p);
@@ -2025,26 +1861,21 @@ impl ContinuousQueryEngine {
                     continue;
                 }
             };
+            // `SjTreeMatcher::process_edge`, spelled out as its two halves —
+            // anchored search, then the join climb — so that a sampled
+            // event's time lands in each half's own stage.
             complete.clear();
-            if let Some(h) = &hub {
-                // Sampled event: run `process_edge` as its two halves —
-                // anchored search, then the join climb — so each half's time
-                // lands in its own stage. Matches and counters are identical
-                // to the fused path.
-                let mut prims = std::mem::take(&mut self.primitive_scratch);
-                prims.clear();
-                let t0 = h.core.now_ns();
-                matcher.primitive_matches_into(graph, edge, &mut prims);
-                let t1 = h.core.now_ns();
-                *search_ns.get_or_insert(0) += t1.saturating_sub(t0);
-                for (leaf, m) in prims.drain(..) {
-                    matcher.join_from(leaf, m, &mut complete);
-                }
-                *climb_ns.get_or_insert(0) += h.core.now_ns().saturating_sub(t1);
-                self.primitive_scratch = prims;
-            } else {
-                matcher.process_edge(graph, edge, &mut complete);
+            let mut prims = std::mem::take(&mut self.primitive_scratch);
+            prims.clear();
+            let t0 = now();
+            matcher.primitive_matches_into(graph, edge, &mut prims);
+            let t1 = now();
+            for (leaf, m) in prims.drain(..) {
+                matcher.absorb(leaf, m, &mut complete);
             }
+            lap(&mut search_ns, t0, t1);
+            lap(&mut climb_ns, t1, now());
+            self.primitive_scratch = prims;
             for m in complete.drain(..) {
                 deliver_match(
                     handle,
@@ -2079,33 +1910,18 @@ impl ContinuousQueryEngine {
         // partial interval, never a full `prune_every` window.
         self.edges_since_prune += 1;
         if self.edges_since_prune >= self.config.prune_every {
-            self.prune_async();
+            self.prune_now();
         }
         emitted
     }
 
-    /// Prunes expired partial matches in every live matcher immediately
-    /// (paused queries included — their stale partials keep expiring). For
-    /// sharded queries the sweeps run on the shard workers; this method
-    /// waits for them, so metrics read afterwards reflect the prune — the
-    /// mid-batch cadence prune uses a non-blocking internal variant to
-    /// preserve pipelining.
+    /// Prunes expired partial matches in every live matcher and shared
+    /// entry immediately (paused queries included — their stale partials
+    /// keep expiring). For sharded queries the sweeps run on the shard
+    /// workers, behind a barrier on either side (see
+    /// [`ShardedMatcher::prune`]), so metrics read afterwards reflect the
+    /// prune.
     pub fn prune_now(&mut self) {
-        self.prune_async();
-        for slot in &mut self.queries {
-            if let Some(state) = &mut slot.state {
-                if let QueryExec::Sharded(sharded) = &mut state.exec {
-                    sharded.sync();
-                }
-            }
-        }
-    }
-
-    /// Starts a prune pass in every live matcher: in-process matchers sweep
-    /// synchronously, sharded matchers enqueue sweep markers to their
-    /// workers without waiting (their metrics catch up at the next
-    /// quiescent point — a barrier or the end of the `ingest` call).
-    fn prune_async(&mut self) {
         // Prunes are rare (once per `prune_every` edges), so they are timed
         // whenever telemetry is on rather than per-event sampled; sweeps that
         // run on shard workers record their own time there. No span: a sweep
@@ -2117,7 +1933,7 @@ impl ContinuousQueryEngine {
                 state.exec.prune(now);
             }
         }
-        self.subtree.prune(now);
+        self.shared.prune(now);
         self.edges_since_prune = 0;
         if let (Some(h), Some(start)) = (&self.telemetry, start) {
             h.core

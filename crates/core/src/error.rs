@@ -17,14 +17,6 @@ pub enum EngineError {
     InvalidConfig(String),
     /// Query parsing or planning failed.
     Planning(QueryError),
-    /// A worker thread of a [`crate::ParallelRunner`] panicked; carries the
-    /// worker index and the stringified panic payload.
-    WorkerPanicked {
-        /// Index of the worker thread that died (0-based).
-        worker: usize,
-        /// The panic payload, rendered to a string when possible.
-        message: String,
-    },
     /// A shard worker of a sharded query died mid-stream. Under the
     /// [`crate::ShardFailurePolicy::FailFast`] policy the engine is poisoned
     /// after surfacing this; under `Degrade` the shard's join state has been
@@ -74,9 +66,6 @@ impl std::fmt::Display for EngineError {
             }
             EngineError::InvalidConfig(msg) => write!(f, "invalid engine configuration: {msg}"),
             EngineError::Planning(e) => write!(f, "query planning failed: {e}"),
-            EngineError::WorkerPanicked { worker, message } => {
-                write!(f, "worker thread {worker} panicked: {message}")
-            }
             EngineError::ShardFailed {
                 shard,
                 message,
@@ -141,12 +130,6 @@ mod tests {
 
     #[test]
     fn failure_errors_render_their_context() {
-        let p = EngineError::WorkerPanicked {
-            worker: 3,
-            message: "boom".into(),
-        };
-        assert!(p.to_string().contains("worker thread 3"));
-        assert!(p.to_string().contains("boom"));
         let fail = EngineError::ShardFailed {
             shard: 1,
             message: "climb panicked".into(),

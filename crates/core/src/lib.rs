@@ -90,7 +90,7 @@ pub use ingest::{EventBatch, Ingest};
 pub use local_search::{find_primitive_matches, LocalSearchStats};
 pub use match_store::{JoinKey, JoinSide, SharedJoinStore};
 pub use metrics::{EngineMetrics, QueryMetrics, ShardMetrics};
-pub use parallel::{ParallelRunOutcome, ParallelRunner, ShardFailure, ShardedMatcher};
+pub use parallel::{ShardFailure, ShardedMatcher};
 pub use sj_matcher::SjTreeMatcher;
 pub use telemetry::{
     shard_skew, AtomicHistogram, DeliverySnapshot, HistogramSnapshot, MetricsRegistry,

@@ -127,9 +127,8 @@ impl QueryMetrics {
     }
 }
 
-/// Engine-level counters of the multi-query sharing subsystem (the canonical
-/// primitive index — see `ARCHITECTURE.md`'s "query registration & sharing"
-/// layer).
+/// Engine-level counters of the multi-query sharing subsystem (the interning
+/// index — see `ARCHITECTURE.md`'s "query registration & sharing" layer).
 ///
 /// The headline figure is the **dedup ratio**: how many subscribed leaf
 /// primitives are served per distinct interned primitive. With sharing
@@ -139,11 +138,11 @@ impl QueryMetrics {
 /// [`crate::ContinuousQueryEngine::engine_metrics`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EngineMetrics {
-    /// Live distinct primitives in the shared index (interned canonical
-    /// forms with at least one subscription).
+    /// Live distinct primitives in the shared index: interned entries that
+    /// are exactly one plain leaf search — a single search primitive with no
+    /// lifted constant — and have at least one subscription.
     pub distinct_primitives: u64,
-    /// Live subscriptions (one per SJ-Tree leaf of every registered,
-    /// index-covered query).
+    /// Live subscriptions to them (one per (query, subscription node) pair).
     pub subscribed_primitives: u64,
     /// Anchored local searches actually run by the shared dispatch path.
     pub shared_searches_run: u64,
@@ -152,17 +151,22 @@ pub struct EngineMetrics {
     pub searches_saved: u64,
     /// Embeddings produced by shared searches (pre-fan-out, canonical space).
     pub shared_embeddings: u64,
-    /// Embeddings delivered to subscriber leaves (post-fan-out; one shared
-    /// embedding counts once per receiving subscription).
+    /// Matches delivered to subscriber nodes (post-fan-out; one shared match
+    /// counts once per receiving subscription).
     pub fanout_deliveries: u64,
-    /// Live distinct shared subtrees (interned canonical join subtrees with
-    /// at least one subscription). Zero when subtree sharing is off or
-    /// absent from serialized form (pre-subtree snapshots).
+    /// Live distinct shared subtrees: interned entries that do more than one
+    /// plain leaf search — they run a join climb, dispatch on a lifted
+    /// constant, or both. Zero when absent from serialized form
+    /// (pre-subtree snapshots).
     #[serde(default)]
     pub distinct_subtrees: u64,
     /// Live subtree subscriptions (one per (query, subscription node) pair).
     #[serde(default)]
     pub subscribed_subtrees: u64,
+    /// Live entries whose form abstracts at least one `eq` constant (a
+    /// subset of `distinct_subtrees`, served by constant dispatch).
+    #[serde(default)]
+    pub lifted_entries: u64,
     /// Join-climb steps (join attempts) actually run inside shared subtree
     /// entries.
     #[serde(default)]

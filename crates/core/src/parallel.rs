@@ -1,16 +1,9 @@
-//! Parallel execution: across queries and *within* one query.
+//! Parallel execution *within* one query.
 //!
-//! The paper's demo runs on a 48-core shared-memory node (§6.1). This module
-//! provides both units of parallelism the reproduction supports:
-//!
-//! * **Across queries** — [`ParallelRunner`] shards a *registry* of queries
-//!   over worker threads, each worker replaying the full stream through its
-//!   own engine (graph and summaries replicated per worker). Exact semantics
-//!   are trivial: each query's results depend only on the stream.
-//! * **Within one query** — [`ShardedMatcher`] shards a *single* query's
-//!   SJ-Tree match state by **join-key hash**, so one hot query — the
-//!   real-time cyber regime StreamWorks targets — can use the whole machine
-//!   instead of one core.
+//! The paper's demo runs on a 48-core shared-memory node (§6.1).
+//! [`ShardedMatcher`] shards a *single* query's SJ-Tree match state by
+//! **join-key hash**, so one hot query — the real-time cyber regime
+//! StreamWorks targets — can use the whole machine instead of one core.
 //!
 //! # How single-query sharding works
 //!
@@ -82,10 +75,7 @@
 //! ```
 
 use crate::binding::PartialMatch;
-use crate::config::{EngineConfig, ShardFailurePolicy};
-use crate::engine::ContinuousQueryEngine;
-use crate::error::EngineError;
-use crate::event::MatchEvent;
+use crate::config::ShardFailurePolicy;
 use crate::join::{self, NodeRoute, NO_PARENT};
 use crate::match_store::{JoinKey, SharedJoinStore};
 use crate::metrics::{QueryMetrics, ShardMetrics};
@@ -95,8 +85,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use streamworks_graph::hash::FxHasher;
-use streamworks_graph::{Duration, DynamicGraph, Edge, EdgeEvent, Timestamp, VertexId};
-use streamworks_query::{QueryGraph, QueryPlan, QueryVertexId, SjNodeId};
+use streamworks_graph::{Duration, DynamicGraph, Edge, Timestamp, VertexId};
+use streamworks_query::{QueryPlan, QueryVertexId, SjNodeId};
 
 /// Renders a panic payload for error reporting: panics raised with a string
 /// (the overwhelmingly common case — `panic!`, `expect`, assertion macros)
@@ -110,147 +100,6 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         "non-string panic payload".to_owned()
     }
 }
-
-/// Outcome of a parallel run.
-#[derive(Debug)]
-pub struct ParallelRunOutcome {
-    /// All match events, ordered by (stream time, query name).
-    pub events: Vec<MatchEvent>,
-    /// Per-query metrics, keyed by query name, in registration order.
-    pub metrics: Vec<(String, QueryMetrics)>,
-    /// Number of edge events each worker processed (equal for all workers).
-    pub edges_processed: usize,
-    /// Number of worker threads used.
-    pub workers: usize,
-}
-
-/// Shards registered queries across worker threads and replays a stream
-/// through every shard in parallel.
-#[derive(Debug, Clone)]
-pub struct ParallelRunner {
-    config: EngineConfig,
-    workers: usize,
-    queries: Vec<QueryGraph>,
-}
-
-impl ParallelRunner {
-    /// Creates a runner with `workers` threads (clamped to at least 1).
-    pub fn new(config: EngineConfig, workers: usize) -> Self {
-        ParallelRunner {
-            config,
-            workers: workers.max(1),
-            queries: Vec::new(),
-        }
-    }
-
-    /// Registers a query; it will be planned by its worker at run time using
-    /// that worker's (initially empty) statistics.
-    pub fn register_query(&mut self, query: QueryGraph) -> &mut Self {
-        self.queries.push(query);
-        self
-    }
-
-    /// Number of registered queries.
-    pub fn query_count(&self) -> usize {
-        self.queries.len()
-    }
-
-    /// Number of worker threads that will be used for the current registry.
-    pub fn effective_workers(&self) -> usize {
-        self.workers.min(self.queries.len()).max(1)
-    }
-
-    /// Replays `events` through every registered query, sharded across the
-    /// worker threads, and merges the results. Each worker feeds its engine
-    /// through the batched ingest path.
-    ///
-    /// The configuration is validated up front, so an invalid one surfaces as
-    /// [`EngineError::InvalidConfig`] here instead of panicking inside a
-    /// worker thread.
-    pub fn run(&self, events: &[EdgeEvent]) -> Result<ParallelRunOutcome, EngineError> {
-        self.config.validate().map_err(EngineError::InvalidConfig)?;
-        if self.queries.is_empty() {
-            return Ok(ParallelRunOutcome {
-                events: Vec::new(),
-                metrics: Vec::new(),
-                edges_processed: events.len(),
-                workers: 0,
-            });
-        }
-        let workers = self.effective_workers();
-        // Round-robin sharding keeps shards balanced in query count.
-        let mut shards: Vec<Vec<QueryGraph>> = vec![Vec::new(); workers];
-        for (i, q) in self.queries.iter().enumerate() {
-            shards[i % workers].push(q.clone());
-        }
-
-        let config = self.config;
-        type ShardResult = Result<(Vec<MatchEvent>, Vec<(String, QueryMetrics)>), EngineError>;
-        let results: Vec<ShardResult> = std::thread::scope(|scope| {
-            let handles: Vec<_> = shards
-                .iter()
-                .map(|shard| {
-                    scope.spawn(move || -> Result<_, EngineError> {
-                        let mut engine = ContinuousQueryEngine::new(config);
-                        let mut registered = Vec::new();
-                        for q in shard {
-                            let handle = engine.register_query(q.clone())?;
-                            registered.push((q.name().to_owned(), handle));
-                        }
-                        let matches = engine.ingest(events)?;
-                        let metrics = registered
-                            .into_iter()
-                            .map(|(name, handle)| {
-                                (name, engine.metrics(handle).unwrap_or_default())
-                            })
-                            .collect();
-                        Ok((matches, metrics))
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .enumerate()
-                .map(|(worker, h)| match h.join() {
-                    Ok(result) => result,
-                    // A panicking worker becomes a structured error, not a
-                    // propagated panic: the caller learns which worker died
-                    // and why, and the surviving workers' joins still ran.
-                    Err(payload) => Err(EngineError::WorkerPanicked {
-                        worker,
-                        message: panic_message(payload.as_ref()),
-                    }),
-                })
-                .collect()
-        });
-
-        let mut all_events = Vec::new();
-        let mut all_metrics = Vec::new();
-        for r in results {
-            let (events, metrics) = r?;
-            all_events.extend(events);
-            all_metrics.extend(metrics);
-        }
-        all_events.sort_by(|a, b| a.at.cmp(&b.at).then(a.query_name.cmp(&b.query_name)));
-        // Report metrics in the original registration order.
-        all_metrics.sort_by_key(|(name, _)| {
-            self.queries
-                .iter()
-                .position(|q| q.name() == name)
-                .unwrap_or(usize::MAX)
-        });
-        Ok(ParallelRunOutcome {
-            events: all_events,
-            metrics: all_metrics,
-            edges_processed: events.len(),
-            workers,
-        })
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Single-query sharding
-// ---------------------------------------------------------------------------
 
 /// Routes a join key to its owning shard. Both the driver (for leaf matches)
 /// and the workers (for merged matches climbing the tree) use this, so a
@@ -338,7 +187,7 @@ enum ShardSignal {
 /// One reported shard-worker failure (see [`ShardFailurePolicy`] and the
 /// module docs). Obtained from [`ShardedMatcher::take_failures`] /
 /// [`ShardedMatcher::terminal_failure`]; the engine folds these into
-/// [`EngineError::ShardFailed`].
+/// [`crate::EngineError::ShardFailed`].
 #[derive(Debug, Clone)]
 pub struct ShardFailure {
     /// Index of the shard whose worker died.
@@ -881,6 +730,9 @@ pub struct ShardedMatcher {
     complete_emitted: u64,
     /// Spill count for matches completed on the driver (single-leaf plans).
     driver_spills: u64,
+    /// Leaf embeddings routed so far, from this matcher's own front end or
+    /// from a shared entry (the front end only accounts the search side).
+    primitive_matches: u64,
     primitive_scratch: Vec<(SjNodeId, PartialMatch)>,
     /// Observability hooks on the driver side: the engine-shared histogram
     /// core plus the engine thread's span ring (local search and routing of
@@ -1045,6 +897,7 @@ impl ShardedMatcher {
             completed: Vec::new(),
             complete_emitted: 0,
             driver_spills: 0,
+            primitive_matches: 0,
             primitive_scratch: Vec::new(),
             telemetry,
             span_rings,
@@ -1082,8 +935,8 @@ impl ShardedMatcher {
         self.front.plan()
     }
 
-    /// Blocks until every routed match and prune marker enqueued so far has
-    /// been fully processed (completed matches stay buffered for the next
+    /// Blocks until every routed match enqueued so far has been fully
+    /// processed (completed matches stay buffered for the next
     /// [`Self::take_completed`]). Afterwards [`Self::metrics`] and
     /// [`Self::shard_metrics`] reflect all prior work exactly.
     pub fn sync(&mut self) {
@@ -1142,6 +995,7 @@ impl ShardedMatcher {
         } else {
             None
         };
+        self.primitive_matches += primitives.len() as u64;
         for (leaf, m) in primitives.drain(..) {
             self.route_embedding(leaf, m, seq);
         }
@@ -1157,46 +1011,35 @@ impl ShardedMatcher {
         }
     }
 
-    /// Feeds one embedding produced by the engine's shared primitive index
-    /// (already remapped into this query's vertex/edge space) into the
-    /// sharded execution at `leaf`, stamped with stream position `seq` —
-    /// the same routing tail as [`Self::process_edge_at`], minus the local
-    /// search (the shared index ran it). `seq` only advances the matcher's
-    /// position when it moves forward, since many embeddings of one event
-    /// share a position.
-    pub(crate) fn absorb_embedding_at(&mut self, leaf: SjNodeId, m: PartialMatch, seq: u64) {
+    /// Feeds one match produced by a shared entry of the engine's sharing
+    /// index (already remapped into this query's vertex/edge space) into the
+    /// sharded execution at `node`, stamped with stream position `seq` — the
+    /// same routing tail as [`Self::process_edge_at`], minus the local search
+    /// (the entry ran it). The sharded twin of `SjTreeMatcher::absorb`: a
+    /// match at a leaf counts one primitive match, a *joined* match at an
+    /// internal node or the root does not (the searches and the joins below
+    /// `node` ran inside the entry). `seq` only advances the matcher's
+    /// position when it moves forward, since many matches of one event share
+    /// a position.
+    pub(crate) fn absorb(&mut self, node: SjNodeId, m: PartialMatch, seq: u64) {
         if seq >= self.seq {
             self.seq = seq + 1;
         }
-        self.front.note_shared_embedding();
-        self.route_timed(leaf, m, seq);
+        if self.front.plan().shape.node(node).is_leaf() {
+            self.primitive_matches += 1;
+        }
+        self.route_timed(node, m, seq);
         // Opportunistic drain keeps the fan-in channel shallow mid-batch.
         while let Ok(results) = self.results_rx.try_recv() {
             self.completed.extend(results);
         }
     }
 
-    /// Feeds one *joined* match produced by a shared subtree entry (already
-    /// remapped into this query's space) into the sharded execution at
-    /// `node` — the subscription point, an internal node or the root. Same
-    /// routing tail as [`Self::absorb_embedding_at`], but no primitive match
-    /// is counted: the searches and the joins below `node` ran inside the
-    /// shared entry.
-    pub(crate) fn absorb_joined_at(&mut self, node: SjNodeId, m: PartialMatch, seq: u64) {
-        if seq >= self.seq {
-            self.seq = seq + 1;
-        }
-        self.route_timed(node, m, seq);
-        while let Ok(results) = self.results_rx.try_recv() {
-            self.completed.extend(results);
-        }
-    }
-
     /// [`Self::route_embedding`] with routing-latency accounting for sampled
-    /// edges — the shared-index fan-out entry points come through here, one
-    /// embedding at a time, so only the histogram is fed (a span per
-    /// embedding would flood the ring; end-to-end spans come from
-    /// `process_edge_at` and the worker climbs).
+    /// edges — the shared-index fan-out comes through here, one match at a
+    /// time, so only the histogram is fed (a span per match would flood the
+    /// ring; end-to-end spans come from `process_edge_at` and the worker
+    /// climbs).
     fn route_timed(&mut self, node: SjNodeId, m: PartialMatch, seq: u64) {
         let sampled = self
             .telemetry
@@ -1427,19 +1270,17 @@ impl ShardedMatcher {
         out
     }
 
-    /// Sends a prune marker to every shard; stored matches whose earliest
-    /// edge predates `now - window` are expired asynchronously (call
-    /// [`Self::sync`] or [`Self::take_completed`] afterwards to observe the
-    /// sweeps in the metrics). A merged match handed off between shards
-    /// concurrently with the markers may be filed after the sweep and live
-    /// until the next prune — harmless for match output (out-of-window
-    /// state can never complete a match), but `partial_matches_live` can
-    /// transiently read high, and with a per-node cap set, which matches
-    /// are dropped near the cap can vary run to run.
+    /// Expires stored matches whose earliest edge predates `now - window` in
+    /// every shard, and waits for the sweeps: on return [`Self::metrics`]
+    /// reflects them.
+    ///
+    /// The shards are quiesced *before* the markers go out. The cutoff is
+    /// computed from `now`, but work routed for earlier edges may still be in
+    /// flight between shards; a shard that is ahead would otherwise sweep
+    /// partials that a lagging handoff — produced when they were well inside
+    /// the window — still has to join, and the match would be lost.
     pub fn prune(&mut self, now: Timestamp) {
-        // Route buffered matches first so the prune marker never overtakes
-        // work produced before it.
-        self.flush_routes();
+        self.sync();
         let cutoff = now.minus(self.front.window());
         for shard in 0..self.shards {
             // Quarantined shards have nothing to sweep (their state moved
@@ -1449,6 +1290,7 @@ impl ShardedMatcher {
             }
             self.send_counted(shard, ShardItem::Prune { cutoff });
         }
+        self.wait_quiescent();
     }
 
     /// Aggregated metrics: driver-side local-search counters plus the sum of
@@ -1456,6 +1298,7 @@ impl ShardedMatcher {
     pub fn metrics(&self) -> QueryMetrics {
         let mut m = self.front.metrics();
         m.complete_matches = self.complete_emitted;
+        m.primitive_matches = self.primitive_matches;
         m.binding_spills += self.driver_spills;
         for c in &self.counters {
             let s = c.snapshot();
@@ -1549,8 +1392,8 @@ impl std::fmt::Debug for ShardedMatcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use streamworks_graph::{Duration, Timestamp};
-    use streamworks_query::QueryGraphBuilder;
+    use streamworks_graph::{Duration, EdgeEvent, Timestamp};
+    use streamworks_query::{QueryGraph, QueryGraphBuilder};
 
     fn pair_query(name: &str, etype: &str) -> QueryGraph {
         QueryGraphBuilder::new(name)
@@ -1563,104 +1406,6 @@ mod tests {
             .build()
             .unwrap()
     }
-
-    fn stream() -> Vec<EdgeEvent> {
-        let mut events = Vec::new();
-        for i in 0..30i64 {
-            events.push(EdgeEvent::new(
-                format!("a{}", i % 6),
-                "Article",
-                format!("k{}", i % 3),
-                "Keyword",
-                if i % 2 == 0 { "mentions" } else { "cites" },
-                Timestamp::from_secs(i * 5),
-            ));
-        }
-        events
-    }
-
-    #[test]
-    fn parallel_run_matches_sequential_run() {
-        let queries = vec![
-            pair_query("mentions_pair", "mentions"),
-            pair_query("cites_pair", "cites"),
-        ];
-        let events = stream();
-
-        // Sequential reference.
-        let mut sequential = ContinuousQueryEngine::builder().build().unwrap();
-        for q in &queries {
-            sequential.register_query(q.clone()).unwrap();
-        }
-        let mut seq_events = Vec::new();
-        for ev in &events {
-            seq_events.extend(sequential.ingest(ev).unwrap());
-        }
-
-        // Parallel runs with 1, 2 and 4 workers all agree with it.
-        for workers in [1usize, 2, 4] {
-            let mut runner = ParallelRunner::new(EngineConfig::default(), workers);
-            for q in &queries {
-                runner.register_query(q.clone());
-            }
-            let outcome = runner.run(&events).unwrap();
-            assert_eq!(outcome.events.len(), seq_events.len(), "workers={workers}");
-            assert_eq!(outcome.edges_processed, events.len());
-            assert_eq!(outcome.metrics.len(), 2);
-            let total: u64 = outcome
-                .metrics
-                .iter()
-                .map(|(_, m)| m.complete_matches)
-                .sum();
-            assert_eq!(total as usize, seq_events.len());
-        }
-    }
-
-    #[test]
-    fn invalid_config_is_an_error_not_a_worker_panic() {
-        let mut runner = ParallelRunner::new(
-            EngineConfig {
-                prune_every: 0,
-                ..EngineConfig::default()
-            },
-            2,
-        );
-        runner.register_query(pair_query("p", "mentions"));
-        match runner.run(&stream()) {
-            Err(crate::error::EngineError::InvalidConfig(msg)) => {
-                assert!(msg.contains("prune_every"));
-            }
-            other => panic!("expected InvalidConfig, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn empty_registry_is_a_noop() {
-        let runner = ParallelRunner::new(EngineConfig::default(), 4);
-        let outcome = runner.run(&stream()).unwrap();
-        assert!(outcome.events.is_empty());
-        assert_eq!(outcome.workers, 0);
-    }
-
-    #[test]
-    fn effective_workers_is_bounded_by_query_count() {
-        let mut runner = ParallelRunner::new(EngineConfig::default(), 8);
-        runner.register_query(pair_query("only", "mentions"));
-        assert_eq!(runner.effective_workers(), 1);
-        assert_eq!(runner.query_count(), 1);
-    }
-
-    #[test]
-    fn metrics_follow_registration_order() {
-        let mut runner = ParallelRunner::new(EngineConfig::default(), 2);
-        runner.register_query(pair_query("zz_last_name", "mentions"));
-        runner.register_query(pair_query("aa_first_name", "cites"));
-        let outcome = runner.run(&stream()).unwrap();
-        assert_eq!(outcome.metrics[0].0, "zz_last_name");
-        assert_eq!(outcome.metrics[1].0, "aa_first_name");
-    }
-
-    // -- ShardedMatcher ----------------------------------------------------
 
     use crate::sj_matcher::SjTreeMatcher;
     use std::collections::BTreeSet;

@@ -1,31 +1,45 @@
-//! Multi-query sharing: the canonical primitive index.
+//! Multi-query sharing: the interning index.
 //!
 //! StreamWorks is a registry system — many standing queries watch one stream
 //! — and registries built from shared templates contain many *structurally
-//! identical* SJ-Tree leaf primitives. Without sharing, the engine's
-//! per-event cost is `O(#queries)`: every registered query runs its own
-//! anchored local search for every incoming edge, even when a thousand
-//! queries would search for exactly the same shape.
+//! identical* pieces: the same search primitive, the same join subtree, the
+//! same template with a different compared literal. Without sharing, the
+//! engine's per-event cost is `O(#queries)`: every registered query runs its
+//! own anchored local search and its own join climb for every incoming edge,
+//! even when a thousand queries would do exactly the same work.
 //!
-//! [`SharedPrimitiveIndex`] is the layer between registration and matching
-//! that removes that multiplier:
+//! [`SharedIndex`] is the layer between registration and matching that
+//! removes that multiplier. It interns **entries**; every SJ-Tree node of a
+//! registered plan — a leaf primitive is simply the height-0 case of a
+//! subtree — can subscribe to one:
 //!
-//! * At [`register_plan`](crate::ContinuousQueryEngine::register_plan) time,
-//!   every leaf primitive of the query's SJ-Tree is canonicalized
-//!   ([`streamworks_query::CanonicalPrimitive`]) and **interned** by its
-//!   structural fingerprint. Isomorphic primitives (same typed edges,
-//!   directions, predicates and window, under any query-vertex renaming)
-//!   share one entry; an explicit canonical-form equality check behind the
-//!   hash guarantees a fingerprint collision can never merge non-isomorphic
-//!   primitives. Entries are refcounted by their subscriptions: the last
-//!   deregistration frees the entry.
-//! * Per event, the engine runs the anchored local search **once per
-//!   distinct primitive** — against the entry's canonical pattern, through
-//!   the same `find_primitive_matches_anchored` front end the per-query
-//!   matchers use — and fans each embedding out to every *active* subscribing
-//!   query's leaf, remapping bindings through the subscriber's precomputed
-//!   vertex/edge permutation. Paused queries drop out of the fan-out (an
-//!   entry whose subscribers are all paused is not searched at all).
+//! * An entry is a *lifted canonical form* ([`LiftedPrimitive`]: typed
+//!   edges, directions, predicates and window under any query-vertex
+//!   renaming, with edge `eq` constants abstracted to slots) plus its own
+//!   [`SjTreeMatcher`] over the canonical pattern. Forms are interned by
+//!   structural fingerprint; an explicit canonical-form equality check
+//!   behind the hash guarantees a fingerprint collision can never merge
+//!   non-isomorphic forms. Entries are refcounted by their subscriptions:
+//!   the last deregistration frees the entry.
+//! * At [`register_plan`](crate::ContinuousQueryEngine::register_plan) time
+//!   the plan's tree is walked top-down ([`SharedIndex::subscribe`]) and the
+//!   query subscribes at every *maximal* node whose form is interned; below
+//!   a subscribed node nothing else subscribes.
+//! * Per event, each entry the edge's type can reach runs its anchored
+//!   searches — and, if it has internal nodes, its join climb — **once**,
+//!   and the resulting matches fan out to every active subscriber, filtered
+//!   by bound constants (lifted entries), gated on what the subscriber
+//!   itself observed, and remapped through the subscriber's precomputed
+//!   vertex/edge permutation into its own query space.
+//!
+//! What an entry may skip follows from the entry itself. One whose matcher
+//! is a single leaf holds no join state: everything it reports is re-read
+//! from the graph, so it can be created for its first subscriber, rests
+//! while every subscriber is paused, and a registry in which no such entry
+//! serves two subscribers does not need the index at all
+//! ([`SharedIndex::needs_dispatch`]). One with join stores is created *cold*
+//! — only once a second query proves the shape recurs, see [`Advert`] — and
+//! is fed every event from then on.
 //!
 //! The index also keeps the engine-level dedup counters surfaced as
 //! [`crate::EngineMetrics`], and per-subscription accounting that lets
@@ -34,54 +48,24 @@
 
 use crate::anchors::AnchorIndex;
 use crate::binding::{Binding, PartialMatch};
-use crate::constraints::CompiledConstraints;
-use crate::local_search::{find_primitive_matches_anchored, LocalSearchStats};
 use crate::metrics::EngineMetrics;
 use crate::sj_matcher::SjTreeMatcher;
 use smallvec::SmallVec;
 use streamworks_graph::hash::{FxHashMap, FxHashSet};
 use streamworks_graph::{AttrValue, Duration, DynamicGraph, Edge, Timestamp};
 use streamworks_query::{
-    eq_constant_token, CanonicalPrimitive, LiftedPrimitive, Planner, QueryEdgeId, QueryGraph,
+    eq_constant_token, LiftedPrimitive, ManualDecomposition, Planner, QueryEdgeId, QueryGraph,
     QueryPlan, QueryVertexId, SjNodeId,
 };
-
-/// Translates a canonical-space match into a subscriber's query space:
-/// bindings move through the vertex permutation, covered edges through the
-/// edge permutation, timestamps are preserved. Shared by the leaf-level
-/// [`Subscriber`] and the subtree-level [`SubtreeSubscriber`].
-fn remap_match(
-    vertex_map: &[QueryVertexId],
-    edge_map: &[QueryEdgeId],
-    vertex_count: usize,
-    m: &PartialMatch,
-) -> PartialMatch {
-    let mut binding = Binding::new(vertex_count);
-    for (canon_v, dv) in m.binding.iter() {
-        let bound = binding.bind(vertex_map[canon_v.0], dv);
-        debug_assert!(bound, "a bijective renaming preserves injectivity");
-    }
-    let mut edges: SmallVec<(QueryEdgeId, streamworks_graph::EdgeId), 6> = SmallVec::new();
-    for &(qe, de) in &m.edges {
-        edges.push((edge_map[qe.0], de));
-    }
-    edges.as_mut_slice().sort_unstable_by_key(|(q, _)| *q);
-    PartialMatch {
-        binding,
-        edges,
-        earliest: m.earliest,
-        latest: m.latest,
-    }
-}
 
 /// True when `anchor` (an arrival-order edge id) falls inside one of the
 /// `[open, close)` observation intervals of a query's `observed` boundary
 /// list (odd length = the final interval is still open). This is the gate
-/// that makes shared subtree delivery exact under pause/resume and late
-/// registration: a joined match is delivered only if every leaf embedding of
-/// the *subscriber's own* partition was anchored at an edge the subscriber
+/// that makes shared delivery exact under pause/resume and late
+/// registration: a match is delivered only if every leaf embedding of the
+/// *subscriber's own* partition was anchored at an edge the subscriber
 /// observed — exactly the embeddings its private matcher would have formed.
-pub(crate) fn anchor_in_observed(anchor: u64, observed: &[u64]) -> bool {
+fn anchor_in_observed(anchor: u64, observed: &[u64]) -> bool {
     let mut i = 0;
     while i < observed.len() {
         let open = observed[i];
@@ -110,442 +94,19 @@ fn tokens_hash(tokens: &[String]) -> u64 {
     h
 }
 
-/// One query's subscription to a shared primitive entry: which SJ-Tree leaf
-/// the embeddings feed, and how canonical-space bindings translate into the
-/// subscriber's query-vertex space.
+/// One query's subscription to an entry: which SJ-Tree node of the
+/// subscriber the entry's matches feed, how canonical-space bindings
+/// translate into the subscriber's query space, and the per-subscriber state
+/// of constant dispatch and observation gating.
 #[derive(Debug)]
-pub(crate) struct Subscriber {
+struct Subscriber {
     /// The subscribing query's slot index.
-    pub slot: u32,
-    /// The SJ-Tree leaf of the subscriber that this primitive realises.
-    pub leaf: SjNodeId,
-    /// Canonical vertex id → subscriber query vertex.
-    vertex_map: Vec<QueryVertexId>,
-    /// Canonical edge position → subscriber query edge.
-    edge_map: Vec<QueryEdgeId>,
-    /// The subscriber query's total vertex count (binding slot table size).
-    vertex_count: usize,
-    /// False while the subscriber is paused: it drops out of the fan-out.
-    active: bool,
-    /// Entry candidate counter at the start of the current active interval.
-    cand_base: u64,
-    /// Candidates attributed over closed active intervals.
-    cand_accum: u64,
-}
-
-impl Subscriber {
-    /// Translates a canonical-space embedding into the subscriber's query
-    /// space: bindings move through the vertex permutation, covered edges
-    /// through the edge permutation, timestamps are preserved.
-    pub fn remap(&self, m: &PartialMatch) -> PartialMatch {
-        remap_match(&self.vertex_map, &self.edge_map, self.vertex_count, m)
-    }
-}
-
-/// One interned distinct primitive.
-#[derive(Debug)]
-struct Entry {
-    /// The canonical form (fingerprint + the equality check behind it).
-    canon: CanonicalPrimitive,
-    /// The canonical pattern the shared local search runs against
-    /// (standalone query graph in canonical vertex/edge space, carrying the
-    /// subscribers' common window).
-    pattern: QueryGraph,
-    /// All of `pattern`'s edge ids (the primitive-edge slice for the search).
-    pattern_edges: Vec<QueryEdgeId>,
-    /// Type constraints of `pattern`, resolved against the data graph.
-    constraints: CompiledConstraints,
-    /// Subscribing (query, leaf) pairs, refcounting the entry.
-    subscribers: Vec<Subscriber>,
-    /// Subscribers currently active (not paused).
-    active_subs: usize,
-    /// Cumulative local-search candidates examined by this entry's searches.
-    candidates: u64,
-    /// Embeddings found for the current event (canonical space).
-    results: Vec<PartialMatch>,
-    /// `shared_events` stamp of the last event that touched this entry.
-    last_touched: u64,
-}
-
-/// A pending fan-out unit of one event: entry `entry`'s results go to
-/// subscriber `sub` of that entry. Sort key fields first, so the engine can
-/// deliver in deterministic (slot, leaf) order.
-pub(crate) type Delivery = (u32, u32, u32, u32); // (slot, leaf, entry, sub)
-
-/// The canonical primitive index (see the module docs).
-#[derive(Debug, Default)]
-pub(crate) struct SharedPrimitiveIndex {
-    /// Entry slots; freed entries are `None` and re-occupied via `free`.
-    entries: Vec<Option<Entry>>,
-    free: Vec<u32>,
-    /// Fingerprint → entry indices. More than one index under a hash is a
-    /// fingerprint collision: `CanonicalPrimitive::matches` decides.
-    by_hash: FxHashMap<u64, Vec<u32>>,
-    /// Query slot → entries it subscribes to (one per leaf; duplicates when
-    /// several leaves of one query intern to the same entry).
-    per_slot: FxHashMap<u32, Vec<u32>>,
-    /// Per-type anchor dispatch (entry, canonical anchor edge) with the
-    /// schema gate and dirty tracking — the same [`AnchorIndex`] the
-    /// per-query matcher dispatches through, keyed by entry index.
-    anchors: AnchorIndex<u32>,
-    /// Entries touched (searched) by the current event.
-    touched: Vec<u32>,
-    /// Events processed through the shared dispatch path.
-    shared_events: u64,
-    /// Anchored searches actually run.
-    searches_run: u64,
-    /// Anchored searches saved vs. the per-query path (`active_subs - 1` per
-    /// search run).
-    searches_saved: u64,
-    /// Embeddings produced by shared searches (pre-fan-out).
-    embeddings_found: u64,
-    /// Embeddings delivered to subscriber leaves (post-fan-out).
-    deliveries: u64,
-}
-
-impl SharedPrimitiveIndex {
-    /// Subscribes the given SJ-Tree leaves of `plan` under query slot `slot`,
-    /// interning each leaf's canonical primitive. The engine passes every
-    /// leaf *not* covered by a shared subtree subscription (with subtree
-    /// sharing off that is all of them). Returns `false` — with no
-    /// subscriptions left behind — if any listed leaf cannot be canonicalized
-    /// (pathologically symmetric primitive); such a query is matched
-    /// classically instead.
-    pub fn subscribe_plan(
-        &mut self,
-        slot: u32,
-        plan: &QueryPlan,
-        leaves: &[SjNodeId],
-        graph: &DynamicGraph,
-    ) -> bool {
-        debug_assert!(
-            !self.per_slot.contains_key(&slot),
-            "slot must be unsubscribed before re-subscribing"
-        );
-        let mut entries_of_slot = Vec::with_capacity(leaves.len());
-        for &leaf in leaves {
-            let edges = plan.shape.primitive_edges(leaf);
-            let Some(canon) = CanonicalPrimitive::build(&plan.query, edges) else {
-                // Roll back the leaves already subscribed for this slot.
-                self.per_slot.insert(slot, entries_of_slot);
-                self.unsubscribe_slot(slot);
-                return false;
-            };
-            let entry_idx = self.intern(&canon, &plan.query, graph);
-            let entry = self.entries[entry_idx as usize]
-                .as_mut()
-                .expect("interned entry is live");
-            entry.subscribers.push(Subscriber {
-                slot,
-                leaf,
-                vertex_map: canon.vertex_order().to_vec(),
-                edge_map: canon.edge_order().to_vec(),
-                vertex_count: plan.query.vertex_count(),
-                active: true,
-                cand_base: entry.candidates,
-                cand_accum: 0,
-            });
-            entry.active_subs += 1;
-            entries_of_slot.push(entry_idx);
-        }
-        self.per_slot.insert(slot, entries_of_slot);
-        self.anchors.mark_dirty();
-        true
-    }
-
-    /// Removes every subscription of `slot`. Entries left without
-    /// subscribers are freed (the refcount discipline: the last
-    /// deregistration releases the shared state).
-    pub fn unsubscribe_slot(&mut self, slot: u32) {
-        let Some(mut entry_indices) = self.per_slot.remove(&slot) else {
-            return;
-        };
-        entry_indices.sort_unstable();
-        entry_indices.dedup();
-        for idx in entry_indices {
-            let entry = self.entries[idx as usize]
-                .as_mut()
-                .expect("subscribed entry is live");
-            entry.subscribers.retain(|s| {
-                if s.slot == slot {
-                    if s.active {
-                        entry.active_subs -= 1;
-                    }
-                    false
-                } else {
-                    true
-                }
-            });
-            if entry.subscribers.is_empty() {
-                let fingerprint = entry.canon.fingerprint();
-                self.entries[idx as usize] = None;
-                self.free.push(idx);
-                if let Some(chain) = self.by_hash.get_mut(&fingerprint) {
-                    chain.retain(|&i| i != idx);
-                    if chain.is_empty() {
-                        self.by_hash.remove(&fingerprint);
-                    }
-                }
-            }
-        }
-        self.anchors.mark_dirty();
-    }
-
-    /// Activates or deactivates every subscription of `slot` (pause/resume).
-    /// Inactive subscriptions drop out of the fan-out, and an entry with no
-    /// active subscriber is not searched at all.
-    pub fn set_active(&mut self, slot: u32, active: bool) {
-        let Some(entry_indices) = self.per_slot.get(&slot) else {
-            return;
-        };
-        for &idx in entry_indices {
-            let entry = self.entries[idx as usize]
-                .as_mut()
-                .expect("subscribed entry is live");
-            let candidates = entry.candidates;
-            for sub in entry.subscribers.iter_mut().filter(|s| s.slot == slot) {
-                if sub.active == active {
-                    continue;
-                }
-                sub.active = active;
-                if active {
-                    entry.active_subs += 1;
-                    sub.cand_base = candidates;
-                } else {
-                    entry.active_subs -= 1;
-                    sub.cand_accum += candidates - sub.cand_base;
-                }
-            }
-        }
-    }
-
-    /// True if at least one entry fans out to two or more active
-    /// subscriptions — the condition under which the shared dispatch path
-    /// can save work over the per-query path.
-    pub fn sharing_possible(&self) -> bool {
-        self.entries.iter().flatten().any(|e| e.active_subs >= 2)
-    }
-
-    /// Events processed through the shared dispatch path so far (the basis
-    /// of per-query `edges_processed` accounting in shared mode).
-    pub fn shared_events(&self) -> u64 {
-        self.shared_events
-    }
-
-    /// Local-search candidates attributable to `slot`: what its own searches
-    /// would have examined, summed over its subscriptions' active intervals.
-    pub fn slot_candidates(&self, slot: u32) -> u64 {
-        let Some(entry_indices) = self.per_slot.get(&slot) else {
-            return 0;
-        };
-        // `per_slot` lists one entry per leaf, so an entry shared by several
-        // leaves of this query appears several times; the inner loop already
-        // sums every subscription of the slot, so visit each entry once.
-        let mut entry_indices = entry_indices.clone();
-        entry_indices.sort_unstable();
-        entry_indices.dedup();
-        let mut total = 0u64;
-        for idx in entry_indices {
-            let entry = self.entries[idx as usize]
-                .as_ref()
-                .expect("subscribed entry is live");
-            for sub in entry.subscribers.iter().filter(|s| s.slot == slot) {
-                total += sub.cand_accum;
-                if sub.active {
-                    total += entry.candidates - sub.cand_base;
-                }
-            }
-        }
-        total
-    }
-
-    /// Runs the shared local search for one incoming edge: every entry whose
-    /// canonical pattern has an anchor compatible with the edge's type — and
-    /// at least one active subscriber — is searched exactly once per anchor.
-    /// Embeddings accumulate in the entries' result buffers until the engine
-    /// fans them out; [`Self::collect_deliveries`] lists the pending work.
-    pub fn search_edge(&mut self, graph: &DynamicGraph, edge: &Edge) {
-        self.shared_events += 1;
-        self.touched.clear();
-
-        if self.anchors.schema_changed(graph.schema_version()) {
-            for entry in self.entries.iter_mut().flatten() {
-                entry.constraints.refresh(&entry.pattern, graph);
-            }
-        }
-        if self.anchors.is_dirty() {
-            self.rebuild_anchors();
-        }
-
-        let anchors = self.anchors.take_for_type(edge.etype);
-
-        for &(idx, anchor) in &anchors {
-            let entry = self.entries[idx as usize]
-                .as_mut()
-                .expect("anchor tables only reference live entries");
-            if entry.active_subs == 0 {
-                continue;
-            }
-            if entry.last_touched != self.shared_events {
-                entry.last_touched = self.shared_events;
-                entry.results.clear();
-                self.touched.push(idx);
-            }
-            let mut stats = LocalSearchStats::default();
-            find_primitive_matches_anchored(
-                graph,
-                &entry.pattern,
-                &entry.constraints,
-                &entry.pattern_edges,
-                anchor,
-                edge,
-                entry.pattern.window(),
-                &mut entry.results,
-                &mut stats,
-            );
-            entry.candidates += stats.candidates_examined;
-            self.searches_run += 1;
-            self.searches_saved += (entry.active_subs - 1) as u64;
-            self.embeddings_found += stats.matches_found;
-        }
-        self.anchors.give_back(anchors);
-    }
-
-    /// Appends one [`Delivery`] per (touched entry with embeddings, active
-    /// subscriber) pair of the current event. The tuples sort by
-    /// (slot, leaf), giving the engine the same per-event query order as the
-    /// classic dispatch loop.
-    pub fn collect_deliveries(&self, out: &mut Vec<Delivery>) {
-        for &idx in &self.touched {
-            let entry = self.entries[idx as usize]
-                .as_ref()
-                .expect("touched entries are live");
-            if entry.results.is_empty() {
-                continue;
-            }
-            for (si, sub) in entry.subscribers.iter().enumerate() {
-                if sub.active {
-                    out.push((sub.slot, sub.leaf.0 as u32, idx, si as u32));
-                }
-            }
-        }
-    }
-
-    /// Resolves one [`Delivery`] to the entry's canonical embeddings and the
-    /// receiving subscription.
-    pub fn delivery(&self, d: &Delivery) -> (&[PartialMatch], &Subscriber) {
-        let entry = self.entries[d.2 as usize]
-            .as_ref()
-            .expect("deliveries reference live entries");
-        (&entry.results, &entry.subscribers[d.3 as usize])
-    }
-
-    /// Accounts embeddings fanned out to subscriber leaves.
-    pub fn add_deliveries(&mut self, n: u64) {
-        self.deliveries += n;
-    }
-
-    /// Engine-level dedup counters (see [`EngineMetrics`]).
-    pub fn metrics(&self) -> EngineMetrics {
-        let mut distinct = 0u64;
-        let mut subscribed = 0u64;
-        for entry in self.entries.iter().flatten() {
-            distinct += 1;
-            subscribed += entry.subscribers.len() as u64;
-        }
-        EngineMetrics {
-            distinct_primitives: distinct,
-            subscribed_primitives: subscribed,
-            shared_searches_run: self.searches_run,
-            searches_saved: self.searches_saved,
-            shared_embeddings: self.embeddings_found,
-            fanout_deliveries: self.deliveries,
-            ..Default::default()
-        }
-    }
-
-    /// Interns a canonical primitive: returns the existing entry when an
-    /// isomorphic one (same canonical form **and** window) is live, checking
-    /// full canonical equality behind the fingerprint so hash collisions
-    /// never merge distinct primitives.
-    fn intern(
-        &mut self,
-        canon: &CanonicalPrimitive,
-        query: &QueryGraph,
-        graph: &DynamicGraph,
-    ) -> u32 {
-        if let Some(chain) = self.by_hash.get(&canon.fingerprint()) {
-            for &idx in chain {
-                let entry = self.entries[idx as usize]
-                    .as_ref()
-                    .expect("hash chains only reference live entries");
-                if entry.pattern.window() == query.window() && entry.canon.matches(canon) {
-                    return idx;
-                }
-            }
-        }
-        let pattern = canon.pattern(query);
-        let pattern_edges: Vec<QueryEdgeId> = pattern.edge_ids().collect();
-        let constraints = CompiledConstraints::compile(&pattern, graph);
-        let entry = Entry {
-            canon: canon.clone(),
-            pattern,
-            pattern_edges,
-            constraints,
-            subscribers: Vec::new(),
-            active_subs: 0,
-            candidates: 0,
-            results: Vec::new(),
-            last_touched: 0,
-        };
-        let idx = match self.free.pop() {
-            Some(i) => {
-                self.entries[i as usize] = Some(entry);
-                i
-            }
-            None => {
-                self.entries.push(Some(entry));
-                (self.entries.len() - 1) as u32
-            }
-        };
-        self.by_hash
-            .entry(canon.fingerprint())
-            .or_default()
-            .push(idx);
-        idx
-    }
-
-    /// Rebuilds the per-type anchor dispatch tables from the live entries'
-    /// resolved constraints.
-    fn rebuild_anchors(&mut self) {
-        self.anchors.begin_rebuild();
-        for (idx, entry) in self.entries.iter().enumerate() {
-            let Some(entry) = entry else { continue };
-            for &qe in &entry.pattern_edges {
-                self.anchors
-                    .add(entry.constraints.edge_type_filter(qe), idx as u32, qe);
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Shared subtrees: interned join climbs
-// ---------------------------------------------------------------------------
-
-/// One query's subscription to a shared subtree entry: which SJ-Tree node of
-/// the subscriber the entry's *joined* matches feed, how canonical-space
-/// bindings translate into the subscriber's space, and the per-subscriber
-/// state of constant dispatch and observation gating.
-#[derive(Debug)]
-pub(crate) struct SubtreeSubscriber {
-    /// The subscribing query's slot index.
-    pub slot: u32,
-    /// The subscriber's SJ-Tree node this subtree realises: joined matches
-    /// are absorbed here and the climb continues toward the root (for a
+    slot: u32,
+    /// The subscriber's SJ-Tree node this entry realises: matches are
+    /// absorbed here and the climb continues toward the root (for a
     /// whole-tree subscription this *is* the root and absorbed matches are
     /// complete).
-    pub node: SjNodeId,
+    node: SjNodeId,
     /// Canonical vertex id → subscriber query vertex.
     vertex_map: Vec<QueryVertexId>,
     /// Canonical edge position → subscriber query edge.
@@ -557,12 +118,12 @@ pub(crate) struct SubtreeSubscriber {
     constants: Vec<String>,
     /// FNV prefilter key of `constants` (see [`tokens_hash`]).
     const_hash: u64,
-    /// The *subscriber's own* leaf partition of the subtree, as groups of
-    /// canonical edge positions: observation gating anchors each group at
-    /// its max data-edge id. The partition must be the subscriber's — two
-    /// decompositions of the same subtree partition the edges differently,
-    /// and window acceptance is partition-independent but observation gating
-    /// is not.
+    /// The *subscriber's own* leaf partition of the subscribed subtree, as
+    /// groups of canonical edge positions: observation gating anchors each
+    /// group at its max data-edge id. The partition must be the subscriber's
+    /// — two decompositions of the same subtree partition the edges
+    /// differently, and window acceptance is partition-independent but
+    /// observation gating is not. One group when `node` is a leaf.
     gate_partition: Vec<Vec<u32>>,
     /// False while the subscriber is paused: it drops out of the fan-out.
     active: bool,
@@ -572,25 +133,36 @@ pub(crate) struct SubtreeSubscriber {
     cand_accum: u64,
 }
 
-impl SubtreeSubscriber {
-    /// Translates a canonical-space joined match into the subscriber's query
-    /// space (see [`Subscriber::remap`]).
-    pub fn remap(&self, m: &PartialMatch) -> PartialMatch {
-        remap_match(&self.vertex_map, &self.edge_map, self.vertex_count, m)
+impl Subscriber {
+    /// Translates a canonical-space match into the subscriber's query space:
+    /// bindings move through the vertex permutation, covered edges through
+    /// the edge permutation, timestamps are preserved.
+    fn remap(&self, m: &PartialMatch) -> PartialMatch {
+        let mut binding = Binding::new(self.vertex_count);
+        for (canon_v, dv) in m.binding.iter() {
+            let bound = binding.bind(self.vertex_map[canon_v.0], dv);
+            debug_assert!(bound, "a bijective renaming preserves injectivity");
+        }
+        let mut edges: SmallVec<(QueryEdgeId, streamworks_graph::EdgeId), 6> = SmallVec::new();
+        for &(qe, de) in &m.edges {
+            edges.push((self.edge_map[qe.0], de));
+        }
+        edges.as_mut_slice().sort_unstable_by_key(|(q, _)| *q);
+        PartialMatch {
+            binding,
+            edges,
+            earliest: m.earliest,
+            latest: m.latest,
+        }
     }
 
-    /// The subscriber's registered constant tokens (entry slot order).
-    pub fn constants(&self) -> &[String] {
-        &self.constants
-    }
-
-    /// Observation gate: deliver a joined match to this subscriber only if
-    /// every leaf of the subscriber's own partition is anchored (max
-    /// data-edge id over the leaf's covered edges) inside the subscriber's
-    /// observed intervals — exactly the leaf embeddings its private anchored
-    /// search would have formed, so pause gaps and late registration behave
-    /// identically to classic matching.
-    pub fn admits(&self, m: &PartialMatch, observed: &[u64]) -> bool {
+    /// Observation gate: deliver a match to this subscriber only if every
+    /// leaf of the subscriber's own partition is anchored (max data-edge id
+    /// over the leaf's covered edges) inside the subscriber's observed
+    /// intervals — exactly the leaf embeddings its private anchored search
+    /// would have formed, so pause gaps and late registration behave
+    /// identically to private matching.
+    fn admits(&self, m: &PartialMatch, observed: &[u64]) -> bool {
         self.gate_partition.iter().all(|leaf| {
             let mut anchor = 0u64;
             let mut found = false;
@@ -605,21 +177,26 @@ impl SubtreeSubscriber {
     }
 }
 
-/// One interned distinct subtree: a full internal SJ-Tree node's subtree of
-/// typed, predicated edges, owning its own matcher over the (possibly
-/// lifted) canonical pattern. The matcher runs the anchored searches *and*
-/// the join climb once; complete matches of the entry are joined
-/// subtree-root matches fanned out to every subscriber.
+/// One interned form: the subtree of typed, predicated edges below some
+/// SJ-Tree node (a single search primitive when that node is a leaf), owning
+/// its own matcher over the — possibly lifted — canonical pattern. The
+/// matcher runs the anchored searches *and* the join climb once; its
+/// complete matches are the entry's results, fanned out to every subscriber.
 #[derive(Debug)]
-struct SubtreeEntry {
+struct Entry {
     /// The lifted canonical form (fingerprint + exact isomorphism check +
     /// constant slot table).
-    lifted: LiftedPrimitive,
+    form: LiftedPrimitive,
     /// The entry's own matcher over the canonical search pattern (constants
-    /// removed when lifted), fed every event the engine dispatches.
+    /// removed when lifted): a one-leaf plan when the entry was created for
+    /// a leaf, the default plan of the pattern otherwise.
     matcher: SjTreeMatcher,
+    /// True when `matcher` has internal nodes, i.e. join stores whose
+    /// partials later matches depend on (see the module docs for what
+    /// follows from it).
+    stateful: bool,
     /// Subscribing (query, node) pairs, refcounting the entry.
-    subscribers: Vec<SubtreeSubscriber>,
+    subscribers: Vec<Subscriber>,
     /// Subscribers currently active (not paused).
     active_subs: usize,
     /// `local_search_candidates` snapshot of the matcher (the attribution
@@ -628,7 +205,9 @@ struct SubtreeEntry {
     /// `joins_attempted` snapshot of the matcher at the last event (for the
     /// per-event joins-run delta).
     joins_seen: u64,
-    /// Joined (subtree-complete) matches of the current event.
+    /// `SharedIndex::events` stamp of the last event fed to the matcher.
+    last_fed: u64,
+    /// Complete (entry-root) matches of the current event.
     results: Vec<PartialMatch>,
     /// Per-result bound constant tokens (`None`: a slot attribute was
     /// missing, so no tenant's `eq` predicate can hold). Empty unless lifted.
@@ -637,17 +216,18 @@ struct SubtreeEntry {
     result_hashes: Vec<u64>,
     /// Per-slot union of subscribed constant tokens. The entry's search
     /// pattern carries an `InSet` filter per lifted slot, widened — never
-    /// narrowed, see [`SharedSubtreeIndex::subscribe`] — as subscribers
-    /// bring new constants, so the shared search stays as selective as the
-    /// tenants' own `eq` predicates. Empty unless lifted.
+    /// narrowed, see [`SharedIndex::attach`] — as subscribers bring new
+    /// constants, so the shared search stays as selective as the tenants'
+    /// own `eq` predicates. Empty unless lifted.
     accepted: Vec<FxHashSet<String>>,
 }
 
-/// A pending advert: `slot` walked past this subtree form without finding a
-/// live entry. When a *different* slot later walks past an isomorphic form,
-/// the entry is created ("promoted") and the newcomer subscribes; the
-/// advertiser keeps its classic/leaf-shared execution — retro-subscribing it
-/// to a cold entry would lose the join state it has already accumulated.
+/// A pending advert: `slot` walked past this internal node's form without
+/// finding a live entry. When a *different* slot later walks past an
+/// isomorphic form, the entry is created ("promoted") and the newcomer
+/// subscribes; the advertiser keeps matching the subtree privately —
+/// retro-subscribing it to a cold entry would lose the join state it has
+/// already accumulated.
 #[derive(Debug)]
 struct Advert {
     slot: u32,
@@ -655,132 +235,142 @@ struct Advert {
     form: LiftedPrimitive,
 }
 
-/// The shared subtree index: interns maximal common SJ-Tree subtrees (and,
-/// with lifting, constant-abstracted subtrees) so each shared subtree's
-/// anchored searches *and* join climb run once per event, with joined
-/// matches fanned out to every subscriber's parent node. The second layer of
-/// multi-query sharing, above the leaf-level [`SharedPrimitiveIndex`].
+/// A pending fan-out unit of one event: entry `entry`'s results go to
+/// subscriber `sub` of that entry. Sort key fields first, so the engine
+/// delivers in deterministic (slot, node) order.
+pub(crate) type Delivery = (u32, u32, u32, u32); // (slot, node, entry, sub)
+
+/// The interning index (see the module docs).
 ///
 /// A lifted entry's search pattern has the tenants' `eq` constants
 /// abstracted away; searching it unconstrained would enumerate every
 /// embedding of the bare shape. Each lifted slot therefore carries an
 /// `InSet` predicate holding the **union of the subscribed constants**
-/// (widened in [`Self::subscribe`]), so the shared search rejects exactly
-/// the attribute values no tenant watches — as selective as the tenants' own
+/// (widened in [`Self::attach`]), so the shared search rejects exactly the
+/// attribute values no tenant watches — as selective as the tenants' own
 /// predicates, while still running once for all of them.
 #[derive(Debug, Default)]
-pub(crate) struct SharedSubtreeIndex {
-    /// Lift `eq` constants to slots when canonicalizing (see
-    /// [`LiftedPrimitive`]); set from `EngineConfig::lifted_sharing`.
-    lift: bool,
+pub(crate) struct SharedIndex {
     /// Per-node match cap handed to entry matchers (the engine's
     /// `max_matches_per_node`).
     match_cap: Option<usize>,
     /// Entry slots; freed entries are `None` and re-occupied via `free`.
-    entries: Vec<Option<SubtreeEntry>>,
+    entries: Vec<Option<Entry>>,
     free: Vec<u32>,
-    /// Fingerprint → entry indices (collisions chain; `LiftedPrimitive::
-    /// matches` decides).
+    /// Fingerprint → entry indices. More than one index under a hash is a
+    /// fingerprint collision (`LiftedPrimitive::matches` decides), a second
+    /// window, or a leaf-created twin of a stateful entry.
     by_hash: FxHashMap<u64, Vec<u32>>,
-    /// Query slot → entries it subscribes to.
+    /// Query slot → entries it subscribes to (one per subscription;
+    /// duplicates when several nodes of one query intern to the same entry).
     per_slot: FxHashMap<u32, Vec<u32>>,
     /// Fingerprint → adverts (purged when the advertising slot leaves).
     adverts: FxHashMap<u64, Vec<Advert>>,
+    /// Per-type dispatch of entries — the same [`AnchorIndex`] the per-query
+    /// matcher dispatches its leaves through, keyed by entry index (the
+    /// anchor edge is unused: the entry's matcher runs its own dispatch).
+    anchors: AnchorIndex<u32>,
     /// Entries with results in the current event.
     touched: Vec<u32>,
-    /// Reusable buffer for entry matcher output.
+    /// Reusable buffers for one entry's embeddings and matcher output.
+    primitive_scratch: Vec<(SjNodeId, PartialMatch)>,
     complete_scratch: Vec<PartialMatch>,
+    /// Events processed through the index.
+    events: u64,
+    /// Anchored searches actually run.
+    searches_run: u64,
+    /// Anchored searches saved vs. the per-query path (`active_subs - 1` per
+    /// search run).
+    searches_saved: u64,
+    /// Embeddings produced by shared searches (pre-fan-out).
+    embeddings_found: u64,
+    /// Matches delivered to subscriber nodes (post-fan-out).
+    deliveries: u64,
     /// Join-climb steps actually run inside entries.
     joins_run: u64,
     /// Join-climb steps saved vs. the per-query path.
     joins_saved: u64,
-    /// Joined matches delivered through lifted constant dispatch.
+    /// Matches that passed lifted constant dispatch.
     lifted_hits: u64,
 }
 
-impl SharedSubtreeIndex {
-    /// Creates the index. `lift` enables constant lifting
-    /// (`EngineConfig::lifted_sharing`); `match_cap` is forwarded to entry
-    /// matchers.
-    pub fn new(lift: bool, match_cap: Option<usize>) -> Self {
-        SharedSubtreeIndex {
-            lift,
+impl SharedIndex {
+    /// Creates the index; `match_cap` is forwarded to entry matchers.
+    pub fn new(match_cap: Option<usize>) -> Self {
+        SharedIndex {
             match_cap,
             ..Default::default()
         }
     }
 
     /// Walks `plan`'s SJ-Tree top-down from the root and subscribes `slot`
-    /// at every *maximal* node whose subtree form matches a live entry or a
-    /// pending advert from another slot (promotion). Nodes with no match are
-    /// advertised and the walk descends. Returns the covered nodes; leaves
-    /// below them must not be subscribed to the leaf-level index.
+    /// at every *maximal* node whose form is — or can now be — interned.
     ///
-    /// Leaf nodes (including a single-primitive query's root) are coverable
-    /// only when lifting actually abstracts a constant — an unlifted leaf is
-    /// exactly what the leaf-level index already shares, cheaper.
-    pub fn cover_plan(
-        &mut self,
-        slot: u32,
-        plan: &QueryPlan,
-        graph: &DynamicGraph,
-    ) -> Vec<SjNodeId> {
+    /// A leaf subscribes to a live entry without join stores of its form, or
+    /// creates a one-leaf entry on the spot. (An entry *with* stores would
+    /// not do: a leaf search re-reads the whole window from the graph, which
+    /// a cold-started join tree only covers from its creation on.) An
+    /// internal node subscribes to any live entry of its form, or promotes a
+    /// pending advert from another slot into a cold entry; failing both it
+    /// advertises the form and the walk descends into its children.
+    ///
+    /// All-or-nothing: returns `false` — with no subscription or advert left
+    /// behind — if any leaf the walk reaches cannot be canonicalized
+    /// (pathologically symmetric primitive). Such a query is matched
+    /// privately instead; a query is either fully index-dispatched or fully
+    /// private, never half.
+    pub fn subscribe(&mut self, slot: u32, plan: &QueryPlan, graph: &DynamicGraph) -> bool {
         debug_assert!(
             !self.per_slot.contains_key(&slot),
             "slot must be unsubscribed before re-subscribing"
         );
         let window = plan.query.window();
-        let mut covered = Vec::new();
         let mut stack = vec![plan.shape.root()];
         while let Some(node_id) = stack.pop() {
             let node = plan.shape.node(node_id);
-            let descend = |stack: &mut Vec<SjNodeId>| {
-                if let Some((l, r)) = node.children {
-                    stack.push(l);
-                    stack.push(r);
-                }
-            };
-            let form = if node.children.is_some() || self.lift {
-                LiftedPrimitive::build(&plan.query, &node.edges, self.lift)
-            } else {
-                None
-            };
-            let Some(form) = form else {
-                descend(&mut stack);
+            let form = LiftedPrimitive::build(&plan.query, &node.edges, true);
+            let Some((left, right)) = node.children else {
+                let idx = form.as_ref().and_then(|form| {
+                    self.find_entry(form, window, true)
+                        .or_else(|| self.create_entry(form, &plan.query, graph, true))
+                });
+                let (Some(form), Some(idx)) = (form, idx) else {
+                    self.unsubscribe(slot);
+                    return false;
+                };
+                self.attach(idx, slot, node_id, plan, form);
                 continue;
             };
-            if node.children.is_none() && !form.is_lifted() {
-                continue; // plain leaf: the leaf-level index's job
-            }
-            if let Some(idx) = self.find_entry(&form, window) {
-                self.subscribe(idx, slot, node_id, plan, form);
-                covered.push(node_id);
-                continue;
-            }
-            if self.has_matching_advert(&form, window, slot) {
-                if let Some(idx) = self.create_entry(&form, &plan.query, graph) {
-                    self.subscribe(idx, slot, node_id, plan, form);
-                    covered.push(node_id);
+            if let Some(form) = form {
+                let idx = self.find_entry(&form, window, false).or_else(|| {
+                    self.has_matching_advert(&form, window, slot)
+                        .then(|| self.create_entry(&form, &plan.query, graph, false))
+                        .flatten()
+                });
+                if let Some(idx) = idx {
+                    self.attach(idx, slot, node_id, plan, form);
                     continue;
                 }
+                self.adverts
+                    .entry(form.canon().fingerprint())
+                    .or_default()
+                    .push(Advert { slot, window, form });
             }
-            self.adverts
-                .entry(form.canon().fingerprint())
-                .or_default()
-                .push(Advert { slot, window, form });
-            descend(&mut stack);
+            stack.push(left);
+            stack.push(right);
         }
-        covered
+        true
     }
 
     /// Removes every subscription of `slot` and purges its adverts. Entries
-    /// left without subscribers are freed; adverts of *other* slots persist,
-    /// so a freed form can be promoted again later. A surviving entry keeps
-    /// the departing slot's constants in its `InSet` search filter — the
-    /// filter only ever widens while an entry is live (narrowing would
-    /// invalidate stored partials); a freed entry starts over, dropping the
-    /// stale constants.
-    pub fn unsubscribe_slot(&mut self, slot: u32) {
+    /// left without subscribers are freed (the refcount discipline: the last
+    /// deregistration releases the shared state); adverts of *other* slots
+    /// persist, so a freed form can be promoted again later. A surviving
+    /// entry keeps the departing slot's constants in its `InSet` search
+    /// filter — the filter only ever widens while an entry is live
+    /// (narrowing would invalidate stored partials); a freed entry starts
+    /// over, dropping the stale constants.
+    pub fn unsubscribe(&mut self, slot: u32) {
         self.adverts.retain(|_, list| {
             list.retain(|a| a.slot != slot);
             !list.is_empty()
@@ -805,9 +395,10 @@ impl SharedSubtreeIndex {
                 }
             });
             if entry.subscribers.is_empty() {
-                let fingerprint = entry.lifted.canon().fingerprint();
+                let fingerprint = entry.form.canon().fingerprint();
                 self.entries[idx as usize] = None;
                 self.free.push(idx);
+                self.anchors.mark_dirty();
                 if let Some(chain) = self.by_hash.get_mut(&fingerprint) {
                     chain.retain(|&i| i != idx);
                     if chain.is_empty() {
@@ -819,13 +410,8 @@ impl SharedSubtreeIndex {
     }
 
     /// Activates or deactivates every subscription of `slot` (pause/resume),
-    /// cutting the candidate-attribution intervals exactly like the leaf
-    /// index. Unlike the leaf index, an entry whose subscribers are all
-    /// paused **keeps being fed** (see [`Self::search_edge`]): a pause-gap
-    /// edge can anchor an *entry*-leaf partial that a post-resume match
-    /// joins against, and whether the subscriber observed that match is
-    /// decided per-leaf by its own gate partition — which can differ from
-    /// the entry's decomposition.
+    /// cutting its candidate-attribution intervals. Inactive subscriptions
+    /// drop out of the fan-out.
     pub fn set_active(&mut self, slot: u32, active: bool) {
         let Some(entry_indices) = self.per_slot.get(&slot) else {
             return;
@@ -851,21 +437,39 @@ impl SharedSubtreeIndex {
         }
     }
 
-    /// True while any entry is live. Unlike the leaf index's
-    /// `sharing_possible`, a single subscriber keeps the shared path active:
-    /// a covered query's private matcher never sees the covered leaves, so
-    /// its entry must keep being fed for as long as the subscription exists.
-    pub fn has_entries(&self) -> bool {
-        self.entries.iter().any(Option::is_some)
+    /// True when events have to go through the index; false when every
+    /// subscribed query can just as well run its own matcher, which is
+    /// cheaper at one subscriber per entry. The index can be bypassed — and
+    /// re-entered later — only while all the state a match may need lives in
+    /// the queries' private matchers: no entry holds join stores (it would
+    /// miss the bypassed events), and no subscription sits at an internal
+    /// node (the private matcher below it was not fed while the index
+    /// served it). What is left are one-leaf entries serving leaves, and
+    /// those pay off from the second active subscriber on.
+    pub fn needs_dispatch(&self) -> bool {
+        self.entries.iter().flatten().any(|e| {
+            e.stateful
+                || e.active_subs >= 2
+                || e.subscribers.iter().any(|s| s.gate_partition.len() > 1)
+        })
     }
 
-    /// Local-search candidates attributable to `slot` across its subtree
-    /// subscriptions' active intervals (see
-    /// [`SharedPrimitiveIndex::slot_candidates`]).
+    /// Events processed through the index so far (the basis of per-query
+    /// `edges_processed` accounting while index-dispatched).
+    pub fn events(&self) -> u64 {
+        self.events
+    }
+
+    /// Local-search candidates attributable to `slot`: what its own searches
+    /// would have examined, summed over its subscriptions' active intervals.
     pub fn slot_candidates(&self, slot: u32) -> u64 {
         let Some(entry_indices) = self.per_slot.get(&slot) else {
             return 0;
         };
+        // `per_slot` lists one entry per subscription, so an entry shared by
+        // several nodes of this query appears several times; the inner loop
+        // already sums every subscription of the slot, so visit each entry
+        // once.
         let mut entry_indices = entry_indices.clone();
         entry_indices.sort_unstable();
         entry_indices.dedup();
@@ -884,78 +488,94 @@ impl SharedSubtreeIndex {
         total
     }
 
-    /// Feeds one incoming edge to every live entry: the entry's matcher runs
-    /// its anchored searches and join climb once, and complete
-    /// (subtree-root) matches accumulate — with their bound constant tokens
-    /// when lifted — until the engine fans them out.
+    /// Feeds one incoming edge to every entry its type can reach: the
+    /// entry's matcher runs its anchored searches and join climb once, and
+    /// complete (entry-root) matches accumulate — with their bound constant
+    /// tokens when lifted — until the engine fans them out
+    /// ([`Self::collect_deliveries`] lists the pending work).
     ///
-    /// Entries are fed even while every subscriber is paused. Skipping such
-    /// edges would be unsound: a leaf embedding is always anchored at its
-    /// own max data edge, so a gap edge can anchor an *entry*-leaf partial
-    /// that a post-resume joined match needs — while anchoring no leaf of
-    /// the *subscriber's* partition, so [`SubtreeSubscriber::admits`] (which
-    /// gates on the subscriber's partition, not the entry's) rightly admits
-    /// the match.
+    /// An entry with join stores is fed even while every subscriber is
+    /// paused. Skipping such edges would be unsound: a leaf embedding is
+    /// always anchored at its own max data edge, so a gap edge can anchor an
+    /// *entry*-leaf partial that a post-resume joined match needs — while
+    /// anchoring no leaf of the *subscriber's* partition, so
+    /// [`Subscriber::admits`] (which gates on the subscriber's partition,
+    /// not the entry's) rightly admits the match. An entry without stores
+    /// has nothing a later match could need and rests until a subscriber
+    /// resumes.
     pub fn search_edge(&mut self, graph: &DynamicGraph, edge: &Edge) {
+        self.events += 1;
         self.touched.clear();
+        if self.anchors.schema_changed(graph.schema_version()) || self.anchors.is_dirty() {
+            self.rebuild_anchors(graph);
+        }
+        let anchors = self.anchors.take_for_type(edge.etype);
+        let mut primitives = std::mem::take(&mut self.primitive_scratch);
         let mut complete = std::mem::take(&mut self.complete_scratch);
-        for idx in 0..self.entries.len() {
-            let Some(entry) = self.entries[idx].as_mut() else {
+        for &(idx, _) in &anchors {
+            let entry = self.entries[idx as usize]
+                .as_mut()
+                .expect("anchor tables only reference live entries");
+            // An entry with a typed and an untyped edge is listed twice.
+            if entry.last_fed == self.events || (entry.active_subs == 0 && !entry.stateful) {
                 continue;
-            };
-            complete.clear();
+            }
+            entry.last_fed = self.events;
             entry.results.clear();
             entry.result_consts.clear();
             entry.result_hashes.clear();
-            entry.matcher.process_edge(graph, edge, &mut complete);
-            let m = entry.matcher.metrics();
-            let joins_delta = m.joins_attempted - entry.joins_seen;
+            primitives.clear();
+            complete.clear();
+            let searches = entry
+                .matcher
+                .primitive_matches_into(graph, edge, &mut primitives);
+            self.embeddings_found += primitives.len() as u64;
+            for (leaf, m) in primitives.drain(..) {
+                entry.matcher.absorb(leaf, m, &mut complete);
+            }
+            let m = entry.matcher.counters();
+            let joins = m.joins_attempted - entry.joins_seen;
             entry.joins_seen = m.joins_attempted;
             entry.candidates = m.local_search_candidates;
-            self.joins_run += joins_delta;
-            self.joins_saved += joins_delta * (entry.active_subs as u64).saturating_sub(1);
+            let spared = (entry.active_subs as u64).saturating_sub(1);
+            self.searches_run += searches;
+            self.searches_saved += searches * spared;
+            self.joins_run += joins;
+            self.joins_saved += joins * spared;
             if complete.is_empty() {
                 continue;
             }
-            let lifted = entry.lifted.is_lifted();
-            for joined in complete.drain(..) {
+            let lifted = entry.form.is_lifted();
+            for found in complete.drain(..) {
                 if lifted {
-                    match bound_constants(graph, &entry.lifted, &joined) {
-                        Some(consts) => {
-                            entry.result_hashes.push(tokens_hash(&consts));
-                            entry.result_consts.push(Some(consts));
-                        }
-                        None => {
-                            entry.result_hashes.push(0);
-                            entry.result_consts.push(None);
-                        }
-                    }
+                    let consts = bound_constants(graph, &entry.form, &found);
+                    entry
+                        .result_hashes
+                        .push(consts.as_deref().map_or(0, tokens_hash));
+                    entry.result_consts.push(consts);
                 }
-                entry.results.push(joined);
+                entry.results.push(found);
             }
-            self.touched.push(idx as u32);
+            self.touched.push(idx);
         }
+        self.anchors.give_back(anchors);
+        self.primitive_scratch = primitives;
         self.complete_scratch = complete;
     }
 
-    /// Appends one [`Delivery`] per (touched entry with results, active
-    /// subscriber) pair — for lifted entries only subscribers whose constant
-    /// hash appears among the results (the exact token comparison happens at
-    /// delivery). Tuples sort by (slot, node) for deterministic order.
+    /// Appends one [`Delivery`] per (entry with results, active subscriber)
+    /// pair of the current event — for lifted entries only subscribers whose
+    /// constant hash appears among the results (the exact token comparison
+    /// happens at delivery). The tuples sort by (slot, node), giving the
+    /// engine the same per-event query order as the private loop.
     pub fn collect_deliveries(&self, out: &mut Vec<Delivery>) {
         for &idx in &self.touched {
             let entry = self.entries[idx as usize]
                 .as_ref()
                 .expect("touched entries are live");
-            if entry.results.is_empty() {
-                continue;
-            }
-            let lifted = entry.lifted.is_lifted();
+            let lifted = entry.form.is_lifted();
             for (si, sub) in entry.subscribers.iter().enumerate() {
-                if !sub.active {
-                    continue;
-                }
-                if lifted && !entry.result_hashes.contains(&sub.const_hash) {
+                if !sub.active || (lifted && !entry.result_hashes.contains(&sub.const_hash)) {
                     continue;
                 }
                 out.push((sub.slot, sub.node.0 as u32, idx, si as u32));
@@ -963,32 +583,34 @@ impl SharedSubtreeIndex {
         }
     }
 
-    /// Resolves one [`Delivery`]: the entry's joined matches, the per-match
-    /// bound constants (empty slice when the entry is not lifted), the
-    /// receiving subscription, and whether constant dispatch applies.
-    pub fn delivery(
-        &self,
+    /// Carries out one [`Delivery`]: every result of the entry that the
+    /// subscriber is owed — the bound constants equal its registered ones
+    /// (lifted entries), and [`Subscriber::admits`] it against the query's
+    /// `observed` intervals — is remapped into the subscriber's query space
+    /// and handed to `absorb` together with the subscription node.
+    pub fn fan_out(
+        &mut self,
         d: &Delivery,
-    ) -> (
-        &[PartialMatch],
-        &[Option<Vec<String>>],
-        &SubtreeSubscriber,
-        bool,
+        observed: &[u64],
+        mut absorb: impl FnMut(SjNodeId, PartialMatch),
     ) {
         let entry = self.entries[d.2 as usize]
             .as_ref()
             .expect("deliveries reference live entries");
-        (
-            &entry.results,
-            &entry.result_consts,
-            &entry.subscribers[d.3 as usize],
-            entry.lifted.is_lifted(),
-        )
-    }
-
-    /// Accounts joined matches delivered through lifted constant dispatch.
-    pub fn add_lifted_hits(&mut self, n: u64) {
-        self.lifted_hits += n;
+        let sub = &entry.subscribers[d.3 as usize];
+        let lifted = entry.form.is_lifted();
+        for (i, m) in entry.results.iter().enumerate() {
+            if lifted {
+                if entry.result_consts[i].as_deref() != Some(sub.constants.as_slice()) {
+                    continue;
+                }
+                self.lifted_hits += 1;
+            }
+            if sub.admits(m, observed) {
+                self.deliveries += 1;
+                absorb(sub.node, sub.remap(m));
+            }
+        }
     }
 
     /// Expires partial matches inside every entry's matcher.
@@ -998,38 +620,50 @@ impl SharedSubtreeIndex {
         }
     }
 
-    /// Engine-level subtree counters (the subtree-specific fields of
-    /// [`EngineMetrics`]; the engine merges them with the leaf index's).
+    /// Engine-level dedup counters (see [`EngineMetrics`]). An entry counts
+    /// as a *primitive* when it is exactly what a leaf search is — one
+    /// search primitive, no lifted constant — and as a *subtree* when it
+    /// does more: a join climb, or constant dispatch.
     pub fn metrics(&self) -> EngineMetrics {
-        let mut distinct = 0u64;
-        let mut subscribed = 0u64;
-        for entry in self.entries.iter().flatten() {
-            distinct += 1;
-            subscribed += entry.subscribers.len() as u64;
-        }
-        EngineMetrics {
-            distinct_subtrees: distinct,
-            subscribed_subtrees: subscribed,
+        let mut m = EngineMetrics {
+            shared_searches_run: self.searches_run,
+            searches_saved: self.searches_saved,
+            shared_embeddings: self.embeddings_found,
+            fanout_deliveries: self.deliveries,
             subtree_joins_run: self.joins_run,
             subtree_joins_saved: self.joins_saved,
             lifted_dispatch_hits: self.lifted_hits,
             ..Default::default()
+        };
+        for entry in self.entries.iter().flatten() {
+            let subscribed = entry.subscribers.len() as u64;
+            let lifted = entry.form.is_lifted();
+            m.lifted_entries += u64::from(lifted);
+            if entry.stateful || lifted {
+                m.distinct_subtrees += 1;
+                m.subscribed_subtrees += subscribed;
+            } else {
+                m.distinct_primitives += 1;
+                m.subscribed_primitives += subscribed;
+            }
         }
+        m
     }
 
     /// Finds a live entry isomorphic to `form` (same lifted canonical form
-    /// **and** window), full equality checked behind the fingerprint.
-    fn find_entry(&self, form: &LiftedPrimitive, window: Duration) -> Option<u32> {
+    /// **and** window), full equality checked behind the fingerprint so hash
+    /// collisions never merge distinct forms. With `storeless`, entries
+    /// holding join stores do not qualify (see [`Self::subscribe`]).
+    fn find_entry(&self, form: &LiftedPrimitive, window: Duration, storeless: bool) -> Option<u32> {
         let chain = self.by_hash.get(&form.canon().fingerprint())?;
-        for &idx in chain {
+        chain.iter().copied().find(|&idx| {
             let entry = self.entries[idx as usize]
                 .as_ref()
                 .expect("hash chains only reference live entries");
-            if entry.matcher.window() == window && entry.lifted.matches(form) {
-                return Some(idx);
-            }
-        }
-        None
+            !(storeless && entry.stateful)
+                && entry.matcher.window() == window
+                && entry.form.matches(form)
+        })
     }
 
     /// True when another slot has advertised an isomorphic form with the
@@ -1045,31 +679,39 @@ impl SharedSubtreeIndex {
             })
     }
 
-    /// Creates a cold entry for `form`: plans the canonical search pattern
-    /// and builds the entry's own matcher. `None` when the pattern cannot be
-    /// planned (the form is then advertised and the walk descends).
+    /// Creates an entry for `form`: plans the canonical search pattern — as
+    /// one leaf primitive when `one_leaf`, with the default strategy
+    /// otherwise — and builds the entry's own matcher. `None` when the
+    /// pattern cannot be planned.
     fn create_entry(
         &mut self,
         form: &LiftedPrimitive,
         query: &QueryGraph,
         graph: &DynamicGraph,
+        one_leaf: bool,
     ) -> Option<u32> {
         let pattern = form.search_pattern(query);
-        let plan = Planner::new().plan(pattern).ok()?;
-        let matcher = SjTreeMatcher::new(plan, graph).with_match_cap(self.match_cap);
-        let entry = SubtreeEntry {
-            lifted: form.clone(),
-            matcher,
+        let plan = if one_leaf {
+            let edges = pattern.edge_ids().collect();
+            Planner::new().plan_with(pattern, &ManualDecomposition::new(vec![edges]))
+        } else {
+            Planner::new().plan(pattern)
+        }
+        .ok()?;
+        let entry = Entry {
+            form: form.clone(),
+            stateful: plan.shape.leaves().len() > 1,
+            matcher: SjTreeMatcher::new(plan, graph).with_match_cap(self.match_cap),
             subscribers: Vec::new(),
             active_subs: 0,
             candidates: 0,
             joins_seen: 0,
+            last_fed: 0,
             results: Vec::new(),
             result_consts: Vec::new(),
             result_hashes: Vec::new(),
             accepted: vec![FxHashSet::default(); form.slots().len()],
         };
-        let fingerprint = form.canon().fingerprint();
         let idx = match self.free.pop() {
             Some(i) => {
                 self.entries[i as usize] = Some(entry);
@@ -1080,14 +722,18 @@ impl SharedSubtreeIndex {
                 (self.entries.len() - 1) as u32
             }
         };
-        self.by_hash.entry(fingerprint).or_default().push(idx);
+        self.by_hash
+            .entry(form.canon().fingerprint())
+            .or_default()
+            .push(idx);
+        self.anchors.mark_dirty();
         Some(idx)
     }
 
     /// Subscribes `slot` at `node_id` to entry `idx`, precomputing the remap
     /// permutations, the constant tokens, and the subscriber's own leaf
     /// partition (canonical edge positions) for observation gating.
-    fn subscribe(
+    fn attach(
         &mut self,
         idx: u32,
         slot: u32,
@@ -1121,7 +767,7 @@ impl SharedSubtreeIndex {
         }
         let entry = self.entries[idx as usize]
             .as_mut()
-            .expect("subscribe targets a live entry");
+            .expect("attach targets a live entry");
         // Widen the entry's per-slot constant filter with this subscriber's
         // tokens. The filter only ever grows while the entry is live (a
         // leaving subscriber does not retract its constants), so partials
@@ -1140,7 +786,7 @@ impl SharedSubtreeIndex {
                 );
             }
         }
-        entry.subscribers.push(SubtreeSubscriber {
+        entry.subscribers.push(Subscriber {
             slot,
             node: node_id,
             vertex_map: form.canon().vertex_order().to_vec(),
@@ -1155,6 +801,23 @@ impl SharedSubtreeIndex {
         });
         entry.active_subs += 1;
         self.per_slot.entry(slot).or_default().push(idx);
+    }
+
+    /// Rebuilds the per-type dispatch table from the live entries' resolved
+    /// constraints (re-resolved here when the graph's schema has grown).
+    fn rebuild_anchors(&mut self, graph: &DynamicGraph) {
+        self.anchors.begin_rebuild();
+        let mut filters = Vec::new();
+        for (idx, entry) in self.entries.iter_mut().enumerate() {
+            let Some(entry) = entry else { continue };
+            filters.clear();
+            filters.extend(entry.matcher.edge_type_filters(graph));
+            filters.sort_unstable();
+            filters.dedup();
+            for &filter in &filters {
+                self.anchors.add(filter, idx as u32, QueryEdgeId(0));
+            }
+        }
     }
 }
 
@@ -1225,182 +888,229 @@ fn token_values(tok: &str) -> Vec<AttrValue> {
 mod tests {
     use super::*;
     use streamworks_graph::{Duration, EdgeEvent, Timestamp};
-    use streamworks_query::{Planner, QueryGraphBuilder, SelectivityOrdered};
+    use streamworks_query::{Planner, Predicate, QueryGraphBuilder, SelectivityOrdered};
 
-    fn pair_plan(name: &str, a1: &str, a2: &str) -> QueryPlan {
-        let q = QueryGraphBuilder::new(name)
-            .window(Duration::from_hours(1))
+    const SINGLE_EDGE: SelectivityOrdered = SelectivityOrdered {
+        max_primitive_size: 1,
+    };
+
+    fn pair_query(name: &str, a1: &str, a2: &str, window: Duration) -> QueryGraph {
+        QueryGraphBuilder::new(name)
+            .window(window)
             .vertex(a1, "Article")
             .vertex(a2, "Article")
             .vertex("k", "Keyword")
             .edge(a1, "mentions", "k")
             .edge(a2, "mentions", "k")
             .build()
-            .unwrap();
-        Planner::new()
-            .plan_with(
-                q,
-                &SelectivityOrdered {
-                    max_primitive_size: 1,
-                },
-            )
             .unwrap()
     }
 
-    #[test]
-    fn isomorphic_leaves_intern_to_one_entry() {
-        let graph = DynamicGraph::unbounded();
-        let mut index = SharedPrimitiveIndex::default();
-        // Two queries × two isomorphic single-edge leaves each: one entry,
-        // four subscriptions.
-        let p0 = pair_plan("q0", "a1", "a2");
-        let p1 = pair_plan("q1", "x", "y");
-        assert!(index.subscribe_plan(0, &p0, p0.shape.leaves(), &graph));
-        assert!(index.subscribe_plan(1, &p1, p1.shape.leaves(), &graph));
-        let m = index.metrics();
-        assert_eq!(m.distinct_primitives, 1);
-        assert_eq!(m.subscribed_primitives, 4);
-        assert!(index.sharing_possible());
-
-        // Last unsubscription frees the entry.
-        index.unsubscribe_slot(0);
-        assert_eq!(index.metrics().distinct_primitives, 1);
-        index.unsubscribe_slot(1);
-        let m = index.metrics();
-        assert_eq!(m.distinct_primitives, 0);
-        assert_eq!(m.subscribed_primitives, 0);
-        assert!(!index.sharing_possible());
-    }
-
-    #[test]
-    fn different_windows_do_not_share() {
-        let graph = DynamicGraph::unbounded();
-        let mut index = SharedPrimitiveIndex::default();
-        let p0 = pair_plan("q0", "a1", "a2");
-        index.subscribe_plan(0, &p0, p0.shape.leaves(), &graph);
-        let q = QueryGraphBuilder::new("q1")
-            .window(Duration::from_secs(30))
-            .vertex("a1", "Article")
-            .vertex("a2", "Article")
-            .vertex("k", "Keyword")
-            .edge("a1", "mentions", "k")
-            .edge("a2", "mentions", "k")
-            .build()
-            .unwrap();
-        let plan = Planner::new()
-            .plan_with(
-                q,
-                &SelectivityOrdered {
-                    max_primitive_size: 1,
-                },
-            )
-            .unwrap();
-        index.subscribe_plan(1, &plan, plan.shape.leaves(), &graph);
-        // Same structure, different window: two distinct entries.
-        assert_eq!(index.metrics().distinct_primitives, 2);
-    }
-
-    #[test]
-    fn forced_fingerprint_collisions_stay_separate_entries() {
-        // Adversarial case: two non-isomorphic primitives forced onto one
-        // fingerprint must chain under the hash, never merge.
-        let path = QueryGraphBuilder::new("p")
-            .window(Duration::from_secs(60))
-            .vertex("a", "IP")
-            .vertex("b", "IP")
-            .vertex("c", "IP")
-            .edge("a", "flow", "b")
-            .edge("b", "flow", "c")
-            .build()
-            .unwrap();
-        let fan = QueryGraphBuilder::new("f")
-            .window(Duration::from_secs(60))
-            .vertex("a", "IP")
-            .vertex("b", "IP")
-            .vertex("c", "IP")
-            .edge("a", "flow", "b")
-            .edge("a", "flow", "c")
-            .build()
-            .unwrap();
-        let edges: Vec<QueryEdgeId> = path.edge_ids().collect();
-        let cp = CanonicalPrimitive::build(&path, &edges).unwrap();
-        let mut cf = CanonicalPrimitive::build(&fan, &edges).unwrap();
-        cf.force_fingerprint_for_tests(cp.fingerprint());
-
-        let graph = DynamicGraph::unbounded();
-        let mut index = SharedPrimitiveIndex::default();
-        let e1 = index.intern(&cp, &path, &graph);
-        let e2 = index.intern(&cf, &fan, &graph);
-        assert_ne!(e1, e2, "collision must not merge non-isomorphic entries");
-        assert_eq!(index.by_hash[&cp.fingerprint()].len(), 2);
-        // Re-interning either finds its own entry.
-        assert_eq!(index.intern(&cp, &path, &graph), e1);
-        assert_eq!(index.intern(&cf, &fan, &graph), e2);
-    }
-
-    #[test]
-    fn search_runs_once_and_fans_out_remapped_embeddings() {
-        let mut graph = DynamicGraph::unbounded();
-        let mut index = SharedPrimitiveIndex::default();
-        let plan0 = pair_plan("q0", "a1", "a2");
-        let plan1 = pair_plan("q1", "x", "y");
-        index.subscribe_plan(0, &plan0, plan0.shape.leaves(), &graph);
-        index.subscribe_plan(1, &plan1, plan1.shape.leaves(), &graph);
-
-        let r = graph.ingest(&EdgeEvent::new(
-            "art",
-            "Article",
-            "rust",
-            "Keyword",
-            "mentions",
-            Timestamp::from_secs(1),
-        ));
-        let edge = graph.edge(r.edge).unwrap().clone();
-        index.search_edge(&graph, &edge);
-
-        let m = index.metrics();
-        // One entry, two anchors (the two canonical... single-edge leaves
-        // collapse to one canonical edge), searched once per anchor with 4
-        // subscriptions active: 3 searches saved per search run.
-        assert_eq!(m.shared_searches_run, 1);
-        assert_eq!(m.searches_saved, 3);
-        assert_eq!(m.shared_embeddings, 1);
-
-        let mut deliveries = Vec::new();
-        index.collect_deliveries(&mut deliveries);
-        assert_eq!(deliveries.len(), 4, "one delivery per subscription");
-        deliveries.sort_unstable();
-        // Remap lands the embedding in each subscriber's own vertex space.
-        let (results, sub) = index.delivery(&deliveries[0]);
-        assert_eq!(results.len(), 1);
-        let remapped = sub.remap(&results[0]);
-        assert_eq!(remapped.edge_count(), 1);
-        assert_eq!(remapped.binding.bound_count(), 2);
-        assert_eq!(remapped.earliest, Timestamp::from_secs(1));
-        // The two leaves of q0 bind different query edges after remap.
-        let (_, sub_a) = index.delivery(&deliveries[0]);
-        let (_, sub_b) = index.delivery(&deliveries[1]);
-        assert_eq!(sub_a.slot, 0);
-        assert_eq!(sub_b.slot, 0);
-        let ra = sub_a.remap(&results[0]);
-        let rb = sub_b.remap(&results[0]);
-        assert_ne!(ra.edges[0].0, rb.edges[0].0);
+    /// Two isomorphic single-edge leaves under a join root.
+    fn pair_plan(name: &str, a1: &str, a2: &str) -> QueryPlan {
+        let q = pair_query(name, a1, a2, Duration::from_hours(1));
+        Planner::new().plan_with(q, &SINGLE_EDGE).unwrap()
     }
 
     /// Default (2-edge-primitive) decomposition: the pair query collapses to
     /// one leaf whose search genuinely walks the neighbourhood, so candidate
     /// attribution is observable.
     fn pair_plan_wide(name: &str, a1: &str, a2: &str) -> QueryPlan {
+        Planner::new()
+            .plan(pair_query(name, a1, a2, Duration::from_hours(1)))
+            .unwrap()
+    }
+
+    /// One mention edge: the primitive both leaves of [`pair_plan`] are.
+    fn mention_plan(name: &str) -> QueryPlan {
         let q = QueryGraphBuilder::new(name)
             .window(Duration::from_hours(1))
-            .vertex(a1, "Article")
-            .vertex(a2, "Article")
-            .vertex("k", "Keyword")
-            .edge(a1, "mentions", "k")
-            .edge(a2, "mentions", "k")
+            .vertex("x", "Article")
+            .vertex("y", "Keyword")
+            .edge("x", "mentions", "y")
             .build()
             .unwrap();
         Planner::new().plan(q).unwrap()
+    }
+
+    /// Like [`pair_plan`] but with a liftable `eq` constant on both mention
+    /// edges.
+    fn labelled_pair_plan(name: &str, label: &str) -> QueryPlan {
+        let q = QueryGraphBuilder::new(name)
+            .window(Duration::from_hours(1))
+            .vertex("a1", "Article")
+            .vertex("a2", "Article")
+            .vertex("k", "Keyword")
+            .edge_with("a1", "mentions", "k", vec![Predicate::eq("label", label)])
+            .edge_with("a2", "mentions", "k", vec![Predicate::eq("label", label)])
+            .build()
+            .unwrap();
+        Planner::new().plan_with(q, &SINGLE_EDGE).unwrap()
+    }
+
+    /// A path of `hops` flow edges: from three hops on, the default plan of
+    /// its whole-tree form has join stores.
+    fn path_query(name: &str, hops: usize, window: Duration) -> QueryGraph {
+        let mut b = QueryGraphBuilder::new(name).window(window);
+        for i in 0..=hops {
+            b = b.vertex(&format!("v{i}"), "IP");
+        }
+        for i in 0..hops {
+            b = b.edge(&format!("v{i}"), "flow", &format!("v{}", i + 1));
+        }
+        b.build().unwrap()
+    }
+
+    /// [`path_query`] planned as single-edge leaves.
+    fn path_plan(name: &str, hops: usize, window: Duration) -> QueryPlan {
+        Planner::new()
+            .plan_with(path_query(name, hops, window), &SINGLE_EDGE)
+            .unwrap()
+    }
+
+    fn mention(src: &str, dst: &str, t: i64) -> EdgeEvent {
+        EdgeEvent::new(
+            src,
+            "Article",
+            dst,
+            "Keyword",
+            "mentions",
+            Timestamp::from_secs(t),
+        )
+    }
+
+    fn feed(graph: &mut DynamicGraph, index: &mut SharedIndex, ev: EdgeEvent) -> Vec<Delivery> {
+        let r = graph.ingest(&ev);
+        let edge = graph.edge(r.edge).unwrap().clone();
+        index.search_edge(graph, &edge);
+        let mut deliveries = Vec::new();
+        index.collect_deliveries(&mut deliveries);
+        deliveries.sort_unstable();
+        deliveries
+    }
+
+    /// Everything delivery `d` hands over to a subscriber that has observed
+    /// the whole stream.
+    fn owed(index: &mut SharedIndex, d: &Delivery) -> Vec<(SjNodeId, PartialMatch)> {
+        let mut out = Vec::new();
+        index.fan_out(d, &[0], |node, m| out.push((node, m)));
+        out
+    }
+
+    /// The live entry subscribed to by `slot` at the root of `plan`.
+    fn root_entry(index: &SharedIndex, slot: u32, plan: &QueryPlan) -> usize {
+        index
+            .entries
+            .iter()
+            .position(|e| {
+                e.as_ref().is_some_and(|e| {
+                    e.subscribers
+                        .iter()
+                        .any(|s| s.slot == slot && s.node == plan.shape.root())
+                })
+            })
+            .expect("slot subscribes at its root")
+    }
+
+    #[test]
+    fn isomorphic_leaves_intern_to_one_entry() {
+        let graph = DynamicGraph::unbounded();
+        let mut index = SharedIndex::default();
+        // A query with two isomorphic single-edge leaves plus a query that
+        // *is* that edge: one entry, three subscriptions. (The pair's root
+        // only advertises: no second query has its shape.)
+        let p0 = pair_plan("q0", "a1", "a2");
+        assert!(index.subscribe(0, &p0, &graph));
+        assert!(index.subscribe(1, &mention_plan("q1"), &graph));
+        let m = index.metrics();
+        assert_eq!(m.distinct_primitives, 1);
+        assert_eq!(m.subscribed_primitives, 3);
+        assert_eq!(m.distinct_subtrees, 0);
+        assert!(index.needs_dispatch());
+
+        // Last unsubscription frees the entry.
+        index.unsubscribe(0);
+        assert_eq!(index.metrics().distinct_primitives, 1);
+        index.unsubscribe(1);
+        let m = index.metrics();
+        assert_eq!(m.distinct_primitives, 0);
+        assert_eq!(m.subscribed_primitives, 0);
+        assert!(!index.needs_dispatch());
+    }
+
+    #[test]
+    fn different_windows_do_not_share() {
+        let graph = DynamicGraph::unbounded();
+        let mut index = SharedIndex::default();
+        index.subscribe(0, &pair_plan_wide("q0", "a1", "a2"), &graph);
+        let short = pair_query("q1", "a1", "a2", Duration::from_secs(30));
+        index.subscribe(1, &Planner::new().plan(short).unwrap(), &graph);
+        // Same structure, different window: two distinct entries.
+        assert_eq!(index.metrics().distinct_primitives, 2);
+    }
+
+    #[test]
+    fn forced_fingerprint_collisions_stay_separate_entries() {
+        // Adversarial case: two non-isomorphic forms forced onto one
+        // fingerprint must chain under the hash, never merge.
+        let flow = |name: &str, second_src: &str| {
+            QueryGraphBuilder::new(name)
+                .window(Duration::from_secs(60))
+                .vertex("a", "IP")
+                .vertex("b", "IP")
+                .vertex("c", "IP")
+                .edge("a", "flow", "b")
+                .edge(second_src, "flow", "c")
+                .build()
+                .unwrap()
+        };
+        let (path, fan) = (flow("p", "b"), flow("f", "a"));
+        let edges: Vec<QueryEdgeId> = path.edge_ids().collect();
+        let lp = LiftedPrimitive::build(&path, &edges, true).unwrap();
+        let mut lf = LiftedPrimitive::build(&fan, &edges, true).unwrap();
+        lf.force_fingerprint_for_tests(lp.canon().fingerprint());
+
+        let graph = DynamicGraph::unbounded();
+        let mut index = SharedIndex::default();
+        let window = path.window();
+        let e1 = index.create_entry(&lp, &path, &graph, true).unwrap();
+        let e2 = index.create_entry(&lf, &fan, &graph, true).unwrap();
+        assert_ne!(e1, e2);
+        assert_eq!(index.by_hash[&lp.canon().fingerprint()].len(), 2);
+        // Looking either up finds its own entry, never the collider.
+        assert_eq!(index.find_entry(&lp, window, true), Some(e1));
+        assert_eq!(index.find_entry(&lf, window, true), Some(e2));
+    }
+
+    #[test]
+    fn search_runs_once_and_fans_out_remapped_embeddings() {
+        let mut graph = DynamicGraph::unbounded();
+        let mut index = SharedIndex::default();
+        let plan0 = pair_plan("q0", "a1", "a2");
+        index.subscribe(0, &plan0, &graph);
+        index.subscribe(1, &mention_plan("q1"), &graph);
+
+        let deliveries = feed(&mut graph, &mut index, mention("art", "rust", 1));
+        let m = index.metrics();
+        // One entry with one anchor, searched once with 3 subscriptions
+        // active: 2 searches saved.
+        assert_eq!(m.shared_searches_run, 1);
+        assert_eq!(m.searches_saved, 2);
+        assert_eq!(m.shared_embeddings, 1);
+        assert_eq!(deliveries.len(), 3, "one delivery per subscription");
+
+        // Remap lands the embedding in each subscriber's own space; the two
+        // leaves of q0 bind different query edges after remap.
+        let a = owed(&mut index, &deliveries[0]);
+        let b = owed(&mut index, &deliveries[1]);
+        assert_eq!((deliveries[0].0, deliveries[1].0), (0, 0));
+        assert_eq!((a.len(), b.len()), (1, 1));
+        assert_ne!(a[0].0, b[0].0, "two different leaves of q0");
+        assert_eq!(a[0].1.edge_count(), 1);
+        assert_eq!(a[0].1.binding.bound_count(), 2);
+        assert_eq!(a[0].1.earliest, Timestamp::from_secs(1));
+        assert_ne!(a[0].1.edges[0].0, b[0].1.edges[0].0);
+        assert_eq!(index.metrics().fanout_deliveries, 2);
     }
 
     #[test]
@@ -1408,7 +1118,6 @@ mod tests {
         // One query whose two leaves intern to the SAME entry (two isomorphic
         // article wedges): per_slot lists the entry twice, and attribution
         // must still charge each subscription exactly once per search.
-        use streamworks_query::ManualDecomposition;
         let wedge_pair = QueryGraphBuilder::new("wedges")
             .window(Duration::from_hours(1))
             .vertex("a1", "Article")
@@ -1444,9 +1153,9 @@ mod tests {
         let single_plan = Planner::new().plan(single).unwrap();
 
         let mut graph = DynamicGraph::unbounded();
-        let mut index = SharedPrimitiveIndex::default();
-        assert!(index.subscribe_plan(0, &plan, plan.shape.leaves(), &graph));
-        assert!(index.subscribe_plan(1, &single_plan, single_plan.shape.leaves(), &graph));
+        let mut index = SharedIndex::default();
+        assert!(index.subscribe(0, &plan, &graph));
+        assert!(index.subscribe(1, &single_plan, &graph));
         assert_eq!(index.metrics().distinct_primitives, 1);
         assert_eq!(index.metrics().subscribed_primitives, 3);
 
@@ -1458,16 +1167,15 @@ mod tests {
         .iter()
         .enumerate()
         {
-            let r = graph.ingest(&EdgeEvent::new(
+            let ev = EdgeEvent::new(
                 "art",
                 "Article",
                 *dst,
                 *dtype,
                 *etype,
                 Timestamp::from_secs(i as i64),
-            ));
-            let edge = graph.edge(r.edge).unwrap().clone();
-            index.search_edge(&graph, &edge);
+            );
+            feed(&mut graph, &mut index, ev);
         }
         let pair_share = index.slot_candidates(0);
         let single_share = index.slot_candidates(1);
@@ -1480,206 +1188,161 @@ mod tests {
         );
     }
 
-    /// Like [`pair_plan`] but with a lifted-coverable `eq` constant on both
-    /// mention edges.
-    fn labelled_pair_plan(name: &str, label: &str) -> QueryPlan {
-        use streamworks_query::Predicate;
-        let q = QueryGraphBuilder::new(name)
-            .window(Duration::from_hours(1))
-            .vertex("a1", "Article")
-            .vertex("a2", "Article")
-            .vertex("k", "Keyword")
-            .edge_with("a1", "mentions", "k", vec![Predicate::eq("label", label)])
-            .edge_with("a2", "mentions", "k", vec![Predicate::eq("label", label)])
-            .build()
-            .unwrap();
-        Planner::new()
-            .plan_with(
-                q,
-                &SelectivityOrdered {
-                    max_primitive_size: 1,
-                },
-            )
-            .unwrap()
-    }
-
     #[test]
-    fn subtree_advert_promotion_and_refcount_lifecycle() {
+    fn joined_entries_follow_advert_promotion_and_refcount_lifecycle() {
         let graph = DynamicGraph::unbounded();
-        let mut index = SharedSubtreeIndex::new(false, None);
+        let mut index = SharedIndex::default();
         let plans: Vec<QueryPlan> = (0..4)
-            .map(|i| pair_plan(&format!("q{i}"), "a1", "a2"))
+            .map(|i| path_plan(&format!("q{i}"), 3, Duration::from_hours(1)))
             .collect();
 
-        // First query of a form only advertises: no entry, nothing covered.
-        assert!(index.cover_plan(0, &plans[0], &graph).is_empty());
+        // First query of a form only advertises its internal nodes: just
+        // its leaves are interned.
+        assert!(index.subscribe(0, &plans[0], &graph));
         assert_eq!(index.metrics().distinct_subtrees, 0);
-        assert!(!index.has_entries());
+        assert_eq!(index.metrics().subscribed_primitives, 3);
 
-        // The second query promotes the advert into a cold entry and
-        // subscribes at its root; the advertiser stays on its classic path.
-        let covered = index.cover_plan(1, &plans[1], &graph);
-        assert_eq!(covered, vec![plans[1].shape.root()]);
+        // The second query promotes the advert into a cold entry with join
+        // stores and subscribes at its root — and nowhere below it; the
+        // advertiser keeps matching the subtree privately.
+        assert!(index.subscribe(1, &plans[1], &graph));
         let m = index.metrics();
-        assert_eq!(m.distinct_subtrees, 1);
-        assert_eq!(m.subscribed_subtrees, 1);
+        assert_eq!((m.distinct_subtrees, m.subscribed_subtrees), (1, 1));
+        assert_eq!(m.subscribed_primitives, 3);
+        let root = root_entry(&index, 1, &plans[1]);
+        assert!(index.entries[root].as_ref().unwrap().stateful);
 
         // A third query joins the live entry directly.
-        assert_eq!(index.cover_plan(2, &plans[2], &graph).len(), 1);
+        assert!(index.subscribe(2, &plans[2], &graph));
         assert_eq!(index.metrics().subscribed_subtrees, 2);
 
         // The last unsubscription frees the entry, but the advertiser's
         // interest persists: a newcomer re-promotes the same form.
-        index.unsubscribe_slot(1);
-        index.unsubscribe_slot(2);
-        assert!(!index.has_entries());
-        assert_eq!(index.cover_plan(3, &plans[3], &graph).len(), 1);
+        index.unsubscribe(1);
+        index.unsubscribe(2);
+        assert_eq!(index.metrics().distinct_subtrees, 0);
+        assert!(index.subscribe(3, &plans[3], &graph));
         assert_eq!(index.metrics().distinct_subtrees, 1);
 
         // Once the advertiser leaves too, its advert is purged: a fresh
         // slot starts the advertise-then-promote cycle over.
-        index.unsubscribe_slot(3);
-        index.unsubscribe_slot(0);
-        assert!(index.cover_plan(0, &plans[0], &graph).is_empty());
+        index.unsubscribe(3);
+        index.unsubscribe(0);
+        assert!(index.subscribe(0, &plans[0], &graph));
+        assert_eq!(index.metrics().distinct_subtrees, 0);
     }
 
     #[test]
-    fn subtree_entries_with_different_windows_stay_separate() {
+    fn joined_entries_with_different_windows_stay_separate() {
         let graph = DynamicGraph::unbounded();
-        let mut index = SharedSubtreeIndex::new(false, None);
-        let p0 = pair_plan("q0", "a1", "a2");
-        let p1 = pair_plan("q1", "x", "y");
-        assert!(index.cover_plan(0, &p0, &graph).is_empty());
-        assert_eq!(index.cover_plan(1, &p1, &graph).len(), 1);
-        let q = QueryGraphBuilder::new("q2")
-            .window(Duration::from_secs(30))
-            .vertex("a1", "Article")
-            .vertex("a2", "Article")
-            .vertex("k", "Keyword")
-            .edge("a1", "mentions", "k")
-            .edge("a2", "mentions", "k")
-            .build()
-            .unwrap();
-        let p2 = Planner::new()
-            .plan_with(
-                q,
-                &SelectivityOrdered {
-                    max_primitive_size: 1,
-                },
-            )
-            .unwrap();
+        let mut index = SharedIndex::default();
+        let hour = Duration::from_hours(1);
+        index.subscribe(0, &path_plan("q0", 3, hour), &graph);
+        index.subscribe(1, &path_plan("q1", 3, hour), &graph);
+        assert_eq!(index.metrics().distinct_subtrees, 1);
         // Same structure, different window: the live entry does not match,
         // and the pending adverts (both 1h) do not promote it either.
-        assert!(index.cover_plan(2, &p2, &graph).is_empty());
-        assert_eq!(index.metrics().distinct_subtrees, 1);
+        index.subscribe(2, &path_plan("q2", 3, Duration::from_secs(30)), &graph);
+        let m = index.metrics();
+        assert_eq!((m.distinct_subtrees, m.subscribed_subtrees), (1, 1));
     }
 
     #[test]
-    fn plain_leaves_are_left_to_the_leaf_index_but_lifted_ones_are_not() {
+    fn a_leaf_never_subscribes_to_an_entry_with_join_stores() {
+        // The three-hop path as ONE leaf primitive: its search re-reads the
+        // whole window from the graph, which the cold-started join tree of
+        // the same form does not cover — so it gets a one-leaf twin.
         let graph = DynamicGraph::unbounded();
-        // Single-primitive queries (root == leaf). Unlifted: never covered,
-        // even after two walk-bys — that is the leaf index's job.
-        let mut plain = SharedSubtreeIndex::new(true, None);
-        let q = |name: &str| {
-            Planner::new()
-                .plan(
-                    QueryGraphBuilder::new(name)
-                        .window(Duration::from_hours(1))
-                        .vertex("a", "Article")
-                        .vertex("k", "Keyword")
-                        .edge("a", "mentions", "k")
-                        .build()
-                        .unwrap(),
-                )
-                .unwrap()
-        };
-        assert!(plain.cover_plan(0, &q("q0"), &graph).is_empty());
-        assert!(plain.cover_plan(1, &q("q1"), &graph).is_empty());
-        assert!(!plain.has_entries());
+        let mut index = SharedIndex::default();
+        let hour = Duration::from_hours(1);
+        index.subscribe(0, &path_plan("q0", 3, hour), &graph);
+        let p1 = path_plan("q1", 3, hour);
+        index.subscribe(1, &p1, &graph);
+        let joined = root_entry(&index, 1, &p1);
 
-        // With a lifted constant the same single-leaf shape is coverable:
-        // constant dispatch is something the leaf index cannot do.
-        let lifted = |name: &str, label: &str| {
-            use streamworks_query::Predicate;
-            Planner::new()
-                .plan(
-                    QueryGraphBuilder::new(name)
-                        .window(Duration::from_hours(1))
-                        .vertex("a", "Article")
-                        .vertex("k", "Keyword")
-                        .edge_with("a", "mentions", "k", vec![Predicate::eq("label", label)])
-                        .build()
-                        .unwrap(),
-                )
-                .unwrap()
-        };
-        let mut index = SharedSubtreeIndex::new(true, None);
-        assert!(index
-            .cover_plan(0, &lifted("t0", "politics"), &graph)
-            .is_empty());
-        assert_eq!(
-            index.cover_plan(1, &lifted("t1", "sports"), &graph).len(),
-            1
-        );
-        assert_eq!(index.metrics().distinct_subtrees, 1);
+        let all: Vec<QueryEdgeId> = p1.query.edge_ids().collect();
+        let one_leaf = Planner::new()
+            .plan_with(p1.query.clone(), &ManualDecomposition::new(vec![all]))
+            .unwrap();
+        assert!(index.subscribe(2, &one_leaf, &graph));
+        let twin = root_entry(&index, 2, &one_leaf);
+        assert_ne!(twin, joined);
+        assert!(!index.entries[twin].as_ref().unwrap().stateful);
+        // The other way round is fine: an internal node takes either.
+        let p3 = path_plan("q3", 3, hour);
+        index.subscribe(3, &p3, &graph);
+        assert!([joined, twin].contains(&root_entry(&index, 3, &p3)));
     }
 
     #[test]
-    fn lifted_subtree_dispatches_by_bound_constant() {
+    fn lifted_leaves_intern_at_their_first_subscriber() {
+        let graph = DynamicGraph::unbounded();
+        let lifted = |name: &str, label: &str| {
+            let q = QueryGraphBuilder::new(name)
+                .window(Duration::from_hours(1))
+                .vertex("a", "Article")
+                .vertex("k", "Keyword")
+                .edge_with("a", "mentions", "k", vec![Predicate::eq("label", label)])
+                .build()
+                .unwrap();
+            Planner::new().plan(q).unwrap()
+        };
+        let mut index = SharedIndex::default();
+        assert!(index.subscribe(0, &lifted("t0", "politics"), &graph));
+        let m = index.metrics();
+        assert_eq!((m.distinct_subtrees, m.lifted_entries), (1, 1));
+        assert_eq!(m.distinct_primitives, 0);
+        // Alone on its entry, the tenant runs privately just as well.
+        assert!(!index.needs_dispatch());
+        // A second constant folds into the same entry.
+        assert!(index.subscribe(1, &lifted("t1", "sports"), &graph));
+        let m = index.metrics();
+        assert_eq!((m.distinct_subtrees, m.subscribed_subtrees), (1, 2));
+        assert!(index.needs_dispatch());
+    }
+
+    #[test]
+    fn lifted_entry_dispatches_by_bound_constant() {
         let mut graph = DynamicGraph::unbounded();
-        let mut index = SharedSubtreeIndex::new(true, None);
-        // Three constant-variant tenants: t0 advertises, t1 promotes, t2
-        // joins — one entry, two subscribers (politics and sports).
-        assert!(index
-            .cover_plan(0, &labelled_pair_plan("t0", "culture"), &graph)
-            .is_empty());
+        let mut index = SharedIndex::default();
+        // Three constant-variant tenants: t0 advertises its root (its two
+        // leaves share a lifted single-edge entry), t1 promotes, t2 joins —
+        // one whole-pair entry with two subscribers (politics and sports).
+        assert!(index.subscribe(0, &labelled_pair_plan("t0", "culture"), &graph));
         let politics = labelled_pair_plan("t1", "politics");
-        let sports = labelled_pair_plan("t2", "sports");
-        assert_eq!(index.cover_plan(1, &politics, &graph).len(), 1);
-        assert_eq!(index.cover_plan(2, &sports, &graph).len(), 1);
-        assert_eq!(index.metrics().distinct_subtrees, 1);
-        assert_eq!(index.metrics().subscribed_subtrees, 2);
+        assert!(index.subscribe(1, &politics, &graph));
+        assert!(index.subscribe(2, &labelled_pair_plan("t2", "sports"), &graph));
+        let m = index.metrics();
+        assert_eq!((m.distinct_subtrees, m.lifted_entries), (2, 2));
+        assert_eq!(m.subscribed_subtrees, 4);
 
         // Two politics-labelled mentions of one keyword complete the pair
         // inside the entry's own matcher.
-        for (i, src) in ["art1", "art2"].iter().enumerate() {
-            let r = graph.ingest(
-                &EdgeEvent::new(
-                    *src,
-                    "Article",
-                    "election",
-                    "Keyword",
-                    "mentions",
-                    Timestamp::from_secs(i as i64),
-                )
-                .with_attr("label", "politics"),
-            );
-            let edge = graph.edge(r.edge).unwrap().clone();
-            index.search_edge(&graph, &edge);
-        }
-        let mut deliveries = Vec::new();
-        index.collect_deliveries(&mut deliveries);
-        // The constant-hash prefilter already routes the joined match to the
-        // politics tenant only.
+        let ev = |src: &str, t: i64| mention(src, "election", t).with_attr("label", "politics");
+        feed(&mut graph, &mut index, ev("art1", 0));
+        let deliveries = feed(&mut graph, &mut index, ev("art2", 1));
+        // The constant-hash prefilter already routes the pair to the
+        // politics tenant only (culture watches neither mention).
         assert_eq!(deliveries.len(), 1, "{deliveries:?}");
-        let (results, consts, sub, lifted) = index.delivery(&deliveries[0]);
-        assert!(lifted);
-        assert_eq!(sub.slot, 1);
+        assert_eq!(deliveries[0].0, 1);
+        let entry = index.entries[root_entry(&index, 1, &politics)]
+            .as_ref()
+            .unwrap();
         // The symmetric pair admits both article assignments, exactly like a
-        // private matcher would.
-        assert_eq!(results.len(), 2);
-        for c in consts {
-            assert_eq!(
-                c.as_deref().unwrap(),
-                sub.constants(),
-                "the bound constants equal the tenant's registered tokens"
-            );
+        // private matcher would, each bound to the tenant's constants.
+        assert_eq!(entry.results.len(), 2);
+        let sub = &entry.subscribers[deliveries[0].3 as usize];
+        for c in &entry.result_consts {
+            assert_eq!(c.as_deref(), Some(sub.constants.as_slice()));
         }
-        // Remap lands the joined pair in the subscriber's own space: two
-        // covered edges, three bound vertices.
-        let remapped = sub.remap(&results[0]);
-        assert_eq!(remapped.edge_count(), 2);
-        assert_eq!(remapped.binding.bound_count(), 3);
+        // Remap lands the joined pair in the subscriber's own space, at its
+        // root: two covered edges, three bound vertices.
+        let got = owed(&mut index, &deliveries[0]);
+        assert_eq!(got.len(), 2);
+        assert_eq!(got[0].0, politics.shape.root());
+        assert_eq!(got[0].1.edge_count(), 2);
+        assert_eq!(got[0].1.binding.bound_count(), 3);
+        assert_eq!(index.metrics().lifted_dispatch_hits, 2);
     }
 
     #[test]
@@ -1708,89 +1371,56 @@ mod tests {
     #[test]
     fn lifted_entry_search_filters_unsubscribed_constants() {
         let mut graph = DynamicGraph::unbounded();
-        let mut index = SharedSubtreeIndex::new(true, None);
-        assert!(index
-            .cover_plan(0, &labelled_pair_plan("t0", "politics"), &graph)
-            .is_empty());
-        assert_eq!(
-            index
-                .cover_plan(1, &labelled_pair_plan("t1", "sports"), &graph)
-                .len(),
-            1
-        );
-        assert_eq!(
-            index
-                .cover_plan(2, &labelled_pair_plan("t2", "culture"), &graph)
-                .len(),
-            1
-        );
+        let mut index = SharedIndex::default();
+        index.subscribe(0, &labelled_pair_plan("t0", "politics"), &graph);
+        let sports = labelled_pair_plan("t1", "sports");
+        index.subscribe(1, &sports, &graph);
+        index.subscribe(2, &labelled_pair_plan("t2", "culture"), &graph);
+        let pair = root_entry(&index, 1, &sports);
 
-        let mention = |src: &str, label: &str, t: i64| {
-            EdgeEvent::new(src, "Article", "fair", "Keyword", "mentions", {
-                Timestamp::from_secs(t)
-            })
-            .with_attr("label", label)
-        };
-        let feed = |graph: &mut DynamicGraph, index: &mut SharedSubtreeIndex, ev| {
-            let r = graph.ingest(&ev);
-            let edge = graph.edge(r.edge).unwrap().clone();
-            index.search_edge(graph, &edge);
-        };
+        let ev = |src: &str, label: &str, t: i64| mention(src, "fair", t).with_attr("label", label);
 
         // "weather" is watched by no subscriber: the InSet filter rejects
-        // the mentions at the anchor check, so the entry enumerates no
-        // embeddings at all for them.
-        feed(&mut graph, &mut index, mention("w1", "weather", 0));
-        feed(&mut graph, &mut index, mention("w2", "weather", 1));
-        let mut deliveries = Vec::new();
-        index.collect_deliveries(&mut deliveries);
-        assert!(deliveries.is_empty());
-        let entry = index.entries[0].as_ref().unwrap();
-        assert_eq!(entry.matcher.metrics().primitive_matches, 0);
+        // the mentions at the anchor check, so no entry enumerates any
+        // embedding for them.
+        feed(&mut graph, &mut index, ev("w1", "weather", 0));
+        assert!(feed(&mut graph, &mut index, ev("w2", "weather", 1)).is_empty());
+        assert_eq!(index.metrics().shared_embeddings, 0);
 
         // A watched constant still flows end to end.
-        feed(&mut graph, &mut index, mention("c1", "culture", 2));
-        feed(&mut graph, &mut index, mention("c2", "culture", 3));
-        index.collect_deliveries(&mut deliveries);
+        feed(&mut graph, &mut index, ev("c1", "culture", 2));
+        let deliveries = feed(&mut graph, &mut index, ev("c2", "culture", 3));
         assert_eq!(deliveries.len(), 1);
-        assert_eq!(index.delivery(&deliveries[0]).2.slot, 2);
+        assert_eq!(deliveries[0].0, 2);
 
         // A late subscriber widens the filter from its subscription on. The
         // next weather mention completes pairs against the earlier w1/w2
         // edges re-read from the graph — exactly what the tenant's own
-        // just-registered matcher would find; the engine's observation gate
-        // (not the index) is what filters pre-subscription anchors.
-        assert_eq!(
-            index
-                .cover_plan(3, &labelled_pair_plan("t3", "weather"), &graph)
-                .len(),
-            1
-        );
-        feed(&mut graph, &mut index, mention("w3", "weather", 4));
-        deliveries.clear();
-        index.collect_deliveries(&mut deliveries);
+        // just-registered matcher would find; the observation gate is what
+        // filters pre-subscription anchors.
+        index.subscribe(3, &labelled_pair_plan("t3", "weather"), &graph);
+        let deliveries = feed(&mut graph, &mut index, ev("w3", "weather", 4));
         assert_eq!(deliveries.len(), 1, "{deliveries:?}");
-        let (results, consts, sub, _) = index.delivery(&deliveries[0]);
-        assert_eq!(sub.slot, 3);
+        assert_eq!(deliveries[0].0, 3);
         // Partners w1, w2 (weather) and c1, c2 (culture) each pair with w3
         // in both edge assignments; only the all-weather tuples carry t3's
-        // constants and survive its dispatch.
-        assert_eq!(results.len(), 8);
-        let weather: Vec<_> = consts
-            .iter()
-            .filter(|c| c.as_deref() == Some(sub.constants()))
-            .collect();
-        assert_eq!(weather.len(), 4);
+        // constants and survive its dispatch — and of those, a subscriber
+        // that only started observing at w3 is owed none.
+        let entry = index.entries[pair].as_ref().unwrap();
+        assert_eq!(entry.results.len(), 8);
+        assert_eq!(owed(&mut index, &deliveries[0]).len(), 4);
+        let mut late = 0;
+        index.fan_out(&deliveries[0], &[4], |_, _| late += 1);
+        assert_eq!(late, 0);
     }
 
     #[test]
     fn admits_gates_each_subscriber_leaf_on_its_own_anchor() {
-        use smallvec::SmallVec;
         use streamworks_graph::EdgeId;
         // A synthetic subscriber whose partition splits three canonical
         // edges into leaves {0,1} and {2}; leaf anchors are the max data
         // edge ids: 50 and 20.
-        let sub = SubtreeSubscriber {
+        let sub = Subscriber {
             slot: 0,
             node: SjNodeId(0),
             vertex_map: Vec::new(),
@@ -1824,11 +1454,8 @@ mod tests {
         // Late registration at 25: anchor 20 was never observed.
         assert!(!sub.admits(&m, &[25]));
         // A partition leaf with no covered edge never admits.
-        let missing = SubtreeSubscriber {
+        let missing = Subscriber {
             gate_partition: vec![vec![0], vec![7]],
-            constants: Vec::new(),
-            vertex_map: Vec::new(),
-            edge_map: Vec::new(),
             ..sub
         };
         assert!(!missing.admits(&m, &[0]));
@@ -1837,34 +1464,13 @@ mod tests {
     #[test]
     fn paused_subscribers_drop_out_of_search_and_fanout() {
         let mut graph = DynamicGraph::unbounded();
-        let mut index = SharedPrimitiveIndex::default();
-        let p0 = pair_plan_wide("q0", "a1", "a2");
-        let p1 = pair_plan_wide("q1", "x", "y");
-        index.subscribe_plan(0, &p0, p0.shape.leaves(), &graph);
-        index.subscribe_plan(1, &p1, p1.shape.leaves(), &graph);
+        let mut index = SharedIndex::default();
+        index.subscribe(0, &pair_plan_wide("q0", "a1", "a2"), &graph);
+        index.subscribe(1, &pair_plan_wide("q1", "x", "y"), &graph);
         index.set_active(0, false);
 
-        let feed = |graph: &mut DynamicGraph,
-                    index: &mut SharedPrimitiveIndex,
-                    src: &str,
-                    dst: &str,
-                    t: i64| {
-            let r = graph.ingest(&EdgeEvent::new(
-                src,
-                "Article",
-                dst,
-                "Keyword",
-                "mentions",
-                Timestamp::from_secs(t),
-            ));
-            let edge = graph.edge(r.edge).unwrap().clone();
-            index.search_edge(graph, &edge);
-        };
-        feed(&mut graph, &mut index, "art1", "rust", 1);
-        let mut deliveries = Vec::new();
-        index.collect_deliveries(&mut deliveries);
-        feed(&mut graph, &mut index, "art2", "rust", 2);
-        index.collect_deliveries(&mut deliveries);
+        feed(&mut graph, &mut index, mention("art1", "rust", 1));
+        let deliveries = feed(&mut graph, &mut index, mention("art2", "rust", 2));
         assert!(
             !deliveries.is_empty(),
             "the second mention completes a pair"
@@ -1878,19 +1484,90 @@ mod tests {
         assert_eq!(index.slot_candidates(0), 0);
         assert!(index.slot_candidates(1) > 0);
 
-        // With every subscriber paused the entry is not searched at all.
+        // With every subscriber paused an entry without join stores is not
+        // searched at all.
         index.set_active(1, false);
         let before = index.metrics().shared_searches_run;
-        feed(&mut graph, &mut index, "art3", "go", 3);
+        feed(&mut graph, &mut index, mention("art3", "go", 3));
         assert_eq!(index.metrics().shared_searches_run, before);
-        assert!(!index.sharing_possible());
+        assert!(!index.needs_dispatch());
 
         // Resuming re-opens the attribution interval without re-charging
         // searches run while paused.
         index.set_active(0, true);
-        let paused_share = index.slot_candidates(0);
-        assert_eq!(paused_share, 0);
-        feed(&mut graph, &mut index, "art4", "rust", 4);
+        assert_eq!(index.slot_candidates(0), 0);
+        feed(&mut graph, &mut index, mention("art4", "rust", 4));
         assert!(index.slot_candidates(0) > 0);
+    }
+
+    #[test]
+    fn entries_of_every_height_share_one_accounting() {
+        // A height-0 entry (a two-hop path as one leaf primitive) and a
+        // height-2 entry (the five-hop path: 2 + 2 + 1 edges under two
+        // joins), each with two subscribing slots, go through the very same
+        // refcount / pause / candidate bookkeeping.
+        let mut graph = DynamicGraph::unbounded();
+        let mut index = SharedIndex::default();
+        let hour = Duration::from_hours(1);
+        let plan = |name: &str, hops| Planner::new().plan(path_query(name, hops, hour)).unwrap();
+        let paths: Vec<QueryPlan> = (0..3).map(|i| plan(&format!("p{i}"), 5)).collect();
+        for (slot, plan) in paths.iter().enumerate() {
+            assert!(index.subscribe(slot as u32, plan, &graph));
+        }
+        let hops = plan("hops", 2);
+        assert!(index.subscribe(3, &hops, &graph));
+        // p0 advertised and keeps its two two-hop leaves on one entry, next
+        // to `hops` itself; p1 promoted the whole path, p2 joined it.
+        let low = root_entry(&index, 3, &hops);
+        let high = root_entry(&index, 1, &paths[1]);
+        // (`SjTreeShape::height` counts levels: a lone leaf is 1.)
+        let levels = |index: &SharedIndex, e: usize| {
+            let entry = index.entries[e].as_ref().unwrap();
+            entry.matcher.plan().shape.height()
+        };
+        assert_eq!((levels(&index, low), levels(&index, high)), (1, 3));
+
+        let flow = |i: usize, t: i64| {
+            let (src, dst) = (format!("h{i}"), format!("h{}", i + 1));
+            EdgeEvent::new(src, "IP", dst, "IP", "flow", Timestamp::from_secs(t))
+        };
+        for (entry, subs, (a, b)) in [(low, 3, (0u32, 3u32)), (high, 2, (1, 2))] {
+            let refs = |index: &SharedIndex| {
+                let e = index.entries[entry].as_ref().unwrap();
+                (e.subscribers.len(), e.active_subs)
+            };
+            assert_eq!(refs(&index), (subs, subs));
+            // Both slots accrue candidates while active ...
+            let base = (index.slot_candidates(a), index.slot_candidates(b));
+            for i in 0..3 {
+                feed(&mut graph, &mut index, flow(i, i as i64));
+            }
+            let (ca, cb) = (index.slot_candidates(a), index.slot_candidates(b));
+            assert!(ca > base.0 && cb > base.1);
+            // ... a paused slot leaves the fan-out and stops accruing ...
+            index.set_active(b, false);
+            assert_eq!(refs(&index), (subs, subs - 1));
+            let deliveries = feed(&mut graph, &mut index, flow(3, 3));
+            assert!(deliveries.iter().all(|d| d.0 != b), "{deliveries:?}");
+            assert!(index.slot_candidates(a) > ca);
+            assert_eq!(index.slot_candidates(b), cb);
+            // ... and picks up again, from where it left off, on resume.
+            index.set_active(b, true);
+            assert_eq!(refs(&index), (subs, subs));
+            feed(&mut graph, &mut index, flow(4, 4));
+            assert!(index.slot_candidates(b) > cb);
+        }
+        // The refcount frees each entry with its last subscriber, whatever
+        // its height.
+        for slot in [1, 2] {
+            assert!(index.entries[high].is_some());
+            index.unsubscribe(slot);
+        }
+        assert!(index.entries[high].is_none());
+        for slot in [0, 3] {
+            assert!(index.entries[low].is_some());
+            index.unsubscribe(slot);
+        }
+        assert!(index.entries[low].is_none());
     }
 }

@@ -26,7 +26,7 @@ use crate::join::{self, NodeRoute, NO_PARENT};
 use crate::local_search::{find_primitive_matches_anchored, LocalSearchStats};
 use crate::match_store::SharedJoinStore;
 use crate::metrics::QueryMetrics;
-use streamworks_graph::{Duration, DynamicGraph, Edge, Timestamp};
+use streamworks_graph::{Duration, DynamicGraph, Edge, Timestamp, TypeId};
 use streamworks_query::{QueryGraph, QueryPlan, SjNodeId};
 
 /// Incremental matcher for one query plan.
@@ -127,6 +127,13 @@ impl SjTreeMatcher {
         self.plan.query.window()
     }
 
+    /// The cumulative counters behind [`Self::metrics`], without the live
+    /// partial-match gauge (which costs a pass over the stores) — for the
+    /// sharing index, which reads them after every event.
+    pub(crate) fn counters(&self) -> &QueryMetrics {
+        &self.metrics
+    }
+
     /// Current metrics snapshot.
     pub fn metrics(&self) -> QueryMetrics {
         let mut m = self.metrics;
@@ -168,42 +175,63 @@ impl SjTreeMatcher {
         best as f64 / total
     }
 
-    /// Processes one newly inserted data edge. Complete matches are appended
-    /// to `out`.
+    /// Processes one newly inserted data edge: the local-search front end
+    /// (`primitive_matches_into`) followed by the join propagation (`absorb`)
+    /// of every embedding it found. Complete matches are appended to `out`.
     pub fn process_edge(&mut self, graph: &DynamicGraph, edge: &Edge, out: &mut Vec<PartialMatch>) {
         let mut primitives = std::mem::take(&mut self.primitive_scratch);
         primitives.clear();
         self.primitive_matches_into(graph, edge, &mut primitives);
         for (leaf, m) in primitives.drain(..) {
-            self.insert_and_join(leaf, m, out);
+            self.absorb(leaf, m, out);
         }
         self.primitive_scratch = primitives;
+    }
+
+    /// Type constraints only change when the graph interns a new type name;
+    /// gating the refresh on the schema version keeps the steady-state path
+    /// a single integer compare.
+    fn sync_schema(&mut self, graph: &DynamicGraph) {
+        if self.anchors.schema_changed(graph.schema_version()) {
+            self.constraints.refresh(&self.plan.query, graph);
+            self.rebuild_anchor_index();
+        }
+    }
+
+    /// The resolved type filter of every query edge, against the graph's
+    /// current schema — what the sharing index files this matcher under in
+    /// its own per-type dispatch table (see `AnchorIndex::add` for the three
+    /// outcomes).
+    pub(crate) fn edge_type_filters(
+        &mut self,
+        graph: &DynamicGraph,
+    ) -> impl Iterator<Item = Result<Option<TypeId>, ()>> + '_ {
+        self.sync_schema(graph);
+        self.plan
+            .query
+            .edge_ids()
+            .map(|qe| self.constraints.edge_type_filter(qe))
     }
 
     /// The matcher's *local-search front end*: runs the schema-gated
     /// constraint refresh and the per-type anchor dispatch for one data edge,
     /// appending every primitive embedding found as `(leaf, match)` to `out`
-    /// — without touching the match stores.
+    /// — without touching the match stores. Returns the number of anchored
+    /// searches it ran.
     ///
-    /// [`Self::process_edge`] feeds the results into the in-process join
-    /// propagation; the sharded matcher (`crate::ShardedMatcher`) feeds them
-    /// into its join-key router instead, so both executions share one front
-    /// end. Local-search metrics (`edges_processed`,
-    /// `local_search_candidates`, `primitive_matches`) are accounted here.
+    /// Every execution feeds the results into [`Self::absorb`] or its
+    /// sharded twin (`crate::ShardedMatcher::absorb`, which routes by join
+    /// key instead), so all of them share one front end. The search-side
+    /// metrics (`edges_processed`, `local_search_candidates`) are accounted
+    /// here; `primitive_matches` is counted where an embedding is absorbed.
     pub(crate) fn primitive_matches_into(
         &mut self,
         graph: &DynamicGraph,
         edge: &Edge,
         out: &mut Vec<(SjNodeId, PartialMatch)>,
-    ) {
+    ) -> u64 {
         self.metrics.edges_processed += 1;
-        // Type constraints only change when the graph interns a new type
-        // name; gate the refresh on the schema version so the steady-state
-        // path is a single integer compare.
-        if self.anchors.schema_changed(graph.schema_version()) {
-            self.constraints.refresh(&self.plan.query, graph);
-            self.rebuild_anchor_index();
-        }
+        self.sync_schema(graph);
         let window = self.window();
 
         // Dispatch through the per-type anchor index: only the (leaf, anchor)
@@ -230,75 +258,34 @@ impl SjTreeMatcher {
             }
         }
         self.metrics.local_search_candidates += stats.candidates_examined;
-        self.metrics.primitive_matches += stats.matches_found;
         self.found = found;
+        let searches = anchors.len() as u64;
         self.anchors.give_back(anchors);
+        searches
     }
 
-    /// The join-climb half of [`Self::process_edge`], exposed so the
-    /// engine's sampled telemetry path can time local search and join climb
-    /// separately: feeds one front-end primitive embedding (as produced by
-    /// [`Self::primitive_matches_into`]) into the join propagation without
-    /// re-counting it — `primitive_matches` was already accounted by the
-    /// front end. Results are identical to `process_edge` feeding the same
-    /// embeddings.
-    pub(crate) fn join_from(
-        &mut self,
-        leaf: SjNodeId,
-        m: PartialMatch,
-        out: &mut Vec<PartialMatch>,
-    ) {
-        self.insert_and_join(leaf, m, out);
-    }
-
-    /// Feeds one embedding produced by the engine's shared primitive index
-    /// (already remapped into this query's vertex/edge space) into the join
-    /// propagation at `leaf` — the shared-dispatch twin of the local-search
-    /// half of [`Self::process_edge`]. Complete matches are appended to
-    /// `out`.
-    pub(crate) fn absorb_embedding(
-        &mut self,
-        leaf: SjNodeId,
-        m: PartialMatch,
-        out: &mut Vec<PartialMatch>,
-    ) {
-        self.metrics.primitive_matches += 1;
-        self.insert_and_join(leaf, m, out);
-    }
-
-    /// Accounts one shared-index embedding delivered to this matcher without
-    /// passing through [`Self::absorb_embedding`] (the sharded execution
-    /// routes embeddings to worker threads instead).
-    pub(crate) fn note_shared_embedding(&mut self) {
-        self.metrics.primitive_matches += 1;
-    }
-
-    /// Feeds one *joined* match produced by a shared subtree entry (already
-    /// remapped into this query's vertex/edge space) into the join
-    /// propagation at `node` — an internal node or the root, the point where
-    /// this query subscribed to the entry. Unlike [`Self::absorb_embedding`]
-    /// this does **not** count a primitive match: the constituent local
-    /// searches and the joins below `node` ran once inside the shared entry,
-    /// not here. Complete matches are appended to `out`.
-    pub(crate) fn absorb_joined(
-        &mut self,
-        node: SjNodeId,
-        m: PartialMatch,
-        out: &mut Vec<PartialMatch>,
-    ) {
-        self.insert_and_join(node, m, out);
-    }
-
-    /// Inserts a match at a node and propagates joins towards the root —
-    /// the flattened twin of `ShardWorker::process`, walking the precomputed
-    /// route table and calling the shared `crate::join::probe_insert` step.
+    /// Files a match at `node` and propagates joins towards the root — the
+    /// one entry into the join climb. `node` is a leaf for an embedding of
+    /// the local search (this matcher's own front end, or a shared entry's,
+    /// already remapped into this query's vertex/edge space), which counts
+    /// one primitive match; it is an internal node or the root for a
+    /// *joined* match of a shared entry, whose searches and joins below
+    /// `node` ran once inside the entry, not here. Complete matches are
+    /// appended to `out`.
     ///
-    /// For each match the join key is projected once, the sibling side of
-    /// the parent's shared store is probed *before* the match is filed (a
-    /// match at one node never joins with matches at the same node, so the
-    /// order is equivalent), and the match is then moved — not cloned — into
-    /// the store, all within a single hash lookup.
-    fn insert_and_join(&mut self, node: SjNodeId, m: PartialMatch, out: &mut Vec<PartialMatch>) {
+    /// The climb is the flattened twin of `ShardWorker::process`, walking
+    /// the precomputed route table and calling the shared
+    /// `crate::join::probe_insert` step. For each match the join key is
+    /// projected once, the sibling side of the parent's shared store is
+    /// probed *before* the match is filed (a match at one node never joins
+    /// with matches at the same node, so the order is equivalent), and the
+    /// match is then moved — not cloned — into the store, all within a
+    /// single hash lookup.
+    pub(crate) fn absorb(&mut self, node: SjNodeId, m: PartialMatch, out: &mut Vec<PartialMatch>) {
+        // Internal nodes are exactly the ones that own a store.
+        if self.stores[node.0].is_none() {
+            self.metrics.primitive_matches += 1;
+        }
         let window = self.window();
         let mut stack = std::mem::take(&mut self.stack);
         let mut merged = std::mem::take(&mut self.merged);

@@ -446,6 +446,13 @@ impl LiftedPrimitive {
         self.canon.matches(&other.canon)
     }
 
+    /// Overrides the fingerprint of the underlying canonical form. **Test
+    /// hook only**, see [`CanonicalPrimitive::force_fingerprint_for_tests`].
+    #[doc(hidden)]
+    pub fn force_fingerprint_for_tests(&mut self, fingerprint: u64) {
+        self.canon.force_fingerprint_for_tests(fingerprint);
+    }
+
     /// The pattern the shared search runs against: the canonical pattern with
     /// the lifted `eq` predicates removed (an embedding may bind any
     /// constant; dispatch decides who receives it). With nothing lifted this

@@ -1,11 +1,11 @@
-//! Trace replay, adaptive re-planning and multi-core execution.
+//! Trace replay and adaptive re-planning.
 //!
 //! Run with:
 //! ```text
 //! cargo run --release --example replay_and_replan
 //! ```
 //!
-//! This example exercises three capabilities that round out the system beyond
+//! This example exercises two capabilities that round out the system beyond
 //! the paper's demo script:
 //!
 //! 1. **Trace persistence** — a generated workload is written to a JSON-lines
@@ -15,15 +15,11 @@
 //!    is planned blindly; after the stream has been summarized the engine
 //!    re-plans it with the learned statistics (paper §4.3 lists this as future
 //!    work) and the two plans are compared.
-//! 3. **Parallel multi-query execution** — the same trace is replayed through
-//!    a sharded, multi-threaded runner, and the aggregate match counts are
-//!    checked against the sequential engine.
 
-use streamworks::engine::ParallelRunner;
 use streamworks::query::{LeftDeepEdgeChain, SelectivityOrdered, TreeShapeKind};
-use streamworks::workloads::queries::{labelled_news_query, news_triple_query};
+use streamworks::workloads::queries::news_triple_query;
 use streamworks::workloads::{read_trace_file, write_trace_file, NewsConfig, NewsStreamGenerator};
-use streamworks::{ContinuousQueryEngine, Duration, EngineConfig};
+use streamworks::{ContinuousQueryEngine, Duration};
 
 fn main() {
     // ---- 1. generate a workload and persist it as a trace -----------------
@@ -81,26 +77,9 @@ fn main() {
     }
     let metrics = engine.metrics(triple).unwrap();
     println!(
-        "total matches {matches}, partial matches inserted {}, joins attempted {}\n",
+        "total matches {matches}, partial matches inserted {}, joins attempted {}",
         metrics.partial_matches_inserted, metrics.joins_attempted
     );
-
-    // ---- 3. parallel multi-query execution over the same trace ------------
-    let mut runner = ParallelRunner::new(EngineConfig::default(), 4);
-    for label in ["politics", "earthquake", "accident"] {
-        runner.register_query(labelled_news_query(label, Duration::from_mins(30)));
-    }
-    let outcome = runner.run(&replayed).expect("parallel run");
-    println!(
-        "parallel run: {} workers, {} queries, {} events, {} matches",
-        outcome.workers,
-        runner.query_count(),
-        outcome.edges_processed,
-        outcome.events.len()
-    );
-    for (name, m) in &outcome.metrics {
-        println!("  {name:<20} {:>6} complete matches", m.complete_matches);
-    }
 
     std::fs::remove_file(&trace_path).ok();
 }

@@ -67,9 +67,9 @@
 //!
 //! ## Scaling one hot query across cores
 //!
-//! `ParallelRunner` shards a *registry* of queries across threads; for the
-//! single-hot-query regime the paper targets, [`EngineBuilder::shards`]
-//! instead shards *one query's* SJ-Tree match state by join-key hash. The
+//! For the single-hot-query regime the paper targets,
+//! [`EngineBuilder::shards`] shards *one query's* SJ-Tree match state across
+//! worker threads by join-key hash. The
 //! emitted match multiset is identical for every shard count, and a
 //! tenant's subscription still observes one stream-ordered feed:
 //!
@@ -138,7 +138,7 @@ pub use streamworks_core::{
     AdaptiveConfig, AdaptiveReplanner, BufferingSink, CallbackSink, ChannelSink, CollectingSink,
     ContinuousQueryEngine, CountingSink, DeliveryCursor, EngineBuilder, EngineConfig, EngineError,
     EngineMetrics, EventBatch, EventSink, Ingest, MatchBuffer, MatchCounter, MatchEvent,
-    MetricsRegistry, ParallelRunner, QueryHandle, QueryId, QueryMetrics, RetryPolicy, ShardFailure,
+    MetricsRegistry, QueryHandle, QueryId, QueryMetrics, RetryPolicy, ShardFailure,
     ShardFailurePolicy, ShardMetrics, ShardedMatcher, SinkOverflow, SinkSpec, Stage, StageSnapshot,
     SubscriptionHealth, SubscriptionId, TelemetryLevel, TelemetrySnapshot, TraceSpan, Transport,
 };

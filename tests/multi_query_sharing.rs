@@ -13,7 +13,7 @@
 use std::collections::BTreeMap;
 use streamworks::workloads::{MultiTenantGenerator, NewsConfig, TenantConfig};
 use streamworks::{
-    ContinuousQueryEngine, Duration, EdgeEvent, MatchEvent, QueryGraph, QueryHandle,
+    parse_query, ContinuousQueryEngine, Duration, EdgeEvent, MatchEvent, QueryGraph, QueryHandle,
 };
 
 /// Canonical multiset of matches: how often each (query name, data-edge
@@ -164,22 +164,75 @@ fn sharing_survives_lifecycle_churn() {
 }
 
 #[test]
-fn dedup_counters_tell_the_truth() {
-    // Leaf layer only (the PR 5 configuration, pinned): with the subtree
-    // layer disabled every leaf of every query subscribes to the canonical
-    // primitive index.
+fn per_query_metrics_read_the_same_with_sharing_on_and_off() {
+    // What a tenant reads about its own query must not depend on whether its
+    // searches ran privately or once for everybody inside a shared entry.
     let (queries, events) = tenant_workload(8);
-    let mut engine = ContinuousQueryEngine::builder()
-        .subtree_sharing(false)
-        .lifted_sharing(false)
-        .shards(1)
-        .build()
-        .unwrap();
-    for q in &queries {
+    let per_query = |shared: bool| -> Vec<(String, [u64; 3], u64)> {
+        let mut engine = build_engine(shared, 1);
+        let handles: Vec<QueryHandle> = queries
+            .iter()
+            .map(|q| engine.register_query(q.clone()).unwrap())
+            .collect();
+        for chunk in events.chunks(64) {
+            engine.ingest(chunk).unwrap();
+        }
+        assert_eq!(engine.sharing_active(), shared);
+        handles
+            .iter()
+            .zip(&queries)
+            .map(|(h, q)| {
+                let m = engine.metrics(*h).unwrap();
+                let exact = [m.edges_processed, m.primitive_matches, m.complete_matches];
+                (q.name().to_owned(), exact, m.local_search_candidates)
+            })
+            .collect()
+    };
+    let private = per_query(false);
+    let shared = per_query(true);
+    assert!(private.iter().any(|(_, m, c)| m[2] > 0 && *c > 0));
+    for ((name, exact, candidates), (_, private_exact, private_candidates)) in
+        shared.iter().zip(&private)
+    {
+        assert_eq!(exact, private_exact, "{name}");
+        if name.ends_with("_coloc") {
+            assert_eq!(candidates, private_candidates, "{name}");
+        } else {
+            // A lifted entry searches once for every watched constant, and
+            // each subscriber is charged that whole walk: its own share plus
+            // the other labels' (the attribution is per entry, not per
+            // constant).
+            assert!(candidates >= private_candidates, "{name}");
+        }
+    }
+}
+
+#[test]
+fn dedup_counters_tell_the_truth() {
+    // Leaf regime, chosen by registry shape: every query is one constant-free
+    // search primitive (its tree is a lone leaf), so the only overlap is
+    // between single leaves and only plain height-0 entries can exist.
+    let (queries, events) = tenant_workload(8);
+    let mut registry: Vec<QueryGraph> = queries
+        .into_iter()
+        .filter(|q| q.name().ends_with("_coloc"))
+        .collect();
+    assert_eq!(registry.len(), 8);
+    for i in 0..8 {
+        registry.push(
+            parse_query(&format!(
+                "QUERY t{i}_comention WINDOW 30m \
+                 MATCH (a1:Article)-[:mentions]->(k:Keyword), (a2:Article)-[:mentions]->(k)"
+            ))
+            .unwrap(),
+        );
+    }
+    let mut engine = build_engine(true, 1);
+    for q in &registry {
         engine.register_query(q.clone()).unwrap();
     }
-    // 16 queries built from 2 templates over a 4-label pool: the distinct
-    // primitive count stays far below the subscription count.
+    // 16 queries built from 2 templates: the distinct primitive count stays
+    // far below the subscription count.
     let m = engine.engine_metrics();
     assert!(m.subscribed_primitives >= 16);
     assert!(
@@ -188,7 +241,8 @@ fn dedup_counters_tell_the_truth() {
     );
     assert!(m.dedup_ratio() >= 2.0);
     assert!(engine.sharing_active());
-    // The subtree layer is off: nothing interned there.
+    // No join and no constant to dispatch on anywhere: nothing beyond plain
+    // leaf entries was interned.
     assert_eq!(m.distinct_subtrees, 0);
     assert_eq!(m.subscribed_subtrees, 0);
 

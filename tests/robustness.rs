@@ -294,6 +294,55 @@ fn checkpoint_restore_preserves_future_matches_on_a_cyber_stream() {
     );
 }
 
+/// A checkpoint written before the two sharing knobs beside
+/// `shared_matching` were removed from `EngineConfig` (docs/MIGRATION.md,
+/// 0.9; the fixture was produced by the last commit that had them, both
+/// `true`) carries two config keys nobody reads any more. It must load — the
+/// unknown keys ignored, not an error and certainly not a panic — and
+/// restore into the same index as registering its plans afresh: both lifted
+/// tenants and plain pairs, planned as single-edge leaves and as one
+/// whole-tree leaf, one query paused. (The fixture lives outside `tests/` so
+/// that the removed names stay greppable to zero in the source tree.)
+#[test]
+fn checkpoints_written_with_the_removed_sharing_knobs_still_load() {
+    let json = include_str!("../fixtures/checkpoint_pr12.json");
+    assert_eq!(json.matches("_sharing\":true").count(), 2);
+    let checkpoint = EngineCheckpoint::load(json).expect("unknown config keys are ignored");
+    assert_eq!(checkpoint.plans.len(), 7);
+    assert!(checkpoint.config.shared_matching);
+
+    let dedup = |engine: &ContinuousQueryEngine| {
+        let m = engine.engine_metrics();
+        (
+            (m.distinct_primitives, m.subscribed_primitives),
+            (m.distinct_subtrees, m.subscribed_subtrees, m.lifted_entries),
+        )
+    };
+    let mut restored = checkpoint.restore();
+    let mut fresh = ContinuousQueryEngine::builder().build().unwrap();
+    for plan in &checkpoint.plans {
+        fresh.register_plan(plan.clone());
+    }
+    assert_eq!(dedup(&restored), dedup(&fresh));
+    assert_ne!(dedup(&fresh), ((0, 0), (0, 0, 0)));
+    assert!(restored.sharing_active());
+
+    // The retained edges were replayed: a second politics mention of `rust`
+    // completes the pair for both politics tenants (and for the unlabelled
+    // pairs that were observing), on top of the pre-checkpoint partials.
+    let done = restored
+        .ingest(
+            &ev("a2", "Article", "rust", "Keyword", "mentions", 20).with_attr("label", "politics"),
+        )
+        .unwrap();
+    let by_query = |name: &str| done.iter().filter(|m| m.query_name == name).count();
+    assert_eq!(by_query("t_politics"), 2);
+    assert_eq!(by_query("wide_politics"), 2);
+    assert_eq!(by_query("pair1"), 2);
+    assert_eq!(by_query("pair2"), 0, "paused at capture, still paused");
+    assert_eq!(by_query("t_sports") + by_query("t_culture"), 0);
+}
+
 #[test]
 fn statistics_driven_strategies_agree_with_the_blind_plan() {
     use streamworks::workloads::{NewsConfig, NewsStreamGenerator};

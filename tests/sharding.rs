@@ -211,6 +211,80 @@ fn prune_now_waits_for_the_shard_sweeps() {
     assert_eq!(engine.live_partial_matches(), 0);
 }
 
+/// Regression for the mid-call prune: with `prune_every` (256) or more events
+/// in one `ingest` call, the cadence prune used to send its sweep markers —
+/// cutoff `now − tW` — while handoffs produced by earlier events were still
+/// in flight between shards; a shard that was ahead swept partials a lagging
+/// handoff still had to join, and the match was lost (6–7 % of them at
+/// 256-event calls, about half for a whole-stream call). The hot wedge keeps
+/// every shard busy with cross-shard handoffs and a steadily expiring
+/// window, which is what it takes to hit the race.
+#[test]
+fn mid_call_prunes_lose_no_sharded_matches() {
+    use streamworks::query::{ManualDecomposition, Planner, QueryEdgeId};
+
+    let query = streamworks::parse_query(
+        "QUERY hot_wedge WINDOW 8m \
+         MATCH (a1:Article)-[:mentions]->(k:Keyword), (a2:Article)-[:mentions]->(k), \
+               (a1)-[:located]->(l:Location)",
+    )
+    .unwrap();
+    // Three single-edge leaves, left-deep: two joins, so merged matches
+    // re-hash under the root's cut and hop between shards.
+    let leaves = (0..3).map(|e| vec![QueryEdgeId(e)]).collect();
+    let plan = Planner::new()
+        .plan_with(query, &ManualDecomposition::new(leaves))
+        .unwrap();
+
+    // One event a second; 24 hot keywords over 160 articles, one edge in 50
+    // a location: a few matches per event, with the 8-minute window expiring
+    // as fast as it fills.
+    let mut x = 0x9e37_79b9_7f4a_7c15u64;
+    let mut below = move |n: u64| {
+        x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = x;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        (z ^ (z >> 31)) % n
+    };
+    let events: Vec<EdgeEvent> = (0..6_000i64)
+        .map(|t| {
+            let article = format!("a{}", below(160));
+            let at = Timestamp::from_secs(t);
+            if below(50) == 0 {
+                let city = format!("city{}", below(7));
+                EdgeEvent::new(article, "Article", city, "Location", "located", at)
+            } else {
+                let keyword = format!("k{}", below(24));
+                EdgeEvent::new(article, "Article", keyword, "Keyword", "mentions", at)
+            }
+        })
+        .collect();
+
+    let run = |shards: usize, batch: usize| {
+        let mut engine = engine_with_shards(shards);
+        engine.register_plan(plan.clone());
+        let mut matches = Vec::new();
+        for chunk in events.chunks(batch) {
+            matches.extend(engine.ingest(chunk).unwrap());
+        }
+        multiset(&matches)
+    };
+    let expected = run(1, 256);
+    assert!(expected.len() > events.len(), "the wedge must run hot");
+    for shards in [2usize, 4] {
+        for batch in [256usize, 512, events.len()] {
+            let got = run(shards, batch);
+            assert_eq!(
+                got.len(),
+                expected.len(),
+                "shards={shards} batch={batch}: distinct matches"
+            );
+            assert!(got == expected, "shards={shards} batch={batch}");
+        }
+    }
+}
+
 #[test]
 fn sharded_subscription_sees_one_ordered_stream() {
     let query = labelled_news_query("politics", Duration::from_mins(30));

@@ -1,16 +1,17 @@
-//! Randomized differential oracle for the subtree-sharing layer.
+//! Randomized differential oracle for the sharing index.
 //!
-//! The contract under test: with subtree sharing and predicate-constant
-//! lifting enabled (the defaults), the engine reports **exactly** the same
-//! per-query match multiset as (a) the same engine with all sharing
-//! disabled, and (b) one completely independent engine per query — for any
-//! shard count, and under register → pause → resume → deregister churn
-//! applied identically to every contender. The registries come from the
-//! seeded [`differential_workload`] generator, whose template families are
-//! built to provoke every sharing regime at once (exact structural copies,
-//! copies differing only in an equality constant, unpredicated copies,
-//! non-sharing singletons); a failure therefore reproduces from its printed
-//! seed alone.
+//! The contract under test: with sharing enabled (the default), the engine
+//! reports **exactly** the same per-query match multiset as (a) the same
+//! engine with all sharing disabled, and (b) one completely independent
+//! engine per query — for any shard count, and under register → pause →
+//! resume → deregister churn applied identically to every contender. The
+//! registries come from the seeded [`differential_workload`] generator,
+//! whose template families are built to provoke every sharing regime at once
+//! (exact structural copies, copies differing only in an equality constant,
+//! unpredicated copies, non-sharing singletons); a failure therefore
+//! reproduces from its printed seed alone. Which regimes a seed actually
+//! reached is read back from the engine's own counters ([`Regimes`]), so the
+//! coverage follows from the registry's shape, not from a switch.
 
 use std::collections::BTreeMap;
 use streamworks::workloads::{differential_workload, DifferentialConfig};
@@ -48,6 +49,27 @@ impl Action {
 
 const CHUNKS: usize = 8;
 
+/// The kinds of shared entry seen live at some chunk boundary of one run.
+#[derive(Debug, Default)]
+struct Regimes {
+    /// A plain single leaf search (height 0, no lifted constant).
+    leaf: bool,
+    /// A join subtree interned without any lifted constant.
+    unlifted_subtree: bool,
+    /// An entry dispatching on a lifted `eq` constant.
+    lifted: bool,
+}
+
+impl Regimes {
+    fn observe(&mut self, engine: &ContinuousQueryEngine) {
+        let m = engine.engine_metrics();
+        self.leaf |= m.distinct_primitives > 0;
+        // Every lifted entry counts as a subtree; any further one joins.
+        self.unlifted_subtree |= m.distinct_subtrees > m.lifted_entries;
+        self.lifted |= m.lifted_entries > 0;
+    }
+}
+
 /// Builds a deterministic churn schedule: roughly a third of the queries
 /// get a lifecycle (pause/resume, pause-forever, deregister, or late
 /// registration) at seed-chosen chunk boundaries.
@@ -84,8 +106,9 @@ fn churn_schedule(seed: u64, queries: usize) -> Vec<(usize, Action)> {
 }
 
 /// Drives one engine through the event stream and churn schedule, returning
-/// every match it reported. `restrict` limits the registry (and the
-/// schedule) to a single query index — the one-engine-per-query oracle.
+/// every match it reported and the sharing regimes it went through.
+/// `restrict` limits the registry (and the schedule) to a single query index
+/// — the one-engine-per-query oracle.
 fn drive(
     queries: &[QueryGraph],
     events: &[EdgeEvent],
@@ -93,7 +116,7 @@ fn drive(
     shared: bool,
     shards: usize,
     restrict: Option<usize>,
-) -> Vec<MatchEvent> {
+) -> (Vec<MatchEvent>, Regimes) {
     let mut engine = ContinuousQueryEngine::builder()
         .shared_matching(shared)
         .shards(shards)
@@ -114,6 +137,7 @@ fn drive(
         }
     }
     let mut matches = Vec::new();
+    let mut regimes = Regimes::default();
     let chunk_len = events.len().div_ceil(CHUNKS);
     for (chunk, slice) in events.chunks(chunk_len).enumerate() {
         for (at, action) in schedule {
@@ -129,48 +153,58 @@ fn drive(
                 Action::Deregister(q) => engine.deregister(handles[q].take().unwrap()).unwrap(),
             }
         }
+        regimes.observe(&engine);
         matches.extend(engine.ingest(slice).unwrap());
     }
-    matches
+    (matches, regimes)
 }
 
-/// Runs the full comparison for one seed: sharing-on (subtree + lifted, the
-/// default) versus sharing-off, at the given shard count, plus — when
-/// `oracle` — one independent engine per query.
+/// Runs the full comparison for one seed: sharing-on (the default) versus
+/// sharing-off, at the given shard count, plus — when `oracle` — one
+/// independent engine per query.
 fn check_seed(seed: u64, shards: usize, oracle: bool) {
     let workload = differential_workload(&DifferentialConfig {
         seed,
         ..Default::default()
     });
     let schedule = churn_schedule(seed, workload.queries.len());
-    let reference = multiset(&drive(
+    let (reference, _) = drive(
         &workload.queries,
         &workload.events,
         &schedule,
         false,
         1,
         None,
-    ));
+    );
+    let reference = multiset(&reference);
     assert!(
         !reference.is_empty(),
         "seed {seed}: workload must produce matches"
     );
-    let shared = multiset(&drive(
+    let (shared, regimes) = drive(
         &workload.queries,
         &workload.events,
         &schedule,
         true,
         shards,
         None,
-    ));
+    );
+    let shared = multiset(&shared);
     assert_eq!(
         shared, reference,
         "seed {seed}, shards {shards}: sharing-on diverged from sharing-off"
     );
+    // The three families (constant-varied, constant-free, constant-identical)
+    // put a plain leaf, an unlifted join subtree and a lifted entry in the
+    // index of every seed, whatever the churn schedule did to them.
+    assert!(
+        regimes.leaf && regimes.unlifted_subtree && regimes.lifted,
+        "seed {seed}, shards {shards}: a sharing regime was never live: {regimes:?}"
+    );
     if oracle {
         let mut independent = BTreeMap::new();
         for qi in 0..workload.queries.len() {
-            let matches = drive(
+            let (matches, _) = drive(
                 &workload.queries,
                 &workload.events,
                 &schedule,
@@ -211,72 +245,5 @@ fn differential_seeds_7_to_13() {
 fn differential_seeds_14_to_20() {
     for seed in 14..21u64 {
         check_seed(seed, [1, 2, 4][seed as usize % 3], seed % 3 == 0);
-    }
-}
-
-/// Lifting disabled but subtree interning on: the middle configuration must
-/// also agree with the reference (constant-varied families fall back to the
-/// leaf layer, exact-copy families still intern whole subtrees).
-#[test]
-fn subtree_without_lifting_agrees_too() {
-    for seed in [3u64, 8, 15] {
-        let workload = differential_workload(&DifferentialConfig {
-            seed,
-            ..Default::default()
-        });
-        let schedule = churn_schedule(seed, workload.queries.len());
-        let reference = multiset(&drive(
-            &workload.queries,
-            &workload.events,
-            &schedule,
-            false,
-            1,
-            None,
-        ));
-        let mut engine_matches = Vec::new();
-        {
-            let mut engine = ContinuousQueryEngine::builder()
-                .lifted_sharing(false)
-                .build()
-                .unwrap();
-            let mut handles: Vec<Option<QueryHandle>> = vec![None; workload.queries.len()];
-            let late: Vec<usize> = schedule
-                .iter()
-                .filter_map(|(_, a)| match a {
-                    Action::Register(q) => Some(*q),
-                    _ => None,
-                })
-                .collect();
-            for (qi, q) in workload.queries.iter().enumerate() {
-                if !late.contains(&qi) {
-                    handles[qi] = Some(engine.register_query(q.clone()).unwrap());
-                }
-            }
-            let chunk_len = workload.events.len().div_ceil(CHUNKS);
-            for (chunk, slice) in workload.events.chunks(chunk_len).enumerate() {
-                for (at, action) in &schedule {
-                    if *at != chunk {
-                        continue;
-                    }
-                    match *action {
-                        Action::Register(q) => {
-                            handles[q] =
-                                Some(engine.register_query(workload.queries[q].clone()).unwrap());
-                        }
-                        Action::Pause(q) => engine.pause(handles[q].unwrap()).unwrap(),
-                        Action::Resume(q) => engine.resume(handles[q].unwrap()).unwrap(),
-                        Action::Deregister(q) => {
-                            engine.deregister(handles[q].take().unwrap()).unwrap()
-                        }
-                    }
-                }
-                engine_matches.extend(engine.ingest(slice).unwrap());
-            }
-        }
-        assert_eq!(
-            multiset(&engine_matches),
-            reference,
-            "seed {seed}: subtree-without-lifting diverged"
-        );
     }
 }
