@@ -1107,6 +1107,19 @@ mod tests {
         assert!(out.contains("3 matches"), "output: {out}");
         assert!(out.contains("lateral"), "output: {out}");
 
+        // `stats` exports the matcher's work next to its useful share, in
+        // both formats.
+        let prom = dispatch(&args(&["stats", "--query", &rpq, "--trace", &trace])).unwrap();
+        let json = dispatch(&args(&[
+            "stats", "--query", &rpq, "--trace", &trace, "--json",
+        ]))
+        .unwrap();
+        for counter in ["rpq_relaxations", "rpq_expansions"] {
+            let series = format!("streamworks_query_{counter}_total{{query=\"lateral\"}} ");
+            assert!(prom.contains(&series), "`{series}` in: {prom}");
+            assert!(json.contains(&format!("\"{counter}\"")), "output: {json}");
+        }
+
         // SJ-Tree and RPQ queries mix in one run.
         let trace2 = scratch("tiny_mix.jsonl");
         let events = [

@@ -54,8 +54,13 @@ pub struct QueryMetrics {
     /// once a full window has drained.
     #[serde(default)]
     pub rpq_tree_nodes_live: u64,
-    /// RPQ only: tree-node creations and timestamp refinements performed by
-    /// the product-graph relaxation (the RPQ analogue of `joins_attempted`).
+    /// RPQ only: relaxation attempts — every candidate timestamp offered to
+    /// a product node (the RPQ analogue of `joins_attempted`). The share that
+    /// is not an expansion is wasted work.
+    #[serde(default)]
+    pub rpq_relaxations: u64,
+    /// RPQ only: relaxation attempts that created a tree node or raised its
+    /// timestamp (the RPQ analogue of `joins_succeeded`).
     #[serde(default)]
     pub rpq_expansions: u64,
     /// RPQ only: accepting-state arrivals, i.e. path matches emitted. Equal
@@ -118,6 +123,7 @@ impl QueryMetrics {
         self.binding_spills += other.binding_spills;
         self.sink_events_dropped += other.sink_events_dropped;
         self.rpq_tree_nodes_live += other.rpq_tree_nodes_live;
+        self.rpq_relaxations += other.rpq_relaxations;
         self.rpq_expansions += other.rpq_expansions;
         self.rpq_accepts += other.rpq_accepts;
         self.delivery_attempts += other.delivery_attempts;

@@ -5,42 +5,57 @@
 //! path query incrementally in the style of S-Graffito, on the *product
 //! graph* whose nodes are `(graph vertex, DFA state)` pairs.
 //!
-//! For every source vertex that can start a path, the matcher maintains a
-//! **spanning tree** rooted at `(source, start state)`. A tree node `(v, s)`
-//! stores the best *window timestamp* of any path from the root that reaches
-//! `v` reading a label string driving the DFA into `s`: the maximum over
-//! such paths of the path's oldest edge. A node is live while that timestamp
-//! is inside the query window — and because the stored value is the max over
-//! path bottlenecks, a node expires exactly when its *last* supporting path
-//! leaves the window, so removal is sound without recounting alternatives.
+//! **State: one vertex-major product index.** Every vertex that can start a
+//! path is the root of a spanning tree; the root `(source, start state)` is
+//! implicit (a zero-hop path never ages out, so there is nothing to store).
+//! Every other tree node is one [`Entry`] `{root, state, ts, parent}` in the
+//! list of *its vertex*, sorted by `(root, state)`: `ts` is the node's
+//! **window timestamp** — the maximum, over paths from the root that reach
+//! the vertex in that state, of the path's oldest edge — and `parent` the
+//! witness pointer `(vertex, state, edge)` of the path that realised it. A
+//! node is live while `ts` is inside the query window; because `ts` is a max
+//! over path bottlenecks, it expires exactly when its *last* supporting path
+//! leaves the window. An arriving edge `u -> v` reads the trees it can
+//! extend off `u`'s list in one walk and finds each target by binary search
+//! in `v`'s list; the entries of one root at a vertex are neighbours, so
+//! "does the pair `(root, v)` already have an accepting node" is a look left
+//! and right.
 //!
-//! Per inserted edge `(u, l, v)` the matcher relaxes: every live `(u, s)`
-//! with a DFA transition `s --l--> s'` proposes `min(ts(u,s), ts(edge))` for
-//! `(v, s')`; strict improvements update the node (recording the parent
-//! product node and the realising edge as the witness pointer) and propagate
-//! breadth-first through the *live graph adjacency*, which transparently
-//! handles out-of-order arrival: an old edge splicing two existing subtrees
-//! re-relaxes everything downstream. Strict improvement bounds the work and
-//! — because a node's timestamp can only rise, and a child's stored
-//! timestamp never exceeds its witness parent's — keeps witness chains
+//! **Relaxation: only the edges that can improve a node.** Between events
+//! the index is a fixpoint: for every live node `(v, s)` and in-window edge
+//! `e = v -> w` with `s --l--> s'`, `ts(w, s') >= min(ts(v, s), ts(e))`. A
+//! new edge offers `min(ts(u, s), ts(edge))` to `(v, s')`; a strict
+//! improvement updates the node and is queued for propagation through the
+//! live graph adjacency (which is what makes out-of-order arrival work: an
+//! old edge splicing two subtrees re-relaxes everything downstream). The
+//! queue entry carries the timestamp the node rose *from* (`old`, minimal
+//! for a created node) and the one it rose *to* (`new`), and the propagation
+//! step scans only out-edges newer than `old`. That loses nothing: an edge
+//! with `ts(e) <= old` would offer `min(new, ts(e)) = ts(e) = min(old,
+//! ts(e))`, which the fixpoint says its target already holds. Strict
+//! improvement bounds the work and — a node's timestamp only rises, and a
+//! child never holds more than its witness parent did — keeps witness chains
 //! acyclic and parents alive at least as long as their children.
 //!
 //! A match `(source, target)` is **emitted when the pair enters the live
-//! result set**: the first accepting product node at `target` is created
-//! (or re-created after expiry). Refinements of an already-live pair do not
-//! re-emit. Expiry is scheduled through a min-heap keyed by node timestamp
-//! with lazy stale-entry deletion — the discipline of
-//! `crate::match_store::SharedJoinStore` — and drained to the current
-//! horizon before every event and on every prune, so windowed semantics are
-//! exact and tree state reads 0 after a full-window drain.
+//! result set**: the first accepting node of the root at `target` is created
+//! (or re-created after expiry). Refinements of a live pair do not re-emit.
+//!
+//! **Expiry: one schedule entry per live node.** A min-heap entry is pushed
+//! when a node is created and at no other time. Since a node's timestamp
+//! only rises, its entry comes due no later than the node does: on pop, an
+//! equal timestamp expires the node, a newer one moves the entry to the
+//! node's current timestamp. The schedule is as long as the index, and it is
+//! drained to the current horizon before every event and on every prune, so
+//! windowed semantics are exact and all state reads 0 after a full-window
+//! drain.
 
 use crate::metrics::QueryMetrics;
 use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, VecDeque};
 use streamworks_graph::hash::FxHashMap;
-use streamworks_graph::{
-    Direction, Duration, DynamicGraph, Edge, EdgeId, Timestamp, TypeId, VertexId,
-};
+use streamworks_graph::{Duration, DynamicGraph, Edge, EdgeId, Timestamp, TypeId, VertexId};
 use streamworks_query::{RpqDfa, RpqQuery};
 
 /// One emitted path match: the pair that just entered the live result set,
@@ -55,26 +70,23 @@ pub(crate) struct RpqPathMatch {
     pub edges: Vec<EdgeId>,
 }
 
-/// A product-graph tree node: best window timestamp and witness pointer.
+/// One live non-root product node, stored in the list of its vertex.
 #[derive(Debug, Clone, Copy)]
-struct NodeInfo {
-    /// Max over supporting paths of the path's oldest edge timestamp; the
-    /// root holds `Timestamp(i64::MAX)` (a zero-hop path never ages out).
+struct Entry {
+    /// Root vertex of the spanning tree the node belongs to.
+    root: VertexId,
+    /// DFA state reached at the vertex.
+    state: u32,
+    /// Max over supporting paths of the path's oldest edge timestamp.
     ts: Timestamp,
-    /// `(parent vertex, parent state, realising edge)`; `None` at the root.
-    parent: Option<(VertexId, u32, EdgeId)>,
+    /// `(parent vertex, parent state, realising edge)`; a parent of
+    /// `(root, start state)` is the implicit root.
+    parent: (VertexId, u32, EdgeId),
 }
 
-/// One spanning tree, rooted at `(root, start state)`.
-#[derive(Debug, Default)]
-struct Tree {
-    /// Product nodes keyed by `(vertex, DFA state)`.
-    nodes: FxHashMap<(VertexId, u32), NodeInfo>,
-    /// Number of states stored per vertex (drives the containment index).
-    states_at: FxHashMap<VertexId, u32>,
-    /// Number of *accepting* states stored per vertex; the `0 -> 1`
-    /// transition is the emission edge of the live result set.
-    accepting_at: FxHashMap<VertexId, u32>,
+/// Position of `(root, state)` in a vertex's sorted entry list.
+fn position(list: &[Entry], root: VertexId, state: u32) -> Result<usize, usize> {
+    list.binary_search_by_key(&(root, state), |e| (e.root, e.state))
 }
 
 /// Incremental matcher for one windowed regular path query.
@@ -82,16 +94,12 @@ struct Tree {
 pub(crate) struct RpqMatcher {
     rpq: RpqQuery,
     dfa: RpqDfa,
-    /// Spanning trees by root vertex, created lazily when an edge matching a
-    /// start transition leaves the root, dropped when their last non-root
-    /// node expires.
-    trees: FxHashMap<VertexId, Tree>,
-    /// Vertex -> roots of the trees holding at least one product node there
-    /// (the index that finds the trees an incoming edge can extend).
-    containing: FxHashMap<VertexId, Vec<VertexId>>,
-    /// Min-heap expiry schedule over `(ts, root, vertex, state)`; entries
-    /// whose `ts` no longer matches the node are stale and skipped (lazy
-    /// deletion — refinements push a new entry instead of rescheduling).
+    /// The product index: live non-root nodes by `VertexId::index()`, each
+    /// list sorted by `(root, state)`.
+    index: Vec<Vec<Entry>>,
+    /// Min-heap expiry schedule over `(ts, root, vertex, state)`, exactly
+    /// one entry per live node; an entry older than its node is moved, not
+    /// duplicated (see the module docs).
     expiry: BinaryHeap<Reverse<(Timestamp, VertexId, VertexId, u32)>>,
     /// DFA symbol per graph edge type, refreshed on schema-version bumps.
     symbol_of_type: FxHashMap<TypeId, u32>,
@@ -102,8 +110,12 @@ pub(crate) struct RpqMatcher {
     metrics: QueryMetrics,
     /// Live non-root product nodes across all trees.
     nodes_live: u64,
-    /// BFS scratch queue, recycled across events.
-    queue: VecDeque<(VertexId, u32)>,
+    /// Propagation queue `(root, vertex, state, old ts, new ts)`, recycled
+    /// across events.
+    queue: VecDeque<(VertexId, VertexId, u32, Timestamp, Timestamp)>,
+    /// Snapshot of the arriving edge's source list (a self-loop inserts into
+    /// the list it seeds from), recycled across events.
+    seeds: Vec<Entry>,
 }
 
 impl RpqMatcher {
@@ -112,8 +124,7 @@ impl RpqMatcher {
         let dfa = rpq.compile();
         let mut matcher = RpqMatcher {
             dfa,
-            trees: FxHashMap::default(),
-            containing: FxHashMap::default(),
+            index: Vec::new(),
             expiry: BinaryHeap::new(),
             symbol_of_type: FxHashMap::default(),
             type_of_symbol: Vec::new(),
@@ -121,6 +132,7 @@ impl RpqMatcher {
             metrics: QueryMetrics::default(),
             nodes_live: 0,
             queue: VecDeque::new(),
+            seeds: Vec::new(),
             rpq,
         };
         matcher.refresh_symbols(graph);
@@ -168,48 +180,27 @@ impl RpqMatcher {
     }
 
     /// Drains the expiry schedule up to `now - tW`: every product node whose
-    /// last supporting path has left the window is removed, trees reduced to
-    /// their root are dropped. Called before each event and on every prune,
-    /// so the live counters are exact at observation points.
+    /// last supporting path has left the window is removed. Called before
+    /// each event and on every prune, so the live counters are exact at
+    /// observation points.
     fn expire_until(&mut self, now: Timestamp) {
         let cutoff = now.minus(self.window());
-        while let Some(Reverse((ts, root, v, s))) = self.expiry.peek().copied() {
+        while let Some(mut due) = self.expiry.peek_mut() {
+            let Reverse((ts, root, v, s)) = *due;
             if ts > cutoff {
                 break;
             }
-            self.expiry.pop();
-            let Some(tree) = self.trees.get_mut(&root) else {
-                continue; // whole tree already dropped
-            };
-            let stale = tree.nodes.get(&(v, s)).map(|n| n.ts != ts).unwrap_or(true);
-            if stale {
-                continue; // refined after this entry was scheduled
+            let list = &mut self.index[v.index()];
+            let at = position(list, root, s).expect("one schedule entry per live node");
+            if list[at].ts > ts {
+                // Refined since it was scheduled: the entry follows the node.
+                *due = Reverse((list[at].ts, root, v, s));
+                continue;
             }
-            tree.nodes.remove(&(v, s));
+            PeekMut::pop(due);
+            list.remove(at);
             self.nodes_live -= 1;
             self.metrics.partial_matches_expired += 1;
-            if self.dfa.is_accepting(s) {
-                let count = tree
-                    .accepting_at
-                    .get_mut(&v)
-                    .expect("accepting node was counted");
-                *count -= 1;
-                if *count == 0 {
-                    tree.accepting_at.remove(&v);
-                }
-            }
-            let states = tree.states_at.get_mut(&v).expect("stored node was counted");
-            *states -= 1;
-            if *states == 0 {
-                tree.states_at.remove(&v);
-                detach(&mut self.containing, v, root);
-            }
-            if tree.nodes.len() == 1 {
-                // Only the eternal root is left: drop the tree. A later edge
-                // matching a start transition recreates it lazily.
-                self.trees.remove(&root);
-                detach(&mut self.containing, root, root);
-            }
         }
     }
 
@@ -228,210 +219,135 @@ impl RpqMatcher {
             return; // arrived so late it is already outside the window
         }
 
-        // Extend every tree that holds a product node at the edge's source.
-        // The root list is snapshotted: relaxation below mutates the
-        // containment index for other vertices.
-        let roots: Vec<VertexId> = self.containing.get(&edge.src).cloned().unwrap_or_default();
-        for root in roots {
-            self.extend_tree(root, graph, edge, sym, cutoff, out);
+        // Seed: the implicit root at the edge's source, then every live
+        // `(src, s)` of any tree, each with a transition on the edge's label.
+        let start = self.dfa.start();
+        if let Some(next) = self.dfa.step(start, sym) {
+            let parent = (edge.src, start, edge.id);
+            self.offer(edge.src, edge.dst, next, edge.timestamp, parent, out);
         }
-
-        // Lazily root a new tree when the edge can begin a path and no tree
-        // is rooted at its source yet.
-        if self.dfa.step(self.dfa.start(), sym).is_some() && !self.trees.contains_key(&edge.src) {
-            let mut tree = Tree::default();
-            tree.nodes.insert(
-                (edge.src, self.dfa.start()),
-                NodeInfo {
-                    ts: Timestamp(i64::MAX),
-                    parent: None,
-                },
-            );
-            tree.states_at.insert(edge.src, 1);
-            self.trees.insert(edge.src, tree);
-            self.containing.entry(edge.src).or_default().push(edge.src);
-            self.extend_tree(edge.src, graph, edge, sym, cutoff, out);
-        }
-    }
-
-    /// Relaxes one tree against the new edge, then propagates improvements
-    /// breadth-first through the live graph adjacency.
-    fn extend_tree(
-        &mut self,
-        root: VertexId,
-        graph: &DynamicGraph,
-        edge: &Edge,
-        sym: u32,
-        cutoff: Timestamp,
-        out: &mut Vec<RpqPathMatch>,
-    ) {
-        // The tree is detached from the map for the duration of the walk so
-        // field-level borrows of the scheduler/index/metrics stay disjoint.
-        let Some(mut tree) = self.trees.remove(&root) else {
-            return;
-        };
-        let mut queue = std::mem::take(&mut self.queue);
-        queue.clear();
-
-        // Seed: every live (src, s) with a transition on the edge's label.
-        for s in 0..self.dfa.state_count() as u32 {
-            let Some(node) = tree.nodes.get(&(edge.src, s)) else {
-                continue;
-            };
-            let Some(next) = self.dfa.step(s, sym) else {
-                continue;
-            };
-            let cand = node.ts.min(edge.timestamp);
-            if cand > cutoff {
-                self.update_node(
-                    &mut tree,
-                    root,
+        let mut seeds = std::mem::take(&mut self.seeds);
+        seeds.clear();
+        seeds.extend_from_slice(self.index.get(edge.src.index()).map_or(&[], Vec::as_slice));
+        for e in &seeds {
+            if let Some(next) = self.dfa.step(e.state, sym) {
+                let parent = (edge.src, e.state, edge.id);
+                self.offer(
+                    e.root,
                     edge.dst,
                     next,
-                    cand,
-                    (edge.src, s, edge.id),
-                    cutoff,
-                    &mut queue,
+                    e.ts.min(edge.timestamp),
+                    parent,
                     out,
                 );
             }
         }
+        self.seeds = seeds;
 
-        // Propagate through edges already in the graph: an out-of-order edge
-        // that spliced into existing structure re-relaxes its downstream.
-        while let Some((v, s)) = queue.pop_front() {
-            let Some(&NodeInfo { ts, .. }) = tree.nodes.get(&(v, s)) else {
-                continue;
-            };
-            for sym2 in 0..self.type_of_symbol.len() as u32 {
-                let Some(next) = self.dfa.step(s, sym2) else {
+        // Propagate every rise through the out-edges that can carry it: those
+        // newer than what the node held before (and still inside the window).
+        while let Some((root, v, s, old, new)) = self.queue.pop_front() {
+            let after = old.max(cutoff);
+            for sym in 0..self.type_of_symbol.len() {
+                let (Some(etype), Some(next)) =
+                    (self.type_of_symbol[sym], self.dfa.step(s, sym as u32))
+                else {
                     continue;
                 };
-                let Some(etype) = self.type_of_symbol[sym2 as usize] else {
-                    continue;
-                };
-                // Collected first: update_node needs the tree mutably.
-                let hops: Vec<(VertexId, Timestamp, EdgeId)> = graph
-                    .incident_edges(v, Direction::Out, etype)
-                    .map(|e| (e.dst, e.timestamp, e.id))
-                    .collect();
-                for (dst, ets, eid) in hops {
-                    let cand = ts.min(ets);
-                    if cand > cutoff {
-                        self.update_node(
-                            &mut tree,
-                            root,
-                            dst,
-                            next,
-                            cand,
-                            (v, s, eid),
-                            cutoff,
-                            &mut queue,
-                            out,
-                        );
-                    }
+                for hop in graph.out_entries_after(v, etype, after) {
+                    let cand = new.min(hop.timestamp);
+                    self.offer(root, hop.neighbor, next, cand, (v, s, hop.edge), out);
                 }
             }
         }
-
-        self.queue = queue;
-        self.trees.insert(root, tree);
     }
 
-    /// Offers `cand` as the window timestamp of product node `(v, s)`.
-    /// Creations (including re-creations after expiry) of accepting nodes
-    /// emit when the `(root, v)` pair enters the live result set; strict
-    /// refinements update the witness pointer silently; everything else is a
-    /// no-op.
-    #[allow(clippy::too_many_arguments)]
-    fn update_node(
+    /// Offers `cand` as the window timestamp of product node `(v, s)` of
+    /// `root`'s tree. Creations (including re-creations after expiry) of
+    /// accepting nodes emit when the `(root, v)` pair enters the live result
+    /// set; strict refinements update the witness pointer silently; both are
+    /// queued for propagation; everything else is a no-op.
+    fn offer(
         &mut self,
-        tree: &mut Tree,
         root: VertexId,
         v: VertexId,
         s: u32,
         cand: Timestamp,
         parent: (VertexId, u32, EdgeId),
-        _cutoff: Timestamp,
-        queue: &mut VecDeque<(VertexId, u32)>,
         out: &mut Vec<RpqPathMatch>,
     ) {
-        match tree.nodes.get_mut(&(v, s)) {
-            Some(node) if node.ts >= cand => return, // no improvement
-            Some(node) => {
-                node.ts = cand;
-                node.parent = Some(parent);
+        self.metrics.rpq_relaxations += 1;
+        if v == root && s == self.dfa.start() {
+            return; // the implicit root: nothing improves on a zero-hop path
+        }
+        if self.index.len() <= v.index() {
+            self.index.resize_with(v.index() + 1, Vec::new);
+        }
+        let list = &mut self.index[v.index()];
+        let old = match position(list, root, s) {
+            Ok(at) if list[at].ts >= cand => return, // no improvement
+            Ok(at) => {
+                let node = &mut list[at];
+                node.parent = parent;
+                std::mem::replace(&mut node.ts, cand)
             }
-            None => {
-                tree.nodes.insert(
-                    (v, s),
-                    NodeInfo {
-                        ts: cand,
-                        parent: Some(parent),
-                    },
-                );
+            Err(at) => {
+                // The entries of one root sit side by side: the pair is new
+                // to the live result set iff none of them is accepting yet.
+                let of_root = |e: &&Entry| e.root == root;
+                let enters = self.dfa.is_accepting(s)
+                    && !(list[..at].iter().rev().take_while(of_root))
+                        .chain(list[at..].iter().take_while(of_root))
+                        .any(|e| self.dfa.is_accepting(e.state));
+                let node = Entry {
+                    root,
+                    state: s,
+                    ts: cand,
+                    parent,
+                };
+                list.insert(at, node);
                 self.nodes_live += 1;
                 self.metrics.partial_matches_inserted += 1;
-                let states = tree.states_at.entry(v).or_insert(0);
-                *states += 1;
-                if *states == 1 {
-                    self.containing.entry(v).or_default().push(root);
+                self.expiry.push(Reverse((cand, root, v, s)));
+                if enters {
+                    out.push(self.witness(root, v, s));
+                    self.metrics.rpq_accepts += 1;
+                    self.metrics.complete_matches += 1;
                 }
-                if self.dfa.is_accepting(s) {
-                    let acc = tree.accepting_at.entry(v).or_insert(0);
-                    *acc += 1;
-                    if *acc == 1 {
-                        // The (root, v) pair just entered the live result
-                        // set: emit with this branch as the witness.
-                        out.push(witness(tree, root, v, s));
-                        self.metrics.rpq_accepts += 1;
-                        self.metrics.complete_matches += 1;
-                    }
-                }
+                Timestamp(i64::MIN)
             }
-        }
+        };
         self.metrics.rpq_expansions += 1;
-        self.expiry.push(Reverse((cand, root, v, s)));
-        queue.push_back((v, s));
+        self.queue.push_back((root, v, s, old, cand));
+    }
+
+    /// Builds the witness path for the accepting node `(target, state)` by
+    /// walking parent pointers until the implicit root (the one node of the
+    /// tree that is not stored). Chains are acyclic and every parent outlives
+    /// its children (see the module docs), so the walk terminates there.
+    fn witness(&self, root: VertexId, target: VertexId, state: u32) -> RpqPathMatch {
+        let mut edges = Vec::new();
+        let mut cursor = (target, state);
+        let stored = |(v, s): (VertexId, u32)| {
+            let list = self.index.get(v.index())?;
+            Some(&list[position(list, root, s).ok()?])
+        };
+        while let Some(node) = stored(cursor) {
+            edges.push(node.parent.2);
+            cursor = (node.parent.0, node.parent.1);
+        }
+        edges.reverse();
+        RpqPathMatch {
+            source: root,
+            target,
+            edges,
+        }
     }
 
     /// Removes every product node whose window timestamp has left the
     /// window as of `now` (the engine's prune entry point).
     pub fn prune(&mut self, now: Timestamp) {
         self.expire_until(now);
-    }
-}
-
-/// Removes `root` from the containment list of `v`.
-fn detach(containing: &mut FxHashMap<VertexId, Vec<VertexId>>, v: VertexId, root: VertexId) {
-    if let Some(roots) = containing.get_mut(&v) {
-        if let Some(pos) = roots.iter().position(|&r| r == root) {
-            roots.swap_remove(pos);
-        }
-        if roots.is_empty() {
-            containing.remove(&v);
-        }
-    }
-}
-
-/// Builds the witness path for the accepting node `(target, state)` by
-/// walking parent pointers to the root. Chains are acyclic and every parent
-/// outlives its children (see the module docs), so the walk terminates.
-fn witness(tree: &Tree, root: VertexId, target: VertexId, state: u32) -> RpqPathMatch {
-    let mut edges = Vec::new();
-    let mut cursor = (target, state);
-    while let Some(&NodeInfo { parent, .. }) = tree.nodes.get(&cursor) {
-        let Some((pv, ps, eid)) = parent else {
-            break; // reached the root
-        };
-        edges.push(eid);
-        cursor = (pv, ps);
-    }
-    edges.reverse();
-    RpqPathMatch {
-        source: root,
-        target,
-        edges,
     }
 }
 
@@ -469,6 +385,26 @@ mod tests {
 
     fn key(g: &DynamicGraph, v: VertexId) -> String {
         g.vertex_key(v).unwrap().to_owned()
+    }
+
+    /// Size of the live result set: `(root, vertex)` pairs with at least one
+    /// accepting entry.
+    fn live_pairs(m: &RpqMatcher) -> usize {
+        let pairs_at = |list: &Vec<Entry>| {
+            let mut roots: Vec<VertexId> = (list.iter())
+                .filter(|e| m.dfa.is_accepting(e.state))
+                .map(|e| e.root)
+                .collect();
+            roots.dedup();
+            roots.len()
+        };
+        m.index.iter().map(pairs_at).sum()
+    }
+
+    fn assert_no_state(m: &RpqMatcher) {
+        assert_eq!(m.metrics().rpq_tree_nodes_live, 0);
+        assert!(m.index.iter().all(Vec::is_empty), "index drained");
+        assert!(m.expiry.is_empty(), "schedule drained");
     }
 
     #[test]
@@ -512,8 +448,7 @@ mod tests {
             "relaxation diverged"
         );
         // Live pairs: (u,v) (u,u) (u,w) (v,u) (v,v) (v,w).
-        let live: u64 = m.trees.values().map(|t| t.accepting_at.len() as u64).sum();
-        assert_eq!(live, 6);
+        assert_eq!(live_pairs(&m), 6);
     }
 
     #[test]
@@ -526,9 +461,7 @@ mod tests {
         // Advance far past the window.
         g.advance_time(Timestamp::from_secs(1000));
         m.prune(g.now());
-        assert_eq!(m.metrics().rpq_tree_nodes_live, 0);
-        assert!(m.trees.is_empty());
-        assert!(m.containing.is_empty());
+        assert_no_state(&m);
     }
 
     #[test]
@@ -564,10 +497,60 @@ mod tests {
         // the b-edge (20) is the bottleneck now, so the pair dies with it.
         g.advance_time(Timestamp::from_secs(130));
         m.prune(g.now());
-        let live: u64 = m.trees.values().map(|t| t.accepting_at.len() as u64).sum();
-        assert_eq!(live, 0);
+        assert_eq!(live_pairs(&m), 0);
         // But a fresh b-edge revives it through the refined (x, s1)=90.
         let matches = feed(&mut g, &mut m, "x", "v", "b", 131);
         assert_eq!(matches.len(), 1);
+    }
+
+    #[test]
+    fn schedule_holds_one_entry_per_live_node() {
+        // Two hubs take most of the traffic, with parallel edges and
+        // self-loops, so most relaxations refine a live node: the stream that
+        // used to grow the schedule by one entry per refinement.
+        let mut g = graph();
+        let mut m = matcher(&g, "RPQ p WINDOW 40s PATH a+");
+        let mut x = 0x9E37_79B9_7F4A_7C15_u64;
+        let mut pick = || {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            match (x >> 33) % 10 {
+                0..=3 => "h0".to_owned(),
+                4..=6 => "h1".to_owned(),
+                k => format!("v{}", (x >> 40) % 12 + k),
+            }
+        };
+        let (mut refinements, mut peak) = (0, 0);
+        for i in 0..10_000 {
+            let before = m.metrics();
+            feed(&mut g, &mut m, &pick(), &pick(), "a", i / 10);
+            let after = m.metrics();
+            refinements += (after.rpq_expansions - before.rpq_expansions)
+                - (after.partial_matches_inserted - before.partial_matches_inserted);
+            peak = peak.max(after.rpq_tree_nodes_live);
+            assert_eq!(
+                m.expiry.len() as u64,
+                after.rpq_tree_nodes_live,
+                "event {i}"
+            );
+            let stored: usize = m.index.iter().map(Vec::len).sum();
+            assert_eq!(stored as u64, after.rpq_tree_nodes_live, "event {i}");
+        }
+        assert!(
+            refinements > 10 * peak,
+            "{refinements} refinements, {peak} nodes"
+        );
+        let total = m.metrics();
+        assert!(total.partial_matches_expired > 0, "nodes expired under way");
+        assert!(total.rpq_relaxations >= total.rpq_expansions);
+
+        g.advance_time(Timestamp::from_secs(10_000));
+        m.prune(g.now());
+        assert_no_state(&m);
+        assert_eq!(
+            m.metrics().partial_matches_expired,
+            m.metrics().partial_matches_inserted
+        );
     }
 }

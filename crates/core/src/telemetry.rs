@@ -691,6 +691,37 @@ impl TelemetrySnapshot {
                 q.name, q.metrics.complete_matches
             ));
         }
+        // The RPQ matcher's work and its useful share, for the queries that
+        // have offered a candidate at all (SJ-Tree queries never do).
+        let rpq: Vec<&QuerySnapshot> = (self.queries.iter())
+            .filter(|q| q.metrics.rpq_relaxations > 0)
+            .collect();
+        let mut rpq_counter = |series: &str, help: &str, value: fn(&QueryMetrics) -> u64| {
+            if rpq.is_empty() {
+                return;
+            }
+            out.push_str(&format!(
+                "# HELP streamworks_query_{series}_total {help}\n\
+                 # TYPE streamworks_query_{series}_total counter\n"
+            ));
+            for q in &rpq {
+                out.push_str(&format!(
+                    "streamworks_query_{series}_total{{query=\"{}\"}} {}\n",
+                    q.name,
+                    value(&q.metrics)
+                ));
+            }
+        };
+        rpq_counter(
+            "rpq_relaxations",
+            "Candidate timestamps offered to RPQ product nodes.",
+            |m| m.rpq_relaxations,
+        );
+        rpq_counter(
+            "rpq_expansions",
+            "RPQ relaxations that created or raised a product node.",
+            |m| m.rpq_expansions,
+        );
 
         if !self.shards.is_empty() {
             out.push_str("# HELP streamworks_shard_items_routed_total Items routed per shard.\n");

@@ -11,8 +11,11 @@
 //!
 //! Expired edges are removed lazily: [`crate::DynamicGraph`] drops them from
 //! its edge table immediately, and adjacency vectors are compacted once their
-//! dead fraction crosses a threshold. Iteration always checks liveness against
-//! the edge table, so stale entries are never observable from the public API.
+//! dead fraction crosses a threshold. Iteration checks liveness against the
+//! edge table — or, in [`AdjacencyList::entries_after`], against the
+//! retention horizon, which needs no lookup: an edge is expired exactly when
+//! its timestamp falls behind the horizon — so stale entries are never
+//! observable from the graph's API.
 
 use crate::ids::{EdgeId, Timestamp, TypeId, VertexId};
 use serde::{Deserialize, Serialize};
@@ -56,6 +59,12 @@ struct AdjBucket {
     entries: Vec<AdjEntry>,
     /// Number of `entries` that refer to live edges.
     live: u32,
+    /// Set when an entry arrived with an older timestamp than its
+    /// predecessor: `entries` is then no longer sorted by time and
+    /// [`AdjacencyList::entries_after`] may not stop at the first old entry.
+    /// Compaction clears it again once the survivors are back in order.
+    #[serde(default)]
+    disordered: bool,
 }
 
 /// Adjacency of a single vertex.
@@ -75,8 +84,12 @@ pub struct AdjacencyList {
 
 impl AdjacencyList {
     /// Creates an empty adjacency list.
-    pub fn new() -> Self {
-        Self::default()
+    pub const fn new() -> Self {
+        AdjacencyList {
+            out: Vec::new(),
+            inc: Vec::new(),
+            dead: 0,
+        }
     }
 
     fn side(&self, dir: Direction) -> &[(TypeId, AdjBucket)] {
@@ -110,6 +123,9 @@ impl AdjacencyList {
                 &mut side.last_mut().expect("just pushed").1
             }
         };
+        if (bucket.entries.last()).is_some_and(|last| entry.timestamp < last.timestamp) {
+            bucket.disordered = true;
+        }
         bucket.entries.push(entry);
         bucket.live += 1;
     }
@@ -131,6 +147,34 @@ impl AdjacencyList {
         self.bucket(dir, etype)
             .map(|b| b.entries.as_slice())
             .unwrap_or(&[])
+    }
+
+    /// Iterates the entries of one group whose timestamp is newer than
+    /// `after` and not older than `horizon`, latest arrival first.
+    ///
+    /// The graph expires every edge older than its retention horizon, so with
+    /// that horizon passed in the entries yielded are exactly the live ones
+    /// newer than `after` — no edge-table lookup. While the group has only
+    /// seen timestamps in arrival order the walk stops at the first entry
+    /// that fails the test (everything before it is older still); after an
+    /// out-of-order arrival it filters the whole group instead.
+    pub fn entries_after(
+        &self,
+        dir: Direction,
+        etype: TypeId,
+        after: Timestamp,
+        horizon: Timestamp,
+    ) -> impl Iterator<Item = &AdjEntry> + '_ {
+        let (entries, ordered) = match self.bucket(dir, etype) {
+            Some(b) => (b.entries.as_slice(), !b.disordered),
+            None => (&[][..], true),
+        };
+        let newer = move |e: &&AdjEntry| e.timestamp > after && e.timestamp >= horizon;
+        entries
+            .iter()
+            .rev()
+            .take_while(move |e| !ordered || newer(e))
+            .filter(newer)
     }
 
     /// Iterates raw entries for a direction across all edge types.
@@ -181,6 +225,8 @@ impl AdjacencyList {
             side.retain_mut(|(_, b)| {
                 b.entries.retain(|e| is_live(e.edge));
                 b.live = b.entries.len() as u32;
+                b.disordered =
+                    b.disordered && (b.entries.windows(2)).any(|w| w[1].timestamp < w[0].timestamp);
                 !b.entries.is_empty()
             });
         }
@@ -261,6 +307,37 @@ mod tests {
         assert_eq!(adj.dead_len(), 0);
         assert_eq!(adj.live_count(Direction::Out, TypeId(0)), 40);
         assert!(!adj.should_compact());
+    }
+
+    #[test]
+    fn a_late_arrival_disorders_its_bucket_until_compaction_removes_it() {
+        let mut adj = AdjacencyList::new();
+        let disordered =
+            |adj: &AdjacencyList| adj.bucket(Direction::Out, TypeId(0)).unwrap().disordered;
+        let newer_than_4 = |adj: &AdjacencyList| -> Vec<u64> {
+            adj.entries_after(
+                Direction::Out,
+                TypeId(0),
+                Timestamp::from_secs(4),
+                Timestamp(i64::MIN),
+            )
+            .map(|e| e.edge.0)
+            .collect()
+        };
+        adj.push(Direction::Out, TypeId(0), entry(5, 0));
+        adj.push(Direction::Out, TypeId(0), entry(5, 1)); // a tie keeps the order
+        assert!(!disordered(&adj));
+        adj.push(Direction::Out, TypeId(0), entry(3, 2));
+        adj.push(Direction::Out, TypeId(0), entry(6, 3));
+        assert!(disordered(&adj));
+        adj.push(Direction::In, TypeId(0), entry(9, 4));
+        assert!(!adj.bucket(Direction::In, TypeId(0)).unwrap().disordered);
+        // Latest arrival first, scanning past the late entry.
+        assert_eq!(newer_than_4(&adj), vec![6, 5, 5]);
+
+        adj.compact(|e| e.0 != 3);
+        assert!(!disordered(&adj));
+        assert_eq!(newer_than_4(&adj), vec![6, 5, 5]);
     }
 
     #[test]

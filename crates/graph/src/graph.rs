@@ -559,11 +559,28 @@ impl DynamicGraph {
         self.config.retention
     }
 
-    /// Replaces the retention window. Widening it keeps more future edges;
-    /// narrowing it takes effect as stream time advances. Used by the
-    /// continuous-query engine to ensure retention covers the largest
-    /// registered query window.
+    /// Replaces the retention window. Widening it keeps more future edges
+    /// (edges already expired are not revived); narrowing it takes effect as
+    /// stream time advances, except that [`Self::out_entries_after`] honours
+    /// the narrower horizon at once. Used by the continuous-query engine to
+    /// ensure retention covers the largest registered query window.
     pub fn set_retention(&mut self, retention: Option<Duration>) {
+        let widens = match (self.config.retention, retention) {
+            (Some(old), Some(new)) => new > old,
+            (Some(_), None) => true,
+            (None, _) => false,
+        };
+        if widens {
+            // Adjacency entries of edges the narrower horizon expired would
+            // fall inside the wider one, and `out_entries_after` tells live
+            // from stale by timestamp alone: drop them now.
+            let edges = &self.edges;
+            for adj in &mut self.adjacency {
+                if adj.dead_len() > 0 {
+                    adj.compact(|e| edges.contains(e));
+                }
+            }
+        }
         self.config.retention = retention;
         self.window.set_retention(retention);
     }
@@ -612,6 +629,30 @@ impl DynamicGraph {
             .map(|a| a.entries(dir, etype))
             .unwrap_or(&[]);
         entries.iter().filter_map(move |e| self.edges.get(e.edge))
+    }
+
+    /// Iterates the adjacency entries of the live out-edges of `v` with type
+    /// `etype` and a timestamp newer than `after`, latest arrival first.
+    ///
+    /// An entry carries neighbour, timestamp and edge id, and is live iff its
+    /// timestamp is inside the retention horizon, so the walk reads no edge
+    /// record — and stops at the first entry that is too old while the
+    /// bucket is time-ordered (see [`AdjacencyList::entries_after`]).
+    #[inline]
+    pub fn out_entries_after(
+        &self,
+        v: VertexId,
+        etype: TypeId,
+        after: Timestamp,
+    ) -> impl Iterator<Item = &AdjEntry> + '_ {
+        static EMPTY: AdjacencyList = AdjacencyList::new();
+        let horizon = self.window.horizon().unwrap_or(Timestamp(i64::MIN));
+        (self.adjacency.get(v.index()).unwrap_or(&EMPTY)).entries_after(
+            Direction::Out,
+            etype,
+            after,
+            horizon,
+        )
     }
 
     /// Iterates the live edges incident to `v` in direction `dir`, across all
@@ -923,5 +964,127 @@ mod tests {
             .iter()
             .all(|(e, _)| e.timestamp >= Timestamp::from_secs(989)));
         assert_eq!(g.live_edge_count(), 11);
+    }
+
+    /// `out_entries_after` must yield exactly the live out-edges newer than
+    /// `after` — what a scan checked against the edge table finds.
+    fn assert_entries_after_match_edge_table(g: &DynamicGraph, v: &str, after: &[i64]) {
+        let v = g.vertex_by_key(v).unwrap();
+        let flow = g.edge_type_id("flow").unwrap();
+        for &after in after {
+            let after = Timestamp::from_secs(after);
+            let mut want: Vec<EdgeId> = g
+                .incident_edges(v, Direction::Out, flow)
+                .filter(|e| e.timestamp > after)
+                .map(|e| e.id)
+                .collect();
+            let got: Vec<&AdjEntry> = g.out_entries_after(v, flow, after).collect();
+            for entry in &got {
+                let edge = g.edge(entry.edge).expect("only live entries");
+                assert_eq!(
+                    (entry.neighbor, entry.timestamp),
+                    (edge.dst, edge.timestamp)
+                );
+            }
+            let mut got: Vec<EdgeId> = got.iter().map(|e| e.edge).collect();
+            assert!(got.windows(2).all(|w| w[0] > w[1]), "latest arrival first");
+            got.sort();
+            want.sort();
+            assert_eq!(got, want, "after {after:?}");
+        }
+    }
+
+    #[test]
+    fn entries_after_of_a_time_ordered_bucket() {
+        let mut g = DynamicGraph::new(GraphConfig::with_retention(Duration::from_secs(100)));
+        for t in 0..20 {
+            g.ingest(&event("hub", &format!("p{}", t % 3), "flow", t));
+            g.ingest(&event("hub", "p0", "dns", t));
+        }
+        assert_entries_after_match_edge_table(&g, "hub", &[-1, 0, 7, 18, 19, 50]);
+        let hub = g.vertex_by_key("hub").unwrap();
+        let flow = g.edge_type_id("flow").unwrap();
+        let newer = g.out_entries_after(hub, flow, Timestamp::from_secs(16));
+        assert_eq!(newer.count(), 3);
+        // A vertex without adjacency of that type, and one the graph never saw.
+        let p0 = g.vertex_by_key("p0").unwrap();
+        assert_eq!(
+            g.out_entries_after(p0, flow, Timestamp(i64::MIN)).count(),
+            0
+        );
+        let unseen = VertexId(1_000);
+        assert_eq!(
+            g.out_entries_after(unseen, flow, Timestamp(i64::MIN))
+                .count(),
+            0
+        );
+    }
+
+    #[test]
+    fn entries_after_of_a_disordered_bucket_scan_past_the_late_arrival() {
+        let mut g = DynamicGraph::new(GraphConfig::with_retention(Duration::from_secs(100)));
+        for t in 10..20 {
+            g.ingest(&event("hub", "p", "flow", t));
+        }
+        g.ingest(&event("hub", "late", "flow", 3)); // behind every earlier arrival
+        g.ingest(&event("hub", "p", "flow", 20));
+        g.ingest(&event("hub", "p", "flow", 21));
+        assert_entries_after_match_edge_table(&g, "hub", &[0, 2, 3, 12, 20, 21]);
+        // The late edge sits between newer ones: an early exit at the first
+        // old entry would return 2 of the 5 edges newer than t=16.
+        let hub = g.vertex_by_key("hub").unwrap();
+        let flow = g.edge_type_id("flow").unwrap();
+        let newer = g.out_entries_after(hub, flow, Timestamp::from_secs(16));
+        assert_eq!(newer.count(), 5);
+    }
+
+    #[test]
+    fn entries_after_skip_stale_entries_before_compaction() {
+        let mut g = DynamicGraph::new(GraphConfig::with_retention(Duration::from_secs(10)));
+        // 20 of the 31 entries are stale at the end, below the compaction
+        // threshold of 32: the adjacency list still holds them.
+        for t in 0..=30 {
+            g.ingest(&event("hub", "p", "flow", t));
+        }
+        let hub = g.vertex_by_key("hub").unwrap();
+        assert_eq!(g.adjacency[hub.index()].dead_len(), 20);
+        assert_entries_after_match_edge_table(&g, "hub", &[-1, 5, 19, 20, 21, 30]);
+        // Same with an out-of-order arrival that is dead on arrival and one
+        // that is not: the bucket is disordered and partly stale.
+        g.ingest(&event("hub", "dead", "flow", 2));
+        g.ingest(&event("hub", "late", "flow", 25));
+        g.ingest(&event("hub", "p", "flow", 33));
+        assert_entries_after_match_edge_table(&g, "hub", &[-1, 5, 22, 23, 24, 25, 30, 33]);
+    }
+
+    #[test]
+    fn entries_after_stop_at_a_retention_shorter_than_the_callers_window() {
+        // An explicit retention wins over query windows, so a caller may ask
+        // for a horizon the graph no longer holds.
+        let mut g = DynamicGraph::new(GraphConfig::with_retention(Duration::from_secs(5)));
+        for t in 0..=30 {
+            g.ingest(&event("hub", "p", "flow", t));
+        }
+        let hub = g.vertex_by_key("hub").unwrap();
+        let flow = g.edge_type_id("flow").unwrap();
+        let window_start = g.now().minus(Duration::from_secs(60));
+        assert_eq!(g.out_entries_after(hub, flow, window_start).count(), 6);
+        assert_entries_after_match_edge_table(&g, "hub", &[-30, 0, 24, 25, 26]);
+    }
+
+    #[test]
+    fn widening_the_retention_does_not_revive_stale_entries() {
+        let mut g = DynamicGraph::new(GraphConfig::with_retention(Duration::from_secs(5)));
+        for t in 0..=20 {
+            g.ingest(&event("hub", "p", "flow", t));
+        }
+        let hub = g.vertex_by_key("hub").unwrap();
+        assert_eq!(g.adjacency[hub.index()].dead_len(), 15);
+        // The expired edges' timestamps are inside the new horizon.
+        g.set_retention(Some(Duration::from_secs(100)));
+        assert_eq!(g.adjacency[hub.index()].dead_len(), 0);
+        assert_entries_after_match_edge_table(&g, "hub", &[-1, 10, 15, 16]);
+        g.ingest(&event("hub", "p", "flow", 8)); // live under the new horizon
+        assert_entries_after_match_edge_table(&g, "hub", &[-1, 7, 8, 16]);
     }
 }

@@ -112,31 +112,70 @@ fn pair_of(m: &MatchEvent) -> (String, String) {
     )
 }
 
+/// Which witness the matcher reports for a pair depends on its relaxation
+/// order, so the oracle cannot predict it — but whichever it is, it must be
+/// a contiguous `source -> target` path of edges that are live and inside
+/// the window at emission time `at`, spelling a word the DFA accepts.
+fn assert_valid_witness(
+    engine: &ContinuousQueryEngine,
+    oracle: &Oracle,
+    m: &MatchEvent,
+    at: Timestamp,
+) {
+    let graph = engine.graph();
+    let mut cursor = m.bindings.first().expect("src binding").vertex;
+    let mut word = Vec::new();
+    assert!(!m.edges.is_empty(), "empty witness: {m:?}");
+    for id in &m.edges {
+        let edge = graph
+            .edge(*id)
+            .unwrap_or_else(|| panic!("witness edge {id:?} is not live: {m:?}"));
+        assert_eq!(edge.src, cursor, "witness is not contiguous: {m:?}");
+        assert!(
+            edge.timestamp > at.minus(oracle.window),
+            "witness edge {edge:?} is outside the window at {at:?}: {m:?}"
+        );
+        word.push(graph.edge_type_name(edge.etype).expect("interned label"));
+        cursor = edge.dst;
+    }
+    let target = m.bindings.last().expect("dst binding").vertex;
+    assert_eq!(cursor, target, "witness does not end at the target: {m:?}");
+    assert!(
+        oracle.dfa.accepts(word.iter().copied()),
+        "the DFA rejects the witness word {word:?}: {m:?}"
+    );
+}
+
 /// Replays `events` one at a time through a fresh engine and the oracle,
-/// asserting identical emissions after every single event. Returns the total
-/// number of matches, so callers can assert the run was not vacuous.
-fn check_against_oracle(rpq: &RpqQuery, events: &[EdgeEvent]) -> usize {
+/// asserting identical emissions — each with a valid witness — after every
+/// single event. Returns the emitted pairs in emission order.
+fn replay_against_oracle(rpq: &RpqQuery, events: &[EdgeEvent]) -> Vec<(String, String)> {
     let mut engine = ContinuousQueryEngine::builder().build().unwrap();
     let handle = engine.register_rpq(rpq.clone());
     let mut oracle = Oracle::new(rpq);
     let mut now: Option<Timestamp> = None;
-    let mut total = 0;
+    let mut emitted = Vec::new();
     for (i, ev) in events.iter().enumerate() {
         let at = now.map_or(ev.timestamp, |n| n.max(ev.timestamp));
         now = Some(at);
-        let mut got: Vec<(String, String)> = engine
-            .ingest(ev)
-            .unwrap()
-            .iter()
-            .filter(|m| m.handle() == handle)
-            .map(pair_of)
-            .collect();
+        let matches = engine.ingest(ev).unwrap();
+        let mut got = Vec::new();
+        for m in matches.iter().filter(|m| m.handle() == handle) {
+            assert_valid_witness(&engine, &oracle, m, at);
+            got.push(pair_of(m));
+        }
         got.sort();
         let want = oracle.ingest(ev, at);
         assert_eq!(got, want, "event #{i} ({ev:?}) at {at:?}");
-        total += got.len();
+        emitted.extend(got);
     }
-    total
+    emitted
+}
+
+/// [`replay_against_oracle`], returning the total number of matches, so
+/// callers can assert the run was not vacuous.
+fn check_against_oracle(rpq: &RpqQuery, events: &[EdgeEvent]) -> usize {
+    replay_against_oracle(rpq, events).len()
 }
 
 /// A random labelled stream over a small vertex set. `jitter_ms > 0` makes
@@ -212,6 +251,115 @@ fn window_size_sweep_matches_oracle() {
             assert!(matches > 0, "window {window} found nothing");
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Differential sweep: hubs, parallel edges, self-loops, disordered buckets
+// ---------------------------------------------------------------------------
+
+/// How a skewed stream is delivered.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Delivery {
+    /// Timestamps rise with arrival order.
+    InOrder,
+    /// Every timestamp is pushed back by up to 2 s after the arrival order
+    /// is fixed: most adjacency buckets lose their time order.
+    Jittered,
+    /// In order, except for one edge out of the busiest hub that arrives
+    /// 1.5 s late in the middle of the stream: exactly one disordered
+    /// bucket, at the vertex most relaxations pass through.
+    OneLateHubEdge,
+}
+
+/// A stream over 10 vertices drawn with Zipf weights `1/rank` (so `v0` and
+/// `v1` carry more than half of all endpoints, parallel edges and self-loops
+/// are common), labels `a b c` plus `d` from outside every alphabet used.
+fn skewed_events(count: usize, delivery: Delivery, seed: u64) -> Vec<EdgeEvent> {
+    const WEIGHTS: [u32; 10] = [60, 30, 20, 15, 12, 10, 8, 7, 6, 6];
+    let mut rng = StdRng::seed_from_u64(seed);
+    let vertex = |rng: &mut StdRng| {
+        let mut ticket = rng.gen_range(0..WEIGHTS.iter().sum::<u32>());
+        let rank = WEIGHTS.iter().position(|&w| {
+            let hit = ticket < w;
+            ticket = ticket.saturating_sub(w);
+            hit
+        });
+        format!("v{}", rank.expect("ticket below the total weight"))
+    };
+    let mut t = 0i64;
+    let mut events = Vec::with_capacity(count + 1);
+    for i in 0..count {
+        t += rng.gen_range(1..=120i64);
+        let jitter = match delivery {
+            Delivery::Jittered => rng.gen_range(0..=2_000i64),
+            _ => 0,
+        };
+        let (src, dst) = (vertex(&mut rng), vertex(&mut rng));
+        let label = ["a", "b", "c", "d"][rng.gen_range(0..4usize)];
+        let ts = Timestamp::from_millis((t - jitter).max(0));
+        events.push(EdgeEvent::new(src, "V", dst, "V", label, ts));
+        if delivery == Delivery::OneLateHubEdge && i == count / 2 {
+            let late = Timestamp::from_millis((t - 1_500).max(0));
+            let dst = vertex(&mut rng);
+            events.push(EdgeEvent::new("v0", "V", dst, "V", "b", late));
+            events.push(EdgeEvent::new("v0", "V", "v1", "V", "a", late));
+        }
+    }
+    events
+}
+
+#[test]
+fn skewed_streams_match_the_oracle_across_seeds_and_delivery_orders() {
+    // 3 s of window over ~60 ms per event: pairs expire and re-enter all the
+    // time, and hub nodes are refined many times before they do.
+    for pattern in ["a b* c", "a+"] {
+        let rpq = parse_rpq(&format!("RPQ sweep WINDOW 3s PATH {pattern}")).unwrap();
+        let (mut matches, mut reentries) = (0, 0);
+        for seed in 0..16 {
+            for delivery in [
+                Delivery::InOrder,
+                Delivery::Jittered,
+                Delivery::OneLateHubEdge,
+            ] {
+                let events = skewed_events(160, delivery, 1_000 + seed);
+                let emitted = replay_against_oracle(&rpq, &events);
+                let distinct: HashSet<&(String, String)> = emitted.iter().collect();
+                matches += emitted.len();
+                reentries += emitted.len() - distinct.len();
+            }
+        }
+        assert!(matches > 1_000, "`{pattern}`: only {matches} matches");
+        assert!(reentries > 100, "`{pattern}`: only {reentries} re-entries");
+    }
+}
+
+#[test]
+fn a_wider_window_registered_mid_stream_never_walks_expired_edges() {
+    // While only the 1 s query is registered the graph retains 1 s; the hub
+    // adjacency lists keep entries of expired edges until their next
+    // compaction. Registering a 30 s query widens the retention over those
+    // entries' timestamps — they must stay dead to the new matcher.
+    let mut engine = ContinuousQueryEngine::builder().build().unwrap();
+    engine
+        .register_rpq_dsl("RPQ narrow WINDOW 1s PATH a+")
+        .unwrap();
+    let events = skewed_events(300, Delivery::InOrder, 7);
+    let (before, after) = events.split_at(150);
+    for ev in before {
+        engine.ingest(ev).unwrap();
+    }
+    let rpq = parse_rpq("RPQ wide WINDOW 30s PATH a+").unwrap();
+    let wide = engine.register_rpq(rpq.clone());
+    let oracle = Oracle::new(&rpq);
+    let mut checked = 0;
+    for ev in after {
+        let matches = engine.ingest(ev).unwrap();
+        for m in matches.iter().filter(|m| m.handle() == wide) {
+            assert_valid_witness(&engine, &oracle, m, engine.graph().now());
+            checked += 1;
+        }
+    }
+    assert!(checked > 20, "only {checked} matches of the wide query");
 }
 
 // ---------------------------------------------------------------------------
