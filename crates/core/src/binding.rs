@@ -7,7 +7,7 @@
 //! the query window `τ(g) < tW`.
 //!
 //! Both structures are tuned for the matcher hot path, which clones a partial
-//! match per candidate extension and per successful join:
+//! match per candidate extension and builds one per successful join:
 //!
 //! * [`Binding`] keeps its slots in a [`SmallVec`] (inline up to 8 query
 //!   vertices — larger queries spill transparently), a `mask` bitset of bound
@@ -18,6 +18,18 @@
 //! * [`PartialMatch::edges`] stores its `(query edge, data edge)` pairs inline
 //!   (up to 6), so cloning a match during local search allocates nothing for
 //!   typical query sizes.
+//!
+//! A `PartialMatch` is **176 bytes** and, within the two inline capacities,
+//! owns no heap: the vendored `SmallVec` is a length plus a union of the
+//! inline array and a `(pointer, capacity)` header, so there is no `Vec` to
+//! copy on clone or to check on drop — a move or clone is a copy of the
+//! lengths and inline bytes, a drop is two length compares. The join climb
+//! builds, files and later sweeps about forty of these per event on the
+//! join-heavy workloads, which is why the bytes matter. A query over the
+//! capacities still works (the vectors spill, [`PartialMatch::spilled`]
+//! reports it, `QueryMetrics::binding_spills` counts it).
+//! [`PartialMatch::merge`] builds its result as a copy of one input that the
+//! other is merged into in place.
 
 use serde::{Deserialize, Serialize};
 use smallvec::SmallVec;
@@ -163,28 +175,34 @@ impl Binding {
     /// a query vertex bound to different data vertices, or two query vertices
     /// bound to the same data vertex (injectivity across the merged binding).
     pub fn merge(&self, other: &Binding) -> Option<Binding> {
-        debug_assert_eq!(self.slots.len(), other.slots.len());
         let mut merged = self.clone();
-        if other.slots.len() <= 64 {
+        merged.merge_from(other).then_some(merged)
+    }
+
+    /// Merges `other` into `self` in place; `false` on a conflict (see
+    /// [`Self::merge`]), which leaves `self` partially merged.
+    #[inline]
+    fn merge_from(&mut self, other: &Binding) -> bool {
+        debug_assert_eq!(self.slots.len(), other.slots.len());
+        let theirs = other.slots.as_slice();
+        if theirs.len() <= 64 {
             // Walk only the bound slots of `other` via its mask.
             let mut remaining = other.mask;
             while remaining != 0 {
                 let i = remaining.trailing_zeros() as usize;
                 remaining &= remaining - 1;
-                let dv = other.slots[i];
-                debug_assert_ne!(dv, UNBOUND, "mask bit set for bound slot");
-                if !merged.merge_slot(i, VertexId(dv)) {
-                    return None;
+                debug_assert_ne!(theirs[i], UNBOUND, "mask bit set for bound slot");
+                if !self.merge_slot(i, VertexId(theirs[i])) {
+                    return false;
                 }
             }
+            true
         } else {
-            for (i, &slot) in other.slots.iter().enumerate() {
-                if slot != UNBOUND && !merged.merge_slot(i, VertexId(slot)) {
-                    return None;
-                }
-            }
+            theirs
+                .iter()
+                .enumerate()
+                .all(|(i, &slot)| slot == UNBOUND || self.merge_slot(i, VertexId(slot)))
         }
-        Some(merged)
     }
 
     /// Binds slot `i` to `dv` during a merge; `false` on conflict.
@@ -292,44 +310,39 @@ impl PartialMatch {
     ///
     /// Fails (returns `None`) if the bindings conflict, if the query-edge sets
     /// overlap, or if the same data edge realises two different query edges.
+    ///
+    /// The result starts as a copy of `self` (for a paper-sized query: two
+    /// lengths and the inline bytes, no heap) and `other` is merged into it
+    /// in place — no second binding or edge list is built on the side.
     pub fn merge(&self, other: &PartialMatch) -> Option<PartialMatch> {
-        let binding = self.binding.merge(&other.binding)?;
-        // Merge sorted edge lists, rejecting duplicates.
-        let mut edges: SmallVec<(QueryEdgeId, EdgeId), INLINE_EDGES> = SmallVec::new();
-        let (a, b) = (self.edges.as_slice(), other.edges.as_slice());
-        let (mut i, mut j) = (0, 0);
-        while i < a.len() && j < b.len() {
-            let (qa, ea) = a[i];
-            let (qb, eb) = b[j];
-            if qa == qb {
-                return None; // overlapping query edges
-            }
-            if qa < qb {
-                edges.push((qa, ea));
-                i += 1;
-            } else {
-                edges.push((qb, eb));
-                j += 1;
-            }
+        // Cloned straight into the `Option` it is returned in (measured:
+        // cheaper than `then_some`, which moves the finished match again).
+        let mut merged = Some(self.clone());
+        if !merged.as_mut().is_some_and(|m| m.merge_from(other)) {
+            merged = None;
         }
-        edges.extend_from_slice(&a[i..]);
-        edges.extend_from_slice(&b[j..]);
-        // A data edge may realise only one query edge. The list is short
-        // (bounded by the query size), so a pairwise scan beats sorting a
-        // scratch vector.
-        for (i, (_, e1)) in edges.iter().enumerate() {
-            for (_, e2) in &edges[i + 1..] {
-                if e1 == e2 {
-                    return None;
-                }
-            }
+        merged
+    }
+
+    /// Merges `other` into `self` in place; `false` on a conflict (see
+    /// [`Self::merge`]), which leaves `self` partially merged.
+    #[inline]
+    fn merge_from(&mut self, other: &PartialMatch) -> bool {
+        if !self.binding.merge_from(&other.binding) {
+            return false;
         }
-        Some(PartialMatch {
-            binding,
-            edges,
-            earliest: self.earliest.min(other.earliest),
-            latest: self.latest.max(other.latest),
-        })
+        for &(qe, edge) in &other.edges {
+            // The lists are short (bounded by the query size), so a scan
+            // per inserted edge beats sorting a scratch vector.
+            if self.edges.iter().any(|&(q, e)| q == qe || e == edge) {
+                return false;
+            }
+            let pos = self.edges.partition_point(|&(q, _)| q < qe);
+            self.edges.insert(pos, (qe, edge));
+        }
+        self.earliest = self.earliest.min(other.earliest);
+        self.latest = self.latest.max(other.latest);
+        true
     }
 
     /// A stable 64-bit signature of the (query edge → data edge) assignment,
@@ -538,6 +551,65 @@ mod tests {
         }
         assert!(m.edges.is_inline());
         assert!(!m.spilled());
+    }
+
+    #[test]
+    fn a_partial_match_is_176_bytes() {
+        // Slot table 8 + 8×4, mask 8, bloom 8; edge list 8 + 6×16; two
+        // timestamps. The budget is 192 (three cache lines); the union-style
+        // small vector spends none of it on a heap header (the always-present
+        // `Vec` of the earlier layout made this 224).
+        use std::mem::size_of;
+        assert_eq!(size_of::<Binding>(), 56);
+        assert_eq!(size_of::<PartialMatch>(), 176);
+        const { assert!(size_of::<PartialMatch>() <= 192) };
+    }
+
+    #[test]
+    fn spilled_matches_round_trip() {
+        use std::hash::{Hash, Hasher};
+        fn hash_of<T: Hash + ?Sized>(t: &T) -> u64 {
+            let mut h = std::collections::hash_map::DefaultHasher::new();
+            t.hash(&mut h);
+            h.finish()
+        }
+        // Edge list: push past the inline capacity, insert while spilled
+        // (query edge 1 lands in the middle), and come back inline.
+        let ts = Timestamp::from_secs(1);
+        let mut m = PartialMatch::seed(INLINE_VERTICES + 1, QueryEdgeId(0), EdgeId(100), ts);
+        for q in 2..=INLINE_EDGES + 1 {
+            assert!(m.add_edge(QueryEdgeId(q), EdgeId(100 + q as u64), ts));
+        }
+        assert!(!m.edges.is_inline());
+        assert!(m.add_edge(QueryEdgeId(1), EdgeId(101), ts));
+        let order: Vec<usize> = m.edges.iter().map(|(q, _)| q.0).collect();
+        assert_eq!(order, (0..=INLINE_EDGES + 1).collect::<Vec<_>>());
+        assert_eq!(hash_of(&m.edges), hash_of(m.edges.as_slice()));
+
+        // A clone of a spilled match is deep, for both vectors.
+        assert!(m.binding.bind(QueryVertexId(INLINE_VERTICES), v(7)));
+        let mut copy = m.clone();
+        assert_eq!(copy, m);
+        assert_eq!(hash_of(&copy.binding), hash_of(&m.binding));
+        assert!(copy.binding.bind(QueryVertexId(0), v(8)));
+        copy.edges.truncate(INLINE_EDGES);
+        assert!(copy.edges.is_inline() && copy.binding.spilled());
+        assert_eq!(copy.edges.as_slice(), &m.edges[..INLINE_EDGES]);
+        assert_eq!(m.binding.get(QueryVertexId(0)), None);
+        assert_eq!(m.edge_count(), INLINE_EDGES + 2);
+        drop(m);
+        assert_eq!(copy.binding.get(QueryVertexId(INLINE_VERTICES)), Some(v(7)));
+
+        // Merging spilled matches goes through the same in-place path.
+        let other = {
+            let mut o = PartialMatch::seed(INLINE_VERTICES + 1, QueryEdgeId(9), EdgeId(9), ts);
+            assert!(o.binding.bind(QueryVertexId(1), v(9)));
+            o
+        };
+        let merged = copy.merge(&other).unwrap();
+        assert_eq!(merged.edge_count(), INLINE_EDGES + 1);
+        assert!(merged.spilled());
+        assert_eq!(merged.binding.bound_count(), 3);
     }
 
     #[test]

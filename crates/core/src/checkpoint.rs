@@ -399,11 +399,26 @@ impl EngineCheckpoint {
     /// where parsing stopped. This is the recommended load path for
     /// checkpoints read back from storage: it never panics, and the offset
     /// pinpoints how much of the file survived.
+    ///
+    /// A document that parses but carries an SJ-Tree shape no planner could
+    /// have built (`SjTreeShape::validate` — the join climb indexes its
+    /// stores by the shape's node order) is rejected the same way, without an
+    /// offset.
     pub fn load(json: &str) -> Result<EngineCheckpoint, crate::EngineError> {
-        Self::from_json(json).map_err(|e| crate::EngineError::CorruptCheckpoint {
-            offset: e.byte_offset(),
-            detail: e.to_string(),
-        })
+        let checkpoint =
+            Self::from_json(json).map_err(|e| crate::EngineError::CorruptCheckpoint {
+                offset: e.byte_offset(),
+                detail: e.to_string(),
+            })?;
+        for plan in &checkpoint.plans {
+            plan.shape.validate(&plan.query).map_err(|e| {
+                crate::EngineError::CorruptCheckpoint {
+                    offset: None,
+                    detail: format!("plan of query {}: {e}", plan.query.name()),
+                }
+            })?;
+        }
+        Ok(checkpoint)
     }
 }
 
@@ -547,6 +562,33 @@ mod tests {
         }
         // The untruncated document still loads.
         assert!(EngineCheckpoint::load(&json).is_ok());
+    }
+
+    #[test]
+    fn a_shape_no_planner_builds_loads_to_an_error_without_an_offset() {
+        let mut engine = ContinuousQueryEngine::builder().build().unwrap();
+        let one_edge_leaves = streamworks_query::SelectivityOrdered {
+            max_primitive_size: 1,
+        };
+        let plan = streamworks_query::Planner::new()
+            .plan_with(pair_query(Duration::from_secs(60)), &one_edge_leaves)
+            .unwrap();
+        engine.register_plan(plan);
+        let json = engine.checkpoint().to_json().unwrap();
+        // One leaf per edge under a root: make the root (node 2) claim
+        // itself as its left child.
+        let honest = r#""children":[0,1]"#;
+        assert_eq!(json.matches(honest).count(), 1, "{json}");
+        let tampered = json.replace(honest, r#""children":[2,1]"#);
+        let err = EngineCheckpoint::load(&tampered).unwrap_err();
+        let crate::EngineError::CorruptCheckpoint { offset, detail } = err else {
+            panic!("expected CorruptCheckpoint, got {err:?}");
+        };
+        assert_eq!(offset, None);
+        assert!(
+            detail.contains("does not come after its children"),
+            "{detail}"
+        );
     }
 
     #[test]

@@ -1584,6 +1584,9 @@ impl ContinuousQueryEngine {
     /// the state — the engine poisons itself so later calls cannot silently
     /// under-report matches.
     fn surface_shard_failures(&mut self) -> Result<(), EngineError> {
+        if self.config.shards <= 1 {
+            return Ok(()); // no query of this engine is sharded (`build_exec`)
+        }
         let mut failures: Vec<ShardFailure> = Vec::new();
         for slot in &mut self.queries {
             if let Some(state) = &mut slot.state {
@@ -1613,6 +1616,12 @@ impl ContinuousQueryEngine {
     /// per-event dispatch order of the in-process path). Single-threaded
     /// queries emit inline and are untouched.
     fn flush_sharded(&mut self, sink: &mut dyn EventSink) -> usize {
+        if self.config.shards <= 1 {
+            // No query of this engine is sharded (`build_exec`): skip the walk
+            // over every slot, which a one-event `ingest` call would
+            // otherwise pay per event.
+            return 0;
+        }
         let mut completed: Vec<(u64, usize, PartialMatch)> = Vec::new();
         for (idx, slot) in self.queries.iter_mut().enumerate() {
             let Some(state) = slot.state.as_mut() else {

@@ -1,12 +1,12 @@
-//! The join inner loop and climb table shared by **every** execution mode.
+//! The climb table every execution mode walks, and the *buffering* join step
+//! of the sharded one.
 //!
-//! PR 3 left the codebase with two copies of the §4.2 join step: the
-//! single-threaded `SjTreeMatcher` drove per-node lazy-indexed stores while
-//! the shard workers drove per-parent [`SharedJoinStore`]s. This module is
-//! the one remaining copy — [`probe_insert`] is *the* join step, called from
-//! the in-process matcher's flattened climb loop and from
-//! `ShardWorker::process` alike, and [`node_routes`] is the precomputed climb
-//! table both walk instead of chasing the plan's tree shape per match.
+//! [`node_routes`] is the precomputed per-node table both the in-process
+//! `SjTreeMatcher` and the shard workers read instead of chasing the plan's
+//! tree shape per match. In process, a merged match is filed into the
+//! parent's store from inside the probe (`sj_matcher::Climb::file`); a shard
+//! worker must route it first — its next join key may hash to another shard —
+//! so `ShardWorker::process` calls [`probe_insert`], which collects them.
 
 use crate::binding::PartialMatch;
 use crate::match_store::{JoinSide, SharedJoinStore};
@@ -39,6 +39,8 @@ pub(crate) fn node_routes(plan: &QueryPlan) -> Vec<NodeRoute> {
         .nodes()
         .map(|n| match n.parent {
             Some(parent) => {
+                // The in-process climb splits its store vector on this.
+                debug_assert!(parent.0 > n.id.0, "a parent's id exceeds its child's");
                 let (left, _) = shape.node(parent).children.expect("parent is internal");
                 NodeRoute {
                     parent: parent.0 as u32,
@@ -59,22 +61,12 @@ pub(crate) fn node_routes(plan: &QueryPlan) -> Vec<NodeRoute> {
         .collect()
 }
 
-/// Join counters of one [`probe_insert`] step.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct JoinStepStats {
-    /// Sibling candidates offered to the merge.
-    pub attempted: u64,
-    /// Merges that produced an in-window larger match.
-    pub succeeded: u64,
-}
-
-/// One §4.2 join step at an internal node's shared store: project `m`'s join
-/// key, scan the sibling side for candidates, append every successful
-/// in-window merge to `merged`, and file `m` on its own side — one hash
-/// operation for the whole step ([`SharedJoinStore::probe_then_insert`]).
-///
-/// `merged` is appended to, not cleared; the returned
-/// [`JoinStepStats::succeeded`] counts only this step's additions.
+/// One §4.2 join step at an internal node's shared store, buffered: project
+/// `m`'s join key, scan the sibling side for candidates, append every
+/// successful in-window merge to `merged` (in the store's probe order), and
+/// file `m` on its own side — one hash operation for the whole step
+/// ([`SharedJoinStore::probe_then_insert`]). Returns the number of sibling
+/// candidates offered to the merge.
 #[inline]
 pub(crate) fn probe_insert(
     store: &mut SharedJoinStore,
@@ -82,23 +74,15 @@ pub(crate) fn probe_insert(
     m: PartialMatch,
     window: Duration,
     merged: &mut Vec<PartialMatch>,
-) -> JoinStepStats {
+) -> u64 {
     let Some(key) = store.join_key_for(&m) else {
         debug_assert!(false, "a node-complete match binds its join key");
-        return JoinStepStats::default();
+        return 0;
     };
-    let before = merged.len();
-    let mut attempted = 0u64;
+    let mut attempted = 0;
     store.probe_then_insert(side, key, m, |m, candidate| {
         attempted += 1;
-        if let Some(combined) = m.merge(candidate) {
-            if combined.within_window(window) {
-                merged.push(combined);
-            }
-        }
+        merged.extend(m.merge(candidate).filter(|c| c.within_window(window)));
     });
-    JoinStepStats {
-        attempted,
-        succeeded: (merged.len() - before) as u64,
-    }
+    attempted
 }

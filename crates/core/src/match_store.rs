@@ -11,12 +11,14 @@
 //! sibling side for join candidates, and files the new match on its own side
 //! — one hash operation for the whole §4.2 join step.
 //!
-//! This store used to be the sharded path's private structure while the
-//! single-threaded matcher ran a separate lazy-indexed `MatchStore`; both the
-//! in-process [`crate::SjTreeMatcher`] and the shard workers of
-//! [`crate::ShardedMatcher`] now drive the same store through the same
-//! `probe_then_insert` front end (the shared inner loop lives in
-//! `crate::join`), so there is exactly one join engine in the codebase.
+//! Both the in-process [`crate::SjTreeMatcher`] and the shard workers of
+//! [`crate::ShardedMatcher`] drive this store through `probe_then_insert`,
+//! so there is exactly one join engine in the codebase. They differ in what
+//! the probe closure does with a successful merge: in process it files the
+//! merged match into the parent's store on the spot (the depth-first climb
+//! of `sj_matcher`), a shard worker collects it for routing (`crate::join`).
+//! The closure runs while the sibling side is borrowed and may not touch
+//! *this* store; it never needs to, because a merge belongs one node up.
 //!
 //! Hot-path representation:
 //!
@@ -25,7 +27,8 @@
 //!   it without heap work.
 //! * Matches are stored **contiguously inside their bucket side**, so a
 //!   probe is a sequential scan — no handle chasing on the path every join
-//!   attempt walks.
+//!   attempt walks — and by value: 176 heap-free bytes each for a
+//!   paper-sized query (`crate::binding`), moved in once by the caller.
 //! * Expiry is **exact** and scheduled by a real min-heap keyed on earliest
 //!   timestamp. The heap holds one entry per *bucket side* — that side's
 //!   minimum earliest — rather than one per match: an entry is pushed only
@@ -252,7 +255,8 @@ impl SharedJoinStore {
     /// The probe-before-store order is the join discipline every execution
     /// mode shares: a match never joins with matches on its own side, so
     /// every (left, right) pair under a key is offered to `probe` exactly
-    /// once, by whichever member is filed later.
+    /// once, by whichever member is filed later. Candidates are offered
+    /// newest first.
     pub fn probe_then_insert<F>(
         &mut self,
         side: JoinSide,
@@ -273,7 +277,13 @@ impl SharedJoinStore {
 
         match self.buckets.get_mut(key.as_slice()) {
             Some(bucket) => {
-                for candidate in &bucket.sides[side.other().index()] {
+                // Newest sibling first. The order is observable: the
+                // in-place climb files each merge's result (and everything
+                // it completes higher up) before the next candidate is
+                // offered, so it decides which matches a per-node cap drops
+                // and the order complete matches come out in. The counters
+                // recorded in `sj_matcher`'s four-leaf tests pin it.
+                for candidate in bucket.sides[side.other().index()].iter().rev() {
                     probe(&m, candidate);
                 }
                 bucket.sides[side.index()].push(m);

@@ -538,9 +538,10 @@ impl ShardWorker {
         }
     }
 
-    /// The sharded twin of `SjTreeMatcher::insert_and_join`: the same
-    /// `crate::join::probe_insert` step, plus cross-shard handoffs when a
-    /// merged match's next join key hashes elsewhere.
+    /// The sharded counterpart of the in-process climb
+    /// (`sj_matcher::Climb::file`): the same store and probe order, but each
+    /// step's merges are collected (`crate::join::probe_insert`) and routed,
+    /// because a merged match's next join key may hash to another shard.
     fn process(&mut self, routed: RoutedMatch) {
         let RoutedMatch { node, seq, m } = routed;
         let window = self.window;
@@ -570,12 +571,13 @@ impl ShardWorker {
             }
 
             merged.clear();
-            let stats = join::probe_insert(store, side, m, window, &mut merged);
+            self.acc.joins_attempted += join::probe_insert(store, side, m, window, &mut merged);
             self.acc.inserted += 1;
-            self.acc.joins_attempted += stats.attempted;
-            self.acc.joins_succeeded += stats.succeeded;
+            self.acc.joins_succeeded += merged.len() as u64;
 
-            for combined in merged.drain(..) {
+            // The store probes newest sibling first; walk the merges oldest
+            // first so the stack below pops them in probe order.
+            for combined in merged.drain(..).rev() {
                 if parent_is_root {
                     self.acc.complete += 1;
                     if combined.spilled() {

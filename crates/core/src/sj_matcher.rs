@@ -2,9 +2,8 @@
 //!
 //! One [`SjTreeMatcher`] is instantiated per registered query. It owns one
 //! [`SharedJoinStore`] per **internal** SJ-Tree node — the same per-parent
-//! join index the sharded workers run on, driven through the same
-//! `probe_then_insert` inner loop (`crate::join`) — and implements the
-//! paper's two-step algorithm for every incoming edge:
+//! join index the sharded workers run on — and implements the paper's
+//! two-step algorithm for every incoming edge:
 //!
 //! 1. **Local search** — match the edge against the search primitives at the
 //!    leaves; each embedding found enters the join propagation at its leaf.
@@ -15,9 +14,13 @@
 //!    be produced. A combination at the root that satisfies `τ(g) < tW` is a
 //!    complete match.
 //!
-//! The climb is *flattened*: a precomputed per-node route table
-//! (`crate::join::NodeRoute`) replaces tree-shape lookups on the hot path,
-//! exactly as in the shard workers.
+//! The climb is **in place and depth-first** (`Climb::file`): the probe
+//! closure handed to [`SharedJoinStore::probe_then_insert`] files each
+//! successful merge straight into the *parent's* store, so a joined match
+//! goes from [`PartialMatch::merge`] to the bucket that keeps it with no
+//! buffer in between. A node's id is smaller than its parent's
+//! (`SjTreeShape::validate`), so splitting the store vector after a node
+//! yields its parent's store and, disjointly, every store above that.
 
 use crate::anchors::AnchorIndex;
 use crate::binding::PartialMatch;
@@ -52,8 +55,6 @@ pub struct SjTreeMatcher {
     /// transient allocations once warm.
     found: Vec<PartialMatch>,
     primitive_scratch: Vec<(SjNodeId, PartialMatch)>,
-    stack: Vec<(SjNodeId, PartialMatch)>,
-    merged: Vec<PartialMatch>,
 }
 
 impl SjTreeMatcher {
@@ -80,8 +81,6 @@ impl SjTreeMatcher {
             anchors: AnchorIndex::new(graph.schema_version()),
             found: Vec::new(),
             primitive_scratch: Vec::new(),
-            stack: Vec::new(),
-            merged: Vec::new(),
             plan,
         };
         matcher.rebuild_anchor_index();
@@ -272,65 +271,19 @@ impl SjTreeMatcher {
     /// *joined* match of a shared entry, whose searches and joins below
     /// `node` ran once inside the entry, not here. Complete matches are
     /// appended to `out`.
-    ///
-    /// The climb is the flattened twin of `ShardWorker::process`, walking
-    /// the precomputed route table and calling the shared
-    /// `crate::join::probe_insert` step. For each match the join key is
-    /// projected once, the sibling side of the parent's shared store is
-    /// probed *before* the match is filed (a match at one node never joins
-    /// with matches at the same node, so the order is equivalent), and the
-    /// match is then moved — not cloned — into the store, all within a
-    /// single hash lookup.
     pub(crate) fn absorb(&mut self, node: SjNodeId, m: PartialMatch, out: &mut Vec<PartialMatch>) {
         // Internal nodes are exactly the ones that own a store.
         if self.stores[node.0].is_none() {
             self.metrics.primitive_matches += 1;
         }
-        let window = self.window();
-        let mut stack = std::mem::take(&mut self.stack);
-        let mut merged = std::mem::take(&mut self.merged);
-        stack.push((node, m));
-        while let Some((node, m)) = stack.pop() {
-            // Spill telemetry: each materialised match whose inline storage
-            // went to the heap is counted once, when it surfaces here.
-            if m.spilled() {
-                self.metrics.binding_spills += 1;
-            }
-            let NodeRoute {
-                parent,
-                side,
-                parent_is_root: _,
-            } = self.routes[node.0];
-            if parent == NO_PARENT {
-                // Root-level combination: a complete match.
-                self.metrics.complete_matches += 1;
-                out.push(m);
-                continue;
-            }
-            let parent = parent as usize;
-            let store = self.stores[parent]
-                .as_mut()
-                .expect("internal node has a shared store");
-            // Respect the per-node cap (one node = one side of its parent's
-            // shared store).
-            if let Some(cap) = self.max_matches_per_node {
-                if store.side_len(side) >= cap {
-                    self.metrics.matches_dropped_by_cap += 1;
-                    continue;
-                }
-            }
-
-            merged.clear();
-            let stats = join::probe_insert(store, side, m, window, &mut merged);
-            self.metrics.joins_attempted += stats.attempted;
-            self.metrics.joins_succeeded += stats.succeeded;
-            self.metrics.partial_matches_inserted += 1;
-            for combined in merged.drain(..) {
-                stack.push((SjNodeId(parent), combined));
-            }
-        }
-        self.stack = stack;
-        self.merged = merged;
+        let mut climb = Climb {
+            routes: &self.routes,
+            metrics: &mut self.metrics,
+            cap: self.max_matches_per_node,
+            window: self.plan.query.window(),
+            out,
+        };
+        climb.file(&mut self.stores[node.0 + 1..], node.0, m);
     }
 
     /// Removes every partial match whose earliest edge is older than
@@ -356,11 +309,67 @@ impl SjTreeMatcher {
     }
 }
 
+/// One join climb: everything it reads and counts besides the stores.
+struct Climb<'a> {
+    routes: &'a [NodeRoute],
+    metrics: &'a mut QueryMetrics,
+    cap: Option<usize>,
+    window: Duration,
+    out: &'a mut Vec<PartialMatch>,
+}
+
+impl Climb<'_> {
+    /// Files `m` at `node` and climbs every join it completes, depth first
+    /// (as deep as the tree is high). `above` holds the stores of the nodes
+    /// after `node`; those after its parent's go on to the probe closure.
+    /// The sibling side is probed *before* the match is filed (a match never
+    /// joins with matches at its own node, so the order is equivalent) and
+    /// the match is then moved — not cloned — in, all in one hash lookup.
+    fn file(&mut self, above: &mut [Option<SharedJoinStore>], node: usize, m: PartialMatch) {
+        // Spill telemetry: each materialised match whose inline storage
+        // went to the heap is counted once, when it surfaces here.
+        if m.spilled() {
+            self.metrics.binding_spills += 1;
+        }
+        let NodeRoute { parent, side, .. } = self.routes[node];
+        if parent == NO_PARENT {
+            // Root-level combination: a complete match.
+            self.metrics.complete_matches += 1;
+            self.out.push(m);
+            return;
+        }
+        let parent = parent as usize;
+        let (store, above) = above[parent - node - 1..]
+            .split_first_mut()
+            .expect("a parent's store comes after its child's");
+        let store = store.as_mut().expect("internal node has a shared store");
+        // The per-node cap (one node = one side of its parent's store).
+        if self.cap.is_some_and(|cap| store.side_len(side) >= cap) {
+            self.metrics.matches_dropped_by_cap += 1;
+            return;
+        }
+        self.metrics.partial_matches_inserted += 1;
+        let Some(key) = store.join_key_for(&m) else {
+            debug_assert!(false, "a node-complete match binds its join key");
+            return;
+        };
+        store.probe_then_insert(side, key, m, |m, candidate| {
+            self.metrics.joins_attempted += 1;
+            if let Some(combined) = m.merge(candidate) {
+                if combined.within_window(self.window) {
+                    self.metrics.joins_succeeded += 1;
+                    self.file(above, parent, combined);
+                }
+            }
+        });
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use streamworks_graph::{EdgeEvent, Timestamp};
-    use streamworks_query::{Planner, QueryGraphBuilder};
+    use streamworks_graph::{EdgeEvent, EdgeId, Timestamp};
+    use streamworks_query::{Planner, QueryGraphBuilder, TreeShapeKind};
 
     fn wedge_query(window_secs: i64) -> QueryPlan {
         let q = QueryGraphBuilder::new("wedge")
@@ -507,6 +516,127 @@ mod tests {
         feed(&mut g2, &mut small, "a1", "k1", "mentions", 1);
         feed(&mut g2, &mut small, "a2", "k1", "mentions", 2);
         assert_eq!(small.metrics().binding_spills, 0);
+    }
+
+    /// Two articles sharing a keyword *and* a location, one leaf per edge.
+    /// Balanced, the tree is `(e0 ⋈ e1) ⋈ (e2 ⋈ e3)` — an internal node that
+    /// is the *right* child of its parent; left-deep it is three levels of
+    /// joins. The benchmark's pinned plan has neither.
+    fn four_leaf_plan(kind: TreeShapeKind) -> QueryPlan {
+        let q = QueryGraphBuilder::new("coloc_pair")
+            .window(Duration::from_secs(30))
+            .vertex("a1", "Article")
+            .vertex("a2", "Article")
+            .vertex("k", "Keyword")
+            .vertex("l", "Location")
+            .edge("a1", "mentions", "k")
+            .edge("a2", "mentions", "k")
+            .edge("a1", "located", "l")
+            .edge("a2", "located", "l")
+            .build()
+            .unwrap();
+        let single_edge_leaves = streamworks_query::SelectivityOrdered {
+            max_primitive_size: 1,
+        };
+        let plan = Planner::new()
+            .tree_kind(kind)
+            .plan_with(q, &single_edge_leaves)
+            .unwrap();
+        assert_eq!(plan.shape.leaves().len(), 4);
+        plan
+    }
+
+    /// Runs a fixed 240-event stream (8 articles, 3 keywords, 2 cities, one
+    /// event per second, prune every 16) through the matcher and through
+    /// `NaiveEdgeExpansion`, returning both emitted multisets — each match as
+    /// its data edges in query-edge order, sorted — and the matcher's
+    /// counters.
+    fn run_four_leaf(
+        kind: TreeShapeKind,
+        cap: Option<usize>,
+    ) -> (Vec<Vec<EdgeId>>, Vec<Vec<EdgeId>>, QueryMetrics) {
+        let plan = four_leaf_plan(kind);
+        let mut g = DynamicGraph::unbounded();
+        let mut naive = streamworks_baseline::NaiveEdgeExpansion::new(plan.query.clone());
+        let mut matcher = SjTreeMatcher::new(plan, &g).with_match_cap(cap);
+        let (mut emitted, mut expected) = (Vec::new(), Vec::new());
+        // A fixed linear congruential sequence picks the end points.
+        let mut state = 17u64;
+        let mut pick = |n: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % n
+        };
+        for i in 0..240i64 {
+            let article = format!("a{}", pick(8));
+            let (dst, dt, et) = if pick(3) == 0 {
+                (format!("city{}", pick(2)), "Location", "located")
+            } else {
+                (format!("k{}", pick(3)), "Keyword", "mentions")
+            };
+            let r = g.ingest(&EdgeEvent::new(
+                article,
+                "Article",
+                dst,
+                dt,
+                et,
+                Timestamp::from_secs(i),
+            ));
+            let edge = g.edge(r.edge).unwrap().clone();
+            let mut out = Vec::new();
+            matcher.process_edge(&g, &edge, &mut out);
+            emitted.extend(
+                out.iter()
+                    .map(|m| m.edges.iter().map(|&(_, e)| e).collect::<Vec<_>>()),
+            );
+            expected.extend(naive.process_edge(&g, &edge).into_iter().map(|e| e.edges));
+            if (i + 1) % 16 == 0 {
+                matcher.prune(edge.timestamp);
+            }
+        }
+        emitted.sort();
+        expected.sort();
+        (emitted, expected, matcher.metrics())
+    }
+
+    /// The in-place climb against the reference matcher (uncapped: the same
+    /// multiset of complete matches) and against the buffered climb it
+    /// replaced (capped at 20 per node, so the cap fires on joined matches
+    /// mid-climb: `recorded` holds the counters of the commit before the
+    /// in-place climb on this stream — dropped by cap, joins attempted,
+    /// joins succeeded, partial matches inserted, complete matches — and
+    /// which matches the cap drops depends on the order the climb visits
+    /// them in).
+    fn check_four_leaf(kind: TreeShapeKind, recorded: [u64; 5]) {
+        let (emitted, expected, uncapped) = run_four_leaf(kind, None);
+        assert_eq!(emitted.len(), 2116);
+        assert_eq!(emitted, expected, "every embedding, each once");
+        assert_eq!(uncapped.matches_dropped_by_cap, 0);
+
+        let (emitted, _, m) = run_four_leaf(kind, Some(20));
+        assert_eq!(
+            [
+                m.matches_dropped_by_cap,
+                m.joins_attempted,
+                m.joins_succeeded,
+                m.partial_matches_inserted,
+                m.complete_matches,
+            ],
+            recorded
+        );
+        assert_eq!(emitted.len() as u64, m.complete_matches);
+        assert!(emitted.iter().all(|e| expected.binary_search(e).is_ok()));
+    }
+
+    #[test]
+    fn balanced_tree_climbs_through_a_right_hand_internal_node() {
+        check_four_leaf(TreeShapeKind::Balanced, [1159, 2283, 1429, 697, 53]);
+    }
+
+    #[test]
+    fn left_deep_tree_climbs_three_levels() {
+        check_four_leaf(TreeShapeKind::LeftDeep, [758, 1729, 1134, 723, 133]);
     }
 
     #[test]

@@ -240,15 +240,27 @@ impl SjTreeShape {
     /// (property 3 concerns runtime match collections).
     pub fn validate(&self, query: &QueryGraph) -> Result<(), QueryError> {
         // Property 1: root covers the whole query graph.
-        let root = self.node(self.root);
+        let root = self.nodes.get(self.root.0).ok_or_else(|| {
+            QueryError::InvalidDecomposition(format!("root {:?} is not a node", self.root))
+        })?;
         let all_edges: Vec<QueryEdgeId> = query.edge_ids().collect();
         if root.edges != all_edges {
             return Err(QueryError::InvalidDecomposition(
                 "root subgraph is not the full query graph".into(),
             ));
         }
-        for node in &self.nodes {
+        for (index, node) in self.nodes.iter().enumerate() {
             if let Some((l, r)) = node.children {
+                // Children are created before the node that joins them, so
+                // ids grow towards the root. The matcher's join climb splits
+                // its store vector at the parent's id and relies on every
+                // child lying below the split.
+                if node.id.0 != index || l.0 >= index || r.0 >= index {
+                    return Err(QueryError::InvalidDecomposition(format!(
+                        "node {:?} at position {index} does not come after its children {l:?} and {r:?}",
+                        node.id
+                    )));
+                }
                 // Property 2: node = union of children, children edge-disjoint.
                 let left = &self.nodes[l.0];
                 let right = &self.nodes[r.0];
@@ -490,6 +502,40 @@ mod tests {
         assert!(rendered.contains("join"));
         assert!(rendered.contains("cut on (k, l)"));
         assert!(rendered.contains("(a1:Article)-[mentions]->(k:Keyword)"));
+    }
+
+    #[test]
+    fn a_parent_that_precedes_its_child_is_rejected() {
+        // The constructors cannot produce this; a hand-edited checkpoint can.
+        // Swap the two internal nodes of a left-deep three-leaf tree, ids and
+        // pointers included, so everything but the creation order still holds.
+        let q = fig2_query();
+        let good = SjTreeShape::left_deep(&q, &fig2_primitives()).unwrap();
+        let (low, high) = (SjNodeId(3), SjNodeId(4));
+        let swap = |id: SjNodeId| match id {
+            id if id == low => high,
+            id if id == high => low,
+            id => id,
+        };
+        let mut bad = good.clone();
+        bad.nodes.swap(low.0, high.0);
+        for node in &mut bad.nodes {
+            node.id = swap(node.id);
+            node.parent = node.parent.map(swap);
+            node.children = node.children.map(|(l, r)| (swap(l), swap(r)));
+        }
+        bad.root = swap(bad.root);
+        let err = bad.validate(&q).unwrap_err();
+        assert!(
+            err.to_string().contains("does not come after its children"),
+            "{err}"
+        );
+        good.validate(&q).unwrap();
+        // The same shape through JSON (how a checkpoint carries it) is caught
+        // the same way.
+        let json = serde_json::to_string(&bad).unwrap();
+        let parsed: SjTreeShape = serde_json::from_str(&json).unwrap();
+        assert!(parsed.validate(&q).is_err());
     }
 
     #[test]

@@ -3,7 +3,10 @@
 //! warm, the `probe_then_insert` join step (key projection, bucket lookup,
 //! contiguous sibling scan, merge in the probe closure, insert into spare
 //! capacity) and binding merges perform no heap allocation for paper-sized
-//! queries. Uses a counting global allocator, so this test lives in its own
+//! queries — and neither does a whole `SjTreeMatcher::process_edge`: local
+//! search, the in-place join climb through both internal nodes, joined pairs
+//! and complete matches included.
+//! Uses a counting global allocator, so this test lives in its own
 //! integration-test binary. The count is per thread: the harness runs the
 //! tests of this file on parallel threads, and a process-wide counter would
 //! charge one test with its neighbours' warm-up allocations.
@@ -46,9 +49,11 @@ fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
 }
 
-use streamworks::engine::{JoinSide, PartialMatch, SharedJoinStore};
-use streamworks::query::{QueryEdgeId, QueryVertexId};
-use streamworks::{EdgeId, Timestamp, VertexId};
+use streamworks::engine::{JoinSide, PartialMatch, SharedJoinStore, SjTreeMatcher};
+use streamworks::query::{ManualDecomposition, QueryEdgeId, QueryVertexId};
+use streamworks::{
+    Duration, DynamicGraph, EdgeEvent, EdgeId, Planner, QueryGraphBuilder, Timestamp, VertexId,
+};
 
 fn pair_match(a: u32, b: u32, edge: u64, ts: i64) -> PartialMatch {
     let mut m = PartialMatch::seed(
@@ -121,6 +126,83 @@ fn probe_then_insert_is_allocation_free_once_warm() {
         "SharedJoinStore::probe_then_insert allocated on the warm probe path"
     );
     assert_eq!(hits, 64, "every probe scans its key's 4 left candidates");
+}
+
+#[test]
+fn whole_join_climb_is_allocation_free_once_warm() {
+    // The hot-wedge pattern pinned to three single-edge leaves, left-deep:
+    // ((e0 ⋈ e1 on k) ⋈ e2 on a1). Every mention edge files two leaf matches,
+    // each of which merges with the sibling side's matches under its keyword
+    // and files every joined pair at the root's left side; a located edge
+    // probes those pairs and emits complete matches.
+    let window = Duration::from_secs(96);
+    let query = QueryGraphBuilder::new("hot_wedge")
+        .window(window)
+        .vertex("a1", "Article")
+        .vertex("a2", "Article")
+        .vertex("k", "Keyword")
+        .vertex("l", "Location")
+        .edge("a1", "mentions", "k")
+        .edge("a2", "mentions", "k")
+        .edge("a1", "located", "l")
+        .build()
+        .unwrap();
+    let leaves = ManualDecomposition::new(vec![
+        vec![QueryEdgeId(0)],
+        vec![QueryEdgeId(1)],
+        vec![QueryEdgeId(2)],
+    ]);
+    let plan = Planner::new().plan_with(query, &leaves).unwrap();
+    assert_eq!(plan.shape.node_count(), 5);
+
+    // A periodic stream (period 384 s): 16 articles, 4 keywords, 2 cities,
+    // one located edge in eight. Every join key recurs well within the
+    // window, so after a few periods every bucket exists and every vector
+    // has seen its largest population.
+    let event = |i: u64| {
+        let t = Timestamp::from_secs(i as i64);
+        if i % 8 == 7 {
+            let (article, city) = (format!("a{}", (i / 8) % 16), format!("city{}", (i / 8) % 2));
+            EdgeEvent::new(article, "Article", city, "Location", "located", t)
+        } else {
+            let (article, keyword) = (format!("a{}", i % 16), format!("k{}", (i / 3) % 4));
+            EdgeEvent::new(article, "Article", keyword, "Keyword", "mentions", t)
+        }
+    };
+    let mut graph = DynamicGraph::unbounded();
+    let mut matcher = SjTreeMatcher::new(plan, &graph);
+    let mut out = Vec::new();
+    let (mut allocated, mut complete) = (0u64, 0usize);
+    const WARM_UP: u64 = 2_000;
+    const MEASURED: u64 = 2_000;
+    for i in 0..WARM_UP + MEASURED {
+        let ingested = graph.ingest(&event(i));
+        let edge = graph.edge(ingested.edge).unwrap().clone();
+        out.clear();
+        let before = allocations();
+        matcher.process_edge(&graph, &edge, &mut out);
+        if i >= WARM_UP {
+            allocated += allocations() - before;
+            complete += out.len();
+        }
+        // The engine's expiry cadence, scaled to this window.
+        if (i + 1) % 32 == 0 {
+            matcher.prune(edge.timestamp);
+        }
+    }
+    let metrics = matcher.metrics();
+    assert!(complete > 1_000, "only {complete} complete matches");
+    assert!(
+        metrics.joins_succeeded > 10 * MEASURED,
+        "only {} joined pairs and complete matches",
+        metrics.joins_succeeded
+    );
+    assert!(metrics.partial_matches_expired > 0, "the window never slid");
+    assert_eq!(metrics.binding_spills, 0);
+    assert_eq!(
+        allocated, 0,
+        "SjTreeMatcher::process_edge allocated {allocated} times over {MEASURED} steady-state events"
+    );
 }
 
 #[test]
