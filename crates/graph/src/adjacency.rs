@@ -11,7 +11,9 @@
 //!
 //! Expired edges are removed lazily: [`crate::DynamicGraph`] drops them from
 //! its edge table immediately, and adjacency vectors are compacted once their
-//! dead fraction crosses a threshold. Iteration checks liveness against the
+//! dead fraction crosses a threshold — or freed outright when their last live
+//! entry dies, so a vertex that has gone quiet holds no adjacency storage
+//! ([`AdjacencyList::release_if_dead`]). Iteration checks liveness against the
 //! edge table — or, in [`AdjacencyList::entries_after`], against the
 //! retention horizon, which needs no lookup: an edge is expired exactly when
 //! its timestamp falls behind the horizon — so stale entries are never
@@ -219,6 +221,22 @@ impl AdjacencyList {
         self.dead >= 32 && self.dead * 2 >= self.raw_len()
     }
 
+    /// Frees the whole list once it holds nothing but stale entries, however
+    /// few; true if it did.
+    ///
+    /// That is a vertex gone quiet (an article whose mentions have all
+    /// expired). [`Self::should_compact`] would leave its buffers allocated
+    /// for good; handed back at once, the allocator reuses them for the next
+    /// new vertex, so ingest writes to warm memory and a stream of ever-new
+    /// vertices keeps no dead buffers per vertex.
+    pub fn release_if_dead(&mut self) -> bool {
+        let dead = self.dead > 0 && !self.out.iter().chain(&self.inc).any(|(_, b)| b.live > 0);
+        if dead {
+            *self = AdjacencyList::new();
+        }
+        dead
+    }
+
     /// Removes every entry for which `is_live` returns `false`.
     pub fn compact(&mut self, mut is_live: impl FnMut(EdgeId) -> bool) {
         for side in [&mut self.out, &mut self.inc] {
@@ -338,6 +356,24 @@ mod tests {
         adj.compact(|e| e.0 != 3);
         assert!(!disordered(&adj));
         assert_eq!(newer_than_4(&adj), vec![6, 5, 5]);
+    }
+
+    #[test]
+    fn a_list_is_released_when_its_last_live_entry_dies() {
+        let mut adj = AdjacencyList::new();
+        assert!(!adj.release_if_dead(), "nothing to free");
+        adj.push(Direction::Out, TypeId(0), entry(0, 0));
+        adj.push(Direction::In, TypeId(1), entry(1, 1));
+        adj.note_dead(Direction::Out, TypeId(0));
+        assert!(!adj.release_if_dead(), "one entry is still live");
+        assert_eq!(adj.raw_len(), 2);
+        adj.note_dead(Direction::In, TypeId(1));
+        assert!(adj.release_if_dead());
+        assert_eq!((adj.raw_len(), adj.dead_len()), (0, 0));
+        assert_eq!(adj.out.capacity() + adj.inc.capacity(), 0);
+        // The list is as good as new.
+        adj.push(Direction::Out, TypeId(0), entry(2, 2));
+        assert_eq!(adj.live_count(Direction::Out, TypeId(0)), 1);
     }
 
     #[test]

@@ -209,6 +209,9 @@ pub struct DynamicGraph {
     vertex_type_counts: Vec<u64>,
     /// Cumulative number of ingested edges (including expired ones).
     ingested_edges: u64,
+    /// The source vertex of the last ingested event and the type its event
+    /// named (see `ensure_source`).
+    last_source: Option<(VertexId, TypeId)>,
 }
 
 impl DynamicGraph {
@@ -228,6 +231,7 @@ impl DynamicGraph {
             edge_type_counts: Vec::new(),
             vertex_type_counts: Vec::new(),
             ingested_edges: 0,
+            last_source: None,
             config,
         }
     }
@@ -373,7 +377,7 @@ impl DynamicGraph {
     /// vertices, inserts the edge, advances stream time and expires edges that
     /// fall out of the retention window.
     pub fn ingest(&mut self, event: &EdgeEvent) -> IngestResult {
-        let (src, src_created) = self.ensure_vertex(&event.src_key, &event.src_type);
+        let (src, src_created) = self.ensure_source(&event.src_key, &event.src_type);
         let (dst, dst_created) = self.ensure_vertex(&event.dst_key, &event.dst_type);
         let etype = self.intern_edge_type(&event.edge_type);
         let (edge, expired) =
@@ -386,6 +390,24 @@ impl DynamicGraph {
             dst_created,
             expired,
         }
+    }
+
+    /// [`Self::ensure_vertex`] for the source of an ingested event. An
+    /// entity's edges tend to arrive together (an article and its mentions, a
+    /// host and its burst of flows), so the last source is remembered and
+    /// recognised by two string compares in place of two hash look-ups. The
+    /// type label has to repeat as well: a label not seen before must still be
+    /// interned, even though an existing vertex keeps its first type.
+    fn ensure_source(&mut self, key: &str, vtype_name: &str) -> (VertexId, bool) {
+        if let Some((v, named)) = self.last_source {
+            if self.vertex_key(v) == Some(key) && self.vertex_type_name(named) == Some(vtype_name) {
+                return (v, false);
+            }
+        }
+        let named = self.intern_vertex_type(vtype_name);
+        let (v, created) = self.ensure_vertex_typed(key, named);
+        self.last_source = Some((v, named));
+        (v, created)
     }
 
     /// Inserts an edge between two existing vertices with a pre-interned type.
@@ -489,7 +511,7 @@ impl DynamicGraph {
             let adj = &mut self.adjacency[edge.src.index()];
             adj.note_dead(Direction::Out, edge.etype);
             adj.note_dead(Direction::In, edge.etype);
-            if adj.should_compact() {
+            if !adj.release_if_dead() && adj.should_compact() {
                 let edges = &self.edges;
                 adj.compact(|e| edges.contains(e));
             }
@@ -498,7 +520,7 @@ impl DynamicGraph {
         for (v, dir) in [(edge.src, Direction::Out), (edge.dst, Direction::In)] {
             let adj = &mut self.adjacency[v.index()];
             adj.note_dead(dir, edge.etype);
-            if adj.should_compact() {
+            if !adj.release_if_dead() && adj.should_compact() {
                 let edges = &self.edges;
                 adj.compact(|e| edges.contains(e));
             }
@@ -782,6 +804,57 @@ mod tests {
         assert_eq!(g.vertex_count(), 3);
         assert_eq!(g.live_edge_count(), 2);
         assert_eq!(g.vertex_by_key("a"), Some(r1.src));
+    }
+
+    #[test]
+    fn a_repeated_source_resolves_like_a_first_one() {
+        let mut g = DynamicGraph::unbounded();
+        let typed = |src: &str, src_type: &str, dst: &str, t: i64| {
+            EdgeEvent::new(src, src_type, dst, "IP", "flow", Timestamp::from_secs(t))
+        };
+        let first = g.ingest(&typed("a", "Host", "b", 1));
+        let again = g.ingest(&typed("a", "Host", "c", 2));
+        assert_eq!((again.src, again.src_created), (first.src, false));
+        // Another key, and the remembered key under a label not seen before:
+        // the label is interned, the vertex keeps its first type.
+        let other = g.ingest(&typed("b", "IP", "a", 3));
+        assert_eq!((other.src, other.src_created), (first.dst, false));
+        let relabelled = g.ingest(&typed("b", "Router", "a", 4));
+        assert_eq!((relabelled.src, relabelled.src_created), (first.dst, false));
+        assert!(g.vertex_type_id("Router").is_some());
+        assert_eq!(
+            g.vertex(first.dst).unwrap().vtype,
+            g.vertex_type_id("IP").unwrap()
+        );
+        let back = g.ingest(&typed("a", "Host", "b", 5));
+        assert_eq!((back.src, back.src_created), (first.src, false));
+        assert_eq!(g.vertex_count(), 3);
+        assert_eq!(g.degree(first.src), 5);
+    }
+
+    #[test]
+    fn a_vertex_gone_quiet_keeps_no_adjacency_storage() {
+        // A stream of ever-new sources into one hub: once a source's edges
+        // have expired its list is freed, not left for a compaction threshold
+        // (32 stale entries) it would never reach.
+        let mut g = DynamicGraph::new(GraphConfig::with_retention(Duration::from_secs(10)));
+        for i in 0..200 {
+            g.ingest(&event(&format!("s{i}"), "hub", "flow", i));
+            g.ingest(&event(&format!("s{i}"), "hub", "login", i));
+        }
+        let quiet = g.vertex_by_key("s0").unwrap();
+        assert_eq!(g.adjacency[quiet.index()].raw_len(), 0);
+        let stored: usize = g.adjacency.iter().map(AdjacencyList::raw_len).sum();
+        let hub = g.vertex_by_key("hub").unwrap();
+        assert_eq!(
+            stored - g.adjacency[hub.index()].raw_len(),
+            g.live_edge_count()
+        );
+        // A quiet vertex that speaks again starts from an empty list.
+        g.ingest(&event("s0", "hub", "flow", 200));
+        let flow = g.edge_type_id("flow").unwrap();
+        assert_eq!(g.degree_by_type(quiet, Direction::Out, flow), 1);
+        assert_eq!(g.neighbors(quiet, Direction::Out, flow).count(), 1);
     }
 
     #[test]

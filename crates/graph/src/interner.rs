@@ -20,6 +20,9 @@ pub struct Interner {
     names: Vec<String>,
 }
 
+/// Up to this many names [`Interner::lookup`] scans instead of hashing.
+const SCAN_LIMIT: usize = 8;
+
 impl Interner {
     /// Creates an empty interner.
     pub fn new() -> Self {
@@ -36,7 +39,7 @@ impl Interner {
 
     /// Interns `name`, returning its symbol. Idempotent.
     pub fn intern(&mut self, name: &str) -> u32 {
-        if let Some(&sym) = self.by_name.get(name) {
+        if let Some(sym) = self.lookup(name) {
             return sym;
         }
         let sym = self.names.len() as u32;
@@ -46,7 +49,13 @@ impl Interner {
     }
 
     /// Returns the symbol for `name` if it has been interned before.
+    #[inline]
     pub fn lookup(&self, name: &str) -> Option<u32> {
+        // A handful of names (the type labels: three look-ups per ingested
+        // edge) is compared faster than one of them is hashed.
+        if self.names.len() <= SCAN_LIMIT {
+            return self.names.iter().position(|n| n == name).map(|i| i as u32);
+        }
         self.by_name.get(name).copied()
     }
 
@@ -108,6 +117,21 @@ mod tests {
         }
         let collected: Vec<_> = i.iter().map(|(s, _)| s).collect();
         assert_eq!(collected, (0u32..100).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn lookup_agrees_on_both_sides_of_the_scan_limit() {
+        let mut i = Interner::new();
+        for n in 0..2 * SCAN_LIMIT {
+            let name = format!("label-{n}");
+            assert_eq!(i.lookup(&name), None);
+            assert_eq!(i.intern(&name), n as u32);
+            for earlier in 0..=n {
+                assert_eq!(i.lookup(&format!("label-{earlier}")), Some(earlier as u32));
+            }
+        }
+        assert_eq!(i.intern("label-3"), 3);
+        assert_eq!(i.len(), 2 * SCAN_LIMIT);
     }
 
     #[test]
