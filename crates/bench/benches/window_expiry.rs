@@ -8,7 +8,9 @@
 //! regime the pre-unification `MatchStore` FIFO queue could not sweep past
 //! (stale matches were retained behind an in-window head, inflating
 //! `partial_matches_live` and every probe over the bloated buckets). The
-//! unified `SharedJoinStore`'s min-heap schedule sweeps it exactly.
+//! unified `SharedJoinStore` sweeps it exactly: its expiry pass reads the
+//! metadata of every held match, wherever in its ring the match was filed,
+//! and moves no survivor.
 //!
 //! Set `STREAMWORKS_BENCH_SMOKE=1` to run on CI-sized inputs.
 
@@ -66,7 +68,7 @@ fn bench_skewed_expiry(c: &mut Criterion) {
     // half the window in the past (bounded skew, as from a lagging producer).
     // Matches seeded by — or merged with — those edges carry older earliest
     // values than matches already stored, exactly the ordering the exact
-    // min-heap expiry exists for.
+    // (every held match, not a FIFO head) expiry sweep exists for.
     let window = Duration::from_mins(10);
     let mut events = workload(if smoke() { 150 } else { 1_500 });
     for (i, ev) in events.iter_mut().enumerate() {

@@ -425,6 +425,11 @@ pub struct ContinuousQueryEngine {
     delivery_scratch: Vec<Delivery>,
     /// Monotonic token generator for subscription ids.
     next_subscription: u64,
+    /// Durable subscriptions across all live queries, so the end-of-ingest
+    /// delivery pass costs nothing while there are none. Kept at
+    /// `subscribe_durable`, `unsubscribe`, `deregister` and checkpoint
+    /// restore (`attach_durable`).
+    live_durables: usize,
     /// Type info of live edges, used to update the summary on expiry.
     live_edge_types: EdgeTypeSlab,
     edges_since_prune: u64,
@@ -485,6 +490,7 @@ impl ContinuousQueryEngine {
             private_dispatch: Vec::new(),
             delivery_scratch: Vec::new(),
             next_subscription: 0,
+            live_durables: 0,
             live_edge_types: EdgeTypeSlab::default(),
             edges_since_prune: 0,
             events_ingested: 0,
@@ -598,6 +604,7 @@ impl ContinuousQueryEngine {
             Err(_) => {}
         }
         self.state_mut(handle)?.durables.push(sub);
+        self.live_durables += 1;
         Ok(())
     }
 
@@ -750,8 +757,9 @@ impl ContinuousQueryEngine {
     /// already admitted under the old horizon stay until they expire.
     pub fn deregister(&mut self, handle: QueryHandle) -> Result<(), EngineError> {
         let slot = self.slot_mut(handle)?;
-        slot.state = None;
+        let dropped = slot.state.take().map_or(0, |state| state.durables.len());
         slot.generation = slot.generation.wrapping_add(1);
+        self.live_durables -= dropped;
         self.free_slots.push(handle.id().0 as u32);
         // Release the query's shared-index subscriptions; entries it was the
         // last subscriber of are freed, and its adverts are purged.
@@ -1262,6 +1270,7 @@ impl ContinuousQueryEngine {
         state
             .durables
             .push(DurableSub::new(token, spec, capacity, overflow));
+        self.live_durables += 1;
         self.next_subscription += 1;
         Ok(SubscriptionId {
             query: handle.id(),
@@ -1317,14 +1326,20 @@ impl ContinuousQueryEngine {
     /// allow an attempt drains as much of its outbox as the destination
     /// accepts.
     fn drain_deliveries(&mut self) {
+        if self.live_durables == 0 {
+            return;
+        }
         let policy = self.config.retry_policy;
+        let mut walked = 0;
         for slot in &mut self.queries {
             if let Some(state) = slot.state.as_mut() {
                 for durable in &mut state.durables {
                     durable.drain(&policy, false);
                 }
+                walked += state.durables.len();
             }
         }
+        debug_assert_eq!(walked, self.live_durables, "live durable count drifted");
     }
 
     /// Detaches a subscription (in-process or durable). The sink is dropped;
@@ -1337,12 +1352,14 @@ impl ContinuousQueryEngine {
             .get_mut(sub.query.0)
             .and_then(|slot| slot.state.as_mut())
             .ok_or(EngineError::UnknownSubscription(sub))?;
-        let before = state.subscribers.len() + state.durables.len();
+        let (subscribers, durables) = (state.subscribers.len(), state.durables.len());
         state.subscribers.retain(|s| s.token != sub.token);
         state.durables.retain(|d| d.token != sub.token);
-        if state.subscribers.len() + state.durables.len() == before {
+        let detached = durables - state.durables.len();
+        if state.subscribers.len() == subscribers && detached == 0 {
             return Err(EngineError::UnknownSubscription(sub));
         }
+        self.live_durables -= detached;
         Ok(())
     }
 
@@ -2350,8 +2367,20 @@ mod tests {
             engine.subscription_health(sub).unwrap(),
             SubscriptionHealth::Active
         );
+        assert_eq!(engine.live_durables, 1);
         engine.unsubscribe(sub).unwrap();
         assert_eq!(engine.subscription_count(handle).unwrap(), 0);
+        // The count the end-of-ingest pass is skipped on follows every way a
+        // durable subscription can go.
+        assert_eq!(engine.live_durables, 0);
+        for _ in 0..2 {
+            engine
+                .subscribe_durable(handle, SinkSpec::Memory { key: key.into() })
+                .unwrap();
+        }
+        engine.deregister(handle).unwrap();
+        assert_eq!(engine.live_durables, 0);
+        engine.ingest(&events).unwrap();
         reset_memory_sink(key);
     }
 

@@ -3,13 +3,12 @@
 //!
 //! Each **internal** SJ-Tree node "maintains a set of matching subgraphs"
 //! (paper property 3) for both of its children. Sibling nodes project onto
-//! the same cut — the parent's join key — so instead of one store per child
-//! (two hash maps, an insert + probe costing two lookups), one
-//! [`SharedJoinStore`] per internal node holds both children's matches in a
-//! single map from [`JoinKey`] to a two-sided bucket:
-//! [`SharedJoinStore::probe_then_insert`] finds the bucket once, scans the
-//! sibling side for join candidates, and files the new match on its own side
-//! — one hash operation for the whole §4.2 join step.
+//! the same cut — the parent's join key — so one [`SharedJoinStore`] per
+//! internal node holds both children's matches, and
+//! [`SharedJoinStore::probe_then_insert`] is the whole §4.2 join step: one
+//! hash look-up finds the key's newest match on either side, the sibling
+//! side's matches under the key are offered as join candidates, and the new
+//! match is filed on its own side.
 //!
 //! Both the in-process [`crate::SjTreeMatcher`] and the shard workers of
 //! [`crate::ShardedMatcher`] drive this store through `probe_then_insert`,
@@ -20,40 +19,51 @@
 //! The closure runs while the sibling side is borrowed and may not touch
 //! *this* store; it never needs to, because a merge belongs one node up.
 //!
-//! Hot-path representation:
+//! Representation — **file in stream order, expire without moving**. The
+//! unselective side of a join files matches that almost never complete
+//! (arxiv 1306.2459; on `join_hot` 38 pairs per event, ~94 % of which expire
+//! unprobed), so what a *stored* match costs decides the rate:
 //!
-//! * [`JoinKey`] is an inline small-vector (cuts of real queries are 1–2
-//!   vertices; up to 4 stay allocation-free), and key projection appends into
-//!   it without heap work.
-//! * Matches are stored **contiguously inside their bucket side**, so a
-//!   probe is a sequential scan — no handle chasing on the path every join
-//!   attempt walks — and by value: 176 heap-free bytes each for a
-//!   paper-sized query (`crate::binding`), moved in once by the caller.
-//! * Expiry is **exact** and scheduled by a real min-heap keyed on earliest
-//!   timestamp. The heap holds one entry per *bucket side* — that side's
-//!   minimum earliest — rather than one per match: an entry is pushed only
-//!   when a side's minimum decreases (for streams with mostly-increasing
-//!   timestamps that is once per side, not once per match — a per-match heap
-//!   measured ~25% slower end to end on the join-heavy bench), and
-//!   superseded entries are dropped by **lazy stale deletion** when popped.
-//!   [`SharedJoinStore::expire_older_than`] pops every side whose minimum
-//!   predates the cutoff and sweeps exactly that side — nothing is ever
-//!   retained behind an in-window head (the failure mode of the retired
-//!   `MatchStore`'s FIFO queue), so `partial_matches_live` is exact on every
-//!   execution path, and a prune pass only ever touches bucket sides that
-//!   actually contain expirable matches. A pass that cannot remove anything
-//!   costs one heap peek.
+//! * Each side is one **ring of matches in filing order** (`Ring`): a
+//!   payload array (176 heap-free bytes per match of a paper-sized query,
+//!   `crate::binding`) and a parallel 16-byte metadata array (`earliest`,
+//!   covered edge count or the tombstone mark, distance back to the next
+//!   older match under the same key). Filing appends at the ring's tail — a
+//!   sequential write, whatever the key — and a live match never moves.
+//! * A **key is a chain through the ring**: the hash index maps a
+//!   [`JoinKey`] to the position of its newest match on each side, and each
+//!   match links back to its predecessor. A probe walks the sibling chain
+//!   newest → oldest through the metadata and touches a payload only to
+//!   offer it. Positions are 64-bit (2⁶⁴ filings are out of reach) and only
+//!   ever compared with the ring's front, so a stale link — one the front
+//!   has passed — ends the chain and needs no clean-up.
+//! * Expiry is **exact** and reads **metadata only**: one compare against
+//!   the side's minimum `earliest` decides whether anything can go; if so,
+//!   one sequential pass over the metadata tombstones, counts and
+//!   un-histograms every expired match — wherever it sits, so a skewed
+//!   stream cannot hide state behind an in-window head — and the front
+//!   advances past leading tombstones by index. No payload is read (a stale
+//!   one is dropped when its slot is overwritten), **no survivor moves**,
+//!   and every accessor reflects a tombstone at once.
+//! * The one move left is **compaction**: when a side's tombstones exceed
+//!   `COMPACT_FACTOR` × its live matches + `COMPACT_FLOOR` — a long-lived
+//!   match pinning the front while short-lived ones die behind it — the
+//!   survivors are re-filed at the front, in order and in place. The
+//!   expirations that caused it pay for it, and slots held stay within
+//!   `(1 + COMPACT_FACTOR) × live + COMPACT_FLOOR` after every sweep.
 //! * The store maintains a histogram of covered query edges over live
 //!   matches, so "best partial match" queries are O(1) reads and an expiry
 //!   burst never rescans the store to restore the maximum.
+//!
+//! Tried on `join_hot` (cycles/event; per-key `Vec` pairs + a min-heap of side
+//! minima: 17.4 k): slab + free list 19.6 k, append log compacted when half
+//! dead 13.9 k, `VecDeque` ring 14.6 k, this ring 12.3–13.7 k, no filing 8.5 k.
 
 use crate::binding::PartialMatch;
 use smallvec::SmallVec;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use streamworks_graph::hash::FxHashMap;
-use streamworks_graph::{Timestamp, VertexId};
-use streamworks_query::QueryVertexId;
+use streamworks_graph::{EdgeId, Timestamp, VertexId};
+use streamworks_query::{QueryEdgeId, QueryVertexId};
 
 /// The join-key projection of a binding: the data vertices bound to the cut
 /// vertices, in cut order. Inline up to 4 cut vertices — covering every plan
@@ -83,62 +93,202 @@ impl JoinSide {
 
     #[inline]
     fn index(self) -> usize {
-        match self {
-            JoinSide::Left => 0,
-            JoinSide::Right => 1,
-        }
+        self as usize
     }
 }
 
-/// One key's matches, split by which child they belong to, plus the running
-/// minimum earliest timestamp per side (the value the expiry heap schedules
-/// on; `Timestamp(i64::MAX)` for an empty side).
-#[derive(Debug)]
-struct SideBucket {
-    sides: [Vec<PartialMatch>; 2],
-    min_earliest: [Timestamp; 2],
+fn project(key_vertices: &[QueryVertexId], m: &PartialMatch) -> Option<JoinKey> {
+    let mut key = JoinKey::new();
+    m.binding
+        .project_into(key_vertices, &mut key)
+        .then_some(key)
 }
 
-impl Default for SideBucket {
-    fn default() -> Self {
-        SideBucket {
-            sides: [Vec::new(), Vec::new()],
-            min_earliest: [Timestamp(i64::MAX), Timestamp(i64::MAX)],
-        }
-    }
-}
+/// "No position": the index value of a key with nothing filed on a side.
+const NONE: u64 = u64::MAX;
+/// `Meta::edges` of a tombstone.
+const DEAD: u32 = u32::MAX;
+/// A side is compacted when its tombstones exceed `COMPACT_FACTOR` × its
+/// live matches + `COMPACT_FLOOR`.
+const COMPACT_FACTOR: usize = 2;
+const COMPACT_FLOOR: usize = 64;
 
-/// One scheduled sweep: "bucket `key`, side `side`, had minimum `earliest`".
-/// An entry is stale — dropped when popped — if the side has since been
-/// swept, emptied, or re-scheduled under a smaller minimum.
-#[derive(Debug, Clone)]
-struct ExpiryEntry {
+/// What a sweep and a chain walk read of a match, without its payload.
+#[derive(Debug, Clone, Copy, Default)]
+struct Meta {
     earliest: Timestamp,
-    key: JoinKey,
-    side: JoinSide,
+    /// Distance back to the next older match under the same key (0 = none).
+    /// A link the front has passed ends the chain just the same.
+    back: u32,
+    /// Query edges covered, or [`DEAD`].
+    edges: u32,
 }
 
-// `BinaryHeap` is a max-heap; order entries by *descending* earliest so the
-// oldest side minimum surfaces first. The key is deliberately excluded from
-// the ordering (entries with equal timestamps pop in unspecified order,
-// which expiry does not care about).
-impl PartialEq for ExpiryEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.earliest == other.earliest && self.side == other.side
-    }
+/// Any value will do for a slot nothing reads; this one owns no heap.
+fn stale_match() -> PartialMatch {
+    PartialMatch::seed(0, QueryEdgeId(0), EdgeId(0), Timestamp(0))
 }
-impl Eq for ExpiryEntry {}
-impl PartialOrd for ExpiryEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
+
+/// One side's matches in filing order. Position `head + i` lives in slot
+/// `(head_slot + i) mod slots.len()` for `i < held`; slots outside that
+/// range hold stale values nothing reads.
+#[derive(Debug)]
+struct Ring {
+    slots: Vec<PartialMatch>,
+    meta: Vec<Meta>,
+    /// Position of the oldest slot still held.
+    head: u64,
+    head_slot: usize,
+    /// Slots between front and tail: live matches plus tombstones the front
+    /// has not passed yet.
+    held: usize,
+    live: usize,
+    /// Lower bound on `earliest` over live matches, exact after a sweep.
+    min_earliest: Timestamp,
 }
-impl Ord for ExpiryEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .earliest
-            .cmp(&self.earliest)
-            .then_with(|| other.side.cmp(&self.side))
+
+impl Ring {
+    fn new() -> Self {
+        Ring {
+            slots: Vec::new(),
+            meta: Vec::new(),
+            head: 0,
+            head_slot: 0,
+            held: 0,
+            live: 0,
+            min_earliest: Timestamp(i64::MAX),
+        }
+    }
+
+    /// The slot `offset` positions behind the front.
+    #[inline]
+    fn slot_at(&self, offset: usize) -> usize {
+        let slot = self.head_slot + offset;
+        if slot >= self.slots.len() {
+            slot - self.slots.len()
+        } else {
+            slot
+        }
+    }
+
+    /// The slot of `position` if the ring still holds it: not [`NONE`] and
+    /// not passed by the front (a position is never ahead of the tail).
+    #[inline]
+    fn slot_of(&self, position: u64) -> Option<usize> {
+        let offset = position.wrapping_sub(self.head);
+        (offset < self.held as u64).then(|| self.slot_at(offset as usize))
+    }
+
+    /// The live matches of the chain starting at `newest`, newest first.
+    #[inline]
+    fn chain(&self, newest: u64) -> impl Iterator<Item = &PartialMatch> {
+        let mut position = newest;
+        std::iter::from_fn(move || loop {
+            let slot = self.slot_of(position)?;
+            let meta = self.meta[slot];
+            position = match meta.back {
+                0 => NONE,
+                back => position - u64::from(back),
+            };
+            if meta.edges != DEAD {
+                return Some(&self.slots[slot]);
+            }
+        })
+    }
+
+    /// Live matches, oldest filed first.
+    fn live(&self) -> impl Iterator<Item = &PartialMatch> {
+        (0..self.held)
+            .map(|offset| self.slot_at(offset))
+            .filter(|&slot| self.meta[slot].edges != DEAD)
+            .map(|slot| &self.slots[slot])
+    }
+
+    /// Consumes the ring into its live matches, oldest filed first.
+    fn into_live(mut self) -> impl Iterator<Item = PartialMatch> {
+        self.slots.rotate_left(self.head_slot);
+        self.meta.rotate_left(self.head_slot);
+        let live = self.slots.into_iter().zip(self.meta).take(self.held);
+        live.filter(|(_, meta)| meta.edges != DEAD).map(|(m, _)| m)
+    }
+
+    /// Appends `m` at the tail, linked behind `newest` (the key's chain so
+    /// far), and returns its position. Overwriting the slot drops the stale
+    /// payload left there.
+    #[inline]
+    fn push(&mut self, m: PartialMatch, newest: u64) -> u64 {
+        if self.held == self.slots.len() {
+            self.grow();
+        }
+        let position = self.head + self.held as u64;
+        let slot = self.slot_at(self.held);
+        let back = self.slot_of(newest).map_or(0, |_| position - newest);
+        self.meta[slot] = Meta {
+            earliest: m.earliest,
+            back: back as u32, // below `held`, which `grow` keeps within 32 bits
+            edges: m.edge_count() as u32,
+        };
+        self.min_earliest = self.min_earliest.min(m.earliest);
+        self.slots[slot] = m;
+        self.held += 1;
+        self.live += 1;
+        position
+    }
+
+    /// Makes room behind a full ring: an eighth more slots, so the moves of
+    /// straightening the ring are amortised and — unlike doubling — the
+    /// slots a steady population cycles through stay close to its peak.
+    #[cold]
+    fn grow(&mut self) {
+        self.slots.rotate_left(self.head_slot);
+        self.meta.rotate_left(self.head_slot);
+        self.head_slot = 0;
+        let len = self.slots.len() + (self.slots.len() / 8).max(16);
+        assert!(len <= u32::MAX as usize, "chain links are 32-bit distances");
+        self.slots.resize(len, stale_match());
+        self.meta.resize(len, Meta::default());
+    }
+
+    /// Tombstones every live match with `earliest < cutoff`, taking it out
+    /// of `histogram`, and advances the front past leading tombstones.
+    /// Reads and writes metadata only. Returns the number expired.
+    fn expire(&mut self, cutoff: Timestamp, histogram: &mut [u32]) -> usize {
+        if self.min_earliest >= cutoff {
+            return 0;
+        }
+        let (wrapped, straight) = self.meta.split_at_mut(self.head_slot);
+        let straight_len = self.held.min(straight.len());
+        let held = straight[..straight_len]
+            .iter_mut()
+            .chain(&mut wrapped[..self.held - straight_len]);
+        let (mut removed, mut leading, mut min) = (0, 0, Timestamp(i64::MAX));
+        for (offset, meta) in held.enumerate() {
+            if meta.edges != DEAD {
+                if meta.earliest < cutoff {
+                    histogram[meta.edges as usize] -= 1;
+                    meta.edges = DEAD;
+                    removed += 1;
+                } else {
+                    min = min.min(meta.earliest);
+                    continue;
+                }
+            }
+            // A tombstone: it leads if every slot before it did too.
+            leading += usize::from(leading == offset);
+        }
+        self.head += leading as u64;
+        self.head_slot = self.slot_at(leading);
+        self.held -= leading;
+        self.live -= removed;
+        self.min_earliest = min;
+        removed
+    }
+
+    fn clear(&mut self) {
+        self.slots.clear();
+        self.meta.clear();
+        (self.head_slot, self.held, self.live) = (0, 0, 0);
+        self.min_earliest = Timestamp(i64::MAX);
     }
 }
 
@@ -152,23 +302,10 @@ pub struct SharedJoinStore {
     /// The cut vertices of the owning internal node (the join key both
     /// children project onto).
     key_vertices: Vec<QueryVertexId>,
-    /// Hash index from join key to the two-sided match bucket.
-    buckets: FxHashMap<JoinKey, SideBucket>,
-    /// Per-side backlog of matches whose key had no bucket when they were
-    /// filed: they stay out of the hash index entirely until the sibling
-    /// side's next probe drains them in (amortized one hash op per match,
-    /// and matches that expire un-probed never touch the index at all —
-    /// the asymmetric-selectivity regime the decomposition deliberately
-    /// creates).
-    pending: [Vec<PartialMatch>; 2],
-    /// Minimum earliest timestamp per pending backlog
-    /// (`Timestamp(i64::MAX)` when empty); the exact-expiry guard for the
-    /// unindexed segment.
-    pending_min: [Timestamp; 2],
-    /// Exact-expiry schedule for the bucket index: min-heap of per-side
-    /// minima (see module docs).
-    expiry: BinaryHeap<ExpiryEntry>,
-    live: [usize; 2],
+    /// Position of each key's newest match per side ([`NONE`], or a
+    /// position the front has passed, for an empty chain).
+    chains: FxHashMap<JoinKey, [u64; 2]>,
+    rings: [Ring; 2],
     inserted_total: u64,
     expired_total: u64,
     /// Live-match counts by covered edge count (index = `edge_count()`),
@@ -182,11 +319,8 @@ impl SharedJoinStore {
     pub fn new(key_vertices: Vec<QueryVertexId>) -> Self {
         SharedJoinStore {
             key_vertices,
-            buckets: FxHashMap::default(),
-            pending: [Vec::new(), Vec::new()],
-            pending_min: [Timestamp(i64::MAX), Timestamp(i64::MAX)],
-            expiry: BinaryHeap::new(),
-            live: [0, 0],
+            chains: FxHashMap::default(),
+            rings: [Ring::new(), Ring::new()],
             inserted_total: 0,
             expired_total: 0,
             edge_histogram: Vec::new(),
@@ -201,7 +335,7 @@ impl SharedJoinStore {
 
     /// Live matches stored across both sides.
     pub fn len(&self) -> usize {
-        self.live[0] + self.live[1]
+        self.rings[0].live + self.rings[1].live
     }
 
     /// True if no matches are stored.
@@ -211,7 +345,7 @@ impl SharedJoinStore {
 
     /// Live matches stored for one child.
     pub fn side_len(&self, side: JoinSide) -> usize {
-        self.live[side.index()]
+        self.rings[side.index()].live
     }
 
     /// Total matches ever inserted.
@@ -224,10 +358,10 @@ impl SharedJoinStore {
         self.expired_total
     }
 
-    /// Entries currently in the expiry schedule (live side minima plus
-    /// not-yet-popped stale entries); exposed for capacity tests.
+    /// Dead slots not yet reclaimed (tombstones no front has passed), so
+    /// `len() + expiry_backlog()` is the slots held; for capacity tests.
     pub fn expiry_backlog(&self) -> usize {
-        self.expiry.len()
+        self.rings.iter().map(|ring| ring.held - ring.live).sum()
     }
 
     /// Largest number of query edges covered by any live match (0 if empty).
@@ -238,25 +372,24 @@ impl SharedJoinStore {
     /// Computes the join key this store files `m` under (the projection onto
     /// the cut). `None` if the match does not bind every cut vertex.
     pub fn join_key_for(&self, m: &PartialMatch) -> Option<JoinKey> {
-        let mut key = JoinKey::new();
-        if m.binding.project_into(&self.key_vertices, &mut key) {
-            Some(key)
-        } else {
-            None
-        }
+        project(&self.key_vertices, m)
     }
 
     /// Scans the sibling side of `key` for join candidates — calling
     /// `probe(&m, candidate)` for each — and then files `m` under `key` on
     /// `side`. One hash lookup covers both the probe and the insert, the
-    /// sibling scan is a contiguous walk, and the whole step performs no
-    /// allocation once the store's capacities are warm.
+    /// insert is a sequential write at the side's tail, and the whole step
+    /// performs no allocation once the store's capacities are warm.
     ///
     /// The probe-before-store order is the join discipline every execution
     /// mode shares: a match never joins with matches on its own side, so
     /// every (left, right) pair under a key is offered to `probe` exactly
     /// once, by whichever member is filed later. Candidates are offered
-    /// newest first.
+    /// newest first. The order is observable: the in-place climb files each
+    /// merge's result (and everything it completes higher up) before the
+    /// next candidate is offered, so it decides which matches a per-node cap
+    /// drops and the order complete matches come out in. The counters
+    /// recorded in `sj_matcher`'s four-leaf tests pin it.
     pub fn probe_then_insert<F>(
         &mut self,
         side: JoinSide,
@@ -266,53 +399,19 @@ impl SharedJoinStore {
     ) where
         F: FnMut(&PartialMatch, &PartialMatch),
     {
-        let earliest = m.earliest;
         let edge_count = m.edge_count();
-
-        // Any sibling match this probe must see is either already in the
-        // bucket index or in the sibling's pending backlog: drain the
-        // backlog first (a no-op in the join-heavy steady state, where
-        // buckets exist and nothing ever goes pending).
-        self.drain_pending(side.other());
-
-        match self.buckets.get_mut(key.as_slice()) {
-            Some(bucket) => {
-                // Newest sibling first. The order is observable: the
-                // in-place climb files each merge's result (and everything
-                // it completes higher up) before the next candidate is
-                // offered, so it decides which matches a per-node cap drops
-                // and the order complete matches come out in. The counters
-                // recorded in `sj_matcher`'s four-leaf tests pin it.
-                for candidate in bucket.sides[side.other().index()].iter().rev() {
-                    probe(&m, candidate);
-                }
-                bucket.sides[side.index()].push(m);
-                // Schedule the side for expiry only when its minimum
-                // decreases (for in-order streams: once per side, not once
-                // per match). The side's previous entry, if any, goes stale
-                // and is dropped lazily on pop.
-                if earliest < bucket.min_earliest[side.index()] {
-                    bucket.min_earliest[side.index()] = earliest;
-                    self.expiry.push(ExpiryEntry {
-                        earliest,
-                        key,
-                        side,
-                    });
-                }
-            }
-            None => {
-                // No sibling match has this key (the drain above would have
-                // built the bucket): no candidates to probe, and the match
-                // stays out of the hash index until the sibling side next
-                // probes — or expires without ever paying for indexing.
-                if earliest < self.pending_min[side.index()] {
-                    self.pending_min[side.index()] = earliest;
-                }
-                self.pending[side.index()].push(m);
-            }
+        let newest = self.chains.entry(key).or_insert([NONE; 2]);
+        for candidate in self.rings[side.other().index()].chain(newest[side.other().index()]) {
+            probe(&m, candidate);
         }
-        self.live[side.index()] += 1;
+        newest[side.index()] = self.rings[side.index()].push(m, newest[side.index()]);
         self.inserted_total += 1;
+        self.count_in(edge_count);
+    }
+
+    /// Accounts one more live match covering `edge_count` query edges.
+    #[inline]
+    fn count_in(&mut self, edge_count: usize) {
         if edge_count >= self.edge_histogram.len() {
             self.edge_histogram.resize(edge_count + 1, 0);
         }
@@ -320,133 +419,73 @@ impl SharedJoinStore {
         self.max_edges = self.max_edges.max(edge_count);
     }
 
-    /// Moves every pending match of `side` into the bucket index (called
-    /// before a sibling probe scans that side). Amortized one hash op per
-    /// match over its lifetime; empty backlogs return immediately.
-    fn drain_pending(&mut self, side: JoinSide) {
-        if self.pending[side.index()].is_empty() {
-            return;
-        }
-        let drained = std::mem::take(&mut self.pending[side.index()]);
-        for m in drained {
-            let earliest = m.earliest;
-            let key = self
-                .join_key_for(&m)
-                .expect("stored match binds its join key");
-            let bucket = self.buckets.entry(key.clone()).or_default();
-            bucket.sides[side.index()].push(m);
-            if earliest < bucket.min_earliest[side.index()] {
-                bucket.min_earliest[side.index()] = earliest;
-                self.expiry.push(ExpiryEntry {
-                    earliest,
-                    key,
-                    side,
-                });
-            }
-        }
-        self.pending_min[side.index()] = Timestamp(i64::MAX);
-    }
-
-    /// Iterates every stored match (both sides, unspecified order).
+    /// Iterates every stored match: the left side, then the right, each in
+    /// filing order.
     pub fn iter(&self) -> impl Iterator<Item = &PartialMatch> {
-        self.buckets
-            .values()
-            .flat_map(|b| b.sides.iter().flatten())
-            .chain(self.pending.iter().flatten())
+        self.rings.iter().flat_map(Ring::live)
     }
 
     /// Removes every match whose earliest edge is older than `cutoff` (such
     /// matches can never satisfy `τ(g) < tW` once stream time has passed
     /// `cutoff + tW`), returning the number removed.
     ///
-    /// **Exact**: every live bucket side carries a fresh schedule entry for
-    /// its minimum earliest, so the heap surfaces every side containing an
-    /// expirable match, and each surfaced side is swept completely — a
-    /// skewed stream whose merged matches carry older `earliest` values than
-    /// previously filed ones cannot hide state behind an in-window head.
-    /// Sides with nothing to expire are never touched; a pass that cannot
-    /// remove anything costs one heap peek.
+    /// **Exact**: the pass visits every held slot's metadata, so a skewed
+    /// stream whose merged matches carry older `earliest` values than
+    /// previously filed ones cannot hide state behind an in-window head. A
+    /// side whose minimum `earliest` is not below `cutoff` is not visited:
+    /// a pass that cannot remove anything costs one compare per side.
     pub fn expire_older_than(&mut self, cutoff: Timestamp) -> usize {
-        let mut removed = 0usize;
-        // Unindexed segment first: sweep each pending backlog whose minimum
-        // proves it holds something expirable.
-        for side in [JoinSide::Left, JoinSide::Right] {
-            let i = side.index();
-            if self.pending_min[i] >= cutoff {
-                continue;
+        let mut removed = 0;
+        for side in 0..2 {
+            let ring = &mut self.rings[side];
+            let swept = ring.expire(cutoff, &mut self.edge_histogram);
+            if swept > 0 && ring.held - ring.live > COMPACT_FACTOR * ring.live + COMPACT_FLOOR {
+                self.compact(side);
             }
-            let before = self.pending[i].len();
-            let mut min = Timestamp(i64::MAX);
-            let hist = &mut self.edge_histogram;
-            self.pending[i].retain(|m| {
-                if m.earliest < cutoff {
-                    hist[m.edge_count()] -= 1;
-                    false
-                } else {
-                    if m.earliest < min {
-                        min = m.earliest;
-                    }
-                    true
-                }
-            });
-            let swept = before - self.pending[i].len();
             removed += swept;
-            self.live[i] -= swept;
-            self.pending_min[i] = min;
         }
-        loop {
-            match self.expiry.peek() {
-                Some(entry) if entry.earliest < cutoff => {}
-                _ => break,
-            }
-            let ExpiryEntry {
-                earliest,
-                key,
-                side,
-            } = self.expiry.pop().expect("peeked entry exists");
-            let Some(bucket) = self.buckets.get_mut(key.as_slice()) else {
-                continue; // stale: bucket fully removed since scheduling
-            };
-            if bucket.min_earliest[side.index()] != earliest {
-                continue; // stale: side swept or re-scheduled since
-            }
-            // Sweep the scheduled side, recomputing its minimum.
-            let side_vec = &mut bucket.sides[side.index()];
-            let before = side_vec.len();
-            let mut min = Timestamp(i64::MAX);
-            let hist = &mut self.edge_histogram;
-            side_vec.retain(|m| {
-                if m.earliest < cutoff {
-                    hist[m.edge_count()] -= 1;
-                    false
-                } else {
-                    if m.earliest < min {
-                        min = m.earliest;
-                    }
-                    true
-                }
-            });
-            let swept = before - side_vec.len();
-            removed += swept;
-            self.live[side.index()] -= swept;
-            bucket.min_earliest[side.index()] = min;
-            if side_vec.is_empty() {
-                if bucket.sides[side.other().index()].is_empty() {
-                    self.buckets.remove(key.as_slice());
-                }
-            } else {
-                self.expiry.push(ExpiryEntry {
-                    earliest: min,
-                    key,
-                    side,
-                });
-            }
+        if removed == 0 {
+            return 0;
         }
         self.expired_total += removed as u64;
         while self.max_edges > 0 && self.edge_histogram[self.max_edges] == 0 {
             self.max_edges -= 1;
         }
+        // A key dies silently (no payload is read to learn it): forget the
+        // dead ones once they outnumber, two to one, the slots that could
+        // each hold a distinct key.
+        let rings = &self.rings;
+        if self.chains.len() > 2 * (rings[0].held + rings[1].held) + COMPACT_FLOOR {
+            let held = |side: usize, position| rings[side].slot_of(position).is_some();
+            self.chains
+                .retain(|_, newest| held(0, newest[0]) || held(1, newest[1]));
+        }
         removed
+    }
+
+    /// Re-files the live matches of one side at its front, in order, which
+    /// re-threads their chains through the index. In place: no allocation
+    /// for keys that fit a [`JoinKey`] inline.
+    #[cold]
+    fn compact(&mut self, side: usize) {
+        for newest in self.chains.values_mut() {
+            newest[side] = NONE;
+        }
+        let ring = &mut self.rings[side];
+        let held = std::mem::take(&mut ring.held);
+        ring.live = 0;
+        for offset in 0..held {
+            let from = ring.slot_at(offset);
+            if ring.meta[from].edges == DEAD {
+                continue;
+            }
+            // Filed at or before `from`: the tail never overtakes the scan.
+            let m = std::mem::replace(&mut ring.slots[from], stale_match());
+            let key = project(&self.key_vertices, &m).expect("stored match binds its join key");
+            let newest = self.chains.get_mut(key.as_slice());
+            let newest = newest.expect("a live match's key is indexed");
+            newest[side] = ring.push(m, newest[side]);
+        }
     }
 
     /// Moves every match of `other` — a store for the *same* SJ-Tree node,
@@ -459,72 +498,33 @@ impl SharedJoinStore {
     /// one shard: the incoming keys are disjoint from the resident ones, and
     /// every (left, right) pair under them has already been offered to the
     /// donor's probe. Re-probing here would re-emit those joins; the
-    /// wholesale move preserves the exact match multiset. Expiry stays
-    /// exact: every transplanted bucket side is re-scheduled on its recorded
-    /// minimum, and the pending minima merge.
+    /// wholesale move preserves the exact match multiset and, per key, the
+    /// donor's filing order. Expiry stays exact: the transplanted matches
+    /// are filed at the tails like any other.
     pub fn absorb(&mut self, other: SharedJoinStore) {
         debug_assert_eq!(
             self.key_vertices, other.key_vertices,
             "absorb requires stores of the same SJ-Tree node"
         );
-        let SharedJoinStore {
-            key_vertices: _,
-            buckets,
-            pending,
-            pending_min,
-            expiry: _,
-            live,
-            inserted_total,
-            expired_total,
-            edge_histogram,
-            max_edges,
-        } = other;
-        for (key, mut bucket) in buckets {
-            let dst = self.buckets.entry(key.clone()).or_default();
-            for side in [JoinSide::Left, JoinSide::Right] {
-                let i = side.index();
-                if bucket.sides[i].is_empty() {
-                    continue;
-                }
-                dst.sides[i].append(&mut bucket.sides[i]);
-                if bucket.min_earliest[i] < dst.min_earliest[i] {
-                    dst.min_earliest[i] = bucket.min_earliest[i];
-                    self.expiry.push(ExpiryEntry {
-                        earliest: bucket.min_earliest[i],
-                        key: key.clone(),
-                        side,
-                    });
-                }
+        for (side, ring) in other.rings.into_iter().enumerate() {
+            for m in ring.into_live() {
+                let key = self
+                    .join_key_for(&m)
+                    .expect("stored match binds its join key");
+                let edge_count = m.edge_count();
+                let newest = self.chains.entry(key).or_insert([NONE; 2]);
+                newest[side] = self.rings[side].push(m, newest[side]);
+                self.count_in(edge_count);
             }
         }
-        let [p_left, p_right] = pending;
-        for (side, backlog) in [(JoinSide::Left, p_left), (JoinSide::Right, p_right)] {
-            let i = side.index();
-            if pending_min[i] < self.pending_min[i] {
-                self.pending_min[i] = pending_min[i];
-            }
-            self.pending[i].extend(backlog);
-        }
-        self.live[0] += live[0];
-        self.live[1] += live[1];
-        self.inserted_total += inserted_total;
-        self.expired_total += expired_total;
-        if edge_histogram.len() > self.edge_histogram.len() {
-            self.edge_histogram.resize(edge_histogram.len(), 0);
-        }
-        for (i, count) in edge_histogram.into_iter().enumerate() {
-            self.edge_histogram[i] += count;
-        }
-        self.max_edges = self.max_edges.max(max_edges);
+        self.inserted_total += other.inserted_total;
+        self.expired_total += other.expired_total;
     }
 
     /// Drops every stored match.
     pub fn clear(&mut self) {
-        self.buckets.clear();
-        self.pending = [Vec::new(), Vec::new()];
-        self.pending_min = [Timestamp(i64::MAX), Timestamp(i64::MAX)];
-        self.expiry.clear();
-        self.live = [0, 0];
+        self.chains.clear();
+        self.rings.iter_mut().for_each(Ring::clear);
         self.edge_histogram.clear();
         self.max_edges = 0;
     }
@@ -533,8 +533,6 @@ impl SharedJoinStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use streamworks_graph::EdgeId;
-    use streamworks_query::QueryEdgeId;
 
     fn m(qv_bindings: &[(usize, u32)], edge: u64, ts: i64) -> PartialMatch {
         let mut pm = PartialMatch::seed(
@@ -557,6 +555,15 @@ mod tests {
         let k = key_of(store, &pm);
         let mut seen = 0;
         store.probe_then_insert(side, k, pm, |_, _| seen += 1);
+        seen
+    }
+
+    /// Files `pm` and returns the data edge of every candidate offered, in
+    /// the order offered.
+    fn candidates(store: &mut SharedJoinStore, side: JoinSide, pm: PartialMatch) -> Vec<u64> {
+        let k = key_of(store, &pm);
+        let mut seen = Vec::new();
+        store.probe_then_insert(side, k, pm, |_, cand| seen.push(cand.edges[0].1 .0));
         seen
     }
 
@@ -622,7 +629,7 @@ mod tests {
             file(&mut store, side, pm);
         }
         assert_eq!(store.len(), 10);
-        // Cutoff below the minimum: the heap peek says nothing can go.
+        // Cutoff below the minimum: the guard says nothing can go.
         assert_eq!(store.expire_older_than(Timestamp::from_secs(100)), 0);
         // Remove the first five (earliest 100..=104).
         assert_eq!(store.expire_older_than(Timestamp::from_secs(105)), 5);
@@ -645,7 +652,7 @@ mod tests {
 
         let mut donor = SharedJoinStore::new(vec![QueryVertexId(0)]);
         file(&mut donor, JoinSide::Left, m(&[(0, 7)], 3, 50));
-        file(&mut donor, JoinSide::Left, m(&[(0, 8)], 4, 300)); // stays pending
+        file(&mut donor, JoinSide::Left, m(&[(0, 8)], 4, 300));
         let donor_inserted = donor.inserted_total();
 
         survivor.absorb(donor);
@@ -654,8 +661,8 @@ mod tests {
 
         // Transplanted matches join with *new* arrivals exactly once…
         assert_eq!(file(&mut survivor, JoinSide::Right, m(&[(0, 7)], 5, 60)), 1);
-        // …and the transplanted side minima stay on the expiry schedule:
-        // cutoff 150 removes the ts=50/60 pair plus the survivor's ts=100.
+        // …and stay visible to expiry: cutoff 150 removes the ts=50/60 pair
+        // plus the survivor's ts=100.
         assert_eq!(
             survivor.expire_older_than(Timestamp::from_secs(150)),
             3,
@@ -666,11 +673,11 @@ mod tests {
 
     #[test]
     fn skewed_insertion_order_expires_exactly() {
-        // The regime the old FIFO expiry queue got wrong: a match with an
-        // *older* earliest timestamp filed after newer ones (merged matches
-        // inherit the minimum of their components, so this happens on every
-        // join-heavy stream). The heap re-schedules the side on the new
-        // minimum and the sweep removes exactly the expirable set.
+        // The regime a FIFO expiry queue gets wrong: a match with an *older*
+        // earliest timestamp filed after newer ones (merged matches inherit
+        // the minimum of their components, so this happens on every
+        // join-heavy stream). The sweep visits every held slot and removes
+        // exactly the expirable set.
         let mut store = SharedJoinStore::new(vec![QueryVertexId(0)]);
         file(&mut store, JoinSide::Left, m(&[(0, 1)], 1, 200));
         file(&mut store, JoinSide::Left, m(&[(0, 2)], 2, 100)); // older, behind
@@ -690,10 +697,9 @@ mod tests {
 
     #[test]
     fn long_stream_keeps_schedule_and_memory_bounded() {
-        // Decreasing side minima are the worst case for the lazy schedule
-        // (every insert can push an entry); periodic expiry must keep both
-        // the live population and the heap backlog proportional to the live
-        // state, not the stream length.
+        // Periodic expiry must keep the live population, the slots held and
+        // the key index proportional to the live state, not the stream
+        // length.
         let mut store = SharedJoinStore::new(vec![QueryVertexId(0)]);
         for i in 0..10_000i64 {
             file(
@@ -709,6 +715,24 @@ mod tests {
             "schedule backlog grew to {} entries for ~51 live matches",
             store.expiry_backlog()
         );
+        assert!(store.rings[0].slots.len() <= 128);
+    }
+
+    #[test]
+    fn dead_keys_leave_the_index() {
+        // Every match has a key of its own; the index must follow the live
+        // set, not the stream.
+        let mut store = SharedJoinStore::new(vec![QueryVertexId(0)]);
+        for i in 0..10_000i64 {
+            file(
+                &mut store,
+                JoinSide::Right,
+                m(&[(0, i as u32)], i as u64, i),
+            );
+            store.expire_older_than(Timestamp::from_secs(i - 50));
+        }
+        assert_eq!(store.len(), 51);
+        assert!(store.chains.len() <= 2 * 51 + COMPACT_FLOOR + 1);
     }
 
     #[test]
@@ -753,5 +777,276 @@ mod tests {
     fn join_side_other_flips() {
         assert_eq!(JoinSide::Left.other(), JoinSide::Right);
         assert_eq!(JoinSide::Right.other(), JoinSide::Left);
+    }
+
+    #[test]
+    fn a_sweep_moves_no_survivor() {
+        // A ring whose held range wraps, long-lived matches scattered among
+        // short-lived ones: the sweep tombstones in place and advances the
+        // front by index, so every survivor keeps its address.
+        let mut store = SharedJoinStore::new(vec![QueryVertexId(0)]);
+        for i in 0..600i64 {
+            let ts = if i >= 400 && i % 3 == 0 { i + 1_000 } else { i };
+            file(
+                &mut store,
+                JoinSide::Left,
+                m(&[(0, (i % 5) as u32)], i as u64, ts),
+            );
+            if i == 399 {
+                assert_eq!(store.expire_older_than(Timestamp::from_secs(300)), 300);
+            }
+        }
+        let ring = &store.rings[0];
+        assert!(
+            ring.head_slot + ring.held > ring.slots.len(),
+            "held range wraps"
+        );
+        let cutoff = Timestamp::from_secs(550);
+        let addresses = |store: &SharedJoinStore| -> Vec<*const PartialMatch> {
+            let survivors = store.iter().filter(|pm| pm.earliest >= cutoff);
+            survivors.map(|pm| pm as *const PartialMatch).collect()
+        };
+        let before = addresses(&store);
+        assert_eq!(store.expire_older_than(cutoff), 200);
+        assert!(
+            store.expiry_backlog() > 50,
+            "tombstones stay where they are"
+        );
+        assert_eq!(before.len(), store.len());
+        assert_eq!(before, addresses(&store));
+    }
+
+    #[test]
+    fn compaction_reclaims_a_pinned_front_and_keeps_chain_order() {
+        let mut store = SharedJoinStore::new(vec![QueryVertexId(0)]);
+        // One match that outlives everything pins the front…
+        file(&mut store, JoinSide::Left, m(&[(0, 3)], 0, 1_000_000));
+        // …while matches under four keys die behind it, every fifth a
+        // long-lived one too.
+        for i in 1..=1_000i64 {
+            let ts = if i % 5 == 0 { 1_000_000 + i } else { i };
+            file(
+                &mut store,
+                JoinSide::Left,
+                m(&[(0, (i % 4) as u32)], i as u64, ts),
+            );
+        }
+        assert_eq!(store.expire_older_than(Timestamp::from_secs(2_000)), 800);
+        assert_eq!(store.len(), 201);
+        assert_eq!(
+            store.expiry_backlog(),
+            0,
+            "800 tombstones against 201 live: compacted"
+        );
+        // Survivors under key 3 (i ≡ 3 mod 4 and i ≡ 0 mod 5, plus the first),
+        // newest first.
+        let mut expected: Vec<u64> = (1..=1_000).filter(|i| i % 20 == 15).rev().collect();
+        expected.push(0);
+        let probe = m(&[(0, 3)], 5_000, 1_000_000);
+        assert_eq!(candidates(&mut store, JoinSide::Right, probe), expected);
+
+        // Short-lived matches only, sweep after sweep: compaction keeps the
+        // slots held within the documented factor of the live matches.
+        let mut peak_live = store.len();
+        for i in 1_001..=100_000i64 {
+            file(
+                &mut store,
+                JoinSide::Left,
+                m(&[(0, (i % 4) as u32)], i as u64, i),
+            );
+            peak_live = peak_live.max(store.len());
+            if i % 256 == 0 {
+                store.expire_older_than(Timestamp::from_secs(i - 100));
+                assert!(store.expiry_backlog() <= COMPACT_FACTOR * store.len() + COMPACT_FLOOR);
+            }
+        }
+        let slots = store.rings[0].slots.len();
+        assert!(
+            // …between sweeps 256 filings more, and an eighth of growth slack.
+            slots * 8 <= 9 * ((1 + COMPACT_FACTOR) * peak_live + COMPACT_FLOOR + 256),
+            "{slots} slots for a peak of {peak_live} live matches"
+        );
+        let probe = m(&[(0, 3)], 500_000, 1_000_000);
+        let seen = candidates(&mut store, JoinSide::Right, probe);
+        assert_eq!(
+            seen[seen.len() - expected.len()..],
+            expected,
+            "nothing lost"
+        );
+    }
+
+    /// splitmix64.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// The reference: every live match as `(side, key, match)` in filing
+    /// order, everything answered by a scan.
+    #[derive(Default)]
+    struct Model {
+        matches: Vec<(usize, JoinKey, PartialMatch)>,
+        inserted: u64,
+        expired: u64,
+    }
+
+    impl Model {
+        fn check(&self, store: &SharedJoinStore) {
+            let side_len = |s| self.matches.iter().filter(|(side, ..)| *side == s).count();
+            assert_eq!(store.len(), self.matches.len());
+            assert_eq!(store.is_empty(), self.matches.is_empty());
+            assert_eq!(store.side_len(JoinSide::Left), side_len(0));
+            assert_eq!(store.side_len(JoinSide::Right), side_len(1));
+            assert_eq!(store.inserted_total(), self.inserted);
+            assert_eq!(store.expired_total(), self.expired);
+            let best = self.matches.iter().map(|(.., pm)| pm.edge_count()).max();
+            assert_eq!(store.best_edge_count(), best.unwrap_or(0));
+            let id = |pm: &PartialMatch| pm.edges[0].1 .0;
+            let mut stored: Vec<u64> = store.iter().map(id).collect();
+            let mut expected: Vec<u64> = self.matches.iter().map(|(.., pm)| id(pm)).collect();
+            stored.sort_unstable();
+            expected.sort_unstable();
+            assert_eq!(stored, expected);
+        }
+    }
+
+    /// Drives a store and the model through `operations` random operations
+    /// and compares them after each.
+    fn differential_run(seed: u64, operations: usize, first_position: u64) {
+        let mut rng = Rng(seed);
+        // Per seed: a one- or two-vertex cut, few or many distinct keys, a
+        // short or long window.
+        let key_vertices: Vec<_> = (0..1 + seed % 2)
+            .map(|qv| QueryVertexId(qv as usize))
+            .collect();
+        let cardinality = [3, 40, 5_000][(seed / 2 % 3) as usize];
+        let window = [20, 150][(seed / 6 % 2) as usize];
+        // Every other dozen: one match in 32 outlives the run and pins the
+        // front, so tombstones pile up and sides are compacted.
+        let pins = seed / 12 % 2 == 1;
+        let mut store = SharedJoinStore::new(key_vertices.clone());
+        // Nothing is held yet, so the rings may number their slots from anywhere.
+        store
+            .rings
+            .iter_mut()
+            .for_each(|ring| ring.head = first_position);
+        let mut model = Model::default();
+        let (mut now, mut next_edge, mut key_space) = (1_000i64, 0u64, 0u32);
+        let mut random_match = |rng: &mut Rng, now: i64, key_space: u32| {
+            next_edge += 1;
+            // Mostly recent, a quarter anywhere in the window or beyond it
+            // (merged matches inherit an old `earliest`), so expiry order is
+            // not filing order.
+            let age = match rng.below(32) {
+                0 if pins => -1_000_000,
+                1..=8 => rng.below(window + 10) as i64,
+                _ => rng.below(4) as i64,
+            };
+            let (a, b) = (rng.below(cardinality) as u32, rng.below(2) as u32);
+            let bindings = [(0, key_space + a), (1, 500_000_000 + key_space + b)];
+            let mut pm = m(&bindings, next_edge, now - age);
+            if rng.below(8) == 0 {
+                assert!(pm.add_edge(QueryEdgeId(5), EdgeId(next_edge + (1 << 40)), pm.latest));
+            }
+            pm
+        };
+        for _ in 0..operations {
+            match rng.below(100) {
+                0..=79 => {
+                    let side = [JoinSide::Left, JoinSide::Right][rng.below(2) as usize];
+                    let pm = random_match(&mut rng, now, 0);
+                    let key = key_of(&store, &pm);
+                    let sibling = side.other().index();
+                    let expected: Vec<&PartialMatch> = model
+                        .matches
+                        .iter()
+                        .rev()
+                        .filter(|(s, k, _)| *s == sibling && *k == key)
+                        .map(|(.., pm)| pm)
+                        .collect();
+                    let mut offered = 0;
+                    store.probe_then_insert(side, key.clone(), pm.clone(), |filed, candidate| {
+                        assert_eq!(filed, &pm);
+                        assert_eq!(
+                            Some(&candidate),
+                            expected.get(offered),
+                            "candidate {offered}"
+                        );
+                        offered += 1;
+                    });
+                    assert_eq!(offered, expected.len());
+                    model.matches.push((side.index(), key, pm));
+                    model.inserted += 1;
+                    now += rng.below(3) as i64;
+                }
+                80..=93 => {
+                    // Around `now - window`, sometimes behind the last cutoff.
+                    let cutoff = Timestamp::from_secs(now - rng.below(2 * window) as i64);
+                    let before = model.matches.len();
+                    model.matches.retain(|(.., pm)| pm.earliest >= cutoff);
+                    let removed = before - model.matches.len();
+                    assert_eq!(store.expire_older_than(cutoff), removed);
+                    model.expired += removed as u64;
+                }
+                94..=98 => {
+                    // A donor on keys nobody else ever uses, itself filed
+                    // into, probed and swept.
+                    key_space += 10_000;
+                    let mut donor = SharedJoinStore::new(key_vertices.clone());
+                    let mut donated = Vec::new();
+                    for _ in 0..rng.below(40) {
+                        let side = rng.below(2) as usize;
+                        let pm = random_match(&mut rng, now, key_space);
+                        let key = key_of(&donor, &pm);
+                        file(
+                            &mut donor,
+                            [JoinSide::Left, JoinSide::Right][side],
+                            pm.clone(),
+                        );
+                        donated.push((side, key, pm));
+                    }
+                    let cutoff = Timestamp::from_secs(now - rng.below(window) as i64);
+                    donated.retain(|(.., pm)| pm.earliest >= cutoff);
+                    donor.expire_older_than(cutoff);
+                    model.inserted += donor.inserted_total();
+                    model.expired += donor.expired_total();
+                    model.matches.extend(donated);
+                    store.absorb(donor);
+                }
+                _ => {
+                    store.clear();
+                    model.matches.clear();
+                }
+            }
+            model.check(&store);
+        }
+    }
+
+    #[test]
+    fn agrees_with_a_naive_model_on_random_operations() {
+        for seed in 0..72 {
+            differential_run(seed, 2_000, 0);
+        }
+    }
+
+    #[test]
+    fn positions_past_32_bits_behave_like_positions_from_zero() {
+        // Chain links are 32-bit *distances*; a position itself must never
+        // pass through a 32-bit quantity. Start where 2 000 operations carry
+        // both rings across 2³².
+        for seed in 0..12 {
+            differential_run(seed, 2_000, u64::from(u32::MAX) - 300);
+        }
     }
 }

@@ -21,8 +21,8 @@ pub struct QueryMetrics {
     /// Partial matches currently stored (updated on insert/expiry).
     ///
     /// **Exact on every execution path** since the store unification: the
-    /// shared join store's min-heap-scheduled expiry never retains stale
-    /// matches behind an in-window head, so this reads 0 after a full-window
+    /// shared join store's expiry sweep visits every held match, so it never
+    /// retains stale matches behind an in-window head, so this reads 0 after a full-window
     /// drain — single-threaded and sharded alike.
     pub partial_matches_live: u64,
     /// Partial matches removed by window expiry.

@@ -17,7 +17,7 @@
 //! The climb is **in place and depth-first** (`Climb::file`): the probe
 //! closure handed to [`SharedJoinStore::probe_then_insert`] files each
 //! successful merge straight into the *parent's* store, so a joined match
-//! goes from [`PartialMatch::merge`] to the bucket that keeps it with no
+//! goes from [`PartialMatch::merge`] to the ring slot that keeps it with no
 //! buffer in between. A node's id is smaller than its parent's
 //! (`SjTreeShape::validate`), so splitting the store vector after a node
 //! yields its parent's store and, disjointly, every store above that.
@@ -288,8 +288,9 @@ impl SjTreeMatcher {
 
     /// Removes every partial match whose earliest edge is older than
     /// `now - tW`: such matches can never be completed within the window.
-    /// Exact on every node — the shared stores' min-heap expiry never
-    /// retains stale matches behind an in-window head.
+    /// Exact on every node — the shared stores' sweep visits every held
+    /// match, so none is retained behind an in-window head — and no
+    /// surviving match is moved.
     pub fn prune(&mut self, now: Timestamp) {
         let cutoff = now.minus(self.window());
         let mut removed = 0usize;

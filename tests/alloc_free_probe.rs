@@ -1,11 +1,11 @@
 //! Verifies the zero-allocation guarantee of the unified matcher hot path:
-//! once a [`SharedJoinStore`]'s bucket map, side vectors and expiry heap are
-//! warm, the `probe_then_insert` join step (key projection, bucket lookup,
-//! contiguous sibling scan, merge in the probe closure, insert into spare
-//! capacity) and binding merges perform no heap allocation for paper-sized
-//! queries — and neither does a whole `SjTreeMatcher::process_edge`: local
-//! search, the in-place join climb through both internal nodes, joined pairs
-//! and complete matches included.
+//! once a [`SharedJoinStore`]'s key index and its two rings are warm, the
+//! `probe_then_insert` join step (key projection, one index look-up, sibling
+//! chain walk, merge in the probe closure, append at the ring's tail), the
+//! metadata-only expiry sweep, a compaction, and binding merges perform no
+//! heap allocation for paper-sized queries — and neither does a whole
+//! `SjTreeMatcher::process_edge`: local search, the in-place join climb
+//! through both internal nodes, joined pairs and complete matches included.
 //! Uses a counting global allocator, so this test lives in its own
 //! integration-test binary. The count is per thread: the harness runs the
 //! tests of this file on parallel threads, and a process-wide counter would
@@ -85,8 +85,7 @@ fn probe_then_insert_is_allocation_free_once_warm() {
     let mut store = SharedJoinStore::new(vec![QueryVertexId(0), QueryVertexId(1)]);
 
     // Warm-up: 16 keys, 8 matches per side per key (timestamps 0..8), so the
-    // bucket map, both side vectors of every bucket and the expiry heap all
-    // have backing capacity.
+    // key index and both rings have backing capacity.
     for ts in 0..8i64 {
         for k in 0..16u32 {
             file(
@@ -101,16 +100,15 @@ fn probe_then_insert_is_allocation_free_once_warm() {
             );
         }
     }
-    // Expire the older half: the sweep's `Vec::retain` compacts each side in
-    // place, so every side keeps 4 matches plus 4 elements of spare capacity,
-    // and the heap keeps its backing storage.
+    // Expire the older half: each ring's front advances past 64 slots, which
+    // the next filings reuse.
     let removed = store.expire_older_than(Timestamp::from_secs(4));
     assert_eq!(removed, 128);
     assert_eq!(store.len(), 128);
 
-    // Steady state: key projection + single-hash-op probe + contiguous
-    // sibling scan + candidate merge + push into the sides' spare capacity
-    // must not touch the allocator.
+    // Steady state: key projection + single-hash-op probe + sibling chain
+    // walk + candidate merge + append into the ring's free slots must not
+    // touch the allocator.
     let before = allocations();
     let mut hits = 0usize;
     for i in 0..16u32 {
@@ -157,7 +155,7 @@ fn whole_join_climb_is_allocation_free_once_warm() {
 
     // A periodic stream (period 384 s): 16 articles, 4 keywords, 2 cities,
     // one located edge in eight. Every join key recurs well within the
-    // window, so after a few periods every bucket exists and every vector
+    // window, so after a few periods every key is indexed and every ring
     // has seen its largest population.
     let event = |i: u64| {
         let t = Timestamp::from_secs(i as i64);
@@ -207,10 +205,10 @@ fn whole_join_climb_is_allocation_free_once_warm() {
 
 #[test]
 fn exact_expiry_is_allocation_free() {
-    // The heap-scheduled expiry must not allocate either: pops shrink the
-    // heap in place and the per-side sweeps retain-compact the bucket
-    // vectors without reallocating. One full insert-and-drain cycle warms
-    // every capacity, then the measured sweep runs against it.
+    // The expiry sweep must not allocate either: it marks tombstones in the
+    // ring's metadata and advances the front by index. One full
+    // insert-and-drain cycle warms every capacity, then the measured sweep
+    // runs against it.
     let mut store = SharedJoinStore::new(vec![QueryVertexId(0), QueryVertexId(1)]);
     for i in 0..128u32 {
         file(
@@ -234,8 +232,62 @@ fn exact_expiry_is_allocation_free() {
         before,
         "SharedJoinStore::expire_older_than allocated during the sweep"
     );
-    assert_eq!(removed, 64, "the min-heap sweep is exact");
+    assert_eq!(removed, 64, "the sweep is exact");
     assert_eq!(store.len(), 64);
+}
+
+#[test]
+fn a_pinned_front_costs_bounded_slots_and_no_allocation_once_warm() {
+    // One match that lives the whole window is filed first and pins its
+    // ring's front; 100 000 matches with 500 ticks to live follow, one per
+    // tick, with a sweep every 256. Tombstones pile up behind the pin until
+    // a compaction reclaims them: the slots held stay within three times
+    // the live matches (+ 64), nothing is lost, and once the ring and the
+    // key index have seen their largest population nothing allocates.
+    const WINDOW: i64 = 200_000;
+    const TICKS: i64 = 100_000;
+    const WARM_UP: i64 = 10_000;
+    let mut store = SharedJoinStore::new(vec![QueryVertexId(0), QueryVertexId(1)]);
+    file(&mut store, JoinSide::Left, pair_match(0, 100, 0, 0));
+    let mut allocated = 0;
+    for i in 1..=TICKS {
+        let before = allocations();
+        let k = (i % 16) as u32;
+        file(
+            &mut store,
+            JoinSide::Left,
+            pair_match(k, 100 + k, i as u64, i - WINDOW + 500),
+        );
+        if i % 256 == 0 {
+            store.expire_older_than(Timestamp::from_secs(i - WINDOW));
+            let held = store.len() + store.expiry_backlog();
+            assert!(
+                held <= 3 * store.len() + 64,
+                "{held} slots held for {} live matches at tick {i}",
+                store.len()
+            );
+        }
+        if i > WARM_UP {
+            allocated += allocations() - before;
+        }
+    }
+    assert_eq!(allocated, 0, "filing, sweeping or compacting allocated");
+    // The last sweep ran at tick 99 840: ticks 99 340.. and the pin are live.
+    assert_eq!(store.len(), 1 + 661);
+    let probe = pair_match(0, 100, 1_000_000, 0);
+    let key = store.join_key_for(&probe).unwrap();
+    let mut offered = Vec::new();
+    store.probe_then_insert(JoinSide::Right, key, probe, |_, candidate| {
+        offered.push(candidate.edges[0].1);
+    });
+    // Key (0, 100): every sixteenth tick, newest first, then the pin.
+    let mut expected: Vec<EdgeId> = (99_340..=TICKS as u64)
+        .rev()
+        .filter(|i| i % 16 == 0)
+        .map(EdgeId)
+        .collect();
+    expected.push(EdgeId(0));
+    assert_eq!(offered, expected);
 }
 
 #[test]
