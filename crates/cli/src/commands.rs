@@ -504,6 +504,8 @@ pub fn cmd_run(opts: &Options) -> Result<String, CliError> {
         "edges",
         "partial_inserted",
         "partial_live",
+        "lazy_materialisations",
+        "merges_skipped_cold",
         "joins",
         "complete",
         "spills",
@@ -524,6 +526,8 @@ pub fn cmd_run(opts: &Options) -> Result<String, CliError> {
             m.edges_processed.to_string(),
             m.partial_matches_inserted.to_string(),
             m.partial_matches_live.to_string(),
+            m.lazy_materialisations.to_string(),
+            m.merges_skipped_cold.to_string(),
             m.joins_attempted.to_string(),
             m.complete_matches.to_string(),
             m.binding_spills.to_string(),
@@ -829,6 +833,7 @@ mod tests {
             out.contains("spills"),
             "metrics table surfaces spill column"
         );
+        assert!(out.contains("lazy_materialisations") && out.contains("merges_skipped_cold"));
         let csv_text = std::fs::read_to_string(&csv).unwrap();
         assert_eq!(csv_text.lines().count(), 3);
 

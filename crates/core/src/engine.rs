@@ -509,8 +509,9 @@ impl ContinuousQueryEngine {
 
     /// Builds the execution backend the configuration asks for: an
     /// in-process matcher, or — when [`EngineConfig::shards`] is above 1 — a
-    /// join-key-sharded matcher spread over worker threads.
-    fn build_exec(&self, plan: QueryPlan) -> QueryExec {
+    /// join-key-sharded matcher spread over worker threads. `fed` are the
+    /// nodes the sharing index feeds (see [`SharedIndex::subscribe`]).
+    fn build_exec(&self, plan: QueryPlan, fed: &[SjNodeId]) -> QueryExec {
         if self.config.shards > 1 {
             QueryExec::Sharded(Box::new(ShardedMatcher::with_telemetry(
                 plan,
@@ -525,7 +526,7 @@ impl ContinuousQueryEngine {
             )))
         } else {
             QueryExec::Single(
-                SjTreeMatcher::new(plan, &self.graph)
+                SjTreeMatcher::fed_at(plan, &self.graph, fed)
                     .with_match_cap(self.config.max_matches_per_node),
             )
         }
@@ -627,14 +628,17 @@ impl ContinuousQueryEngine {
     pub fn register_plan(&mut self, plan: QueryPlan) -> QueryHandle {
         self.extend_retention(plan.query.window());
         let index = self.alloc_slot();
-        let shared =
-            self.config.shared_matching && self.shared.subscribe(index as u32, &plan, &self.graph);
+        let fed = self
+            .config
+            .shared_matching
+            .then(|| self.shared.subscribe(index as u32, &plan, &self.graph))
+            .flatten();
         let state = QueryState {
-            exec: self.build_exec(plan),
+            exec: self.build_exec(plan, fed.as_deref().unwrap_or_default()),
             paused: false,
             paused_at: None,
             observed: vec![self.graph.ingested_edge_count()],
-            shared,
+            shared: fed.is_some(),
             shared_edges_accum: 0,
             shared_edges_base: self.shared.events(),
             subscribers: Vec::new(),
@@ -898,10 +902,15 @@ impl ContinuousQueryEngine {
         // new decomposition subscribes afresh.
         let id = handle.id().0 as u32;
         self.shared.unsubscribe(id);
-        let shared = self.config.shared_matching && self.shared.subscribe(id, &plan, &self.graph);
+        let fed = self
+            .config
+            .shared_matching
+            .then(|| self.shared.subscribe(id, &plan, &self.graph))
+            .flatten();
+        let shared = fed.is_some();
         let shared_events = self.shared.events();
         let bound = self.graph.ingested_edge_count();
-        let exec = self.build_exec(plan);
+        let exec = self.build_exec(plan, fed.as_deref().unwrap_or_default());
         let state = self.state_mut(handle)?;
         state.exec = exec;
         state.shared = shared;

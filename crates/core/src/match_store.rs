@@ -51,6 +51,12 @@
 //!   survivors are re-filed at the front, in order and in place. The
 //!   expirations that caused it pay for it, and slots held stay within
 //!   `(1 + COMPACT_FACTOR) × live + COMPACT_FLOOR` after every sweep.
+//! * A **lazy join side** (`crate::sj_matcher`) needs four more operations:
+//!   the parent's store tells whether a side *holds* a key (one look-up)
+//!   and *withdraws* a side's chain under a key (tombstones, metadata only);
+//!   the lazy node's own store files without probing and threads a **second
+//!   chain** through one side, keyed on the parent's cut vertices that side
+//!   binds, so rebuilding one parent key walks only the matches under it.
 //! * The store maintains a histogram of covered query edges over live
 //!   matches, so "best partial match" queries are O(1) reads and an expiry
 //!   burst never rescans the store to restore the maximum.
@@ -129,6 +135,17 @@ fn stale_match() -> PartialMatch {
     PartialMatch::seed(0, QueryEdgeId(0), EdgeId(0), Timestamp(0))
 }
 
+/// A second chain through one ring, keyed on `vertices` instead of the
+/// store's cut (see [`SharedJoinStore::thread_scan_chain`]).
+#[derive(Debug)]
+struct ScanChain {
+    vertices: Vec<QueryVertexId>,
+    /// Position of each scan key's newest match.
+    newest: FxHashMap<JoinKey, u64>,
+    /// Per slot, like `Meta::back`.
+    back: Vec<u32>,
+}
+
 /// One side's matches in filing order. Position `head + i` lives in slot
 /// `(head_slot + i) mod slots.len()` for `i < held`; slots outside that
 /// range hold stale values nothing reads.
@@ -136,6 +153,7 @@ fn stale_match() -> PartialMatch {
 struct Ring {
     slots: Vec<PartialMatch>,
     meta: Vec<Meta>,
+    scan: Option<Box<ScanChain>>,
     /// Position of the oldest slot still held.
     head: u64,
     head_slot: usize,
@@ -152,6 +170,7 @@ impl Ring {
         Ring {
             slots: Vec::new(),
             meta: Vec::new(),
+            scan: None,
             head: 0,
             head_slot: 0,
             held: 0,
@@ -182,15 +201,24 @@ impl Ring {
     /// The live matches of the chain starting at `newest`, newest first.
     #[inline]
     fn chain(&self, newest: u64) -> impl Iterator<Item = &PartialMatch> {
-        let mut position = newest;
+        self.walk(newest, |slot| self.meta[slot].back)
+    }
+
+    /// The live matches met following the links `back` gives per slot from
+    /// `position`.
+    #[inline]
+    fn walk<'a>(
+        &'a self,
+        mut position: u64,
+        back: impl Fn(usize) -> u32 + 'a,
+    ) -> impl Iterator<Item = &'a PartialMatch> {
         std::iter::from_fn(move || loop {
             let slot = self.slot_of(position)?;
-            let meta = self.meta[slot];
-            position = match meta.back {
+            position = match back(slot) {
                 0 => NONE,
                 back => position - u64::from(back),
             };
-            if meta.edges != DEAD {
+            if self.meta[slot].edges != DEAD {
                 return Some(&self.slots[slot]);
             }
         })
@@ -222,10 +250,18 @@ impl Ring {
         }
         let position = self.head + self.held as u64;
         let slot = self.slot_at(self.held);
-        let back = self.slot_of(newest).map_or(0, |_| position - newest);
+        // Below `held`, which `grow` keeps within 32 bits.
+        let (head, held) = (self.head, self.held as u64);
+        let link = |to: u64| (to.wrapping_sub(head) < held).then(|| (position - to) as u32);
+        if let Some(scan) = self.scan.as_deref_mut() {
+            let key = project(&scan.vertices, &m).expect("a match binds its side's scan key");
+            let newest = scan.newest.entry(key).or_insert(NONE);
+            scan.back[slot] = link(*newest).unwrap_or(0);
+            *newest = position;
+        }
         self.meta[slot] = Meta {
             earliest: m.earliest,
-            back: back as u32, // below `held`, which `grow` keeps within 32 bits
+            back: link(newest).unwrap_or(0),
             edges: m.edge_count() as u32,
         };
         self.min_earliest = self.min_earliest.min(m.earliest);
@@ -240,13 +276,17 @@ impl Ring {
     /// slots a steady population cycles through stay close to its peak.
     #[cold]
     fn grow(&mut self) {
-        self.slots.rotate_left(self.head_slot);
-        self.meta.rotate_left(self.head_slot);
-        self.head_slot = 0;
         let len = self.slots.len() + (self.slots.len() / 8).max(16);
         assert!(len <= u32::MAX as usize, "chain links are 32-bit distances");
+        self.slots.rotate_left(self.head_slot);
         self.slots.resize(len, stale_match());
+        self.meta.rotate_left(self.head_slot);
         self.meta.resize(len, Meta::default());
+        if let Some(scan) = self.scan.as_deref_mut() {
+            scan.back.rotate_left(self.head_slot);
+            scan.back.resize(len, 0);
+        }
+        self.head_slot = 0;
     }
 
     /// Tombstones every live match with `earliest < cutoff`, taking it out
@@ -281,12 +321,24 @@ impl Ring {
         self.held -= leading;
         self.live -= removed;
         self.min_earliest = min;
+        // Dead scan keys leave the way dead keys leave the store's index.
+        let (head, held) = (self.head, self.held as u64);
+        if let Some(scan) = self.scan.as_deref_mut() {
+            if scan.newest.len() > 2 * held as usize + COMPACT_FLOOR {
+                scan.newest
+                    .retain(|_, newest| newest.wrapping_sub(head) < held);
+            }
+        }
         removed
     }
 
     fn clear(&mut self) {
         self.slots.clear();
         self.meta.clear();
+        if let Some(scan) = self.scan.as_deref_mut() {
+            scan.newest.clear();
+            scan.back.clear();
+        }
         (self.head_slot, self.held, self.live) = (0, 0, 0);
         self.min_earliest = Timestamp(i64::MAX);
     }
@@ -409,6 +461,94 @@ impl SharedJoinStore {
         self.count_in(edge_count);
     }
 
+    /// True while `side` holds a slot under `key`: a live match, or a
+    /// tombstone the front has not passed yet. One hash look-up.
+    pub(crate) fn holds(&self, side: JoinSide, key: &[VertexId]) -> bool {
+        let ring = &self.rings[side.index()];
+        self.chains
+            .get(key)
+            .is_some_and(|newest| ring.slot_of(newest[side.index()]).is_some())
+    }
+
+    /// The live matches on the sibling of `side` under `key`, newest first:
+    /// the candidates [`Self::probe_then_insert`] would offer, without filing.
+    pub(crate) fn candidates<'a>(
+        &'a self,
+        side: JoinSide,
+        key: &[VertexId],
+    ) -> impl Iterator<Item = &'a PartialMatch> {
+        let sibling = side.other().index();
+        let newest = self.chains.get(key).map_or(NONE, |newest| newest[sibling]);
+        self.rings[sibling].chain(newest)
+    }
+
+    /// Files `m` under `key` on `side` without probing the sibling side.
+    pub(crate) fn insert(&mut self, side: JoinSide, key: JoinKey, m: PartialMatch) {
+        let edge_count = m.edge_count();
+        let newest = self.chains.entry(key).or_insert([NONE; 2]);
+        newest[side.index()] = self.rings[side.index()].push(m, newest[side.index()]);
+        self.inserted_total += 1;
+        self.count_in(edge_count);
+    }
+
+    /// Tombstones every live match of `side` under `key` — metadata only,
+    /// like a sweep, but not counted as expired — and returns how many.
+    pub(crate) fn withdraw(&mut self, side: JoinSide, key: &[VertexId]) -> usize {
+        let ring = &mut self.rings[side.index()];
+        let newest = self.chains.get_mut(key).map(|n| &mut n[side.index()]);
+        let mut position = newest.map_or(NONE, |newest| std::mem::replace(newest, NONE));
+        let mut removed = 0;
+        while let Some(slot) = ring.slot_of(position) {
+            let meta = &mut ring.meta[slot];
+            if meta.edges != DEAD {
+                self.edge_histogram[meta.edges as usize] -= 1;
+                meta.edges = DEAD;
+                removed += 1;
+            }
+            position = match meta.back {
+                0 => NONE,
+                back => position - u64::from(back),
+            };
+        }
+        ring.live -= removed;
+        self.settle_max_edges();
+        removed
+    }
+
+    /// Threads a second chain through `side`, keyed on the projection onto
+    /// `vertices`, for [`Self::scan`]. A lazy node's store is keyed on its
+    /// own cut but materialised per key of its parent's: `vertices` are the
+    /// parent's cut vertices that `side` binds. Set while the store is empty.
+    pub(crate) fn thread_scan_chain(&mut self, side: JoinSide, vertices: Vec<QueryVertexId>) {
+        debug_assert!(self.is_empty(), "a scan chain is threaded from the start");
+        self.rings[side.index()].scan = Some(Box::new(ScanChain {
+            vertices,
+            newest: FxHashMap::default(),
+            back: vec![0; self.rings[side.index()].slots.len()],
+        }));
+    }
+
+    /// The side threading the scan chain, and its live matches that bind
+    /// the scan vertices as `key` binds `cut` (a superset of them), newest
+    /// first. Walks only the matches under that projection.
+    pub(crate) fn scan<'a>(
+        &'a self,
+        cut: &[QueryVertexId],
+        key: &[VertexId],
+    ) -> (JoinSide, impl Iterator<Item = &'a PartialMatch>) {
+        let (side, ring, scan) = [JoinSide::Left, JoinSide::Right]
+            .into_iter()
+            .find_map(|side| {
+                let ring = &self.rings[side.index()];
+                Some((side, ring, ring.scan.as_deref()?))
+            })
+            .expect("the store threads a scan chain");
+        let at = |v| cut.iter().position(|c| *c == v).expect("a cut vertex");
+        let scan_key: JoinKey = scan.vertices.iter().map(|&v| key[at(v)]).collect();
+        let newest = scan.newest.get(&scan_key).copied().unwrap_or(NONE);
+        (side, ring.walk(newest, |slot| scan.back[slot]))
+    }
+
     /// Accounts one more live match covering `edge_count` query edges.
     #[inline]
     fn count_in(&mut self, edge_count: usize) {
@@ -417,6 +557,13 @@ impl SharedJoinStore {
         }
         self.edge_histogram[edge_count] += 1;
         self.max_edges = self.max_edges.max(edge_count);
+    }
+
+    /// Lowers the running maximum past edge counts no live match has left.
+    fn settle_max_edges(&mut self) {
+        while self.max_edges > 0 && self.edge_histogram[self.max_edges] == 0 {
+            self.max_edges -= 1;
+        }
     }
 
     /// Iterates every stored match: the left side, then the right, each in
@@ -448,9 +595,7 @@ impl SharedJoinStore {
             return 0;
         }
         self.expired_total += removed as u64;
-        while self.max_edges > 0 && self.edge_histogram[self.max_edges] == 0 {
-            self.max_edges -= 1;
-        }
+        self.settle_max_edges();
         // A key dies silently (no payload is read to learn it): forget the
         // dead ones once they outnumber, two to one, the slots that could
         // each hold a distinct key.
@@ -472,6 +617,9 @@ impl SharedJoinStore {
             newest[side] = NONE;
         }
         let ring = &mut self.rings[side];
+        if let Some(scan) = ring.scan.as_deref_mut() {
+            scan.newest.clear();
+        }
         let held = std::mem::take(&mut ring.held);
         ring.live = 0;
         for offset in 0..held {
@@ -892,29 +1040,125 @@ mod tests {
         }
     }
 
-    /// The reference: every live match as `(side, key, match)` in filing
-    /// order, everything answered by a scan.
-    #[derive(Default)]
+    /// One filed match in the model: `live` until expired or withdrawn,
+    /// `linked` until withdrawn (a withdrawn key's chain starts over).
+    struct Filed {
+        key: JoinKey,
+        pm: PartialMatch,
+        live: bool,
+        linked: bool,
+    }
+
+    /// The reference: per side, every match the ring still holds — live, or
+    /// a tombstone the front has not passed — in filing order, everything
+    /// answered by a scan. The front and compaction follow the documented
+    /// rules (a sweep runs when the side's `earliest` lower bound is below
+    /// the cutoff, passes leading tombstones, and compacts past the factor).
     struct Model {
-        matches: Vec<(usize, JoinKey, PartialMatch)>,
+        sides: [Vec<Filed>; 2],
+        min_earliest: [Timestamp; 2],
         inserted: u64,
         expired: u64,
+        /// The side threading the scan chain and its vertices.
+        scan: (usize, Vec<QueryVertexId>),
     }
 
     impl Model {
+        fn new(scan: (usize, Vec<QueryVertexId>)) -> Self {
+            Model {
+                sides: [Vec::new(), Vec::new()],
+                min_earliest: [Timestamp(i64::MAX); 2],
+                inserted: 0,
+                expired: 0,
+                scan,
+            }
+        }
+
+        fn live(&self) -> impl Iterator<Item = (usize, &Filed)> {
+            let side = |s: usize| self.sides[s].iter().map(move |f| (s, f));
+            side(0).chain(side(1)).filter(|(_, f)| f.live)
+        }
+
+        fn file(&mut self, side: usize, key: JoinKey, pm: PartialMatch) {
+            self.min_earliest[side] = self.min_earliest[side].min(pm.earliest);
+            let (live, linked) = (true, true);
+            self.sides[side].push(Filed {
+                key,
+                pm,
+                live,
+                linked,
+            });
+        }
+
+        /// Live matches of `side` under `key`, newest first.
+        fn under<'a>(&'a self, side: usize, key: &'a JoinKey) -> Vec<&'a PartialMatch> {
+            let filed = self.sides[side].iter().rev();
+            filed
+                .filter(|f| f.live && f.key == *key)
+                .map(|f| &f.pm)
+                .collect()
+        }
+
+        fn holds(&self, side: usize, key: &JoinKey) -> bool {
+            self.sides[side].iter().any(|f| f.linked && f.key == *key)
+        }
+
+        fn withdraw(&mut self, side: usize, key: &JoinKey) -> usize {
+            let mut removed = 0;
+            for f in self.sides[side].iter_mut().filter(|f| f.key == *key) {
+                removed += usize::from(f.live);
+                (f.live, f.linked) = (false, false);
+            }
+            removed
+        }
+
+        fn expire(&mut self, cutoff: Timestamp) -> usize {
+            let mut removed = 0;
+            for (side, filed) in self.sides.iter_mut().enumerate() {
+                if self.min_earliest[side] >= cutoff {
+                    continue;
+                }
+                let mut min = Timestamp(i64::MAX);
+                let mut swept = 0;
+                for f in filed.iter_mut().filter(|f| f.live) {
+                    if f.pm.earliest < cutoff {
+                        f.live = false;
+                        swept += 1;
+                    } else {
+                        min = min.min(f.pm.earliest);
+                    }
+                }
+                let leading = filed.iter().take_while(|f| !f.live).count();
+                filed.drain(..leading);
+                self.min_earliest[side] = min;
+                let live = filed.iter().filter(|f| f.live).count();
+                if swept > 0 && filed.len() - live > COMPACT_FACTOR * live + COMPACT_FLOOR {
+                    filed.retain(|f| f.live);
+                }
+                removed += swept;
+            }
+            self.expired += removed as u64;
+            removed
+        }
+
+        fn clear(&mut self) {
+            self.sides = [Vec::new(), Vec::new()];
+            self.min_earliest = [Timestamp(i64::MAX); 2];
+        }
+
         fn check(&self, store: &SharedJoinStore) {
-            let side_len = |s| self.matches.iter().filter(|(side, ..)| *side == s).count();
-            assert_eq!(store.len(), self.matches.len());
-            assert_eq!(store.is_empty(), self.matches.is_empty());
+            let side_len = |s| self.live().filter(|(side, _)| *side == s).count();
+            assert_eq!(store.len(), self.live().count());
+            assert_eq!(store.is_empty(), self.live().next().is_none());
             assert_eq!(store.side_len(JoinSide::Left), side_len(0));
             assert_eq!(store.side_len(JoinSide::Right), side_len(1));
             assert_eq!(store.inserted_total(), self.inserted);
             assert_eq!(store.expired_total(), self.expired);
-            let best = self.matches.iter().map(|(.., pm)| pm.edge_count()).max();
+            let best = self.live().map(|(_, f)| f.pm.edge_count()).max();
             assert_eq!(store.best_edge_count(), best.unwrap_or(0));
             let id = |pm: &PartialMatch| pm.edges[0].1 .0;
             let mut stored: Vec<u64> = store.iter().map(id).collect();
-            let mut expected: Vec<u64> = self.matches.iter().map(|(.., pm)| id(pm)).collect();
+            let mut expected: Vec<u64> = self.live().map(|(_, f)| id(&f.pm)).collect();
             stored.sort_unstable();
             expected.sort_unstable();
             assert_eq!(stored, expected);
@@ -926,7 +1170,8 @@ mod tests {
     fn differential_run(seed: u64, operations: usize, first_position: u64) {
         let mut rng = Rng(seed);
         // Per seed: a one- or two-vertex cut, few or many distinct keys, a
-        // short or long window.
+        // short or long window, and a scan chain keyed on a parent cut of
+        // one or two vertices, threaded through either side.
         let key_vertices: Vec<_> = (0..1 + seed % 2)
             .map(|qv| QueryVertexId(qv as usize))
             .collect();
@@ -935,13 +1180,19 @@ mod tests {
         // Every other dozen: one match in 32 outlives the run and pins the
         // front, so tombstones pile up and sides are compacted.
         let pins = seed / 12 % 2 == 1;
+        let scan_vertices = [vec![1], vec![0], vec![0, 1]][(seed % 3) as usize]
+            .iter()
+            .map(|&qv| QueryVertexId(qv))
+            .collect::<Vec<_>>();
+        let scan_side = [JoinSide::Left, JoinSide::Right][(seed / 3 % 2) as usize];
         let mut store = SharedJoinStore::new(key_vertices.clone());
+        store.thread_scan_chain(scan_side, scan_vertices.clone());
         // Nothing is held yet, so the rings may number their slots from anywhere.
         store
             .rings
             .iter_mut()
             .for_each(|ring| ring.head = first_position);
-        let mut model = Model::default();
+        let mut model = Model::new((scan_side.index(), scan_vertices.clone()));
         let (mut now, mut next_edge, mut key_space) = (1_000i64, 0u64, 0u32);
         let mut random_match = |rng: &mut Rng, now: i64, key_space: u32| {
             next_edge += 1;
@@ -962,19 +1213,12 @@ mod tests {
             pm
         };
         for _ in 0..operations {
+            let side = [JoinSide::Left, JoinSide::Right][rng.below(2) as usize];
             match rng.below(100) {
-                0..=79 => {
-                    let side = [JoinSide::Left, JoinSide::Right][rng.below(2) as usize];
+                0..=59 => {
                     let pm = random_match(&mut rng, now, 0);
                     let key = key_of(&store, &pm);
-                    let sibling = side.other().index();
-                    let expected: Vec<&PartialMatch> = model
-                        .matches
-                        .iter()
-                        .rev()
-                        .filter(|(s, k, _)| *s == sibling && *k == key)
-                        .map(|(.., pm)| pm)
-                        .collect();
+                    let expected = model.under(side.other().index(), &key);
                     let mut offered = 0;
                     store.probe_then_insert(side, key.clone(), pm.clone(), |filed, candidate| {
                         assert_eq!(filed, &pm);
@@ -986,25 +1230,64 @@ mod tests {
                         offered += 1;
                     });
                     assert_eq!(offered, expected.len());
-                    model.matches.push((side.index(), key, pm));
+                    model.file(side.index(), key, pm);
                     model.inserted += 1;
                     now += rng.below(3) as i64;
                 }
-                80..=93 => {
+                60..=67 => {
+                    // Filing without a probe.
+                    let pm = random_match(&mut rng, now, 0);
+                    let key = key_of(&store, &pm);
+                    store.insert(side, key.clone(), pm.clone());
+                    model.file(side.index(), key, pm);
+                    model.inserted += 1;
+                    now += rng.below(3) as i64;
+                }
+                68..=71 => {
+                    // Probing without filing.
+                    let key = key_of(&store, &random_match(&mut rng, now, 0));
+                    let offered: Vec<_> = store.candidates(side, &key).collect();
+                    assert_eq!(offered, model.under(side.other().index(), &key));
+                }
+                72..=75 => {
+                    let key = key_of(&store, &random_match(&mut rng, now, 0));
+                    let held = model.holds(side.index(), &key);
+                    assert_eq!(store.holds(side, &key), held, "holds {key:?}");
+                }
+                76..=79 => {
+                    let key = key_of(&store, &random_match(&mut rng, now, 0));
+                    let removed = model.withdraw(side.index(), &key);
+                    assert_eq!(store.withdraw(side, &key), removed);
+                }
+                80..=83 => {
+                    // The scan chain, asked with a parent cut holding the
+                    // scan vertices in another order and one more vertex.
+                    let pm = random_match(&mut rng, now, 0);
+                    let cut = [QueryVertexId(1), QueryVertexId(0)];
+                    let key: JoinKey = cut.iter().map(|&v| pm.binding.get(v).unwrap()).collect();
+                    let project = |pm: &PartialMatch| project(&model.scan.1, pm);
+                    let wanted = project(&pm);
+                    let filed = model.sides[model.scan.0].iter().rev();
+                    let expected: Vec<&PartialMatch> = filed
+                        .filter(|f| f.live && project(&f.pm) == wanted)
+                        .map(|f| &f.pm)
+                        .collect();
+                    let (side, scanned) = store.scan(&cut, &key);
+                    assert_eq!(side, scan_side);
+                    assert_eq!(scanned.collect::<Vec<_>>(), expected);
+                }
+                84..=93 => {
                     // Around `now - window`, sometimes behind the last cutoff.
                     let cutoff = Timestamp::from_secs(now - rng.below(2 * window) as i64);
-                    let before = model.matches.len();
-                    model.matches.retain(|(.., pm)| pm.earliest >= cutoff);
-                    let removed = before - model.matches.len();
+                    let removed = model.expire(cutoff);
                     assert_eq!(store.expire_older_than(cutoff), removed);
-                    model.expired += removed as u64;
                 }
                 94..=98 => {
                     // A donor on keys nobody else ever uses, itself filed
                     // into, probed and swept.
                     key_space += 10_000;
                     let mut donor = SharedJoinStore::new(key_vertices.clone());
-                    let mut donated = Vec::new();
+                    let mut donated: [Vec<(JoinKey, PartialMatch)>; 2] = Default::default();
                     for _ in 0..rng.below(40) {
                         let side = rng.below(2) as usize;
                         let pm = random_match(&mut rng, now, key_space);
@@ -1014,19 +1297,24 @@ mod tests {
                             [JoinSide::Left, JoinSide::Right][side],
                             pm.clone(),
                         );
-                        donated.push((side, key, pm));
+                        donated[side].push((key, pm));
                     }
                     let cutoff = Timestamp::from_secs(now - rng.below(window) as i64);
-                    donated.retain(|(.., pm)| pm.earliest >= cutoff);
                     donor.expire_older_than(cutoff);
                     model.inserted += donor.inserted_total();
                     model.expired += donor.expired_total();
-                    model.matches.extend(donated);
+                    for (side, donated) in donated.into_iter().enumerate() {
+                        for (key, pm) in donated {
+                            if pm.earliest >= cutoff {
+                                model.file(side, key, pm);
+                            }
+                        }
+                    }
                     store.absorb(donor);
                 }
                 _ => {
                     store.clear();
-                    model.matches.clear();
+                    model.clear();
                 }
             }
             model.check(&store);

@@ -18,7 +18,10 @@ pub struct QueryMetrics {
     pub primitive_matches: u64,
     /// Partial matches inserted across all SJ-Tree nodes (including leaves).
     pub partial_matches_inserted: u64,
-    /// Partial matches currently stored (updated on insert/expiry).
+    /// Partial matches currently *materialised* in the join stores (updated
+    /// on insert/expiry). A lazy join side holds its matches only under the
+    /// keys its sibling holds, so this counts what is built, not every
+    /// within-window partial embedding.
     ///
     /// **Exact on every execution path** since the store unification: the
     /// shared join store's expiry sweep visits every held match, so it never
@@ -86,6 +89,16 @@ pub struct QueryMetrics {
     /// subscriber is caught up.
     #[serde(default)]
     pub cursor_lag: u64,
+    /// Cold → hot transitions of a lazy join side: an arrival under a key
+    /// its sibling side held nothing under, which rebuilt the lazy side's
+    /// matches under that key (see `SjTreeMatcher`'s module docs).
+    #[serde(default)]
+    pub lazy_materialisations: u64,
+    /// Join work at a lazy node skipped because its parent's key was cold:
+    /// one per match filed there without a probe (it binds the parent's cut
+    /// itself), one per sibling candidate passed over without a merge.
+    #[serde(default)]
+    pub merges_skipped_cold: u64,
 }
 
 impl QueryMetrics {
@@ -130,6 +143,8 @@ impl QueryMetrics {
         self.delivery_retries += other.delivery_retries;
         self.delivery_recoveries += other.delivery_recoveries;
         self.cursor_lag += other.cursor_lag;
+        self.lazy_materialisations += other.lazy_materialisations;
+        self.merges_skipped_cold += other.merges_skipped_cold;
     }
 }
 

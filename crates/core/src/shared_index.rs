@@ -314,17 +314,26 @@ impl SharedIndex {
     /// pending advert from another slot into a cold entry; failing both it
     /// advertises the form and the walk descends into its children.
     ///
-    /// All-or-nothing: returns `false` — with no subscription or advert left
+    /// Returns the nodes subscribed — where the index feeds the query's own
+    /// matcher, which must keep every node at or below them eager.
+    ///
+    /// All-or-nothing: returns `None` — with no subscription or advert left
     /// behind — if any leaf the walk reaches cannot be canonicalized
     /// (pathologically symmetric primitive). Such a query is matched
     /// privately instead; a query is either fully index-dispatched or fully
     /// private, never half.
-    pub fn subscribe(&mut self, slot: u32, plan: &QueryPlan, graph: &DynamicGraph) -> bool {
+    pub fn subscribe(
+        &mut self,
+        slot: u32,
+        plan: &QueryPlan,
+        graph: &DynamicGraph,
+    ) -> Option<Vec<SjNodeId>> {
         debug_assert!(
             !self.per_slot.contains_key(&slot),
             "slot must be unsubscribed before re-subscribing"
         );
         let window = plan.query.window();
+        let mut fed = Vec::new();
         let mut stack = vec![plan.shape.root()];
         while let Some(node_id) = stack.pop() {
             let node = plan.shape.node(node_id);
@@ -336,9 +345,10 @@ impl SharedIndex {
                 });
                 let (Some(form), Some(idx)) = (form, idx) else {
                     self.unsubscribe(slot);
-                    return false;
+                    return None;
                 };
                 self.attach(idx, slot, node_id, plan, form);
+                fed.push(node_id);
                 continue;
             };
             if let Some(form) = form {
@@ -349,6 +359,7 @@ impl SharedIndex {
                 });
                 if let Some(idx) = idx {
                     self.attach(idx, slot, node_id, plan, form);
+                    fed.push(node_id);
                     continue;
                 }
                 self.adverts
@@ -359,7 +370,7 @@ impl SharedIndex {
             stack.push(left);
             stack.push(right);
         }
-        true
+        Some(fed)
     }
 
     /// Removes every subscription of `slot` and purges its adverts. Entries
@@ -1020,8 +1031,8 @@ mod tests {
         // *is* that edge: one entry, three subscriptions. (The pair's root
         // only advertises: no second query has its shape.)
         let p0 = pair_plan("q0", "a1", "a2");
-        assert!(index.subscribe(0, &p0, &graph));
-        assert!(index.subscribe(1, &mention_plan("q1"), &graph));
+        assert!(index.subscribe(0, &p0, &graph).is_some());
+        assert!(index.subscribe(1, &mention_plan("q1"), &graph).is_some());
         let m = index.metrics();
         assert_eq!(m.distinct_primitives, 1);
         assert_eq!(m.subscribed_primitives, 3);
@@ -1154,8 +1165,8 @@ mod tests {
 
         let mut graph = DynamicGraph::unbounded();
         let mut index = SharedIndex::default();
-        assert!(index.subscribe(0, &plan, &graph));
-        assert!(index.subscribe(1, &single_plan, &graph));
+        assert!(index.subscribe(0, &plan, &graph).is_some());
+        assert!(index.subscribe(1, &single_plan, &graph).is_some());
         assert_eq!(index.metrics().distinct_primitives, 1);
         assert_eq!(index.metrics().subscribed_primitives, 3);
 
@@ -1198,14 +1209,14 @@ mod tests {
 
         // First query of a form only advertises its internal nodes: just
         // its leaves are interned.
-        assert!(index.subscribe(0, &plans[0], &graph));
+        assert!(index.subscribe(0, &plans[0], &graph).is_some());
         assert_eq!(index.metrics().distinct_subtrees, 0);
         assert_eq!(index.metrics().subscribed_primitives, 3);
 
         // The second query promotes the advert into a cold entry with join
         // stores and subscribes at its root — and nowhere below it; the
         // advertiser keeps matching the subtree privately.
-        assert!(index.subscribe(1, &plans[1], &graph));
+        assert!(index.subscribe(1, &plans[1], &graph).is_some());
         let m = index.metrics();
         assert_eq!((m.distinct_subtrees, m.subscribed_subtrees), (1, 1));
         assert_eq!(m.subscribed_primitives, 3);
@@ -1213,7 +1224,7 @@ mod tests {
         assert!(index.entries[root].as_ref().unwrap().stateful);
 
         // A third query joins the live entry directly.
-        assert!(index.subscribe(2, &plans[2], &graph));
+        assert!(index.subscribe(2, &plans[2], &graph).is_some());
         assert_eq!(index.metrics().subscribed_subtrees, 2);
 
         // The last unsubscription frees the entry, but the advertiser's
@@ -1221,14 +1232,14 @@ mod tests {
         index.unsubscribe(1);
         index.unsubscribe(2);
         assert_eq!(index.metrics().distinct_subtrees, 0);
-        assert!(index.subscribe(3, &plans[3], &graph));
+        assert!(index.subscribe(3, &plans[3], &graph).is_some());
         assert_eq!(index.metrics().distinct_subtrees, 1);
 
         // Once the advertiser leaves too, its advert is purged: a fresh
         // slot starts the advertise-then-promote cycle over.
         index.unsubscribe(3);
         index.unsubscribe(0);
-        assert!(index.subscribe(0, &plans[0], &graph));
+        assert!(index.subscribe(0, &plans[0], &graph).is_some());
         assert_eq!(index.metrics().distinct_subtrees, 0);
     }
 
@@ -1264,7 +1275,7 @@ mod tests {
         let one_leaf = Planner::new()
             .plan_with(p1.query.clone(), &ManualDecomposition::new(vec![all]))
             .unwrap();
-        assert!(index.subscribe(2, &one_leaf, &graph));
+        assert!(index.subscribe(2, &one_leaf, &graph).is_some());
         let twin = root_entry(&index, 2, &one_leaf);
         assert_ne!(twin, joined);
         assert!(!index.entries[twin].as_ref().unwrap().stateful);
@@ -1288,14 +1299,18 @@ mod tests {
             Planner::new().plan(q).unwrap()
         };
         let mut index = SharedIndex::default();
-        assert!(index.subscribe(0, &lifted("t0", "politics"), &graph));
+        assert!(index
+            .subscribe(0, &lifted("t0", "politics"), &graph)
+            .is_some());
         let m = index.metrics();
         assert_eq!((m.distinct_subtrees, m.lifted_entries), (1, 1));
         assert_eq!(m.distinct_primitives, 0);
         // Alone on its entry, the tenant runs privately just as well.
         assert!(!index.needs_dispatch());
         // A second constant folds into the same entry.
-        assert!(index.subscribe(1, &lifted("t1", "sports"), &graph));
+        assert!(index
+            .subscribe(1, &lifted("t1", "sports"), &graph)
+            .is_some());
         let m = index.metrics();
         assert_eq!((m.distinct_subtrees, m.subscribed_subtrees), (1, 2));
         assert!(index.needs_dispatch());
@@ -1308,10 +1323,14 @@ mod tests {
         // Three constant-variant tenants: t0 advertises its root (its two
         // leaves share a lifted single-edge entry), t1 promotes, t2 joins —
         // one whole-pair entry with two subscribers (politics and sports).
-        assert!(index.subscribe(0, &labelled_pair_plan("t0", "culture"), &graph));
+        assert!(index
+            .subscribe(0, &labelled_pair_plan("t0", "culture"), &graph)
+            .is_some());
         let politics = labelled_pair_plan("t1", "politics");
-        assert!(index.subscribe(1, &politics, &graph));
-        assert!(index.subscribe(2, &labelled_pair_plan("t2", "sports"), &graph));
+        assert!(index.subscribe(1, &politics, &graph).is_some());
+        assert!(index
+            .subscribe(2, &labelled_pair_plan("t2", "sports"), &graph)
+            .is_some());
         let m = index.metrics();
         assert_eq!((m.distinct_subtrees, m.lifted_entries), (2, 2));
         assert_eq!(m.subscribed_subtrees, 4);
@@ -1512,10 +1531,10 @@ mod tests {
         let plan = |name: &str, hops| Planner::new().plan(path_query(name, hops, hour)).unwrap();
         let paths: Vec<QueryPlan> = (0..3).map(|i| plan(&format!("p{i}"), 5)).collect();
         for (slot, plan) in paths.iter().enumerate() {
-            assert!(index.subscribe(slot as u32, plan, &graph));
+            assert!(index.subscribe(slot as u32, plan, &graph).is_some());
         }
         let hops = plan("hops", 2);
-        assert!(index.subscribe(3, &hops, &graph));
+        assert!(index.subscribe(3, &hops, &graph).is_some());
         // p0 advertised and keeps its two two-hop leaves on one entry, next
         // to `hops` itself; p1 promoted the whole path, p2 joined it.
         let low = root_entry(&index, 3, &hops);
