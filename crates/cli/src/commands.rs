@@ -1112,18 +1112,22 @@ mod tests {
         assert!(out.contains("3 matches"), "output: {out}");
         assert!(out.contains("lateral"), "output: {out}");
 
-        // `stats` exports the matcher's work next to its useful share, in
-        // both formats.
+        // `stats` exports the matcher's work next to its useful share, and
+        // which end of the path roots its trees, in both formats. Logins
+        // outnumber exploits, so the trees turned to the targets.
         let prom = dispatch(&args(&["stats", "--query", &rpq, "--trace", &trace])).unwrap();
         let json = dispatch(&args(&[
             "stats", "--query", &rpq, "--trace", &trace, "--json",
         ]))
         .unwrap();
-        for counter in ["rpq_relaxations", "rpq_expansions"] {
+        for counter in ["rpq_relaxations", "rpq_expansions", "rpq_end_switches"] {
             let series = format!("streamworks_query_{counter}_total{{query=\"lateral\"}} ");
             assert!(prom.contains(&series), "`{series}` in: {prom}");
             assert!(json.contains(&format!("\"{counter}\"")), "output: {json}");
         }
+        let end = "streamworks_query_rpq_end{query=\"lateral\",end=\"target\"} 1";
+        assert!(prom.contains(end), "`{end}` in: {prom}");
+        assert!(json.contains("\"rpq_end\": \"Target\""), "output: {json}");
 
         // SJ-Tree and RPQ queries mix in one run.
         let trace2 = scratch("tiny_mix.jsonl");

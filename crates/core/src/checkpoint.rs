@@ -250,7 +250,9 @@ impl EngineCheckpoint {
     ///
     /// Panics if the checkpointed configuration fails
     /// [`EngineConfig::validate`] (possible only for hand-edited JSON);
-    /// validate the config first to recover gracefully.
+    /// validate the config first to recover gracefully. Does not check the
+    /// queries either: a document from outside this process goes through
+    /// [`Self::load`] or [`Self::try_restore`].
     pub fn restore(&self) -> ContinuousQueryEngine {
         let (mut engine, handles) = self.rebuild();
         for cursor in &self.durable {
@@ -261,15 +263,18 @@ impl EngineCheckpoint {
         engine
     }
 
-    /// Like [`Self::restore`], but strict about durable delivery state: a
-    /// durable subscription whose destination has lost part of the
+    /// Like [`Self::restore`], but strict about the queries and durable
+    /// delivery state. A query no planner or parser could have produced —
+    /// the checks of [`Self::load`] — surfaces as
+    /// [`EngineError::CorruptCheckpoint`] before anything is rebuilt. So
+    /// does a durable subscription whose destination has lost part of the
     /// acknowledged prefix (a delivery log truncated below the cursor) — or
     /// whose cursor references a query position the checkpoint does not
-    /// contain — surfaces as [`EngineError::CorruptCheckpoint`] with the
-    /// byte offset where the acknowledged prefix ends. Transient connection
-    /// failures are still tolerated and retried on the first delivery
-    /// attempt.
+    /// contain — with the byte offset where the acknowledged prefix ends.
+    /// Transient connection failures are still tolerated and retried on the
+    /// first delivery attempt.
     pub fn try_restore(&self) -> Result<ContinuousQueryEngine, EngineError> {
+        self.validate()?;
         let (mut engine, handles) = self.rebuild();
         for cursor in &self.durable {
             let Some(&handle) = handles.get(cursor.query) else {
@@ -402,7 +407,9 @@ impl EngineCheckpoint {
     ///
     /// A document that parses but carries an SJ-Tree shape no planner could
     /// have built (`SjTreeShape::validate` — the join climb indexes its
-    /// stores by the shape's node order) is rejected the same way, without an
+    /// stores by the shape's node order), or a regular path query
+    /// `RpqQuery::new` would have refused (`RpqQuery::validate`: a pattern
+    /// matching the empty path), is rejected the same way, without an
     /// offset.
     pub fn load(json: &str) -> Result<EngineCheckpoint, crate::EngineError> {
         let checkpoint =
@@ -410,15 +417,31 @@ impl EngineCheckpoint {
                 offset: e.byte_offset(),
                 detail: e.to_string(),
             })?;
-        for plan in &checkpoint.plans {
-            plan.shape.validate(&plan.query).map_err(|e| {
-                crate::EngineError::CorruptCheckpoint {
-                    offset: None,
-                    detail: format!("plan of query {}: {e}", plan.query.name()),
-                }
+        checkpoint.validate()?;
+        Ok(checkpoint)
+    }
+
+    /// The query checks of [`Self::load`] and [`Self::try_restore`].
+    fn validate(&self) -> Result<(), EngineError> {
+        let corrupt = |detail: String| EngineError::CorruptCheckpoint {
+            offset: None,
+            detail,
+        };
+        for plan in &self.plans {
+            plan.shape
+                .validate(&plan.query)
+                .map_err(|e| corrupt(format!("plan of query {}: {e}", plan.query.name())))?;
+        }
+        for (_, rpq) in &self.rpqs {
+            let pattern = rpq.pattern();
+            rpq.validate().map_err(|e| {
+                corrupt(format!(
+                    "regular path query {} ({pattern}): {e}",
+                    rpq.name()
+                ))
             })?;
         }
-        Ok(checkpoint)
+        Ok(())
     }
 }
 
@@ -589,6 +612,53 @@ mod tests {
             detail.contains("does not come after its children"),
             "{detail}"
         );
+    }
+
+    #[test]
+    fn try_restore_refuses_a_shape_no_planner_builds() {
+        let mut engine = ContinuousQueryEngine::builder().build().unwrap();
+        let one_edge_leaves = streamworks_query::SelectivityOrdered {
+            max_primitive_size: 1,
+        };
+        let plan = streamworks_query::Planner::new()
+            .plan_with(pair_query(Duration::from_secs(60)), &one_edge_leaves)
+            .unwrap();
+        engine.register_plan(plan);
+        engine.ingest(&ev("a1", "rust", "mentions", 5)).unwrap();
+        let json = engine.checkpoint().to_json().unwrap();
+        // The root claims a child that does not exist. `from_json` only
+        // parses; rebuilding the engine from it would panic.
+        let tampered = json.replace(r#""children":[0,1]"#, r#""children":[9,1]"#);
+        let checkpoint = EngineCheckpoint::from_json(&tampered).unwrap();
+        let Err(EngineError::CorruptCheckpoint { offset, detail }) = checkpoint.try_restore()
+        else {
+            panic!("expected CorruptCheckpoint");
+        };
+        assert_eq!(offset, None);
+        assert!(detail.contains("pair"), "{detail}");
+    }
+
+    #[test]
+    fn an_rpq_matching_the_empty_path_is_refused_by_load_and_try_restore() {
+        let mut engine = ContinuousQueryEngine::builder().build().unwrap();
+        engine.register_rpq_dsl("RPQ p WINDOW 1m PATH a").unwrap();
+        let json = engine.checkpoint().to_json().unwrap();
+        let honest = r#""pattern":{"Label":"a"}"#;
+        assert_eq!(json.matches(honest).count(), 1, "{json}");
+        // `a*` gets past deserialisation, which skips `RpqQuery::new`.
+        let tampered = json.replace(honest, r#""pattern":{"Star":{"Label":"a"}}"#);
+        let checkpoint = EngineCheckpoint::from_json(&tampered).unwrap();
+        for err in [
+            EngineCheckpoint::load(&tampered).unwrap_err(),
+            checkpoint.try_restore().unwrap_err(),
+        ] {
+            let EngineError::CorruptCheckpoint { offset, detail } = err else {
+                panic!("expected CorruptCheckpoint, got {err:?}");
+            };
+            assert_eq!(offset, None);
+            assert!(detail.contains("(a)*"), "{detail}");
+        }
+        assert!(EngineCheckpoint::load(&json).unwrap().try_restore().is_ok());
     }
 
     #[test]

@@ -1791,10 +1791,10 @@ impl ContinuousQueryEngine {
         // Sharded matchers only route here — their completed matches surface
         // at the next quiescent point (see `flush_sharded`).
         //
-        // Telemetry: a sampled event's search work and climb work are
-        // accumulated separately across both loops below and recorded once
-        // each, so one edge contributes one local-search and one join-climb
-        // observation no matter how many queries it touched. The clock is
+        // Telemetry: a sampled event's search work, climb work and RPQ
+        // expiry drains are accumulated separately across both loops below
+        // and recorded once each, so one edge contributes one observation
+        // per stage no matter how many queries it touched. The clock is
         // only read for sampled events (`now` is `None` otherwise). (A
         // sharded matcher times its own front search and routing — see
         // `ShardedMatcher::process_edge_at` — so it is excluded here.)
@@ -1807,6 +1807,7 @@ impl ContinuousQueryEngine {
         let match_start = now();
         let mut search_ns: Option<u64> = None;
         let mut climb_ns: Option<u64> = None;
+        let mut expiry_ns: Option<u64> = None;
         let mut emitted = 0usize;
         let mut complete = std::mem::take(&mut self.match_scratch);
         let graph = &self.graph;
@@ -1873,13 +1874,17 @@ impl ContinuousQueryEngine {
                     // The second query class rides the same dispatch pass:
                     // path matches are materialised as events binding
                     // src/dst and delivered through the shared supervised
-                    // emission point. Its delta expansion is all anchored
-                    // search — no join climb — so its time lands there.
+                    // emission point. Its expiry drain is timed as the
+                    // expiry sweep; its delta expansion is all anchored
+                    // search — no join climb — so that time lands there.
                     let mut paths = std::mem::take(&mut self.rpq_scratch);
                     paths.clear();
                     let t0 = now();
-                    rpq.process_edge(graph, edge, &mut paths);
-                    lap(&mut search_ns, t0, now());
+                    rpq.prune(graph.now());
+                    let t1 = now();
+                    lap(&mut expiry_ns, t0, t1);
+                    rpq.process_edge(graph, &state.observed, edge, &mut paths);
+                    lap(&mut search_ns, t1, now());
                     let name = rpq.query().name();
                     for p in paths.drain(..) {
                         let event = MatchEvent::from_path(handle, name, graph, &p);
@@ -1933,6 +1938,10 @@ impl ContinuousQueryEngine {
             if let Some(ns) = climb_ns {
                 h.core.record(Stage::JoinClimb, ns);
                 h.driver_ring.push(seq, Stage::JoinClimb, start, ns);
+            }
+            if let Some(ns) = expiry_ns {
+                h.core.record(Stage::ExpirySweep, ns);
+                h.driver_ring.push(seq, Stage::ExpirySweep, start, ns);
             }
         }
         self.match_scratch = complete;

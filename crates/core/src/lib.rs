@@ -89,7 +89,7 @@ pub use handle::{QueryHandle, SubscriptionId};
 pub use ingest::{EventBatch, Ingest};
 pub use local_search::{find_primitive_matches, LocalSearchStats};
 pub use match_store::{JoinKey, JoinSide, SharedJoinStore};
-pub use metrics::{EngineMetrics, QueryMetrics, ShardMetrics};
+pub use metrics::{EngineMetrics, QueryMetrics, RpqEnd, ShardMetrics};
 pub use parallel::{ShardFailure, ShardedMatcher};
 pub use sj_matcher::SjTreeMatcher;
 pub use telemetry::{

@@ -7,6 +7,36 @@
 
 use serde::{Deserialize, Serialize};
 
+/// Which end of the path a regular path query's spanning trees are rooted
+/// at: the end with fewer live edges that can start a tree.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub enum RpqEnd {
+    /// Path sources, walked forward with the pattern's automaton.
+    #[default]
+    Source,
+    /// Path targets, walked backward with the reversed pattern's automaton.
+    Target,
+}
+
+impl RpqEnd {
+    /// The end across the path from this one.
+    pub(crate) fn opposite(self) -> RpqEnd {
+        match self {
+            RpqEnd::Source => RpqEnd::Target,
+            RpqEnd::Target => RpqEnd::Source,
+        }
+    }
+}
+
+impl std::fmt::Display for RpqEnd {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            RpqEnd::Source => "source",
+            RpqEnd::Target => "target",
+        })
+    }
+}
+
 /// Counters for one registered query.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct QueryMetrics {
@@ -71,6 +101,16 @@ pub struct QueryMetrics {
     /// mixed-kind aggregates can still attribute accepts.
     #[serde(default)]
     pub rpq_accepts: u64,
+    /// RPQ only: times the matcher turned its spanning trees around to the
+    /// other end of the path (at most one per query window; see the `rpq`
+    /// module docs, "Which end roots the trees").
+    #[serde(default)]
+    pub rpq_end_switches: u64,
+    /// RPQ only: the end of the path the spanning trees are rooted at now
+    /// ([`RpqEnd::Source`] for SJ-Tree queries). A gauge: [`Self::absorb`]
+    /// keeps the receiver's.
+    #[serde(default)]
+    pub rpq_end: RpqEnd,
     /// Durable delivery attempts performed for this query's durable
     /// subscriptions (every try counts: first attempts, retries and
     /// probation probes). Zero when no durable subscribers are registered.
@@ -139,6 +179,7 @@ impl QueryMetrics {
         self.rpq_relaxations += other.rpq_relaxations;
         self.rpq_expansions += other.rpq_expansions;
         self.rpq_accepts += other.rpq_accepts;
+        self.rpq_end_switches += other.rpq_end_switches;
         self.delivery_attempts += other.delivery_attempts;
         self.delivery_retries += other.delivery_retries;
         self.delivery_recoveries += other.delivery_recoveries;

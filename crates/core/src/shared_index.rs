@@ -65,7 +65,7 @@ use streamworks_query::{
 /// registration: a match is delivered only if every leaf embedding of the
 /// *subscriber's own* partition was anchored at an edge the subscriber
 /// observed — exactly the embeddings its private matcher would have formed.
-fn anchor_in_observed(anchor: u64, observed: &[u64]) -> bool {
+pub(crate) fn anchor_in_observed(anchor: u64, observed: &[u64]) -> bool {
     let mut i = 0;
     while i < observed.len() {
         let open = observed[i];

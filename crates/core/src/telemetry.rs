@@ -691,8 +691,9 @@ impl TelemetrySnapshot {
                 q.name, q.metrics.complete_matches
             ));
         }
-        // The RPQ matcher's work and its useful share, for the queries that
-        // have offered a candidate at all (SJ-Tree queries never do).
+        // The RPQ matcher's work, its useful share and the end it roots its
+        // trees at, for the queries that have offered a candidate at all
+        // (SJ-Tree queries never do).
         let rpq: Vec<&QuerySnapshot> = (self.queries.iter())
             .filter(|q| q.metrics.rpq_relaxations > 0)
             .collect();
@@ -722,6 +723,23 @@ impl TelemetrySnapshot {
             "RPQ relaxations that created or raised a product node.",
             |m| m.rpq_expansions,
         );
+        rpq_counter(
+            "rpq_end_switches",
+            "Times an RPQ turned its trees to the other end of the path.",
+            |m| m.rpq_end_switches,
+        );
+        if !rpq.is_empty() {
+            out.push_str(
+                "# HELP streamworks_query_rpq_end The end of the path an RPQ roots its trees at.\n\
+                 # TYPE streamworks_query_rpq_end gauge\n",
+            );
+            for q in &rpq {
+                out.push_str(&format!(
+                    "streamworks_query_rpq_end{{query=\"{}\",end=\"{}\"}} 1\n",
+                    q.name, q.metrics.rpq_end
+                ));
+            }
+        }
 
         if !self.shards.is_empty() {
             out.push_str("# HELP streamworks_shard_items_routed_total Items routed per shard.\n");

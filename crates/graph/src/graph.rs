@@ -583,7 +583,7 @@ impl DynamicGraph {
 
     /// Replaces the retention window. Widening it keeps more future edges
     /// (edges already expired are not revived); narrowing it takes effect as
-    /// stream time advances, except that [`Self::out_entries_after`] honours
+    /// stream time advances, except that [`Self::entries_after`] honours
     /// the narrower horizon at once. Used by the continuous-query engine to
     /// ensure retention covers the largest registered query window.
     pub fn set_retention(&mut self, retention: Option<Duration>) {
@@ -594,7 +594,7 @@ impl DynamicGraph {
         };
         if widens {
             // Adjacency entries of edges the narrower horizon expired would
-            // fall inside the wider one, and `out_entries_after` tells live
+            // fall inside the wider one, and `entries_after` tells live
             // from stale by timestamp alone: drop them now.
             let edges = &self.edges;
             for adj in &mut self.adjacency {
@@ -653,28 +653,25 @@ impl DynamicGraph {
         entries.iter().filter_map(move |e| self.edges.get(e.edge))
     }
 
-    /// Iterates the adjacency entries of the live out-edges of `v` with type
-    /// `etype` and a timestamp newer than `after`, latest arrival first.
+    /// Iterates the adjacency entries of the live edges incident to `v` in
+    /// direction `dir` with type `etype` and a timestamp newer than `after`,
+    /// latest arrival first.
     ///
     /// An entry carries neighbour, timestamp and edge id, and is live iff its
     /// timestamp is inside the retention horizon, so the walk reads no edge
     /// record — and stops at the first entry that is too old while the
     /// bucket is time-ordered (see [`AdjacencyList::entries_after`]).
     #[inline]
-    pub fn out_entries_after(
+    pub fn entries_after(
         &self,
+        dir: Direction,
         v: VertexId,
         etype: TypeId,
         after: Timestamp,
     ) -> impl Iterator<Item = &AdjEntry> + '_ {
         static EMPTY: AdjacencyList = AdjacencyList::new();
         let horizon = self.window.horizon().unwrap_or(Timestamp(i64::MIN));
-        (self.adjacency.get(v.index()).unwrap_or(&EMPTY)).entries_after(
-            Direction::Out,
-            etype,
-            after,
-            horizon,
-        )
+        (self.adjacency.get(v.index()).unwrap_or(&EMPTY)).entries_after(dir, etype, after, horizon)
     }
 
     /// Iterates the live edges incident to `v` in direction `dir`, across all
@@ -1039,31 +1036,50 @@ mod tests {
         assert_eq!(g.live_edge_count(), 11);
     }
 
-    /// `out_entries_after` must yield exactly the live out-edges newer than
-    /// `after` — what a scan checked against the edge table finds.
-    fn assert_entries_after_match_edge_table(g: &DynamicGraph, v: &str, after: &[i64]) {
+    /// `entries_after` must yield exactly the live edges incident to `v` in
+    /// `dir` newer than `after` — what a scan checked against the edge table
+    /// finds.
+    fn assert_entries_after_match_edge_table_in(
+        g: &DynamicGraph,
+        dir: Direction,
+        v: &str,
+        after: &[i64],
+    ) {
         let v = g.vertex_by_key(v).unwrap();
         let flow = g.edge_type_id("flow").unwrap();
         for &after in after {
             let after = Timestamp::from_secs(after);
             let mut want: Vec<EdgeId> = g
-                .incident_edges(v, Direction::Out, flow)
+                .incident_edges(v, dir, flow)
                 .filter(|e| e.timestamp > after)
                 .map(|e| e.id)
                 .collect();
-            let got: Vec<&AdjEntry> = g.out_entries_after(v, flow, after).collect();
+            let got: Vec<&AdjEntry> = g.entries_after(dir, v, flow, after).collect();
             for entry in &got {
                 let edge = g.edge(entry.edge).expect("only live entries");
-                assert_eq!(
-                    (entry.neighbor, entry.timestamp),
-                    (edge.dst, edge.timestamp)
-                );
+                let far = match dir {
+                    Direction::Out => edge.dst,
+                    Direction::In => edge.src,
+                };
+                assert_eq!((entry.neighbor, entry.timestamp), (far, edge.timestamp));
             }
             let mut got: Vec<EdgeId> = got.iter().map(|e| e.edge).collect();
             assert!(got.windows(2).all(|w| w[0] > w[1]), "latest arrival first");
             got.sort();
             want.sort();
-            assert_eq!(got, want, "after {after:?}");
+            assert_eq!(got, want, "{dir:?} after {after:?}");
+        }
+    }
+
+    /// [`assert_entries_after_match_edge_table_in`] for the out-edges of `v`
+    /// and the in-edges of every vertex they reach.
+    fn assert_entries_after_match_edge_table(g: &DynamicGraph, v: &str, after: &[i64]) {
+        assert_entries_after_match_edge_table_in(g, Direction::Out, v, after);
+        let flow = g.edge_type_id("flow").unwrap();
+        let hub = g.vertex_by_key(v).unwrap();
+        for (_, dst) in g.neighbors(hub, Direction::Out, flow) {
+            let dst = g.vertex_key(dst).unwrap();
+            assert_entries_after_match_edge_table_in(g, Direction::In, dst, after);
         }
     }
 
@@ -1077,17 +1093,18 @@ mod tests {
         assert_entries_after_match_edge_table(&g, "hub", &[-1, 0, 7, 18, 19, 50]);
         let hub = g.vertex_by_key("hub").unwrap();
         let flow = g.edge_type_id("flow").unwrap();
-        let newer = g.out_entries_after(hub, flow, Timestamp::from_secs(16));
+        let newer = g.entries_after(Direction::Out, hub, flow, Timestamp::from_secs(16));
         assert_eq!(newer.count(), 3);
         // A vertex without adjacency of that type, and one the graph never saw.
         let p0 = g.vertex_by_key("p0").unwrap();
         assert_eq!(
-            g.out_entries_after(p0, flow, Timestamp(i64::MIN)).count(),
+            g.entries_after(Direction::Out, p0, flow, Timestamp(i64::MIN))
+                .count(),
             0
         );
         let unseen = VertexId(1_000);
         assert_eq!(
-            g.out_entries_after(unseen, flow, Timestamp(i64::MIN))
+            g.entries_after(Direction::Out, unseen, flow, Timestamp(i64::MIN))
                 .count(),
             0
         );
@@ -1107,7 +1124,7 @@ mod tests {
         // old entry would return 2 of the 5 edges newer than t=16.
         let hub = g.vertex_by_key("hub").unwrap();
         let flow = g.edge_type_id("flow").unwrap();
-        let newer = g.out_entries_after(hub, flow, Timestamp::from_secs(16));
+        let newer = g.entries_after(Direction::Out, hub, flow, Timestamp::from_secs(16));
         assert_eq!(newer.count(), 5);
     }
 
@@ -1141,7 +1158,11 @@ mod tests {
         let hub = g.vertex_by_key("hub").unwrap();
         let flow = g.edge_type_id("flow").unwrap();
         let window_start = g.now().minus(Duration::from_secs(60));
-        assert_eq!(g.out_entries_after(hub, flow, window_start).count(), 6);
+        assert_eq!(
+            g.entries_after(Direction::Out, hub, flow, window_start)
+                .count(),
+            6
+        );
         assert_entries_after_match_edge_table(&g, "hub", &[-30, 0, 24, 25, 26]);
     }
 

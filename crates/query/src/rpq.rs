@@ -97,6 +97,25 @@ impl PathExpr {
             PathExpr::Repeat(inner, min, _) => *min == 0 || inner.matches_empty(),
         }
     }
+
+    /// The expression for the reversed label strings: it matches `l_n …
+    /// l_1` exactly when `self` matches `l_1 … l_n`. Concatenations are
+    /// reversed at every level; every other operator keeps its shape. The
+    /// RPQ matcher compiles it to walk a path from its target end.
+    pub fn reversed(&self) -> PathExpr {
+        let boxed = |inner: &PathExpr| Box::new(inner.reversed());
+        match self {
+            PathExpr::Label(l) => PathExpr::Label(l.clone()),
+            PathExpr::Concat(parts) => {
+                PathExpr::Concat(parts.iter().rev().map(Self::reversed).collect())
+            }
+            PathExpr::Alt(parts) => PathExpr::Alt(parts.iter().map(Self::reversed).collect()),
+            PathExpr::Star(inner) => PathExpr::Star(boxed(inner)),
+            PathExpr::Plus(inner) => PathExpr::Plus(boxed(inner)),
+            PathExpr::Optional(inner) => PathExpr::Optional(boxed(inner)),
+            PathExpr::Repeat(inner, min, max) => PathExpr::Repeat(boxed(inner), *min, *max),
+        }
+    }
 }
 
 impl fmt::Display for PathExpr {
@@ -154,14 +173,23 @@ impl RpqQuery {
         window: Duration,
         pattern: PathExpr,
     ) -> Result<Self, QueryError> {
-        if pattern.matches_empty() {
-            return Err(QueryError::EmptyQuery);
-        }
-        Ok(RpqQuery {
+        let query = RpqQuery {
             name: name.into(),
             window,
             pattern,
-        })
+        };
+        query.validate()?;
+        Ok(query)
+    }
+
+    /// The check [`Self::new`] applies, for a query that reached this type
+    /// another way (deserialised from a checkpoint): a pattern matching the
+    /// empty path is [`QueryError::EmptyQuery`].
+    pub fn validate(&self) -> Result<(), QueryError> {
+        if self.pattern.matches_empty() {
+            return Err(QueryError::EmptyQuery);
+        }
+        Ok(())
     }
 
     /// The query name.
@@ -923,6 +951,47 @@ mod tests {
         let back: RpqQuery = serde_json::from_str(&json).unwrap();
         assert_eq!(q, back);
         assert_eq!(q.compile(), back.compile());
+    }
+
+    #[test]
+    fn the_reversed_pattern_accepts_exactly_the_reversed_words() {
+        // One pattern per operator, plus nestings that reverse a
+        // concatenation inside a repetition and inside an alternation.
+        let patterns = [
+            "a",
+            "a b c",
+            "a | b c",
+            "a b* c",
+            "(a b)+ c",
+            "a (b c)? a",
+            "(a b){2,3}",
+            "a (b | c a){1,}",
+            "(a (b | c)*)+ b",
+        ];
+        let mut x = 0x2545_F491_4F6C_DD1D_u64;
+        let mut next = move |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        for text in patterns {
+            let q = parse_rpq(&format!("RPQ p PATH {text}")).unwrap();
+            let (forward, backward) = (q.compile(), RpqDfa::compile(&q.pattern().reversed()));
+            let mut accepted = 0;
+            for _ in 0..3_000 {
+                let len = next(9) as usize;
+                let word: Vec<&str> = (0..len)
+                    .map(|_| ["a", "b", "c"][next(3) as usize])
+                    .collect();
+                let back: Vec<&str> = word.iter().rev().copied().collect();
+                let yes = forward.accepts(word.iter().copied());
+                assert_eq!(yes, backward.accepts(back), "`{text}` on {word:?}");
+                accepted += yes as usize;
+            }
+            assert!(accepted > 0, "`{text}`: no random word was accepted");
+            assert_eq!(q.pattern().reversed().reversed(), *q.pattern());
+        }
     }
 
     #[test]

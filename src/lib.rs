@@ -138,7 +138,7 @@ pub use streamworks_core::{
     AdaptiveConfig, AdaptiveReplanner, BufferingSink, CallbackSink, ChannelSink, CollectingSink,
     ContinuousQueryEngine, CountingSink, DeliveryCursor, EngineBuilder, EngineConfig, EngineError,
     EngineMetrics, EventBatch, EventSink, Ingest, MatchBuffer, MatchCounter, MatchEvent,
-    MetricsRegistry, QueryHandle, QueryId, QueryMetrics, RetryPolicy, ShardFailure,
+    MetricsRegistry, QueryHandle, QueryId, QueryMetrics, RetryPolicy, RpqEnd, ShardFailure,
     ShardFailurePolicy, ShardMetrics, ShardedMatcher, SinkOverflow, SinkSpec, Stage, StageSnapshot,
     SubscriptionHealth, SubscriptionId, TelemetryLevel, TelemetrySnapshot, TraceSpan, Transport,
 };
