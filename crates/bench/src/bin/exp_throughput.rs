@@ -9,8 +9,8 @@
 //! ```
 //!
 //! `--tenants N` additionally measures a multi-tenant template registry
-//! (2 queries per tenant) with the shared primitive index on vs. off,
-//! printing the dedup ratio; `--rpq` additionally measures the windowed regular-path-query
+//! (2 queries per tenant), printing the sharing index's dedup ratio and
+//! searches saved; `--rpq` additionally measures the windowed regular-path-query
 //! class on the multi-hop lateral-movement workload (`login flow* exploit`)
 //! and reports recall against the planted intrusion chains;
 //! `--durable-sink <path>` additionally measures batched ingest with a
@@ -257,8 +257,7 @@ fn main() {
     }
 
     // Multi-tenant template registry: the multi-query sharing regime. One
-    // stream, 2 queries per tenant (labelled pair + co-location pair), the
-    // canonical primitive index on vs. off.
+    // stream, 2 queries per tenant (labelled pair + co-location pair).
     if tenants > 0 {
         let scale = match size.as_str() {
             "large" => 4_000,
@@ -276,41 +275,33 @@ fn main() {
         })
         .generate();
         println!(
-            "\n# E13: multi-tenant registry ({} tenants, {} queries, {} events), shared index on vs. off",
+            "\n# E13: multi-tenant registry ({} tenants, {} queries, {} events)",
             tenants,
             workload.queries.len(),
             workload.events.len()
         );
-        let mut table = Table::new(&[
-            "engine", "queries", "edges/s", "us/edge", "matches", "dedup", "saved",
+        let mut table = Table::new(&["queries", "edges/s", "us/edge", "matches", "dedup", "saved"]);
+        let mut dedup = String::new();
+        let mut saved = String::new();
+        let run = measure(workload.events.len(), || {
+            let mut engine = ContinuousQueryEngine::builder().build().unwrap();
+            for q in &workload.queries {
+                engine.register_query(q.clone()).unwrap();
+            }
+            let matches = engine.ingest(&workload.events).unwrap().len() as u64;
+            let m = engine.engine_metrics();
+            dedup = format!("{:.1}x", m.dedup_ratio());
+            saved = m.searches_saved.to_string();
+            matches
+        });
+        table.row(&[
+            workload.queries.len().to_string(),
+            format!("{:.0}", run.throughput()),
+            format!("{:.1}", run.mean_latency_us()),
+            run.matches.to_string(),
+            dedup,
+            saved,
         ]);
-        for shared in [true, false] {
-            let mut dedup = String::new();
-            let mut saved = String::new();
-            let run = measure(workload.events.len(), || {
-                let mut engine = ContinuousQueryEngine::builder()
-                    .shared_matching(shared)
-                    .build()
-                    .unwrap();
-                for q in &workload.queries {
-                    engine.register_query(q.clone()).unwrap();
-                }
-                let matches = engine.ingest(&workload.events).unwrap().len() as u64;
-                let m = engine.engine_metrics();
-                dedup = format!("{:.1}x", m.dedup_ratio());
-                saved = m.searches_saved.to_string();
-                matches
-            });
-            table.row(&[
-                if shared { "shared-index" } else { "per-query" }.into(),
-                workload.queries.len().to_string(),
-                format!("{:.0}", run.throughput()),
-                format!("{:.1}", run.mean_latency_us()),
-                run.matches.to_string(),
-                dedup,
-                saved,
-            ]);
-        }
         println!("{}", table.render());
     }
 

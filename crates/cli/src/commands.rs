@@ -104,7 +104,7 @@ COMMANDS:
              and print the SJ-Tree plan with its cost estimate.
   run        --query <q.swq> [--query <q2.swq> ...] --trace <trace.jsonl>
              [--strategy <name>] [--tree left-deep|balanced] [--batch N]
-             [--limit N] [--no-share] [--csv <out.csv>] [--jsonl <out>]
+             [--limit N] [--csv <out.csv>] [--jsonl <out>]
              [--durable-sink <path.log>] [--retry-policy <spec>]
              [--telemetry] [--sample-every N] [--metrics-json]
              [--metrics-every N]
@@ -112,8 +112,7 @@ COMMANDS:
              (default 1024), printing the event table and per-query metrics.
              Structurally identical leaf primitives across the registered
              queries share one local search per event (the summary reports
-             the dedup ratio and searches saved); --no-share disables the
-             shared index. Results are identical either way.
+             the dedup ratio and searches saved).
              Query files starting with `RPQ` are registered as windowed
              regular path queries (`RPQ <name> WINDOW <dur> PATH <regex>`)
              instead of fixed-shape SJ-Tree patterns; both kinds can be
@@ -375,7 +374,6 @@ pub fn cmd_run(opts: &Options) -> Result<String, CliError> {
     let sample_every: u64 = opts.parse_or("sample-every", 64)?;
 
     let mut engine = ContinuousQueryEngine::builder()
-        .shared_matching(!opts.has("no-share"))
         .retry_policy(retry_policy)
         .telemetry_level(if telemetry_on {
             TelemetryLevel::Sampled
@@ -660,7 +658,6 @@ pub fn dispatch(args: &[String]) -> Result<String, CliError> {
                 "tree",
                 "batch",
                 "limit",
-                "no-share",
                 "csv",
                 "jsonl",
                 "durable-sink",
@@ -825,8 +822,7 @@ mod tests {
         .is_err());
 
         // Registering the same query twice shares its primitives: the
-        // summary surfaces the dedup ratio and searches saved; --no-share
-        // reports the same matches with the index disabled.
+        // summary surfaces the dedup ratio and searches saved.
         let query2 = write_query(
             "pair3.swq",
             "QUERY pair_b WINDOW 1h\n\
@@ -842,22 +838,6 @@ mod tests {
             "output: {shared}"
         );
         assert!(shared.contains("saved"), "output: {shared}");
-        let unshared = dispatch(&args(&[
-            "run",
-            "--query",
-            &query,
-            "--query",
-            &query2,
-            "--trace",
-            &trace,
-            "--no-share",
-        ]))
-        .unwrap();
-        assert!(unshared.contains("4 matches"), "output: {unshared}");
-        assert!(
-            !unshared.contains("shared primitive index"),
-            "output: {unshared}"
-        );
     }
 
     #[test]

@@ -58,7 +58,7 @@ impl fmt::Display for OptionError {
 impl std::error::Error for OptionError {}
 
 /// Flags that take no value (everything else consumes the next argument).
-const SWITCHES: &[&str] = &["json", "no-share", "telemetry", "metrics-json"];
+const SWITCHES: &[&str] = &["json", "telemetry", "metrics-json"];
 
 impl Options {
     /// Parses raw arguments (excluding the binary name and subcommand),
@@ -167,8 +167,8 @@ mod tests {
         assert_eq!(err, OptionError::UnknownFlag("shards".into()));
         assert!(err.to_string().contains("--shards"));
         // A known switch is still unknown where it is not accepted.
-        let err = Options::parse(&["--no-share"], ACCEPTED).unwrap_err();
-        assert_eq!(err, OptionError::UnknownFlag("no-share".into()));
+        let err = Options::parse(&["--metrics-json"], ACCEPTED).unwrap_err();
+        assert_eq!(err, OptionError::UnknownFlag("metrics-json".into()));
     }
 
     #[test]

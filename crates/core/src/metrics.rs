@@ -207,8 +207,8 @@ pub struct EngineMetrics {
     pub subscribed_primitives: u64,
     /// Anchored local searches actually run by the shared dispatch path.
     pub shared_searches_run: u64,
-    /// Anchored searches the per-query path would have run in addition
-    /// (one per extra active subscriber of every search run).
+    /// Anchored searches one search per subscriber would have run in
+    /// addition (one per extra active subscriber of every search run).
     pub searches_saved: u64,
     /// Embeddings produced by shared searches (pre-fan-out, canonical space).
     pub shared_embeddings: u64,
@@ -232,8 +232,8 @@ pub struct EngineMetrics {
     /// entries.
     #[serde(default)]
     pub subtree_joins_run: u64,
-    /// Join-climb steps the per-query path would have run in addition (one
-    /// per extra active subscriber of every entry's climb).
+    /// Join-climb steps one climb per subscriber would have run in addition
+    /// (one per extra active subscriber of every entry's climb).
     #[serde(default)]
     pub subtree_joins_saved: u64,
     /// Joined matches delivered through constant dispatch of a *lifted*

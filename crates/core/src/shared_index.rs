@@ -32,12 +32,16 @@
 //!   itself observed, and remapped through the subscriber's precomputed
 //!   vertex/edge permutation into its own query space.
 //!
+//! The index is the only way a subgraph query is matched: every leaf of a
+//! registered plan ends up at or below a subscribed node, and the query's
+//! own matcher only continues the climb from there. A leaf too symmetric to
+//! canonicalize still gets an entry — one of its own, see
+//! [`SharedIndex::subscribe`].
+//!
 //! What an entry may skip follows from the entry itself. One whose matcher
 //! is a single leaf holds no join state: everything it reports is re-read
-//! from the graph, so it can be created for its first subscriber, rests
-//! while every subscriber is paused, and a registry in which no such entry
-//! serves two subscribers does not need the index at all
-//! ([`SharedIndex::needs_dispatch`]). One with join stores is created *cold*
+//! from the graph, so it can be created for its first subscriber and rests
+//! while every subscriber is paused. One with join stores is created *cold*
 //! — only once a second query proves the shape recurs, see [`Advert`] — and
 //! is fed every event from then on.
 //!
@@ -64,7 +68,7 @@ use streamworks_query::{
 /// that makes shared delivery exact under pause/resume and late
 /// registration: a match is delivered only if every leaf embedding of the
 /// *subscriber's own* partition was anchored at an edge the subscriber
-/// observed — exactly the embeddings its private matcher would have formed.
+/// observed — exactly the embeddings a matcher of its own would have formed.
 pub(crate) fn anchor_in_observed(anchor: u64, observed: &[u64]) -> bool {
     let mut i = 0;
     while i < observed.len() {
@@ -159,9 +163,9 @@ impl Subscriber {
     /// Observation gate: deliver a match to this subscriber only if every
     /// leaf of the subscriber's own partition is anchored (max data-edge id
     /// over the leaf's covered edges) inside the subscriber's observed
-    /// intervals — exactly the leaf embeddings its private anchored search
-    /// would have formed, so pause gaps and late registration behave
-    /// identically to private matching.
+    /// intervals — exactly the leaf embeddings an anchored search of its own
+    /// would have formed, so pause gaps and late registration behave as if
+    /// the query were alone in the engine.
     fn admits(&self, m: &PartialMatch, observed: &[u64]) -> bool {
         self.gate_partition.iter().all(|leaf| {
             let mut anchor = 0u64;
@@ -225,8 +229,8 @@ struct Entry {
 /// A pending advert: `slot` walked past this internal node's form without
 /// finding a live entry. When a *different* slot later walks past an
 /// isomorphic form, the entry is created ("promoted") and the newcomer
-/// subscribes; the advertiser keeps matching the subtree privately —
-/// retro-subscribing it to a cold entry would lose the join state it has
+/// subscribes; the advertiser keeps joining the subtree in its own matcher
+/// — retro-subscribing it to a cold entry would lose the join state it has
 /// already accumulated.
 #[derive(Debug)]
 struct Advert {
@@ -259,7 +263,8 @@ pub(crate) struct SharedIndex {
     free: Vec<u32>,
     /// Fingerprint → entry indices. More than one index under a hash is a
     /// fingerprint collision (`LiftedPrimitive::matches` decides), a second
-    /// window, or a leaf-created twin of a stateful entry.
+    /// window, or a leaf-created twin of a stateful entry. The entry of a
+    /// leaf too symmetric to canonicalize is not listed.
     by_hash: FxHashMap<u64, Vec<u32>>,
     /// Query slot → entries it subscribes to (one per subscription;
     /// duplicates when several nodes of one query intern to the same entry).
@@ -273,14 +278,14 @@ pub(crate) struct SharedIndex {
     /// Entries with results in the current event.
     touched: Vec<u32>,
     /// Reusable buffers for one entry's embeddings and matcher output.
-    primitive_scratch: Vec<(SjNodeId, PartialMatch)>,
+    leaf_scratch: Vec<(SjNodeId, PartialMatch)>,
     complete_scratch: Vec<PartialMatch>,
     /// Events processed through the index.
     events: u64,
     /// Anchored searches actually run.
     searches_run: u64,
-    /// Anchored searches saved vs. the per-query path (`active_subs - 1` per
-    /// search run).
+    /// Anchored searches saved vs. one search per subscriber
+    /// (`active_subs - 1` per search run).
     searches_saved: u64,
     /// Embeddings produced by shared searches (pre-fan-out).
     embeddings_found: u64,
@@ -288,7 +293,7 @@ pub(crate) struct SharedIndex {
     deliveries: u64,
     /// Join-climb steps actually run inside entries.
     joins_run: u64,
-    /// Join-climb steps saved vs. the per-query path.
+    /// Join-climb steps saved vs. one climb per subscriber.
     joins_saved: u64,
     /// Matches that passed lifted constant dispatch.
     lifted_hits: u64,
@@ -315,19 +320,23 @@ impl SharedIndex {
     /// advertises the form and the walk descends into its children.
     ///
     /// Returns the nodes subscribed — where the index feeds the query's own
-    /// matcher, which must keep every node at or below them eager.
+    /// matcher, which must keep every node at or below them eager. Every
+    /// leaf lies at or below one of them.
     ///
-    /// All-or-nothing: returns `None` — with no subscription or advert left
-    /// behind — if any leaf the walk reaches cannot be canonicalized
-    /// (pathologically symmetric primitive). Such a query is matched
-    /// privately instead; a query is either fully index-dispatched or fully
-    /// private, never half.
+    /// A leaf too symmetric to canonicalize ([`LiftedPrimitive::build`]
+    /// gives up) gets a one-leaf entry of its own, labelled in the leaf's own
+    /// order and kept out of `by_hash`, so no other query can find it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a leaf of `plan` is not a connected primitive, which a
+    /// validated plan (`SjTreeShape::validate`) never has.
     pub fn subscribe(
         &mut self,
         slot: u32,
         plan: &QueryPlan,
         graph: &DynamicGraph,
-    ) -> Option<Vec<SjNodeId>> {
+    ) -> Vec<SjNodeId> {
         debug_assert!(
             !self.per_slot.contains_key(&slot),
             "slot must be unsubscribed before re-subscribing"
@@ -339,13 +348,19 @@ impl SharedIndex {
             let node = plan.shape.node(node_id);
             let form = LiftedPrimitive::build(&plan.query, &node.edges, true);
             let Some((left, right)) = node.children else {
-                let idx = form.as_ref().and_then(|form| {
-                    self.find_entry(form, window, true)
-                        .or_else(|| self.create_entry(form, &plan.query, graph, true))
-                });
-                let (Some(form), Some(idx)) = (form, idx) else {
-                    self.unsubscribe(slot);
-                    return None;
+                let (form, idx) = match form {
+                    Some(form) => {
+                        let idx = match self.find_entry(&form, window, true) {
+                            Some(idx) => idx,
+                            None => self.intern(&form, leaf_plan(&form, &plan.query), graph),
+                        };
+                        (form, idx)
+                    }
+                    None => {
+                        let form = LiftedPrimitive::in_own_order(&plan.query, &node.edges);
+                        let idx = self.create_entry(&form, leaf_plan(&form, &plan.query), graph);
+                        (form, idx)
+                    }
                 };
                 self.attach(idx, slot, node_id, plan, form);
                 fed.push(node_id);
@@ -353,9 +368,11 @@ impl SharedIndex {
             };
             if let Some(form) = form {
                 let idx = self.find_entry(&form, window, false).or_else(|| {
-                    self.has_matching_advert(&form, window, slot)
-                        .then(|| self.create_entry(&form, &plan.query, graph, false))
-                        .flatten()
+                    if !self.has_matching_advert(&form, window, slot) {
+                        return None;
+                    }
+                    let joined = Planner::new().plan(form.search_pattern(&plan.query)).ok()?;
+                    Some(self.intern(&form, joined, graph))
                 });
                 if let Some(idx) = idx {
                     self.attach(idx, slot, node_id, plan, form);
@@ -370,7 +387,7 @@ impl SharedIndex {
             stack.push(left);
             stack.push(right);
         }
-        Some(fed)
+        fed
     }
 
     /// Removes every subscription of `slot` and purges its adverts. Entries
@@ -448,21 +465,10 @@ impl SharedIndex {
         }
     }
 
-    /// True when events have to go through the index; false when every
-    /// subscribed query can just as well run its own matcher, which is
-    /// cheaper at one subscriber per entry. The index can be bypassed — and
-    /// re-entered later — only while all the state a match may need lives in
-    /// the queries' private matchers: no entry holds join stores (it would
-    /// miss the bypassed events), and no subscription sits at an internal
-    /// node (the private matcher below it was not fed while the index
-    /// served it). What is left are one-leaf entries serving leaves, and
-    /// those pay off from the second active subscriber on.
-    pub fn needs_dispatch(&self) -> bool {
-        self.entries.iter().flatten().any(|e| {
-            e.stateful
-                || e.active_subs >= 2
-                || e.subscribers.iter().any(|s| s.gate_partition.len() > 1)
-        })
+    /// True while no query subscribes, so the index holds no entry and an
+    /// event has nothing to search.
+    pub fn is_empty(&self) -> bool {
+        self.per_slot.is_empty()
     }
 
     /// Events processed through the index so far (the basis of per-query
@@ -521,7 +527,7 @@ impl SharedIndex {
             self.rebuild_anchors(graph);
         }
         let anchors = self.anchors.take_for_type(edge.etype);
-        let mut primitives = std::mem::take(&mut self.primitive_scratch);
+        let mut primitives = std::mem::take(&mut self.leaf_scratch);
         let mut complete = std::mem::take(&mut self.complete_scratch);
         for &(idx, _) in &anchors {
             let entry = self.entries[idx as usize]
@@ -570,7 +576,7 @@ impl SharedIndex {
             self.touched.push(idx);
         }
         self.anchors.give_back(anchors);
-        self.primitive_scratch = primitives;
+        self.leaf_scratch = primitives;
         self.complete_scratch = complete;
     }
 
@@ -578,7 +584,7 @@ impl SharedIndex {
     /// pair of the current event — for lifted entries only subscribers whose
     /// constant hash appears among the results (the exact token comparison
     /// happens at delivery). The tuples sort by (slot, node), giving the
-    /// engine the same per-event query order as the private loop.
+    /// engine a deterministic per-event query order.
     pub fn collect_deliveries(&self, out: &mut Vec<Delivery>) {
         for &idx in &self.touched {
             let entry = self.entries[idx as usize]
@@ -690,25 +696,25 @@ impl SharedIndex {
             })
     }
 
-    /// Creates an entry for `form`: plans the canonical search pattern — as
-    /// one leaf primitive when `one_leaf`, with the default strategy
-    /// otherwise — and builds the entry's own matcher. `None` when the
-    /// pattern cannot be planned.
+    /// [`Self::create_entry`], filed under the form's fingerprint so that
+    /// isomorphic forms find it.
+    fn intern(&mut self, form: &LiftedPrimitive, plan: QueryPlan, graph: &DynamicGraph) -> u32 {
+        let idx = self.create_entry(form, plan, graph);
+        self.by_hash
+            .entry(form.canon().fingerprint())
+            .or_default()
+            .push(idx);
+        idx
+    }
+
+    /// Creates an entry for `form` whose own matcher runs `plan`, the form's
+    /// search pattern planned.
     fn create_entry(
         &mut self,
         form: &LiftedPrimitive,
-        query: &QueryGraph,
+        plan: QueryPlan,
         graph: &DynamicGraph,
-        one_leaf: bool,
-    ) -> Option<u32> {
-        let pattern = form.search_pattern(query);
-        let plan = if one_leaf {
-            let edges = pattern.edge_ids().collect();
-            Planner::new().plan_with(pattern, &ManualDecomposition::new(vec![edges]))
-        } else {
-            Planner::new().plan(pattern)
-        }
-        .ok()?;
+    ) -> u32 {
         let entry = Entry {
             form: form.clone(),
             stateful: plan.shape.leaves().len() > 1,
@@ -733,12 +739,8 @@ impl SharedIndex {
                 (self.entries.len() - 1) as u32
             }
         };
-        self.by_hash
-            .entry(form.canon().fingerprint())
-            .or_default()
-            .push(idx);
         self.anchors.mark_dirty();
-        Some(idx)
+        idx
     }
 
     /// Subscribes `slot` at `node_id` to entry `idx`, precomputing the remap
@@ -830,6 +832,16 @@ impl SharedIndex {
             }
         }
     }
+}
+
+/// `form`'s search pattern planned as one leaf primitive: the plan of an
+/// entry created for a leaf.
+fn leaf_plan(form: &LiftedPrimitive, query: &QueryGraph) -> QueryPlan {
+    let pattern = form.search_pattern(query);
+    let edges = pattern.edge_ids().collect();
+    Planner::new()
+        .plan_with(pattern, &ManualDecomposition::new(vec![edges]))
+        .expect("a leaf's edges plan as one primitive")
 }
 
 /// Reads the constant tokens a joined match actually bound at the entry's
@@ -1031,13 +1043,15 @@ mod tests {
         // *is* that edge: one entry, three subscriptions. (The pair's root
         // only advertises: no second query has its shape.)
         let p0 = pair_plan("q0", "a1", "a2");
-        assert!(index.subscribe(0, &p0, &graph).is_some());
-        assert!(index.subscribe(1, &mention_plan("q1"), &graph).is_some());
+        let mut fed = index.subscribe(0, &p0, &graph);
+        fed.sort_unstable();
+        assert_eq!(fed, p0.shape.leaves());
+        assert_eq!(index.subscribe(1, &mention_plan("q1"), &graph).len(), 1);
         let m = index.metrics();
         assert_eq!(m.distinct_primitives, 1);
         assert_eq!(m.subscribed_primitives, 3);
         assert_eq!(m.distinct_subtrees, 0);
-        assert!(index.needs_dispatch());
+        assert!(!index.is_empty());
 
         // Last unsubscription frees the entry.
         index.unsubscribe(0);
@@ -1046,7 +1060,35 @@ mod tests {
         let m = index.metrics();
         assert_eq!(m.distinct_primitives, 0);
         assert_eq!(m.subscribed_primitives, 0);
-        assert!(!index.needs_dispatch());
+        assert!(index.is_empty());
+    }
+
+    #[test]
+    fn a_leaf_too_symmetric_to_canonicalize_gets_an_entry_of_its_own() {
+        // Eight indistinguishable spokes exceed the canonicalization budget:
+        // each registration gets its own uninterned one-leaf entry, and
+        // both are fed.
+        let mut star = QueryGraphBuilder::new("star").window(Duration::from_hours(1));
+        for i in 0..8 {
+            star = star.edge("hub", "rel", &format!("leaf{i}"));
+        }
+        let star = star.build().unwrap();
+        let all: Vec<QueryEdgeId> = star.edge_ids().collect();
+        let plan = Planner::new()
+            .plan_with(star, &ManualDecomposition::new(vec![all]))
+            .unwrap();
+        let graph = DynamicGraph::unbounded();
+        let mut index = SharedIndex::default();
+        for slot in 0..2 {
+            assert_eq!(index.subscribe(slot, &plan, &graph), [plan.shape.root()]);
+        }
+        let m = index.metrics();
+        assert_eq!((m.distinct_primitives, m.subscribed_primitives), (2, 2));
+        assert!(index.by_hash.is_empty());
+        index.unsubscribe(0);
+        index.unsubscribe(1);
+        assert!(index.is_empty());
+        assert_eq!(index.metrics().distinct_primitives, 0);
     }
 
     #[test]
@@ -1084,8 +1126,8 @@ mod tests {
         let graph = DynamicGraph::unbounded();
         let mut index = SharedIndex::default();
         let window = path.window();
-        let e1 = index.create_entry(&lp, &path, &graph, true).unwrap();
-        let e2 = index.create_entry(&lf, &fan, &graph, true).unwrap();
+        let e1 = index.intern(&lp, leaf_plan(&lp, &path), &graph);
+        let e2 = index.intern(&lf, leaf_plan(&lf, &fan), &graph);
         assert_ne!(e1, e2);
         assert_eq!(index.by_hash[&lp.canon().fingerprint()].len(), 2);
         // Looking either up finds its own entry, never the collider.
@@ -1165,8 +1207,8 @@ mod tests {
 
         let mut graph = DynamicGraph::unbounded();
         let mut index = SharedIndex::default();
-        assert!(index.subscribe(0, &plan, &graph).is_some());
-        assert!(index.subscribe(1, &single_plan, &graph).is_some());
+        index.subscribe(0, &plan, &graph);
+        index.subscribe(1, &single_plan, &graph);
         assert_eq!(index.metrics().distinct_primitives, 1);
         assert_eq!(index.metrics().subscribed_primitives, 3);
 
@@ -1209,14 +1251,15 @@ mod tests {
 
         // First query of a form only advertises its internal nodes: just
         // its leaves are interned.
-        assert!(index.subscribe(0, &plans[0], &graph).is_some());
+        assert_eq!(index.subscribe(0, &plans[0], &graph).len(), 3);
         assert_eq!(index.metrics().distinct_subtrees, 0);
         assert_eq!(index.metrics().subscribed_primitives, 3);
 
         // The second query promotes the advert into a cold entry with join
         // stores and subscribes at its root — and nowhere below it; the
-        // advertiser keeps matching the subtree privately.
-        assert!(index.subscribe(1, &plans[1], &graph).is_some());
+        // advertiser keeps climbing from its leaves in its own matcher.
+        let at_root = [plans[1].shape.root()];
+        assert_eq!(index.subscribe(1, &plans[1], &graph), at_root);
         let m = index.metrics();
         assert_eq!((m.distinct_subtrees, m.subscribed_subtrees), (1, 1));
         assert_eq!(m.subscribed_primitives, 3);
@@ -1224,7 +1267,7 @@ mod tests {
         assert!(index.entries[root].as_ref().unwrap().stateful);
 
         // A third query joins the live entry directly.
-        assert!(index.subscribe(2, &plans[2], &graph).is_some());
+        assert_eq!(index.subscribe(2, &plans[2], &graph), at_root);
         assert_eq!(index.metrics().subscribed_subtrees, 2);
 
         // The last unsubscription frees the entry, but the advertiser's
@@ -1232,14 +1275,14 @@ mod tests {
         index.unsubscribe(1);
         index.unsubscribe(2);
         assert_eq!(index.metrics().distinct_subtrees, 0);
-        assert!(index.subscribe(3, &plans[3], &graph).is_some());
+        assert_eq!(index.subscribe(3, &plans[3], &graph), at_root);
         assert_eq!(index.metrics().distinct_subtrees, 1);
 
         // Once the advertiser leaves too, its advert is purged: a fresh
         // slot starts the advertise-then-promote cycle over.
         index.unsubscribe(3);
         index.unsubscribe(0);
-        assert!(index.subscribe(0, &plans[0], &graph).is_some());
+        assert_eq!(index.subscribe(0, &plans[0], &graph).len(), 3);
         assert_eq!(index.metrics().distinct_subtrees, 0);
     }
 
@@ -1275,7 +1318,7 @@ mod tests {
         let one_leaf = Planner::new()
             .plan_with(p1.query.clone(), &ManualDecomposition::new(vec![all]))
             .unwrap();
-        assert!(index.subscribe(2, &one_leaf, &graph).is_some());
+        index.subscribe(2, &one_leaf, &graph);
         let twin = root_entry(&index, 2, &one_leaf);
         assert_ne!(twin, joined);
         assert!(!index.entries[twin].as_ref().unwrap().stateful);
@@ -1299,21 +1342,14 @@ mod tests {
             Planner::new().plan(q).unwrap()
         };
         let mut index = SharedIndex::default();
-        assert!(index
-            .subscribe(0, &lifted("t0", "politics"), &graph)
-            .is_some());
+        index.subscribe(0, &lifted("t0", "politics"), &graph);
         let m = index.metrics();
         assert_eq!((m.distinct_subtrees, m.lifted_entries), (1, 1));
         assert_eq!(m.distinct_primitives, 0);
-        // Alone on its entry, the tenant runs privately just as well.
-        assert!(!index.needs_dispatch());
         // A second constant folds into the same entry.
-        assert!(index
-            .subscribe(1, &lifted("t1", "sports"), &graph)
-            .is_some());
+        index.subscribe(1, &lifted("t1", "sports"), &graph);
         let m = index.metrics();
         assert_eq!((m.distinct_subtrees, m.subscribed_subtrees), (1, 2));
-        assert!(index.needs_dispatch());
     }
 
     #[test]
@@ -1323,14 +1359,10 @@ mod tests {
         // Three constant-variant tenants: t0 advertises its root (its two
         // leaves share a lifted single-edge entry), t1 promotes, t2 joins —
         // one whole-pair entry with two subscribers (politics and sports).
-        assert!(index
-            .subscribe(0, &labelled_pair_plan("t0", "culture"), &graph)
-            .is_some());
+        index.subscribe(0, &labelled_pair_plan("t0", "culture"), &graph);
         let politics = labelled_pair_plan("t1", "politics");
-        assert!(index.subscribe(1, &politics, &graph).is_some());
-        assert!(index
-            .subscribe(2, &labelled_pair_plan("t2", "sports"), &graph)
-            .is_some());
+        index.subscribe(1, &politics, &graph);
+        index.subscribe(2, &labelled_pair_plan("t2", "sports"), &graph);
         let m = index.metrics();
         assert_eq!((m.distinct_subtrees, m.lifted_entries), (2, 2));
         assert_eq!(m.subscribed_subtrees, 4);
@@ -1509,7 +1541,6 @@ mod tests {
         let before = index.metrics().shared_searches_run;
         feed(&mut graph, &mut index, mention("art3", "go", 3));
         assert_eq!(index.metrics().shared_searches_run, before);
-        assert!(!index.needs_dispatch());
 
         // Resuming re-opens the attribution interval without re-charging
         // searches run while paused.
@@ -1531,10 +1562,10 @@ mod tests {
         let plan = |name: &str, hops| Planner::new().plan(path_query(name, hops, hour)).unwrap();
         let paths: Vec<QueryPlan> = (0..3).map(|i| plan(&format!("p{i}"), 5)).collect();
         for (slot, plan) in paths.iter().enumerate() {
-            assert!(index.subscribe(slot as u32, plan, &graph).is_some());
+            index.subscribe(slot as u32, plan, &graph);
         }
         let hops = plan("hops", 2);
-        assert!(index.subscribe(3, &hops, &graph).is_some());
+        index.subscribe(3, &hops, &graph);
         // p0 advertised and keeps its two two-hop leaves on one entry, next
         // to `hops` itself; p1 promoted the whole path, p2 joined it.
         let low = root_entry(&index, 3, &hops);

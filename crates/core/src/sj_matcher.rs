@@ -158,7 +158,7 @@ pub struct SjTreeMatcher {
     /// Scratch buffers reused across edges so the per-event path performs no
     /// transient allocations once warm.
     found: Vec<PartialMatch>,
-    primitive_scratch: Vec<(SjNodeId, PartialMatch)>,
+    leaf_scratch: Vec<(SjNodeId, PartialMatch)>,
 }
 
 impl SjTreeMatcher {
@@ -207,7 +207,7 @@ impl SjTreeMatcher {
             max_matches_per_node: None,
             anchors: AnchorIndex::new(graph.schema_version()),
             found: Vec::new(),
-            primitive_scratch: Vec::new(),
+            leaf_scratch: Vec::new(),
             plan,
         };
         matcher.rebuild_anchor_index();
@@ -313,13 +313,13 @@ impl SjTreeMatcher {
     /// (`primitive_matches_into`) followed by the join propagation (`absorb`)
     /// of every embedding it found. Complete matches are appended to `out`.
     pub fn process_edge(&mut self, graph: &DynamicGraph, edge: &Edge, out: &mut Vec<PartialMatch>) {
-        let mut primitives = std::mem::take(&mut self.primitive_scratch);
+        let mut primitives = std::mem::take(&mut self.leaf_scratch);
         primitives.clear();
         self.primitive_matches_into(graph, edge, &mut primitives);
         for (leaf, m) in primitives.drain(..) {
             self.absorb(leaf, m, out);
         }
-        self.primitive_scratch = primitives;
+        self.leaf_scratch = primitives;
     }
 
     /// Type constraints only change when the graph interns a new type name;
@@ -353,8 +353,8 @@ impl SjTreeMatcher {
     /// — without touching the match stores. Returns the number of anchored
     /// searches it ran.
     ///
-    /// [`Self::process_edge`] and the engine's private loop feed the results
-    /// into [`Self::absorb`]. The search-side metrics (`edges_processed`,
+    /// [`Self::process_edge`] and the sharing index's entries feed the
+    /// results into [`Self::absorb`]. The search-side metrics (`edges_processed`,
     /// `local_search_candidates`) are accounted here; `primitive_matches` is
     /// counted where an embedding is absorbed.
     pub(crate) fn primitive_matches_into(

@@ -25,7 +25,8 @@
 //! the enumeration is a registration-time micro-cost; a pathological
 //! primitive whose class structure would require more than
 //! [`MAX_CANONICAL_ASSIGNMENTS`] permutations is rejected (`build` returns
-//! `None`) and simply does not participate in sharing.
+//! `None`) and shares with nothing: it is labelled in its own order instead
+//! ([`CanonicalPrimitive::in_own_order`]).
 
 use crate::query_graph::{QueryEdgeId, QueryGraph, QueryVertexId};
 use std::hash::{Hash, Hasher};
@@ -100,7 +101,7 @@ impl CanonicalPrimitive {
     ///
     /// Returns `None` for an empty edge set or when exact canonicalization
     /// would exceed [`MAX_CANONICAL_ASSIGNMENTS`] relabellings — such a
-    /// primitive is excluded from sharing rather than risking an unsound
+    /// primitive shares with nothing rather than risking an unsound
     /// canonical form.
     pub fn build(query: &QueryGraph, edges: &[QueryEdgeId]) -> Option<CanonicalPrimitive> {
         CanonicalPrimitive::build_with(query, edges, false)
@@ -235,17 +236,71 @@ impl CanonicalPrimitive {
         let vertex_order: Vec<QueryVertexId> =
             assignment.iter().map(|&local| vertices[local]).collect();
         let edge_order: Vec<QueryEdgeId> = edge_idx.iter().map(|&ei| edges[ei]).collect();
+        Some(Self::labelled(
+            canon_vertices,
+            canon_edges,
+            vertex_order,
+            edge_order,
+        ))
+    }
 
+    /// The primitive formed by `edges` labelled in its own order — vertices
+    /// as [`QueryGraph::vertices_of_edges`] lists them, edges as given —
+    /// rather than canonically. Isomorphic primitives need not get equal
+    /// forms, so such a form must never be interned; it exists for a
+    /// primitive [`Self::build`] rejects, which is then matched on its own.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `edges` is empty.
+    pub fn in_own_order(query: &QueryGraph, edges: &[QueryEdgeId]) -> CanonicalPrimitive {
+        assert!(!edges.is_empty(), "a primitive has at least one edge");
+        let vertices = query.vertices_of_edges(edges);
+        let local_of = |v: QueryVertexId| {
+            vertices
+                .iter()
+                .position(|&x| x == v)
+                .expect("endpoint of a primitive edge") as u32
+        };
+        let labels = vertices
+            .iter()
+            .map(|&v| {
+                let vtx = query.vertex(v);
+                (vtx.vtype.clone(), predicate_tokens(&vtx.predicates))
+            })
+            .collect();
+        let canon_edges = edges
+            .iter()
+            .map(|&e| {
+                let qe = query.edge(e);
+                (
+                    local_of(qe.src),
+                    local_of(qe.dst),
+                    qe.etype.clone(),
+                    predicate_tokens(&qe.predicates),
+                )
+            })
+            .collect();
+        Self::labelled(labels, canon_edges, vertices, edges.to_vec())
+    }
+
+    /// Assembles a form from its labels and permutations, hashing the labels.
+    fn labelled(
+        vertices: Vec<CanonVertex>,
+        edges: Vec<CanonEdge>,
+        vertex_order: Vec<QueryVertexId>,
+        edge_order: Vec<QueryEdgeId>,
+    ) -> CanonicalPrimitive {
         let mut hasher = FxHasher::default();
-        canon_vertices.hash(&mut hasher);
-        canon_edges.hash(&mut hasher);
-        Some(CanonicalPrimitive {
-            vertices: canon_vertices,
-            edges: canon_edges,
+        vertices.hash(&mut hasher);
+        edges.hash(&mut hasher);
+        CanonicalPrimitive {
+            vertices,
+            edges,
             fingerprint: hasher.finish(),
             vertex_order,
             edge_order,
-        })
+        }
     }
 
     /// The structural fingerprint: equal for isomorphic primitives, and —
@@ -410,6 +465,16 @@ impl LiftedPrimitive {
             slots,
             constants,
         })
+    }
+
+    /// [`CanonicalPrimitive::in_own_order`] with nothing lifted: the form of
+    /// a primitive too symmetric to canonicalize, matched on its own.
+    pub fn in_own_order(query: &QueryGraph, edges: &[QueryEdgeId]) -> LiftedPrimitive {
+        LiftedPrimitive {
+            canon: CanonicalPrimitive::in_own_order(query, edges),
+            slots: Vec::new(),
+            constants: Vec::new(),
+        }
     }
 
     /// The underlying canonical form (fingerprint, isomorphism check, vertex
@@ -675,6 +740,16 @@ mod tests {
         let q = b.build().unwrap();
         let all: Vec<QueryEdgeId> = q.edge_ids().collect();
         assert!(CanonicalPrimitive::build(&q, &all).is_none());
+        // Its own-order form keeps the query's edge order and still maps
+        // the pattern back onto the query.
+        let own = CanonicalPrimitive::in_own_order(&q, &all);
+        assert_eq!(own.edge_order(), all.as_slice());
+        let pattern = own.pattern(&q);
+        for (i, &qe) in own.edge_order().iter().enumerate() {
+            let (pe, oe) = (pattern.edge(QueryEdgeId(i)), q.edge(qe));
+            assert_eq!(own.vertex_order()[pe.src.0], oe.src);
+            assert_eq!(own.vertex_order()[pe.dst.0], oe.dst);
+        }
         // A 5-leaf star (5! = 120) is fine.
         let mut b = QueryGraphBuilder::new("star5").window(Duration::from_secs(1));
         for i in 0..5 {

@@ -237,7 +237,8 @@ impl SjTreeShape {
     }
 
     /// Checks SJ-Tree properties 1, 2 and 4 against the query graph
-    /// (property 3 concerns runtime match collections).
+    /// (property 3 concerns runtime match collections), and that every leaf
+    /// is a non-empty, connected primitive.
     pub fn validate(&self, query: &QueryGraph) -> Result<(), QueryError> {
         // Property 1: root covers the whole query graph.
         let root = self.nodes.get(self.root.0).ok_or_else(|| {
@@ -308,6 +309,14 @@ impl SjTreeShape {
             } else if !self.leaves.contains(&node.id) {
                 return Err(QueryError::InvalidDecomposition(format!(
                     "node {:?} has no children but is not registered as a leaf",
+                    node.id
+                )));
+            } else if node.edges.iter().any(|e| e.0 >= query.edge_count())
+                || !query.edges_connected(&node.edges)
+            {
+                // The engine searches every leaf as one primitive.
+                return Err(QueryError::InvalidDecomposition(format!(
+                    "leaf {:?} is not a connected primitive of the query",
                     node.id
                 )));
             }
@@ -536,6 +545,25 @@ mod tests {
         let json = serde_json::to_string(&bad).unwrap();
         let parsed: SjTreeShape = serde_json::from_str(&json).unwrap();
         assert!(parsed.validate(&q).is_err());
+    }
+
+    #[test]
+    fn a_leaf_that_is_not_a_connected_primitive_is_rejected() {
+        // A hand-edited checkpoint can trade edges between two sibling
+        // leaves, leaving each two disjoint edges, or empty one of them.
+        let q = fig2_query();
+        let mut bad = SjTreeShape::left_deep(&q, &fig2_primitives()).unwrap();
+        let (a, b) = (bad.leaves[0].0, bad.leaves[1].0);
+        bad.nodes[a].edges = vec![QueryEdgeId(0), QueryEdgeId(4)];
+        bad.nodes[b].edges = vec![QueryEdgeId(1), QueryEdgeId(3)];
+        for _ in 0..2 {
+            let err = bad.validate(&q).unwrap_err();
+            assert!(
+                err.to_string().contains("not a connected primitive"),
+                "{err}"
+            );
+            bad.nodes[a].edges.clear();
+        }
     }
 
     #[test]

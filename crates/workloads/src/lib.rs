@@ -16,7 +16,7 @@
 //!   engine's multi-query sharing layer deduplicates.
 //! * [`differential_workload`] — seeded random registries with planted
 //!   common subtrees and constant-varied predicates, driving the
-//!   sharing-on/off differential oracle tests.
+//!   registry-vs-one-engine-per-query differential oracle tests.
 //! * [`LateralMovementGenerator`] / [`CitationChainGenerator`] — multi-hop
 //!   motifs (intrusion pivot chains, article citation chains) with planted
 //!   ground truth, targets for the engine's windowed regular-path-query

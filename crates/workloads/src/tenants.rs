@@ -19,8 +19,8 @@
 //!
 //! The result is a registry whose distinct-primitive count is a small
 //! constant (a few labels' worth) however many tenants register, so matching
-//! cost under sharing is flat while the per-query baseline grows linearly —
-//! the `multi_query` bench measures precisely that gap. The companion event
+//! cost under sharing is flat where one search per query would grow
+//! linearly. The companion event
 //! stream is the news generator's, with one planted co-occurrence burst per
 //! label so every template finds matches.
 
@@ -55,8 +55,7 @@ pub struct TenantConfig {
     /// `"{labels[i % len]}-{i}"` instead of cycling the pool: no two
     /// labelled templates are exact copies, so leaf-level (exact-constant)
     /// sharing finds nothing and only the engine's predicate-constant
-    /// lifting can collapse the registry — the regime the
-    /// `multi_query/lifted` bench group measures. Planted bursts then cover
+    /// lifting can collapse the registry. Planted bursts then cover
     /// the first `labels.len()` tenants' labels, keeping the stream
     /// size-bounded however many tenants register. `false` by default.
     pub distinct_labels: bool,

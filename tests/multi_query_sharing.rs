@@ -1,20 +1,26 @@
 //! Equivalence pin for the multi-query sharing layer.
 //!
-//! The contract of the canonical primitive index is that sharing is
-//! *invisible* except in throughput: for an overlapping template registry,
-//! the engine with `shared_matching(true)` (the default) reports exactly the
-//! same per-query match multiset as the engine with sharing disabled and as
-//! one independent engine per query — including under register → pause →
-//! resume → deregister churn. These tests pin that
-//! contract on the multi-tenant template workload the subsystem exists for,
-//! and check the dedup counters tell the truth about the sharing that
-//! happened.
+//! Every subgraph query is matched through the canonical index, and the
+//! contract is that sharing is *invisible* except in throughput: for an
+//! overlapping template registry, the engine reports exactly the same
+//! per-query match multiset as one independent engine per query — where no
+//! query shares with another, i.e. sharing off — including under register →
+//! pause → resume → deregister churn, and, without churn, the same as the
+//! repeated-search baseline, which shares no code with the index. These
+//! tests pin that contract on the multi-tenant template workload the
+//! subsystem exists for, and check the dedup counters tell the truth about
+//! the sharing that happened.
 
 use std::collections::BTreeMap;
+use streamworks::query::{ManualDecomposition, QueryEdgeId};
 use streamworks::workloads::{MultiTenantGenerator, NewsConfig, TenantConfig};
 use streamworks::{
-    parse_query, ContinuousQueryEngine, Duration, EdgeEvent, MatchEvent, QueryGraph, QueryHandle,
+    parse_query, ContinuousQueryEngine, Duration, EdgeEvent, MatchEvent, Planner, QueryGraph,
+    QueryGraphBuilder, QueryHandle, Timestamp,
 };
+
+#[path = "common/repeated_search.rs"]
+mod repeated_search;
 
 /// Canonical multiset of matches: how often each (query name, data-edge
 /// assignment) was reported. A count map also catches duplicated or missing
@@ -43,20 +49,12 @@ fn tenant_workload(tenants: usize) -> (Vec<QueryGraph>, Vec<EdgeEvent>) {
     (workload.queries, workload.events)
 }
 
-fn build_engine(shared: bool) -> ContinuousQueryEngine {
-    ContinuousQueryEngine::builder()
-        .shared_matching(shared)
-        .build()
-        .unwrap()
+fn build_engine() -> ContinuousQueryEngine {
+    ContinuousQueryEngine::builder().build().unwrap()
 }
 
-fn run(
-    queries: &[QueryGraph],
-    events: &[EdgeEvent],
-    shared: bool,
-    batch: usize,
-) -> (Vec<MatchEvent>, Vec<u64>) {
-    let mut engine = build_engine(shared);
+fn run(queries: &[QueryGraph], events: &[EdgeEvent], batch: usize) -> (Vec<MatchEvent>, Vec<u64>) {
+    let mut engine = build_engine();
     let handles: Vec<QueryHandle> = queries
         .iter()
         .map(|q| engine.register_query(q.clone()).unwrap())
@@ -76,9 +74,8 @@ fn run(
 fn sharing_reports_the_same_per_query_multiset_as_sharing_off() {
     let (queries, events) = tenant_workload(6);
 
-    // Reference: sharing off.
-    let (reference, ref_counts) = run(&queries, &events, false, 64);
-    let expected = multiset(&reference);
+    // Reference: the repeated-search baseline, which shares nothing.
+    let expected = repeated_search::multiset(&queries, &events);
     assert!(
         !expected.is_empty(),
         "the template workload must produce matches"
@@ -88,25 +85,32 @@ fn sharing_reports_the_same_per_query_multiset_as_sharing_off() {
     assert!(expected.keys().any(|(name, _)| name.ends_with("_pair")));
     assert!(expected.keys().any(|(name, _)| name.ends_with("_coloc")));
 
-    let (shared, counts) = run(&queries, &events, true, 64);
+    let (shared, counts) = run(&queries, &events, 64);
     assert_eq!(
         multiset(&shared),
         expected,
-        "sharing on must match the per-query reference"
+        "the registry must match the per-query reference"
     );
-    assert_eq!(counts, ref_counts, "per-query counts");
+    let expected_counts: Vec<u64> = queries
+        .iter()
+        .map(|q| {
+            let reported = expected.iter().filter(|((name, _), _)| name == q.name());
+            reported.map(|(_, n)| *n as u64).sum()
+        })
+        .collect();
+    assert_eq!(counts, expected_counts, "per-query counts");
 }
 
 #[test]
 fn sharing_matches_one_engine_per_query() {
     let (queries, events) = tenant_workload(4);
-    let (all_matches, _) = run(&queries, &events, true, 128);
+    let (all_matches, _) = run(&queries, &events, 128);
     let shared_multiset = multiset(&all_matches);
 
     // One completely independent engine per query.
     let mut independent = BTreeMap::new();
     for q in &queries {
-        let (matches, _) = run(std::slice::from_ref(q), &events, false, 128);
+        let (matches, _) = run(std::slice::from_ref(q), &events, 128);
         for (k, v) in multiset(&matches) {
             *independent.entry(k).or_insert(0) += v;
         }
@@ -119,53 +123,67 @@ fn sharing_survives_lifecycle_churn() {
     let (queries, events) = tenant_workload(6);
     let (third, two_thirds) = (events.len() / 3, 2 * events.len() / 3);
 
-    // Drive two engines — sharing on and off — through the same lifecycle
-    // schedule: some tenants pause mid-stream, one deregisters, a late
-    // tenant registers, a paused one resumes.
-    let drive = |shared: bool| -> (Vec<MatchEvent>, Vec<u64>) {
-        let mut engine = build_engine(shared);
-        let mut handles: Vec<QueryHandle> = queries[..8]
-            .iter()
-            .map(|q| engine.register_query(q.clone()).unwrap())
-            .collect();
+    // Drive the whole registry in one engine, and each query alone in an
+    // engine of its own, through the same lifecycle schedule: some tenants
+    // pause mid-stream, one deregisters, two late tenants register, a paused
+    // one resumes. Returns the matches and each query's final count (`None`
+    // when it is not registered at the end).
+    let drive = |only: Option<usize>| -> (Vec<MatchEvent>, Vec<Option<u64>>) {
+        let wanted = |q: usize| only.is_none_or(|o| o == q);
+        let mut engine = build_engine();
+        let mut handles: Vec<Option<QueryHandle>> = vec![None; 10];
+        for q in (0..8).filter(|&q| wanted(q)) {
+            handles[q] = Some(engine.register_query(queries[q].clone()).unwrap());
+        }
         let mut matches = Vec::new();
         for chunk in events[..third].chunks(32) {
             matches.extend(engine.ingest(chunk).unwrap());
         }
-        engine.pause(handles[0]).unwrap();
-        engine.pause(handles[5]).unwrap();
-        engine.deregister(handles[3]).unwrap();
+        for h in [handles[0], handles[5]].into_iter().flatten() {
+            engine.pause(h).unwrap();
+        }
+        if let Some(h) = handles[3].take() {
+            engine.deregister(h).unwrap();
+        }
         for chunk in events[third..two_thirds].chunks(32) {
             matches.extend(engine.ingest(chunk).unwrap());
         }
-        engine.resume(handles[0]).unwrap();
-        for q in &queries[8..10] {
-            handles.push(engine.register_query(q.clone()).unwrap());
+        if let Some(h) = handles[0] {
+            engine.resume(h).unwrap();
+        }
+        for q in (8..10).filter(|&q| wanted(q)) {
+            handles[q] = Some(engine.register_query(queries[q].clone()).unwrap());
         }
         for chunk in events[two_thirds..].chunks(32) {
             matches.extend(engine.ingest(chunk).unwrap());
         }
         let counts = handles
             .iter()
-            .filter_map(|h| engine.metrics(*h).ok())
-            .map(|m| m.complete_matches)
+            .map(|h| h.map(|h| engine.metrics(h).unwrap().complete_matches))
             .collect();
         (matches, counts)
     };
 
-    let (with_sharing, shared_counts) = drive(true);
-    let (without_sharing, plain_counts) = drive(false);
-    assert_eq!(multiset(&with_sharing), multiset(&without_sharing));
-    assert_eq!(shared_counts, plain_counts);
+    let (with_sharing, shared_counts) = drive(None);
+    let mut alone = Vec::new();
+    let mut alone_counts = Vec::new();
+    for q in 0..10 {
+        let (matches, counts) = drive(Some(q));
+        alone.extend(matches);
+        alone_counts.push(counts[q]);
+    }
+    assert_eq!(multiset(&with_sharing), multiset(&alone));
+    assert_eq!(shared_counts, alone_counts);
 }
 
 #[test]
 fn per_query_metrics_read_the_same_with_sharing_on_and_off() {
     // What a tenant reads about its own query must not depend on whether its
-    // searches ran privately or once for everybody inside a shared entry.
+    // searches ran once for everybody inside a shared entry or for it alone,
+    // in an engine of its own.
     let (queries, events) = tenant_workload(8);
-    let per_query = |shared: bool| -> Vec<(String, [u64; 3], u64)> {
-        let mut engine = build_engine(shared);
+    let per_query = |queries: &[QueryGraph]| -> Vec<(String, [u64; 3], u64)> {
+        let mut engine = build_engine();
         let handles: Vec<QueryHandle> = queries
             .iter()
             .map(|q| engine.register_query(q.clone()).unwrap())
@@ -173,10 +191,9 @@ fn per_query_metrics_read_the_same_with_sharing_on_and_off() {
         for chunk in events.chunks(64) {
             engine.ingest(chunk).unwrap();
         }
-        assert_eq!(engine.sharing_active(), shared);
         handles
             .iter()
-            .zip(&queries)
+            .zip(queries)
             .map(|(h, q)| {
                 let m = engine.metrics(*h).unwrap();
                 let exact = [m.edges_processed, m.primitive_matches, m.complete_matches];
@@ -184,21 +201,23 @@ fn per_query_metrics_read_the_same_with_sharing_on_and_off() {
             })
             .collect()
     };
-    let private = per_query(false);
-    let shared = per_query(true);
-    assert!(private.iter().any(|(_, m, c)| m[2] > 0 && *c > 0));
-    for ((name, exact, candidates), (_, private_exact, private_candidates)) in
-        shared.iter().zip(&private)
+    let alone: Vec<_> = queries
+        .iter()
+        .flat_map(|q| per_query(std::slice::from_ref(q)))
+        .collect();
+    let shared = per_query(&queries);
+    assert!(alone.iter().any(|(_, m, c)| m[2] > 0 && *c > 0));
+    for ((name, exact, candidates), (_, alone_exact, alone_candidates)) in shared.iter().zip(&alone)
     {
-        assert_eq!(exact, private_exact, "{name}");
+        assert_eq!(exact, alone_exact, "{name}");
         if name.ends_with("_coloc") {
-            assert_eq!(candidates, private_candidates, "{name}");
+            assert_eq!(candidates, alone_candidates, "{name}");
         } else {
             // A lifted entry searches once for every watched constant, and
             // each subscriber is charged that whole walk: its own share plus
             // the other labels' (the attribution is per entry, not per
             // constant).
-            assert!(candidates >= private_candidates, "{name}");
+            assert!(candidates >= alone_candidates, "{name}");
         }
     }
 }
@@ -223,7 +242,7 @@ fn dedup_counters_tell_the_truth() {
             .unwrap(),
         );
     }
-    let mut engine = build_engine(true);
+    let mut engine = build_engine();
     for q in &registry {
         engine.register_query(q.clone()).unwrap();
     }
@@ -236,7 +255,6 @@ fn dedup_counters_tell_the_truth() {
         "dedup ratio at least 2x: {m:?}"
     );
     assert!(m.dedup_ratio() >= 2.0);
-    assert!(engine.sharing_active());
     // No join and no constant to dispatch on anywhere: nothing beyond plain
     // leaf entries was interned.
     assert_eq!(m.distinct_subtrees, 0);
@@ -258,7 +276,6 @@ fn dedup_counters_tell_the_truth() {
     let m = engine.engine_metrics();
     assert_eq!(m.distinct_primitives, 0);
     assert_eq!(m.subscribed_primitives, 0);
-    assert!(!engine.sharing_active());
 }
 
 #[test]
@@ -269,7 +286,7 @@ fn subtree_counters_tell_the_truth() {
     // constant dispatch; the unlabelled co-location template has no constants
     // to lift and stays on the leaf-level primitive index.
     let (queries, events) = tenant_workload(8);
-    let mut engine = build_engine(true);
+    let mut engine = build_engine();
     for q in &queries {
         engine.register_query(q.clone()).unwrap();
     }
@@ -291,7 +308,6 @@ fn subtree_counters_tell_the_truth() {
         m.distinct_primitives * 2 <= m.subscribed_primitives,
         "{m:?}"
     );
-    assert!(engine.sharing_active());
 
     engine.ingest(&events[..events.len().min(4_000)]).unwrap();
     let m = engine.engine_metrics();
@@ -311,13 +327,12 @@ fn subtree_counters_tell_the_truth() {
     assert_eq!(m.subscribed_subtrees, 0);
     assert_eq!(m.distinct_primitives, 0);
     assert_eq!(m.subscribed_primitives, 0);
-    assert!(!engine.sharing_active());
 }
 
 #[test]
 fn checkpoint_restore_re_interns_the_index() {
     let (queries, events) = tenant_workload(4);
-    let mut engine = build_engine(true);
+    let mut engine = build_engine();
     for q in &queries {
         engine.register_query(q.clone()).unwrap();
     }
@@ -331,7 +346,9 @@ fn checkpoint_restore_re_interns_the_index() {
     let after = restored.engine_metrics();
     assert_eq!(after.distinct_primitives, before.distinct_primitives);
     assert_eq!(after.subscribed_primitives, before.subscribed_primitives);
-    assert!(restored.sharing_active());
+    assert_eq!(after.distinct_subtrees, before.distinct_subtrees);
+    assert_eq!(after.subscribed_subtrees, before.subscribed_subtrees);
+    assert!(after.subscribed_primitives + after.subscribed_subtrees > 0);
 
     // And the restored engine keeps matching exactly like the original.
     // Edge ids are renumbered by the restore's replay, so matches are
@@ -357,28 +374,40 @@ fn checkpoint_restore_re_interns_the_index() {
 }
 
 #[test]
-fn disjoint_registries_bypass_the_shared_path() {
-    // Queries with no structural overlap anywhere: the engine must stay on
-    // the classic dispatch (sharing_active false) while still interning the
-    // primitives for later overlap.
-    let mut engine = build_engine(true);
-    engine
-        .register_dsl("QUERY a WINDOW 1h MATCH (x:IP)-[:flow]->(y:IP)")
-        .unwrap();
-    engine
-        .register_dsl("QUERY b WINDOW 1h MATCH (u:User)-[:login]->(h:IP)")
-        .unwrap();
-    assert!(!engine.sharing_active());
+fn a_leaf_too_symmetric_to_canonicalize_is_matched_on_its_own() {
+    // An 8-spoke star as one leaf: eight indistinguishable spokes exceed the
+    // canonicalization budget (8! relabellings). Registered twice, each copy
+    // gets an entry of its own — nothing is shared — and both match.
+    let star = |name: &str| {
+        let mut b = QueryGraphBuilder::new(name).window(Duration::from_hours(1));
+        for i in 0..8 {
+            b = b.edge("hub", "rel", &format!("leaf{i}"));
+        }
+        b.build().unwrap()
+    };
+    let queries = [star("star_a"), star("star_b")];
+    let mut engine = build_engine();
+    for q in &queries {
+        let all: Vec<QueryEdgeId> = q.edge_ids().collect();
+        let plan = Planner::new()
+            .plan_with(q.clone(), &ManualDecomposition::new(vec![all]))
+            .unwrap();
+        engine.register_plan(plan);
+    }
     let m = engine.engine_metrics();
-    assert_eq!(m.distinct_primitives, 2);
-    assert_eq!(m.subscribed_primitives, 2);
+    assert_eq!((m.distinct_primitives, m.subscribed_primitives), (2, 2));
+    assert_eq!(m.subscribed_subtrees, 0);
 
-    // A third query overlapping the first flips the engine onto the shared
-    // path; deregistering it flips back.
-    let c = engine
-        .register_dsl("QUERY c WINDOW 1h MATCH (p:IP)-[:flow]->(q:IP)")
-        .unwrap();
-    assert!(engine.sharing_active());
-    engine.deregister(c).unwrap();
-    assert!(!engine.sharing_active());
+    // Eight spokes around one hub, one around another, and a different type.
+    let at = Timestamp::from_secs;
+    let mut events: Vec<EdgeEvent> = (0..8)
+        .map(|i| EdgeEvent::new("h", "Host", format!("l{i}"), "Host", "rel", at(i)))
+        .collect();
+    events.push(EdgeEvent::new("g", "Host", "l0", "Host", "rel", at(8)));
+    events.push(EdgeEvent::new("h", "Host", "x", "Host", "other", at(9)));
+    let emitted = multiset(&engine.ingest(&events).unwrap());
+    let expected = repeated_search::multiset(&queries, &events);
+    // 8! injective spoke assignments per star.
+    assert_eq!(expected.len(), 2 * 40_320);
+    assert_eq!(emitted, expected);
 }

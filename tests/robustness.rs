@@ -294,22 +294,23 @@ fn checkpoint_restore_preserves_future_matches_on_a_cyber_stream() {
     );
 }
 
-/// A checkpoint written before the two sharing knobs beside
-/// `shared_matching` were removed from `EngineConfig` (docs/MIGRATION.md,
-/// 0.9; the fixture was produced by the last commit that had them, both
-/// `true`) carries two config keys nobody reads any more. It must load — the
-/// unknown keys ignored, not an error and certainly not a panic — and
-/// restore into the same index as registering its plans afresh: both lifted
-/// tenants and plain pairs, planned as single-edge leaves and as one
-/// whole-tree leaf, one query paused. The same fixture carries the three
-/// removed worker-thread knobs. (The fixture lives outside `tests/`, and the
-/// removed names are spelled in pieces here, so that they stay greppable to
-/// zero in the source tree.)
+/// A checkpoint written before the three sharing knobs were removed from
+/// `EngineConfig` (docs/MIGRATION.md, 0.9 and 0.16; the fixture was produced
+/// by the last commit that had the first two, all three `true`) carries
+/// three config keys nobody reads any more. It must load — the unknown keys
+/// ignored, not an error and certainly not a panic — and restore into the
+/// same index as registering its plans afresh: both lifted tenants and
+/// plain pairs, planned as single-edge leaves and as one whole-tree leaf,
+/// one query paused. The same fixture carries the three removed
+/// worker-thread knobs. (The fixture lives outside `tests/`, and the removed
+/// names are spelled in pieces here, so that they stay greppable to zero in
+/// the source tree.)
 #[test]
 fn checkpoints_written_with_the_removed_sharing_knobs_still_load() {
     let json = include_str!("../fixtures/checkpoint_pr12.json");
     assert_eq!(json.matches("_sharing\":true").count(), 2);
     for (key, value) in [
+        (["shared", "matching"].join("_"), "true"),
         ("shards".to_owned(), "1"),
         (["channel", "capacity"].join("_"), "1024"),
         (["shard", "failure", "policy"].join("_"), "\"FailFast\""),
@@ -319,7 +320,6 @@ fn checkpoints_written_with_the_removed_sharing_knobs_still_load() {
     }
     let checkpoint = EngineCheckpoint::load(json).expect("unknown config keys are ignored");
     assert_eq!(checkpoint.plans.len(), 7);
-    assert!(checkpoint.config.shared_matching);
 
     let dedup = |engine: &ContinuousQueryEngine| {
         let m = engine.engine_metrics();
@@ -335,7 +335,6 @@ fn checkpoints_written_with_the_removed_sharing_knobs_still_load() {
     }
     assert_eq!(dedup(&restored), dedup(&fresh));
     assert_ne!(dedup(&fresh), ((0, 0), (0, 0, 0)));
-    assert!(restored.sharing_active());
 
     // The retained edges were replayed: a second politics mention of `rust`
     // completes the pair for both politics tenants (and for the unlabelled

@@ -1,10 +1,11 @@
 //! Randomized differential oracle for the sharing index.
 //!
-//! The contract under test: with sharing enabled (the default), the engine
-//! reports **exactly** the same per-query match multiset as (a) the same
-//! engine with all sharing disabled, and (b) one completely independent
-//! engine per query — under register → pause → resume → deregister churn
-//! applied identically to every contender. The
+//! The contract under test: the engine reports **exactly** the same
+//! per-query match multiset for a whole registry as one completely
+//! independent engine per query — where no query shares with another —
+//! under register → pause → resume → deregister churn applied identically
+//! to every contender; and, without churn, the same as the repeated-search
+//! baseline, which shares no code with the index. The
 //! registries come from the seeded [`differential_workload`] generator,
 //! whose template families are built to provoke every sharing regime at once
 //! (exact structural copies, copies differing only in an equality constant,
@@ -16,6 +17,9 @@
 use std::collections::BTreeMap;
 use streamworks::workloads::{differential_workload, DifferentialConfig};
 use streamworks::{ContinuousQueryEngine, EdgeEvent, MatchEvent, QueryGraph, QueryHandle};
+
+#[path = "common/repeated_search.rs"]
+mod repeated_search;
 
 /// Canonical multiset of matches: how often each (query name, data-edge
 /// assignment) was reported. Count maps also catch duplicated or missing
@@ -113,13 +117,9 @@ fn drive(
     queries: &[QueryGraph],
     events: &[EdgeEvent],
     schedule: &[(usize, Action)],
-    shared: bool,
     restrict: Option<usize>,
 ) -> (Vec<MatchEvent>, Regimes) {
-    let mut engine = ContinuousQueryEngine::builder()
-        .shared_matching(shared)
-        .build()
-        .unwrap();
+    let mut engine = ContinuousQueryEngine::builder().build().unwrap();
     let wanted = |q: usize| restrict.is_none_or(|only| only == q);
     let late: Vec<usize> = schedule
         .iter()
@@ -157,25 +157,32 @@ fn drive(
     (matches, regimes)
 }
 
-/// Runs the full comparison for one seed: sharing-on (the default) versus
-/// sharing-off, plus — when `oracle` — one independent engine per query.
-fn check_seed(seed: u64, oracle: bool) {
+/// Runs the full comparison for one seed: the whole registry in one engine
+/// versus one independent engine per query, under the seed's churn; plus —
+/// when `baseline` — the registry without churn versus repeated search.
+fn check_seed(seed: u64, baseline: bool) {
     let workload = differential_workload(&DifferentialConfig {
         seed,
         ..Default::default()
     });
-    let schedule = churn_schedule(seed, workload.queries.len());
-    let (reference, _) = drive(&workload.queries, &workload.events, &schedule, false, None);
-    let reference = multiset(&reference);
+    let (queries, events) = (&workload.queries, &workload.events);
+    let schedule = churn_schedule(seed, queries.len());
+    let mut independent = BTreeMap::new();
+    for qi in 0..queries.len() {
+        let (matches, _) = drive(queries, events, &schedule, Some(qi));
+        for (k, v) in multiset(&matches) {
+            *independent.entry(k).or_insert(0) += v;
+        }
+    }
     assert!(
-        !reference.is_empty(),
+        !independent.is_empty(),
         "seed {seed}: workload must produce matches"
     );
-    let (shared, regimes) = drive(&workload.queries, &workload.events, &schedule, true, None);
-    let shared = multiset(&shared);
+    let (shared, regimes) = drive(queries, events, &schedule, None);
     assert_eq!(
-        shared, reference,
-        "seed {seed}: sharing-on diverged from sharing-off"
+        multiset(&shared),
+        independent,
+        "seed {seed}: the registry diverged from one-engine-per-query"
     );
     // The three families (constant-varied, constant-free, constant-identical)
     // put a plain leaf, an unlifted join subtree and a lifted entry in the
@@ -184,29 +191,18 @@ fn check_seed(seed: u64, oracle: bool) {
         regimes.leaf && regimes.unlifted_subtree && regimes.lifted,
         "seed {seed}: a sharing regime was never live: {regimes:?}"
     );
-    if oracle {
-        let mut independent = BTreeMap::new();
-        for qi in 0..workload.queries.len() {
-            let (matches, _) = drive(
-                &workload.queries,
-                &workload.events,
-                &schedule,
-                false,
-                Some(qi),
-            );
-            for (k, v) in multiset(&matches) {
-                *independent.entry(k).or_insert(0) += v;
-            }
-        }
+    if baseline {
+        let (matches, _) = drive(queries, events, &[], None);
         assert_eq!(
-            shared, independent,
-            "seed {seed}: sharing-on diverged from one-engine-per-query"
+            multiset(&matches),
+            repeated_search::multiset(queries, events),
+            "seed {seed}: the churn-free registry diverged from repeated search"
         );
     }
 }
 
 // The ≥20-seed sweep, split so a failure names its seed range. Every third
-// seed also runs the one-engine-per-query oracle.
+// seed also runs the churn-free repeated-search comparison.
 
 #[test]
 fn differential_seeds_0_to_6() {
