@@ -1,13 +1,14 @@
 //! Experiments E4/E7: the same query executed under different SJ-Tree plans
-//! (selectivity-ordered vs. frequency-blind vs. balanced), as in paper Fig. 7
-//! and the §4.1 design goal of pushing selective primitives to the bottom.
+//! (the cost-based planner's vs. the frequency-blind single-edge chain vs.
+//! Fig. 2's hand-picked wedges), as in paper Fig. 7 and the §4.1 design goal
+//! of pushing selective primitives to the bottom.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use streamworks_core::{ContinuousQueryEngine, EngineConfig};
 use streamworks_graph::Duration;
 use streamworks_query::{
-    BalancedPairs, CostBasedOrdered, DecompositionStrategy, LeftDeepEdgeChain, Planner,
-    SelectivityOrdered, TreeShapeKind, TriadWedges,
+    CostBasedOrdered, DecompositionStrategy, ManualDecomposition, Planner, QueryEdgeId,
+    TreeShapeKind,
 };
 use streamworks_workloads::queries::news_triple_query;
 use streamworks_workloads::{NewsConfig, NewsStreamGenerator};
@@ -27,18 +28,24 @@ fn bench_plans(c: &mut Criterion) {
         warm.ingest(ev).unwrap();
     }
 
+    let blind = ManualDecomposition::new(query.edge_ids().map(|e| vec![e]).collect());
+    // Fig. 2: one (mentions, located) wedge per article.
+    let fig2_wedges = ManualDecomposition::new(
+        [(0, 3), (1, 4), (2, 5)]
+            .into_iter()
+            .map(|(a, b)| vec![QueryEdgeId(a), QueryEdgeId(b)])
+            .collect(),
+    );
     let strategies: Vec<(&str, Box<dyn DecompositionStrategy>)> = vec![
-        ("selectivity_pairs", Box::new(SelectivityOrdered::default())),
+        ("cost_based", Box::new(CostBasedOrdered::default())),
         (
-            "selectivity_single",
-            Box::new(SelectivityOrdered {
+            "cost_based_single",
+            Box::new(CostBasedOrdered {
                 max_primitive_size: 1,
             }),
         ),
-        ("blind_edge_chain", Box::new(LeftDeepEdgeChain)),
-        ("balanced_pairs", Box::new(BalancedPairs)),
-        ("cost_based", Box::new(CostBasedOrdered::default())),
-        ("triad_wedges", Box::new(TriadWedges::default())),
+        ("blind", Box::new(blind)),
+        ("manual_wedges", Box::new(fig2_wedges)),
     ];
 
     let mut group = c.benchmark_group("plan_comparison");

@@ -14,7 +14,7 @@ use streamworks_core::{
     AdaptiveConfig, AdaptiveReplanner, ContinuousQueryEngine, EngineConfig, QueryHandle,
 };
 use streamworks_graph::{Duration, EdgeEvent};
-use streamworks_query::{CostBasedOrdered, LeftDeepEdgeChain, TreeShapeKind};
+use streamworks_query::{ManualDecomposition, TreeShapeKind};
 use streamworks_workloads::queries::news_triple_query;
 use streamworks_workloads::{NewsConfig, NewsStreamGenerator};
 
@@ -85,17 +85,18 @@ fn main() {
         "joins",
     ]);
 
-    // (a) Blind plan, never re-planned.
+    // (a) Blind plan (single edges in edge-id order), never re-planned.
+    let blind_plan = ManualDecomposition::new(query.edge_ids().map(|e| vec![e]).collect());
     let mut blind = ContinuousQueryEngine::new(config);
     let blind_id = blind
-        .register_query_with(query.clone(), &LeftDeepEdgeChain, TreeShapeKind::LeftDeep)
+        .register_query_with(query.clone(), &blind_plan, TreeShapeKind::LeftDeep)
         .unwrap();
     run_phase(
         &mut blind,
         blind_id,
         &phase1,
         "static-blind",
-        "blind-edge-chain",
+        "blind",
         &mut table,
     );
     run_phase(
@@ -103,14 +104,14 @@ fn main() {
         blind_id,
         &phase2,
         "static-blind",
-        "blind-edge-chain",
+        "blind",
         &mut table,
     );
 
     // (b) Blind plan + adaptive replanner checked between the phases.
     let mut adaptive = ContinuousQueryEngine::new(config);
     let adaptive_id = adaptive
-        .register_query_with(query.clone(), &LeftDeepEdgeChain, TreeShapeKind::LeftDeep)
+        .register_query_with(query.clone(), &blind_plan, TreeShapeKind::LeftDeep)
         .unwrap();
     let mut replanner = AdaptiveReplanner::new(AdaptiveConfig {
         min_edges_between_replans: 1_000,
@@ -124,7 +125,7 @@ fn main() {
         adaptive_id,
         &phase1,
         "adaptive",
-        "blind-edge-chain",
+        "blind",
         &mut table,
     );
     let decisions = replanner.check(&mut adaptive);
@@ -144,9 +145,7 @@ fn main() {
     for ev in &phase1 {
         informed.ingest(ev).unwrap();
     }
-    let informed_id = informed
-        .register_query_with(query, &CostBasedOrdered::default(), TreeShapeKind::LeftDeep)
-        .unwrap();
+    let informed_id = informed.register_query(query).unwrap();
     run_phase(
         &mut informed,
         informed_id,

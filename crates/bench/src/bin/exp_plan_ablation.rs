@@ -1,7 +1,9 @@
 //! Experiments E4/E7: plan-quality ablation — the same queries executed under
-//! a selectivity-ordered plan vs. frequency-blind plans, reporting partial
-//! matches stored, join attempts and wall time (the cost the §4.1 design goal
-//! minimises), plus the Fig. 7-style per-plan progression for the Smurf query.
+//! the cost-based planner's plan (two-edge and single-edge primitives) vs.
+//! hand-picked plans: the frequency-blind single-edge chain and the paper's
+//! wedge decomposition (Fig. 2 for the news query, one request/reply path per
+//! amplifier for the Smurf query). Reports partial matches stored, join
+//! attempts and wall time (the cost the §4.1 design goal minimises).
 //!
 //! ```text
 //! cargo run --release -p streamworks-bench --bin exp_plan_ablation [-- small|medium|large]
@@ -11,30 +13,45 @@ use streamworks_bench::{cyber_preset, measure, PresetSize, Table};
 use streamworks_core::{ContinuousQueryEngine, EngineConfig};
 use streamworks_graph::{Duration, EdgeEvent};
 use streamworks_query::{
-    estimate_shape_cost, BalancedPairs, CostBasedOrdered, DecompositionStrategy, LeftDeepEdgeChain,
-    Planner, QueryGraph, SelectivityEstimator, SelectivityOrdered, TreeShapeKind, TriadWedges,
+    estimate_shape_cost, CostBasedOrdered, DecompositionStrategy, ManualDecomposition, Planner,
+    QueryEdgeId, QueryGraph, SelectivityEstimator, TreeShapeKind,
 };
 use streamworks_workloads::queries::{news_triple_query, smurf_ddos_query};
 use streamworks_workloads::{CyberTrafficGenerator, NewsConfig, NewsStreamGenerator};
 
-fn ablate(name: &str, query: QueryGraph, events: &[EdgeEvent], table: &mut Table) {
+/// Hand-picked two-edge primitives, given as pairs of query edge ids.
+fn wedges(pairs: &[(usize, usize)]) -> ManualDecomposition {
+    ManualDecomposition::new(
+        pairs
+            .iter()
+            .map(|&(a, b)| vec![QueryEdgeId(a), QueryEdgeId(b)])
+            .collect(),
+    )
+}
+
+fn ablate(
+    name: &str,
+    query: QueryGraph,
+    manual_wedges: ManualDecomposition,
+    events: &[EdgeEvent],
+    table: &mut Table,
+) {
     // Learn statistics with a warm-up pass.
     let mut warm = ContinuousQueryEngine::builder().build().unwrap();
     for ev in events {
         warm.ingest(ev).unwrap();
     }
+    let blind = ManualDecomposition::new(query.edge_ids().map(|e| vec![e]).collect());
     let strategies: Vec<(&str, Box<dyn DecompositionStrategy>)> = vec![
-        ("selectivity-pairs", Box::new(SelectivityOrdered::default())),
+        ("cost-based", Box::new(CostBasedOrdered::default())),
         (
-            "selectivity-single",
-            Box::new(SelectivityOrdered {
+            "cost-based-single",
+            Box::new(CostBasedOrdered {
                 max_primitive_size: 1,
             }),
         ),
-        ("blind-edge-chain", Box::new(LeftDeepEdgeChain)),
-        ("balanced-pairs", Box::new(BalancedPairs)),
-        ("cost-based", Box::new(CostBasedOrdered::default())),
-        ("triad-wedges", Box::new(TriadWedges::default())),
+        ("blind", Box::new(blind)),
+        ("manual-wedges", Box::new(manual_wedges)),
     ];
     for (plan_name, strategy) in &strategies {
         let plan = Planner::new()
@@ -91,24 +108,28 @@ fn main() {
     ]);
 
     // The unlabelled triple query is intentionally unselective; a moderate
-    // stream keeps the frequency-blind plans finite while preserving the skew.
+    // stream keeps the frequency-blind plan finite while preserving the skew.
     let news = NewsStreamGenerator::new(NewsConfig {
         articles: 1_200 * if size == PresetSize::Small { 1 } else { 4 },
         planted_events: vec![("politics".into(), 3)],
         ..Default::default()
     })
     .generate();
+    // Fig. 2: one (mentions, located) wedge per article.
     ablate(
         "news/triple",
         news_triple_query(Duration::from_mins(10)),
+        wedges(&[(0, 3), (1, 4), (2, 5)]),
         &news.events,
         &mut table,
     );
 
     let cyber = CyberTrafficGenerator::new(cyber_preset(size)).generate();
+    // One (request, reply) path per amplifier.
     ablate(
         "cyber/smurf",
         smurf_ddos_query(4, Duration::from_mins(5)),
+        wedges(&[(0, 1), (2, 3), (4, 5), (6, 7)]),
         &cyber.events,
         &mut table,
     );

@@ -13,9 +13,8 @@ use streamworks_core::{
     TelemetryLevel,
 };
 use streamworks_query::{
-    estimate_shape_cost, BalancedPairs, CostBasedOrdered, DecompositionStrategy, LeftDeepEdgeChain,
-    Planner, QueryError, QueryGraph, SelectivityEstimator, SelectivityOrdered, TreeShapeKind,
-    TriadWedges,
+    estimate_shape_cost, CostBasedOrdered, Planner, QueryError, QueryGraph, SelectivityEstimator,
+    TreeShapeKind,
 };
 use streamworks_report::{
     query_graph_to_dot, sjtree_to_dot, summary_report, EventTable, EventTableSpec, Table,
@@ -98,12 +97,13 @@ COMMANDS:
              Generate a synthetic edge trace (JSON lines). `lateral` plants
              multi-hop intrusion chains (login flow* exploit), `citations`
              plants article citation chains — both targets for RPQ queries.
-  plan       --query <q.swq> [--trace <trace.jsonl>] [--strategy <name>]
+  plan       --query <q.swq> [--trace <trace.jsonl>]
              [--tree left-deep|balanced] [--dot-query <f>] [--dot-tree <f>]
-             Parse a DSL query, plan it (optionally against trace statistics)
-             and print the SJ-Tree plan with its cost estimate.
+             Parse a DSL query, plan it with the cost-based planner
+             (optionally against trace statistics) and print the SJ-Tree
+             plan with its cost estimate.
   run        --query <q.swq> [--query <q2.swq> ...] --trace <trace.jsonl>
-             [--strategy <name>] [--tree left-deep|balanced] [--batch N]
+             [--tree left-deep|balanced] [--batch N]
              [--limit N] [--csv <out.csv>] [--jsonl <out>]
              [--durable-sink <path.log>] [--retry-policy <spec>]
              [--telemetry] [--sample-every N] [--metrics-json]
@@ -129,7 +129,7 @@ COMMANDS:
              telemetry snapshot as JSON; --metrics-every N prints a compact
              metrics line after every N batches (both imply --telemetry).
   stats      --query <q.swq> [--query <q2.swq> ...] --trace <trace.jsonl>
-             [--strategy <name>] [--tree left-deep|balanced] [--batch N]
+             [--tree left-deep|balanced] [--batch N]
              [--sample-every N] [--json]
              Replay the trace with telemetry enabled and print the unified
              metrics registry in Prometheus text format (or JSON with
@@ -137,23 +137,8 @@ COMMANDS:
              per-query match counters and delivery lag.
   summarize  --trace <trace.jsonl> [--triads N]
              Ingest the trace and print the graph statistics report.
-
-STRATEGIES: selectivity (default), cost, triads, blind, balanced-pairs
 "
     .to_owned()
-}
-
-fn strategy_by_name(name: &str) -> Result<Box<dyn DecompositionStrategy>, CliError> {
-    match name {
-        "selectivity" | "selectivity-ordered" => Ok(Box::new(SelectivityOrdered::default())),
-        "cost" | "cost-based" => Ok(Box::new(CostBasedOrdered::default())),
-        "triads" | "triad-wedges" => Ok(Box::new(TriadWedges::default())),
-        "blind" | "edge-chain" | "left-deep-edge-chain" => Ok(Box::new(LeftDeepEdgeChain)),
-        "balanced-pairs" => Ok(Box::new(BalancedPairs)),
-        other => Err(CliError::Usage(format!(
-            "unknown strategy `{other}` (expected selectivity, cost, triads, blind or balanced-pairs)"
-        ))),
-    }
 }
 
 fn tree_kind_by_name(name: &str) -> Result<TreeShapeKind, CliError> {
@@ -294,7 +279,6 @@ pub fn cmd_generate(opts: &Options) -> Result<String, CliError> {
 /// `plan`: show the SJ-Tree plan and cost estimate for a DSL query.
 pub fn cmd_plan(opts: &Options) -> Result<String, CliError> {
     let query = load_query(opts.require("query")?)?;
-    let strategy = strategy_by_name(opts.value("strategy").unwrap_or("selectivity"))?;
     let tree_kind = tree_kind_by_name(opts.value("tree").unwrap_or("left-deep"))?;
 
     let mut out = String::new();
@@ -302,26 +286,15 @@ pub fn cmd_plan(opts: &Options) -> Result<String, CliError> {
         Some(path) => Some(engine_from_trace(path)?),
         None => None,
     };
-    let (plan, cost_text) = match &engine {
-        Some(engine) => {
-            let planner = Planner::new()
-                .with_statistics(engine.summary(), engine.graph())
-                .tree_kind(tree_kind);
-            let plan = planner.plan_with(query, strategy.as_ref())?;
-            let estimator = SelectivityEstimator::with_summary(engine.summary(), engine.graph());
-            let cost = estimate_shape_cost(&plan.query, &estimator, &plan.shape);
-            let rendered = cost.render(&plan.query);
-            (plan, rendered)
-        }
-        None => {
-            let planner = Planner::new().tree_kind(tree_kind);
-            let plan = planner.plan_with(query, strategy.as_ref())?;
-            let estimator = SelectivityEstimator::without_summary();
-            let cost = estimate_shape_cost(&plan.query, &estimator, &plan.shape);
-            let rendered = cost.render(&plan.query);
-            (plan, rendered)
-        }
+    let (planner, estimator) = match &engine {
+        Some(engine) => (
+            Planner::new().with_statistics(engine.summary(), engine.graph()),
+            SelectivityEstimator::with_summary(engine.summary(), engine.graph()),
+        ),
+        None => (Planner::new(), SelectivityEstimator::without_summary()),
     };
+    let plan = planner.tree_kind(tree_kind).plan(query)?;
+    let cost_text = estimate_shape_cost(&plan.query, &estimator, &plan.shape).render(&plan.query);
 
     out.push_str(&plan.explain());
     out.push_str("\ncost estimate");
@@ -355,7 +328,6 @@ pub fn cmd_run(opts: &Options) -> Result<String, CliError> {
         return Err(CliError::Options(OptionError::MissingFlag("query".into())));
     }
     let trace = opts.require("trace")?;
-    let strategy = strategy_by_name(opts.value("strategy").unwrap_or("selectivity"))?;
     let tree_kind = tree_kind_by_name(opts.value("tree").unwrap_or("left-deep"))?;
     let limit: usize = opts.parse_or("limit", 50)?;
     let batch: usize = opts.parse_or("batch", 1024)?;
@@ -393,7 +365,8 @@ pub fn cmd_run(opts: &Options) -> Result<String, CliError> {
         } else {
             let query = streamworks_query::parse_query(&text)?;
             let name = query.name().to_owned();
-            let handle = engine.register_query_with(query, strategy.as_ref(), tree_kind)?;
+            let handle =
+                engine.register_query_with(query, &CostBasedOrdered::default(), tree_kind)?;
             (handle, name)
         };
         handles.push(handle);
@@ -568,7 +541,6 @@ pub fn cmd_stats(opts: &Options) -> Result<String, CliError> {
         return Err(CliError::Options(OptionError::MissingFlag("query".into())));
     }
     let trace = opts.require("trace")?;
-    let strategy = strategy_by_name(opts.value("strategy").unwrap_or("selectivity"))?;
     let tree_kind = tree_kind_by_name(opts.value("tree").unwrap_or("left-deep"))?;
     let batch: usize = opts.parse_or("batch", 1024)?;
     if batch == 0 {
@@ -589,7 +561,7 @@ pub fn cmd_stats(opts: &Options) -> Result<String, CliError> {
             engine.register_rpq(streamworks_query::parse_rpq(&text)?);
         } else {
             let query = streamworks_query::parse_query(&text)?;
-            engine.register_query_with(query, strategy.as_ref(), tree_kind)?;
+            engine.register_query_with(query, &CostBasedOrdered::default(), tree_kind)?;
         }
     }
     let events = read_trace_file(trace)?;
@@ -640,21 +612,13 @@ pub fn dispatch(args: &[String]) -> Result<String, CliError> {
         "generate" => (cmd_generate, &["kind", "out", "edges", "seed"]),
         "plan" => (
             cmd_plan,
-            &[
-                "query",
-                "trace",
-                "strategy",
-                "tree",
-                "dot-query",
-                "dot-tree",
-            ],
+            &["query", "trace", "tree", "dot-query", "dot-tree"],
         ),
         "run" => (
             cmd_run,
             &[
                 "query",
                 "trace",
-                "strategy",
                 "tree",
                 "batch",
                 "limit",
@@ -670,15 +634,7 @@ pub fn dispatch(args: &[String]) -> Result<String, CliError> {
         ),
         "stats" => (
             cmd_stats,
-            &[
-                "query",
-                "trace",
-                "strategy",
-                "tree",
-                "batch",
-                "sample-every",
-                "json",
-            ],
+            &["query", "trace", "tree", "batch", "sample-every", "json"],
         ),
         "summarize" => (cmd_summarize, &["trace", "triads"]),
         other => {
@@ -746,16 +702,7 @@ mod tests {
     fn plan_without_statistics_and_with_dot_export() {
         let query = write_query("pair.swq", PAIR_QUERY);
         let dot_tree = scratch("tree.dot").to_string_lossy().into_owned();
-        let out = dispatch(&args(&[
-            "plan",
-            "--query",
-            &query,
-            "--strategy",
-            "cost",
-            "--dot-tree",
-            &dot_tree,
-        ]))
-        .unwrap();
+        let out = dispatch(&args(&["plan", "--query", &query, "--dot-tree", &dot_tree])).unwrap();
         assert!(out.contains("plan for query `pair`"));
         assert!(out.contains("cost-based"));
         assert!(out.contains("structural fallback"));
@@ -1184,14 +1131,29 @@ mod tests {
         assert!(dispatch(&args(&["generate", "--kind", "nope", "--out", "x.jsonl"])).is_err());
         let bad_query = write_query("bad.swq", "MATCH nonsense");
         assert!(dispatch(&args(&["plan", "--query", &bad_query])).is_err());
-        let unknown_strategy = write_query("ok.swq", PAIR_QUERY);
-        assert!(dispatch(&args(&[
-            "plan",
-            "--query",
-            &unknown_strategy,
-            "--strategy",
-            "mystery"
-        ]))
-        .is_err());
+    }
+
+    #[test]
+    fn the_removed_strategy_flag_is_rejected_by_name() {
+        // One planner: `--strategy` is a flag no subcommand accepts (an
+        // options error, exit 1), named in the message.
+        let query = write_query("ok.swq", PAIR_QUERY);
+        for command in ["plan", "run", "stats"] {
+            let err = dispatch(&args(&[
+                command,
+                "--query",
+                &query,
+                "--trace",
+                "t.jsonl",
+                "--strategy",
+                "cost",
+            ]))
+            .unwrap_err();
+            assert!(
+                matches!(&err, CliError::Options(OptionError::UnknownFlag(f)) if f == "strategy"),
+                "{command}: {err}"
+            );
+            assert!(err.to_string().contains("--strategy"), "{command}: {err}");
+        }
     }
 }

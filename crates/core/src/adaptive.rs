@@ -22,31 +22,9 @@ use crate::handle::QueryHandle;
 use serde::{Deserialize, Serialize};
 use streamworks_graph::hash::FxHashMap;
 use streamworks_query::{
-    estimate_shape_cost, CostBasedOrdered, DecompositionStrategy, Planner, SelectivityEstimator,
-    SelectivityOrdered, TreeShapeKind, TriadWedges,
+    estimate_shape_cost, CostBasedOrdered, Planner, SelectivityEstimator, TreeShapeKind,
 };
 use streamworks_summarize::EdgeTripleKey;
-
-/// Which statistics-driven strategy the replanner should switch plans to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ReplanStrategy {
-    /// Cost-model join-order search (`cost-based`).
-    CostBased,
-    /// The paper's greedy selectivity ordering (`selectivity-ordered`).
-    SelectivityOrdered,
-    /// Triad-statistics wedge pairing (`triad-wedges`).
-    TriadWedges,
-}
-
-impl ReplanStrategy {
-    fn as_strategy(&self) -> Box<dyn DecompositionStrategy> {
-        match self {
-            ReplanStrategy::CostBased => Box::new(CostBasedOrdered::default()),
-            ReplanStrategy::SelectivityOrdered => Box::new(SelectivityOrdered::default()),
-            ReplanStrategy::TriadWedges => Box::new(TriadWedges::default()),
-        }
-    }
-}
 
 /// Policy knobs of the adaptive replanner.
 ///
@@ -80,8 +58,6 @@ pub struct AdaptiveConfig {
     /// stored partial matches is trustworthy enough to outweigh the
     /// partial-state discard a re-plan costs (was 1.2).
     pub min_improvement: f64,
-    /// Strategy used for the candidate plan.
-    pub strategy: ReplanStrategy,
     /// Tree shape used for the candidate plan.
     pub tree_kind: TreeShapeKind,
 }
@@ -92,7 +68,6 @@ impl Default for AdaptiveConfig {
             min_edges_between_replans: 2_000,
             drift_threshold: 0.05,
             min_improvement: 1.15,
-            strategy: ReplanStrategy::CostBased,
             tree_kind: TreeShapeKind::LeftDeep,
         }
     }
@@ -261,8 +236,10 @@ impl AdaptiveReplanner {
         }
 
         // Predict the cost of the current plan and of a candidate plan under
-        // the *current* statistics.
-        let strategy = self.config.strategy.as_strategy();
+        // the *current* statistics. The candidate uses the strategy
+        // registration uses (`Planner::plan`), so a query registered under
+        // these statistics is its own candidate: only drift can make it lose.
+        let strategy = CostBasedOrdered::default();
         let (current_cost, candidate_cost) = {
             let summary = engine.summary();
             let graph = engine.graph();
@@ -274,7 +251,7 @@ impl AdaptiveReplanner {
             let candidate = Planner::new()
                 .with_statistics(summary, graph)
                 .tree_kind(self.config.tree_kind)
-                .plan_with(current_plan.query.clone(), strategy.as_ref());
+                .plan_with(current_plan.query.clone(), &strategy);
             let candidate_cost = match candidate {
                 Ok(plan) => {
                     estimate_shape_cost(&plan.query, &estimator, &plan.shape).stored_partial_matches
@@ -318,7 +295,7 @@ impl AdaptiveReplanner {
         }
 
         let applied = engine
-            .replan(handle, strategy.as_ref(), self.config.tree_kind)
+            .replan(handle, &strategy, self.config.tree_kind)
             .is_ok();
         if applied {
             self.baselines.insert(handle, StatSnapshot::capture(engine));
@@ -346,10 +323,15 @@ mod tests {
     use super::*;
     use crate::config::EngineConfig;
     use streamworks_graph::{Duration, EdgeEvent, Timestamp};
-    use streamworks_query::{LeftDeepEdgeChain, QueryGraph, QueryGraphBuilder};
+    use streamworks_query::{ManualDecomposition, QueryGraph, QueryGraphBuilder};
 
     fn ev(src: &str, st: &str, dst: &str, dt: &str, et: &str, t: i64) -> EdgeEvent {
         EdgeEvent::new(src, st, dst, dt, et, Timestamp::from_secs(t))
+    }
+
+    /// The frequency-blind plan: single edges in edge-id order.
+    fn blind(query: &QueryGraph) -> ManualDecomposition {
+        ManualDecomposition::new(query.edge_ids().map(|e| vec![e]).collect())
     }
 
     fn wedge_query(window: Duration) -> QueryGraph {
@@ -400,17 +382,11 @@ mod tests {
     #[test]
     fn replans_after_drift_and_improvement() {
         let mut engine = ContinuousQueryEngine::new(EngineConfig::default());
+        let query = wedge_query(Duration::from_hours(2));
         let handle = engine
-            .register_query_with(
-                wedge_query(Duration::from_hours(2)),
-                &LeftDeepEdgeChain,
-                TreeShapeKind::LeftDeep,
-            )
+            .register_query_with(query.clone(), &blind(&query), TreeShapeKind::LeftDeep)
             .unwrap();
-        assert_eq!(
-            engine.plan(handle).unwrap().strategy,
-            "left-deep-edge-chain"
-        );
+        assert_eq!(engine.plan(handle).unwrap().strategy, "manual");
 
         let mut replanner = AdaptiveReplanner::new(AdaptiveConfig {
             min_edges_between_replans: 100,
@@ -505,29 +481,21 @@ mod tests {
     #[test]
     fn handles_multiple_queries_and_late_registration() {
         let mut engine = ContinuousQueryEngine::builder().build().unwrap();
+        let query = wedge_query(Duration::from_hours(1));
         engine
-            .register_query_with(
-                wedge_query(Duration::from_hours(1)),
-                &LeftDeepEdgeChain,
-                TreeShapeKind::LeftDeep,
-            )
+            .register_query_with(query.clone(), &blind(&query), TreeShapeKind::LeftDeep)
             .unwrap();
         let mut replanner = AdaptiveReplanner::new(AdaptiveConfig {
             min_edges_between_replans: 50,
             drift_threshold: 0.05,
             min_improvement: 1.0,
-            strategy: ReplanStrategy::TriadWedges,
             ..AdaptiveConfig::default()
         });
         replanner.check(&mut engine);
         feed_skewed(&mut engine, 200, 0);
         // Register a second query after the stream started.
         engine
-            .register_query_with(
-                wedge_query(Duration::from_hours(1)),
-                &LeftDeepEdgeChain,
-                TreeShapeKind::LeftDeep,
-            )
+            .register_query_with(query.clone(), &blind(&query), TreeShapeKind::LeftDeep)
             .unwrap();
         let decisions = replanner.check(&mut engine);
         // Both queries get a decision slot eventually; the late one only after
@@ -542,8 +510,8 @@ mod tests {
             if d.replanned {
                 assert_eq!(
                     engine.plan(d.query).unwrap().strategy,
-                    "triad-wedges",
-                    "replanned queries must carry the configured strategy"
+                    "cost-based",
+                    "replanned queries must carry the planner's strategy"
                 );
             }
         }

@@ -587,7 +587,7 @@ mod tests {
     #[test]
     fn a_shape_no_planner_builds_loads_to_an_error_without_an_offset() {
         let mut engine = ContinuousQueryEngine::builder().build().unwrap();
-        let one_edge_leaves = streamworks_query::SelectivityOrdered {
+        let one_edge_leaves = streamworks_query::CostBasedOrdered {
             max_primitive_size: 1,
         };
         let plan = streamworks_query::Planner::new()
@@ -614,7 +614,7 @@ mod tests {
     #[test]
     fn try_restore_refuses_a_shape_no_planner_builds() {
         let mut engine = ContinuousQueryEngine::builder().build().unwrap();
-        let one_edge_leaves = streamworks_query::SelectivityOrdered {
+        let one_edge_leaves = streamworks_query::CostBasedOrdered {
             max_primitive_size: 1,
         };
         let plan = streamworks_query::Planner::new()
@@ -801,7 +801,7 @@ mod tests {
         engine
             .register_query_with(
                 q,
-                &streamworks_query::SelectivityOrdered {
+                &streamworks_query::CostBasedOrdered {
                     max_primitive_size: 1,
                 },
                 streamworks_query::TreeShapeKind::LeftDeep,
@@ -1029,7 +1029,7 @@ mod tests {
         engine
             .replan(
                 handle,
-                &streamworks_query::SelectivityOrdered {
+                &streamworks_query::CostBasedOrdered {
                     max_primitive_size: 1,
                 },
                 streamworks_query::TreeShapeKind::LeftDeep,
@@ -1251,7 +1251,7 @@ mod tests {
         engine
             .register_query_with(
                 q,
-                &streamworks_query::SelectivityOrdered {
+                &streamworks_query::CostBasedOrdered {
                     max_primitive_size: 1,
                 },
                 streamworks_query::TreeShapeKind::LeftDeep,

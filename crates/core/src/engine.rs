@@ -37,8 +37,7 @@ use streamworks_graph::{
     Duration, DynamicGraph, EdgeEvent, EdgeId, GraphConfig, GraphStats, Timestamp, TypeId,
 };
 use streamworks_query::{
-    DecompositionStrategy, Planner, QueryGraph, QueryPlan, RpqQuery, SelectivityOrdered, SjNodeId,
-    TreeShapeKind,
+    DecompositionStrategy, Planner, QueryGraph, QueryPlan, RpqQuery, SjNodeId, TreeShapeKind,
 };
 use streamworks_summarize::GraphSummary;
 
@@ -563,14 +562,13 @@ impl ContinuousQueryEngine {
         QueryHandle::new(QueryId(index), self.queries[index].generation)
     }
 
-    /// Plans a query with the default (selectivity-ordered) strategy using the
-    /// engine's current summaries, then registers it.
+    /// Plans a query the way [`Planner::plan`] does (the cost-based strategy,
+    /// left-deep) using the engine's current summaries, then registers it.
     pub fn register_query(&mut self, query: QueryGraph) -> Result<QueryHandle, EngineError> {
-        self.register_query_with(
-            query,
-            &SelectivityOrdered::default(),
-            TreeShapeKind::LeftDeep,
-        )
+        let plan = Planner::new()
+            .with_statistics(&self.summary, &self.graph)
+            .plan(query)?;
+        Ok(self.register_plan(plan))
     }
 
     /// Plans a query with an explicit decomposition strategy and tree shape,
@@ -1786,7 +1784,7 @@ mod tests {
         let handle = engine
             .register_query_with(
                 common_keyword_query(Duration::from_secs(5)),
-                &streamworks_query::SelectivityOrdered {
+                &streamworks_query::CostBasedOrdered {
                     max_primitive_size: 1,
                 },
                 TreeShapeKind::LeftDeep,
@@ -1817,20 +1815,15 @@ mod tests {
 
     #[test]
     fn replan_uses_learned_statistics_and_keeps_matching() {
-        use streamworks_query::LeftDeepEdgeChain;
+        use streamworks_query::{CostBasedOrdered, ManualDecomposition};
         let mut engine = engine();
-        // Registered before any data: the plan is frequency-blind.
+        // Registered with the frequency-blind plan: single edges in id order.
+        let query = common_keyword_query(Duration::from_hours(1));
+        let blind = ManualDecomposition::new(query.edge_ids().map(|e| vec![e]).collect());
         let handle = engine
-            .register_query_with(
-                common_keyword_query(Duration::from_hours(1)),
-                &LeftDeepEdgeChain,
-                TreeShapeKind::LeftDeep,
-            )
+            .register_query_with(query, &blind, TreeShapeKind::LeftDeep)
             .unwrap();
-        assert_eq!(
-            engine.plan(handle).unwrap().strategy,
-            "left-deep-edge-chain"
-        );
+        assert_eq!(engine.plan(handle).unwrap().strategy, "manual");
 
         engine
             .ingest(&ev("a1", "Article", "k1", "Keyword", "mentions", 1))
@@ -1844,11 +1837,11 @@ mod tests {
         engine
             .replan(
                 handle,
-                &SelectivityOrdered::default(),
+                &CostBasedOrdered::default(),
                 TreeShapeKind::LeftDeep,
             )
             .unwrap();
-        assert_eq!(engine.plan(handle).unwrap().strategy, "selectivity-ordered");
+        assert_eq!(engine.plan(handle).unwrap().strategy, "cost-based");
         engine
             .ingest(&ev("a3", "Article", "k3", "Keyword", "mentions", 10))
             .unwrap();
@@ -1860,11 +1853,7 @@ mod tests {
         // Stale handles are rejected.
         let bogus = QueryHandle::new(QueryId(99), 0);
         assert!(engine
-            .replan(
-                bogus,
-                &SelectivityOrdered::default(),
-                TreeShapeKind::LeftDeep
-            )
+            .replan(bogus, &CostBasedOrdered::default(), TreeShapeKind::LeftDeep)
             .is_err());
     }
 

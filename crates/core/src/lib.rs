@@ -66,7 +66,7 @@ mod shared_index;
 mod sj_matcher;
 mod telemetry;
 
-pub use adaptive::{AdaptiveConfig, AdaptiveReplanner, ReplanDecision, ReplanStrategy};
+pub use adaptive::{AdaptiveConfig, AdaptiveReplanner, ReplanDecision};
 pub use binding::{Binding, PartialMatch, INLINE_EDGES, INLINE_VERTICES};
 pub use checkpoint::EngineCheckpoint;
 pub use config::{EngineBuilder, EngineConfig};

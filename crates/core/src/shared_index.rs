@@ -911,9 +911,9 @@ fn token_values(tok: &str) -> Vec<AttrValue> {
 mod tests {
     use super::*;
     use streamworks_graph::{Duration, EdgeEvent, Timestamp};
-    use streamworks_query::{Planner, Predicate, QueryGraphBuilder, SelectivityOrdered};
+    use streamworks_query::{CostBasedOrdered, Planner, Predicate, QueryGraphBuilder};
 
-    const SINGLE_EDGE: SelectivityOrdered = SelectivityOrdered {
+    const SINGLE_EDGE: CostBasedOrdered = CostBasedOrdered {
         max_primitive_size: 1,
     };
 

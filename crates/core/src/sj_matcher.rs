@@ -631,7 +631,7 @@ mod tests {
         Planner::new()
             .plan_with(
                 q,
-                &streamworks_query::SelectivityOrdered {
+                &streamworks_query::CostBasedOrdered {
                     max_primitive_size: 1,
                 },
             )
@@ -779,7 +779,7 @@ mod tests {
             .edge("a2", "located", "l")
             .build()
             .unwrap();
-        let single_edge_leaves = streamworks_query::SelectivityOrdered {
+        let single_edge_leaves = streamworks_query::CostBasedOrdered {
             max_primitive_size: 1,
         };
         let plan = Planner::new()

@@ -1,4 +1,4 @@
-//! Plan cost model and cost-driven decomposition strategies.
+//! Plan cost model and the cost-based decomposition every automatic plan uses.
 //!
 //! Paper §4.1 states the planning goal — "push the most selective subgraph at
 //! the lowest level in the subgraph join-tree to reduce the number of partial
@@ -9,15 +9,15 @@
 //! * a **cost model** ([`estimate_shape_cost`]) that, given a
 //!   [`SelectivityEstimator`], predicts how many partial matches each SJ-Tree
 //!   node will store (the quantity the paper wants to minimise), and
-//! * two statistics-driven strategies built on top of it:
-//!   [`CostBasedOrdered`], which searches over join orders to minimise the
-//!   total predicted partial-match population (exact dynamic programming for
-//!   small queries, greedy beyond that), and [`TriadWedges`], which pairs
-//!   adjacent query edges into the wedge primitives the triad distribution can
-//!   estimate directly and then orders them with the same cost objective.
+//! * [`CostBasedOrdered`], which groups adjacent query edges into the wedge
+//!   primitives the triad distribution estimates directly and then searches
+//!   over join orders to minimise the total predicted partial-match
+//!   population (exact dynamic programming for small queries, greedy beyond
+//!   that).
 //!
-//! The ablation experiment E7 compares these against the simpler
-//! [`crate::SelectivityOrdered`] strategy and the frequency-blind baselines.
+//! The ablation experiment E7 compares it against hand-picked
+//! [`crate::ManualDecomposition`] plans, including the frequency-blind
+//! single-edge chain.
 
 use crate::decompose::{validate_decomposition, DecompositionStrategy, Primitive};
 use crate::error::QueryError;
@@ -111,33 +111,13 @@ pub fn estimate_shape_cost(
     }
 }
 
-/// Total predicted partial-match population of a left-deep join over
-/// `primitives` in the given order: every prefix of the order becomes an
-/// internal node, every primitive a leaf.
-pub fn left_deep_order_cost(
-    query: &QueryGraph,
-    estimator: &SelectivityEstimator<'_>,
-    primitives: &[Primitive],
-) -> f64 {
-    if primitives.is_empty() {
-        return f64::INFINITY;
-    }
-    let mut cost = 0.0;
-    let mut prefix: Vec<QueryEdgeId> = Vec::new();
-    for (i, p) in primitives.iter().enumerate() {
-        cost += estimator.primitive_cardinality(query, &p.edges);
-        prefix.extend(p.edges.iter().copied());
-        // Every prefix except the final (root) one is stored as partial state.
-        if i > 0 && i + 1 < primitives.len() {
-            cost += estimator.subgraph_cardinality(query, &prefix);
-        }
-    }
-    cost
-}
-
 // ---------------------------------------------------------------------------
 // Cost-based join ordering
 // ---------------------------------------------------------------------------
+
+/// Largest number of primitives [`CostBasedOrdered`] orders by the exact
+/// dynamic program; larger plans fall back to the greedy ordering.
+const EXHAUSTIVE_LIMIT: usize = 12;
 
 /// Orders `primitives` (in place, returned) so that the total predicted
 /// partial-match population of the left-deep join is minimal.
@@ -318,24 +298,20 @@ fn order_exhaustive_dp(
 // Strategies
 // ---------------------------------------------------------------------------
 
-/// Cost-based decomposition: greedy wedge grouping (like
-/// [`crate::SelectivityOrdered`]) followed by a join-order search that
-/// minimises the total predicted partial-match population of the left-deep
-/// SJ-Tree.
+/// Cost-based decomposition, the planner of every automatic plan
+/// ([`crate::Planner::plan`]): greedy wedge grouping followed by a join-order
+/// search that minimises the total predicted partial-match population of the
+/// left-deep SJ-Tree.
 #[derive(Debug, Clone, Copy)]
 pub struct CostBasedOrdered {
     /// Maximum number of query edges per primitive (1 or 2 are typical).
     pub max_primitive_size: usize,
-    /// Largest number of primitives for which the exact DP ordering is used;
-    /// larger plans fall back to the greedy ordering.
-    pub exhaustive_limit: usize,
 }
 
 impl Default for CostBasedOrdered {
     fn default() -> Self {
         CostBasedOrdered {
             max_primitive_size: 2,
-            exhaustive_limit: 12,
         }
     }
 }
@@ -352,70 +328,7 @@ impl DecompositionStrategy for CostBasedOrdered {
     ) -> Result<Vec<Primitive>, QueryError> {
         query.validate()?;
         let grouped = group_min_cardinality(query, estimator, self.max_primitive_size.max(1));
-        let ordered = order_primitives_by_cost(query, estimator, grouped, self.exhaustive_limit);
-        validate_decomposition(query, &ordered)?;
-        Ok(ordered)
-    }
-}
-
-/// Triad-statistics-driven decomposition (paper §4.3's "work in progress"):
-/// adjacent query edges are paired into the two-edge wedge primitives whose
-/// cardinality the multi-relational triad distribution estimates directly,
-/// choosing the pairing that minimises the summed wedge estimates; the wedges
-/// are then ordered with the cost model.
-#[derive(Debug, Clone, Copy)]
-pub struct TriadWedges {
-    /// Largest number of primitives for which the exact DP ordering is used.
-    pub exhaustive_limit: usize,
-}
-
-impl Default for TriadWedges {
-    fn default() -> Self {
-        TriadWedges {
-            exhaustive_limit: 12,
-        }
-    }
-}
-
-impl DecompositionStrategy for TriadWedges {
-    fn name(&self) -> &str {
-        "triad-wedges"
-    }
-
-    fn decompose(
-        &self,
-        query: &QueryGraph,
-        estimator: &SelectivityEstimator<'_>,
-    ) -> Result<Vec<Primitive>, QueryError> {
-        query.validate()?;
-        // Greedy minimum-weight matching over adjacent edge pairs: repeatedly
-        // take the unassigned adjacent pair with the smallest wedge estimate.
-        let edges: Vec<QueryEdgeId> = query.edge_ids().collect();
-        let mut pairs: Vec<(f64, QueryEdgeId, QueryEdgeId)> = Vec::new();
-        for (i, &a) in edges.iter().enumerate() {
-            for &b in &edges[i + 1..] {
-                if query.edge(a).is_adjacent_to(query.edge(b)) {
-                    pairs.push((estimator.primitive_cardinality(query, &[a, b]), a, b));
-                }
-            }
-        }
-        pairs.sort_by(|x, y| x.0.partial_cmp(&y.0).unwrap_or(std::cmp::Ordering::Equal));
-        let mut assigned: BTreeSet<QueryEdgeId> = BTreeSet::new();
-        let mut primitives = Vec::new();
-        for (_, a, b) in pairs {
-            if assigned.contains(&a) || assigned.contains(&b) {
-                continue;
-            }
-            assigned.insert(a);
-            assigned.insert(b);
-            primitives.push(Primitive::new(vec![a, b]));
-        }
-        for &e in &edges {
-            if !assigned.contains(&e) {
-                primitives.push(Primitive::new(vec![e]));
-            }
-        }
-        let ordered = order_primitives_by_cost(query, estimator, primitives, self.exhaustive_limit);
+        let ordered = order_primitives_by_cost(query, estimator, grouped, EXHAUSTIVE_LIMIT);
         validate_decomposition(query, &ordered)?;
         Ok(ordered)
     }
@@ -483,7 +396,7 @@ fn group_min_cardinality(
 mod tests {
     use super::*;
     use crate::builder::QueryGraphBuilder;
-    use crate::decompose::{LeftDeepEdgeChain, SelectivityOrdered};
+    use crate::decompose::ManualDecomposition;
     use crate::plan::Planner;
     use streamworks_graph::{Duration, DynamicGraph, EdgeEvent, Timestamp};
     use streamworks_summarize::{GraphSummary, SummaryConfig};
@@ -504,6 +417,20 @@ mod tests {
             .edge("a3", "located", "l")
             .build()
             .unwrap()
+    }
+
+    /// The frequency-blind reference plan: single edges in edge-id order.
+    fn blind(query: &QueryGraph) -> ManualDecomposition {
+        ManualDecomposition::new(query.edge_ids().map(|e| vec![e]).collect())
+    }
+
+    fn left_deep_cost(
+        query: &QueryGraph,
+        estimator: &SelectivityEstimator<'_>,
+        primitives: &[Primitive],
+    ) -> f64 {
+        let shape = SjTreeShape::left_deep(query, primitives).unwrap();
+        estimate_shape_cost(query, estimator, &shape).stored_partial_matches
     }
 
     /// A small news-like data graph: many mention edges, few located edges.
@@ -568,33 +495,22 @@ mod tests {
         let est = SelectivityEstimator::with_summary(&s, &g);
         let cost_prims = CostBasedOrdered::default().decompose(&q, &est).unwrap();
         validate_decomposition(&q, &cost_prims).unwrap();
-        let blind_prims = LeftDeepEdgeChain.decompose(&q, &est).unwrap();
-        let cost_cost = left_deep_order_cost(&q, &est, &cost_prims);
-        let blind_cost = left_deep_order_cost(&q, &est, &blind_prims);
+        let blind_prims = blind(&q).decompose(&q, &est).unwrap();
+        let cost_cost = left_deep_cost(&q, &est, &cost_prims);
+        let blind_cost = left_deep_cost(&q, &est, &blind_prims);
         assert!(
             cost_cost <= blind_cost,
             "cost-based {cost_cost} should not exceed blind {blind_cost}"
         );
     }
 
-    #[test]
-    fn cost_based_not_worse_than_simple_selectivity_ordering() {
-        let (g, s) = news_graph();
-        let q = fig2_query();
-        let est = SelectivityEstimator::with_summary(&s, &g);
-        let cost_prims = CostBasedOrdered::default().decompose(&q, &est).unwrap();
-        let sel_prims = SelectivityOrdered::default().decompose(&q, &est).unwrap();
-        let cost_cost = left_deep_order_cost(&q, &est, &cost_prims);
-        let sel_cost = left_deep_order_cost(&q, &est, &sel_prims);
-        assert!(cost_cost <= sel_cost + 1e-9, "{cost_cost} vs {sel_cost}");
-    }
-
+    /// Wedges: the two-edge primitives the triad distribution prices.
     #[test]
     fn triad_wedges_produce_two_edge_primitives_on_fig2() {
         let (g, s) = news_graph();
         let q = fig2_query();
         let est = SelectivityEstimator::with_summary(&s, &g);
-        let prims = TriadWedges::default().decompose(&q, &est).unwrap();
+        let prims = CostBasedOrdered::default().decompose(&q, &est).unwrap();
         validate_decomposition(&q, &prims).unwrap();
         // The 6-edge Fig. 2 query decomposes into exactly three wedges.
         assert_eq!(prims.len(), 3);
@@ -613,7 +529,7 @@ mod tests {
             .build()
             .unwrap();
         let est = SelectivityEstimator::without_summary();
-        let prims = TriadWedges::default().decompose(&q, &est).unwrap();
+        let prims = CostBasedOrdered::default().decompose(&q, &est).unwrap();
         validate_decomposition(&q, &prims).unwrap();
         assert_eq!(prims.iter().map(|p| p.len()).sum::<usize>(), 3);
         // One wedge plus one leftover single edge.
@@ -653,7 +569,7 @@ mod tests {
         let cost_plan = planner
             .plan_with(q.clone(), &CostBasedOrdered::default())
             .unwrap();
-        let blind_plan = planner.plan_with(q.clone(), &LeftDeepEdgeChain).unwrap();
+        let blind_plan = planner.plan_with(q.clone(), &blind(&q)).unwrap();
         let c = estimate_shape_cost(&q, &est, &cost_plan.shape).stored_partial_matches;
         let b = estimate_shape_cost(&q, &est, &blind_plan.shape).stored_partial_matches;
         assert!(c <= b, "cost-based {c} vs blind {b}");
@@ -669,11 +585,8 @@ mod tests {
         }
         let q = b.build().unwrap();
         let est = SelectivityEstimator::without_summary();
-        let strat = CostBasedOrdered {
-            max_primitive_size: 1,
-            exhaustive_limit: 2,
-        };
-        let prims = strat.decompose(&q, &est).unwrap();
+        let single_edges = q.edge_ids().map(|e| Primitive::new(vec![e])).collect();
+        let prims = order_primitives_by_cost(&q, &est, single_edges, 2);
         validate_decomposition(&q, &prims).unwrap();
         assert_eq!(prims.len(), 9);
     }
@@ -696,7 +609,7 @@ mod tests {
     }
 
     #[test]
-    fn left_deep_order_cost_penalises_bad_orders() {
+    fn shape_cost_penalises_bad_orders() {
         let (g, s) = news_graph();
         let q = fig2_query();
         let est = SelectivityEstimator::with_summary(&s, &g);
@@ -716,9 +629,8 @@ mod tests {
             Primitive::new(vec![QueryEdgeId(4)]),
             Primitive::new(vec![QueryEdgeId(5)]),
         ];
-        let good_cost = left_deep_order_cost(&q, &est, &good);
-        let bad_cost = left_deep_order_cost(&q, &est, &bad);
+        let good_cost = left_deep_cost(&q, &est, &good);
+        let bad_cost = left_deep_cost(&q, &est, &bad);
         assert!(good_cost < bad_cost, "good={good_cost} bad={bad_cost}");
-        assert!(left_deep_order_cost(&q, &est, &[]).is_infinite());
     }
 }

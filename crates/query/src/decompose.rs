@@ -7,8 +7,11 @@
 //! edges into connected primitives; the SJ-Tree builder (see
 //! [`crate::sjtree`]) then turns the ordered primitives into a join tree.
 //!
-//! Several strategies are provided so the plan-quality experiments (E4/E7)
-//! can compare statistics-driven planning against frequency-blind baselines.
+//! Two strategies implement it: the cost-based planner
+//! ([`crate::CostBasedOrdered`]) that every automatic plan uses, and
+//! [`ManualDecomposition`] for hand-picked plans — the Fig. 2 / Fig. 7
+//! alternatives, and the frequency-blind reference (single edges in edge-id
+//! order) the plan-quality experiments (E4/E7) compare against.
 
 use crate::error::QueryError;
 use crate::query_graph::{QueryEdgeId, QueryGraph};
@@ -50,7 +53,7 @@ pub trait DecompositionStrategy {
 
     /// Produces an ordered list of primitives covering every query edge
     /// exactly once. The order is the join order: primitive 0 is matched
-    /// first (the most selective one for selectivity-driven strategies).
+    /// first (the most selective one for the cost-based planner).
     fn decompose(
         &self,
         query: &QueryGraph,
@@ -103,223 +106,6 @@ pub fn validate_decomposition(
     Ok(())
 }
 
-// ---------------------------------------------------------------------------
-// Selectivity-ordered strategy (the paper's approach)
-// ---------------------------------------------------------------------------
-
-/// Statistics-driven decomposition: greedily groups edges into primitives of
-/// at most `max_primitive_size` edges, then orders primitives by estimated
-/// cardinality (most selective first) while keeping the join order connected
-/// whenever possible.
-#[derive(Debug, Clone, Copy)]
-pub struct SelectivityOrdered {
-    /// Maximum number of query edges per primitive (1 or 2 are typical).
-    pub max_primitive_size: usize,
-}
-
-impl Default for SelectivityOrdered {
-    fn default() -> Self {
-        SelectivityOrdered {
-            max_primitive_size: 2,
-        }
-    }
-}
-
-impl DecompositionStrategy for SelectivityOrdered {
-    fn name(&self) -> &str {
-        "selectivity-ordered"
-    }
-
-    fn decompose(
-        &self,
-        query: &QueryGraph,
-        estimator: &SelectivityEstimator<'_>,
-    ) -> Result<Vec<Primitive>, QueryError> {
-        query.validate()?;
-        let max_size = self.max_primitive_size.max(1);
-
-        // Rank individual edges by estimated cardinality.
-        let mut remaining: Vec<QueryEdgeId> = query.edge_ids().collect();
-        remaining.sort_by(|&a, &b| {
-            estimator
-                .edge_cardinality(query, a)
-                .partial_cmp(&estimator.edge_cardinality(query, b))
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
-
-        // Greedy grouping: take the most selective unassigned edge as a seed,
-        // then extend it with the most selective adjacent unassigned edge(s).
-        let mut primitives = Vec::new();
-        let mut assigned: BTreeSet<QueryEdgeId> = BTreeSet::new();
-        for &seed in &remaining {
-            if assigned.contains(&seed) {
-                continue;
-            }
-            let mut edges = vec![seed];
-            assigned.insert(seed);
-            while edges.len() < max_size {
-                // Most selective unassigned edge adjacent to the primitive so far.
-                let candidate = remaining
-                    .iter()
-                    .copied()
-                    .filter(|e| !assigned.contains(e))
-                    .filter(|&e| {
-                        edges
-                            .iter()
-                            .any(|&pe| query.edge(pe).is_adjacent_to(query.edge(e)))
-                    })
-                    .min_by(|&a, &b| {
-                        estimator
-                            .edge_cardinality(query, a)
-                            .partial_cmp(&estimator.edge_cardinality(query, b))
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                            .then(a.cmp(&b))
-                    });
-                match candidate {
-                    Some(e) => {
-                        edges.push(e);
-                        assigned.insert(e);
-                    }
-                    None => break,
-                }
-            }
-            primitives.push(Primitive::new(edges));
-        }
-
-        // Order primitives: start from the most selective, then repeatedly pick
-        // the most selective primitive connected to what has been placed so far.
-        let mut ordered: Vec<Primitive> = Vec::with_capacity(primitives.len());
-        let mut placed_vertices: BTreeSet<_> = BTreeSet::new();
-        let mut pool = primitives;
-        while !pool.is_empty() {
-            let pick = pool
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| {
-                    ordered.is_empty()
-                        || query
-                            .vertices_of_edges(&p.edges)
-                            .iter()
-                            .any(|v| placed_vertices.contains(v))
-                })
-                .min_by(|(_, a), (_, b)| {
-                    estimator
-                        .primitive_cardinality(query, &a.edges)
-                        .partial_cmp(&estimator.primitive_cardinality(query, &b.edges))
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                })
-                .map(|(i, _)| i)
-                // If nothing is connected (disconnected query), fall back to the
-                // globally most selective remaining primitive.
-                .unwrap_or_else(|| {
-                    pool.iter()
-                        .enumerate()
-                        .min_by(|(_, a), (_, b)| {
-                            estimator
-                                .primitive_cardinality(query, &a.edges)
-                                .partial_cmp(&estimator.primitive_cardinality(query, &b.edges))
-                                .unwrap_or(std::cmp::Ordering::Equal)
-                        })
-                        .map(|(i, _)| i)
-                        .unwrap_or(0)
-                });
-            let p = pool.remove(pick);
-            placed_vertices.extend(query.vertices_of_edges(&p.edges));
-            ordered.push(p);
-        }
-
-        validate_decomposition(query, &ordered)?;
-        Ok(ordered)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Frequency-blind baselines (for the plan-quality ablation)
-// ---------------------------------------------------------------------------
-
-/// Single-edge primitives in edge-id order — the "naive" plan that ignores
-/// selectivity entirely. Used as the ablation baseline in experiment E7.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LeftDeepEdgeChain;
-
-impl DecompositionStrategy for LeftDeepEdgeChain {
-    fn name(&self) -> &str {
-        "left-deep-edge-chain"
-    }
-
-    fn decompose(
-        &self,
-        query: &QueryGraph,
-        _estimator: &SelectivityEstimator<'_>,
-    ) -> Result<Vec<Primitive>, QueryError> {
-        query.validate()?;
-        // Edge-id order, but re-ordered minimally so that each primitive shares
-        // a vertex with the edges placed before it (keeps joins non-cartesian).
-        let mut remaining: Vec<QueryEdgeId> = query.edge_ids().collect();
-        let mut ordered = Vec::new();
-        let mut placed_vertices: BTreeSet<_> = BTreeSet::new();
-        while !remaining.is_empty() {
-            let idx = remaining
-                .iter()
-                .position(|&e| {
-                    ordered.is_empty()
-                        || query
-                            .vertices_of_edges(&[e])
-                            .iter()
-                            .any(|v| placed_vertices.contains(v))
-                })
-                .unwrap_or(0);
-            let e = remaining.remove(idx);
-            placed_vertices.extend(query.vertices_of_edges(&[e]));
-            ordered.push(Primitive::new(vec![e]));
-        }
-        validate_decomposition(query, &ordered)?;
-        Ok(ordered)
-    }
-}
-
-/// Pairs adjacent edges in edge-id order into two-edge primitives (a balanced,
-/// statistics-free decomposition similar to the alternative plans of Fig. 7).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BalancedPairs;
-
-impl DecompositionStrategy for BalancedPairs {
-    fn name(&self) -> &str {
-        "balanced-pairs"
-    }
-
-    fn decompose(
-        &self,
-        query: &QueryGraph,
-        _estimator: &SelectivityEstimator<'_>,
-    ) -> Result<Vec<Primitive>, QueryError> {
-        query.validate()?;
-        let mut assigned: BTreeSet<QueryEdgeId> = BTreeSet::new();
-        let mut primitives = Vec::new();
-        for e in query.edge_ids() {
-            if assigned.contains(&e) {
-                continue;
-            }
-            assigned.insert(e);
-            // First unassigned adjacent edge, in id order.
-            let partner = query
-                .edge_ids()
-                .filter(|x| !assigned.contains(x))
-                .find(|&x| query.edge(e).is_adjacent_to(query.edge(x)));
-            match partner {
-                Some(p) => {
-                    assigned.insert(p);
-                    primitives.push(Primitive::new(vec![e, p]));
-                }
-                None => primitives.push(Primitive::new(vec![e])),
-            }
-        }
-        validate_decomposition(query, &primitives)?;
-        Ok(primitives)
-    }
-}
-
 /// An explicit, user-provided decomposition (the paper's Fig. 7 compares
 /// hand-picked plans; this is how such plans are expressed).
 #[derive(Debug, Clone)]
@@ -355,6 +141,7 @@ impl DecompositionStrategy for ManualDecomposition {
 mod tests {
     use super::*;
     use crate::builder::QueryGraphBuilder;
+    use crate::cost::CostBasedOrdered;
     use streamworks_graph::Duration;
 
     /// The Fig. 2 query: three articles sharing a keyword and a location.
@@ -376,11 +163,13 @@ mod tests {
             .unwrap()
     }
 
+    /// The planner's decomposition is the paper's selectivity ordering
+    /// (§4.1), driven by the cost model.
     #[test]
     fn selectivity_ordered_covers_all_edges_with_connected_pairs() {
         let q = fig2_query();
         let est = SelectivityEstimator::without_summary();
-        let prims = SelectivityOrdered::default().decompose(&q, &est).unwrap();
+        let prims = CostBasedOrdered::default().decompose(&q, &est).unwrap();
         validate_decomposition(&q, &prims).unwrap();
         assert_eq!(prims.iter().map(|p| p.len()).sum::<usize>(), 6);
         assert!(prims.iter().all(|p| p.len() <= 2));
@@ -394,7 +183,7 @@ mod tests {
     fn single_edge_primitives_when_size_is_one() {
         let q = fig2_query();
         let est = SelectivityEstimator::without_summary();
-        let prims = SelectivityOrdered {
+        let prims = CostBasedOrdered {
             max_primitive_size: 1,
         }
         .decompose(&q, &est)
@@ -407,7 +196,11 @@ mod tests {
     fn left_deep_chain_keeps_join_connectivity() {
         let q = fig2_query();
         let est = SelectivityEstimator::without_summary();
-        let prims = LeftDeepEdgeChain.decompose(&q, &est).unwrap();
+        let prims = CostBasedOrdered {
+            max_primitive_size: 1,
+        }
+        .decompose(&q, &est)
+        .unwrap();
         assert_eq!(prims.len(), 6);
         // Each primitive after the first must share a vertex with what precedes it.
         let mut seen = std::collections::BTreeSet::new();
@@ -417,16 +210,6 @@ mod tests {
             assert!(verts.iter().any(|v| seen.contains(v)));
             seen.extend(verts);
         }
-    }
-
-    #[test]
-    fn balanced_pairs_pair_adjacent_edges() {
-        let q = fig2_query();
-        let est = SelectivityEstimator::without_summary();
-        let prims = BalancedPairs.decompose(&q, &est).unwrap();
-        validate_decomposition(&q, &prims).unwrap();
-        assert_eq!(prims.iter().map(|p| p.len()).sum::<usize>(), 6);
-        assert!(prims.iter().all(|p| p.len() <= 2));
     }
 
     #[test]
@@ -466,7 +249,9 @@ mod tests {
     fn empty_query_is_rejected() {
         let q = QueryGraph::new("empty", Duration::from_secs(1));
         let est = SelectivityEstimator::without_summary();
-        assert!(SelectivityOrdered::default().decompose(&q, &est).is_err());
-        assert!(LeftDeepEdgeChain.decompose(&q, &est).is_err());
+        assert!(CostBasedOrdered::default().decompose(&q, &est).is_err());
+        assert!(ManualDecomposition::new(Vec::new())
+            .decompose(&q, &est)
+            .is_err());
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! Query model and planner for the StreamWorks reproduction: pattern graphs,
 //! a small text DSL, selectivity estimation over `streamworks-summarize`
-//! statistics, pluggable query-decomposition strategies, and the Subgraph
-//! Join Tree (SJ-Tree) shape of paper §3.2/§4.1.
+//! statistics, the cost-based query decomposition (plus hand-picked plans),
+//! and the Subgraph Join Tree (SJ-Tree) shape of paper §3.2/§4.1.
 //!
 //! ```
 //! use streamworks_query::{parse_query, Planner};
@@ -36,13 +36,9 @@ mod sjtree;
 
 pub use builder::QueryGraphBuilder;
 pub use canonical::{CanonicalPrimitive, LiftedPrimitive, MAX_CANONICAL_ASSIGNMENTS};
-pub use cost::{
-    estimate_shape_cost, left_deep_order_cost, CostBasedOrdered, NodeCostEstimate,
-    ShapeCostEstimate, TriadWedges,
-};
+pub use cost::{estimate_shape_cost, CostBasedOrdered, NodeCostEstimate, ShapeCostEstimate};
 pub use decompose::{
-    validate_decomposition, BalancedPairs, DecompositionStrategy, LeftDeepEdgeChain,
-    ManualDecomposition, Primitive, SelectivityOrdered,
+    validate_decomposition, DecompositionStrategy, ManualDecomposition, Primitive,
 };
 pub use dsl::{format_query, parse_query};
 pub use error::QueryError;

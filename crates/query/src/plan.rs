@@ -5,7 +5,8 @@
 //! query into search primitives using the summaries, order them by
 //! selectivity, and materialize the SJ-Tree the incremental matcher will run.
 
-use crate::decompose::{DecompositionStrategy, Primitive, SelectivityOrdered};
+use crate::cost::CostBasedOrdered;
+use crate::decompose::{DecompositionStrategy, Primitive};
 use crate::error::QueryError;
 use crate::query_graph::{QueryEdgeId, QueryGraph};
 use crate::selectivity::{SelectivityEstimator, TypeResolver};
@@ -117,10 +118,11 @@ impl<'a> Planner<'a> {
         }
     }
 
-    /// Plans `query` with the default, paper-style strategy
-    /// (selectivity-ordered two-edge primitives).
+    /// Plans `query` with the cost-based strategy (two-edge primitives in the
+    /// join order the cost model predicts stores the fewest partial matches).
+    /// Registration and adaptive re-planning plan through here too.
     pub fn plan(&self, query: QueryGraph) -> Result<QueryPlan, QueryError> {
-        self.plan_with(query, &SelectivityOrdered::default())
+        self.plan_with(query, &CostBasedOrdered::default())
     }
 
     /// Plans `query` with an explicit decomposition strategy.
@@ -152,9 +154,13 @@ impl<'a> Planner<'a> {
 mod tests {
     use super::*;
     use crate::builder::QueryGraphBuilder;
-    use crate::decompose::LeftDeepEdgeChain;
+    use crate::decompose::ManualDecomposition;
     use streamworks_graph::{Duration, DynamicGraph, EdgeEvent, Timestamp};
     use streamworks_summarize::SummaryConfig;
+
+    fn single_edges(query: &QueryGraph) -> ManualDecomposition {
+        ManualDecomposition::new(query.edge_ids().map(|e| vec![e]).collect())
+    }
 
     fn cyber_query() -> QueryGraph {
         QueryGraphBuilder::new("scan")
@@ -174,7 +180,7 @@ mod tests {
         let plan = Planner::new().plan(cyber_query()).unwrap();
         plan.shape.validate(&plan.query).unwrap();
         let explain = plan.explain();
-        assert!(explain.contains("selectivity-ordered"));
+        assert!(explain.contains("cost-based"));
         assert!(explain.contains("sj-tree:"));
         assert!(explain.contains("window 300s"));
         assert_eq!(plan.edge_estimates.len(), 3);
@@ -230,7 +236,7 @@ mod tests {
             .with_statistics(&s, &g)
             .plan_with(
                 cyber_query(),
-                &SelectivityOrdered {
+                &CostBasedOrdered {
                     max_primitive_size: 1,
                 },
             )
@@ -241,7 +247,7 @@ mod tests {
         // The frequency-blind plan starts with edge 0 instead.
         let blind = Planner::new()
             .with_statistics(&s, &g)
-            .plan_with(cyber_query(), &LeftDeepEdgeChain)
+            .plan_with(cyber_query(), &single_edges(&cyber_query()))
             .unwrap();
         assert_eq!(blind.primitives[0].edges, vec![QueryEdgeId(0)]);
     }
@@ -257,7 +263,7 @@ mod tests {
             .unwrap();
         let plan = Planner::new()
             .tree_kind(TreeShapeKind::Balanced)
-            .plan_with(q, &LeftDeepEdgeChain)
+            .plan_with(q.clone(), &single_edges(&q))
             .unwrap();
         assert_eq!(plan.tree_kind, TreeShapeKind::Balanced);
         assert!(plan.shape.height() <= 3);

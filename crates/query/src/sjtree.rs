@@ -369,7 +369,8 @@ impl SjTreeShape {
 mod tests {
     use super::*;
     use crate::builder::QueryGraphBuilder;
-    use crate::decompose::{DecompositionStrategy, ManualDecomposition, SelectivityOrdered};
+    use crate::cost::CostBasedOrdered;
+    use crate::decompose::{DecompositionStrategy, ManualDecomposition};
     use crate::selectivity::SelectivityEstimator;
     use streamworks_graph::Duration;
 
@@ -477,10 +478,13 @@ mod tests {
     fn strategy_output_builds_valid_trees() {
         let q = fig2_query();
         let est = SelectivityEstimator::without_summary();
+        let single_edges = q.edge_ids().map(|e| vec![e]).collect();
         for strategy in [
-            Box::new(SelectivityOrdered::default()) as Box<dyn DecompositionStrategy>,
-            Box::new(crate::decompose::LeftDeepEdgeChain) as Box<dyn DecompositionStrategy>,
-            Box::new(crate::decompose::BalancedPairs) as Box<dyn DecompositionStrategy>,
+            Box::new(CostBasedOrdered::default()) as Box<dyn DecompositionStrategy>,
+            Box::new(CostBasedOrdered {
+                max_primitive_size: 1,
+            }),
+            Box::new(ManualDecomposition::new(single_edges)),
         ] {
             let prims = strategy.decompose(&q, &est).unwrap();
             let shape = SjTreeShape::left_deep(&q, &prims).unwrap();

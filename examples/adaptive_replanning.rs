@@ -12,7 +12,7 @@
 //! swap in a cost-based plan, then streams a second phase and compares the
 //! partial-match effort before and after the switch.
 
-use streamworks::query::LeftDeepEdgeChain;
+use streamworks::query::ManualDecomposition;
 use streamworks::workloads::{NewsConfig, NewsStreamGenerator};
 use streamworks::{
     AdaptiveConfig, AdaptiveReplanner, ContinuousQueryEngine, Duration, TreeShapeKind,
@@ -23,9 +23,10 @@ fn main() {
 
     // Register with the frequency-blind plan: single-edge primitives in edge
     // order, exactly what a system with no statistics would do.
+    let blind = ManualDecomposition::new(query.edge_ids().map(|e| vec![e]).collect());
     let mut engine = ContinuousQueryEngine::builder().build().unwrap();
     let id = engine
-        .register_query_with(query, &LeftDeepEdgeChain, TreeShapeKind::LeftDeep)
+        .register_query_with(query, &blind, TreeShapeKind::LeftDeep)
         .expect("query plans");
     println!("initial plan ({}):", engine.plan(id).unwrap().strategy);
     println!(

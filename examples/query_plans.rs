@@ -8,41 +8,49 @@
 //!                                                       # Fig. 7: per-plan match progression
 //! ```
 //!
-//! Without arguments the example prints the SJ-Tree produced for the Fig. 2
-//! news query under several decomposition strategies (the content of Fig. 2).
-//! With `--progression` it replays a traffic stream containing one Smurf DDoS
-//! attack through the same query planned three different ways and prints how
+//! Without arguments the example prints the SJ-Tree the planner builds for the
+//! Fig. 2 news query beside two hand-picked alternatives (the content of
+//! Fig. 2). With `--progression` it replays a traffic stream containing one
+//! Smurf DDoS attack through the same query planned three different ways —
+//! the planner's plan and two hand-picked ones — and prints how
 //! the fraction of the query matched evolves over time — the content of
 //! Fig. 7, where different SJ-Tree structures track the emerging pattern at
 //! different rates.
 
 use streamworks::query::{
-    BalancedPairs, DecompositionStrategy, LeftDeepEdgeChain, ManualDecomposition, Planner,
-    QueryEdgeId, SelectivityOrdered, TreeShapeKind,
+    CostBasedOrdered, DecompositionStrategy, ManualDecomposition, Planner, QueryEdgeId,
+    TreeShapeKind,
 };
 use streamworks::workloads::queries::{news_triple_query, smurf_ddos_query};
 use streamworks::workloads::{AttackKind, CyberConfig, CyberTrafficGenerator};
-use streamworks::{ContinuousQueryEngine, Duration, EngineConfig};
+use streamworks::{ContinuousQueryEngine, Duration, EngineConfig, QueryGraph};
+
+/// The frequency-blind plan: single edges in edge-id order.
+fn single_edge_chain(query: &QueryGraph) -> ManualDecomposition {
+    ManualDecomposition::new(query.edge_ids().map(|e| vec![e]).collect())
+}
 
 fn show_decompositions() {
     let query = news_triple_query(Duration::from_hours(6));
     println!("Fig. 2 query: three articles sharing a keyword and a location\n");
 
     let planner = Planner::new();
-    let strategies: Vec<Box<dyn DecompositionStrategy>> = vec![
-        Box::new(SelectivityOrdered::default()),
-        Box::new(BalancedPairs),
-        Box::new(LeftDeepEdgeChain),
+    let strategies: Vec<(&str, Box<dyn DecompositionStrategy>)> = vec![
+        ("cost-based", Box::new(CostBasedOrdered::default())),
+        ("single-edge-chain", Box::new(single_edge_chain(&query))),
         // The decomposition drawn in Fig. 2: one (mention, located) wedge per article.
-        Box::new(ManualDecomposition::new(vec![
-            vec![QueryEdgeId(0), QueryEdgeId(3)],
-            vec![QueryEdgeId(1), QueryEdgeId(4)],
-            vec![QueryEdgeId(2), QueryEdgeId(5)],
-        ])),
+        (
+            "fig2-wedges",
+            Box::new(ManualDecomposition::new(vec![
+                vec![QueryEdgeId(0), QueryEdgeId(3)],
+                vec![QueryEdgeId(1), QueryEdgeId(4)],
+                vec![QueryEdgeId(2), QueryEdgeId(5)],
+            ])),
+        ),
     ];
-    for strategy in strategies {
+    for (name, strategy) in strategies {
         let plan = planner.plan_with(query.clone(), strategy.as_ref()).unwrap();
-        println!("=== strategy: {} ===", strategy.name());
+        println!("=== plan: {name} ===");
         println!("{}", plan.explain());
     }
 }
@@ -57,26 +65,27 @@ fn show_progression() {
     .generate();
     let query = smurf_ddos_query(4, Duration::from_mins(5));
 
-    // Three plans for the same query.
+    // Three plans for the same query: the planner's, the single-edge chain,
+    // and one (request, reply) path per amplifier under a balanced tree.
     let planner = Planner::new();
+    let amplifier_paths = ManualDecomposition::new(
+        (0..query.edge_count() / 2)
+            .map(|i| vec![QueryEdgeId(2 * i), QueryEdgeId(2 * i + 1)])
+            .collect(),
+    );
     let plans = vec![
-        (
-            "selectivity-pairs",
-            planner
-                .plan_with(query.clone(), &SelectivityOrdered::default())
-                .unwrap(),
-        ),
+        ("cost-based", planner.plan(query.clone()).unwrap()),
         (
             "single-edge-chain",
             planner
-                .plan_with(query.clone(), &LeftDeepEdgeChain)
+                .plan_with(query.clone(), &single_edge_chain(&query))
                 .unwrap(),
         ),
         (
-            "balanced-pairs",
+            "balanced-amp-paths",
             Planner::new()
                 .tree_kind(TreeShapeKind::Balanced)
-                .plan_with(query.clone(), &BalancedPairs)
+                .plan_with(query.clone(), &amplifier_paths)
                 .unwrap(),
         ),
     ];
@@ -94,7 +103,7 @@ fn show_progression() {
     let step = workload.events.len() / checkpoints;
     println!(
         "{:<10} {:>18} {:>18} {:>18}",
-        "progress", "selectivity-pairs", "single-edge-chain", "balanced-pairs"
+        "progress", "cost-based", "single-edge-chain", "balanced-amp-paths"
     );
     let mut processed = 0usize;
     for (i, ev) in workload.events.iter().enumerate() {

@@ -16,7 +16,7 @@
 //!    re-plans it with the learned statistics (paper §4.3 lists this as future
 //!    work) and the two plans are compared.
 
-use streamworks::query::{LeftDeepEdgeChain, SelectivityOrdered, TreeShapeKind};
+use streamworks::query::{CostBasedOrdered, ManualDecomposition, TreeShapeKind};
 use streamworks::workloads::queries::news_triple_query;
 use streamworks::workloads::{read_trace_file, write_trace_file, NewsConfig, NewsStreamGenerator};
 use streamworks::{ContinuousQueryEngine, Duration};
@@ -38,13 +38,12 @@ fn main() {
     println!("replayed {} events from disk\n", replayed.len());
 
     // ---- 2. blind registration, then statistics-driven re-planning --------
+    // Single edges in edge-id order: what a system with no statistics would do.
+    let query = news_triple_query(Duration::from_mins(10));
+    let blind = ManualDecomposition::new(query.edge_ids().map(|e| vec![e]).collect());
     let mut engine = ContinuousQueryEngine::builder().build().unwrap();
     let triple = engine
-        .register_query_with(
-            news_triple_query(Duration::from_mins(10)),
-            &LeftDeepEdgeChain,
-            TreeShapeKind::LeftDeep,
-        )
+        .register_query_with(query, &blind, TreeShapeKind::LeftDeep)
         .unwrap();
     println!("--- plan before any data (frequency-blind) ---");
     println!("{}", engine.plan(triple).unwrap().explain());
@@ -65,7 +64,7 @@ fn main() {
     engine
         .replan(
             triple,
-            &SelectivityOrdered::default(),
+            &CostBasedOrdered::default(),
             TreeShapeKind::LeftDeep,
         )
         .unwrap();

@@ -150,7 +150,7 @@ pub use streamworks_graph::{
     AttrValue, Attrs, Direction, Duration, DynamicGraph, EdgeEvent, EdgeId, Timestamp, VertexId,
 };
 pub use streamworks_query::{
-    parse_query, parse_rpq, Planner, Predicate, QueryGraph, QueryGraphBuilder, QueryPlan, RpqQuery,
-    SelectivityOrdered, TreeShapeKind,
+    parse_query, parse_rpq, CostBasedOrdered, Planner, Predicate, QueryGraph, QueryGraphBuilder,
+    QueryPlan, RpqQuery, TreeShapeKind,
 };
 pub use streamworks_summarize::{GraphSummary, SummaryConfig};

@@ -55,7 +55,7 @@ fn register_pair(engine: &mut ContinuousQueryEngine) -> streamworks::QueryHandle
     engine
         .register_query_with(
             query,
-            &streamworks::SelectivityOrdered {
+            &streamworks::CostBasedOrdered {
                 max_primitive_size: 1,
             },
             streamworks::TreeShapeKind::LeftDeep,

@@ -11,7 +11,7 @@ use streamworks::workloads::{
     AttackKind, CyberConfig, CyberTrafficGenerator, NewsConfig, NewsStreamGenerator,
 };
 use streamworks::{
-    ContinuousQueryEngine, Duration, DynamicGraph, EngineConfig, SelectivityOrdered, TreeShapeKind,
+    ContinuousQueryEngine, CostBasedOrdered, Duration, DynamicGraph, EngineConfig, TreeShapeKind,
 };
 
 #[test]
@@ -141,13 +141,18 @@ fn selectivity_plan_stores_fewer_partial_matches_than_blind_plan() {
         .with_statistics(warm.summary(), warm.graph())
         .plan_with(
             query.clone(),
-            &SelectivityOrdered {
+            &CostBasedOrdered {
                 max_primitive_size: 1,
             },
         )
         .unwrap();
+    // The frequency-blind plan: single edges in edge-id order.
+    let single_edges = query.edge_ids().map(|e| vec![e]).collect();
     let blind_plan = streamworks::Planner::new()
-        .plan_with(query.clone(), &streamworks::query::LeftDeepEdgeChain)
+        .plan_with(
+            query.clone(),
+            &streamworks::query::ManualDecomposition::new(single_edges),
+        )
         .unwrap();
 
     let run = |plan: streamworks::QueryPlan| -> streamworks::QueryMetrics {
@@ -185,19 +190,19 @@ fn multiple_strategies_and_tree_kinds_agree_on_results() {
     let mut counts = Vec::new();
     for (strategy, kind) in [
         (
-            SelectivityOrdered {
+            CostBasedOrdered {
                 max_primitive_size: 2,
             },
             TreeShapeKind::LeftDeep,
         ),
         (
-            SelectivityOrdered {
+            CostBasedOrdered {
                 max_primitive_size: 1,
             },
             TreeShapeKind::LeftDeep,
         ),
         (
-            SelectivityOrdered {
+            CostBasedOrdered {
                 max_primitive_size: 1,
             },
             TreeShapeKind::Balanced,

@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeSet, HashMap};
 use streamworks::baseline::{verify_assignment, NaiveEdgeExpansion, RepeatedSearchMatcher};
-use streamworks::query::{QueryEdgeId, QueryGraph, SelectivityOrdered};
+use streamworks::query::{CostBasedOrdered, QueryEdgeId, QueryGraph};
 use streamworks::{
     ContinuousQueryEngine, Duration, DynamicGraph, EdgeEvent, EngineConfig, QueryGraphBuilder,
     Timestamp, TreeShapeKind,
@@ -31,7 +31,7 @@ fn run_incremental(
     let id = engine
         .register_query_with(
             query.clone(),
-            &SelectivityOrdered {
+            &CostBasedOrdered {
                 max_primitive_size: primitive_size,
             },
             TreeShapeKind::LeftDeep,

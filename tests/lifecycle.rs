@@ -7,7 +7,7 @@
 //! through the engine's live partial-match accounting) and its handle is
 //! permanently stale.
 
-use streamworks::query::{QueryGraphBuilder, SelectivityOrdered};
+use streamworks::query::{CostBasedOrdered, QueryGraphBuilder};
 use streamworks::{
     ContinuousQueryEngine, CountingSink, Duration, EdgeEvent, QueryGraph, Timestamp, TreeShapeKind,
 };
@@ -50,7 +50,7 @@ fn register_storing(
     engine
         .register_query_with(
             query,
-            &SelectivityOrdered {
+            &CostBasedOrdered {
                 max_primitive_size: 1,
             },
             TreeShapeKind::LeftDeep,
@@ -228,7 +228,7 @@ fn stale_handles_error_cleanly_everywhere() {
     assert!(engine
         .replan(
             handle,
-            &SelectivityOrdered::default(),
+            &CostBasedOrdered::default(),
             TreeShapeKind::LeftDeep
         )
         .is_err());

@@ -5,8 +5,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use streamworks::query::{
-    validate_decomposition, BalancedPairs, DecompositionStrategy, LeftDeepEdgeChain, Planner,
-    SelectivityOrdered, SjTreeShape, TreeShapeKind,
+    validate_decomposition, CostBasedOrdered, DecompositionStrategy, ManualDecomposition, Planner,
+    SjTreeShape, TreeShapeKind,
 };
 use streamworks::{Duration, QueryGraph, QueryGraphBuilder};
 
@@ -64,17 +64,19 @@ fn strategies_produce_valid_partitions_and_trees() {
         let window = rng.gen_range(10i64..10_000);
         let query = build_query(n_vertices, &extra, window);
         let strategies: Vec<Box<dyn DecompositionStrategy>> = vec![
-            Box::new(SelectivityOrdered {
+            Box::new(CostBasedOrdered {
                 max_primitive_size: 1,
             }),
-            Box::new(SelectivityOrdered {
+            Box::new(CostBasedOrdered {
                 max_primitive_size: 2,
             }),
-            Box::new(SelectivityOrdered {
+            Box::new(CostBasedOrdered {
                 max_primitive_size: 3,
             }),
-            Box::new(LeftDeepEdgeChain),
-            Box::new(BalancedPairs),
+            // The frequency-blind reference: single edges in edge-id order.
+            Box::new(ManualDecomposition::new(
+                query.edge_ids().map(|e| vec![e]).collect(),
+            )),
         ];
         for strategy in strategies {
             let est = streamworks::query::SelectivityEstimator::without_summary();

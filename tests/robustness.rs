@@ -10,7 +10,7 @@ use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
 use streamworks::baseline::RepeatedSearchMatcher;
 use streamworks::engine::EngineCheckpoint;
-use streamworks::query::{CostBasedOrdered, LeftDeepEdgeChain, QueryGraph, TriadWedges};
+use streamworks::query::{CostBasedOrdered, ManualDecomposition, QueryGraph};
 use streamworks::{
     AdaptiveConfig, AdaptiveReplanner, ContinuousQueryEngine, Duration, DynamicGraph, EdgeEvent,
     EngineConfig, QueryGraphBuilder, Timestamp, TreeShapeKind,
@@ -20,6 +20,11 @@ type Signature = Vec<(usize, u64)>;
 
 fn ev(src: &str, st: &str, dst: &str, dt: &str, et: &str, t: i64) -> EdgeEvent {
     EdgeEvent::new(src, st, dst, dt, et, Timestamp::from_secs(t))
+}
+
+/// The frequency-blind plan: single edges in edge-id order.
+fn blind(query: &QueryGraph) -> ManualDecomposition {
+    ManualDecomposition::new(query.edge_ids().map(|e| vec![e]).collect())
 }
 
 fn pair_query(window_secs: i64) -> QueryGraph {
@@ -163,7 +168,6 @@ fn out_of_order_timestamps_do_not_panic_and_respect_the_window() {
 
 #[test]
 fn clock_jumps_forward_expire_state_without_panicking() {
-    use streamworks::SelectivityOrdered;
     let mut engine = ContinuousQueryEngine::new(EngineConfig {
         prune_every: 4,
         ..EngineConfig::default()
@@ -172,7 +176,7 @@ fn clock_jumps_forward_expire_state_without_panicking() {
     let id = engine
         .register_query_with(
             pair_query(60),
-            &SelectivityOrdered {
+            &CostBasedOrdered {
                 max_primitive_size: 1,
             },
             TreeShapeKind::LeftDeep,
@@ -366,9 +370,14 @@ fn statistics_driven_strategies_agree_with_the_blind_plan() {
 
     let mut results = Vec::new();
     let strategies: Vec<(&str, Box<dyn streamworks::query::DecompositionStrategy>)> = vec![
-        ("blind", Box::new(LeftDeepEdgeChain)),
+        ("blind", Box::new(blind(&query))),
         ("cost", Box::new(CostBasedOrdered::default())),
-        ("triads", Box::new(TriadWedges::default())),
+        (
+            "cost-single",
+            Box::new(CostBasedOrdered {
+                max_primitive_size: 1,
+            }),
+        ),
     ];
     for (name, strategy) in &strategies {
         let mut engine = ContinuousQueryEngine::builder().build().unwrap();
@@ -388,12 +397,9 @@ fn statistics_driven_strategies_agree_with_the_blind_plan() {
 #[test]
 fn adaptive_replanning_keeps_finding_matches_after_the_switch() {
     let mut engine = ContinuousQueryEngine::builder().build().unwrap();
+    let query = wedge_query(3_600);
     let id = engine
-        .register_query_with(
-            wedge_query(3_600),
-            &LeftDeepEdgeChain,
-            TreeShapeKind::LeftDeep,
-        )
+        .register_query_with(query.clone(), &blind(&query), TreeShapeKind::LeftDeep)
         .unwrap();
     let mut replanner = AdaptiveReplanner::new(AdaptiveConfig {
         min_edges_between_replans: 200,
@@ -434,6 +440,39 @@ fn adaptive_replanning_keeps_finding_matches_after_the_switch() {
         .unwrap();
     assert_eq!(matches.len(), 1);
     assert_eq!(engine.metrics(id).unwrap().complete_matches, before + 1);
+}
+
+/// Registration and re-planning plan with the same strategy, so a query
+/// registered on warm statistics is already the replanner's candidate: with
+/// no drift to react to, the replanner keeps it.
+#[test]
+fn a_freshly_registered_query_is_its_own_best_candidate() {
+    use streamworks::workloads::queries::news_triple_query;
+    use streamworks::workloads::{NewsConfig, NewsStreamGenerator};
+    let workload = NewsStreamGenerator::new(NewsConfig {
+        articles: 1_200,
+        planted_events: vec![("politics".into(), 3)],
+        ..Default::default()
+    })
+    .generate();
+    let mut engine = ContinuousQueryEngine::builder().build().unwrap();
+    for ev in &workload.events {
+        engine.ingest(ev).unwrap();
+    }
+    let id = engine
+        .register_query(news_triple_query(Duration::from_mins(10)))
+        .unwrap();
+    let mut replanner = AdaptiveReplanner::new(AdaptiveConfig {
+        min_edges_between_replans: 0,
+        drift_threshold: 0.0,
+        ..AdaptiveConfig::default()
+    });
+    let decisions = replanner.check(&mut engine);
+    assert_eq!(decisions.len(), 1);
+    let d = &decisions[0];
+    assert_eq!(d.query, id);
+    assert!(!d.replanned, "{}", d.reason);
+    assert_eq!(d.current_cost, d.candidate_cost, "{}", d.reason);
 }
 
 // ---------------------------------------------------------------------------

@@ -419,7 +419,7 @@ fn lifecycle_churn_pauses_resumes_and_deregisters() {
     engine
         .replan(
             handle,
-            &streamworks::SelectivityOrdered::default(),
+            &streamworks::CostBasedOrdered::default(),
             streamworks::TreeShapeKind::LeftDeep,
         )
         .unwrap();

@@ -2,7 +2,7 @@
 //! (paper §4.1/§4.3) on generated workloads, plus trace round-tripping through
 //! the full engine.
 
-use streamworks::query::{QueryEdgeId, SelectivityEstimator, SelectivityOrdered};
+use streamworks::query::{CostBasedOrdered, QueryEdgeId, SelectivityEstimator};
 use streamworks::workloads::queries::{news_triple_query, smurf_ddos_query};
 use streamworks::workloads::{
     read_trace, write_trace, CyberConfig, CyberTrafficGenerator, NewsConfig, NewsStreamGenerator,
@@ -43,7 +43,7 @@ fn summary_ranks_rare_news_edges_below_frequent_ones() {
     // contains a located edge.
     let plan = Planner::new()
         .with_statistics(engine.summary(), engine.graph())
-        .plan_with(query.clone(), &SelectivityOrdered::default())
+        .plan_with(query.clone(), &CostBasedOrdered::default())
         .unwrap();
     let first_leaf = &plan.primitives[0];
     let has_located = first_leaf
