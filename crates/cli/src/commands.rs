@@ -9,8 +9,7 @@ use std::path::Path;
 
 use crate::options::{OptionError, Options};
 use streamworks_core::{
-    ContinuousQueryEngine, EngineError, MatchEvent, MetricsRegistry, RetryPolicy, SinkSpec,
-    TelemetryLevel,
+    ContinuousQueryEngine, EngineError, MatchEvent, RetryPolicy, SinkSpec, TelemetryLevel,
 };
 use streamworks_query::{
     estimate_shape_cost, CostBasedOrdered, Planner, QueryError, QueryGraph, SelectivityEstimator,
@@ -132,7 +131,7 @@ COMMANDS:
              [--tree left-deep|balanced] [--batch N]
              [--sample-every N] [--json]
              Replay the trace with telemetry enabled and print the unified
-             metrics registry in Prometheus text format (or JSON with
+             telemetry snapshot in Prometheus text format (or JSON with
              --json): event counters, per-stage latency histograms,
              per-query match counters and delivery lag.
   summarize  --trace <trace.jsonl> [--triads N]
@@ -508,7 +507,7 @@ pub fn cmd_run(opts: &Options) -> Result<String, CliError> {
         // (side effects above — csv/jsonl/durable logs — still happen).
         return Ok(format!(
             "{}\n",
-            MetricsRegistry::gather(&engine).to_json_pretty()
+            engine.telemetry_snapshot().to_json_pretty()
         ));
     }
     Ok(out)
@@ -534,7 +533,7 @@ fn metrics_line(batch_no: usize, snap: &streamworks_core::TelemetrySnapshot) -> 
 // ---------------------------------------------------------------------------
 
 /// `stats`: replay a trace with telemetry forced on and print the unified
-/// metrics registry — Prometheus text by default, JSON with `--json`.
+/// telemetry snapshot — Prometheus text by default, JSON with `--json`.
 pub fn cmd_stats(opts: &Options) -> Result<String, CliError> {
     let query_paths = opts.values("query");
     if query_paths.is_empty() {
@@ -570,7 +569,7 @@ pub fn cmd_stats(opts: &Options) -> Result<String, CliError> {
     }
     engine.flush_deliveries();
 
-    let snapshot = MetricsRegistry::gather(&engine);
+    let snapshot = engine.telemetry_snapshot();
     Ok(if opts.has("json") {
         format!("{}\n", snapshot.to_json_pretty())
     } else {

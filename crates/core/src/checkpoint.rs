@@ -345,10 +345,10 @@ impl EngineCheckpoint {
             }
         }
         actions.sort_unstable();
-        // The replay is not re-measured on the driver thread: the events
-        // were timed by the engine that wrote the checkpoint, whose stage
-        // counters are folded back in below.
-        let hub = engine.suspend_telemetry();
+        // The replay is not re-measured: the events were timed by the
+        // engine that wrote the checkpoint, whose stage counters are merged
+        // back in below.
+        let telemetry = engine.suspend_telemetry();
         let mut sink = NullSink;
         let mut start = 0usize;
         for (bound, qi, _, kind) in actions {
@@ -378,7 +378,7 @@ impl EngineCheckpoint {
                 engine.set_pause_time(*handle, self.paused_at.get(i).copied().flatten());
             }
         }
-        engine.resume_telemetry(hub, self.telemetry.as_ref());
+        engine.resume_telemetry(telemetry, self.telemetry.as_ref());
         // The replayed matches were suppressed; continue the emitted-event
         // counter from where the checkpointed engine left off.
         engine.set_events_emitted(self.events_emitted);

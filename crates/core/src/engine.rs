@@ -30,7 +30,7 @@ use crate::rpq::{RpqMatcher, RpqPathMatch};
 use crate::shared_index::{Delivery, SharedIndex};
 use crate::sj_matcher::SjTreeMatcher;
 use crate::telemetry::{
-    DeliverySnapshot, QuerySnapshot, Stage, StageSnapshot, TelemetryCheckpoint, TelemetryHub,
+    ns_since, DeliverySnapshot, QuerySnapshot, Stage, Telemetry, TelemetryCheckpoint,
     TelemetryLevel, TelemetrySnapshot,
 };
 use streamworks_graph::{
@@ -343,6 +343,15 @@ fn deliver_event(
     sink.on_match(event);
 }
 
+/// The four durable-delivery counters summed over `durables`: attempts,
+/// retries, recoveries and cursor lag, in the order of their
+/// [`QueryMetrics`] and [`EngineMetrics`] fields.
+fn delivery_counters<'a>(durables: impl IntoIterator<Item = &'a DurableSub>) -> [u64; 4] {
+    (durables.into_iter()).fold([0; 4], |[a, r, v, l], d| {
+        [a + d.attempts, r + d.retries, v + d.recoveries, l + d.lag()]
+    })
+}
+
 /// The StreamWorks continuous-query engine.
 pub struct ContinuousQueryEngine {
     config: EngineConfig,
@@ -384,9 +393,9 @@ pub struct ContinuousQueryEngine {
     /// Reusable buffer for RPQ path matches produced per event.
     rpq_scratch: Vec<RpqPathMatch>,
     /// `Some` while [`crate::TelemetryLevel::Sampled`]: the stage
-    /// histograms plus the engine thread's span ring. `None` means every
-    /// instrumentation site reduces to one branch.
-    telemetry: Option<TelemetryHub>,
+    /// histograms plus the span ring. `None` means every instrumentation
+    /// site reduces to one branch. Boxed to keep the engine's inline size.
+    telemetry: Option<Box<Telemetry>>,
 }
 
 impl ContinuousQueryEngine {
@@ -429,7 +438,9 @@ impl ContinuousQueryEngine {
             rpq_scratch: Vec::new(),
             telemetry: match config.telemetry_level {
                 TelemetryLevel::Off => None,
-                TelemetryLevel::Sampled => Some(TelemetryHub::new(config.telemetry_sample_every)),
+                TelemetryLevel::Sampled => {
+                    Some(Box::new(Telemetry::new(config.telemetry_sample_every)))
+                }
             },
             config,
         }
@@ -890,13 +901,13 @@ impl ContinuousQueryEngine {
                         .map_or(0, |sink| sink.events_dropped_for(handle.id()))
             })
             .sum::<u64>();
-        for d in &state.durables {
-            m.sink_events_dropped += d.dropped;
-            m.delivery_attempts += d.attempts;
-            m.delivery_retries += d.retries;
-            m.delivery_recoveries += d.recoveries;
-            m.cursor_lag += d.lag();
-        }
+        m.sink_events_dropped += state.durables.iter().map(|d| d.dropped).sum::<u64>();
+        [
+            m.delivery_attempts,
+            m.delivery_retries,
+            m.delivery_recoveries,
+            m.cursor_lag,
+        ] = delivery_counters(&state.durables);
         Ok(m)
     }
 
@@ -906,16 +917,16 @@ impl ContinuousQueryEngine {
     /// lifted-dispatch hits. All zero while no subgraph query is registered.
     pub fn engine_metrics(&self) -> EngineMetrics {
         let mut m = self.shared.metrics();
-        for slot in &self.queries {
-            if let Some(state) = &slot.state {
-                for d in &state.durables {
-                    m.delivery_attempts += d.attempts;
-                    m.delivery_retries += d.retries;
-                    m.delivery_recoveries += d.recoveries;
-                    m.cursor_lag += d.lag();
-                }
-            }
-        }
+        [
+            m.delivery_attempts,
+            m.delivery_retries,
+            m.delivery_recoveries,
+            m.cursor_lag,
+        ] = delivery_counters(
+            (self.queries.iter())
+                .filter_map(QuerySlot::live)
+                .flat_map(|s| &s.durables),
+        );
         m
     }
 
@@ -930,8 +941,7 @@ impl ContinuousQueryEngine {
     /// The unified observability snapshot: per-stage latency histograms,
     /// every live query's counters, engine-wide sharing counters, live
     /// durable-delivery state and the recent trace spans — everything the
-    /// CLI's `stats` command and `--metrics-json` flag export. [`crate::MetricsRegistry::gather`] is a
-    /// façade over this method.
+    /// CLI's `stats` command and `--metrics-json` flag export.
     ///
     /// Stage histograms and spans are empty while
     /// [`crate::TelemetryLevel::Off`] (the counters sections are always
@@ -940,16 +950,6 @@ impl ContinuousQueryEngine {
     /// backlog keeps growing here instead of freezing at the value its last
     /// successful drain cached.
     pub fn telemetry_snapshot(&self) -> TelemetrySnapshot {
-        let stages: Vec<StageSnapshot> = self
-            .telemetry
-            .as_ref()
-            .map(|h| {
-                Stage::ALL
-                    .iter()
-                    .map(|&s| StageSnapshot::from_histogram(s, &h.core.stage_snapshot(s)))
-                    .collect()
-            })
-            .unwrap_or_default();
         let mut queries = Vec::new();
         let mut delivery = Vec::new();
         for (idx, slot) in self.queries.iter().enumerate() {
@@ -984,50 +984,44 @@ impl ContinuousQueryEngine {
                 });
             }
         }
-        let mut spans = Vec::new();
-        if let Some(h) = &self.telemetry {
-            h.driver_ring.collect_into(&mut spans);
-            spans.sort_by_key(|s| (s.seq, s.start_ns));
-        }
+        let t = self.telemetry.as_deref();
         TelemetrySnapshot {
             level: self.config.telemetry_level.name().to_string(),
             sample_every: self.config.telemetry_sample_every,
             events_ingested: self.events_ingested,
             events_emitted: self.events_emitted,
-            stages,
+            stages: t.map(Telemetry::stage_snapshots).unwrap_or_default(),
             queries,
             engine: self.engine_metrics(),
             delivery,
-            spans,
+            spans: t.map(Telemetry::spans).unwrap_or_default(),
         }
     }
 
     /// Captures the live stage histograms for a checkpoint; `None` while
     /// telemetry is off.
     pub(crate) fn capture_telemetry(&self) -> Option<TelemetryCheckpoint> {
-        self.telemetry
-            .as_ref()
-            .map(|h| TelemetryCheckpoint::capture(&h.core))
+        self.telemetry.as_deref().map(TelemetryCheckpoint::capture)
     }
 
-    /// Detaches the telemetry hub so checkpoint replay is not re-measured
-    /// (the replayed events were already measured by the engine that wrote
-    /// the checkpoint). Pair with [`Self::resume_telemetry`].
-    pub(crate) fn suspend_telemetry(&mut self) -> Option<TelemetryHub> {
+    /// Detaches the telemetry so checkpoint replay is not re-measured (the
+    /// replayed events were already measured by the engine that wrote the
+    /// checkpoint). Pair with [`Self::resume_telemetry`].
+    pub(crate) fn suspend_telemetry(&mut self) -> Option<Box<Telemetry>> {
         self.telemetry.take()
     }
 
-    /// Reinstates the hub taken by [`Self::suspend_telemetry`] and folds the
-    /// restored checkpoint's captured stage counters into it.
+    /// Puts back the telemetry taken by [`Self::suspend_telemetry`] and
+    /// merges the restored checkpoint's captured stage counters into it.
     pub(crate) fn resume_telemetry(
         &mut self,
-        hub: Option<TelemetryHub>,
+        mut telemetry: Option<Box<Telemetry>>,
         restored: Option<&TelemetryCheckpoint>,
     ) {
-        self.telemetry = hub;
-        if let (Some(h), Some(cp)) = (&self.telemetry, restored) {
-            cp.absorb_into(&h.core);
+        if let (Some(t), Some(cp)) = (telemetry.as_deref_mut(), restored) {
+            t.absorb(cp);
         }
+        self.telemetry = telemetry;
     }
 
     /// Partial matches currently stored across every live query's
@@ -1158,7 +1152,7 @@ impl ContinuousQueryEngine {
     /// every durable subscriber is fully caught up. Intended for shutdown
     /// and for tests; regular draining happens at the end of each `ingest`.
     pub fn flush_deliveries(&mut self) -> u64 {
-        let start = self.telemetry.as_ref().map(|h| h.core.now_ns());
+        let start = self.telemetry.as_ref().map(|t| t.now_ns());
         let policy = self.config.retry_policy;
         let mut lag = 0;
         for slot in &mut self.queries {
@@ -1169,9 +1163,8 @@ impl ContinuousQueryEngine {
                 }
             }
         }
-        if let (Some(h), Some(start)) = (&self.telemetry, start) {
-            h.core
-                .record(Stage::DeliveryFlush, h.core.now_ns().saturating_sub(start));
+        if let (Some(t), Some(start)) = (self.telemetry.as_deref_mut(), start) {
+            t.observe(Stage::DeliveryFlush, t.now_ns().saturating_sub(start));
         }
         lag
     }
@@ -1376,11 +1369,8 @@ impl ContinuousQueryEngine {
         // The batch-boundary stages below cover the whole call; they are
         // timed when the call's sequence range contains a sampled event, and
         // that event's sequence number keys their spans.
-        let batch_sample = self.telemetry.as_ref().and_then(|h| {
-            h.core
-                .first_sampled(start_seq, self.events_ingested)
-                .map(|seq| (h.clone(), seq))
-        });
+        let batch_sample = (self.telemetry.as_ref())
+            .and_then(|t| t.first_sampled(start_seq, self.events_ingested));
         // Cover the trailing partial prune interval so a sequence of batches
         // never carries more than `prune_every` edges of stale partials.
         // (`prune_now` records the expiry-sweep stage itself.)
@@ -1390,12 +1380,19 @@ impl ContinuousQueryEngine {
         // Durable subscribers buffer their matches in per-subscription
         // outboxes during dispatch; the end of the ingest call is the one
         // point where delivery (with retry/backoff) is attempted.
-        let flush_start = batch_sample.as_ref().map(|(h, _)| h.core.now_ns());
+        let flush_start = batch_sample
+            .and(self.telemetry.as_deref())
+            .map(Telemetry::now_ns);
         self.drain_deliveries();
-        if let (Some((h, seq)), Some(start)) = (&batch_sample, flush_start) {
-            let dur = h.core.now_ns().saturating_sub(start);
-            h.core.record(Stage::DeliveryFlush, dur);
-            h.driver_ring.push(*seq, Stage::DeliveryFlush, start, dur);
+        if let (Some(t), Some(seq), Some(start)) =
+            (self.telemetry.as_deref_mut(), batch_sample, flush_start)
+        {
+            t.record(
+                seq,
+                Stage::DeliveryFlush,
+                start,
+                t.now_ns().saturating_sub(start),
+            );
         }
         Ok(emitted)
     }
@@ -1403,73 +1400,57 @@ impl ContinuousQueryEngine {
     fn process_event_inner(&mut self, event: &EdgeEvent, sink: &mut dyn EventSink) -> usize {
         let seq = self.events_ingested;
         self.events_ingested += 1;
-        // The hub is only cloned (two `Arc` bumps) for sampled events; for
-        // every other event each instrumentation site below is one branch on
-        // a `None`.
-        let hub = self
-            .telemetry
-            .as_ref()
-            .filter(|h| h.core.should_sample(seq))
-            .cloned();
-        let ingest_start = hub.as_ref().map(|h| h.core.now_ns());
+        // A sampled event copies the telemetry epoch, times its stages into
+        // locals and writes them once it is done; for every other event each
+        // instrumentation site below is one branch on a `None`.
+        let epoch = self.telemetry.as_ref().and_then(|t| t.sample(seq));
+        let now = || epoch.map(ns_since);
+        let ingest_start = now();
         // 1. Update the graph.
         let result = self.graph.ingest(event);
 
         // 2. Update the summary (vertices, new edge, expired edges). The edge
         // is borrowed from the graph for the whole step — matchers, summary
         // and sinks all take the graph immutably, so no clone is needed.
-        let Some(edge) = self.graph.edge(result.edge) else {
-            // The event arrived so late that it is already outside the
-            // retention horizon: the graph expired it on ingest. It cannot
-            // participate in any within-window match (every edge it could
-            // combine with has expired too), so only account the expiries it
-            // caused and move on.
-            for expired in &result.expired {
-                if let Some(info) = self.live_edge_types.remove(*expired) {
-                    if self.config.maintain_summary {
-                        self.summary
-                            .observe_expiry(info.src_vtype, info.etype, info.dst_vtype);
+        // `None` means the event arrived so late that it is already outside
+        // the retention horizon: the graph expired it on ingest. It cannot
+        // participate in any within-window match (every edge it could
+        // combine with has expired too), so only the expiries it caused are
+        // accounted.
+        let edge = self.graph.edge(result.edge);
+        if let Some(edge) = edge {
+            if self.config.maintain_summary {
+                if result.src_created {
+                    if let Some(v) = self.graph.vertex(result.src) {
+                        self.summary.observe_vertex(v.vtype);
                     }
                 }
-            }
-            if let (Some(h), Some(start)) = (&hub, ingest_start) {
-                let dur = h.core.now_ns().saturating_sub(start);
-                h.core.record(Stage::IngestFront, dur);
-                h.driver_ring.push(seq, Stage::IngestFront, start, dur);
-            }
-            return 0;
-        };
-        if self.config.maintain_summary {
-            if result.src_created {
-                if let Some(v) = self.graph.vertex(result.src) {
-                    self.summary.observe_vertex(v.vtype);
+                if result.dst_created {
+                    if let Some(v) = self.graph.vertex(result.dst) {
+                        self.summary.observe_vertex(v.vtype);
+                    }
                 }
+                self.summary.observe_insertion(&self.graph, edge);
             }
-            if result.dst_created {
-                if let Some(v) = self.graph.vertex(result.dst) {
-                    self.summary.observe_vertex(v.vtype);
-                }
-            }
-            self.summary.observe_insertion(&self.graph, edge);
+            let src_vtype = self
+                .graph
+                .vertex(edge.src)
+                .map(|v| v.vtype)
+                .unwrap_or(TypeId(0));
+            let dst_vtype = self
+                .graph
+                .vertex(edge.dst)
+                .map(|v| v.vtype)
+                .unwrap_or(TypeId(0));
+            self.live_edge_types.insert(
+                edge.id,
+                EdgeTypeInfo {
+                    etype: edge.etype,
+                    src_vtype,
+                    dst_vtype,
+                },
+            );
         }
-        let src_vtype = self
-            .graph
-            .vertex(edge.src)
-            .map(|v| v.vtype)
-            .unwrap_or(TypeId(0));
-        let dst_vtype = self
-            .graph
-            .vertex(edge.dst)
-            .map(|v| v.vtype)
-            .unwrap_or(TypeId(0));
-        self.live_edge_types.insert(
-            edge.id,
-            EdgeTypeInfo {
-                etype: edge.etype,
-                src_vtype,
-                dst_vtype,
-            },
-        );
         for expired in &result.expired {
             if let Some(info) = self.live_edge_types.remove(*expired) {
                 if self.config.maintain_summary {
@@ -1478,12 +1459,14 @@ impl ContinuousQueryEngine {
                 }
             }
         }
-
-        if let (Some(h), Some(start)) = (&hub, ingest_start) {
-            let dur = h.core.now_ns().saturating_sub(start);
-            h.core.record(Stage::IngestFront, dur);
-            h.driver_ring.push(seq, Stage::IngestFront, start, dur);
+        if let (Some(t), Some(start), Some(end)) =
+            (self.telemetry.as_deref_mut(), ingest_start, now())
+        {
+            t.record(seq, Stage::IngestFront, start, end.saturating_sub(start));
         }
+        let Some(edge) = edge else {
+            return 0;
+        };
 
         // 3. Matching. Every shared entry the edge can reach runs its
         // anchored searches and join climb once, and each resulting match is
@@ -1495,9 +1478,7 @@ impl ContinuousQueryEngine {
         // Telemetry: a sampled event's search work, climb work and RPQ
         // expiry drains are accumulated separately across both steps below
         // and recorded once each, so one edge contributes one observation
-        // per stage no matter how many queries it touched. The clock is
-        // only read for sampled events (`now` is `None` otherwise).
-        let now = || hub.as_ref().map(|h| h.core.now_ns());
+        // per stage no matter how many queries it touched.
         let lap = |total: &mut Option<u64>, from: Option<u64>, to: Option<u64>| {
             if let (Some(from), Some(to)) = (from, to) {
                 *total.get_or_insert(0) += to.saturating_sub(from);
@@ -1585,18 +1566,15 @@ impl ContinuousQueryEngine {
             }
             self.rpq_scratch = paths;
         }
-        if let (Some(h), Some(start)) = (&hub, match_start) {
-            if let Some(ns) = search_ns {
-                h.core.record(Stage::LocalSearch, ns);
-                h.driver_ring.push(seq, Stage::LocalSearch, start, ns);
-            }
-            if let Some(ns) = climb_ns {
-                h.core.record(Stage::JoinClimb, ns);
-                h.driver_ring.push(seq, Stage::JoinClimb, start, ns);
-            }
-            if let Some(ns) = expiry_ns {
-                h.core.record(Stage::ExpirySweep, ns);
-                h.driver_ring.push(seq, Stage::ExpirySweep, start, ns);
+        if let (Some(t), Some(start)) = (self.telemetry.as_deref_mut(), match_start) {
+            for (stage, ns) in [
+                (Stage::LocalSearch, search_ns),
+                (Stage::JoinClimb, climb_ns),
+                (Stage::ExpirySweep, expiry_ns),
+            ] {
+                if let Some(ns) = ns {
+                    t.record(seq, stage, start, ns);
+                }
             }
         }
         self.match_scratch = complete;
@@ -1621,7 +1599,7 @@ impl ContinuousQueryEngine {
         // Prunes are rare (once per `prune_every` edges), so they are timed
         // whenever telemetry is on rather than per-event sampled. No span: a
         // sweep covers a window, not one sampled edge.
-        let start = self.telemetry.as_ref().map(|h| h.core.now_ns());
+        let start = self.telemetry.as_ref().map(|t| t.now_ns());
         let now = self.graph.now();
         for slot in &mut self.queries {
             if let Some(state) = &mut slot.state {
@@ -1630,9 +1608,8 @@ impl ContinuousQueryEngine {
         }
         self.shared.prune(now);
         self.edges_since_prune = 0;
-        if let (Some(h), Some(start)) = (&self.telemetry, start) {
-            h.core
-                .record(Stage::ExpirySweep, h.core.now_ns().saturating_sub(start));
+        if let (Some(t), Some(start)) = (self.telemetry.as_deref_mut(), start) {
+            t.observe(Stage::ExpirySweep, t.now_ns().saturating_sub(start));
         }
     }
 }

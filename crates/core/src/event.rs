@@ -16,6 +16,7 @@
 use crate::binding::PartialMatch;
 use crate::handle::QueryHandle;
 use serde::{Deserialize, Serialize};
+use std::sync::mpsc;
 use streamworks_graph::{Duration, DynamicGraph, EdgeId, Timestamp, VertexId};
 use streamworks_query::QueryGraph;
 
@@ -259,42 +260,37 @@ impl<F: FnMut(MatchEvent)> EventSink for CallbackSink<F> {
     }
 }
 
-/// A sink that forwards events over a crossbeam channel (e.g. to a UI or
-/// logging thread), dropping events if the receiver has disconnected.
+/// A sink that forwards events over a `std::sync::mpsc` channel (e.g. to a
+/// UI or logging thread), dropping events if the receiver has disconnected.
 pub struct ChannelSink {
-    sender: crossbeam::channel::Sender<MatchEvent>,
-    lossy: bool,
+    sender: Sender,
     dropped: u64,
 }
 
+enum Sender {
+    Unbounded(mpsc::Sender<MatchEvent>),
+    Bounded(mpsc::SyncSender<MatchEvent>),
+    Lossy(mpsc::SyncSender<MatchEvent>),
+}
+
 impl ChannelSink {
+    fn new(sender: Sender) -> Self {
+        ChannelSink { sender, dropped: 0 }
+    }
+
     /// Creates an unbounded channel sink, returning the sink and the receiver.
-    pub fn unbounded() -> (Self, crossbeam::channel::Receiver<MatchEvent>) {
-        let (tx, rx) = crossbeam::channel::unbounded();
-        (
-            ChannelSink {
-                sender: tx,
-                lossy: false,
-                dropped: 0,
-            },
-            rx,
-        )
+    pub fn unbounded() -> (Self, mpsc::Receiver<MatchEvent>) {
+        let (tx, rx) = mpsc::channel();
+        (Self::new(Sender::Unbounded(tx)), rx)
     }
 
     /// Creates a bounded channel sink with [`SinkOverflow::Block`]
     /// semantics: when `capacity` events are queued, delivery (and with it
     /// the engine's ingest thread) blocks until the receiver drains — a slow
     /// consumer backpressures the stream instead of growing memory.
-    pub fn bounded(capacity: usize) -> (Self, crossbeam::channel::Receiver<MatchEvent>) {
-        let (tx, rx) = crossbeam::channel::bounded(capacity.max(1));
-        (
-            ChannelSink {
-                sender: tx,
-                lossy: false,
-                dropped: 0,
-            },
-            rx,
-        )
+    pub fn bounded(capacity: usize) -> (Self, mpsc::Receiver<MatchEvent>) {
+        let (tx, rx) = mpsc::sync_channel(capacity.max(1));
+        (Self::new(Sender::Bounded(tx)), rx)
     }
 
     /// Creates a bounded channel sink with [`SinkOverflow::DropNewest`]
@@ -302,27 +298,26 @@ impl ChannelSink {
     /// counted ([`EventSink::events_dropped`]) — ingest never blocks.
     /// `DropOldest` is not offered here because a channel's sender half
     /// cannot evict queued elements; use [`BufferingSink::bounded`] for it.
-    pub fn bounded_lossy(capacity: usize) -> (Self, crossbeam::channel::Receiver<MatchEvent>) {
-        let (tx, rx) = crossbeam::channel::bounded(capacity.max(1));
-        (
-            ChannelSink {
-                sender: tx,
-                lossy: true,
-                dropped: 0,
-            },
-            rx,
-        )
+    pub fn bounded_lossy(capacity: usize) -> (Self, mpsc::Receiver<MatchEvent>) {
+        let (tx, rx) = mpsc::sync_channel(capacity.max(1));
+        (Self::new(Sender::Lossy(tx)), rx)
     }
 }
 
 impl EventSink for ChannelSink {
     fn on_match(&mut self, event: MatchEvent) {
-        if self.lossy {
-            if let Err(crossbeam::channel::TrySendError::Full(_)) = self.sender.try_send(event) {
-                self.dropped += 1;
+        match &self.sender {
+            Sender::Unbounded(tx) => {
+                let _ = tx.send(event);
             }
-        } else {
-            let _ = self.sender.send(event);
+            Sender::Bounded(tx) => {
+                let _ = tx.send(event);
+            }
+            Sender::Lossy(tx) => {
+                if let Err(mpsc::TrySendError::Full(_)) = tx.try_send(event) {
+                    self.dropped += 1;
+                }
+            }
         }
     }
 

@@ -88,7 +88,6 @@ pub use match_store::{JoinKey, JoinSide, SharedJoinStore};
 pub use metrics::{EngineMetrics, QueryMetrics, RpqEnd};
 pub use sj_matcher::SjTreeMatcher;
 pub use telemetry::{
-    AtomicHistogram, DeliverySnapshot, HistogramSnapshot, MetricsRegistry, QuerySnapshot, SpanRing,
-    Stage, StageSnapshot, TelemetryCheckpoint, TelemetryCore, TelemetryLevel, TelemetrySnapshot,
-    TraceSpan, SPAN_RING_CAPACITY,
+    DeliverySnapshot, HistogramSnapshot, QuerySnapshot, Stage, StageSnapshot, TelemetryCheckpoint,
+    TelemetryLevel, TelemetrySnapshot, TraceSpan, SPAN_RING_CAPACITY,
 };

@@ -5,11 +5,11 @@
 //! selectivity-driven decomposition is designed to minimise, §4.1), how many
 //! join attempts succeed, and how many complete matches are emitted.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Which end of the path a regular path query's spanning trees are rooted
 /// at: the end with fewer live edges that can start a tree.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub enum RpqEnd {
     /// Path sources, walked forward with the pattern's automaton.
     #[default]
@@ -38,7 +38,7 @@ impl std::fmt::Display for RpqEnd {
 }
 
 /// Counters for one registered query.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct QueryMetrics {
     /// Data edges offered to the matcher.
     pub edges_processed: u64,
@@ -76,67 +76,52 @@ pub struct QueryMetrics {
     /// Match events dropped by this query's subscriber sinks under a
     /// `DropOldest`/`DropNewest` overflow policy (see
     /// `streamworks_core::SinkOverflowPolicy`). Sinks with the `Block`
-    /// policy — and unbounded sinks — never contribute here. Defaults to 0
-    /// when absent from serialized form (snapshots written before overflow
-    /// policies existed).
-    #[serde(default)]
+    /// policy — and unbounded sinks — never contribute here.
     pub sink_events_dropped: u64,
     /// RPQ only: product-graph spanning-tree nodes currently live across the
     /// query's trees (0 for SJ-Tree queries). Exact after a prune: reads 0
     /// once a full window has drained.
-    #[serde(default)]
     pub rpq_tree_nodes_live: u64,
     /// RPQ only: relaxation attempts — every candidate timestamp offered to
     /// a product node (the RPQ analogue of `joins_attempted`). The share that
     /// is not an expansion is wasted work.
-    #[serde(default)]
     pub rpq_relaxations: u64,
     /// RPQ only: relaxation attempts that created a tree node or raised its
     /// timestamp (the RPQ analogue of `joins_succeeded`).
-    #[serde(default)]
     pub rpq_expansions: u64,
     /// RPQ only: accepting-state arrivals, i.e. path matches emitted. Equal
     /// to `complete_matches` for a pure RPQ query; kept separate so absorbed
     /// mixed-kind aggregates can still attribute accepts.
-    #[serde(default)]
     pub rpq_accepts: u64,
     /// RPQ only: times the matcher turned its spanning trees around to the
     /// other end of the path (at most one per query window; see the `rpq`
     /// module docs, "Which end roots the trees").
-    #[serde(default)]
     pub rpq_end_switches: u64,
     /// RPQ only: the end of the path the spanning trees are rooted at now
     /// ([`RpqEnd::Source`] for SJ-Tree queries). A gauge: [`Self::absorb`]
     /// keeps the receiver's.
-    #[serde(default)]
     pub rpq_end: RpqEnd,
     /// Durable delivery attempts performed for this query's durable
     /// subscriptions (every try counts: first attempts, retries and
     /// probation probes). Zero when no durable subscribers are registered.
-    #[serde(default)]
     pub delivery_attempts: u64,
     /// Delivery attempts that were retries or probation probes — performed
     /// while the subscription was `Degraded` or `Quarantined`.
-    #[serde(default)]
     pub delivery_retries: u64,
     /// Promotions of a durable subscription back to `Active` after a
     /// degraded or quarantined spell.
-    #[serde(default)]
     pub delivery_recoveries: u64,
     /// Gauge: matches routed to this query's durable subscriptions but not
     /// yet acknowledged (the summed outbox depth). Zero when every durable
     /// subscriber is caught up.
-    #[serde(default)]
     pub cursor_lag: u64,
     /// Cold → hot transitions of a lazy join side: an arrival under a key
     /// its sibling side held nothing under, which rebuilt the lazy side's
     /// matches under that key (see `SjTreeMatcher`'s module docs).
-    #[serde(default)]
     pub lazy_materialisations: u64,
     /// Join work at a lazy node skipped because its parent's key was cold:
     /// one per match filed there without a probe (it binds the parent's cut
     /// itself), one per sibling candidate passed over without a merge.
-    #[serde(default)]
     pub merges_skipped_cold: u64,
 }
 
@@ -197,7 +182,7 @@ impl QueryMetrics {
 /// per event instead of one per subscription, so `searches_saved` counts the
 /// per-query searches that never had to run. Obtained from
 /// [`crate::ContinuousQueryEngine::engine_metrics`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct EngineMetrics {
     /// Live distinct primitives in the shared index: interned entries that
     /// are exactly one plain leaf search — a single search primitive with no
@@ -217,46 +202,35 @@ pub struct EngineMetrics {
     pub fanout_deliveries: u64,
     /// Live distinct shared subtrees: interned entries that do more than one
     /// plain leaf search — they run a join climb, dispatch on a lifted
-    /// constant, or both. Zero when absent from serialized form
-    /// (pre-subtree snapshots).
-    #[serde(default)]
+    /// constant, or both.
     pub distinct_subtrees: u64,
     /// Live subtree subscriptions (one per (query, subscription node) pair).
-    #[serde(default)]
     pub subscribed_subtrees: u64,
     /// Live entries whose form abstracts at least one `eq` constant (a
     /// subset of `distinct_subtrees`, served by constant dispatch).
-    #[serde(default)]
     pub lifted_entries: u64,
     /// Join-climb steps (join attempts) actually run inside shared subtree
     /// entries.
-    #[serde(default)]
     pub subtree_joins_run: u64,
     /// Join-climb steps one climb per subscriber would have run in addition
     /// (one per extra active subscriber of every entry's climb).
-    #[serde(default)]
     pub subtree_joins_saved: u64,
     /// Joined matches delivered through constant dispatch of a *lifted*
     /// entry: the embedding was found by a constant-free search and routed to
     /// its tenants by hashing the bound constants instead of running one
     /// search per distinct constant.
-    #[serde(default)]
     pub lifted_dispatch_hits: u64,
     /// Durable delivery attempts across every registered query (see
     /// [`QueryMetrics::delivery_attempts`]).
-    #[serde(default)]
     pub delivery_attempts: u64,
     /// Retry/probe attempts across every registered query (see
     /// [`QueryMetrics::delivery_retries`]).
-    #[serde(default)]
     pub delivery_retries: u64,
     /// Promotions back to `Active` across every registered query (see
     /// [`QueryMetrics::delivery_recoveries`]).
-    #[serde(default)]
     pub delivery_recoveries: u64,
     /// Gauge: undelivered durable outbox entries across every registered
     /// query (see [`QueryMetrics::cursor_lag`]).
-    #[serde(default)]
     pub cursor_lag: u64,
 }
 

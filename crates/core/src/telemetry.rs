@@ -1,38 +1,28 @@
-//! Zero-dependency pipeline observability: per-stage latency histograms,
-//! ring-buffered trace spans, and one exportable snapshot surface.
+//! Pipeline observability: per-stage latency histograms, a ring of recent
+//! trace spans, and one exportable snapshot surface.
 //!
-//! The engine's hot path is counted but — before this module — never *timed*:
-//! a regression like a delivery drain riding the ingest thread is invisible
-//! until a bench run. This module adds the measurement substrate with three
-//! pieces, all hand-rolled because the build environment vendors stubs only
-//! (no `tracing`, no `metrics-rs`):
+//! The engine thread is the only writer, so the state is plain values owned
+//! by the engine (no atomics, no shared handles):
 //!
-//! 1. [`AtomicHistogram`] — a fixed-size log₂-bucket latency histogram
-//!    (the atomic sibling of `streamworks_summarize::LogHistogram`), one per
-//!    pipeline [`Stage`], recorded through a shared reference with relaxed
-//!    atomics. Relaxed is enough: readers only snapshot between `ingest`
-//!    calls.
-//! 2. [`SpanRing`] — a fixed-capacity, lock-free *single-writer* ring of
-//!    [`TraceSpan`]s keyed by edge sequence number, owned by the engine
-//!    thread, so a sampled event's end-to-end trace (ingest → search → climb
-//!    → delivery) can be read back by `seq` after the fact and dumped as
-//!    JSON for postmortems.
-//! 3. [`TelemetrySnapshot`] / [`MetricsRegistry`] — one struct unifying the
-//!    per-query [`QueryMetrics`], engine-wide [`EngineMetrics`],
-//!    durable-delivery counters, stage histograms and recent spans, rendered
-//!    as Prometheus text format or JSON.
+//! 1. one `streamworks_summarize::LogHistogram` per pipeline [`Stage`];
+//! 2. a ring of the last [`SPAN_RING_CAPACITY`] [`TraceSpan`]s keyed by edge
+//!    sequence number, so a sampled event's end-to-end trace (ingest →
+//!    search → climb → delivery) can be read back by `seq` and dumped as
+//!    JSON for postmortems;
+//! 3. [`TelemetrySnapshot`]: the stage histograms and recent spans together
+//!    with the per-query [`QueryMetrics`], engine-wide [`EngineMetrics`] and
+//!    durable-delivery counters, rendered as Prometheus text format or JSON.
 //!
-//! Cost model: with [`TelemetryLevel::Off`] the engine holds no hub at all —
-//! every instrumentation site is one `Option` branch. With
+//! Cost model: with [`TelemetryLevel::Off`] the engine holds no telemetry at
+//! all — every instrumentation site is one `Option` branch. With
 //! [`TelemetryLevel::Sampled`], only events whose sequence number is a
-//! multiple of `telemetry_sample_every` (default 64) take the two `Instant`
-//! reads per stage; everything is allocation-free once warm.
+//! multiple of `telemetry_sample_every` (default 64) read the clock;
+//! everything is allocation-free once warm.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
+use streamworks_summarize::LogHistogram;
 
 use crate::metrics::{EngineMetrics, QueryMetrics};
 
@@ -112,98 +102,10 @@ impl Stage {
     fn index(self) -> usize {
         self as usize
     }
-
-    fn from_index(i: usize) -> Option<Stage> {
-        Stage::ALL.get(i).copied()
-    }
 }
 
-const BUCKETS: usize = 64;
-
-/// A log₂-bucket latency histogram updateable from multiple threads.
-///
-/// The concurrent sibling of `streamworks_summarize::LogHistogram`: values
-/// land in power-of-two buckets (64 counters cover the full `u64` range), so
-/// recording is a handful of relaxed atomic adds — no locks, no allocation.
-/// All orderings are `Relaxed`; totals are exact whenever the writers are
-/// quiescent, which is the only time the engine snapshots them.
-#[derive(Debug)]
-pub struct AtomicHistogram {
-    buckets: [AtomicU64; BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
-    min: AtomicU64,
-    max: AtomicU64,
-}
-
-impl Default for AtomicHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl AtomicHistogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        AtomicHistogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            min: AtomicU64::new(u64::MAX),
-            max: AtomicU64::new(0),
-        }
-    }
-
-    fn bucket_of(value: u64) -> usize {
-        63 - value.max(1).leading_zeros() as usize
-    }
-
-    /// Records one value (a latency in nanoseconds).
-    pub fn record(&self, value: u64) {
-        self.buckets[Self::bucket_of(value)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
-        self.min.fetch_min(value, Ordering::Relaxed);
-        self.max.fetch_max(value, Ordering::Relaxed);
-    }
-
-    /// Copies the current counters into a serialisable [`HistogramSnapshot`].
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        let count = self.count.load(Ordering::Relaxed);
-        HistogramSnapshot {
-            count,
-            sum_ns: self.sum.load(Ordering::Relaxed),
-            min_ns: if count == 0 {
-                0
-            } else {
-                self.min.load(Ordering::Relaxed)
-            },
-            max_ns: self.max.load(Ordering::Relaxed),
-            buckets: self
-                .buckets
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
-        }
-    }
-
-    /// Adds a previously captured snapshot into this histogram — used when a
-    /// checkpoint restore carries the pre-crash telemetry counters forward.
-    pub fn absorb(&self, snap: &HistogramSnapshot) {
-        if snap.count == 0 {
-            return;
-        }
-        for (bucket, &c) in self.buckets.iter().zip(snap.buckets.iter()) {
-            bucket.fetch_add(c, Ordering::Relaxed);
-        }
-        self.count.fetch_add(snap.count, Ordering::Relaxed);
-        self.sum.fetch_add(snap.sum_ns, Ordering::Relaxed);
-        self.min.fetch_min(snap.min_ns, Ordering::Relaxed);
-        self.max.fetch_max(snap.max_ns, Ordering::Relaxed);
-    }
-}
-
-/// A point-in-time copy of one [`AtomicHistogram`]'s counters.
+/// A point-in-time copy of one stage histogram's counters, as a checkpoint
+/// stores it.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HistogramSnapshot {
     /// Number of recorded values.
@@ -218,29 +120,21 @@ pub struct HistogramSnapshot {
     pub buckets: Vec<u64>,
 }
 
-impl HistogramSnapshot {
-    /// Approximate quantile (`q` in `[0, 1]`): the upper bound of the log₂
-    /// bucket containing the `q`-quantile observation, clamped to the
-    /// observed maximum. Returns 0 when empty.
-    pub fn quantile_ns(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
+impl From<&LogHistogram> for HistogramSnapshot {
+    fn from(h: &LogHistogram) -> Self {
+        HistogramSnapshot {
+            count: h.count(),
+            sum_ns: h.sum(),
+            min_ns: h.min().unwrap_or(0),
+            max_ns: h.max().unwrap_or(0),
+            buckets: h.bucket_counts().to_vec(),
         }
-        let q = q.clamp(0.0, 1.0);
-        let target = ((self.count as f64) * q).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                let upper = if i >= 63 {
-                    u64::MAX
-                } else {
-                    (1u64 << (i + 1)) - 1
-                };
-                return upper.min(self.max_ns);
-            }
-        }
-        self.max_ns
+    }
+}
+
+impl From<&HistogramSnapshot> for LogHistogram {
+    fn from(s: &HistogramSnapshot) -> Self {
+        LogHistogram::from_parts(&s.buckets, s.count, s.sum_ns, s.min_ns, s.max_ns)
     }
 }
 
@@ -249,7 +143,7 @@ impl HistogramSnapshot {
 /// Spans sharing a `seq` belong to the same sampled edge, so sorting a dump
 /// by `(seq, start_ns)` reads as an end-to-end trace of that event through
 /// the pipeline.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct TraceSpan {
     /// Engine-wide ingest sequence number of the sampled edge.
     pub seq: u64,
@@ -261,185 +155,125 @@ pub struct TraceSpan {
     pub duration_ns: u64,
 }
 
-/// Capacity of every [`SpanRing`]; old spans are overwritten FIFO.
+/// Capacity of the engine's span ring; old spans are overwritten FIFO.
 pub const SPAN_RING_CAPACITY: usize = 256;
 
-struct SpanSlot {
-    seq: AtomicU64,
-    /// `stage index + 1`; 0 marks an empty slot.
-    stage: AtomicU64,
-    start_ns: AtomicU64,
-    duration_ns: AtomicU64,
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    seq: u64,
+    stage: Stage,
+    start_ns: u64,
+    duration_ns: u64,
 }
 
-/// A fixed-capacity, lock-free, single-writer ring of trace spans.
-///
-/// The ring has exactly one writer (the engine thread), so `push` is a
-/// plain head bump plus relaxed stores — no CAS loops, no locks. Readers
-/// collect between `ingest` calls, when the writer is idle.
-pub struct SpanRing {
-    slots: Vec<SpanSlot>,
-    head: AtomicUsize,
-}
-
-impl std::fmt::Debug for SpanRing {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SpanRing")
-            .field(
-                "len",
-                &self.head.load(Ordering::Relaxed).min(self.slots.len()),
-            )
-            .finish()
-    }
-}
-
-impl Default for SpanRing {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl SpanRing {
-    /// Creates an empty ring.
-    pub fn new() -> Self {
-        SpanRing {
-            slots: (0..SPAN_RING_CAPACITY)
-                .map(|_| SpanSlot {
-                    seq: AtomicU64::new(0),
-                    stage: AtomicU64::new(0),
-                    start_ns: AtomicU64::new(0),
-                    duration_ns: AtomicU64::new(0),
-                })
-                .collect(),
-            head: AtomicUsize::new(0),
-        }
-    }
-
-    /// Appends one span, overwriting the oldest once the ring is full.
-    pub fn push(&self, seq: u64, stage: Stage, start_ns: u64, duration_ns: u64) {
-        let at = self.head.fetch_add(1, Ordering::Relaxed) % self.slots.len();
-        let slot = &self.slots[at];
-        slot.seq.store(seq, Ordering::Relaxed);
-        slot.stage
-            .store(stage.index() as u64 + 1, Ordering::Relaxed);
-        slot.start_ns.store(start_ns, Ordering::Relaxed);
-        slot.duration_ns.store(duration_ns, Ordering::Relaxed);
-    }
-
-    /// Copies the ring's live spans into `out` (unordered; sort by
-    /// `(seq, start_ns)` to read traces).
-    pub fn collect_into(&self, out: &mut Vec<TraceSpan>) {
-        for slot in &self.slots {
-            let tag = slot.stage.load(Ordering::Relaxed);
-            if tag == 0 {
-                continue;
-            }
-            let Some(stage) = Stage::from_index(tag as usize - 1) else {
-                continue;
-            };
-            out.push(TraceSpan {
-                seq: slot.seq.load(Ordering::Relaxed),
-                stage: stage.name().to_string(),
-                start_ns: slot.start_ns.load(Ordering::Relaxed),
-                duration_ns: slot.duration_ns.load(Ordering::Relaxed),
-            });
-        }
-    }
-}
-
-/// The shared heart of the telemetry layer: the sampling cadence, the
-/// monotonic epoch every span offset is relative to, and one
-/// [`AtomicHistogram`] per [`Stage`].
-///
+/// The engine's telemetry state: the sampling cadence, the monotonic epoch
+/// every span offset is relative to, one [`LogHistogram`] per [`Stage`] and
+/// a ring of the last [`SPAN_RING_CAPACITY`] spans. Plain values: the engine
+/// thread is its only writer and every reader borrows the engine.
 #[derive(Debug)]
-pub struct TelemetryCore {
+pub(crate) struct Telemetry {
     sample_every: u64,
     epoch: Instant,
-    stages: [AtomicHistogram; Stage::ALL.len()],
+    stages: [LogHistogram; Stage::ALL.len()],
+    spans: Vec<Span>,
+    /// Where the next span goes once the ring is full (the oldest one).
+    head: usize,
 }
 
-impl TelemetryCore {
-    /// Creates a core sampling every `sample_every`-th event (clamped to at
-    /// least 1).
-    pub fn new(sample_every: u64) -> Self {
-        TelemetryCore {
+impl Telemetry {
+    /// Sampling every `sample_every`-th event (clamped to at least 1).
+    pub(crate) fn new(sample_every: u64) -> Self {
+        Telemetry {
             sample_every: sample_every.max(1),
             epoch: Instant::now(),
-            stages: std::array::from_fn(|_| AtomicHistogram::new()),
+            stages: std::array::from_fn(|_| LogHistogram::new()),
+            spans: Vec::with_capacity(SPAN_RING_CAPACITY),
+            head: 0,
         }
     }
 
-    /// The sampling cadence.
-    pub fn sample_every(&self) -> u64 {
-        self.sample_every
-    }
-
-    /// Whether the event with this ingest sequence number is sampled.
+    /// The epoch of a sampled event, `None` for any other: a copy the
+    /// event's timing reads without borrowing the engine.
     #[inline]
-    pub fn should_sample(&self, seq: u64) -> bool {
-        seq.is_multiple_of(self.sample_every)
+    pub(crate) fn sample(&self, seq: u64) -> Option<Instant> {
+        seq.is_multiple_of(self.sample_every).then_some(self.epoch)
     }
 
     /// First sampled sequence number in the half-open range `[start, end)`,
-    /// if any — used to decide whether batch-level stages (expiry sweep,
-    /// delivery flush) covering that range are timed, and to key their
-    /// spans.
-    #[inline]
-    pub fn first_sampled(&self, start: u64, end: u64) -> Option<u64> {
-        if end <= start {
-            return None;
-        }
-        // First multiple of sample_every at or above `start`.
+    /// if any: the batch-level delivery flush of an `ingest` call covering
+    /// that range is timed when there is one, and keys its span by it.
+    pub(crate) fn first_sampled(&self, start: u64, end: u64) -> Option<u64> {
         let next = start.div_ceil(self.sample_every) * self.sample_every;
         (next < end).then_some(next)
     }
 
-    /// Whether the half-open sequence range `[start, end)` contains a sampled
-    /// event.
-    #[inline]
-    pub fn range_sampled(&self, start: u64, end: u64) -> bool {
-        self.first_sampled(start, end).is_some()
+    /// Nanoseconds since the telemetry epoch.
+    pub(crate) fn now_ns(&self) -> u64 {
+        ns_since(self.epoch)
     }
 
-    /// Nanoseconds since the telemetry epoch (span timestamps).
-    #[inline]
-    pub fn now_ns(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
-    }
-
-    /// Records one duration into a stage's histogram. Durations are clamped
-    /// to at least 1 ns so an observed stage always reports non-zero
-    /// quantiles even when the clock reads twice within one tick.
-    #[inline]
-    pub fn record(&self, stage: Stage, duration_ns: u64) {
+    /// Adds one duration to a stage's histogram, without a span. Durations
+    /// are clamped to at least 1 ns so an observed stage always reports
+    /// non-zero quantiles even when the clock reads twice within one tick.
+    pub(crate) fn observe(&mut self, stage: Stage, duration_ns: u64) {
         self.stages[stage.index()].record(duration_ns.max(1));
     }
 
-    /// Snapshot of one stage's histogram.
-    pub fn stage_snapshot(&self, stage: Stage) -> HistogramSnapshot {
-        self.stages[stage.index()].snapshot()
-    }
-
-    /// Adds previously captured stage counters (checkpoint restore).
-    pub fn absorb_stage(&self, stage: Stage, snap: &HistogramSnapshot) {
-        self.stages[stage.index()].absorb(snap);
-    }
-}
-
-/// The engine-side handle: the core plus the engine thread's span ring.
-#[derive(Debug, Clone)]
-pub(crate) struct TelemetryHub {
-    pub(crate) core: Arc<TelemetryCore>,
-    pub(crate) driver_ring: Arc<SpanRing>,
-}
-
-impl TelemetryHub {
-    pub(crate) fn new(sample_every: u64) -> Self {
-        TelemetryHub {
-            core: Arc::new(TelemetryCore::new(sample_every)),
-            driver_ring: Arc::new(SpanRing::new()),
+    /// [`Self::observe`] plus a span keyed by the sampled event `seq`,
+    /// overwriting the oldest span once the ring is full.
+    pub(crate) fn record(&mut self, seq: u64, stage: Stage, start_ns: u64, duration_ns: u64) {
+        self.observe(stage, duration_ns);
+        let span = Span {
+            seq,
+            stage,
+            start_ns,
+            duration_ns,
+        };
+        if self.spans.len() < SPAN_RING_CAPACITY {
+            self.spans.push(span);
+        } else {
+            self.spans[self.head] = span;
+            self.head = (self.head + 1) % SPAN_RING_CAPACITY;
         }
     }
+
+    /// Every stage's histogram in export form, in [`Stage::ALL`] order.
+    pub(crate) fn stage_snapshots(&self) -> Vec<StageSnapshot> {
+        Stage::ALL
+            .iter()
+            .map(|&s| StageSnapshot::from_histogram(s, &self.stages[s.index()]))
+            .collect()
+    }
+
+    /// The ring's spans, sorted by `(seq, start_ns)`.
+    pub(crate) fn spans(&self) -> Vec<TraceSpan> {
+        let mut out: Vec<TraceSpan> = (self.spans.iter())
+            .map(|s| TraceSpan {
+                seq: s.seq,
+                stage: s.stage.name().to_string(),
+                start_ns: s.start_ns,
+                duration_ns: s.duration_ns,
+            })
+            .collect();
+        out.sort_by_key(|s| (s.seq, s.start_ns));
+        out
+    }
+
+    /// Adds a checkpoint's captured stage counters (restore); stages it
+    /// names that this build does not know are skipped.
+    pub(crate) fn absorb(&mut self, cp: &TelemetryCheckpoint) {
+        for (name, snap) in &cp.stages {
+            if let Some(stage) = Stage::ALL.iter().find(|s| s.name() == name) {
+                self.stages[stage.index()].merge(&snap.into());
+            }
+        }
+    }
+}
+
+/// Nanoseconds since `epoch` (span timestamps).
+#[inline]
+pub(crate) fn ns_since(epoch: Instant) -> u64 {
+    epoch.elapsed().as_nanos() as u64
 }
 
 // ---------------------------------------------------------------------------
@@ -447,7 +281,7 @@ impl TelemetryHub {
 // ---------------------------------------------------------------------------
 
 /// One stage's histogram with derived quantiles, as exported.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct StageSnapshot {
     /// Stage name (see [`Stage::name`]).
     pub name: String,
@@ -470,24 +304,25 @@ pub struct StageSnapshot {
 }
 
 impl StageSnapshot {
-    /// Builds the export form from a raw histogram snapshot.
-    pub fn from_histogram(stage: Stage, h: &HistogramSnapshot) -> Self {
+    /// Builds the export form of one stage's histogram.
+    pub fn from_histogram(stage: Stage, h: &LogHistogram) -> Self {
+        let quantile = |q| h.quantile(q).unwrap_or(0);
         StageSnapshot {
             name: stage.name().to_string(),
-            count: h.count,
-            sum_ns: h.sum_ns,
-            min_ns: h.min_ns,
-            max_ns: h.max_ns,
-            p50_ns: h.quantile_ns(0.50),
-            p90_ns: h.quantile_ns(0.90),
-            p99_ns: h.quantile_ns(0.99),
-            buckets: h.buckets.clone(),
+            count: h.count(),
+            sum_ns: h.sum(),
+            min_ns: h.min().unwrap_or(0),
+            max_ns: h.max().unwrap_or(0),
+            p50_ns: quantile(0.50),
+            p90_ns: quantile(0.90),
+            p99_ns: quantile(0.99),
+            buckets: h.bucket_counts().to_vec(),
         }
     }
 }
 
 /// One registered query's counters in the snapshot.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct QuerySnapshot {
     /// The query's registered name.
     pub name: String,
@@ -503,7 +338,7 @@ pub struct QuerySnapshot {
 /// value cached by the last drain — so a quarantined subscription's backlog
 /// keeps growing in the export instead of freezing at its last-drained
 /// figure.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct DeliverySnapshot {
     /// Owning query's name.
     pub query: String,
@@ -533,7 +368,7 @@ pub struct DeliverySnapshot {
 /// Serialisable both ways: `to_json`/`to_json_pretty` for machine
 /// consumption (the CLI's `--metrics-json`), [`TelemetrySnapshot::to_prometheus`]
 /// for scrape-style text exposition (the CLI's `stats` command).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct TelemetrySnapshot {
     /// Telemetry level the engine is running at (`"off"`/`"sampled"`).
     pub level: String,
@@ -629,7 +464,8 @@ impl TelemetrySnapshot {
         for q in &self.queries {
             out.push_str(&format!(
                 "streamworks_query_edges_processed_total{{query=\"{}\"}} {}\n",
-                q.name, q.metrics.edges_processed
+                label(&q.name),
+                q.metrics.edges_processed
             ));
         }
         out.push_str(
@@ -639,7 +475,8 @@ impl TelemetrySnapshot {
         for q in &self.queries {
             out.push_str(&format!(
                 "streamworks_query_complete_matches_total{{query=\"{}\"}} {}\n",
-                q.name, q.metrics.complete_matches
+                label(&q.name),
+                q.metrics.complete_matches
             ));
         }
         // The RPQ matcher's work, its useful share and the end it roots its
@@ -659,7 +496,7 @@ impl TelemetrySnapshot {
             for q in &rpq {
                 out.push_str(&format!(
                     "streamworks_query_{series}_total{{query=\"{}\"}} {}\n",
-                    q.name,
+                    label(&q.name),
                     value(&q.metrics)
                 ));
             }
@@ -687,7 +524,8 @@ impl TelemetrySnapshot {
             for q in &rpq {
                 out.push_str(&format!(
                     "streamworks_query_rpq_end{{query=\"{}\",end=\"{}\"}} 1\n",
-                    q.name, q.metrics.rpq_end
+                    label(&q.name),
+                    q.metrics.rpq_end
                 ));
             }
         }
@@ -700,7 +538,10 @@ impl TelemetrySnapshot {
             for d in &self.delivery {
                 out.push_str(&format!(
                     "streamworks_delivery_lag{{query=\"{}\",token=\"{}\",status=\"{}\"}} {}\n",
-                    d.query, d.token, d.status, d.lag
+                    label(&d.query),
+                    d.token,
+                    d.status,
+                    d.lag
                 ));
             }
             out.push_str("# HELP streamworks_delivery_attempts_total Transport attempts per durable subscription.\n");
@@ -708,7 +549,9 @@ impl TelemetrySnapshot {
             for d in &self.delivery {
                 out.push_str(&format!(
                     "streamworks_delivery_attempts_total{{query=\"{}\",token=\"{}\"}} {}\n",
-                    d.query, d.token, d.attempts
+                    label(&d.query),
+                    d.token,
+                    d.attempts
                 ));
             }
         }
@@ -717,20 +560,12 @@ impl TelemetrySnapshot {
     }
 }
 
-/// Thin façade over the snapshot assembly, named for what it is: the one
-/// registry unifying every metrics surface the engine grew over time.
-///
-/// `MetricsRegistry::gather(&engine)` is exactly
-/// [`crate::ContinuousQueryEngine::telemetry_snapshot`]; the type exists so
-/// exporters can depend on a name that outlives engine API details.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MetricsRegistry;
-
-impl MetricsRegistry {
-    /// Assembles the unified snapshot from a (quiescent) engine.
-    pub fn gather(engine: &crate::ContinuousQueryEngine) -> TelemetrySnapshot {
-        engine.telemetry_snapshot()
-    }
+/// A label value escaped as the Prometheus text format requires: `\`, `"`
+/// and newline become `\\`, `\"` and `\n`.
+fn label(value: &str) -> String {
+    (value.replace('\\', "\\\\"))
+        .replace('"', "\\\"")
+        .replace('\n', "\\n")
 }
 
 /// Telemetry counters carried inside an [`crate::EngineCheckpoint`] so stage
@@ -744,22 +579,13 @@ pub struct TelemetryCheckpoint {
 }
 
 impl TelemetryCheckpoint {
-    /// Captures every stage histogram from a live core.
-    pub fn capture(core: &TelemetryCore) -> Self {
+    /// Captures every stage histogram of the engine's telemetry.
+    pub(crate) fn capture(t: &Telemetry) -> Self {
         TelemetryCheckpoint {
             stages: Stage::ALL
                 .iter()
-                .map(|&s| (s.name().to_string(), core.stage_snapshot(s)))
+                .map(|&s| (s.name().to_string(), (&t.stages[s.index()]).into()))
                 .collect(),
-        }
-    }
-
-    /// Adds the captured counters into a fresh core (restore path).
-    pub fn absorb_into(&self, core: &TelemetryCore) {
-        for (name, snap) in &self.stages {
-            if let Some(stage) = Stage::ALL.iter().copied().find(|s| s.name() == name) {
-                core.absorb_stage(stage, snap);
-            }
         }
     }
 }
@@ -768,37 +594,47 @@ impl TelemetryCheckpoint {
 mod tests {
     use super::*;
 
+    fn stage(t: &Telemetry, stage: Stage) -> StageSnapshot {
+        t.stage_snapshots().swap_remove(stage.index())
+    }
+
     #[test]
     fn histogram_records_and_snapshots() {
-        let h = AtomicHistogram::new();
+        let mut t = Telemetry::new(1);
         for v in [1u64, 2, 3, 4, 100] {
-            h.record(v);
+            t.observe(Stage::JoinClimb, v);
         }
-        let s = h.snapshot();
+        let s = stage(&t, Stage::JoinClimb);
+        assert_eq!(s.name, "join_climb");
         assert_eq!(s.count, 5);
         assert_eq!(s.sum_ns, 110);
         assert_eq!(s.min_ns, 1);
         assert_eq!(s.max_ns, 100);
-        assert!(s.quantile_ns(0.5) <= s.quantile_ns(0.99));
-        assert!(s.quantile_ns(0.99) <= 100);
+        assert!(s.p50_ns <= s.p99_ns);
+        assert!(s.p99_ns <= 100);
+        // A zero duration counts as 1 ns.
+        t.observe(Stage::LocalSearch, 0);
+        assert_eq!(stage(&t, Stage::LocalSearch).min_ns, 1);
     }
 
     #[test]
     fn empty_histogram_snapshot_is_zero() {
-        let s = AtomicHistogram::new().snapshot();
+        let s = HistogramSnapshot::from(&LogHistogram::new());
         assert_eq!(s.count, 0);
         assert_eq!(s.min_ns, 0);
-        assert_eq!(s.quantile_ns(0.5), 0);
+        assert_eq!(s.max_ns, 0);
+        let export = stage(&Telemetry::new(1), Stage::IngestFront);
+        assert_eq!((export.count, export.min_ns, export.p50_ns), (0, 0, 0));
     }
 
     #[test]
     fn absorb_merges_counters() {
-        let a = AtomicHistogram::new();
-        let b = AtomicHistogram::new();
-        a.record(5);
-        b.record(500);
-        a.absorb(&b.snapshot());
-        let s = a.snapshot();
+        let mut a = Telemetry::new(1);
+        let mut b = Telemetry::new(1);
+        a.observe(Stage::ExpirySweep, 5);
+        b.observe(Stage::ExpirySweep, 500);
+        a.absorb(&TelemetryCheckpoint::capture(&b));
+        let s = stage(&a, Stage::ExpirySweep);
         assert_eq!(s.count, 2);
         assert_eq!(s.min_ns, 5);
         assert_eq!(s.max_ns, 500);
@@ -807,41 +643,44 @@ mod tests {
 
     #[test]
     fn span_ring_overwrites_fifo() {
-        let ring = SpanRing::new();
-        for seq in 0..(SPAN_RING_CAPACITY as u64 + 10) {
-            ring.push(seq, Stage::IngestFront, seq, 1);
+        let mut t = Telemetry::new(1);
+        let pushed = SPAN_RING_CAPACITY as u64 + 10;
+        for seq in 0..pushed {
+            t.record(seq, Stage::IngestFront, seq, 1);
         }
-        let mut out = Vec::new();
-        ring.collect_into(&mut out);
-        assert_eq!(out.len(), SPAN_RING_CAPACITY);
-        // The oldest 10 spans were overwritten.
-        assert!(out
-            .iter()
-            .all(|s| s.seq >= 10 || s.seq < SPAN_RING_CAPACITY as u64));
-        assert!(out.iter().any(|s| s.seq == SPAN_RING_CAPACITY as u64 + 9));
+        let spans = t.spans();
+        assert_eq!(spans.len(), SPAN_RING_CAPACITY);
+        // The oldest 10 spans were overwritten; the rest come back in order.
+        let seqs: Vec<u64> = spans.iter().map(|s| s.seq).collect();
+        assert_eq!(seqs, (10..pushed).collect::<Vec<_>>());
+        assert!(spans.iter().all(|s| s.stage == "ingest_front"));
+        assert_eq!(stage(&t, Stage::IngestFront).count, pushed);
     }
 
     #[test]
     fn range_sampled_finds_multiples() {
-        let core = TelemetryCore::new(64);
-        assert!(core.range_sampled(0, 1)); // 0 is a multiple
-        assert!(!core.range_sampled(1, 64));
-        assert!(core.range_sampled(1, 65)); // contains 64
-        assert!(core.range_sampled(64, 65));
-        assert!(!core.range_sampled(65, 65)); // empty range
-        assert!(core.range_sampled(100, 200)); // contains 128
+        let t = Telemetry::new(64);
+        assert_eq!(t.first_sampled(0, 1), Some(0)); // 0 is a multiple
+        assert_eq!(t.first_sampled(1, 64), None);
+        assert_eq!(t.first_sampled(1, 65), Some(64));
+        assert_eq!(t.first_sampled(64, 65), Some(64));
+        assert_eq!(t.first_sampled(65, 65), None); // empty range
+        assert_eq!(t.first_sampled(100, 200), Some(128));
+        assert!(t.sample(128).is_some() && t.sample(129).is_none());
     }
 
     #[test]
     fn checkpoint_roundtrip_restores_counters() {
-        let core = TelemetryCore::new(64);
-        core.record(Stage::LocalSearch, 1000);
-        core.record(Stage::JoinClimb, 2000);
-        let cp = TelemetryCheckpoint::capture(&core);
-        let fresh = TelemetryCore::new(64);
-        cp.absorb_into(&fresh);
-        assert_eq!(fresh.stage_snapshot(Stage::LocalSearch).count, 1);
-        assert_eq!(fresh.stage_snapshot(Stage::JoinClimb).sum_ns, 2000);
-        assert_eq!(fresh.stage_snapshot(Stage::IngestFront).count, 0);
+        let mut t = Telemetry::new(64);
+        t.observe(Stage::LocalSearch, 1000);
+        t.observe(Stage::JoinClimb, 2000);
+        let json = serde_json::to_string(&TelemetryCheckpoint::capture(&t)).unwrap();
+        let cp: TelemetryCheckpoint = serde_json::from_str(&json).unwrap();
+        let mut fresh = Telemetry::new(64);
+        fresh.absorb(&cp);
+        assert_eq!(stage(&fresh, Stage::LocalSearch).count, 1);
+        assert_eq!(stage(&fresh, Stage::JoinClimb).sum_ns, 2000);
+        assert_eq!(stage(&fresh, Stage::IngestFront).count, 0);
+        assert_eq!(TelemetryCheckpoint::capture(&fresh), cp);
     }
 }

@@ -41,11 +41,30 @@ impl LogHistogram {
         63 - value.max(1).leading_zeros() as usize
     }
 
-    /// Records a value.
+    /// Rebuilds a histogram from the raw counters [`Self::bucket_counts`],
+    /// [`Self::count`], [`Self::sum`], [`Self::min`] and [`Self::max`] read,
+    /// e.g. a persisted copy. Buckets past the 64th are ignored and missing
+    /// ones read 0; a zero `count` gives the empty histogram.
+    pub fn from_parts(buckets: &[u64], count: u64, sum: u64, min: u64, max: u64) -> Self {
+        let mut h = LogHistogram::new();
+        if count > 0 {
+            for (a, &b) in h.buckets.iter_mut().zip(buckets) {
+                *a = b;
+            }
+            h.count = count;
+            h.sum = sum;
+            h.min = min;
+            h.max = max;
+        }
+        h
+    }
+
+    /// Records a value. Counters saturate rather than overflow.
     pub fn record(&mut self, value: u64) {
-        self.buckets[Self::bucket_of(value)] += 1;
-        self.count += 1;
-        self.sum += value;
+        let bucket = &mut self.buckets[Self::bucket_of(value)];
+        *bucket = bucket.saturating_add(1);
+        self.count = self.count.saturating_add(1);
+        self.sum = self.sum.saturating_add(value);
         self.min = self.min.min(value);
         self.max = self.max.max(value);
     }
@@ -103,6 +122,12 @@ impl LogHistogram {
         Some(self.max)
     }
 
+    /// Raw per-bucket counts: `bucket_counts()[i]` counts the values `v`
+    /// with `floor(log2(v.max(1))) == i`.
+    pub fn bucket_counts(&self) -> &[u64] {
+        &self.buckets
+    }
+
     /// Iterates non-empty buckets as `(lower_bound, upper_bound, count)`.
     pub fn buckets(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
         self.buckets.iter().enumerate().filter_map(|(i, &c)| {
@@ -120,13 +145,14 @@ impl LogHistogram {
         })
     }
 
-    /// Merges another histogram into this one.
+    /// Merges another histogram into this one. Counters saturate rather than
+    /// overflow, so merging a crafted copy cannot panic.
     pub fn merge(&mut self, other: &LogHistogram) {
         for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
+            *a = a.saturating_add(*b);
         }
-        self.count += other.count;
-        self.sum += other.sum;
+        self.count = self.count.saturating_add(other.count);
+        self.sum = self.sum.saturating_add(other.sum);
         if other.count > 0 {
             self.min = self.min.min(other.min);
             self.max = self.max.max(other.max);
@@ -197,6 +223,34 @@ mod tests {
         assert_eq!(a.min(), Some(5));
         assert_eq!(a.max(), Some(500));
         assert_eq!(a.sum(), 505);
+    }
+
+    #[test]
+    fn from_parts_round_trips_the_raw_counters() {
+        let mut h = LogHistogram::new();
+        for v in [3u64, 9, 700] {
+            h.record(v);
+        }
+        let back = LogHistogram::from_parts(
+            h.bucket_counts(),
+            h.count(),
+            h.sum(),
+            h.min().unwrap(),
+            h.max().unwrap(),
+        );
+        assert_eq!(back, h);
+        // A short bucket list reads as zeros past its end; an empty count is
+        // the empty histogram whatever the other fields say.
+        assert_eq!(
+            LogHistogram::from_parts(&[1], 1, 1, 1, 1)
+                .bucket_counts()
+                .len(),
+            64
+        );
+        assert_eq!(
+            LogHistogram::from_parts(&[5; 70], 0, 9, 0, 9),
+            LogHistogram::new()
+        );
     }
 
     #[test]

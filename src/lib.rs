@@ -142,9 +142,9 @@ pub use streamworks_core::{
     AdaptiveConfig, AdaptiveReplanner, BufferingSink, CallbackSink, ChannelSink, CollectingSink,
     ContinuousQueryEngine, CountingSink, DeliveryCursor, EngineBuilder, EngineConfig, EngineError,
     EngineMetrics, EventBatch, EventSink, Ingest, MatchBuffer, MatchCounter, MatchEvent,
-    MetricsRegistry, QueryHandle, QueryId, QueryMetrics, RetryPolicy, RpqEnd, SinkOverflow,
-    SinkSpec, Stage, StageSnapshot, SubscriptionHealth, SubscriptionId, TelemetryLevel,
-    TelemetrySnapshot, TraceSpan, Transport,
+    QueryHandle, QueryId, QueryMetrics, RetryPolicy, RpqEnd, SinkOverflow, SinkSpec, Stage,
+    StageSnapshot, SubscriptionHealth, SubscriptionId, TelemetryLevel, TelemetrySnapshot,
+    TraceSpan, Transport,
 };
 pub use streamworks_graph::{
     AttrValue, Attrs, Direction, Duration, DynamicGraph, EdgeEvent, EdgeId, Timestamp, VertexId,

@@ -6,7 +6,8 @@
 //! renders in both text formats, enabling telemetry changes *no* matching
 //! observable (counters and match multisets are bit-identical to a run with
 //! it off), a quarantined subscription's reported lag tracks the live
-//! outbox, and stage counters survive checkpoint/restore.
+//! outbox, stage counters survive checkpoint/restore, and the exports keep
+//! the keys and the escaping their readers parse.
 //!
 //! Most scenarios use the 4-edge labelled news query: SJ-Tree leaves are
 //! ~2-edge subgraph primitives, so a 1–2 edge query is a single-leaf plan
@@ -19,8 +20,9 @@ use streamworks::engine::EngineCheckpoint;
 use streamworks::workloads::queries::labelled_news_query;
 use streamworks::workloads::{NewsConfig, NewsStreamGenerator};
 use streamworks::{
-    clear_endpoint, reset_memory_sink, ContinuousQueryEngine, Duration, EdgeEvent, MatchEvent,
-    QueryHandle, QueryMetrics, RetryPolicy, SinkSpec, TelemetryLevel, TelemetrySnapshot, Timestamp,
+    clear_endpoint, parse_rpq, reset_memory_sink, ContinuousQueryEngine, Duration, EdgeEvent,
+    MatchEvent, QueryGraphBuilder, QueryHandle, QueryMetrics, RetryPolicy, RpqQuery, SinkSpec,
+    TelemetryLevel, TelemetrySnapshot, Timestamp,
 };
 
 const PAIR_DSL: &str = "QUERY pair WINDOW 1h \
@@ -167,6 +169,133 @@ fn durable_run_activates_every_stage() {
             .map(<[_]>::len),
         Some(STAGES.len())
     );
+    // The keys `swbench trace` reads by name. A rename reads as `null`
+    // there, not as a compile error, so they are pinned here.
+    let numbers = |v: &serde_json::Value, at: &str, keys: &[&str]| {
+        for key in keys {
+            assert!(
+                v.get_field(key).and_then(|n| n.as_u64()).is_some(),
+                "`{at}.{key}` missing from to_json()"
+            );
+        }
+    };
+    let items = |key: &str| doc.get_field(key).and_then(|v| v.as_array()).unwrap();
+    for stage in items("stages") {
+        assert!(stage.get_field("name").and_then(|n| n.as_str()).is_some());
+        numbers(stage, "stages[]", &["sum_ns", "p99_ns"]);
+    }
+    assert_eq!(items("queries").len(), 1);
+    for query in items("queries") {
+        numbers(
+            query.get_field("metrics").expect("queries[].metrics"),
+            "queries[].metrics",
+            &[
+                "partial_matches_live",
+                "rpq_tree_nodes_live",
+                "cursor_lag",
+                "local_search_candidates",
+                "primitive_matches",
+                "joins_attempted",
+                "joins_succeeded",
+                "rpq_expansions",
+            ],
+        );
+    }
+    numbers(
+        doc.get_field("engine").expect("engine"),
+        "engine",
+        &[
+            "subscribed_primitives",
+            "subscribed_subtrees",
+            "distinct_primitives",
+            "distinct_subtrees",
+            "searches_saved",
+            "shared_searches_run",
+            "fanout_deliveries",
+            "lifted_dispatch_hits",
+            "delivery_attempts",
+            "delivery_retries",
+        ],
+    );
+    reset_memory_sink(key);
+}
+
+/// Query names reach the Prometheus export as label values, escaped as the
+/// text format requires: every sample line parses as `name{labels} value`,
+/// and unescaping the `query` label gives the registered name back.
+#[test]
+fn prometheus_label_values_round_trip_the_query_name() {
+    const NAME: &str = "a\"b\\c\nd";
+    let key = "telemetry-escaped-name";
+    reset_memory_sink(key);
+    let mut engine = ContinuousQueryEngine::builder()
+        .telemetry_level(TelemetryLevel::Sampled)
+        .build()
+        .unwrap();
+    let pair = QueryGraphBuilder::new(NAME)
+        .window(Duration::from_mins(30))
+        .vertex("a1", "Article")
+        .vertex("a2", "Article")
+        .vertex("k", "Keyword")
+        .edge("a1", "mentions", "k")
+        .edge("a2", "mentions", "k")
+        .build()
+        .unwrap();
+    let handle = engine.register_query(pair).unwrap();
+    engine
+        .subscribe_durable(
+            handle,
+            SinkSpec::Memory {
+                key: key.to_owned(),
+            },
+        )
+        .unwrap();
+    let path = parse_rpq("RPQ r WINDOW 30m PATH mentions").unwrap();
+    engine.register_rpq(RpqQuery::new(NAME, path.window(), path.pattern().clone()).unwrap());
+    for chunk in news_events().chunks(256) {
+        engine.ingest(chunk).unwrap();
+    }
+    engine.flush_deliveries();
+
+    let prom = engine.telemetry_snapshot().to_prometheus();
+    let mut query_labels = 0;
+    for line in prom.lines().filter(|l| !l.starts_with('#')) {
+        let (series, value) = line.rsplit_once(' ').expect("`series value`");
+        assert!(value.parse::<f64>().is_ok(), "value of `{line}`");
+        let Some((name, labels)) = series.split_once('{') else {
+            assert!(!series.contains(['}', '"', ' ']), "bare name `{series}`");
+            continue;
+        };
+        assert!(!name.is_empty() && name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_'));
+        let mut rest = labels.strip_suffix('}').expect("labels close the series");
+        while !rest.is_empty() {
+            let (label, after) = rest.split_once("=\"").expect("`label=\"`");
+            let mut value = String::new();
+            let mut chars = after.chars();
+            loop {
+                match chars.next().expect("label value is closed") {
+                    '"' => break,
+                    '\\' => value.push(match chars.next() {
+                        Some('\\') => '\\',
+                        Some('"') => '"',
+                        Some('n') => '\n',
+                        other => panic!("bad escape {other:?} in `{line}`"),
+                    }),
+                    '\n' => panic!("raw newline in `{line}`"),
+                    c => value.push(c),
+                }
+            }
+            if label == "query" {
+                assert_eq!(value, NAME, "`{line}`");
+                query_labels += 1;
+            }
+            rest = chars.as_str();
+            rest = rest.strip_prefix(',').unwrap_or(rest);
+        }
+    }
+    // Edges processed and complete matches for both queries, the three RPQ
+    // counters and the end gauge, and the durable lag and attempts.
+    assert_eq!(query_labels, 10, "{prom}");
     reset_memory_sink(key);
 }
 
