@@ -33,94 +33,11 @@ use crate::telemetry::{
     ns_since, DeliverySnapshot, QuerySnapshot, Stage, Telemetry, TelemetryCheckpoint,
     TelemetryLevel, TelemetrySnapshot,
 };
-use streamworks_graph::{
-    Duration, DynamicGraph, EdgeEvent, EdgeId, GraphConfig, GraphStats, Timestamp, TypeId,
-};
+use streamworks_graph::{Duration, DynamicGraph, EdgeEvent, GraphConfig, GraphStats, Timestamp};
 use streamworks_query::{
     DecompositionStrategy, Planner, QueryGraph, QueryPlan, RpqQuery, SjNodeId, TreeShapeKind,
 };
 use streamworks_summarize::GraphSummary;
-
-/// Per-edge bookkeeping the engine needs after an edge has expired (the graph
-/// drops expired edge records, so their type information is cached here).
-#[derive(Debug, Clone, Copy)]
-struct EdgeTypeInfo {
-    etype: TypeId,
-    src_vtype: TypeId,
-    dst_vtype: TypeId,
-}
-
-/// Id-indexed storage for [`EdgeTypeInfo`], mirroring the graph's dense edge
-/// slab: edge ids are sequential and expire nearly in order, so a deque with
-/// a base offset replaces a hash map on the per-edge path. Stragglers that
-/// would pin the band (timestamp-skewed producers) spill to a small overflow
-/// map so memory stays proportional to the live edge count.
-#[derive(Debug, Default)]
-struct EdgeTypeSlab {
-    base: u64,
-    slots: std::collections::VecDeque<Option<EdgeTypeInfo>>,
-    overflow: streamworks_graph::hash::FxHashMap<EdgeId, EdgeTypeInfo>,
-    live: usize,
-}
-
-impl EdgeTypeSlab {
-    fn insert(&mut self, id: EdgeId, info: EdgeTypeInfo) {
-        if self.slots.is_empty() && self.overflow.is_empty() {
-            self.base = id.0;
-        }
-        let Some(idx) = id.0.checked_sub(self.base) else {
-            return; // before the live band: an edge that expired on ingest
-        };
-        let idx = idx as usize;
-        if idx >= self.slots.len() {
-            self.slots.resize(idx + 1, None);
-        }
-        if self.slots[idx].replace(info).is_none() {
-            self.live += 1;
-        }
-        if self.slots.len() > 4 * self.live + 1024 {
-            self.evict_stragglers();
-        }
-    }
-
-    fn remove(&mut self, id: EdgeId) -> Option<EdgeTypeInfo> {
-        let Some(idx) = id.0.checked_sub(self.base) else {
-            let removed = self.overflow.remove(&id);
-            if removed.is_some() {
-                self.live -= 1;
-            }
-            return removed;
-        };
-        let info = self.slots.get_mut(idx as usize)?.take();
-        if info.is_some() {
-            self.live -= 1;
-            while matches!(self.slots.front(), Some(None)) {
-                self.slots.pop_front();
-                self.base += 1;
-            }
-        }
-        info
-    }
-
-    /// Spills live entries pinning the front of an oversized band into the
-    /// overflow map (see `EdgeSlab::evict_stragglers` in `streamworks-graph`).
-    fn evict_stragglers(&mut self) {
-        while self.slots.len() > 4 * self.live + 1024 {
-            match self.slots.pop_front() {
-                Some(Some(info)) => {
-                    self.overflow.insert(EdgeId(self.base), info);
-                    self.base += 1;
-                }
-                Some(None) => self.base += 1,
-                None => break,
-            }
-            while matches!(self.slots.front(), Some(None)) {
-                self.slots.pop_front();
-                self.base += 1;
-            }
-        }
-    }
-}
 
 /// How a query is executed on the ingest thread: an SJ-Tree matcher, or the
 /// product-graph evaluator of a regular path query.
@@ -381,8 +298,6 @@ pub struct ContinuousQueryEngine {
     /// `subscribe_durable`, `unsubscribe`, `deregister` and checkpoint
     /// restore (`attach_durable`).
     live_durables: usize,
-    /// Type info of live edges, used to update the summary on expiry.
-    live_edge_types: EdgeTypeSlab,
     edges_since_prune: u64,
     /// Edge events absorbed over the engine's lifetime — the sequence number
     /// telemetry samples and keys its spans by.
@@ -416,10 +331,13 @@ impl ContinuousQueryEngine {
         if let Err(msg) = config.validate() {
             panic!("invalid engine configuration: {msg}");
         }
-        let graph = DynamicGraph::new(GraphConfig {
+        let mut graph = DynamicGraph::new(GraphConfig {
             retention: config.retention,
-            ..Default::default()
         });
+        // Join stores are pruned every `prune_every` edges: an evicted
+        // vertex's slot changes hands only after a prune has dropped every
+        // partial match that names it.
+        graph.defer_reuse_to_sweeps();
         ContinuousQueryEngine {
             summary: GraphSummary::with_config(config.summary),
             graph,
@@ -430,7 +348,6 @@ impl ContinuousQueryEngine {
             delivery_scratch: Vec::new(),
             next_subscription: 0,
             live_durables: 0,
-            live_edge_types: EdgeTypeSlab::default(),
             edges_since_prune: 0,
             events_ingested: 0,
             events_emitted: 0,
@@ -914,9 +831,13 @@ impl ContinuousQueryEngine {
     /// Engine-level counters of the multi-query sharing subsystem: distinct
     /// vs. subscribed primitives and subtrees (the dedup ratios), searches
     /// and join climbs run and saved, embeddings found and fanned out, and
-    /// lifted-dispatch hits. All zero while no subgraph query is registered.
+    /// lifted-dispatch hits (all zero while no subgraph query is
+    /// registered), plus the data graph's live-vertex and vertex-slot gauges.
     pub fn engine_metrics(&self) -> EngineMetrics {
         let mut m = self.shared.metrics();
+        let graph = self.graph.stats();
+        m.live_vertices = graph.live_vertices;
+        m.vertex_slots = graph.vertex_slots;
         [
             m.delivery_attempts,
             m.delivery_retries,
@@ -1313,6 +1234,8 @@ impl ContinuousQueryEngine {
     }
 
     fn extend_retention(&mut self, window: Duration) {
+        // Matcher state lives up to a window, whatever the retention.
+        self.graph.reserve_ids_for(window);
         if self.config.retention.is_some() {
             return; // explicit retention wins
         }
@@ -1406,58 +1329,34 @@ impl ContinuousQueryEngine {
         let epoch = self.telemetry.as_ref().and_then(|t| t.sample(seq));
         let now = || epoch.map(ns_since);
         let ingest_start = now();
-        // 1. Update the graph.
-        let result = self.graph.ingest(event);
-
-        // 2. Update the summary (vertices, new edge, expired edges). The edge
-        // is borrowed from the graph for the whole step — matchers, summary
-        // and sinks all take the graph immutably, so no clone is needed.
-        // `None` means the event arrived so late that it is already outside
-        // the retention horizon: the graph expired it on ingest. It cannot
-        // participate in any within-window match (every edge it could
-        // combine with has expired too), so only the expiries it caused are
-        // accounted.
+        // 1. Update the graph and the summary. Every edge that expires is
+        // retracted from the summary as the graph hands it over, its
+        // endpoints still resolvable.
+        let maintain = self.config.maintain_summary;
+        let summary = &mut self.summary;
+        let result = self.graph.ingest_with(event, |edge, src, dst| {
+            if maintain {
+                summary.observe_expiry(src.vtype, edge.etype, dst.vtype);
+            }
+        });
+        // The new edge is borrowed from the graph for the whole event —
+        // matchers, summary and sinks all take the graph immutably, so no
+        // clone is needed. `None` means the event arrived so late that it is
+        // already outside the retention horizon: the graph expired it on
+        // ingest. It cannot take part in any within-window match (every edge
+        // it could combine with has expired too), so only the expiries it
+        // caused are accounted.
         let edge = self.graph.edge(result.edge);
-        if let Some(edge) = edge {
-            if self.config.maintain_summary {
-                if result.src_created {
-                    if let Some(v) = self.graph.vertex(result.src) {
-                        self.summary.observe_vertex(v.vtype);
-                    }
-                }
-                if result.dst_created {
-                    if let Some(v) = self.graph.vertex(result.dst) {
-                        self.summary.observe_vertex(v.vtype);
-                    }
-                }
-                self.summary.observe_insertion(&self.graph, edge);
-            }
-            let src_vtype = self
-                .graph
-                .vertex(edge.src)
-                .map(|v| v.vtype)
-                .unwrap_or(TypeId(0));
-            let dst_vtype = self
-                .graph
-                .vertex(edge.dst)
-                .map(|v| v.vtype)
-                .unwrap_or(TypeId(0));
-            self.live_edge_types.insert(
-                edge.id,
-                EdgeTypeInfo {
-                    etype: edge.etype,
-                    src_vtype,
-                    dst_vtype,
-                },
-            );
-        }
-        for expired in &result.expired {
-            if let Some(info) = self.live_edge_types.remove(*expired) {
-                if self.config.maintain_summary {
-                    self.summary
-                        .observe_expiry(info.src_vtype, info.etype, info.dst_vtype);
+        if let (Some(edge), true) = (edge, maintain) {
+            for (created, v) in [
+                (result.src_created, result.src),
+                (result.dst_created, result.dst),
+            ] {
+                if let (true, Some(v)) = (created, self.graph.vertex(v)) {
+                    self.summary.observe_vertex(v.vtype);
                 }
             }
+            self.summary.observe_insertion(&self.graph, edge);
         }
         if let (Some(t), Some(start), Some(end)) =
             (self.telemetry.as_deref_mut(), ingest_start, now())
@@ -1607,6 +1506,7 @@ impl ContinuousQueryEngine {
             }
         }
         self.shared.prune(now);
+        self.graph.mark_swept();
         self.edges_since_prune = 0;
         if let (Some(t), Some(start)) = (self.telemetry.as_deref_mut(), start) {
             t.observe(Stage::ExpirySweep, t.now_ns().saturating_sub(start));
@@ -1690,6 +1590,61 @@ mod tests {
             .ingest(&ev("a3", "Article", "k1", "Keyword", "mentions", 110))
             .unwrap();
         assert_eq!(matches.len(), 2);
+    }
+
+    /// Ten windows of ever-new sources into fixed hubs through one subgraph
+    /// query and one RPQ: the vertex slots (which bound the key index), the
+    /// live vertices and the RPQ's per-vertex index after window 10 stay
+    /// within 1.5× their size after window 2. (`streamworks-graph` has the
+    /// same check on a bare graph, the key index included.)
+    #[test]
+    fn memory_stays_bounded_over_ten_windows_of_new_vertices() {
+        let mut engine = engine();
+        let window = Duration::from_secs(60);
+        engine.register_query(common_keyword_query(window)).unwrap();
+        let rpq = engine
+            .register_rpq_dsl("RPQ reach WINDOW 60s PATH mentions located")
+            .unwrap();
+        // 6 new articles a second, each mentioning one of 64 keywords; one
+        // keyword a second is located in one of 2 places. The default prune
+        // cadence (256 events) is then ~37 s of stream, inside the window,
+        // and evicted slots are reused from the first prune past the
+        // quarantine on.
+        let mut sizes = Vec::new();
+        for t in 0..10 * 60 {
+            for j in 0..6 {
+                let (article, k) = (format!("a{t}-{j}"), format!("k{}", (7 * t + j) % 64));
+                engine
+                    .ingest(&ev(&article, "Article", &k, "Keyword", "mentions", t))
+                    .unwrap();
+            }
+            let (k, place) = (format!("k{}", t % 64), format!("p{}", t % 2));
+            engine
+                .ingest(&ev(&k, "Keyword", &place, "Place", "located", t))
+                .unwrap();
+            if (t + 1) % 60 == 0 {
+                let stats = engine.graph_stats();
+                let QueryExec::Rpq(m) = &engine.state(rpq).unwrap().exec else {
+                    unreachable!("registered as an RPQ")
+                };
+                let gauges = engine.telemetry_snapshot().engine;
+                assert_eq!(
+                    (gauges.vertex_slots, gauges.live_vertices),
+                    (stats.vertex_slots, stats.live_vertices)
+                );
+                sizes.push((
+                    stats.vertex_slots,
+                    stats.live_vertices,
+                    m.index_len() as u64,
+                ));
+            }
+        }
+        let (two, ten) = (sizes[1], sizes[9]);
+        assert!(two.0 > 700 && two.1 > 400 && two.2 > 400, "{two:?}");
+        assert!(2 * ten.0 <= 3 * two.0, "vertex slots {two:?} -> {ten:?}");
+        assert!(2 * ten.1 <= 3 * two.1, "live vertices {two:?} -> {ten:?}");
+        assert!(2 * ten.2 <= 3 * two.2, "RPQ index {two:?} -> {ten:?}");
+        assert!(engine.graph_stats().vertices > 3_600);
     }
 
     #[test]

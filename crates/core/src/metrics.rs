@@ -232,6 +232,12 @@ pub struct EngineMetrics {
     /// Gauge: undelivered durable outbox entries across every registered
     /// query (see [`QueryMetrics::cursor_lag`]).
     pub cursor_lag: u64,
+    /// Gauge: live vertices of the data graph (`GraphStats::live_vertices`).
+    pub live_vertices: u64,
+    /// Gauge: vertex slots of the data graph, live and parked for reuse
+    /// (`GraphStats::vertex_slots`) — the length of every vertex-indexed
+    /// table, the RPQ product index included.
+    pub vertex_slots: u64,
 }
 
 impl EngineMetrics {

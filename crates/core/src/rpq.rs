@@ -170,6 +170,13 @@ impl RpqMatcher {
         &self.rpq
     }
 
+    /// Length of the product index: one list per vertex slot up to the
+    /// highest slot a node has named.
+    #[cfg(test)]
+    pub(crate) fn index_len(&self) -> usize {
+        self.index.len()
+    }
+
     /// Current metrics snapshot.
     pub fn metrics(&self) -> QueryMetrics {
         let mut m = self.metrics;

@@ -10,14 +10,15 @@
 //! with no neighbourhood scan.
 //!
 //! Expired edges are removed lazily: [`crate::DynamicGraph`] drops them from
-//! its edge table immediately, and adjacency vectors are compacted once their
-//! dead fraction crosses a threshold — or freed outright when their last live
-//! entry dies, so a vertex that has gone quiet holds no adjacency storage
-//! ([`AdjacencyList::release_if_dead`]). Iteration checks liveness against the
-//! edge table — or, in [`AdjacencyList::entries_after`], against the
-//! retention horizon, which needs no lookup: an edge is expired exactly when
-//! its timestamp falls behind the horizon — so stale entries are never
-//! observable from the graph's API.
+//! its edge log immediately, and adjacency vectors are compacted once their
+//! dead fraction crosses a threshold. A vertex whose last retained edge
+//! expires is evicted, and its list is emptied for the next vertex that
+//! takes the slot, keeping its buffers ([`AdjacencyList::clear`]). Iteration
+//! checks liveness against the edge log — or, in
+//! [`AdjacencyList::entries_after`], against the retention horizon, which
+//! needs no lookup: an edge is expired exactly when its timestamp falls
+//! behind the horizon — so stale entries are never observable from the
+//! graph's API.
 
 use crate::ids::{EdgeId, Timestamp, TypeId, VertexId};
 use serde::{Deserialize, Serialize};
@@ -221,20 +222,16 @@ impl AdjacencyList {
         self.dead >= 32 && self.dead * 2 >= self.raw_len()
     }
 
-    /// Frees the whole list once it holds nothing but stale entries, however
-    /// few; true if it did.
-    ///
-    /// That is a vertex gone quiet (an article whose mentions have all
-    /// expired). [`Self::should_compact`] would leave its buffers allocated
-    /// for good; handed back at once, the allocator reuses them for the next
-    /// new vertex, so ingest writes to warm memory and a stream of ever-new
-    /// vertices keeps no dead buffers per vertex.
-    pub fn release_if_dead(&mut self) -> bool {
-        let dead = self.dead > 0 && !self.out.iter().chain(&self.inc).any(|(_, b)| b.live > 0);
-        if dead {
-            *self = AdjacencyList::new();
+    /// Empties the list for a new vertex, keeping every buffer: the
+    /// `(direction, type)` buckets and their entry vectors stay allocated,
+    /// so the next vertex of the same shape pushes without allocating.
+    pub fn clear(&mut self) {
+        for (_, b) in self.out.iter_mut().chain(&mut self.inc) {
+            b.entries.clear();
+            b.live = 0;
+            b.disordered = false;
         }
-        dead
+        self.dead = 0;
     }
 
     /// Removes every entry for which `is_live` returns `false`.
@@ -359,21 +356,26 @@ mod tests {
     }
 
     #[test]
-    fn a_list_is_released_when_its_last_live_entry_dies() {
+    fn a_cleared_list_keeps_its_buffers() {
         let mut adj = AdjacencyList::new();
-        assert!(!adj.release_if_dead(), "nothing to free");
         adj.push(Direction::Out, TypeId(0), entry(0, 0));
         adj.push(Direction::In, TypeId(1), entry(1, 1));
+        adj.push(Direction::In, TypeId(1), entry(3, 2));
         adj.note_dead(Direction::Out, TypeId(0));
-        assert!(!adj.release_if_dead(), "one entry is still live");
-        assert_eq!(adj.raw_len(), 2);
-        adj.note_dead(Direction::In, TypeId(1));
-        assert!(adj.release_if_dead());
+        adj.clear();
         assert_eq!((adj.raw_len(), adj.dead_len()), (0, 0));
-        assert_eq!(adj.out.capacity() + adj.inc.capacity(), 0);
-        // The list is as good as new.
-        adj.push(Direction::Out, TypeId(0), entry(2, 2));
-        assert_eq!(adj.live_count(Direction::Out, TypeId(0)), 1);
+        assert_eq!(adj.live_counts(Direction::In).count(), 0);
+        let held = adj
+            .bucket(Direction::In, TypeId(1))
+            .unwrap()
+            .entries
+            .capacity();
+        assert!(held >= 2);
+        // The list is as good as new, and refills in place.
+        adj.push(Direction::In, TypeId(1), entry(2, 2));
+        assert_eq!(adj.live_count(Direction::In, TypeId(1)), 1);
+        let bucket = adj.bucket(Direction::In, TypeId(1)).unwrap();
+        assert_eq!(bucket.entries.capacity(), held);
     }
 
     #[test]

@@ -10,8 +10,11 @@ use std::fmt;
 
 /// Identifier of a vertex in a [`crate::DynamicGraph`].
 ///
-/// Vertex ids are allocated densely starting from zero in insertion order and
-/// are never reused, even if all edges incident to a vertex expire.
+/// A vertex id is the index of the vertex's slot, allocated densely from
+/// zero. A vertex whose last retained edge expires is evicted and its slot
+/// is reused after a quarantine (see [`crate::DynamicGraph`]), so an id names
+/// one vertex only while that vertex keeps a retained edge or its slot stays
+/// parked.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize)]
 pub struct VertexId(pub u32);
 

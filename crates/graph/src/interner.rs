@@ -1,10 +1,10 @@
-//! String interning for vertex keys and type labels.
+//! String interning for type labels.
 //!
-//! The data graph identifies vertices by arbitrary external keys (IP
-//! addresses, article URIs, user names, ...) and labels vertices and edges
-//! with type names ("Article", "mentions", ...). Both are interned to small
-//! dense integers so that the hot matching paths never compare or hash
-//! strings.
+//! The data graph labels vertices and edges with type names ("Article",
+//! "mentions", ...). They are interned to small dense integers so that the
+//! hot matching paths never compare or hash strings. (Vertex keys are not
+//! interned: a key lives in its vertex record while the vertex does, see
+//! `keys.rs`.)
 
 use crate::hash::FxHashMap;
 use serde::{Deserialize, Serialize};
@@ -27,14 +27,6 @@ impl Interner {
     /// Creates an empty interner.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates an interner with capacity for `cap` distinct strings.
-    pub fn with_capacity(cap: usize) -> Self {
-        Interner {
-            by_name: FxHashMap::with_capacity_and_hasher(cap, Default::default()),
-            names: Vec::with_capacity(cap),
-        }
     }
 
     /// Interns `name`, returning its symbol. Idempotent.

@@ -47,10 +47,11 @@ mod graph;
 pub mod hash;
 mod ids;
 mod interner;
+mod keys;
+mod log;
 mod snapshot;
 mod stats;
 mod vertex;
-mod window;
 
 pub use adjacency::{AdjEntry, AdjacencyList, Direction};
 pub use attr::{AttrValue, Attrs};
@@ -62,4 +63,3 @@ pub use interner::Interner;
 pub use snapshot::GraphSnapshot;
 pub use stats::GraphStats;
 pub use vertex::Vertex;
-pub use window::SlidingWindow;

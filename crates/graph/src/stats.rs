@@ -6,8 +6,15 @@ use serde::{Deserialize, Serialize};
 /// A snapshot of basic graph counters, cheap to produce at any time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct GraphStats {
-    /// Vertices ever created (vertices are never removed).
+    /// Vertices created over the graph's lifetime (a key whose vertex was
+    /// evicted counts again when it returns).
     pub vertices: u64,
+    /// Vertices alive now: each has a retained edge (or was created without
+    /// one by `ensure_vertex`).
+    pub live_vertices: u64,
+    /// Vertex slots, live and parked for reuse: the length of every
+    /// vertex-indexed table, and a bound on the key index.
+    pub vertex_slots: u64,
     /// Edges currently retained in the window.
     pub live_edges: u64,
     /// Edges ingested over the graph's lifetime.
@@ -41,6 +48,8 @@ mod tests {
     fn live_fraction_handles_empty_graph() {
         let s = GraphStats {
             vertices: 0,
+            live_vertices: 0,
+            vertex_slots: 0,
             live_edges: 0,
             ingested_edges: 0,
             expired_edges: 0,
@@ -55,6 +64,8 @@ mod tests {
     fn live_fraction_reflects_expiry() {
         let s = GraphStats {
             vertices: 10,
+            live_vertices: 10,
+            vertex_slots: 10,
             live_edges: 25,
             ingested_edges: 100,
             expired_edges: 75,

@@ -6,16 +6,18 @@ use serde::{Deserialize, Serialize};
 
 /// A vertex stored inside a [`crate::DynamicGraph`].
 ///
-/// Vertices are created implicitly the first time an edge event references
-/// their external key. A vertex keeps its interned key symbol, its type, its
-/// attribute map and running degree counters (maintained by the graph as
-/// edges are inserted and expired).
+/// Vertices are created implicitly when an edge event references an external
+/// key no live vertex has. A vertex keeps its key, its type, its attribute
+/// map and running degree counters (maintained by the graph as edges are
+/// inserted and expired). When its last retained edge expires the vertex is
+/// evicted and its slot, after a quarantine, holds another vertex: an id
+/// names the same vertex only while that vertex keeps a retained edge.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Vertex {
-    /// Stable vertex identifier.
+    /// Identifier of the vertex's slot.
     pub id: VertexId,
-    /// Symbol of the external key in the graph's key interner.
-    pub key_sym: u32,
+    /// The external key (an IP address, an article URI, ...).
+    pub key: String,
     /// Interned vertex type.
     pub vtype: TypeId,
     /// Optional attributes.
@@ -41,7 +43,7 @@ mod tests {
     fn degree_sums_both_directions() {
         let v = Vertex {
             id: VertexId(0),
-            key_sym: 0,
+            key: "a".into(),
             vtype: TypeId(0),
             attrs: Attrs::new(),
             out_degree: 3,

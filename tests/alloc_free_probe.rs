@@ -6,6 +6,9 @@
 //! heap allocation for paper-sized queries — and neither does a whole
 //! `SjTreeMatcher::process_edge`: local search, the in-place join climb
 //! through both internal nodes, joined pairs and complete matches included.
+//! The ingest front in front of it does not allocate either once warm:
+//! `DynamicGraph::ingest` of a stream of ever-new vertices recycles evicted
+//! vertex slots, key buffers and adjacency buffers.
 //! Uses a counting global allocator, so this test lives in its own
 //! integration-test binary. The count is per thread: the harness runs the
 //! tests of this file on parallel threads, and a process-wide counter would
@@ -50,6 +53,7 @@ fn allocations() -> u64 {
 }
 
 use streamworks::engine::{JoinSide, PartialMatch, SharedJoinStore, SjTreeMatcher};
+use streamworks::graph::GraphConfig;
 use streamworks::query::{ManualDecomposition, QueryEdgeId, QueryVertexId};
 use streamworks::{
     Duration, DynamicGraph, EdgeEvent, EdgeId, Planner, QueryGraphBuilder, Timestamp, VertexId,
@@ -200,6 +204,47 @@ fn whole_join_climb_is_allocation_free_once_warm() {
     assert_eq!(
         allocated, 0,
         "SjTreeMatcher::process_edge allocated {allocated} times over {MEASURED} steady-state events"
+    );
+}
+
+#[test]
+fn graph_ingest_is_allocation_free_once_warm() {
+    // News-shaped: a new article every 4 edges (one per second), each
+    // mentioning 4 of 64 keywords. Article keys have equal length, and with
+    // a 30 s retention each new article expires the one from 31 s before,
+    // which is evicted; its slot is reused 30 s later. The keywords stay.
+    let window = Duration::from_secs(30);
+    let events: Vec<EdgeEvent> = (0..16_000u64)
+        .map(|i| {
+            let article = i / 4;
+            EdgeEvent::new(
+                format!("article-{article:06}"),
+                "Article",
+                format!("k{}", (article * 7 + i % 4 * 13) % 64),
+                "Keyword",
+                "mentions",
+                Timestamp::from_secs(article as i64),
+            )
+        })
+        .collect();
+    let mut graph = DynamicGraph::new(GraphConfig::with_retention(window));
+    const WARM_UP: usize = 6_000;
+    for event in &events[..WARM_UP] {
+        graph.ingest(event);
+    }
+    let slots = graph.stats().vertex_slots;
+    let before = allocations();
+    for event in &events[WARM_UP..] {
+        graph.ingest(event);
+    }
+    let allocated = allocations() - before;
+    let stats = graph.stats();
+    assert_eq!(stats.expired_edges, 16_000 - 31 * 4, "the window slid");
+    assert_eq!(stats.vertex_slots, slots, "evicted slots were reused");
+    assert!(stats.vertices > 3_900, "every article made a vertex");
+    assert_eq!(
+        allocated, 0,
+        "DynamicGraph::ingest allocated {allocated} times over 10 000 steady-state events"
     );
 }
 

@@ -22,10 +22,7 @@ pub fn multiset(
         .iter()
         .map(QueryGraph::window)
         .max_by_key(|w| w.as_micros());
-    let mut graph = DynamicGraph::new(GraphConfig {
-        retention,
-        ..Default::default()
-    });
+    let mut graph = DynamicGraph::new(GraphConfig { retention });
     let mut matchers: Vec<RepeatedSearchMatcher> = queries
         .iter()
         .map(|q| RepeatedSearchMatcher::new(q.clone()))
