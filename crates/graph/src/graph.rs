@@ -505,10 +505,9 @@ impl DynamicGraph {
         arriving: Option<EdgeId>,
         mut on_expire: impl FnMut(&Edge, &Vertex, &Vertex),
     ) -> usize {
-        let Some(retention) = self.config.retention else {
+        let Some(cutoff) = self.horizon() else {
             return 0;
         };
-        let cutoff = self.now.minus(retention);
         let mut expired = 0;
         while let Some(edge) = self.edges.pop_expired(cutoff) {
             if Some(edge.id) != arriving {
@@ -621,6 +620,12 @@ impl DynamicGraph {
         self.config.retention
     }
 
+    /// The retention horizon: edges older than this have expired. `None`
+    /// when retention is unbounded.
+    fn horizon(&self) -> Option<Timestamp> {
+        self.config.retention.map(|r| self.now.minus(r))
+    }
+
     /// Replaces the retention window. Widening it keeps more future edges
     /// (edges already expired are not revived); narrowing it takes effect as
     /// stream time advances, except that [`Self::entries_after`] honours
@@ -708,7 +713,7 @@ impl DynamicGraph {
         after: Timestamp,
     ) -> impl Iterator<Item = &AdjEntry> + '_ {
         static EMPTY: AdjacencyList = AdjacencyList::new();
-        let horizon = (self.config.retention).map_or(Timestamp(i64::MIN), |r| self.now.minus(r));
+        let horizon = self.horizon().unwrap_or(Timestamp(i64::MIN));
         (self.adjacency.get(v.index()).unwrap_or(&EMPTY)).entries_after(dir, etype, after, horizon)
     }
 
@@ -1071,6 +1076,18 @@ mod tests {
         assert_eq!(g.live_edge_count(), 0);
         assert_eq!(g.stats().expired_edges, 1);
         assert_eq!(g.vertex_count(), 0);
+    }
+
+    #[test]
+    fn horizon_reflects_retention() {
+        let mut g = DynamicGraph::new(GraphConfig::with_retention(Duration::from_secs(10)));
+        assert!(g.horizon().is_some());
+        g.ingest(&event("a", "b", "flow", 100));
+        assert_eq!(g.horizon(), Some(Timestamp::from_secs(90)));
+        // A narrower retention moves the horizon at once.
+        g.set_retention(Some(Duration::from_secs(5)));
+        assert_eq!(g.horizon(), Some(Timestamp::from_secs(95)));
+        assert_eq!(DynamicGraph::unbounded().horizon(), None);
     }
 
     #[test]

@@ -223,6 +223,16 @@ mod tests {
     }
 
     #[test]
+    fn a_cutoff_past_every_edge_empties_the_log() {
+        let mut log = EdgeLog::new();
+        log.push(edge(0, 0));
+        log.push(edge(1, 1));
+        assert_eq!(drain(&mut log, 98), vec![0, 1]);
+        assert_eq!((log.len(), log.expired_total()), (0, 2));
+        assert_eq!((log.oldest_live(), log.iter().count()), (None, 0));
+    }
+
+    #[test]
     fn late_edges_expire_in_timestamp_order_exactly_once() {
         let mut log = EdgeLog::new();
         log.push(edge(0, 10));
