@@ -54,13 +54,9 @@ fn bench_query_size(c: &mut Criterion) {
             &events,
             |b, events| {
                 b.iter(|| {
-                    // Summary maintenance is disabled so the comparison is
-                    // matcher-vs-matcher; the baselines keep no statistics.
-                    let config = EngineConfig {
-                        maintain_summary: false,
-                        ..EngineConfig::default()
-                    };
-                    let mut engine = ContinuousQueryEngine::new(config);
+                    // The engine keeps no per-edge statistics (its summary
+                    // is built on read), so this is matcher against matcher.
+                    let mut engine = ContinuousQueryEngine::new(EngineConfig::default());
                     engine.register_query(query.clone()).unwrap();
                     let mut matches = 0u64;
                     for ev in events {

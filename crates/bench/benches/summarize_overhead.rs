@@ -1,11 +1,13 @@
-//! Experiment E8: per-edge cost of streaming summarization (paper §4.3) —
-//! degree/type statistics only vs. full summaries including the typed-triad
-//! distribution, compared against ingesting with no summaries at all.
+//! Experiment E8: the cost of the summaries (paper §4.3). Feeding a summary
+//! edge by edge (the hand-fed API, with its cumulative triads) against
+//! ingesting with no summary at all, and against building one summary from
+//! the final graph with `GraphSummary::of`, as the engine does when its
+//! summary is read.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use streamworks_bench::{cyber_preset, PresetSize};
 use streamworks_graph::DynamicGraph;
-use streamworks_summarize::{GraphSummary, SummaryConfig};
+use streamworks_summarize::GraphSummary;
 use streamworks_workloads::CyberTrafficGenerator;
 
 fn bench_summaries(c: &mut Criterion) {
@@ -24,23 +26,20 @@ fn bench_summaries(c: &mut Criterion) {
         })
     });
 
-    group.bench_function("degree_and_types", |b| {
+    group.bench_function("graph_then_summary_of", |b| {
         b.iter(|| {
             let mut g = DynamicGraph::unbounded();
-            let mut s = GraphSummary::with_config(SummaryConfig::cheap());
             for ev in &workload.events {
-                let r = g.ingest(ev);
-                let edge = g.edge(r.edge).unwrap().clone();
-                s.observe_insertion(&g, &edge);
+                g.ingest(ev);
             }
-            s.edges_observed()
+            GraphSummary::of(&g).edges_observed()
         })
     });
 
-    group.bench_function("full_with_triads", |b| {
+    group.bench_function("hand_fed_per_edge", |b| {
         b.iter(|| {
             let mut g = DynamicGraph::unbounded();
-            let mut s = GraphSummary::with_config(SummaryConfig::full());
+            let mut s = GraphSummary::new();
             for ev in &workload.events {
                 let r = g.ingest(ev);
                 let edge = g.edge(r.edge).unwrap().clone();

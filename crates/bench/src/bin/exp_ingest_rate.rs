@@ -1,5 +1,5 @@
-//! Experiment E9: sustained ingest rate of the full pipeline (graph +
-//! summaries + N registered queries), extrapolated to records/hour — the unit
+//! Experiment E9: sustained ingest rate of the full pipeline (graph + N
+//! registered queries; the summary is built only when planning reads it), extrapolated to records/hour — the unit
 //! of paper §6.1 ("50-100 million records/hour").
 //!
 //! ```text
@@ -7,7 +7,7 @@
 //! ```
 
 use streamworks_bench::{cyber_preset, measure, PresetSize, Table};
-use streamworks_core::{ContinuousQueryEngine, EngineConfig};
+use streamworks_core::ContinuousQueryEngine;
 use streamworks_graph::Duration;
 use streamworks_workloads::queries::{port_scan_query, smurf_ddos_query, worm_spread_query};
 use streamworks_workloads::CyberTrafficGenerator;
@@ -20,14 +20,9 @@ fn main() {
         workload.events.len()
     );
 
-    let mut table = Table::new(&["queries", "summaries", "edges/s", "records/hour", "matches"]);
-    for &(queries, maintain_summary) in
-        &[(0usize, false), (0, true), (1, true), (4, true), (16, true)]
-    {
-        let mut engine = ContinuousQueryEngine::new(EngineConfig {
-            maintain_summary,
-            ..Default::default()
-        });
+    let mut table = Table::new(&["queries", "edges/s", "records/hour", "matches"]);
+    for queries in [0usize, 1, 4, 16] {
+        let mut engine = ContinuousQueryEngine::builder().build().unwrap();
         for i in 0..queries {
             match i % 3 {
                 0 => engine
@@ -50,7 +45,6 @@ fn main() {
         });
         table.row(&[
             queries.to_string(),
-            maintain_summary.to_string(),
             format!("{:.0}", run.throughput()),
             format!("{:.2e}", run.records_per_hour()),
             run.matches.to_string(),

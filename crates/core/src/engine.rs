@@ -33,6 +33,7 @@ use crate::telemetry::{
     ns_since, DeliverySnapshot, QuerySnapshot, Stage, Telemetry, TelemetryCheckpoint,
     TelemetryLevel, TelemetrySnapshot,
 };
+use std::sync::OnceLock;
 use streamworks_graph::{Duration, DynamicGraph, EdgeEvent, GraphConfig, GraphStats, Timestamp};
 use streamworks_query::{
     DecompositionStrategy, Planner, QueryGraph, QueryPlan, RpqQuery, SjNodeId, TreeShapeKind,
@@ -273,7 +274,9 @@ fn delivery_counters<'a>(durables: impl IntoIterator<Item = &'a DurableSub>) -> 
 pub struct ContinuousQueryEngine {
     config: EngineConfig,
     graph: DynamicGraph,
-    summary: GraphSummary,
+    /// The graph's summary, built on the first read after an ingest call
+    /// and kept until the next one (see [`Self::summary`]).
+    summary: OnceLock<GraphSummary>,
     /// Query slots, indexed by `QueryId`.
     queries: Vec<QuerySlot>,
     /// Indices of vacant slots, re-occupied (under a fresh generation) before
@@ -339,7 +342,7 @@ impl ContinuousQueryEngine {
         // partial match that names it.
         graph.defer_reuse_to_sweeps();
         ContinuousQueryEngine {
-            summary: GraphSummary::with_config(config.summary),
+            summary: OnceLock::new(),
             graph,
             queries: Vec::new(),
             free_slots: Vec::new(),
@@ -382,9 +385,12 @@ impl ContinuousQueryEngine {
         &self.graph
     }
 
-    /// Read access to the maintained graph summary.
+    /// The summary of the graph as it stands ([`GraphSummary::of`]): built
+    /// on the first read after an ingest call and cached until the next one,
+    /// so the per-event path pays nothing for it. Planning
+    /// ([`Self::register_query`], [`Self::replan`]) reads it too.
     pub fn summary(&self) -> &GraphSummary {
-        &self.summary
+        self.summary.get_or_init(|| GraphSummary::of(&self.graph))
     }
 
     /// Basic counters of the underlying graph.
@@ -494,7 +500,7 @@ impl ContinuousQueryEngine {
     /// left-deep) using the engine's current summaries, then registers it.
     pub fn register_query(&mut self, query: QueryGraph) -> Result<QueryHandle, EngineError> {
         let plan = Planner::new()
-            .with_statistics(&self.summary, &self.graph)
+            .with_statistics(self.summary(), &self.graph)
             .plan(query)?;
         Ok(self.register_plan(plan))
     }
@@ -508,7 +514,7 @@ impl ContinuousQueryEngine {
         tree_kind: TreeShapeKind,
     ) -> Result<QueryHandle, EngineError> {
         let plan = Planner::new()
-            .with_statistics(&self.summary, &self.graph)
+            .with_statistics(self.summary(), &self.graph)
             .tree_kind(tree_kind)
             .plan_with(query, strategy)?;
         Ok(self.register_plan(plan))
@@ -728,7 +734,7 @@ impl ContinuousQueryEngine {
         };
         let query = plan.query.clone();
         let plan = Planner::new()
-            .with_statistics(&self.summary, &self.graph)
+            .with_statistics(self.summary(), &self.graph)
             .tree_kind(tree_kind)
             .plan_with(query, strategy)?;
         // Re-intern under the new plan: the old subscriptions are released
@@ -1285,6 +1291,7 @@ impl ContinuousQueryEngine {
         // is meaningless here (nothing has been mutated yet) and is ignored;
         // `Delay` exercises ingest-side latency.
         let _ = crate::failpoint::fire_at("ingest-front", 0);
+        self.summary.take();
         let trailing_prune = batch.is_batch();
         let start_seq = self.events_ingested;
         let mut emitted = 0usize;
@@ -1329,35 +1336,15 @@ impl ContinuousQueryEngine {
         let epoch = self.telemetry.as_ref().and_then(|t| t.sample(seq));
         let now = || epoch.map(ns_since);
         let ingest_start = now();
-        // 1. Update the graph and the summary. Every edge that expires is
-        // retracted from the summary as the graph hands it over, its
-        // endpoints still resolvable.
-        let maintain = self.config.maintain_summary;
-        let summary = &mut self.summary;
-        let result = self.graph.ingest_with(event, |edge, src, dst| {
-            if maintain {
-                summary.observe_expiry(src.vtype, edge.etype, dst.vtype);
-            }
-        });
+        // 1. Update the graph. (The summary is built from it when read.)
+        let result = self.graph.ingest(event);
         // The new edge is borrowed from the graph for the whole event —
-        // matchers, summary and sinks all take the graph immutably, so no
-        // clone is needed. `None` means the event arrived so late that it is
-        // already outside the retention horizon: the graph expired it on
-        // ingest. It cannot take part in any within-window match (every edge
-        // it could combine with has expired too), so only the expiries it
-        // caused are accounted.
+        // matchers and sinks all take the graph immutably, so no clone is
+        // needed. `None` means the event arrived so late that it is already
+        // outside the retention horizon: the graph expired it on ingest. It
+        // cannot take part in any within-window match (every edge it could
+        // combine with has expired too).
         let edge = self.graph.edge(result.edge);
-        if let (Some(edge), true) = (edge, maintain) {
-            for (created, v) in [
-                (result.src_created, result.src),
-                (result.dst_created, result.dst),
-            ] {
-                if let (true, Some(v)) = (created, self.graph.vertex(v)) {
-                    self.summary.observe_vertex(v.vtype);
-                }
-            }
-            self.summary.observe_insertion(&self.graph, edge);
-        }
         if let (Some(t), Some(start), Some(end)) =
             (self.telemetry.as_deref_mut(), ingest_start, now())
         {
@@ -1367,7 +1354,7 @@ impl ContinuousQueryEngine {
             return 0;
         };
 
-        // 3. Matching. Every shared entry the edge can reach runs its
+        // 2. Matching. Every shared entry the edge can reach runs its
         // anchored searches and join climb once, and each resulting match is
         // fanned out — constant-dispatched, observation-gated and remapped
         // through the subscriber's vertex permutation — to the subscribing
@@ -1479,7 +1466,7 @@ impl ContinuousQueryEngine {
         self.match_scratch = complete;
         self.events_emitted += emitted as u64;
 
-        // 4. Periodic partial-match pruning. The cadence is preserved even
+        // 3. Periodic partial-match pruning. The cadence is preserved even
         // inside batches: deferring pruning to the batch boundary measurably
         // *hurts* (unpruned partial matches bloat the sibling collections
         // every join probes), so batching only amortises the trailing

@@ -54,7 +54,7 @@ impl TelemetryLevel {
 
 /// A pipeline stage with its own latency histogram.
 ///
-/// The stages follow one event through the engine: graph/summary upkeep,
+/// The stages follow one event through the engine: graph upkeep,
 /// anchored local search, the SJ-Tree join climb, window expiry, and
 /// flushing durable deliveries.
 /// ARCHITECTURE.md's "Observability" section maps each stage to the code
@@ -62,8 +62,9 @@ impl TelemetryLevel {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Stage {
-    /// Graph ingest, summary maintenance and edge-type bookkeeping — the
-    /// work every event pays before any matching.
+    /// Graph ingest (the edge, its endpoints and the expiries it causes) —
+    /// the work every event pays before any matching. The summary is not
+    /// kept per event: it is built when read.
     IngestFront = 0,
     /// Anchored local search: finding embeddings of SJ-Tree leaf primitives
     /// around the new edge (shared index, per-query matcher front ends, and

@@ -120,6 +120,11 @@ pub struct DynamicGraph {
     /// Vertices created over the graph's lifetime (a key that returns after
     /// its vertex was evicted counts again).
     vertices_created: u64,
+    /// Per vertex type, the vertices created by an ingested edge that was
+    /// retained on arrival (see [`Self::vertices_created_of_type`]).
+    created_by_type: Vec<u64>,
+    /// Ingested edges retained on arrival (see [`Self::retained_edge_count`]).
+    retained_edges: u64,
     /// Cumulative number of ingested edges (including expired ones).
     ingested_edges: u64,
     /// The source vertex of the last ingested event and the type its event
@@ -146,6 +151,8 @@ impl DynamicGraph {
             edge_type_counts: Vec::new(),
             vertex_type_counts: Vec::new(),
             vertices_created: 0,
+            created_by_type: Vec::new(),
+            retained_edges: 0,
             ingested_edges: 0,
             last_source: None,
             config,
@@ -363,29 +370,27 @@ impl DynamicGraph {
 
     /// Ingests a single edge event: resolves or creates both endpoint
     /// vertices, inserts the edge, advances stream time and expires edges that
-    /// fall out of the retention window.
+    /// fall out of the retention window. An edge already behind the horizon
+    /// expires at once: it is never live.
     pub fn ingest(&mut self, event: &EdgeEvent) -> IngestResult {
-        self.ingest_with(event, |_, _, _| {})
-    }
-
-    /// [`Self::ingest`], handing every edge that expires to `on_expire`
-    /// together with its two endpoint records, oldest first, before the
-    /// graph forgets the edge (and evicts an endpoint it leaves without a
-    /// retained edge). The ingested edge itself is never handed over: if it
-    /// is already behind the horizon it expires at once, but it was never
-    /// live.
-    pub fn ingest_with(
-        &mut self,
-        event: &EdgeEvent,
-        on_expire: impl FnMut(&Edge, &Vertex, &Vertex),
-    ) -> IngestResult {
         self.now = self.now.max(event.timestamp);
         let (src, src_created) = self.ensure_source(&event.src_key, &event.src_type);
         let (dst, dst_created) = self.ensure_vertex(&event.dst_key, &event.dst_type);
         let etype = self.intern_edge_type(&event.edge_type);
         let edge = self.insert_edge(src, dst, etype, event.timestamp, event.attrs.clone());
-        self.expire(Some(edge), on_expire);
-        if !self.edges.contains(edge) {
+        self.expire();
+        if self.edges.contains(edge) {
+            self.retained_edges += 1;
+            for (v, created) in [(src, src_created), (dst, dst_created)] {
+                if created {
+                    let t = self.vertices[v.index()].vtype.index();
+                    if t >= self.created_by_type.len() {
+                        self.created_by_type.resize(t + 1, 0);
+                    }
+                    self.created_by_type[t] += 1;
+                }
+            }
+        } else {
             // Expired on arrival: no matcher saw the edge, nor a vertex it
             // created, so such a vertex's slot needs no quarantine.
             for (v, created) in [(src, src_created), (dst, dst_created)] {
@@ -444,7 +449,7 @@ impl DynamicGraph {
         }
         self.now = self.now.max(timestamp);
         let edge = self.insert_edge(src, dst, etype, timestamp, attrs);
-        self.expire(Some(edge), |_, _, _| {});
+        self.expire();
         Ok(edge)
     }
 
@@ -495,25 +500,16 @@ impl DynamicGraph {
     /// Returns how many expired.
     pub fn advance_time(&mut self, ts: Timestamp) -> usize {
         self.now = self.now.max(ts);
-        self.expire(None, |_, _, _| {})
+        self.expire()
     }
 
-    /// Expires every edge behind the retention horizon, oldest first (see
-    /// [`Self::ingest_with`] for `on_expire` and `arriving`).
-    fn expire(
-        &mut self,
-        arriving: Option<EdgeId>,
-        mut on_expire: impl FnMut(&Edge, &Vertex, &Vertex),
-    ) -> usize {
+    /// Expires every edge behind the retention horizon, oldest first.
+    fn expire(&mut self) -> usize {
         let Some(cutoff) = self.horizon() else {
             return 0;
         };
         let mut expired = 0;
         while let Some(edge) = self.edges.pop_expired(cutoff) {
-            if Some(edge.id) != arriving {
-                let (src, dst) = (edge.src.index(), edge.dst.index());
-                on_expire(&edge, &self.vertices[src], &self.vertices[dst]);
-            }
             self.retire(&edge);
             expired += 1;
         }
@@ -667,6 +663,22 @@ impl DynamicGraph {
     /// Number of live edges of a given type.
     pub fn edges_of_type(&self, t: TypeId) -> u64 {
         self.edge_type_counts.get(t.index()).copied().unwrap_or(0)
+    }
+
+    /// Vertices of type `t` created by [`Self::ingest`] for an edge that was
+    /// retained on arrival, over the graph's lifetime. A key counts again
+    /// when it makes a new vertex: after its slot went to another key, or
+    /// under another type; it does not when it takes its parked slot back.
+    /// A vertex created for an edge already behind the horizon is not
+    /// counted.
+    pub fn vertices_created_of_type(&self, t: TypeId) -> u64 {
+        self.created_by_type.get(t.index()).copied().unwrap_or(0)
+    }
+
+    /// Edges [`Self::ingest`] retained on arrival (not already behind the
+    /// horizon), over the graph's lifetime.
+    pub fn retained_edge_count(&self) -> u64 {
+        self.retained_edges
     }
 
     /// Iterates the records of the live vertices, in slot order.
@@ -1023,6 +1035,38 @@ mod tests {
         assert_eq!(g.stats().expired_edges, 50);
         let b = g.vertex_by_key("b").unwrap();
         assert_eq!(g.degree(b), 1);
+    }
+
+    #[test]
+    fn creations_and_retained_edges_count_only_edges_live_on_arrival() {
+        let mut g = DynamicGraph::new(GraphConfig::with_retention(Duration::from_secs(10)));
+        g.ingest(&event("a", "hub", "flow", 0));
+        g.ingest(&event("old", "hub", "flow", -20)); // expired on arrival
+        let ip = g.vertex_type_id("IP").unwrap();
+        assert_eq!(g.vertices_created_of_type(ip), 2);
+        assert_eq!((g.retained_edge_count(), g.stats().vertices), (1, 3));
+        // a is evicted; back under its type it resumes, under another it is new.
+        g.ingest(&event("b", "hub", "flow", 11));
+        g.ingest(&event("a", "hub", "flow", 12));
+        assert_eq!(g.vertices_created_of_type(ip), 3);
+        g.ingest(&event("c", "hub", "flow", 30));
+        g.ingest(&EdgeEvent::new(
+            "a",
+            "Host",
+            "hub",
+            "IP",
+            "flow",
+            Timestamp::from_secs(31),
+        ));
+        let host = g.vertex_type_id("Host").unwrap();
+        assert_eq!(
+            (
+                g.vertices_created_of_type(ip),
+                g.vertices_created_of_type(host)
+            ),
+            (4, 1)
+        );
+        assert_eq!(g.retained_edge_count(), 5);
     }
 
     #[test]

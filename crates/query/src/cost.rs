@@ -399,7 +399,7 @@ mod tests {
     use crate::decompose::ManualDecomposition;
     use crate::plan::Planner;
     use streamworks_graph::{Duration, DynamicGraph, EdgeEvent, Timestamp};
-    use streamworks_summarize::{GraphSummary, SummaryConfig};
+    use streamworks_summarize::GraphSummary;
 
     fn fig2_query() -> QueryGraph {
         QueryGraphBuilder::new("news_triple")
@@ -436,7 +436,7 @@ mod tests {
     /// A small news-like data graph: many mention edges, few located edges.
     fn news_graph() -> (DynamicGraph, GraphSummary) {
         let mut g = DynamicGraph::unbounded();
-        let mut s = GraphSummary::with_config(SummaryConfig::full());
+        let mut s = GraphSummary::new();
         let push = |g: &mut DynamicGraph,
                     s: &mut GraphSummary,
                     src: &str,

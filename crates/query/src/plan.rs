@@ -156,7 +156,6 @@ mod tests {
     use crate::builder::QueryGraphBuilder;
     use crate::decompose::ManualDecomposition;
     use streamworks_graph::{Duration, DynamicGraph, EdgeEvent, Timestamp};
-    use streamworks_summarize::SummaryConfig;
 
     fn single_edges(query: &QueryGraph) -> ManualDecomposition {
         ManualDecomposition::new(query.edge_ids().map(|e| vec![e]).collect())
@@ -190,7 +189,7 @@ mod tests {
     fn statistics_change_the_join_order() {
         // Build a graph where dns edges are rare and flow edges are common.
         let mut g = DynamicGraph::unbounded();
-        let mut s = streamworks_summarize::GraphSummary::with_config(SummaryConfig::full());
+        let mut s = streamworks_summarize::GraphSummary::new();
         let mut t = 0;
         let push = |g: &mut DynamicGraph,
                     s: &mut streamworks_summarize::GraphSummary,

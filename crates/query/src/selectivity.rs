@@ -373,12 +373,11 @@ mod tests {
     use crate::builder::QueryGraphBuilder;
     use crate::predicate::Predicate;
     use streamworks_graph::{EdgeEvent, Timestamp};
-    use streamworks_summarize::SummaryConfig;
 
     /// A small news-like data graph: many mention edges, few located edges.
     fn news_graph() -> (DynamicGraph, GraphSummary) {
         let mut g = DynamicGraph::unbounded();
-        let mut s = GraphSummary::with_config(SummaryConfig::full());
+        let mut s = GraphSummary::new();
         let push = |g: &mut DynamicGraph,
                     s: &mut GraphSummary,
                     src: &str,

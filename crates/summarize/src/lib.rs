@@ -1,6 +1,6 @@
 //! # streamworks-summarize
 //!
-//! Streaming graph summarization for the StreamWorks reproduction
+//! Graph summaries for the StreamWorks reproduction
 //! (paper §4.3): degree distribution, vertex/edge type distribution and the
 //! multi-relational triad (typed wedge) distribution.
 //!
@@ -11,16 +11,17 @@
 //!
 //! ```
 //! use streamworks_graph::{DynamicGraph, EdgeEvent, Timestamp};
-//! use streamworks_summarize::{GraphSummary, SummaryConfig};
+//! use streamworks_summarize::GraphSummary;
 //!
 //! let mut graph = DynamicGraph::unbounded();
-//! let mut summary = GraphSummary::with_config(SummaryConfig::full());
-//! let ev = EdgeEvent::new("a1", "Article", "k1", "Keyword", "mentions",
-//!                         Timestamp::from_secs(1));
-//! let r = graph.ingest(&ev);
-//! let edge = graph.edge(r.edge).unwrap().clone();
-//! summary.observe_insertion(&graph, &edge);
-//! assert_eq!(summary.edges_observed(), 1);
+//! for (article, t) in [("a1", 1), ("a2", 2)] {
+//!     let ev = EdgeEvent::new(article, "Article", "k1", "Keyword", "mentions",
+//!                             Timestamp::from_secs(t));
+//!     graph.ingest(&ev);
+//! }
+//! let summary = GraphSummary::of(&graph);
+//! assert_eq!(summary.edges_observed(), 2);
+//! assert_eq!(summary.triads().total_wedges(), 1.0);
 //! ```
 
 #![warn(missing_docs)]
@@ -34,6 +35,6 @@ mod type_dist;
 
 pub use degree::DegreeDistribution;
 pub use histogram::LogHistogram;
-pub use summary::{GraphSummary, SummaryConfig};
-pub use triads::{Orientation, TriadConfig, TriadDistribution, WedgeKey};
+pub use summary::GraphSummary;
+pub use triads::{Orientation, TriadDistribution, WedgeKey};
 pub use type_dist::{EdgeTripleKey, TypeDistribution};

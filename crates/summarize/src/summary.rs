@@ -1,55 +1,28 @@
-//! The composite, continuously maintained graph summary.
+//! The composite graph summary.
 //!
 //! [`GraphSummary`] bundles the three statistics of paper §4.3 — degree
 //! distribution, vertex/edge type distribution, and multi-relational triad
-//! distribution — behind one streaming update API and the selectivity
-//! accessors the query planner (in `streamworks-query`) consumes.
+//! distribution — behind the selectivity accessors the query planner (in
+//! `streamworks-query`) consumes.
 //!
-//! The summary is deliberately decoupled from the graph: callers decide when
-//! to feed it (`observe_insertion` after each ingest, `observe_expiry` for
-//! each expired edge) or when to rebuild it wholesale from a snapshot
-//! (`rebuild_from`). The continuous-query engine in `streamworks-core` wires
-//! this up automatically.
+//! There are two ways to get one. [`GraphSummary::of`] builds it from a
+//! graph's live state and counters; the continuous-query engine in
+//! `streamworks-core` does that when its summary is read, not per edge. The
+//! hand-fed API — [`GraphSummary::new`], then `observe_vertex` and
+//! `observe_insertion` after each ingest and `observe_expiry` for each
+//! expired edge — maintains the same statistics one edge at a time, except
+//! that its triad counts are cumulative (see [`GraphSummary::of`]).
 
 use crate::degree::DegreeDistribution;
-use crate::triads::{TriadConfig, TriadDistribution, WedgeKey};
+use crate::triads::{TriadDistribution, WedgeKey};
 use crate::type_dist::TypeDistribution;
 use serde::{Deserialize, Serialize};
 use streamworks_graph::{Direction, DynamicGraph, Edge, TypeId};
 
-/// Configuration of the summarizer.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
-pub struct SummaryConfig {
-    /// Triad counter configuration.
-    pub triads: TriadConfig,
-    /// If true, typed-wedge statistics are maintained on every insertion.
-    /// Disabling them removes the dominant summarization cost (see experiment
-    /// E8) at the price of coarser two-edge selectivity estimates.
-    pub track_triads: bool,
-}
-
-impl SummaryConfig {
-    /// Configuration with triad tracking enabled (the paper's full summary).
-    pub fn full() -> Self {
-        SummaryConfig {
-            triads: TriadConfig::default(),
-            track_triads: true,
-        }
-    }
-
-    /// Configuration with only degree and type statistics.
-    pub fn cheap() -> Self {
-        SummaryConfig {
-            triads: TriadConfig::default(),
-            track_triads: false,
-        }
-    }
-}
-
-/// Continuously maintained statistics about a [`DynamicGraph`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Statistics about a [`DynamicGraph`]: built from it by [`Self::of`], or fed
+/// edge by edge.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct GraphSummary {
-    config: SummaryConfig,
     degrees: DegreeDistribution,
     types: TypeDistribution,
     triads: TriadDistribution,
@@ -57,25 +30,45 @@ pub struct GraphSummary {
 }
 
 impl GraphSummary {
-    /// Creates an empty summary with the full configuration.
+    /// Creates an empty summary, to be fed edge by edge.
     pub fn new() -> Self {
-        Self::with_config(SummaryConfig::full())
+        Self::default()
     }
 
-    /// Creates an empty summary with an explicit configuration.
-    pub fn with_config(config: SummaryConfig) -> Self {
-        GraphSummary {
-            config,
-            degrees: DegreeDistribution::new(),
-            types: TypeDistribution::new(),
-            triads: TriadDistribution::with_config(config.triads),
-            edges_observed: 0,
+    /// The summary of `graph` as it stands, in one pass over its live edges
+    /// and one over its live vertices.
+    ///
+    /// * Live statistics — triple, per-type and total edge counts, typed
+    ///   endpoint counts (`estimated_fanout`) and
+    ///   [`DegreeDistribution::live_edges`] — count the live edges, as a
+    ///   hand-fed summary does. The degree histograms hold one sample per
+    ///   live vertex.
+    /// * Cumulative statistics come from the graph's counters: per-type
+    ///   vertex counts and `total_vertices` are
+    ///   [`DynamicGraph::vertices_created_of_type`] (a key counts again when
+    ///   it makes a new vertex, not when it resumes its parked one), and
+    ///   [`Self::edges_observed`] is [`DynamicGraph::retained_edge_count`].
+    ///   A hand-fed summary that observes each creation and insertion of a
+    ///   retained edge counts the same.
+    /// * Triads are the **live** wedges ([`TriadDistribution::of`]). A
+    ///   hand-fed summary counts wedges as edges arrive and never takes one
+    ///   away, so the two agree only while nothing has expired.
+    pub fn of(graph: &DynamicGraph) -> Self {
+        let mut summary = GraphSummary::new();
+        for e in graph.edges() {
+            let (src, dst) = endpoint_types(graph, e);
+            summary.types.observe_edge(src, e.etype, dst);
+            summary.degrees.observe_edge(src, e.etype, dst);
         }
-    }
-
-    /// The configuration in effect.
-    pub fn config(&self) -> SummaryConfig {
-        self.config
+        for v in graph.vertices() {
+            (summary.degrees).record_degree_sample(v.vtype, v.degree() as u64);
+        }
+        for t in (0..graph.vertex_type_count() as u32).map(TypeId) {
+            (summary.types).observe_vertices(t, graph.vertices_created_of_type(t));
+        }
+        summary.triads = TriadDistribution::of(graph);
+        summary.edges_observed = graph.retained_edge_count();
+        summary
     }
 
     /// Observes a newly created vertex.
@@ -85,13 +78,10 @@ impl GraphSummary {
 
     /// Observes a newly inserted edge. Must be called after the edge is in `graph`.
     pub fn observe_insertion(&mut self, graph: &DynamicGraph, edge: &Edge) {
-        let src_vtype = graph.vertex(edge.src).map(|v| v.vtype).unwrap_or(TypeId(0));
-        let dst_vtype = graph.vertex(edge.dst).map(|v| v.vtype).unwrap_or(TypeId(0));
+        let (src_vtype, dst_vtype) = endpoint_types(graph, edge);
         self.types.observe_edge(src_vtype, edge.etype, dst_vtype);
         self.degrees.observe_edge(src_vtype, edge.etype, dst_vtype);
-        if self.config.track_triads {
-            self.triads.observe_edge(graph, edge);
-        }
+        self.triads.observe_edge(graph, edge);
         self.edges_observed += 1;
     }
 
@@ -100,31 +90,8 @@ impl GraphSummary {
     pub fn observe_expiry(&mut self, src_vtype: TypeId, etype: TypeId, dst_vtype: TypeId) {
         self.types.retract_edge(src_vtype, etype, dst_vtype);
         self.degrees.retract_edge(src_vtype, etype, dst_vtype);
-        // Triad counts are not decremented: they are planning statistics and a
-        // slight overestimate of historical frequency is acceptable (§4.3 notes
-        // continuous re-summarization is future work).
-    }
-
-    /// Rebuilds every statistic from the current live state of `graph`.
-    pub fn rebuild_from(graph: &DynamicGraph, config: SummaryConfig) -> Self {
-        let mut summary = GraphSummary::with_config(config);
-        for v in graph.vertices() {
-            summary.types.observe_vertex(v.vtype);
-            summary
-                .degrees
-                .record_degree_sample(v.vtype, v.degree() as u64);
-        }
-        for e in graph.edges() {
-            let src_vtype = graph.vertex(e.src).map(|v| v.vtype).unwrap_or(TypeId(0));
-            let dst_vtype = graph.vertex(e.dst).map(|v| v.vtype).unwrap_or(TypeId(0));
-            summary.types.observe_edge(src_vtype, e.etype, dst_vtype);
-            summary.degrees.observe_edge(src_vtype, e.etype, dst_vtype);
-        }
-        if config.track_triads {
-            summary.triads = TriadDistribution::rebuild_exact(graph);
-        }
-        summary.edges_observed = graph.live_edge_count() as u64;
-        summary
+        // Triad counts are not decremented: fed edge by edge they count every
+        // wedge seen so far (see `of` for the live count).
     }
 
     /// Refreshes the degree-sample histograms from the graph's current degrees.
@@ -155,7 +122,9 @@ impl GraphSummary {
         &self.triads
     }
 
-    /// Number of edges fed through `observe_insertion`.
+    /// Edges observed over the summary's lifetime: fed through
+    /// `observe_insertion`, or retained on arrival by the graph it was built
+    /// from.
     pub fn edges_observed(&self) -> u64 {
         self.edges_observed
     }
@@ -206,7 +175,7 @@ impl GraphSummary {
 
     /// Estimated number of wedges (two-edge paths) matching a signature.
     pub fn estimated_wedges(&self, key: &WedgeKey) -> f64 {
-        if self.config.track_triads && self.triads.total_wedges() > 0.0 {
+        if self.triads.total_wedges() > 0.0 {
             self.triads.wedge_count(key).max(0.1)
         } else {
             // Without triad statistics fall back to an independence assumption:
@@ -216,10 +185,10 @@ impl GraphSummary {
     }
 }
 
-impl Default for GraphSummary {
-    fn default() -> Self {
-        Self::new()
-    }
+/// The types of an edge's two endpoints, read while the edge is live.
+fn endpoint_types(graph: &DynamicGraph, edge: &Edge) -> (TypeId, TypeId) {
+    let vtype = |v| graph.vertex(v).map(|v| v.vtype).unwrap_or(TypeId(0));
+    (vtype(edge.src), vtype(edge.dst))
 }
 
 #[cfg(test)]
@@ -253,7 +222,7 @@ mod tests {
             ("a2", "Article", "k1", "Keyword", "mentions", 2),
             ("a1", "Article", "l1", "Location", "located", 3),
         ]);
-        let rebuilt = GraphSummary::rebuild_from(&g, SummaryConfig::full());
+        let rebuilt = GraphSummary::of(&g);
         let article = g.vertex_type_id("Article").unwrap();
         let keyword = g.vertex_type_id("Keyword").unwrap();
         let mentions = g.edge_type_id("mentions").unwrap();
@@ -265,7 +234,8 @@ mod tests {
             s.types().triple_count(article, mentions, keyword),
             rebuilt.types().triple_count(article, mentions, keyword)
         );
-        assert_eq!(s.edges_observed(), 3);
+        assert_eq!((s.edges_observed(), rebuilt.edges_observed()), (3, 3));
+        assert_eq!(s.triads().total_wedges(), rebuilt.triads().total_wedges());
     }
 
     #[test]
@@ -326,13 +296,8 @@ mod tests {
     }
 
     #[test]
-    fn cheap_config_skips_triads() {
-        let mut g = DynamicGraph::unbounded();
-        let mut s = GraphSummary::with_config(SummaryConfig::cheap());
-        let ev = EdgeEvent::new("a", "A", "b", "B", "t", Timestamp::from_secs(1));
-        let r = g.ingest(&ev);
-        let e = g.edge(r.edge).unwrap().clone();
-        s.observe_insertion(&g, &e);
+    fn a_graph_without_wedges_gives_no_wedge_estimate() {
+        let (_, s) = build(&[("a", "A", "b", "B", "t", 1)]);
         assert_eq!(s.triads().total_wedges(), 0.0);
         let key = WedgeKey::new(
             TypeId(0),

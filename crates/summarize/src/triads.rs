@@ -8,12 +8,17 @@
 //! wedge signature, so this distribution directly estimates leaf selectivity.
 //!
 //! The wedge signature of a neighbour depends only on its *type group*, never
-//! on the neighbour's identity, so the streaming update reads the graph's
-//! per-`(direction, type)` live-edge counters instead of scanning the
-//! neighbourhood: one counter increment per distinct incident type group —
-//! `O(#types)` per edge, exact, independent of degree. (Earlier revisions
-//! sampled a capped number of neighbours and scaled; counter-based
-//! maintenance made the sampling machinery unnecessary.)
+//! on the neighbour's identity, so both ways of counting read the graph's
+//! per-`(direction, type)` live-edge counters instead of scanning
+//! neighbourhoods:
+//!
+//! * [`TriadDistribution::of`] counts the **live** wedges of a graph: per
+//!   live vertex, the products of its incident type groups —
+//!   O(live vertices × groups²), independent of degree.
+//! * [`TriadDistribution::observe_edge`] counts **cumulatively**: each
+//!   inserted edge adds the wedges it closes at its two endpoints, O(#types)
+//!   per edge, and nothing is taken away when an edge expires. The two agree
+//!   on a graph from which nothing has expired.
 
 use serde::{Deserialize, Serialize};
 use streamworks_graph::hash::FxHashMap;
@@ -61,42 +66,66 @@ impl WedgeKey {
     }
 }
 
-/// Configuration of the triad counter.
-///
-/// Currently empty: streaming maintenance is exact and O(#types) per edge,
-/// so the former neighbourhood-sampling cap is gone. Kept as a struct so
-/// future options (e.g. per-type filters) remain a non-breaking change.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
-pub struct TriadConfig {}
-
-/// Approximate streaming distribution of typed wedges.
+/// Distribution of typed wedges.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct TriadDistribution {
-    config: TriadConfig,
     counts: FxHashMap<WedgeKey, f64>,
     total: f64,
     updates: u64,
 }
 
 impl TriadDistribution {
-    /// Creates a counter with the default configuration.
+    /// Creates an empty counter.
     pub fn new() -> Self {
-        Self::with_config(TriadConfig::default())
+        Self::default()
     }
 
-    /// Creates a counter with an explicit configuration.
-    pub fn with_config(config: TriadConfig) -> Self {
-        TriadDistribution {
-            config,
-            counts: FxHashMap::default(),
-            total: 0.0,
-            updates: 0,
+    /// The live wedges of `graph`: every pair of distinct live edges that
+    /// share an endpoint, counted at that endpoint (see module docs).
+    pub fn of(graph: &DynamicGraph) -> Self {
+        let mut dist = TriadDistribution::new();
+        let mut groups: Vec<((TypeId, Orientation), f64)> = Vec::new();
+        for v in graph.vertices() {
+            groups.clear();
+            for (dir, orientation) in [
+                (Direction::Out, Orientation::Outgoing),
+                (Direction::In, Orientation::Incoming),
+            ] {
+                let counts = graph.live_type_counts(v.id, dir);
+                groups.extend(counts.map(|(etype, n)| ((etype, orientation), n as f64)));
+            }
+            // Pairs inside one group, then with each later group.
+            for (i, &(leg, n)) in groups.iter().enumerate() {
+                dist.add(WedgeKey::new(v.vtype, leg, leg), n * (n - 1.0) / 2.0);
+                for &(other, m) in &groups[i + 1..] {
+                    dist.add(WedgeKey::new(v.vtype, leg, other), n * m);
+                }
+            }
+        }
+        // A self-loop is one leg out of its vertex and one leg into it: the
+        // products above paired the edge with itself.
+        for e in graph.edges().filter(|e| e.src == e.dst) {
+            if let Some(v) = graph.vertex(e.src) {
+                let (out, inc) = (
+                    (e.etype, Orientation::Outgoing),
+                    (e.etype, Orientation::Incoming),
+                );
+                dist.add(WedgeKey::new(v.vtype, out, inc), -1.0);
+            }
+        }
+        dist.counts.retain(|_, count| *count > 0.0);
+        dist
+    }
+
+    fn add(&mut self, key: WedgeKey, count: f64) {
+        if count != 0.0 {
+            *self.counts.entry(key).or_insert(0.0) += count;
+            self.total += count;
         }
     }
 
     /// Observes a newly inserted edge: every wedge the new edge forms with an
-    /// existing incident edge at either endpoint is counted (possibly scaled,
-    /// see module docs).
+    /// existing incident edge at either endpoint is counted.
     ///
     /// Must be called *after* the edge has been inserted into `graph`.
     pub fn observe_edge(&mut self, graph: &DynamicGraph, edge: &Edge) {
@@ -139,18 +168,17 @@ impl TriadDistribution {
                     continue;
                 }
                 let key = WedgeKey::new(center_vtype, new_leg, (etype, orientation));
-                *self.counts.entry(key).or_insert(0.0) += count as f64;
-                self.total += count as f64;
+                self.add(key, count as f64);
             }
         }
     }
 
-    /// Estimated count of wedges matching a signature.
+    /// Count of wedges matching a signature.
     pub fn wedge_count(&self, key: &WedgeKey) -> f64 {
         self.counts.get(key).copied().unwrap_or(0.0)
     }
 
-    /// Estimated total number of wedges observed.
+    /// Total number of wedges.
     pub fn total_wedges(&self) -> f64 {
         self.total
     }
@@ -165,43 +193,14 @@ impl TriadDistribution {
         }
     }
 
-    /// Number of edge observations processed.
+    /// Number of edges fed through [`Self::observe_edge`].
     pub fn updates(&self) -> u64 {
         self.updates
     }
 
-    /// Iterates non-zero wedge signatures with their estimated counts.
+    /// Iterates non-zero wedge signatures with their counts.
     pub fn wedges(&self) -> impl Iterator<Item = (&WedgeKey, f64)> {
         self.counts.iter().map(|(k, &v)| (k, v))
-    }
-
-    /// Exactly recomputes the distribution from the live edges of `graph`
-    /// (O(sum of squared degrees); used by tests and periodic re-calibration).
-    pub fn rebuild_exact(graph: &DynamicGraph) -> Self {
-        let mut dist = TriadDistribution::new();
-        for v in graph.vertices() {
-            // Collect incident live edges with orientations.
-            let mut legs: Vec<(TypeId, Orientation, u64)> = Vec::new();
-            for e in graph.incident_edges_any_type(v.id, Direction::Out) {
-                legs.push((e.etype, Orientation::Outgoing, e.id.0));
-            }
-            for e in graph.incident_edges_any_type(v.id, Direction::In) {
-                legs.push((e.etype, Orientation::Incoming, e.id.0));
-            }
-            for i in 0..legs.len() {
-                for j in (i + 1)..legs.len() {
-                    // A pair of distinct incident edges forms one wedge.
-                    if legs[i].2 == legs[j].2 {
-                        continue;
-                    }
-                    let key =
-                        WedgeKey::new(v.vtype, (legs[i].0, legs[i].1), (legs[j].0, legs[j].1));
-                    *dist.counts.entry(key).or_insert(0.0) += 1.0;
-                    dist.total += 1.0;
-                }
-            }
-        }
-        dist
     }
 }
 
@@ -211,12 +210,14 @@ mod tests {
     use streamworks_graph::{EdgeEvent, Timestamp};
 
     fn ingest(g: &mut DynamicGraph, src: &str, st: &str, dst: &str, dt: &str, et: &str, t: i64) {
-        let ev = EdgeEvent::new(src, st, dst, dt, et, Timestamp::from_secs(t));
-        let r = g.ingest(&ev);
-        // Mirror what GraphSummary does: observe after insertion.
-        let edge = g.edge(r.edge).unwrap().clone();
-        // Tests call observe explicitly where needed.
-        let _ = edge;
+        g.ingest(&EdgeEvent::new(
+            src,
+            st,
+            dst,
+            dt,
+            et,
+            Timestamp::from_secs(t),
+        ));
     }
 
     #[test]
@@ -250,7 +251,7 @@ mod tests {
             let edge = g.edge(r.edge).unwrap().clone();
             dist.observe_edge(&g, &edge);
         }
-        let exact = TriadDistribution::rebuild_exact(&g);
+        let exact = TriadDistribution::of(&g);
         assert_eq!(dist.total_wedges(), exact.total_wedges());
         for (key, count) in exact.wedges() {
             assert!(
@@ -267,7 +268,7 @@ mod tests {
         ingest(&mut g, "a1", "Article", "k1", "Keyword", "mentions", 1);
         ingest(&mut g, "a2", "Article", "k1", "Keyword", "mentions", 2);
         ingest(&mut g, "a3", "Article", "k1", "Keyword", "mentions", 3);
-        let exact = TriadDistribution::rebuild_exact(&g);
+        let exact = TriadDistribution::of(&g);
         assert_eq!(exact.total_wedges(), 3.0);
         let key = WedgeKey::new(
             g.vertex_type_id("Keyword").unwrap(),
@@ -297,11 +298,36 @@ mod tests {
             let edge = g.edge(r.edge).unwrap().clone();
             dist.observe_edge(&g, &edge);
         }
-        let exact = TriadDistribution::rebuild_exact(&g);
+        let exact = TriadDistribution::of(&g);
         // Exact count is C(100,2) = 4950; streaming must agree exactly.
         assert_eq!(exact.total_wedges(), 4950.0);
         assert_eq!(dist.total_wedges(), exact.total_wedges());
         assert_eq!(dist.updates(), 100);
+    }
+
+    #[test]
+    fn live_counts_follow_expiry_and_skip_a_self_loop_paired_with_itself() {
+        let mut g = DynamicGraph::new(streamworks_graph::GraphConfig::with_retention(
+            streamworks_graph::Duration::from_secs(10),
+        ));
+        ingest(&mut g, "h", "Host", "h", "Host", "link", 0);
+        ingest(&mut g, "h", "Host", "h", "Host", "link", 1);
+        ingest(&mut g, "h", "Host", "x", "Host", "link", 2);
+        let (host, link) = (
+            g.vertex_type_id("Host").unwrap(),
+            g.edge_type_id("link").unwrap(),
+        );
+        let (out, inc) = ((link, Orientation::Outgoing), (link, Orientation::Incoming));
+        // At h: 3 out-legs, 2 in-legs; the two loops are not wedges of themselves.
+        let live = TriadDistribution::of(&g);
+        assert_eq!(live.wedge_count(&WedgeKey::new(host, out, out)), 3.0);
+        assert_eq!(live.wedge_count(&WedgeKey::new(host, inc, inc)), 1.0);
+        assert_eq!(live.wedge_count(&WedgeKey::new(host, out, inc)), 6.0 - 2.0);
+        assert_eq!(live.total_wedges(), 8.0);
+        // Both loops expire: one out-leg left at h, one in-leg at x.
+        ingest(&mut g, "y", "Host", "z", "Host", "link", 12);
+        assert_eq!(TriadDistribution::of(&g).total_wedges(), 0.0);
+        assert_eq!(TriadDistribution::of(&g).wedges().count(), 0);
     }
 
     #[test]

@@ -50,8 +50,13 @@ impl TypeDistribution {
 
     /// Records a newly observed vertex of type `vtype`.
     pub fn observe_vertex(&mut self, vtype: TypeId) {
-        Self::bump(&mut self.vertex_counts, vtype.index(), 1);
-        self.total_vertices += 1;
+        self.observe_vertices(vtype, 1);
+    }
+
+    /// Records `count` newly observed vertices of type `vtype`.
+    pub(crate) fn observe_vertices(&mut self, vtype: TypeId, count: u64) {
+        Self::bump(&mut self.vertex_counts, vtype.index(), count as i64);
+        self.total_vertices += count;
     }
 
     /// Records a newly inserted edge.

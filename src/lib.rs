@@ -153,4 +153,4 @@ pub use streamworks_query::{
     parse_query, parse_rpq, CostBasedOrdered, Planner, Predicate, QueryGraph, QueryGraphBuilder,
     QueryPlan, RpqQuery, TreeShapeKind,
 };
-pub use streamworks_summarize::{GraphSummary, SummaryConfig};
+pub use streamworks_summarize::GraphSummary;

@@ -306,7 +306,8 @@ fn checkpoint_restore_preserves_future_matches_on_a_cyber_stream() {
 /// same index as registering its plans afresh: both lifted tenants and
 /// plain pairs, planned as single-edge leaves and as one whole-tree leaf,
 /// one query paused. The same fixture carries the three removed
-/// worker-thread knobs. (The fixture lives outside `tests/`, and the removed
+/// worker-thread knobs, and the two summary settings removed when the
+/// summary came to be built on read. (The fixture lives outside `tests/`, and the removed
 /// names are spelled in pieces here, so that they stay greppable to zero in
 /// the source tree.)
 #[test]
@@ -320,6 +321,13 @@ fn checkpoints_written_with_the_removed_sharing_knobs_still_load() {
         (["shard", "failure", "policy"].join("_"), "\"FailFast\""),
     ] {
         let entry = format!("\"{key}\":{value}");
+        assert_eq!(json.matches(&entry).count(), 1, "{entry} in the fixture");
+    }
+    let triads = ["track", "triads"].join("_");
+    for entry in [
+        format!("\"{}\":true", ["maintain", "summary"].join("_")),
+        format!("\"summary\":{{\"triads\":{{}},\"{triads}\":true}}"),
+    ] {
         assert_eq!(json.matches(&entry).count(), 1, "{entry} in the fixture");
     }
     let checkpoint = EngineCheckpoint::load(json).expect("unknown config keys are ignored");
