@@ -30,8 +30,6 @@ pub struct EngineConfig {
     /// queries are registered), which is the smallest retention that preserves
     /// correctness.
     pub retention: Option<Duration>,
-    /// How many processed edges between partial-match pruning passes.
-    pub prune_every: u64,
     /// Optional cap on live partial matches per SJ-Tree node per query.
     pub max_matches_per_node: Option<usize>,
     /// Retry schedule applied to failing durable subscriptions (see
@@ -78,7 +76,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             retention: None,
-            prune_every: 256,
             max_matches_per_node: None,
             retry_policy: RetryPolicy::default(),
             telemetry_level: TelemetryLevel::Off,
@@ -101,13 +98,6 @@ impl EngineConfig {
     /// calls this; it is public so checkpoint consumers can validate a
     /// deserialized configuration before trusting it.
     pub fn validate(&self) -> Result<(), String> {
-        if self.prune_every == 0 {
-            return Err(
-                "prune_every must be positive (0 would prune after every edge check and \
-                 never advance the cadence counter)"
-                    .into(),
-            );
-        }
         if self.max_matches_per_node == Some(0) {
             return Err(
                 "max_matches_per_node of 0 would drop every partial match; use None for \
@@ -162,14 +152,13 @@ impl EngineConfig {
 ///
 /// let engine = ContinuousQueryEngine::builder()
 ///     .retention(Duration::from_hours(2))
-///     .prune_every(512)
 ///     .max_matches_per_node(100_000)
 ///     .build()
 ///     .unwrap();
-/// assert_eq!(engine.config().prune_every, 512);
+/// assert_eq!(engine.config().max_matches_per_node, Some(100_000));
 ///
 /// // Invalid settings are rejected at build time.
-/// assert!(ContinuousQueryEngine::builder().prune_every(0).build().is_err());
+/// assert!(ContinuousQueryEngine::builder().max_matches_per_node(0).build().is_err());
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct EngineBuilder {
@@ -202,12 +191,6 @@ impl EngineBuilder {
     /// window (the default).
     pub fn auto_retention(mut self) -> Self {
         self.config.retention = None;
-        self
-    }
-
-    /// Sets how many processed edges pass between partial-match prunes.
-    pub fn prune_every(mut self, edges: u64) -> Self {
-        self.config.prune_every = edges;
         self
     }
 
@@ -275,7 +258,6 @@ mod tests {
     #[test]
     fn default_prunes_with_auto_retention() {
         let c = EngineConfig::default();
-        assert!(c.prune_every > 0);
         assert!(c.retention.is_none());
         assert!(c.validate().is_ok());
     }
@@ -291,14 +273,12 @@ mod tests {
     fn builder_accumulates_settings() {
         let builder = EngineBuilder::new()
             .retention(Duration::from_secs(60))
-            .prune_every(128)
             .max_matches_per_node(1_000);
         let c = builder.config();
         assert_eq!(c.retention, Some(Duration::from_secs(60)));
-        assert_eq!(c.prune_every, 128);
         assert_eq!(c.max_matches_per_node, Some(1_000));
         let engine = builder.build().unwrap();
-        assert_eq!(engine.config().prune_every, 128);
+        assert_eq!(engine.config().max_matches_per_node, Some(1_000));
     }
 
     #[test]
@@ -329,26 +309,31 @@ mod tests {
     #[test]
     fn configs_carrying_the_removed_summary_keys_still_deserialize() {
         // Configs written while the engine maintained its summary per edge
-        // carry the switch and the summary settings; both are ignored. (The
-        // removed names are spelled in pieces so that they stay greppable to
-        // zero.)
-        let (switch, triads) = (
+        // carry the switch and the summary settings, and configs written
+        // while the sweep cadence was a setting carry that; all are ignored.
+        // (The removed names are spelled in pieces so that they stay
+        // greppable to zero.)
+        let (switch, triads, cadence) = (
             ["maintain", "summary"].join("_"),
             ["track", "triads"].join("_"),
+            ["prune", "every"].join("_"),
         );
         let json = serde_json::to_string(&EngineConfig::default()).unwrap();
         let legacy = json.replacen(
             '{',
-            &format!("{{\"{switch}\":true,\"summary\":{{\"triads\":{{}},\"{triads}\":true}},"),
+            &format!(
+                "{{\"{switch}\":true,\"summary\":{{\"triads\":{{}},\"{triads}\":true}},\
+                 \"{cadence}\":256,"
+            ),
             1,
         );
+        assert!(legacy.contains(&cadence));
         let config: EngineConfig = serde_json::from_str(&legacy).unwrap();
         assert_eq!(serde_json::to_string(&config).unwrap(), json);
     }
 
     #[test]
     fn invalid_settings_fail_at_build_time() {
-        assert!(EngineBuilder::new().prune_every(0).build().is_err());
         assert!(EngineBuilder::new()
             .max_matches_per_node(0)
             .build()
@@ -358,12 +343,12 @@ mod tests {
             .build()
             .is_err());
         let err = EngineConfig {
-            prune_every: 0,
+            max_matches_per_node: Some(0),
             ..Default::default()
         }
         .validate()
         .unwrap_err();
-        assert!(err.contains("prune_every"));
+        assert!(err.contains("max_matches_per_node"));
     }
 
     #[test]

@@ -40,6 +40,12 @@ use streamworks_query::{
 };
 use streamworks_summarize::GraphSummary;
 
+/// Events between two sweeps of the join stores. A sweep only reclaims
+/// memory: every matcher hides partial matches behind `now − tW` before it
+/// climbs (`SjTreeMatcher::advance_horizon`), so what the engine emits does
+/// not depend on this value.
+const SWEEP_EVERY: u64 = 256;
+
 /// How a query is executed on the ingest thread: an SJ-Tree matcher, or the
 /// product-graph evaluator of a regular path query.
 // One value per registered query (never mass-allocated), and the common
@@ -301,7 +307,6 @@ pub struct ContinuousQueryEngine {
     /// `subscribe_durable`, `unsubscribe`, `deregister` and checkpoint
     /// restore (`attach_durable`).
     live_durables: usize,
-    edges_since_prune: u64,
     /// Edge events absorbed over the engine's lifetime — the sequence number
     /// telemetry samples and keys its spans by.
     events_ingested: u64,
@@ -334,13 +339,9 @@ impl ContinuousQueryEngine {
         if let Err(msg) = config.validate() {
             panic!("invalid engine configuration: {msg}");
         }
-        let mut graph = DynamicGraph::new(GraphConfig {
+        let graph = DynamicGraph::new(GraphConfig {
             retention: config.retention,
         });
-        // Join stores are pruned every `prune_every` edges: an evicted
-        // vertex's slot changes hands only after a prune has dropped every
-        // partial match that names it.
-        graph.defer_reuse_to_sweeps();
         ContinuousQueryEngine {
             summary: OnceLock::new(),
             graph,
@@ -351,7 +352,6 @@ impl ContinuousQueryEngine {
             delivery_scratch: Vec::new(),
             next_subscription: 0,
             live_durables: 0,
-            edges_since_prune: 0,
             events_ingested: 0,
             events_emitted: 0,
             match_scratch: Vec::new(),
@@ -617,7 +617,7 @@ impl ContinuousQueryEngine {
     }
 
     /// Stops routing events to a query. Its accumulated partial matches stay
-    /// (and keep expiring on the prune cadence); the per-event cost of a
+    /// (and keep being swept on the engine's cadence); the per-event cost of a
     /// paused query is zero because the dispatch table is rebuilt without it.
     /// Pausing an already-paused query is a no-op.
     pub fn pause(&mut self, handle: QueryHandle) -> Result<(), EngineError> {
@@ -1262,10 +1262,8 @@ impl ContinuousQueryEngine {
     /// order. Matches are also fanned out to the per-query subscriptions.
     ///
     /// Batch sources report exactly the same matches as feeding the events
-    /// one at a time; they additionally amortise the per-event overheads (one
-    /// sink and one scratch set for the whole batch) and finish with a single
-    /// partial-match prune covering the trailing sub-interval of the prune
-    /// cadence.
+    /// one at a time; they amortise the per-event overheads (one sink and one
+    /// scratch set for the whole batch).
     ///
     /// # Errors
     ///
@@ -1292,21 +1290,21 @@ impl ContinuousQueryEngine {
         // `Delay` exercises ingest-side latency.
         let _ = crate::failpoint::fire_at("ingest-front", 0);
         self.summary.take();
-        let trailing_prune = batch.is_batch();
         let start_seq = self.events_ingested;
         let mut emitted = 0usize;
-        batch.drive(&mut |ev| emitted += self.process_event_inner(ev, sink));
+        batch.drive(&mut |ev| {
+            emitted += self.process_event_inner(ev, sink);
+            // Every `SWEEP_EVERY` events, one that arrived too late to match
+            // included, expired partial matches are reclaimed.
+            if self.events_ingested.is_multiple_of(SWEEP_EVERY) {
+                self.prune_now();
+            }
+        });
         // The batch-boundary stages below cover the whole call; they are
         // timed when the call's sequence range contains a sampled event, and
         // that event's sequence number keys their spans.
         let batch_sample = (self.telemetry.as_ref())
             .and_then(|t| t.first_sampled(start_seq, self.events_ingested));
-        // Cover the trailing partial prune interval so a sequence of batches
-        // never carries more than `prune_every` edges of stale partials.
-        // (`prune_now` records the expiry-sweep stage itself.)
-        if trailing_prune && self.edges_since_prune > 0 {
-            self.prune_now();
-        }
         // Durable subscribers buffer their matches in per-subscription
         // outboxes during dispatch; the end of the ingest call is the one
         // point where delivery (with retry/backoff) is attempted.
@@ -1398,6 +1396,7 @@ impl ContinuousQueryEngine {
                     unreachable!("RPQs never subscribe to the sharing index")
                 };
                 complete.clear();
+                matcher.advance_horizon(graph.now());
                 self.shared.fan_out(d, &state.observed, |node, m| {
                     matcher.absorb(node, m, &mut complete)
                 });
@@ -1465,24 +1464,15 @@ impl ContinuousQueryEngine {
         }
         self.match_scratch = complete;
         self.events_emitted += emitted as u64;
-
-        // 3. Periodic partial-match pruning. The cadence is preserved even
-        // inside batches: deferring pruning to the batch boundary measurably
-        // *hurts* (unpruned partial matches bloat the sibling collections
-        // every join probes), so batching only amortises the trailing
-        // partial interval, never a full `prune_every` window.
-        self.edges_since_prune += 1;
-        if self.edges_since_prune >= self.config.prune_every {
-            self.prune_now();
-        }
         emitted
     }
 
     /// Prunes expired partial matches in every live matcher and shared
     /// entry immediately (paused queries included — their stale partials
-    /// keep expiring).
+    /// keep expiring). This reclaims memory only: no probe sees an expired
+    /// partial match, swept or not. The engine calls it every 256 events.
     pub fn prune_now(&mut self) {
-        // Prunes are rare (once per `prune_every` edges), so they are timed
+        // Prunes are rare (once per `SWEEP_EVERY` events), so they are timed
         // whenever telemetry is on rather than per-event sampled. No span: a
         // sweep covers a window, not one sampled edge.
         let start = self.telemetry.as_ref().map(|t| t.now_ns());
@@ -1493,8 +1483,6 @@ impl ContinuousQueryEngine {
             }
         }
         self.shared.prune(now);
-        self.graph.mark_swept();
-        self.edges_since_prune = 0;
         if let (Some(t), Some(start)) = (self.telemetry.as_deref_mut(), start) {
             t.observe(Stage::ExpirySweep, t.now_ns().saturating_sub(start));
         }
@@ -1696,10 +1684,7 @@ mod tests {
 
     #[test]
     fn prune_keeps_partial_match_population_bounded() {
-        let mut engine = ContinuousQueryEngine::builder()
-            .prune_every(16)
-            .build()
-            .unwrap();
+        let mut engine = engine();
         let handle = engine
             .register_query_with(
                 common_keyword_query(Duration::from_secs(5)),
@@ -1711,7 +1696,7 @@ mod tests {
             .unwrap();
         // A long stream of articles each mentioning their own keyword: no
         // matches, and partial matches should be pruned as time advances.
-        for i in 0..500 {
+        for i in 0..2_000 {
             engine
                 .ingest(&ev(
                     &format!("a{i}"),
@@ -1725,8 +1710,10 @@ mod tests {
         }
         let metrics = engine.metrics(handle).unwrap();
         assert!(metrics.partial_matches_expired > 0);
+        // At most one sweep interval's filings, one per leaf and event, plus
+        // the window's survivors.
         assert!(
-            metrics.partial_matches_live < 100,
+            metrics.partial_matches_live < 2 * SWEEP_EVERY + 16,
             "live partial matches should stay bounded, got {}",
             metrics.partial_matches_live
         );
@@ -1873,7 +1860,7 @@ mod tests {
     fn invalid_config_panics_in_new() {
         let result = std::panic::catch_unwind(|| {
             ContinuousQueryEngine::new(EngineConfig {
-                prune_every: 0,
+                max_matches_per_node: Some(0),
                 ..Default::default()
             })
         });

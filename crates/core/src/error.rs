@@ -84,8 +84,8 @@ mod tests {
     fn errors_render_their_context() {
         let stale = EngineError::StaleHandle(QueryHandle::new(QueryId(2), 1));
         assert!(stale.to_string().contains("q2@1"));
-        let invalid = EngineError::InvalidConfig("prune_every must be positive".into());
-        assert!(invalid.to_string().contains("prune_every"));
+        let invalid = EngineError::InvalidConfig("retention must be positive".into());
+        assert!(invalid.to_string().contains("retention"));
         let sub = EngineError::UnknownSubscription(SubscriptionId {
             query: QueryId(0),
             token: 4,

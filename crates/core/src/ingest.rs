@@ -8,39 +8,26 @@
 //! bookkeeping path inside [`crate::ContinuousQueryEngine::ingest`] /
 //! [`crate::ContinuousQueryEngine::ingest_with`], which cover the *delivery*
 //! axis (collected vector vs. caller-supplied sink; per-query subscriptions
-//! are fanned out either way).
-//!
-//! Batch sources additionally request a trailing partial-match prune once the
-//! whole batch is absorbed, so a sequence of batches never carries more than
-//! `prune_every` edges of stale partial matches — exactly the behaviour the
-//! old `process_batch*` pair had. A single event reports `is_batch() ==
-//! false` and keeps the cadence-driven pruning of the streaming path.
+//! are fanned out either way). How the events arrive changes nothing but the
+//! per-call overheads: a batch emits exactly what the same events fed one at
+//! a time do, and the engine sweeps its join stores on one cadence either
+//! way.
 
 use streamworks_graph::EdgeEvent;
 
 /// A source of edge events the engine can absorb in one call.
 ///
-/// Implemented for `&EdgeEvent` (single event, streaming semantics), for
-/// `&[EdgeEvent]`, `&Vec<EdgeEvent>` and `&[EdgeEvent; N]` (batch semantics),
-/// and for any iterator of `&EdgeEvent` wrapped in [`EventBatch`].
+/// Implemented for `&EdgeEvent`, for `&[EdgeEvent]`, `&Vec<EdgeEvent>` and
+/// `&[EdgeEvent; N]`, and for any iterator of `&EdgeEvent` wrapped in
+/// [`EventBatch`].
 pub trait Ingest {
     /// Feeds every event to `f`, in arrival order.
     fn drive(self, f: &mut dyn FnMut(&EdgeEvent));
-
-    /// True when the engine should run the trailing partial-match prune once
-    /// the whole source is absorbed (see the module docs).
-    fn is_batch(&self) -> bool {
-        true
-    }
 }
 
 impl Ingest for &EdgeEvent {
     fn drive(self, f: &mut dyn FnMut(&EdgeEvent)) {
         f(self);
-    }
-
-    fn is_batch(&self) -> bool {
-        false
     }
 }
 
@@ -86,28 +73,24 @@ mod tests {
         EdgeEvent::new("a", "A", "b", "B", "rel", Timestamp::from_secs(t))
     }
 
-    fn drain(batch: impl Ingest) -> (Vec<i64>, bool) {
-        let is_batch = batch.is_batch();
+    fn drain(batch: impl Ingest) -> Vec<i64> {
         let mut seen = Vec::new();
         batch.drive(&mut |e| seen.push(e.timestamp.as_micros() / 1_000_000));
-        (seen, is_batch)
+        seen
     }
 
     #[test]
-    fn single_events_stream_without_trailing_prune() {
+    fn a_single_event_is_driven_once() {
         let e = ev(1);
-        assert_eq!(drain(&e), (vec![1], false));
+        assert_eq!(drain(&e), vec![1]);
     }
 
     #[test]
     fn slices_vectors_arrays_and_iterators_are_batches() {
         let events = vec![ev(1), ev(2), ev(3)];
-        assert_eq!(drain(&events), (vec![1, 2, 3], true));
-        assert_eq!(drain(&events[..2]), (vec![1, 2], true));
-        assert_eq!(drain(&[ev(7), ev(8)]), (vec![7, 8], true));
-        assert_eq!(
-            drain(EventBatch(events.iter().rev())),
-            (vec![3, 2, 1], true)
-        );
+        assert_eq!(drain(&events), vec![1, 2, 3]);
+        assert_eq!(drain(&events[..2]), vec![1, 2]);
+        assert_eq!(drain(&[ev(7), ev(8)]), vec![7, 8]);
+        assert_eq!(drain(EventBatch(events.iter().rev())), vec![3, 2, 1]);
     }
 }

@@ -36,6 +36,13 @@
 //!   offer it. Positions are 64-bit (2⁶⁴ filings are out of reach) and only
 //!   ever compared with the ring's front, so a stale link — one the front
 //!   has passed — ends the chain and needs no clean-up.
+//! * **Visibility is a horizon; expiry only reclaims.** The store carries
+//!   a horizon (`SharedJoinStore::set_horizon`; a matcher sets it to
+//!   `now − tW` before every climb), and a chain walk skips a match whose
+//!   `earliest` lies before it just as it skips a tombstone, reading the
+//!   same metadata. A probe therefore never offers a match that can no
+//!   longer fit the window, however long ago the last sweep ran: what a
+//!   store offers does not depend on the sweep cadence.
 //! * Expiry is **exact** and reads **metadata only**: one compare against
 //!   the side's minimum `earliest` decides whether anything can go; if so,
 //!   one sequential pass over the metadata tombstones, counts and
@@ -197,18 +204,19 @@ impl Ring {
         (offset < self.held as u64).then(|| self.slot_at(offset as usize))
     }
 
-    /// The live matches of the chain starting at `newest`, newest first.
+    /// The visible matches of the chain starting at `newest`, newest first.
     #[inline]
-    fn chain(&self, newest: u64) -> impl Iterator<Item = &PartialMatch> {
-        self.walk(newest, |slot| self.meta[slot].back)
+    fn chain(&self, newest: u64, horizon: Timestamp) -> impl Iterator<Item = &PartialMatch> {
+        self.walk(newest, horizon, |slot| self.meta[slot].back)
     }
 
-    /// The live matches met following the links `back` gives per slot from
-    /// `position`.
+    /// The visible matches — live, and not behind `horizon` — met following
+    /// the links `back` gives per slot from `position`.
     #[inline]
     fn walk<'a>(
         &'a self,
         mut position: u64,
+        horizon: Timestamp,
         back: impl Fn(usize) -> u32 + 'a,
     ) -> impl Iterator<Item = &'a PartialMatch> {
         std::iter::from_fn(move || loop {
@@ -217,7 +225,8 @@ impl Ring {
                 0 => NONE,
                 back => position - u64::from(back),
             };
-            if self.meta[slot].edges != DEAD {
+            let meta = &self.meta[slot];
+            if meta.edges != DEAD && meta.earliest >= horizon {
                 return Some(&self.slots[slot]);
             }
         })
@@ -349,6 +358,9 @@ pub struct SharedJoinStore {
     /// position the front has passed, for an empty chain).
     chains: FxHashMap<JoinKey, [u64; 2]>,
     rings: [Ring; 2],
+    /// Matches with `earliest` before it are hidden from every probe, as if
+    /// expired (see [`Self::set_horizon`]).
+    horizon: Timestamp,
     inserted_total: u64,
     expired_total: u64,
     /// Live-match counts by covered edge count (index = `edge_count()`),
@@ -364,6 +376,7 @@ impl SharedJoinStore {
             key_vertices,
             chains: FxHashMap::default(),
             rings: [Ring::new(), Ring::new()],
+            horizon: Timestamp(i64::MIN),
             inserted_total: 0,
             expired_total: 0,
             edge_histogram: Vec::new(),
@@ -444,7 +457,8 @@ impl SharedJoinStore {
     {
         let edge_count = m.edge_count();
         let newest = self.chains.entry(key).or_insert([NONE; 2]);
-        for candidate in self.rings[side.other().index()].chain(newest[side.other().index()]) {
+        let sibling = &self.rings[side.other().index()];
+        for candidate in sibling.chain(newest[side.other().index()], self.horizon) {
             probe(&m, candidate);
         }
         newest[side.index()] = self.rings[side.index()].push(m, newest[side.index()]);
@@ -470,7 +484,7 @@ impl SharedJoinStore {
     ) -> impl Iterator<Item = &'a PartialMatch> {
         let sibling = side.other().index();
         let newest = self.chains.get(key).map_or(NONE, |newest| newest[sibling]);
-        self.rings[sibling].chain(newest)
+        self.rings[sibling].chain(newest, self.horizon)
     }
 
     /// Files `m` under `key` on `side` without probing the sibling side.
@@ -537,7 +551,10 @@ impl SharedJoinStore {
         let at = |v| cut.iter().position(|c| *c == v).expect("a cut vertex");
         let scan_key: JoinKey = scan.vertices.iter().map(|&v| key[at(v)]).collect();
         let newest = scan.newest.get(&scan_key).copied().unwrap_or(NONE);
-        (side, ring.walk(newest, |slot| scan.back[slot]))
+        (
+            side,
+            ring.walk(newest, self.horizon, |slot| scan.back[slot]),
+        )
     }
 
     /// Accounts one more live match covering `edge_count` query edges.
@@ -561,6 +578,17 @@ impl SharedJoinStore {
     /// filing order.
     pub fn iter(&self) -> impl Iterator<Item = &PartialMatch> {
         self.rings.iter().flat_map(Ring::live)
+    }
+
+    /// Hides every match whose earliest edge is older than `horizon` from
+    /// [`Self::probe_then_insert`], [`Self::candidates`] and [`Self::scan`],
+    /// exactly as if it had expired: the chain walk reads the 16-byte
+    /// metadata it already reads, never the payload. Visibility is decided
+    /// here and [`Self::expire_older_than`] only reclaims, so what a probe
+    /// offers does not depend on when the sweeps run. Counts, [`Self::iter`]
+    /// and [`Self::holds`] still see a hidden match until it is swept.
+    pub(crate) fn set_horizon(&mut self, horizon: Timestamp) {
+        self.horizon = horizon;
     }
 
     /// Removes every match whose earliest edge is older than `cutoff` (such
@@ -627,8 +655,9 @@ impl SharedJoinStore {
         }
     }
 
-    /// Drops every stored match.
+    /// Drops every stored match and the horizon.
     pub fn clear(&mut self) {
+        self.horizon = Timestamp(i64::MIN);
         self.chains.clear();
         self.rings.iter_mut().for_each(Ring::clear);
         self.edge_histogram.clear();
@@ -981,7 +1010,7 @@ mod tests {
 
     /// The reference: per side, every match the ring still holds — live, or
     /// a tombstone the front has not passed — in filing order, everything
-    /// answered by a scan. The front and compaction follow the documented
+    /// answered by a scan; a probe sees the live ones not behind the horizon. The front and compaction follow the documented
     /// rules (a sweep runs when the side's `earliest` lower bound is below
     /// the cutoff, passes leading tombstones, and compacts past the factor).
     struct Model {
@@ -989,6 +1018,7 @@ mod tests {
         min_earliest: [Timestamp; 2],
         inserted: u64,
         expired: u64,
+        horizon: Timestamp,
         /// The side threading the scan chain and its vertices.
         scan: (usize, Vec<QueryVertexId>),
     }
@@ -1000,6 +1030,7 @@ mod tests {
                 min_earliest: [Timestamp(i64::MAX); 2],
                 inserted: 0,
                 expired: 0,
+                horizon: Timestamp(i64::MIN),
                 scan,
             }
         }
@@ -1020,13 +1051,17 @@ mod tests {
             });
         }
 
-        /// Live matches of `side` under `key`, newest first.
+        /// Visible matches of `side` under `key`, newest first.
         fn under<'a>(&'a self, side: usize, key: &'a JoinKey) -> Vec<&'a PartialMatch> {
             let filed = self.sides[side].iter().rev();
             filed
-                .filter(|f| f.live && f.key == *key)
+                .filter(|f| self.visible(f) && f.key == *key)
                 .map(|f| &f.pm)
                 .collect()
+        }
+
+        fn visible(&self, f: &Filed) -> bool {
+            f.live && f.pm.earliest >= self.horizon
         }
 
         fn holds(&self, side: usize, key: &JoinKey) -> bool {
@@ -1074,6 +1109,7 @@ mod tests {
         fn clear(&mut self) {
             self.sides = [Vec::new(), Vec::new()];
             self.min_earliest = [Timestamp(i64::MAX); 2];
+            self.horizon = Timestamp(i64::MIN);
         }
 
         fn check(&self, store: &SharedJoinStore) {
@@ -1199,14 +1235,20 @@ mod tests {
                     let wanted = project(&pm);
                     let filed = model.sides[model.scan.0].iter().rev();
                     let expected: Vec<&PartialMatch> = filed
-                        .filter(|f| f.live && project(&f.pm) == wanted)
+                        .filter(|f| model.visible(f) && project(&f.pm) == wanted)
                         .map(|f| &f.pm)
                         .collect();
                     let (side, scanned) = store.scan(&cut, &key);
                     assert_eq!(side, scan_side);
                     assert_eq!(scanned.collect::<Vec<_>>(), expected);
                 }
-                84..=98 => {
+                84..=90 => {
+                    // Around `now - window`, sometimes behind the last one.
+                    let horizon = Timestamp::from_secs(now - rng.below(2 * window) as i64);
+                    store.set_horizon(horizon);
+                    model.horizon = horizon;
+                }
+                91..=98 => {
                     // Around `now - window`, sometimes behind the last cutoff.
                     let cutoff = Timestamp::from_secs(now - rng.below(2 * window) as i64);
                     let removed = model.expire(cutoff);

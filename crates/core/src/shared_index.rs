@@ -538,6 +538,7 @@ impl SharedIndex {
                 continue;
             }
             entry.last_fed = self.events;
+            entry.matcher.advance_horizon(graph.now());
             entry.results.clear();
             entry.result_consts.clear();
             entry.result_hashes.clear();

@@ -31,10 +31,12 @@
 //! never built: the check runs before the merge at V's store. The first S
 //! match under a cold X tombstones what V's side still holds under X and is
 //! filed; at the end of `absorb` (V's store may lie below the climb's split)
-//! every live V match under X is rebuilt from V's children, through a second
-//! chain keyed on P's cut, and filed with a probe of S. **Invariant:** while
-//! X is hot, V's side holds every live V match under X; while X is cold no S
-//! partner is live, so a dropped V match loses nothing. Each embedding still
+//! every visible V match under X is rebuilt from V's children, through a
+//! second chain keyed on P's cut, and filed with a probe of S. (Visible:
+//! live and not behind the stores' horizon, `now − tW`; a V match built from
+//! a hidden child would be hidden too.) **Invariant:** while X is hot, V's
+//! side holds every visible V match under X; while X is cold no S partner
+//! is live, so a dropped V match loses nothing. Each embedding still
 //! completes once, at its latest edge: the S or V match arriving last meets
 //! the other filed or rebuilt, never both, and a climb that reaches S never
 //! enters V's subtree, so the rebuild reads V's store as it was.
@@ -425,12 +427,26 @@ impl SjTreeMatcher {
         }
     }
 
-    /// Removes every partial match whose earliest edge is older than
-    /// `now - tW`: such matches can never be completed within the window.
-    /// Exact on every node — the shared stores' sweep visits every held
-    /// match, so none is retained behind an in-window head — and no
-    /// surviving match is moved.
+    /// Hides every partial match whose earliest edge is older than
+    /// `now - tW` from every later probe, in every store (see
+    /// [`SharedJoinStore::set_horizon`]): such matches can never be
+    /// completed within the window. The engine calls this before each climb
+    /// it feeds, so what a climb joins does not depend on when the stores
+    /// were last swept.
+    pub(crate) fn advance_horizon(&mut self, now: Timestamp) {
+        let horizon = now.minus(self.window());
+        for store in self.stores.iter_mut().flatten() {
+            store.set_horizon(horizon);
+        }
+    }
+
+    /// Advances the horizon to `now - tW`, hiding every older partial match
+    /// from later probes as the engine does before each climb, and removes
+    /// every partial match behind it. Exact on every node — the
+    /// shared stores' sweep visits every held match, so none is retained
+    /// behind an in-window head — and no surviving match is moved.
     pub fn prune(&mut self, now: Timestamp) {
+        self.advance_horizon(now);
         let cutoff = now.minus(self.window());
         let mut removed = 0usize;
         for store in self.stores.iter_mut().flatten() {

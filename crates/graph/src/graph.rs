@@ -81,10 +81,12 @@ const PARKED: VertexId = VertexId(u32::MAX);
 /// two are more than `quarantine ≥ tW` apart: a join of stale and new state
 /// fails the window check, and the RPQ matcher, which prunes entries older
 /// than its window before every edge, has dropped the stale nodes before the
-/// new vertex's first edge reaches it. A caller that sweeps its matcher
-/// state on a cadence ([`DynamicGraph::defer_reuse_to_sweeps`]) also keeps
-/// stale state from being *looked at* under the new vertex: the slot changes
-/// hands only after a sweep that ran past the quarantine.
+/// new vertex's first edge reaches it. Nor is stale state *looked at* under
+/// the new vertex by a matcher that hides everything older than `now − tW`
+/// before each probe, as the join stores of `streamworks-core` do, however
+/// rarely it sweeps: a stale partial match has `earliest ≤ evicted_at −
+/// retention`, and the slot changes hands only at `now > evicted_at +
+/// quarantine`, so `earliest < now − quarantine ≤ now − tW`.
 #[derive(Debug, Clone)]
 pub struct DynamicGraph {
     config: GraphConfig,
@@ -105,9 +107,6 @@ pub struct DynamicGraph {
     evictions: Vec<u32>,
     /// How long a parked slot waits before another key gets it (type docs).
     quarantine: Duration,
-    /// Stream time of the caller's last sweep, when reuse waits for sweeps
-    /// (see [`Self::defer_reuse_to_sweeps`]).
-    swept: Option<Timestamp>,
     /// Vertices not parked.
     live_vertices: usize,
     edges: EdgeLog,
@@ -144,7 +143,6 @@ impl DynamicGraph {
             parked: VecDeque::new(),
             evictions: Vec::new(),
             quarantine: config.retention.unwrap_or(Duration::ZERO),
-            swept: None,
             live_vertices: 0,
             edges: EdgeLog::new(),
             now: Timestamp(i64::MIN),
@@ -309,7 +307,7 @@ impl DynamicGraph {
     /// The oldest parked slot, if it may go to another key (type docs),
     /// with its old key dropped from the index.
     fn take_parked(&mut self) -> Option<VertexId> {
-        let horizon = self.swept.unwrap_or(self.now).minus(self.quarantine);
+        let horizon = self.now.minus(self.quarantine);
         while let Some(&(at, v, n)) = self.parked.front() {
             let vx = &self.vertices[v.index()];
             if vx.id == PARKED && self.evictions[v.index()] == n {
@@ -332,26 +330,6 @@ impl DynamicGraph {
     /// retention may be shorter than one. The quarantine never shrinks.
     pub fn reserve_ids_for(&mut self, window: Duration) {
         self.quarantine = self.quarantine.max(window);
-    }
-
-    /// Makes a parked slot wait, beyond the quarantine, for a sweep: from
-    /// now on a slot goes to another key only once [`Self::mark_swept`] has
-    /// been called at a stream time more than the quarantine past the
-    /// slot's eviction. For a caller that prunes matcher state on a
-    /// cadence rather than before every edge: no state that names an
-    /// evicted vertex is left, not even unreachable, when its slot changes
-    /// hands.
-    pub fn defer_reuse_to_sweeps(&mut self) {
-        self.swept.get_or_insert(Timestamp(i64::MIN));
-    }
-
-    /// Records that the caller has dropped every piece of matcher state
-    /// older than its windows as of the current stream time (see
-    /// [`Self::defer_reuse_to_sweeps`]).
-    pub fn mark_swept(&mut self) {
-        if self.swept.is_some() {
-            self.swept = Some(self.now);
-        }
     }
 
     /// Sets an attribute on an existing vertex.

@@ -15,9 +15,8 @@ use streamworks::{CallbackSink, ContinuousQueryEngine, EdgeEvent, Timestamp};
 fn main() {
     // 1. Build the engine. The builder validates every setting up front; the
     //    defaults maintain graph statistics (used for query planning) and
-    //    prune stale partial matches automatically.
+    //    drop stale partial matches automatically.
     let mut engine = ContinuousQueryEngine::builder()
-        .prune_every(256)
         .build()
         .expect("valid configuration");
 

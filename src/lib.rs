@@ -36,10 +36,7 @@
 //! ```
 //! use streamworks::{ContinuousQueryEngine, CountingSink, EdgeEvent, Timestamp};
 //!
-//! let mut engine = ContinuousQueryEngine::builder()
-//!     .prune_every(512)
-//!     .build()
-//!     .unwrap();
+//! let mut engine = ContinuousQueryEngine::builder().build().unwrap();
 //!
 //! let pairs = engine.register_dsl(
 //!     "QUERY pair WINDOW 1h \

@@ -234,10 +234,7 @@ fn engine_sustains_multi_query_load_with_bounded_state() {
     })
     .generate();
 
-    let mut engine = ContinuousQueryEngine::new(EngineConfig {
-        prune_every: 64,
-        ..Default::default()
-    });
+    let mut engine = ContinuousQueryEngine::new(EngineConfig::default());
     let ids = vec![
         engine
             .register_query(smurf_ddos_query(4, Duration::from_mins(2)))

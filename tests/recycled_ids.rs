@@ -8,16 +8,19 @@
 //! across a restore. These streams send keys quiet and bring them back right
 //! after the quarantine ends, half of them under another type label, with
 //! fresh keys, late edges stamped just inside the horizon, and self-loops,
-//! and hold the engine to references built on keys, never on ids:
+//! and hold the engine to references built on keys, never on ids. The
+//! registry has joins on the article and on the keyword, second tenants fed
+//! by entries of the sharing index (one with join stores of its own) and a
+//! three-leaf plan with a lazy join side:
 //!
 //! * every subgraph match is **sound**: each data edge it names — found by
 //!   its timestamp, unique per event — joins the keys its bindings report,
 //!   and carries the query edge's label and endpoint types;
 //! * the subgraph matches equal the repeated-search reference
-//!   (`common/repeated_search.rs`) under per-event pruning. Pruning every
-//!   10 000 events, the engine may also complete a late edge with a stored
-//!   partial match whose edges have left the graph; every match beyond the
-//!   reference must name such an edge;
+//!   (`common/repeated_search.rs`) **exactly**, whether the engine sweeps
+//!   its join stores after every event or on its own cadence, and none
+//!   names an edge behind `now − window`: a late edge never completes with
+//!   a stored partial match whose edges have left the window;
 //! * the RPQ's emissions equal the brute-force path oracle
 //!   (`common/rpq_oracle.rs`) event by event, each with a valid witness;
 //! * pause/resume and a checkpoint→restore taken while slots are parked keep
@@ -27,10 +30,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, HashMap};
 use streamworks::engine::EngineCheckpoint;
-use streamworks::query::{ManualDecomposition, QueryEdgeId};
+use streamworks::query::ManualDecomposition;
 use streamworks::{
     parse_rpq, ContinuousQueryEngine, Duration, EdgeEvent, EngineConfig, MatchEvent, Planner,
-    QueryGraph, QueryGraphBuilder, QueryHandle, RpqQuery, Timestamp,
+    QueryGraph, QueryGraphBuilder, QueryHandle, RpqQuery, Timestamp, TreeShapeKind,
 };
 
 #[path = "common/repeated_search.rs"]
@@ -149,9 +152,9 @@ fn wedge() -> QueryGraph {
         .unwrap()
 }
 
-/// Join on the hub: two articles must stay two distinct vertices.
-fn pair() -> QueryGraph {
-    QueryGraphBuilder::new("pair")
+/// Join on the keyword: two articles must stay two distinct vertices.
+fn pair(name: &str) -> QueryGraph {
+    QueryGraphBuilder::new(name)
         .window(Duration::from_secs(WINDOW))
         .vertex("a1", "A")
         .vertex("a2", "A")
@@ -162,6 +165,42 @@ fn pair() -> QueryGraph {
         .unwrap()
 }
 
+/// Two articles on one keyword, one of them located: the `join_hot` shape.
+fn hot_wedge(name: &str, window: i64) -> QueryGraph {
+    QueryGraphBuilder::new(name)
+        .window(Duration::from_secs(window))
+        .vertex("a1", "A")
+        .vertex("a2", "A")
+        .vertex("k", "K")
+        .vertex("l", "L")
+        .edge("a1", "rel", "k")
+        .edge("a2", "rel", "k")
+        .edge("a1", "loc", "l")
+        .build()
+        .unwrap()
+}
+
+/// Every subgraph query of the suite, in registration order.
+///
+/// * The second [`pair`] tenant is fed at its root by an entry of the
+///   sharing index holding the whole pattern.
+/// * `hot_wedge`, planned `((rel ⋈ rel) ⋈ loc)` like every query here, has
+///   a lazy inner join. A node the sharing index feeds is never lazy, and
+///   under the common window that join would be fed by the pair entry: so
+///   its window is a second shorter, which keeps the late edges inside it.
+/// * The second `located` tenant is fed at its root by an entry with join
+///   stores of its own.
+fn queries() -> Vec<QueryGraph> {
+    vec![
+        wedge(),
+        pair("pair"),
+        pair("pair_too"),
+        hot_wedge("hot_wedge", WINDOW - 1),
+        hot_wedge("located", WINDOW),
+        hot_wedge("located_too", WINDOW),
+    ]
+}
+
 fn rpq() -> RpqQuery {
     parse_rpq(&format!("RPQ reach WINDOW {WINDOW}s PATH link+")).unwrap()
 }
@@ -170,28 +209,38 @@ struct Run {
     engine: ContinuousQueryEngine,
     queries: Vec<(QueryHandle, QueryGraph)>,
     rpq: QueryHandle,
+    /// Sweep the join stores after every event (`prune_now`), on top of
+    /// the engine's own cadence.
+    sweep_each_event: bool,
 }
 
-/// An engine running both subgraph queries, each on single-edge leaves (so
-/// every edge files a partial match), and the RPQ.
-fn run(prune_every: u64) -> Run {
-    let mut engine = ContinuousQueryEngine::new(EngineConfig {
-        prune_every,
-        ..EngineConfig::default()
-    });
-    let queries = [wedge(), pair()]
+/// A default engine running every subgraph query on single-edge leaves (so
+/// every edge files a partial match), left-deep, and the RPQ.
+fn run(sweep_each_event: bool) -> Run {
+    let mut engine = ContinuousQueryEngine::new(EngineConfig::default());
+    let queries = queries()
         .into_iter()
         .map(|q| {
-            let leaves = ManualDecomposition::new(vec![vec![QueryEdgeId(0)], vec![QueryEdgeId(1)]]);
-            let plan = Planner::new().plan_with(q.clone(), &leaves).unwrap();
+            let leaves = q.edge_ids().map(|e| vec![e]).collect();
+            let plan = Planner::new()
+                .tree_kind(TreeShapeKind::LeftDeep)
+                .plan_with(q.clone(), &ManualDecomposition::new(leaves))
+                .unwrap();
             (engine.register_plan(plan), q)
         })
         .collect();
     let rpq = engine.register_rpq(rpq());
+    let shared = engine.engine_metrics();
+    assert_eq!(
+        (shared.distinct_subtrees, shared.subscribed_subtrees),
+        (1, 1),
+        "`located_too` is fed by an entry with join stores"
+    );
     Run {
         engine,
         queries,
         rpq,
+        sweep_each_event,
     }
 }
 
@@ -224,7 +273,7 @@ fn sound(
         assert_eq!(Some(&ev.dst_type), dst.vtype.as_ref(), "event #{i}");
         found.push(i as u64);
     }
-    assert!(m.span < Duration::from_secs(WINDOW), "{m:?}");
+    assert!(m.span < query.window(), "{m:?}");
     (query.name().to_owned(), found)
 }
 
@@ -251,9 +300,12 @@ fn feed(
     for (i, ev) in events.iter().enumerate().skip(from) {
         let at = now.map_or(ev.timestamp, |n| n.max(ev.timestamp));
         now = Some(at);
-        let horizon = at.minus(Duration::from_secs(WINDOW));
         let mut paths = Vec::new();
-        for m in run.engine.ingest(ev).unwrap() {
+        let emitted = run.engine.ingest(ev).unwrap();
+        if run.sweep_each_event {
+            run.engine.prune_now();
+        }
+        for m in emitted {
             if m.handle() == run.rpq {
                 assert_valid_witness(&run.engine, oracle, &m, at);
                 paths.push(pair_of(&m));
@@ -263,6 +315,7 @@ fn feed(
                 .find(|(h, _)| *h == m.handle())
                 .expect("a registered query");
             let found = sound(events, index, query, &m);
+            let horizon = at.minus(query.window());
             if found
                 .1
                 .iter()
@@ -280,14 +333,17 @@ fn feed(
 /// The reference matches over `events`, as event indices: the
 /// repeated-search baseline on the short streams. On the long ones it would
 /// search a live graph of thousands of edges after every event, so there the
-/// reference is an engine pruned after every event, which
+/// reference is an engine swept after every event, which
 /// `per_event_pruning_matches_the_references_exactly` holds equal to the
 /// baseline (and which is checked sound and against the RPQ oracle here too).
 fn reference(events: &[EdgeEvent]) -> BTreeMap<Found, usize> {
     if events.len() < 5_000 {
-        return repeated_search::multiset(&[wedge(), pair()], events);
+        // One graph per query, retaining that query's window: the baseline
+        // then sees no edge behind `now − window` either.
+        let one = |q: &QueryGraph| repeated_search::multiset(std::slice::from_ref(q), events);
+        return queries().iter().flat_map(one).collect();
     }
-    let mut exact = run(1);
+    let mut exact = run(true);
     let mut got = Emitted::default();
     feed(
         &mut exact,
@@ -301,27 +357,23 @@ fn reference(events: &[EdgeEvent]) -> BTreeMap<Found, usize> {
     got.all
 }
 
-/// Equal to the reference, except that lazily pruned runs may add matches
-/// that name an edge behind the horizon.
-fn assert_matches_reference(got: &Emitted, want: &BTreeMap<Found, usize>, exact: bool) {
+/// Equal to the reference, each match as often, and none naming an edge
+/// behind the horizon at emission.
+fn assert_matches_reference(got: &Emitted, want: &BTreeMap<Found, usize>) {
     for (found, n) in want {
         assert_eq!(got.all.get(found), Some(n), "reference match {found:?}");
     }
     let extra: Vec<&Found> = got.all.keys().filter(|f| !want.contains_key(*f)).collect();
-    if exact {
-        assert!(extra.is_empty(), "beyond the reference: {extra:?}");
-        assert!(got.stale.is_empty());
-    } else {
-        for found in extra {
-            assert!(got.stale.contains(found), "beyond the reference: {found:?}");
-        }
-    }
+    assert!(extra.is_empty(), "beyond the reference: {extra:?}");
+    assert!(got.stale.is_empty(), "behind the horizon: {:?}", got.stale);
 }
 
-/// Stream length and churn for a prune cadence: a lazily pruned engine
-/// hands slots over only after a prune, so its streams run through several.
-fn shape(prune_every: u64) -> (i64, usize) {
-    if prune_every == 1 {
+/// Stream length and churn: short streams for the engine swept after every
+/// event, held to the repeated-search baseline; long ones, with more slots
+/// changing hands between two sweeps, for the engine on its own cadence,
+/// held to the engine swept after every event.
+fn shape(sweep_each_event: bool) -> (i64, usize) {
+    if sweep_each_event {
         (240, 4)
     } else {
         (400, 100)
@@ -336,12 +388,23 @@ fn assert_recycles(run: &Run) {
     );
 }
 
+/// The lazy side of the hot wedge was used: keys turned hot and cold keys
+/// skipped merges.
+fn assert_lazy_side_ran(run: &Run) {
+    let (handle, _) = (run.queries.iter())
+        .find(|(_, q)| q.name() == "hot_wedge")
+        .expect("the hot wedge is registered");
+    let m = run.engine.metrics(*handle).unwrap();
+    assert!(m.lazy_materialisations > 0, "{m:?}");
+    assert!(m.merges_skipped_cold > 0, "{m:?}");
+}
+
 #[test]
 fn per_event_pruning_matches_the_references_exactly() {
     for seed in 1..=3 {
-        let (seconds, churn) = shape(1);
+        let (seconds, churn) = shape(true);
         let events = stream(seed, seconds, churn);
-        let mut run = run(1);
+        let mut run = run(true);
         let mut oracle = Oracle::new(&rpq());
         let mut got = Emitted::default();
         feed(&mut run, &mut oracle, &events, 0, &|e| e as usize, &mut got);
@@ -350,34 +413,36 @@ fn per_event_pruning_matches_the_references_exactly() {
             "seed {seed}: {} matches",
             got.all.len()
         );
-        assert_matches_reference(&got, &reference(&events), true);
+        assert_matches_reference(&got, &reference(&events));
         assert_recycles(&run);
+        assert_lazy_side_ran(&run);
     }
 }
 
+/// The engine on its own sweep cadence, on a long stream, is exact against
+/// the engine swept after every event: between two sweeps, expired partial
+/// matches stay in the stores but no probe sees them. A copy whose chain walk
+/// ignores the horizon fails this test and the two below.
 #[test]
 fn lazy_pruning_keeps_every_match_sound() {
     let seed = 4;
-    let (seconds, churn) = shape(10_000);
+    let (seconds, churn) = shape(false);
     let events = stream(seed, seconds, churn);
-    let mut run = run(10_000);
+    let mut run = run(false);
     let mut oracle = Oracle::new(&rpq());
     let mut got = Emitted::default();
     feed(&mut run, &mut oracle, &events, 0, &|e| e as usize, &mut got);
-    assert_matches_reference(&got, &reference(&events), false);
-    assert!(
-        !got.stale.is_empty(),
-        "seed {seed}: no late edge met a stored partial"
-    );
+    assert_matches_reference(&got, &reference(&events));
     assert_recycles(&run);
+    assert_lazy_side_ran(&run);
 }
 
 #[test]
 fn a_query_paused_across_a_quarantine_resumes_sound() {
-    for (seed, prune_every) in [(7, 1), (8, 10_000)] {
-        let (seconds, churn) = shape(prune_every);
+    for (seed, sweep_each_event) in [(7, true), (8, false)] {
+        let (seconds, churn) = shape(sweep_each_event);
         let events = stream(seed, seconds, churn);
-        let mut run = run(prune_every);
+        let mut run = run(sweep_each_event);
         let mut oracle = Oracle::new(&rpq());
         let mut got = Emitted::default();
         // Pause the subgraph queries for three windows — their stores keep
@@ -421,18 +486,18 @@ fn a_query_paused_across_a_quarantine_resumes_sound() {
             .filter(|(f, _)| seen(f))
             .collect();
         assert!(want.len() > 50, "seed {seed}: {} matches", want.len());
-        assert_matches_reference(&got, &want, prune_every == 1);
+        assert_matches_reference(&got, &want);
         assert_recycles(&run);
     }
 }
 
 #[test]
 fn a_restore_during_a_quarantine_emits_what_the_original_does() {
-    for (seed, prune_every) in [(9, 1), (10, 10_000)] {
-        let (seconds, churn) = shape(prune_every);
+    for (seed, sweep_each_event) in [(9, true), (10, false)] {
+        let (seconds, churn) = shape(sweep_each_event);
         let events = stream(seed, seconds, churn);
         let cut = events.len() / 2;
-        let mut original = run(prune_every);
+        let mut original = run(sweep_each_event);
         let mut oracle = Oracle::new(&rpq());
         let mut before = Emitted::default();
         feed(
@@ -455,6 +520,7 @@ fn a_restore_during_a_quarantine_emits_what_the_original_does() {
             engine: checkpoint.restore(),
             queries: original.queries.clone(),
             rpq: original.rpq,
+            sweep_each_event,
         };
         let mut restored_oracle = Oracle::new(&rpq());
         let mut after = Emitted::default();
@@ -502,14 +568,15 @@ fn a_restore_during_a_quarantine_emits_what_the_original_does() {
             "seed {seed}: {} matches",
             after.all.len()
         );
-        // A restore replays the retained edges only, and prunes on its own
-        // cadence: lazily pruned, either side may complete a late edge with
-        // a partial match of edges already gone that the other has dropped.
-        let want: BTreeMap<Found, usize> = (after.all.iter())
-            .filter(|(f, _)| !after.stale.contains(f))
-            .map(|(f, n)| (f.clone(), *n))
-            .collect();
-        assert_matches_reference(&resumed, &want, prune_every == 1);
+        // A restore replays the retained edges only, and sweeps on its own
+        // cadence; neither changes what either engine emits.
+        let mut whole = before;
+        for (found, n) in &after.all {
+            *whole.all.entry(found.clone()).or_insert(0) += n;
+        }
+        whole.stale.extend(after.stale.iter().cloned());
+        assert_matches_reference(&whole, &reference(&events));
+        assert_matches_reference(&resumed, &after.all);
         assert_recycles(&restored);
     }
 }

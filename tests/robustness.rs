@@ -168,10 +168,7 @@ fn out_of_order_timestamps_do_not_panic_and_respect_the_window() {
 
 #[test]
 fn clock_jumps_forward_expire_state_without_panicking() {
-    let mut engine = ContinuousQueryEngine::new(EngineConfig {
-        prune_every: 4,
-        ..EngineConfig::default()
-    });
+    let mut engine = ContinuousQueryEngine::new(EngineConfig::default());
     // Single-edge primitives so per-edge partial matches are actually stored.
     let id = engine
         .register_query_with(
@@ -327,6 +324,7 @@ fn checkpoints_written_with_the_removed_sharing_knobs_still_load() {
     for entry in [
         format!("\"{}\":true", ["maintain", "summary"].join("_")),
         format!("\"summary\":{{\"triads\":{{}},\"{triads}\":true}}"),
+        format!("\"{}\":256", ["prune", "every"].join("_")),
     ] {
         assert_eq!(json.matches(&entry).count(), 1, "{entry} in the fixture");
     }

@@ -12,8 +12,8 @@ use std::collections::BTreeMap;
 use streamworks::workloads::queries::labelled_news_query;
 use streamworks::workloads::{NewsConfig, NewsStreamGenerator};
 use streamworks::{
-    BufferingSink, ContinuousQueryEngine, Duration, EdgeEvent, EngineConfig, MatchEvent,
-    QueryGraph, QueryHandle, Timestamp,
+    BufferingSink, ContinuousQueryEngine, Duration, EdgeEvent, MatchEvent, QueryGraph, QueryHandle,
+    Timestamp,
 };
 
 /// Canonical multiset of matches: how often each (query name, data-edge
@@ -75,9 +75,9 @@ fn invariance_holds_across_batch_granularities() {
     }
 }
 
-/// With `prune_every` or more events in one `ingest` call, the cadence prune
-/// runs in the middle of the call. A prune that swept partials a later event
-/// of the same call still had to join would lose that match. The hot wedge
+/// With 256 or more events in one `ingest` call, the engine's sweep of its
+/// join stores runs in the middle of the call. A sweep that dropped partials
+/// a later event of the same call still had to join would lose that match. The hot wedge
 /// keeps a steadily expiring window full of joinable partials, which is what
 /// it takes to expose such a loss; calls of one event are the reference.
 #[test]
@@ -121,7 +121,8 @@ fn mid_call_prunes_lose_no_sharded_matches() {
         })
         .collect();
 
-    let prune_every = EngineConfig::default().prune_every as usize;
+    // The engine sweeps every 256 events.
+    let sweep_every = 256;
     let run = |batch: usize| {
         let mut engine = ContinuousQueryEngine::builder().build().unwrap();
         engine.register_plan(plan.clone());
@@ -133,7 +134,7 @@ fn mid_call_prunes_lose_no_sharded_matches() {
     };
     let expected = run(1);
     assert!(expected.len() > events.len(), "the wedge must run hot");
-    for batch in [prune_every, 2 * prune_every + 1, events.len()] {
+    for batch in [sweep_every, 2 * sweep_every + 1, events.len()] {
         let got = run(batch);
         assert_eq!(got.len(), expected.len(), "batch={batch}: distinct matches");
         assert!(got == expected, "batch={batch}");

@@ -39,10 +39,9 @@ use streamworks::{
 /// A graph driven as the engine drives its own, and the summary the engine
 /// used to feed from it.
 ///
-/// The engine under test runs at `prune_every(1)` with an explicit
-/// retention: it sweeps after every retained edge, so a graph that defers
-/// slot reuse to sweeps and marks one after every retained edge hands out
-/// the same slots, and reports the same `IngestResult`s.
+/// The engine under test runs with an explicit retention, so a graph given
+/// that retention and the query's window hands out the same slots, and
+/// reports the same `IngestResult`s.
 struct HandFed {
     graph: DynamicGraph,
     summary: GraphSummary,
@@ -69,7 +68,6 @@ struct Cases {
 impl HandFed {
     fn new(retention: Duration, window: Duration) -> Self {
         let mut graph = DynamicGraph::new(GraphConfig::with_retention(retention));
-        graph.defer_reuse_to_sweeps();
         graph.reserve_ids_for(window);
         HandFed {
             graph,
@@ -118,7 +116,6 @@ impl HandFed {
         self.summary.observe_insertion(&self.graph, edge);
         let types = (vtype(edge.src), edge.etype, vtype(edge.dst));
         self.live.insert((edge.timestamp, edge.id), types);
-        self.graph.mark_swept();
     }
 }
 
@@ -234,7 +231,6 @@ fn run(
     let window = query.window();
     let mut engine = ContinuousQueryEngine::builder()
         .retention(retention)
-        .prune_every(1)
         .build()
         .unwrap();
     engine.register_query(query).unwrap();
