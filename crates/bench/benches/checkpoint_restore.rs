@@ -46,7 +46,7 @@ fn bench_checkpoint(c: &mut Criterion) {
     });
     group.bench_function("restore_replay", |b| {
         b.iter(|| {
-            let restored = EngineCheckpoint::from_json(&json).unwrap().restore();
+            let restored = EngineCheckpoint::load(&json).unwrap().restore();
             restored.graph().live_edge_count()
         })
     });

@@ -59,10 +59,7 @@ fn bench_plans(c: &mut Criterion) {
             .unwrap();
         group.bench_with_input(BenchmarkId::new("plan", name), &plan, |b, plan| {
             b.iter(|| {
-                let mut engine = ContinuousQueryEngine::new(EngineConfig {
-                    max_matches_per_node: Some(1_000_000),
-                    ..Default::default()
-                });
+                let mut engine = ContinuousQueryEngine::new(EngineConfig::default());
                 let id = engine.register_plan(plan.clone());
                 for ev in &workload.events {
                     engine.ingest(ev).unwrap();

@@ -67,10 +67,7 @@ fn main() {
     let phase1 = phase(11, articles);
     let phase2 = phase(12, articles);
     let query = news_triple_query(Duration::from_mins(30));
-    let config = EngineConfig {
-        max_matches_per_node: Some(1_000_000),
-        ..EngineConfig::default()
-    };
+    let config = EngineConfig::default();
 
     println!(
         "# E14: adaptive re-planning (news triple query, 2 phases x {} articles)",

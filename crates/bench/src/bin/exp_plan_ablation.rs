@@ -64,12 +64,7 @@ fn ablate(
         let estimator = SelectivityEstimator::with_summary(warm.summary(), warm.graph());
         let predicted =
             estimate_shape_cost(&plan.query, &estimator, &plan.shape).stored_partial_matches;
-        // A generous per-node cap keeps pathological (frequency-blind) plans
-        // finite; hitting it shows up in the partial_inserted column.
-        let mut engine = ContinuousQueryEngine::new(EngineConfig {
-            max_matches_per_node: Some(1_000_000),
-            ..Default::default()
-        });
+        let mut engine = ContinuousQueryEngine::new(EngineConfig::default());
         let id = engine.register_plan(plan);
         let run = measure(events.len(), || {
             let mut matches = 0u64;

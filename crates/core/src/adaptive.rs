@@ -112,7 +112,7 @@ impl StatSnapshot {
         StatSnapshot {
             triples,
             total,
-            edges_observed: engine.summary().edges_observed(),
+            edges_observed: engine.graph().retained_edge_count(),
         }
     }
 
@@ -213,9 +213,11 @@ impl AdaptiveReplanner {
         handle: QueryHandle,
     ) -> Option<ReplanDecision> {
         let baseline = self.baselines.get(&handle)?;
+        // The graph's own counter, which the summary's `edges_observed`
+        // copies: the gate builds no summary.
         let observed_since = engine
-            .summary()
-            .edges_observed()
+            .graph()
+            .retained_edge_count()
             .saturating_sub(baseline.edges_observed);
         if observed_since < self.config.min_edges_between_replans {
             return None;

@@ -391,16 +391,10 @@ impl EngineCheckpoint {
     }
 
     /// Parses a checkpoint from JSON produced by [`EngineCheckpoint::to_json`].
-    pub fn from_json(json: &str) -> serde_json::Result<EngineCheckpoint> {
-        serde_json::from_str(json)
-    }
-
-    /// Like [`EngineCheckpoint::from_json`], but maps parse failures —
-    /// truncated files from an interrupted write, corrupted bytes — to
-    /// [`crate::EngineError::CorruptCheckpoint`] carrying the byte offset
-    /// where parsing stopped. This is the recommended load path for
-    /// checkpoints read back from storage: it never panics, and the offset
-    /// pinpoints how much of the file survived.
+    /// Parse failures — truncated files from an interrupted write,
+    /// corrupted bytes — map to [`crate::EngineError::CorruptCheckpoint`]
+    /// carrying the byte offset where parsing stopped: loading never
+    /// panics, and the offset pinpoints how much of the file survived.
     ///
     /// A document that parses but carries an SJ-Tree shape no planner could
     /// have built (`SjTreeShape::validate` — the join climb indexes its
@@ -409,8 +403,8 @@ impl EngineCheckpoint {
     /// matching the empty path), is rejected the same way, without an
     /// offset.
     pub fn load(json: &str) -> Result<EngineCheckpoint, crate::EngineError> {
-        let checkpoint =
-            Self::from_json(json).map_err(|e| crate::EngineError::CorruptCheckpoint {
+        let checkpoint: EngineCheckpoint =
+            serde_json::from_str(json).map_err(|e| crate::EngineError::CorruptCheckpoint {
                 offset: e.byte_offset(),
                 detail: e.to_string(),
             })?;
@@ -545,7 +539,7 @@ mod tests {
         engine.ingest(&ev("a1", "rust", "mentions", 5)).unwrap();
         let checkpoint = engine.checkpoint();
         let json = checkpoint.to_json().unwrap();
-        let parsed = EngineCheckpoint::from_json(&json).unwrap();
+        let parsed = EngineCheckpoint::load(&json).unwrap();
         assert_eq!(parsed.plans.len(), 1);
         assert_eq!(parsed.live_edges, checkpoint.live_edges);
         assert_eq!(parsed.taken_at, checkpoint.taken_at);
@@ -623,10 +617,10 @@ mod tests {
         engine.register_plan(plan);
         engine.ingest(&ev("a1", "rust", "mentions", 5)).unwrap();
         let json = engine.checkpoint().to_json().unwrap();
-        // The root claims a child that does not exist. `from_json` only
-        // parses; rebuilding the engine from it would panic.
+        // The root claims a child that does not exist. Parsing alone
+        // accepts it; rebuilding the engine from it would panic.
         let tampered = json.replace(r#""children":[0,1]"#, r#""children":[9,1]"#);
-        let checkpoint = EngineCheckpoint::from_json(&tampered).unwrap();
+        let checkpoint: EngineCheckpoint = serde_json::from_str(&tampered).unwrap();
         let Err(EngineError::CorruptCheckpoint { offset, detail }) = checkpoint.try_restore()
         else {
             panic!("expected CorruptCheckpoint");
@@ -644,7 +638,7 @@ mod tests {
         assert_eq!(json.matches(honest).count(), 1, "{json}");
         // `a*` gets past deserialisation, which skips `RpqQuery::new`.
         let tampered = json.replace(honest, r#""pattern":{"Star":{"Label":"a"}}"#);
-        let checkpoint = EngineCheckpoint::from_json(&tampered).unwrap();
+        let checkpoint: EngineCheckpoint = serde_json::from_str(&tampered).unwrap();
         for err in [
             EngineCheckpoint::load(&tampered).unwrap_err(),
             checkpoint.try_restore().unwrap_err(),
@@ -734,7 +728,7 @@ mod tests {
 
         // Through JSON, like a real restart.
         let json = engine.checkpoint().to_json().unwrap();
-        let checkpoint = EngineCheckpoint::from_json(&json).unwrap();
+        let checkpoint = EngineCheckpoint::load(&json).unwrap();
         assert_eq!(checkpoint.paused, vec![false, true]);
 
         let mut restored = checkpoint.restore();
@@ -828,7 +822,7 @@ mod tests {
 
         // Through JSON, like a real restart.
         let json = engine.checkpoint().to_json().unwrap();
-        let checkpoint = EngineCheckpoint::from_json(&json).unwrap();
+        let checkpoint = EngineCheckpoint::load(&json).unwrap();
         assert_eq!(checkpoint.paused, vec![true]);
         assert_eq!(checkpoint.paused_at, vec![Some(Timestamp::from_secs(10))]);
         assert_eq!(
@@ -896,7 +890,7 @@ mod tests {
             assert!(!legacy.contains(&format!("\"{field}\"")));
         }
 
-        let checkpoint = EngineCheckpoint::from_json(&legacy).unwrap();
+        let checkpoint = EngineCheckpoint::load(&legacy).unwrap();
         assert!(checkpoint.paused_at.is_empty());
         assert!(checkpoint.observed.is_empty());
         let restored = checkpoint.restore();
@@ -1070,7 +1064,7 @@ mod tests {
         assert!(json.contains("\"paused\""));
         let legacy = json.replace(",\"paused\":[false]", "");
         assert!(!legacy.contains("\"paused\""));
-        let checkpoint = EngineCheckpoint::from_json(&legacy).unwrap();
+        let checkpoint = EngineCheckpoint::load(&legacy).unwrap();
         assert!(checkpoint.paused.is_empty());
         let restored = checkpoint.restore();
         assert!(!restored.is_paused(restored.handles()[0]).unwrap());

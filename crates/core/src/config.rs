@@ -30,8 +30,6 @@ pub struct EngineConfig {
     /// queries are registered), which is the smallest retention that preserves
     /// correctness.
     pub retention: Option<Duration>,
-    /// Optional cap on live partial matches per SJ-Tree node per query.
-    pub max_matches_per_node: Option<usize>,
     /// Retry schedule applied to failing durable subscriptions (see
     /// [`RetryPolicy`] and
     /// [`crate::ContinuousQueryEngine::subscribe_durable`]): max consecutive
@@ -76,7 +74,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             retention: None,
-            max_matches_per_node: None,
             retry_policy: RetryPolicy::default(),
             telemetry_level: TelemetryLevel::Off,
             telemetry_sample_every: 64,
@@ -85,26 +82,10 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    /// A configuration tuned for raw ingest speed: a modest partial-match
-    /// cap.
-    pub fn fast_ingest() -> Self {
-        EngineConfig {
-            max_matches_per_node: Some(100_000),
-            ..Default::default()
-        }
-    }
-
     /// Checks the settings for internal consistency. [`EngineBuilder::build`]
     /// calls this; it is public so checkpoint consumers can validate a
     /// deserialized configuration before trusting it.
     pub fn validate(&self) -> Result<(), String> {
-        if self.max_matches_per_node == Some(0) {
-            return Err(
-                "max_matches_per_node of 0 would drop every partial match; use None for \
-                 unbounded or a positive cap"
-                    .into(),
-            );
-        }
         if let Some(retention) = self.retention {
             if retention.as_micros() <= 0 {
                 return Err(format!(
@@ -152,13 +133,13 @@ impl EngineConfig {
 ///
 /// let engine = ContinuousQueryEngine::builder()
 ///     .retention(Duration::from_hours(2))
-///     .max_matches_per_node(100_000)
+///     .telemetry_sample_every(16)
 ///     .build()
 ///     .unwrap();
-/// assert_eq!(engine.config().max_matches_per_node, Some(100_000));
+/// assert_eq!(engine.config().telemetry_sample_every, 16);
 ///
 /// // Invalid settings are rejected at build time.
-/// assert!(ContinuousQueryEngine::builder().max_matches_per_node(0).build().is_err());
+/// assert!(ContinuousQueryEngine::builder().telemetry_sample_every(0).build().is_err());
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct EngineBuilder {
@@ -176,11 +157,6 @@ impl EngineBuilder {
         EngineBuilder { config }
     }
 
-    /// Starts from the raw-ingest preset: a modest partial-match cap (see [`EngineConfig::fast_ingest`]).
-    pub fn fast_ingest() -> Self {
-        Self::from_config(EngineConfig::fast_ingest())
-    }
-
     /// Fixes the graph's retention horizon explicitly.
     pub fn retention(mut self, horizon: Duration) -> Self {
         self.config.retention = Some(horizon);
@@ -191,18 +167,6 @@ impl EngineBuilder {
     /// window (the default).
     pub fn auto_retention(mut self) -> Self {
         self.config.retention = None;
-        self
-    }
-
-    /// Caps live partial matches per SJ-Tree node per query.
-    pub fn max_matches_per_node(mut self, cap: usize) -> Self {
-        self.config.max_matches_per_node = Some(cap);
-        self
-    }
-
-    /// Removes the per-node partial-match cap (the default).
-    pub fn unbounded_matches(mut self) -> Self {
-        self.config.max_matches_per_node = None;
         self
     }
 
@@ -263,22 +227,15 @@ mod tests {
     }
 
     #[test]
-    fn fast_ingest_caps_partial_matches() {
-        let c = EngineConfig::fast_ingest();
-        assert!(c.max_matches_per_node.is_some());
-        assert!(c.validate().is_ok());
-    }
-
-    #[test]
     fn builder_accumulates_settings() {
         let builder = EngineBuilder::new()
             .retention(Duration::from_secs(60))
-            .max_matches_per_node(1_000);
+            .telemetry_sample_every(1_000);
         let c = builder.config();
         assert_eq!(c.retention, Some(Duration::from_secs(60)));
-        assert_eq!(c.max_matches_per_node, Some(1_000));
+        assert_eq!(c.telemetry_sample_every, 1_000);
         let engine = builder.build().unwrap();
-        assert_eq!(engine.config().max_matches_per_node, Some(1_000));
+        assert_eq!(engine.config().telemetry_sample_every, 1_000);
     }
 
     #[test]
@@ -286,11 +243,8 @@ mod tests {
         let c = *EngineBuilder::new()
             .retention(Duration::from_secs(5))
             .auto_retention()
-            .max_matches_per_node(7)
-            .unbounded_matches()
             .config();
         assert!(c.retention.is_none());
-        assert!(c.max_matches_per_node.is_none());
     }
 
     #[test]
@@ -333,9 +287,23 @@ mod tests {
     }
 
     #[test]
+    fn configs_carrying_the_removed_match_cap_still_load_uncapped() {
+        // Configs written while a per-node cap on partial matches could be
+        // set carry its key, capped or not; it is ignored and the engine
+        // stays exact.
+        let json = serde_json::to_string(&EngineConfig::default()).unwrap();
+        for cap in ["5", "null"] {
+            let legacy = json.replacen('{', &format!("{{\"max_matches_per_node\":{cap},"), 1);
+            let config: EngineConfig = serde_json::from_str(&legacy).unwrap();
+            assert_eq!(serde_json::to_string(&config).unwrap(), json);
+            assert!(EngineBuilder::from_config(config).build().is_ok());
+        }
+    }
+
+    #[test]
     fn invalid_settings_fail_at_build_time() {
         assert!(EngineBuilder::new()
-            .max_matches_per_node(0)
+            .telemetry_sample_every(0)
             .build()
             .is_err());
         assert!(EngineBuilder::new()
@@ -343,12 +311,12 @@ mod tests {
             .build()
             .is_err());
         let err = EngineConfig {
-            max_matches_per_node: Some(0),
+            telemetry_sample_every: 0,
             ..Default::default()
         }
         .validate()
         .unwrap_err();
-        assert!(err.contains("max_matches_per_node"));
+        assert!(err.contains("telemetry_sample_every"));
     }
 
     #[test]
@@ -359,15 +327,6 @@ mod tests {
             json(EngineBuilder::new())
         );
         assert!(EngineBuilder::new().shards(0).build().is_ok());
-    }
-
-    #[test]
-    fn fast_ingest_builder_matches_preset() {
-        let engine = EngineBuilder::fast_ingest().build().unwrap();
-        assert_eq!(
-            engine.config().max_matches_per_node,
-            EngineConfig::fast_ingest().max_matches_per_node
-        );
     }
 
     #[test]

@@ -23,7 +23,7 @@ enum Resolved {
 /// Per-query compiled constraints, refreshed lazily as the data graph's type
 /// interner grows.
 #[derive(Debug, Clone)]
-pub struct CompiledConstraints {
+pub(crate) struct CompiledConstraints {
     vtypes: Vec<Resolved>,
     etypes: Vec<Resolved>,
     /// Sizes of the graph's type interners when we last resolved, so we can

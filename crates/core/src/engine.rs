@@ -41,9 +41,11 @@ use streamworks_query::{
 use streamworks_summarize::GraphSummary;
 
 /// Events between two sweeps of the join stores. A sweep only reclaims
-/// memory: every matcher hides partial matches behind `now − tW` before it
-/// climbs (`SjTreeMatcher::advance_horizon`), so what the engine emits does
-/// not depend on this value.
+/// memory and decides nothing: every matcher hides partial matches behind
+/// `now − tW` before it climbs (`SjTreeMatcher::advance_horizon`), and its
+/// probes and lazy hot-key tests read only what that horizon leaves
+/// visible, so neither what the engine emits, nor the order, nor any work
+/// counter depends on this value (`tests/lazy_join_sides.rs`).
 const SWEEP_EVERY: u64 = 256;
 
 /// How a query is executed on the ingest thread: an SJ-Tree matcher, or the
@@ -348,7 +350,7 @@ impl ContinuousQueryEngine {
             queries: Vec::new(),
             free_slots: Vec::new(),
             rpq_dispatch: Vec::new(),
-            shared: SharedIndex::new(config.max_matches_per_node),
+            shared: SharedIndex::default(),
             delivery_scratch: Vec::new(),
             next_subscription: 0,
             live_durables: 0,
@@ -369,10 +371,7 @@ impl ContinuousQueryEngine {
     /// Builds the in-process matcher of a plan. `fed` are the nodes the
     /// sharing index feeds (see [`SharedIndex::subscribe`]).
     fn build_exec(&self, plan: QueryPlan, fed: &[SjNodeId]) -> QueryExec {
-        QueryExec::Single(
-            SjTreeMatcher::fed_at(plan, &self.graph, fed)
-                .with_match_cap(self.config.max_matches_per_node),
-        )
+        QueryExec::Single(SjTreeMatcher::fed_at(plan, &self.graph, fed))
     }
 
     /// The engine configuration.
@@ -1860,7 +1859,7 @@ mod tests {
     fn invalid_config_panics_in_new() {
         let result = std::panic::catch_unwind(|| {
             ContinuousQueryEngine::new(EngineConfig {
-                max_matches_per_node: Some(0),
+                telemetry_sample_every: 0,
                 ..Default::default()
             })
         });

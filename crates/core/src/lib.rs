@@ -70,7 +70,6 @@ pub use adaptive::{AdaptiveConfig, AdaptiveReplanner, ReplanDecision};
 pub use binding::{Binding, PartialMatch, INLINE_EDGES, INLINE_VERTICES};
 pub use checkpoint::EngineCheckpoint;
 pub use config::{EngineBuilder, EngineConfig};
-pub use constraints::CompiledConstraints;
 pub use delivery::{
     clear_endpoint, memory_sink_contents, register_endpoint, reset_memory_sink, DeliveryCursor,
     RetryPolicy, SinkSpec, Transport, TransportFactory,
@@ -83,8 +82,7 @@ pub use event::{
 };
 pub use handle::{QueryHandle, SubscriptionId};
 pub use ingest::{EventBatch, Ingest};
-pub use local_search::{find_primitive_matches, LocalSearchStats};
-pub use match_store::{JoinKey, JoinSide, SharedJoinStore};
+pub use match_store::{JoinSide, SharedJoinStore};
 pub use metrics::{EngineMetrics, QueryMetrics, RpqEnd};
 pub use sj_matcher::SjTreeMatcher;
 pub use telemetry::{

@@ -23,41 +23,9 @@ type EdgeList = SmallVec<QueryEdgeId, 8>;
 
 /// Statistics from one local-search invocation (fed into the per-query metrics).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LocalSearchStats {
+pub(crate) struct LocalSearchStats {
     /// Candidate data edges examined while extending partial embeddings.
     pub candidates_examined: u64,
-    /// Embeddings of the primitive that were produced.
-    pub matches_found: u64,
-}
-
-/// Finds every embedding of `primitive_edges` (a connected set of query edges)
-/// that uses `new_edge`, respecting the query window.
-///
-/// Results are appended to `out`.
-pub fn find_primitive_matches(
-    graph: &DynamicGraph,
-    query: &QueryGraph,
-    constraints: &CompiledConstraints,
-    primitive_edges: &[QueryEdgeId],
-    new_edge: &Edge,
-    window: Duration,
-    out: &mut Vec<PartialMatch>,
-) -> LocalSearchStats {
-    let mut stats = LocalSearchStats::default();
-    for &anchor in primitive_edges {
-        find_primitive_matches_anchored(
-            graph,
-            query,
-            constraints,
-            primitive_edges,
-            anchor,
-            new_edge,
-            window,
-            out,
-            &mut stats,
-        );
-    }
-    stats
 }
 
 /// Finds the embeddings of `primitive_edges` in which `new_edge` realises the
@@ -121,7 +89,6 @@ fn extend(
     stats: &mut LocalSearchStats,
 ) {
     if remaining.is_empty() {
-        stats.matches_found += 1;
         out.push(current);
         return;
     }
@@ -292,6 +259,33 @@ mod tests {
     use streamworks_graph::{EdgeEvent, Timestamp};
     use streamworks_query::QueryGraphBuilder;
 
+    /// Every embedding of `primitive_edges` that uses `new_edge`, the edge
+    /// anchored on each query edge of the primitive in turn.
+    fn find_primitive_matches(
+        graph: &DynamicGraph,
+        query: &QueryGraph,
+        constraints: &CompiledConstraints,
+        primitive_edges: &[QueryEdgeId],
+        new_edge: &Edge,
+        window: Duration,
+        out: &mut Vec<PartialMatch>,
+    ) {
+        let mut stats = LocalSearchStats::default();
+        for &anchor in primitive_edges {
+            find_primitive_matches_anchored(
+                graph,
+                query,
+                constraints,
+                primitive_edges,
+                anchor,
+                new_edge,
+                window,
+                out,
+                &mut stats,
+            );
+        }
+    }
+
     fn news_query() -> QueryGraph {
         // (a:Article)-[:mentions]->(k:Keyword), (a)-[:located]->(l:Location)
         QueryGraphBuilder::new("wedge")
@@ -334,9 +328,8 @@ mod tests {
         let c = CompiledConstraints::compile(&q, &g);
         let mut out = Vec::new();
         let prim = [QueryEdgeId(0), QueryEdgeId(1)];
-        let stats = find_primitive_matches(&g, &q, &c, &prim, &located, q.window(), &mut out);
+        find_primitive_matches(&g, &q, &c, &prim, &located, q.window(), &mut out);
         assert_eq!(out.len(), 1);
-        assert_eq!(stats.matches_found, 1);
         let m = &out[0];
         assert_eq!(m.edge_count(), 2);
         assert_eq!(

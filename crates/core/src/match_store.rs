@@ -58,8 +58,9 @@
 //!   expirations that caused it pay for it, and slots held stay within
 //!   `(1 + COMPACT_FACTOR) × live + COMPACT_FLOOR` after every sweep.
 //! * A **lazy join side** (`crate::sj_matcher`) needs four more operations:
-//!   the parent's store tells whether a side *holds* a key (one look-up)
-//!   and *withdraws* a side's chain under a key (tombstones, metadata only);
+//!   the parent's store tells whether a side *holds* a visible match under
+//!   a key (one look-up and a chain walk to the first visible match) and
+//!   *withdraws* a side's chain under a key (tombstones, metadata only);
 //!   the lazy node's own store files without probing and threads a **second
 //!   chain** through one side, keyed on the parent's cut vertices that side
 //!   binds, so rebuilding one parent key walks only the matches under it.
@@ -81,7 +82,7 @@ use streamworks_query::{QueryEdgeId, QueryVertexId};
 /// vertices, in cut order. Inline up to 4 cut vertices — covering every plan
 /// the decomposition strategies produce — so key construction is
 /// allocation-free.
-pub type JoinKey = SmallVec<VertexId, 4>;
+pub(crate) type JoinKey = SmallVec<VertexId, 4>;
 
 /// Which child of an internal SJ-Tree node a match belongs to in a
 /// [`SharedJoinStore`].
@@ -443,9 +444,9 @@ impl SharedJoinStore {
     /// once, by whichever member is filed later. Candidates are offered
     /// newest first. The order is observable: the in-place climb files each
     /// merge's result (and everything it completes higher up) before the
-    /// next candidate is offered, so it decides which matches a per-node cap
-    /// drops and the order complete matches come out in. The counters
-    /// recorded in `sj_matcher`'s four-leaf tests pin it.
+    /// next candidate is offered, so it decides the order complete matches
+    /// come out in. The emission digests recorded in `sj_matcher`'s
+    /// four-leaf tests pin it.
     pub fn probe_then_insert<F>(
         &mut self,
         side: JoinSide,
@@ -466,13 +467,13 @@ impl SharedJoinStore {
         self.count_in(edge_count);
     }
 
-    /// True while `side` holds a slot under `key`: a live match, or a
-    /// tombstone the front has not passed yet. One hash look-up.
+    /// True while `side` holds a visible match under `key`: the chain walk
+    /// a probe from the other side would make reaches one. A tombstone or a
+    /// match behind the horizon does not count, so the answer does not
+    /// depend on when the store was last swept. One hash look-up, then the
+    /// chain's hidden head, if any.
     pub(crate) fn holds(&self, side: JoinSide, key: &[VertexId]) -> bool {
-        let ring = &self.rings[side.index()];
-        self.chains
-            .get(key)
-            .is_some_and(|newest| ring.slot_of(newest[side.index()]).is_some())
+        self.candidates(side.other(), key).next().is_some()
     }
 
     /// The live matches on the sibling of `side` under `key`, newest first:
@@ -585,8 +586,9 @@ impl SharedJoinStore {
     /// exactly as if it had expired: the chain walk reads the 16-byte
     /// metadata it already reads, never the payload. Visibility is decided
     /// here and [`Self::expire_older_than`] only reclaims, so what a probe
-    /// offers does not depend on when the sweeps run. Counts, [`Self::iter`]
-    /// and [`Self::holds`] still see a hidden match until it is swept.
+    /// offers and what [`Self::holds`] answers do not depend on when the
+    /// sweeps run. Counts and [`Self::iter`] still see a hidden match until
+    /// it is swept.
     pub(crate) fn set_horizon(&mut self, horizon: Timestamp) {
         self.horizon = horizon;
     }
@@ -999,20 +1001,19 @@ mod tests {
         }
     }
 
-    /// One filed match in the model: `live` until expired or withdrawn,
-    /// `linked` until withdrawn (a withdrawn key's chain starts over).
+    /// One filed match in the model: `live` until expired or withdrawn.
     struct Filed {
         key: JoinKey,
         pm: PartialMatch,
         live: bool,
-        linked: bool,
     }
 
     /// The reference: per side, every match the ring still holds — live, or
     /// a tombstone the front has not passed — in filing order, everything
-    /// answered by a scan; a probe sees the live ones not behind the horizon. The front and compaction follow the documented
-    /// rules (a sweep runs when the side's `earliest` lower bound is below
-    /// the cutoff, passes leading tombstones, and compacts past the factor).
+    /// answered by a scan; a probe and `holds` see the live ones not behind
+    /// the horizon. The front and compaction follow the documented rules (a
+    /// sweep runs when the side's `earliest` lower bound is below the
+    /// cutoff, passes leading tombstones, and compacts past the factor).
     struct Model {
         sides: [Vec<Filed>; 2],
         min_earliest: [Timestamp; 2],
@@ -1042,13 +1043,8 @@ mod tests {
 
         fn file(&mut self, side: usize, key: JoinKey, pm: PartialMatch) {
             self.min_earliest[side] = self.min_earliest[side].min(pm.earliest);
-            let (live, linked) = (true, true);
-            self.sides[side].push(Filed {
-                key,
-                pm,
-                live,
-                linked,
-            });
+            let live = true;
+            self.sides[side].push(Filed { key, pm, live });
         }
 
         /// Visible matches of `side` under `key`, newest first.
@@ -1065,14 +1061,14 @@ mod tests {
         }
 
         fn holds(&self, side: usize, key: &JoinKey) -> bool {
-            self.sides[side].iter().any(|f| f.linked && f.key == *key)
+            !self.under(side, key).is_empty()
         }
 
         fn withdraw(&mut self, side: usize, key: &JoinKey) -> usize {
             let mut removed = 0;
             for f in self.sides[side].iter_mut().filter(|f| f.key == *key) {
                 removed += usize::from(f.live);
-                (f.live, f.linked) = (false, false);
+                f.live = false;
             }
             removed
         }

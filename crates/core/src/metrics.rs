@@ -65,8 +65,6 @@ pub struct QueryMetrics {
     pub joins_succeeded: u64,
     /// Complete matches emitted (root-level combinations within the window).
     pub complete_matches: u64,
-    /// Partial matches dropped because a per-node cap was reached.
-    pub matches_dropped_by_cap: u64,
     /// Partial matches whose inline hot-path storage spilled to the heap
     /// (queries with more than 8 vertices or 6 edges — see
     /// `streamworks_core::binding`). A non-zero count flags a query that is
@@ -156,7 +154,6 @@ impl QueryMetrics {
         self.joins_attempted += other.joins_attempted;
         self.joins_succeeded += other.joins_succeeded;
         self.complete_matches += other.complete_matches;
-        self.matches_dropped_by_cap += other.matches_dropped_by_cap;
         self.binding_spills += other.binding_spills;
         self.sink_events_dropped += other.sink_events_dropped;
         self.rpq_tree_nodes_live += other.rpq_tree_nodes_live;

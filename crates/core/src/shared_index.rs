@@ -255,9 +255,6 @@ pub(crate) type Delivery = (u32, u32, u32, u32); // (slot, node, entry, sub)
 /// predicates, while still running once for all of them.
 #[derive(Debug, Default)]
 pub(crate) struct SharedIndex {
-    /// Per-node match cap handed to entry matchers (the engine's
-    /// `max_matches_per_node`).
-    match_cap: Option<usize>,
     /// Entry slots; freed entries are `None` and re-occupied via `free`.
     entries: Vec<Option<Entry>>,
     free: Vec<u32>,
@@ -300,14 +297,6 @@ pub(crate) struct SharedIndex {
 }
 
 impl SharedIndex {
-    /// Creates the index; `match_cap` is forwarded to entry matchers.
-    pub fn new(match_cap: Option<usize>) -> Self {
-        SharedIndex {
-            match_cap,
-            ..Default::default()
-        }
-    }
-
     /// Walks `plan`'s SJ-Tree top-down from the root and subscribes `slot`
     /// at every *maximal* node whose form is — or can now be — interned.
     ///
@@ -719,7 +708,7 @@ impl SharedIndex {
         let entry = Entry {
             form: form.clone(),
             stateful: plan.shape.leaves().len() > 1,
-            matcher: SjTreeMatcher::new(plan, graph).with_match_cap(self.match_cap),
+            matcher: SjTreeMatcher::new(plan, graph),
             subscribers: Vec::new(),
             active_subs: 0,
             candidates: 0,

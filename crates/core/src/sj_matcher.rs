@@ -27,19 +27,21 @@
 //! an internal node P may be *lazy*: internal, not the root, not the child
 //! of a lazy node, at most one per parent, nothing at or below a node the
 //! sharing index feeds. With S its sibling and X a key of P's cut, X is
-//! *hot* while P's S side holds a slot under X. A V match under a cold X is
+//! *hot* while P's S side holds a visible match under X (visible: live and
+//! not behind the stores' horizon, `now − tW`), so whether X is hot does
+//! not depend on when the stores were last swept. A V match under a cold X is
 //! never built: the check runs before the merge at V's store. The first S
 //! match under a cold X tombstones what V's side still holds under X and is
 //! filed; at the end of `absorb` (V's store may lie below the climb's split)
 //! every visible V match under X is rebuilt from V's children, through a
-//! second chain keyed on P's cut, and filed with a probe of S. (Visible:
-//! live and not behind the stores' horizon, `now − tW`; a V match built from
-//! a hidden child would be hidden too.) **Invariant:** while X is hot, V's
-//! side holds every visible V match under X; while X is cold no S partner
-//! is live, so a dropped V match loses nothing. Each embedding still
-//! completes once, at its latest edge: the S or V match arriving last meets
-//! the other filed or rebuilt, never both, and a climb that reaches S never
-//! enters V's subtree, so the rebuild reads V's store as it was.
+//! second chain keyed on P's cut, and filed with a probe of S (a V match
+//! built from a hidden child would be hidden too). **Invariant:** while X is
+//! hot, V's side holds every visible V match under X; while X is cold no S
+//! partner is visible, and the horizon only advances, so a dropped V match
+//! loses nothing. Each embedding still completes once, at its latest edge:
+//! the S or V match arriving last meets the other filed or rebuilt, never
+//! both, and a climb that reaches S never enters V's subtree, so the
+//! rebuild reads V's store as it was.
 //! Prototype on `join_hot` (this box): 148–154 k → 271–278 k ev/s,
 //! p50 4.5 → 1.7 µs, live matches 10 503 → 1 879.
 
@@ -150,9 +152,6 @@ pub struct SjTreeMatcher {
     /// Lazy nodes and parent keys turned hot by the current `absorb`.
     pending: Vec<(usize, JoinKey)>,
     metrics: QueryMetrics,
-    /// Optional cap on live matches per node (guards against partial-match
-    /// explosion under hostile plans; `None` = unbounded).
-    max_matches_per_node: Option<usize>,
     /// Per-type anchor dispatch (leaf, anchor query edge) with the
     /// schema-version gate: an incoming edge whose type matches no query edge
     /// costs one hash probe instead of a walk over every leaf primitive.
@@ -206,7 +205,6 @@ impl SjTreeMatcher {
             roles,
             pending: Vec::new(),
             metrics: QueryMetrics::default(),
-            max_matches_per_node: None,
             anchors: AnchorIndex::new(graph.schema_version()),
             found: Vec::new(),
             leaf_scratch: Vec::new(),
@@ -227,12 +225,6 @@ impl SjTreeMatcher {
                     .add(self.constraints.edge_type_filter(qe), leaf, qe);
             }
         }
-    }
-
-    /// Sets a cap on live partial matches per SJ-Tree node.
-    pub fn with_match_cap(mut self, cap: Option<usize>) -> Self {
-        self.max_matches_per_node = cap;
-        self
     }
 
     /// The plan this matcher executes.
@@ -416,7 +408,6 @@ impl SjTreeMatcher {
             routes: &self.routes,
             roles: &self.roles,
             metrics: &mut self.metrics,
-            cap: self.max_matches_per_node,
             window: self.plan.query.window(),
             out,
             pending: &mut self.pending,
@@ -477,7 +468,6 @@ struct Climb<'a> {
     routes: &'a [NodeRoute],
     roles: &'a [Role],
     metrics: &'a mut QueryMetrics,
-    cap: Option<usize>,
     window: Duration,
     out: &'a mut Vec<PartialMatch>,
     pending: &'a mut Vec<(usize, JoinKey)>,
@@ -508,11 +498,6 @@ impl Climb<'_> {
             .split_first_mut()
             .expect("a parent's store comes after its child's");
         let store = store.as_mut().expect("internal node has a shared store");
-        // The per-node cap (one node = one side of its parent's store).
-        if self.cap.is_some_and(|cap| store.side_len(side) >= cap) {
-            self.metrics.matches_dropped_by_cap += 1;
-            return;
-        }
         self.metrics.partial_matches_inserted += 1;
         let Some(key) = store.join_key_for(&m) else {
             debug_assert!(false, "a node-complete match binds its join key");
@@ -721,18 +706,6 @@ mod tests {
     }
 
     #[test]
-    fn match_cap_limits_partial_match_growth() {
-        let mut g = DynamicGraph::unbounded();
-        let mut matcher = SjTreeMatcher::new(wedge_query(3600), &g).with_match_cap(Some(5));
-        for i in 0..20 {
-            feed(&mut g, &mut matcher, &format!("a{i}"), "k1", "mentions", i);
-        }
-        let m = matcher.metrics();
-        assert!(m.matches_dropped_by_cap > 0);
-        assert!(m.partial_matches_live <= 10); // 5 per node, 2 nodes with stores in use
-    }
-
-    #[test]
     fn reset_clears_state() {
         let mut g = DynamicGraph::unbounded();
         let mut matcher = SjTreeMatcher::new(wedge_query(3600), &g);
@@ -808,17 +781,14 @@ mod tests {
 
     /// Runs a fixed 240-event stream (8 articles, 3 keywords, 2 cities, one
     /// event per second, prune every 16) through the matcher and through
-    /// `NaiveEdgeExpansion`, returning both emitted multisets — each match as
-    /// its data edges in query-edge order, sorted — and the matcher's
-    /// counters.
-    fn run_four_leaf(
-        kind: TreeShapeKind,
-        cap: Option<usize>,
-    ) -> (Vec<Vec<EdgeId>>, Vec<Vec<EdgeId>>, QueryMetrics) {
+    /// `NaiveEdgeExpansion`, returning what each emitted — each match as its
+    /// data edges in query-edge order; the matcher's in emission order, the
+    /// reference's sorted — and the matcher's counters.
+    fn run_four_leaf(kind: TreeShapeKind) -> (Vec<Vec<EdgeId>>, Vec<Vec<EdgeId>>, QueryMetrics) {
         let plan = four_leaf_plan(kind);
         let mut g = DynamicGraph::unbounded();
         let mut naive = streamworks_baseline::NaiveEdgeExpansion::new(plan.query.clone());
-        let mut matcher = SjTreeMatcher::new(plan, &g).with_match_cap(cap);
+        let mut matcher = SjTreeMatcher::new(plan, &g);
         let (mut emitted, mut expected) = (Vec::new(), Vec::new());
         // A fixed linear congruential sequence picks the end points.
         let mut state = 17u64;
@@ -855,92 +825,56 @@ mod tests {
                 matcher.prune(edge.timestamp);
             }
         }
-        emitted.sort();
         expected.sort();
         (emitted, expected, matcher.metrics())
     }
 
-    /// The in-place climb against the reference matcher (uncapped: the same
-    /// multiset of complete matches) and against the buffered climb it
-    /// replaced (capped at 20 per node, so the cap fires on joined matches
-    /// mid-climb: `recorded` holds the counters of the commit before the
-    /// in-place climb on this stream — dropped by cap, joins attempted,
-    /// joins succeeded, partial matches inserted, complete matches — and
-    /// which matches the cap drops depends on the order the climb visits
-    /// them in). Re-recorded when the root's left child — internal in both
-    /// trees — became a lazy side: it files only the matches its sibling
-    /// waits for, rebuilt ones included, so the cap fills later and fewer
-    /// joins run; the uncapped multiset above did not move.
-    fn check_four_leaf(kind: TreeShapeKind, recorded: [u64; 5]) {
-        let (emitted, expected, uncapped) = run_four_leaf(kind, None);
-        assert_eq!(emitted.len(), 2116);
-        assert_eq!(emitted, expected, "every embedding, each once");
-        assert_eq!(uncapped.matches_dropped_by_cap, 0);
-
-        let (emitted, _, m) = run_four_leaf(kind, Some(20));
+    /// The in-place climb against the reference matcher — the same multiset
+    /// of complete matches, each once — and against a recorded climb order:
+    /// `digest` hashes the unsorted emission sequence (FNV-1a over every
+    /// emitted match's data edges, in emission order), and `recorded` holds
+    /// joins attempted, joins succeeded, partial matches inserted, complete
+    /// matches, lazy materialisations and merges skipped cold. The order
+    /// complete matches come out in is the order the climb visits
+    /// candidates in.
+    fn check_four_leaf(kind: TreeShapeKind, digest: u64, recorded: [u64; 6]) {
+        let (mut emitted, expected, m) = run_four_leaf(kind);
+        let fnv = (emitted.iter().flatten()).fold(0xcbf2_9ce4_8422_2325, |h, e| {
+            (h ^ e.0).wrapping_mul(0x100_0000_01b3)
+        });
+        assert_eq!(fnv, digest, "the emission order");
         assert_eq!(
             [
-                m.matches_dropped_by_cap,
                 m.joins_attempted,
                 m.joins_succeeded,
                 m.partial_matches_inserted,
                 m.complete_matches,
+                m.lazy_materialisations,
+                m.merges_skipped_cold,
             ],
             recorded
         );
-        assert_eq!(emitted.len() as u64, m.complete_matches);
-        assert!(emitted.iter().all(|e| expected.binary_search(e).is_ok()));
+        emitted.sort();
+        assert_eq!(emitted.len(), 2116);
+        assert_eq!(emitted, expected, "every embedding, each once");
     }
 
     #[test]
     fn balanced_tree_climbs_through_a_right_hand_internal_node() {
-        // Before the lazy side: [1159, 2283, 1429, 697, 53].
-        check_four_leaf(TreeShapeKind::Balanced, [695, 1540, 1031, 667, 149]);
+        check_four_leaf(
+            TreeShapeKind::Balanced,
+            0x3835_43b4_4dd3_8f07,
+            [6297, 4038, 2402, 2116, 140, 1437],
+        );
     }
 
     #[test]
     fn left_deep_tree_climbs_three_levels() {
-        // Before the lazy side: [758, 1729, 1134, 723, 133].
-        check_four_leaf(TreeShapeKind::LeftDeep, [682, 1626, 1061, 669, 190]);
-    }
-
-    #[test]
-    fn a_capped_awaited_match_materialises_nothing() {
-        // `join_hot`'s tree ((e0 ⋈ e1) ⋈ e2) with two matches per node: the
-        // third location meets a full side and is dropped before it could
-        // turn its article's key hot and rebuild the pairs under it.
-        let q = QueryGraphBuilder::new("hot_wedge")
-            .window(Duration::from_secs(60))
-            .vertex("a1", "Article")
-            .vertex("a2", "Article")
-            .vertex("k", "Keyword")
-            .vertex("l", "Location")
-            .edge("a1", "mentions", "k")
-            .edge("a2", "mentions", "k")
-            .edge("a1", "located", "l")
-            .build()
-            .unwrap();
-        let leaves = (0..3).map(|e| vec![streamworks_query::QueryEdgeId(e)]);
-        let leaves = streamworks_query::ManualDecomposition::new(leaves.collect());
-        let plan = Planner::new().plan_with(q, &leaves).unwrap();
-        let mut g = DynamicGraph::unbounded();
-        let mut matcher = SjTreeMatcher::new(plan, &g).with_match_cap(Some(2));
-        feed(&mut g, &mut matcher, "x", "paris", "located", 0);
-        feed(&mut g, &mut matcher, "z", "rome", "located", 1);
-        assert_eq!(matcher.metrics().lazy_materialisations, 2);
-        feed(&mut g, &mut matcher, "x", "k", "mentions", 2);
-        assert_eq!(feed(&mut g, &mut matcher, "y", "k", "mentions", 3).len(), 1);
-        let before = matcher.metrics();
-        // (y, x, oslo) would complete: capped, nothing is rebuilt for it.
-        assert!(feed(&mut g, &mut matcher, "y", "oslo", "located", 4).is_empty());
-        let after = matcher.metrics();
-        assert_eq!(after.lazy_materialisations, 2);
-        assert_eq!(
-            after.matches_dropped_by_cap,
-            before.matches_dropped_by_cap + 1
+        check_four_leaf(
+            TreeShapeKind::LeftDeep,
+            0x45d4_3ca2_ef2b_89ff,
+            [8278, 5509, 3873, 2116, 33, 1877],
         );
-        assert_eq!(after.partial_matches_live, before.partial_matches_live);
-        assert_eq!(after.joins_attempted, before.joins_attempted);
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! checked against `NaiveEdgeExpansion` across plans, `located` shares,
 //! timestamp orders and prune cadences, plus two crafted cases: a key that
 //! goes hot → cold → hot with lazy matches left behind, and a sharing-index
-//! subscriber whose subscription node has a lazy sibling.
+//! subscriber whose subscription node has a lazy sibling. Whether a key is
+//! hot is decided on visibility, so the engine's sweep cadence decides
+//! nothing: not what it emits, not in which order, not how much it works.
 //!
 //! CI also runs this file in release (`cargo test --release --test
 //! lazy_join_sides`).
@@ -326,4 +328,48 @@ fn a_subscription_node_with_a_lazy_sibling_is_fed_and_stays_exact() {
         "the sibling of the fed node is lazy"
     );
     assert!(m.merges_skipped_cold > 0);
+}
+
+#[test]
+fn the_sweep_cadence_decides_nothing() {
+    // A default engine sweeps every 256 events; the other after every one.
+    // A key whose awaited matches are all hidden must read cold either way.
+    let plans = [
+        single_edge_plan(query(40, HOT_WEDGE), TreeShapeKind::LeftDeep),
+        single_edge_plan(query(40, COLOC), TreeShapeKind::Balanced),
+        single_edge_plan(query(40, COLOC), TreeShapeKind::LeftDeep),
+    ];
+    for (p, plan) in plans.into_iter().enumerate() {
+        for located_pct in [2, 25, 50] {
+            for skew in [0, 6] {
+                let case = format!("plan {p}, {located_pct}% located, skew {skew}");
+                let events = stream(located_pct * 7 + skew, 1_500, located_pct, skew);
+                let [(rare, rare_work), (each, each_work)] = [false, true].map(|sweep_each| {
+                    let mut engine = ContinuousQueryEngine::new(EngineConfig::default());
+                    let handle = engine.register_plan(plan.clone());
+                    let mut emitted: Emitted = Vec::new();
+                    for ev in &events {
+                        emitted.extend(engine.ingest(ev).unwrap().into_iter().map(|m| m.edges));
+                        if sweep_each {
+                            engine.prune_now();
+                        }
+                    }
+                    let m = engine.metrics(handle).unwrap();
+                    let counters = [
+                        m.partial_matches_inserted,
+                        m.joins_attempted,
+                        m.joins_succeeded,
+                        m.lazy_materialisations,
+                        m.merges_skipped_cold,
+                        m.complete_matches,
+                    ];
+                    (emitted, counters)
+                });
+                assert!(!rare.is_empty(), "{case}: the stream completes matches");
+                assert!(rare_work[3] > 0, "{case}: keys turned hot");
+                assert_eq!(rare_work, each_work, "{case}: the same work");
+                assert_eq!(rare, each, "{case}: the same matches in the same order");
+            }
+        }
+    }
 }

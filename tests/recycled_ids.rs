@@ -515,7 +515,7 @@ fn a_restore_during_a_quarantine_emits_what_the_original_does() {
         );
 
         let checkpoint =
-            EngineCheckpoint::from_json(&original.engine.checkpoint().to_json().unwrap()).unwrap();
+            EngineCheckpoint::load(&original.engine.checkpoint().to_json().unwrap()).unwrap();
         let mut restored = Run {
             engine: checkpoint.restore(),
             queries: original.queries.clone(),

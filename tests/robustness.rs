@@ -285,7 +285,7 @@ fn checkpoint_restore_preserves_future_matches_on_a_cyber_stream() {
     let first_half = key_signatures(&mut engine, &workload.events[..half]);
     let checkpoint = EngineCheckpoint::capture(&engine);
     let json = checkpoint.to_json().unwrap();
-    let mut restored = EngineCheckpoint::from_json(&json).unwrap().restore();
+    let mut restored = EngineCheckpoint::load(&json).unwrap().restore();
     let second_half = key_signatures(&mut restored, &workload.events[half..]);
 
     assert_eq!(first_half, first_half_ref);

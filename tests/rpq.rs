@@ -500,7 +500,7 @@ fn checkpoint_round_trip_mid_stream_preserves_rpq_semantics() {
     // Cut: capture, serialise, restore. The restored engine must carry the
     // RPQ (as an RPQ, not a plan) and its reconstructed tree state.
     let json = EngineCheckpoint::capture(&original).to_json().unwrap();
-    let mut restored = EngineCheckpoint::from_json(&json).unwrap().restore();
+    let mut restored = EngineCheckpoint::load(&json).unwrap().restore();
     let restored_handle = restored.handles()[0];
     assert!(restored.is_rpq(restored_handle).unwrap());
     assert_eq!(

@@ -246,7 +246,7 @@ fn run(
         if restore_at == Some(i) {
             expired += engine.graph_stats().expired_edges;
             let json = engine.checkpoint().to_json().unwrap();
-            let checkpoint = EngineCheckpoint::from_json(&json).unwrap();
+            let checkpoint = EngineCheckpoint::load(&json).unwrap();
             engine = checkpoint.restore();
             // The restored engine replays the live edges into a fresh graph.
             let cases = std::mem::take(&mut fed.cases);

@@ -418,7 +418,7 @@ fn stage_counters_survive_checkpoint_restore() {
     // Round-trip through JSON to also pin the checkpoint serialisation of
     // the telemetry payload.
     let json = EngineCheckpoint::capture(&engine).to_json().unwrap();
-    let restored = EngineCheckpoint::from_json(&json).unwrap().restore();
+    let restored = EngineCheckpoint::load(&json).unwrap().restore();
     assert_eq!(
         stage_counts(&restored.telemetry_snapshot()),
         captured,
