@@ -40,14 +40,6 @@ use streamworks_query::{
 };
 use streamworks_summarize::GraphSummary;
 
-/// Events between two sweeps of the join stores. A sweep only reclaims
-/// memory and decides nothing: every matcher hides partial matches behind
-/// `now − tW` before it climbs (`SjTreeMatcher::advance_horizon`), and its
-/// probes and lazy hot-key tests read only what that horizon leaves
-/// visible, so neither what the engine emits, nor the order, nor any work
-/// counter depends on this value (`tests/lazy_join_sides.rs`).
-const SWEEP_EVERY: u64 = 256;
-
 /// How a query is executed on the ingest thread: an SJ-Tree matcher, or the
 /// product-graph evaluator of a regular path query.
 // One value per registered query (never mass-allocated), and the common
@@ -72,9 +64,10 @@ impl QueryExec {
         }
     }
 
-    fn metrics(&self) -> QueryMetrics {
+    /// The query's metrics with stream time at `now`.
+    fn metrics(&self, now: Timestamp) -> QueryMetrics {
         match self {
-            QueryExec::Single(m) => m.metrics(),
+            QueryExec::Single(m) => m.metrics_at(now),
             QueryExec::Rpq(m) => m.metrics(),
         }
     }
@@ -804,7 +797,7 @@ impl ContinuousQueryEngine {
     /// constant caused.)
     pub fn metrics(&self, handle: QueryHandle) -> Result<QueryMetrics, EngineError> {
         let state = self.state(handle)?;
-        let mut m = state.exec.metrics();
+        let mut m = state.exec.metrics(self.graph.now());
         if state.exec.plan().is_some() {
             let mut shared_edges = state.shared_edges_accum;
             if !state.paused {
@@ -957,7 +950,7 @@ impl ContinuousQueryEngine {
         self.queries
             .iter()
             .filter_map(QuerySlot::live)
-            .map(|s| s.exec.metrics().partial_matches_live)
+            .map(|s| s.exec.metrics(self.graph.now()).partial_matches_live)
             .sum()
     }
 
@@ -1291,14 +1284,7 @@ impl ContinuousQueryEngine {
         self.summary.take();
         let start_seq = self.events_ingested;
         let mut emitted = 0usize;
-        batch.drive(&mut |ev| {
-            emitted += self.process_event_inner(ev, sink);
-            // Every `SWEEP_EVERY` events, one that arrived too late to match
-            // included, expired partial matches are reclaimed.
-            if self.events_ingested.is_multiple_of(SWEEP_EVERY) {
-                self.prune_now();
-            }
-        });
+        batch.drive(&mut |ev| emitted += self.process_event_inner(ev, sink));
         // The batch-boundary stages below cover the whole call; they are
         // timed when the call's sequence range contains a sampled event, and
         // that event's sequence number keys their spans.
@@ -1395,9 +1381,8 @@ impl ContinuousQueryEngine {
                     unreachable!("RPQs never subscribe to the sharing index")
                 };
                 complete.clear();
-                matcher.advance_horizon(graph.now());
                 self.shared.fan_out(d, &state.observed, |node, m| {
-                    matcher.absorb(node, m, &mut complete)
+                    matcher.absorb(node, m, graph.now(), &mut complete)
                 });
                 for m in complete.drain(..) {
                     let event = MatchEvent::from_match(handle, &matcher.plan().query, graph, &m);
@@ -1469,11 +1454,12 @@ impl ContinuousQueryEngine {
     /// Prunes expired partial matches in every live matcher and shared
     /// entry immediately (paused queries included — their stale partials
     /// keep expiring). This reclaims memory only: no probe sees an expired
-    /// partial match, swept or not. The engine calls it every 256 events.
+    /// partial match, swept or not. The engine never calls it: a full join
+    /// store reclaims what it hides before it grows, and each RPQ expires
+    /// its own trees when dispatched.
     pub fn prune_now(&mut self) {
-        // Prunes are rare (once per `SWEEP_EVERY` events), so they are timed
-        // whenever telemetry is on rather than per-event sampled. No span: a
-        // sweep covers a window, not one sampled edge.
+        // Timed whenever telemetry is on rather than per-event sampled. No
+        // span: a sweep covers a window, not one sampled edge.
         let start = self.telemetry.as_ref().map(|t| t.now_ns());
         let now = self.graph.now();
         for slot in &mut self.queries {
@@ -1580,10 +1566,8 @@ mod tests {
             .register_rpq_dsl("RPQ reach WINDOW 60s PATH mentions located")
             .unwrap();
         // 6 new articles a second, each mentioning one of 64 keywords; one
-        // keyword a second is located in one of 2 places. The default prune
-        // cadence (256 events) is then ~37 s of stream, inside the window,
-        // and evicted slots are reused from the first prune past the
-        // quarantine on.
+        // keyword a second is located in one of 2 places. Evicted slots are
+        // reused once their quarantine has passed.
         let mut sizes = Vec::new();
         for t in 0..10 * 60 {
             for j in 0..6 {
@@ -1707,15 +1691,12 @@ mod tests {
                 ))
                 .unwrap();
         }
+        // Nothing sweeps: the full store reclaims what it hides.
         let metrics = engine.metrics(handle).unwrap();
         assert!(metrics.partial_matches_expired > 0);
-        // At most one sweep interval's filings, one per leaf and event, plus
-        // the window's survivors.
-        assert!(
-            metrics.partial_matches_live < 2 * SWEEP_EVERY + 16,
-            "live partial matches should stay bounded, got {}",
-            metrics.partial_matches_live
-        );
+        // Exactly the window's survivors, one per leaf and event of the last
+        // six seconds (a keyword comes back only after seven).
+        assert_eq!(metrics.partial_matches_live, 2 * 6);
     }
 
     #[test]

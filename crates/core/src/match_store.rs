@@ -38,11 +38,16 @@
 //!   has passed — ends the chain and needs no clean-up.
 //! * **Visibility is a horizon; expiry only reclaims.** The store carries
 //!   a horizon (`SharedJoinStore::set_horizon`; a matcher sets it to
-//!   `now − tW` before every climb), and a chain walk skips a match whose
-//!   `earliest` lies before it just as it skips a tombstone, reading the
-//!   same metadata. A probe therefore never offers a match that can no
-//!   longer fit the window, however long ago the last sweep ran: what a
-//!   store offers does not depend on the sweep cadence.
+//!   `now − tW` on every entry into its climb), and a chain walk skips a
+//!   match whose `earliest` lies before it just as it skips a tombstone,
+//!   reading the same metadata. A probe therefore never offers a match that
+//!   can no longer fit the window, whether or not it has been reclaimed.
+//! * **The store reclaims what it hides when it fills.** Before a matcher
+//!   files on a side it calls `SharedJoinStore::make_room`: one compare if
+//!   the side has a free slot; if not, the exact pass below with the horizon
+//!   as the cutoff, and growth only if the side is still over three quarters
+//!   full, so a pass over L slots buys at least L/4 filings. Nothing sweeps
+//!   on a schedule; `expire_older_than` reclaims everything on demand.
 //! * Expiry is **exact** and reads **metadata only**: one compare against
 //!   the side's minimum `earliest` decides whether anything can go; if so,
 //!   one sequential pass over the metadata tombstones, counts and
@@ -56,7 +61,7 @@
 //!   match pinning the front while short-lived ones die behind it — the
 //!   survivors are re-filed at the front, in order and in place. The
 //!   expirations that caused it pay for it, and slots held stay within
-//!   `(1 + COMPACT_FACTOR) × live + COMPACT_FLOOR` after every sweep.
+//!   `(1 + COMPACT_FACTOR) × live + COMPACT_FLOOR` after every pass.
 //! * A **lazy join side** (`crate::sj_matcher`) needs four more operations:
 //!   the parent's store tells whether a side *holds* a visible match under
 //!   a key (one look-up and a chain walk to the first visible match) and
@@ -272,9 +277,10 @@ impl Ring {
         position
     }
 
-    /// Makes room behind a full ring: an eighth more slots, so the moves of
-    /// straightening the ring are amortised and — unlike doubling — the
-    /// slots a steady population cycles through stay close to its peak.
+    /// Makes room behind a ring reclaiming left over three quarters full: an
+    /// eighth more slots, so the moves of straightening the ring are
+    /// amortised and — unlike doubling — the slots a steady population
+    /// cycles through stay close to its peak.
     #[cold]
     fn grow(&mut self) {
         let len = self.slots.len() + (self.slots.len() / 8).max(16);
@@ -331,6 +337,18 @@ impl Ring {
             }
         }
         removed
+    }
+
+    /// Live matches not behind `cutoff`: every live one if the side's lower
+    /// bound is not, else one pass over the held metadata.
+    fn visible(&self, cutoff: Timestamp) -> usize {
+        if self.min_earliest >= cutoff {
+            return self.live;
+        }
+        (0..self.held)
+            .map(|offset| &self.meta[self.slot_at(offset)])
+            .filter(|meta| meta.edges != DEAD && meta.earliest >= cutoff)
+            .count()
     }
 
     fn clear(&mut self) {
@@ -390,9 +408,16 @@ impl SharedJoinStore {
         &self.key_vertices
     }
 
-    /// Live matches stored across both sides.
+    /// Live matches stored across both sides, hidden ones included.
     pub fn len(&self) -> usize {
         self.rings[0].live + self.rings[1].live
+    }
+
+    /// Live matches a probe could still offer: behind neither the horizon
+    /// nor `cutoff`.
+    pub(crate) fn visible_len(&self, cutoff: Timestamp) -> usize {
+        let cutoff = cutoff.max(self.horizon);
+        self.rings.iter().map(|ring| ring.visible(cutoff)).sum()
     }
 
     /// True if no matches are stored.
@@ -584,11 +609,9 @@ impl SharedJoinStore {
     /// Hides every match whose earliest edge is older than `horizon` from
     /// [`Self::probe_then_insert`], [`Self::candidates`] and [`Self::scan`],
     /// exactly as if it had expired: the chain walk reads the 16-byte
-    /// metadata it already reads, never the payload. Visibility is decided
-    /// here and [`Self::expire_older_than`] only reclaims, so what a probe
-    /// offers and what [`Self::holds`] answers do not depend on when the
-    /// sweeps run. Counts and [`Self::iter`] still see a hidden match until
-    /// it is swept.
+    /// metadata it already reads, never the payload. Reclaiming decides
+    /// nothing a probe or [`Self::holds`] sees; [`Self::len`] and
+    /// [`Self::iter`] still see a hidden match until it is reclaimed.
     pub(crate) fn set_horizon(&mut self, horizon: Timestamp) {
         self.horizon = horizon;
     }
@@ -603,8 +626,29 @@ impl SharedJoinStore {
     /// side whose minimum `earliest` is not below `cutoff` is not visited:
     /// a pass that cannot remove anything costs one compare per side.
     pub fn expire_older_than(&mut self, cutoff: Timestamp) -> usize {
+        self.expire(&[0, 1], cutoff)
+    }
+
+    /// The step a matcher takes before filing on `side` (the module docs'
+    /// reclaim when full): one compare while the side has a free slot; when
+    /// it is full, the exact pass of [`Self::expire_older_than`] on it with
+    /// the horizon as the cutoff, then growth only if it is still more than
+    /// three quarters full.
+    pub(crate) fn make_room(&mut self, side: JoinSide) {
+        let ring = &self.rings[side.index()];
+        if ring.held == ring.slots.len() {
+            self.expire(&[side.index()], self.horizon);
+            let ring = &mut self.rings[side.index()];
+            if 4 * ring.held > 3 * ring.slots.len() {
+                ring.grow();
+            }
+        }
+    }
+
+    /// The exact pass and compaction on `sides`, then the dead-key purge.
+    fn expire(&mut self, sides: &[usize], cutoff: Timestamp) -> usize {
         let mut removed = 0;
-        for side in 0..2 {
+        for &side in sides {
             let ring = &mut self.rings[side];
             let swept = ring.expire(cutoff, &mut self.edge_histogram);
             if swept > 0 && ring.held - ring.live > COMPACT_FACTOR * ring.live + COMPACT_FLOOR {
@@ -982,6 +1026,37 @@ mod tests {
             expected,
             "nothing lost"
         );
+    }
+
+    #[test]
+    fn a_full_side_reclaims_what_it_hides_before_it_grows() {
+        // Sixteen left matches fill the first ring; `hidden` of them, the
+        // oldest, fall behind the horizon.
+        let full = |hidden: i64| {
+            let mut store = SharedJoinStore::new(vec![QueryVertexId(0)]);
+            for i in 0..16i64 {
+                store.make_room(JoinSide::Left);
+                file(&mut store, JoinSide::Left, m(&[(0, 7)], i as u64, i));
+            }
+            assert_eq!(store.rings[0].held, store.rings[0].slots.len());
+            store.set_horizon(Timestamp::from_secs(hidden));
+            store
+        };
+        for (hidden, grows) in [(16, false), (4, false), (3, true)] {
+            let mut store = full(hidden);
+            let slots = store.rings[0].slots.len();
+            store.make_room(JoinSide::Right);
+            assert_eq!(store.expired_total(), 0, "nothing on the right to reclaim");
+            store.make_room(JoinSide::Left);
+            assert_eq!(store.expired_total(), hidden as u64);
+            file(&mut store, JoinSide::Left, m(&[(0, 7)], 99, 99));
+            assert_eq!(store.len(), 17 - hidden as usize);
+            assert_eq!(store.rings[0].slots.len() > slots, grows, "{hidden} hidden");
+            // The survivors are still offered, newest first.
+            let offered = candidates(&mut store, JoinSide::Right, m(&[(0, 7)], 100, 99));
+            let expected: Vec<u64> = [99].into_iter().chain((hidden as u64..16).rev()).collect();
+            assert_eq!(offered, expected);
+        }
     }
 
     /// splitmix64.

@@ -527,7 +527,6 @@ impl SharedIndex {
                 continue;
             }
             entry.last_fed = self.events;
-            entry.matcher.advance_horizon(graph.now());
             entry.results.clear();
             entry.result_consts.clear();
             entry.result_hashes.clear();
@@ -538,7 +537,7 @@ impl SharedIndex {
                 .primitive_matches_into(graph, edge, &mut primitives);
             self.embeddings_found += primitives.len() as u64;
             for (leaf, m) in primitives.drain(..) {
-                entry.matcher.absorb(leaf, m, &mut complete);
+                entry.matcher.absorb(leaf, m, graph.now(), &mut complete);
             }
             let m = entry.matcher.counters();
             let joins = m.joins_attempted - entry.joins_seen;

@@ -151,6 +151,10 @@ pub struct SjTreeMatcher {
     roles: Vec<Role>,
     /// Lazy nodes and parent keys turned hot by the current `absorb`.
     pending: Vec<(usize, JoinKey)>,
+    /// Every store hides the matches behind it; it never moves back.
+    horizon: Timestamp,
+    /// The furthest an edge given to `process_edge` lay behind `graph.now()`.
+    lateness: Duration,
     metrics: QueryMetrics,
     /// Per-type anchor dispatch (leaf, anchor query edge) with the
     /// schema-version gate: an incoming edge whose type matches no query edge
@@ -204,6 +208,8 @@ impl SjTreeMatcher {
             routes,
             roles,
             pending: Vec::new(),
+            horizon: Timestamp(i64::MIN),
+            lateness: Duration::ZERO,
             metrics: QueryMetrics::default(),
             anchors: AnchorIndex::new(graph.schema_version()),
             found: Vec::new(),
@@ -254,10 +260,22 @@ impl SjTreeMatcher {
         &self.metrics
     }
 
-    /// Current metrics snapshot.
+    /// Current metrics snapshot, exact at every event: live partial matches
+    /// are those a probe could still offer (not behind the horizon; one
+    /// metadata pass per store holding a hidden one), and expired ones are
+    /// every match a store reclaimed, inside a climb or by [`Self::prune`].
     pub fn metrics(&self) -> QueryMetrics {
+        self.metrics_at(Timestamp(i64::MIN))
+    }
+
+    /// [`Self::metrics`] with stream time at `now`, though no climb may yet
+    /// have carried the horizon to `now − tW`.
+    pub(crate) fn metrics_at(&self, now: Timestamp) -> QueryMetrics {
         let mut m = self.metrics;
-        m.partial_matches_live = self.stores.iter().flatten().map(|s| s.len() as u64).sum();
+        for store in self.stores.iter().flatten() {
+            m.partial_matches_live += store.visible_len(now.minus(self.window())) as u64;
+            m.partial_matches_expired += store.expired_total();
+        }
         m
     }
 
@@ -265,21 +283,6 @@ impl SjTreeMatcher {
     /// under the parent keys its sibling holds (see the module docs).
     pub fn is_lazy(&self, node: SjNodeId) -> bool {
         self.roles[node.0] == Role::Lazy
-    }
-
-    /// Live partial matches *materialised* at a specific SJ-Tree node. A
-    /// node's matches live on its side of the parent's shared store; the
-    /// root stores nothing (its combinations are emitted), and a lazy node
-    /// holds only those under keys its sibling holds.
-    pub fn node_match_count(&self, node: SjNodeId) -> usize {
-        let route = self.routes[node.0];
-        if route.parent == NO_PARENT {
-            return 0;
-        }
-        self.stores[route.parent as usize]
-            .as_ref()
-            .map(|s| s.side_len(route.side))
-            .unwrap_or(0)
     }
 
     /// The fraction of the query's edges covered by the largest partial match
@@ -306,12 +309,18 @@ impl SjTreeMatcher {
     /// Processes one newly inserted data edge: the local-search front end
     /// (`primitive_matches_into`) followed by the join propagation (`absorb`)
     /// of every embedding it found. Complete matches are appended to `out`.
+    ///
+    /// The climb's stream time is `graph.now()` less the largest lateness
+    /// seen so far, so a late edge still meets every partner it can complete
+    /// with, and what is emitted does not depend on when [`Self::prune`] runs.
     pub fn process_edge(&mut self, graph: &DynamicGraph, edge: &Edge, out: &mut Vec<PartialMatch>) {
+        self.lateness = self.lateness.max(graph.now().since(edge.timestamp));
+        let now = graph.now().minus(self.lateness);
         let mut primitives = std::mem::take(&mut self.leaf_scratch);
         primitives.clear();
         self.primitive_matches_into(graph, edge, &mut primitives);
         for (leaf, m) in primitives.drain(..) {
-            self.absorb(leaf, m, out);
+            self.absorb(leaf, m, now, out);
         }
         self.leaf_scratch = primitives;
     }
@@ -397,9 +406,16 @@ impl SjTreeMatcher {
     /// already remapped into this query's vertex/edge space), which counts
     /// one primitive match; it is an internal node or the root for a
     /// *joined* match of a shared entry, whose searches and joins below
-    /// `node` ran once inside the entry, not here. Complete matches are
-    /// appended to `out`.
-    pub(crate) fn absorb(&mut self, node: SjNodeId, m: PartialMatch, out: &mut Vec<PartialMatch>) {
+    /// `node` ran once inside the entry, not here. The stores first hide
+    /// what lies behind `now − tW`. Complete matches are appended to `out`.
+    pub(crate) fn absorb(
+        &mut self,
+        node: SjNodeId,
+        m: PartialMatch,
+        now: Timestamp,
+        out: &mut Vec<PartialMatch>,
+    ) {
+        self.advance_horizon(now);
         // Internal nodes are exactly the ones that own a store.
         if self.stores[node.0].is_none() {
             self.metrics.primitive_matches += 1;
@@ -421,38 +437,28 @@ impl SjTreeMatcher {
     /// Hides every partial match whose earliest edge is older than
     /// `now - tW` from every later probe, in every store (see
     /// [`SharedJoinStore::set_horizon`]): such matches can never be
-    /// completed within the window. The engine calls this before each climb
-    /// it feeds, so what a climb joins does not depend on when the stores
-    /// were last swept.
-    pub(crate) fn advance_horizon(&mut self, now: Timestamp) {
+    /// completed within the window. The horizon never moves back, which
+    /// the lazy sides' invariant needs (see the module docs).
+    fn advance_horizon(&mut self, now: Timestamp) {
         let horizon = now.minus(self.window());
-        for store in self.stores.iter_mut().flatten() {
-            store.set_horizon(horizon);
+        if horizon > self.horizon {
+            self.horizon = horizon;
+            for store in self.stores.iter_mut().flatten() {
+                store.set_horizon(horizon);
+            }
         }
     }
 
-    /// Advances the horizon to `now - tW`, hiding every older partial match
-    /// from later probes as the engine does before each climb, and removes
-    /// every partial match behind it. Exact on every node — the
-    /// shared stores' sweep visits every held match, so none is retained
-    /// behind an in-window head — and no surviving match is moved.
+    /// Advances the horizon to `now - tW`, as every climb does, and removes
+    /// every partial match behind it at once — nothing needs to on a
+    /// schedule, since a full store reclaims before it grows. Exact on every
+    /// node, and no surviving match is moved.
     pub fn prune(&mut self, now: Timestamp) {
         self.advance_horizon(now);
         let cutoff = now.minus(self.window());
-        let mut removed = 0usize;
         for store in self.stores.iter_mut().flatten() {
-            removed += store.expire_older_than(cutoff);
+            store.expire_older_than(cutoff);
         }
-        self.metrics.partial_matches_expired += removed as u64;
-    }
-
-    /// Drops all stored partial matches and resets metrics (used between
-    /// experiment repetitions).
-    pub fn reset(&mut self) {
-        for store in self.stores.iter_mut().flatten() {
-            store.clear();
-        }
-        self.metrics = QueryMetrics::default();
     }
 }
 
@@ -499,6 +505,8 @@ impl Climb<'_> {
             .expect("a parent's store comes after its child's");
         let store = store.as_mut().expect("internal node has a shared store");
         self.metrics.partial_matches_inserted += 1;
+        // Every branch below files `m` on `side`.
+        store.make_room(side);
         let Some(key) = store.join_key_for(&m) else {
             debug_assert!(false, "a node-complete match binds its join key");
             return;
@@ -697,24 +705,68 @@ mod tests {
         for i in 0..50 {
             feed(&mut g, &mut matcher, &format!("a{i}"), "k1", "mentions", i);
         }
-        let before = matcher.metrics().partial_matches_live;
-        assert!(before > 0);
+        // Live counts what a probe could still offer: one match per leaf
+        // and event of the last 31 seconds (earliest at or after 49 − 30).
+        assert_eq!(matcher.metrics().partial_matches_live, 2 * 31);
         matcher.prune(Timestamp::from_secs(1_000));
         let after = matcher.metrics();
         assert_eq!(after.partial_matches_live, 0);
-        assert_eq!(after.partial_matches_expired, before);
+        assert_eq!(
+            after.partial_matches_expired,
+            after.partial_matches_inserted
+        );
+    }
+
+    /// Slots the matcher's stores hold: live matches, hidden ones included,
+    /// and tombstones no front has passed.
+    fn slots_held(matcher: &SjTreeMatcher) -> usize {
+        let stores = matcher.stores.iter().flatten();
+        stores.map(|s| s.len() + s.expiry_backlog()).sum()
     }
 
     #[test]
-    fn reset_clears_state() {
+    fn a_matcher_never_pruned_stays_bounded() {
+        // A hot wedge — four articles a second over six keywords, a 30 s
+        // window — fed through `process_edge` alone: nothing calls `prune`,
+        // so only the stores' own reclaiming keeps them bounded.
+        let window = 30;
         let mut g = DynamicGraph::unbounded();
-        let mut matcher = SjTreeMatcher::new(wedge_query(3600), &g);
-        feed(&mut g, &mut matcher, "a1", "k1", "mentions", 1);
-        feed(&mut g, &mut matcher, "a2", "k1", "mentions", 2);
-        assert!(matcher.metrics().complete_matches > 0);
-        matcher.reset();
-        assert_eq!(matcher.metrics().complete_matches, 0);
-        assert_eq!(matcher.metrics().partial_matches_live, 0);
+        let mut matcher = SjTreeMatcher::new(wedge_query(window), &g);
+        let (mut peak, mut peaks) = (0, Vec::new());
+        for t in 0..10 * window {
+            for j in 0..4 {
+                let (article, keyword) = (
+                    format!("a{}", (5 * t + j) % 97),
+                    format!("k{}", (t + j) % 6),
+                );
+                feed(&mut g, &mut matcher, &article, &keyword, "mentions", t);
+                peak = peak.max(slots_held(&matcher));
+            }
+            if (t + 1) % window == 0 {
+                peaks.push(peak);
+            }
+        }
+        let (two, ten) = (peaks[1], peaks[9]);
+        assert!(two >= 2 * 4 * 30, "two windows hold {two} slots");
+        assert!(
+            2 * ten <= 3 * two,
+            "slots held: {two} over 2 windows, {ten} over 10"
+        );
+        // The counters: exactly the window's matches are live, one per leaf
+        // and event of the last 31 seconds, and every other filed match is
+        // counted expired.
+        let m = matcher.metrics();
+        assert_eq!(m.partial_matches_live, 2 * 4 * 31);
+        let held: usize = matcher
+            .stores
+            .iter()
+            .flatten()
+            .map(SharedJoinStore::len)
+            .sum();
+        assert_eq!(
+            m.partial_matches_expired + held as u64,
+            m.partial_matches_inserted
+        );
     }
 
     #[test]
@@ -780,11 +832,15 @@ mod tests {
     }
 
     /// Runs a fixed 240-event stream (8 articles, 3 keywords, 2 cities, one
-    /// event per second, prune every 16) through the matcher and through
-    /// `NaiveEdgeExpansion`, returning what each emitted — each match as its
-    /// data edges in query-edge order; the matcher's in emission order, the
-    /// reference's sorted — and the matcher's counters.
-    fn run_four_leaf(kind: TreeShapeKind) -> (Vec<Vec<EdgeId>>, Vec<Vec<EdgeId>>, QueryMetrics) {
+    /// event per second, pruned every `prune_every` events or never) through
+    /// the matcher and through `NaiveEdgeExpansion`, returning what each
+    /// emitted — each match as its data edges in query-edge order; the
+    /// matcher's in emission order, the reference's sorted — and the
+    /// matcher's counters.
+    fn run_four_leaf(
+        kind: TreeShapeKind,
+        prune_every: Option<i64>,
+    ) -> (Vec<Vec<EdgeId>>, Vec<Vec<EdgeId>>, QueryMetrics) {
         let plan = four_leaf_plan(kind);
         let mut g = DynamicGraph::unbounded();
         let mut naive = streamworks_baseline::NaiveEdgeExpansion::new(plan.query.clone());
@@ -821,7 +877,7 @@ mod tests {
                     .map(|m| m.edges.iter().map(|&(_, e)| e).collect::<Vec<_>>()),
             );
             expected.extend(naive.process_edge(&g, &edge).into_iter().map(|e| e.edges));
-            if (i + 1) % 16 == 0 {
+            if prune_every.is_some_and(|every| (i + 1) % every == 0) {
                 matcher.prune(edge.timestamp);
             }
         }
@@ -836,35 +892,43 @@ mod tests {
     /// joins attempted, joins succeeded, partial matches inserted, complete
     /// matches, lazy materialisations and merges skipped cold. The order
     /// complete matches come out in is the order the climb visits
-    /// candidates in.
+    /// candidates in. Both are the same whether the matcher is pruned after
+    /// every event, every 16 or never: the matcher hides what the window
+    /// left behind on every climb, not when it is pruned.
     fn check_four_leaf(kind: TreeShapeKind, digest: u64, recorded: [u64; 6]) {
-        let (mut emitted, expected, m) = run_four_leaf(kind);
-        let fnv = (emitted.iter().flatten()).fold(0xcbf2_9ce4_8422_2325, |h, e| {
-            (h ^ e.0).wrapping_mul(0x100_0000_01b3)
-        });
-        assert_eq!(fnv, digest, "the emission order");
-        assert_eq!(
-            [
-                m.joins_attempted,
-                m.joins_succeeded,
-                m.partial_matches_inserted,
-                m.complete_matches,
-                m.lazy_materialisations,
-                m.merges_skipped_cold,
-            ],
-            recorded
-        );
-        emitted.sort();
-        assert_eq!(emitted.len(), 2116);
-        assert_eq!(emitted, expected, "every embedding, each once");
+        for prune_every in [Some(1), Some(16), None] {
+            let (mut emitted, expected, m) = run_four_leaf(kind, prune_every);
+            let fnv = (emitted.iter().flatten()).fold(0xcbf2_9ce4_8422_2325, |h, e| {
+                (h ^ e.0).wrapping_mul(0x100_0000_01b3)
+            });
+            assert_eq!(
+                fnv, digest,
+                "the emission order, pruned every {prune_every:?}"
+            );
+            assert_eq!(
+                [
+                    m.joins_attempted,
+                    m.joins_succeeded,
+                    m.partial_matches_inserted,
+                    m.complete_matches,
+                    m.lazy_materialisations,
+                    m.merges_skipped_cold,
+                ],
+                recorded,
+                "pruned every {prune_every:?}"
+            );
+            emitted.sort();
+            assert_eq!(emitted.len(), 2116);
+            assert_eq!(emitted, expected, "every embedding, each once");
+        }
     }
 
     #[test]
     fn balanced_tree_climbs_through_a_right_hand_internal_node() {
         check_four_leaf(
             TreeShapeKind::Balanced,
-            0x3835_43b4_4dd3_8f07,
-            [6297, 4038, 2402, 2116, 140, 1437],
+            0x5533_ac18_4eb3_08d3,
+            [4269, 3878, 2242, 2116, 216, 1347],
         );
     }
 
@@ -872,8 +936,8 @@ mod tests {
     fn left_deep_tree_climbs_three_levels() {
         check_four_leaf(
             TreeShapeKind::LeftDeep,
-            0x45d4_3ca2_ef2b_89ff,
-            [8278, 5509, 3873, 2116, 33, 1877],
+            0x4e85_4093_016c_51ef,
+            [5817, 5233, 3597, 2116, 44, 1635],
         );
     }
 

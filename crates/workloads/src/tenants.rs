@@ -15,7 +15,9 @@
 //! * a **co-location pair** query (two articles sharing a location, no
 //!   label) — structurally identical across *every* tenant, and
 //!   *unselective*: it embeds on every co-located article pair, exercising
-//!   the match-fan-out regime (see [`TenantConfig::include_colocation`]).
+//!   the match-fan-out regime: with many tenants the total match volume
+//!   grows linearly in the tenant count, and match fan-out rather than
+//!   search cost dominates.
 //!
 //! The result is a registry whose distinct-primitive count is a small
 //! constant (a few labels' worth) however many tenants register, so matching
@@ -32,9 +34,8 @@ use streamworks_query::{Predicate, QueryGraph, QueryGraphBuilder};
 /// Configuration of the multi-tenant registry generator.
 #[derive(Debug, Clone)]
 pub struct TenantConfig {
-    /// Number of tenants; each registers a labelled pair query, plus a
-    /// co-location pair when [`Self::include_colocation`] is set (the
-    /// default).
+    /// Number of tenants; each registers a labelled pair query and a
+    /// co-location pair.
     pub tenants: usize,
     /// Topic label pool; tenant `i` watches `labels[i % labels.len()]`, so
     /// `tenants / labels.len()` tenants share each labelled template
@@ -42,23 +43,6 @@ pub struct TenantConfig {
     pub labels: Vec<String>,
     /// Time window of every generated query.
     pub window: Duration,
-    /// Whether each tenant also registers the (unlabelled) co-location pair
-    /// template. It is structurally identical across every tenant — maximal
-    /// sharing — but matches on *every* co-located article pair, so with
-    /// many tenants the workload's total match volume grows linearly in the
-    /// tenant count and match fan-out (irreducible per-tenant work) rather
-    /// than search cost dominates. `true` (the default) exercises that
-    /// regime too; benchmarks isolating the search-sharing lever set it to
-    /// `false` and measure the rarely-firing labelled registry alone.
-    pub include_colocation: bool,
-    /// When set, tenant `i` watches the unique label
-    /// `"{labels[i % len]}-{i}"` instead of cycling the pool: no two
-    /// labelled templates are exact copies, so leaf-level (exact-constant)
-    /// sharing finds nothing and only the engine's predicate-constant
-    /// lifting can collapse the registry. Planted bursts then cover
-    /// the first `labels.len()` tenants' labels, keeping the stream
-    /// size-bounded however many tenants register. `false` by default.
-    pub distinct_labels: bool,
     /// Event-stream configuration. `planted_events` is overridden with one
     /// burst per label so every labelled template has ground-truth matches.
     pub news: NewsConfig,
@@ -75,8 +59,6 @@ impl Default for TenantConfig {
                 "sports".to_owned(),
             ],
             window: Duration::from_mins(30),
-            include_colocation: true,
-            distinct_labels: false,
             news: NewsConfig::default(),
         }
     }
@@ -113,38 +95,19 @@ impl MultiTenantGenerator {
         &self.config
     }
 
-    /// Tenant `t`'s watched label under the configuration: a pool label, or
-    /// a tenant-unique one in [`TenantConfig::distinct_labels`] mode.
-    fn label_of(&self, t: usize) -> String {
-        let base = &self.config.labels[t % self.config.labels.len()];
-        if self.config.distinct_labels {
-            format!("{base}-{t}")
-        } else {
-            base.clone()
-        }
-    }
-
     /// Generates the tenants' queries and the shared event stream.
     pub fn generate(&self) -> MultiTenantWorkload {
         let cfg = &self.config;
         let mut queries = Vec::with_capacity(cfg.tenants * 2);
         for t in 0..cfg.tenants {
-            queries.push(labelled_pair(t, &self.label_of(t), cfg.window));
-            if cfg.include_colocation {
-                queries.push(colocation_pair(t, cfg.window));
-            }
+            let label = &cfg.labels[t % cfg.labels.len()];
+            queries.push(labelled_pair(t, label, cfg.window));
+            queries.push(colocation_pair(t, cfg.window));
         }
         let mut news = cfg.news.clone();
-        news.planted_events = if cfg.distinct_labels {
-            (0..cfg.tenants.min(cfg.labels.len()))
-                .map(|t| (self.label_of(t), 3usize))
-                .collect()
-        } else {
-            cfg.labels
-                .iter()
-                .map(|label| (label.clone(), 3usize))
-                .collect()
-        };
+        news.planted_events = (cfg.labels.iter())
+            .map(|label| (label.clone(), 3usize))
+            .collect();
         let workload = NewsStreamGenerator::new(news).generate();
         MultiTenantWorkload {
             queries,
@@ -245,42 +208,6 @@ mod tests {
             assert_eq!(e0.etype, e2.etype);
             assert_eq!(e0.predicates, e2.predicates);
         }
-    }
-
-    #[test]
-    fn distinct_labels_give_every_tenant_a_unique_constant() {
-        let workload = MultiTenantGenerator::new(TenantConfig {
-            tenants: 6,
-            labels: vec!["a".into(), "b".into()],
-            include_colocation: false,
-            distinct_labels: true,
-            news: NewsConfig {
-                articles: 50,
-                ..Default::default()
-            },
-            ..Default::default()
-        })
-        .generate();
-        assert_eq!(workload.queries.len(), 6);
-        // Every labelled template carries a different constant.
-        let mut constants: Vec<_> = workload
-            .queries
-            .iter()
-            .map(|q| {
-                q.edges()
-                    .flat_map(|e| &e.predicates)
-                    .map(|p| p.canonical_token())
-                    .next()
-                    .unwrap()
-            })
-            .collect();
-        constants.sort_unstable();
-        constants.dedup();
-        assert_eq!(constants.len(), 6, "no two tenants share a constant");
-        // Planted bursts are bounded by the pool size, not the tenant count,
-        // and target real tenant labels so the registry stays matchable.
-        assert_eq!(workload.planted.len(), 2);
-        assert_eq!(workload.queries[0].name(), "t0_a-0_pair");
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! timestamp orders and prune cadences, plus two crafted cases: a key that
 //! goes hot → cold → hot with lazy matches left behind, and a sharing-index
 //! subscriber whose subscription node has a lazy sibling. Whether a key is
-//! hot is decided on visibility, so the engine's sweep cadence decides
-//! nothing: not what it emits, not in which order, not how much it works.
+//! hot is decided on visibility, so when the stores are reclaimed decides
+//! nothing: not what the engine emits, not in which order, not how much it
+//! works.
 //!
 //! CI also runs this file in release (`cargo test --release --test
 //! lazy_join_sides`).
@@ -332,7 +333,8 @@ fn a_subscription_node_with_a_lazy_sibling_is_fed_and_stays_exact() {
 
 #[test]
 fn the_sweep_cadence_decides_nothing() {
-    // A default engine sweeps every 256 events; the other after every one.
+    // A default engine is never swept (its full stores reclaim on their
+    // own); the other is swept after every event.
     // A key whose awaited matches are all hidden must read cold either way.
     let plans = [
         single_edge_plan(query(40, HOT_WEDGE), TreeShapeKind::LeftDeep),

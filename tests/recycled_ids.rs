@@ -17,8 +17,8 @@
 //!   its timestamp, unique per event — joins the keys its bindings report,
 //!   and carries the query edge's label and endpoint types;
 //! * the subgraph matches equal the repeated-search reference
-//!   (`common/repeated_search.rs`) **exactly**, whether the engine sweeps
-//!   its join stores after every event or on its own cadence, and none
+//!   (`common/repeated_search.rs`) **exactly**, whether the engine's join
+//!   stores are swept after every event or only reclaim when full, and none
 //!   names an edge behind `now − window`: a late edge never completes with
 //!   a stored partial match whose edges have left the window;
 //! * the RPQ's emissions equal the brute-force path oracle
@@ -210,7 +210,7 @@ struct Run {
     queries: Vec<(QueryHandle, QueryGraph)>,
     rpq: QueryHandle,
     /// Sweep the join stores after every event (`prune_now`), on top of
-    /// the engine's own cadence.
+    /// what each store reclaims when it fills.
     sweep_each_event: bool,
 }
 
@@ -370,8 +370,8 @@ fn assert_matches_reference(got: &Emitted, want: &BTreeMap<Found, usize>) {
 
 /// Stream length and churn: short streams for the engine swept after every
 /// event, held to the repeated-search baseline; long ones, with more slots
-/// changing hands between two sweeps, for the engine on its own cadence,
-/// held to the engine swept after every event.
+/// changing hands while nothing sweeps, for the engine left to its stores'
+/// own reclaiming, held to the engine swept after every event.
 fn shape(sweep_each_event: bool) -> (i64, usize) {
     if sweep_each_event {
         (240, 4)
@@ -419,9 +419,9 @@ fn per_event_pruning_matches_the_references_exactly() {
     }
 }
 
-/// The engine on its own sweep cadence, on a long stream, is exact against
-/// the engine swept after every event: between two sweeps, expired partial
-/// matches stay in the stores but no probe sees them. A copy whose chain walk
+/// The engine never swept, on a long stream, is exact against the engine
+/// swept after every event: until a full store reclaims them, expired
+/// partial matches stay in the stores but no probe sees them. A copy whose chain walk
 /// ignores the horizon fails this test and the two below.
 #[test]
 fn lazy_pruning_keeps_every_match_sound() {

@@ -3,7 +3,7 @@
 //! These tests once compared sharded engines with the single-threaded one.
 //! Every query now runs in-process, but what they pinned still holds and
 //! still matters: how a stream is cut into `ingest` calls — one event at a
-//! time, in calls longer than the prune cadence, or all at once — changes
+//! time, in calls of hundreds of events, or all at once — changes
 //! nothing the engine reports, and a subscription sees exactly the stream
 //! the calls return, in stream-time order. The file and test names are kept
 //! from the sharded era so their history stays traceable.
@@ -75,9 +75,10 @@ fn invariance_holds_across_batch_granularities() {
     }
 }
 
-/// With 256 or more events in one `ingest` call, the engine's sweep of its
-/// join stores runs in the middle of the call. A sweep that dropped partials
-/// a later event of the same call still had to join would lose that match. The hot wedge
+/// A join store may reclaim in the middle of an `ingest` call, whenever a
+/// filing finds its side full (as the engine's 256-event sweep once did). A
+/// reclaim that dropped partials a later event of the same call still had to
+/// join would lose that match. The hot wedge
 /// keeps a steadily expiring window full of joinable partials, which is what
 /// it takes to expose such a loss; calls of one event are the reference.
 #[test]
@@ -121,7 +122,7 @@ fn mid_call_prunes_lose_no_sharded_matches() {
         })
         .collect();
 
-    // The engine sweeps every 256 events.
+    // Call lengths around the engine's old sweep cadence.
     let sweep_every = 256;
     let run = |batch: usize| {
         let mut engine = ContinuousQueryEngine::builder().build().unwrap();
