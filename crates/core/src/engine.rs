@@ -22,7 +22,9 @@ use crate::delivery::{
     ConnectError, DeliveryCursor, DeliveryStatus, DurableSub, RetryPolicy, SinkSpec,
 };
 use crate::error::EngineError;
-use crate::event::{CollectingSink, EventSink, MatchEvent, QueryId, SinkOverflow};
+use crate::event::{
+    CollectingSink, EventSink, KeyCache, MatchEvent, QueryId, SharedStr, SinkOverflow,
+};
 use crate::handle::{QueryHandle, SubscriptionId};
 use crate::ingest::Ingest;
 use crate::metrics::{EngineMetrics, QueryMetrics};
@@ -126,6 +128,9 @@ struct QueryState {
     /// bounded outboxes, drained at the end of each `ingest` call and
     /// persisted in checkpoints.
     durables: Vec<DurableSub>,
+    /// The query's variable names in query-vertex order (`src`, `dst` for
+    /// an RPQ), built once at registration and shared by every event.
+    names: Vec<SharedStr>,
 }
 
 /// One per-query subscription. Delivery to its sink is supervised: a sink
@@ -310,6 +315,8 @@ pub struct ContinuousQueryEngine {
     match_scratch: Vec<PartialMatch>,
     /// Reusable buffer for RPQ path matches produced per event.
     rpq_scratch: Vec<RpqPathMatch>,
+    /// The shared keys of vertices emitted matches bind, by vertex slot.
+    keys: KeyCache,
     /// `Some` while [`crate::TelemetryLevel::Sampled`]: the stage
     /// histograms plus the span ring. `None` means every instrumentation
     /// site reduces to one branch. Boxed to keep the engine's inline size.
@@ -351,6 +358,7 @@ impl ContinuousQueryEngine {
             events_emitted: 0,
             match_scratch: Vec::new(),
             rpq_scratch: Vec::new(),
+            keys: KeyCache::default(),
             telemetry: match config.telemetry_level {
                 TelemetryLevel::Off => None,
                 TelemetryLevel::Sampled => {
@@ -473,7 +481,11 @@ impl ContinuousQueryEngine {
         self.extend_retention(plan.query.window());
         let index = self.alloc_slot();
         let fed = self.shared.subscribe(index as u32, &plan, &self.graph);
+        let names = (plan.query.vertices())
+            .map(|v| v.name.as_str().into())
+            .collect();
         let state = QueryState {
+            names,
             exec: self.build_exec(plan, &fed),
             paused: false,
             paused_at: None,
@@ -534,6 +546,7 @@ impl ContinuousQueryEngine {
         self.extend_retention(rpq.window());
         let index = self.alloc_slot();
         let state = QueryState {
+            names: vec!["src".into(), "dst".into()],
             exec: QueryExec::Rpq(Box::new(RpqMatcher::new(rpq, &self.graph))),
             paused: false,
             paused_at: None,
@@ -836,6 +849,7 @@ impl ContinuousQueryEngine {
         let graph = self.graph.stats();
         m.live_vertices = graph.live_vertices;
         m.vertex_slots = graph.vertex_slots;
+        m.key_cache_entries = self.keys.len() as u64;
         [
             m.delivery_attempts,
             m.delivery_retries,
@@ -1384,8 +1398,15 @@ impl ContinuousQueryEngine {
                 self.shared.fan_out(d, &state.observed, |node, m| {
                     matcher.absorb(node, m, graph.now(), &mut complete)
                 });
+                let name = matcher.plan().query.name();
                 for m in complete.drain(..) {
-                    let event = MatchEvent::from_match(handle, &matcher.plan().query, graph, &m);
+                    let event = MatchEvent::of_match(
+                        handle,
+                        name,
+                        &m,
+                        |qv| state.names[qv.0].clone(),
+                        |v| self.keys.key(graph, v),
+                    );
                     deliver_event(
                         event,
                         &mut state.subscribers,
@@ -1423,7 +1444,9 @@ impl ContinuousQueryEngine {
             lap(&mut search_ns, t1, now());
             let name = rpq.query().name();
             for p in paths.drain(..) {
-                let event = MatchEvent::from_path(handle, name, graph, &p);
+                let event = MatchEvent::from_path(handle, name, &state.names, graph, &p, |v| {
+                    self.keys.key(graph, v)
+                });
                 deliver_event(
                     event,
                     &mut state.subscribers,

@@ -16,23 +16,97 @@
 use crate::binding::PartialMatch;
 use crate::handle::QueryHandle;
 use serde::{Deserialize, Serialize};
-use std::sync::mpsc;
+use std::fmt;
+use std::ops::Deref;
+use std::sync::{mpsc, Arc};
 use streamworks_graph::{Duration, DynamicGraph, EdgeId, Timestamp, VertexId};
-use streamworks_query::QueryGraph;
+use streamworks_query::{QueryGraph, QueryVertexId};
 
 /// Identifier assigned to a registered query by the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct QueryId(pub usize);
 
+/// An immutable string shared by reference count: a variable name or a
+/// vertex key that many match events carry. Cloning one bumps a count
+/// instead of copying the text. It reads as a `&str` (`Deref`,
+/// [`Self::as_str`], `Display`), compares equal to `&str` and `String`, and
+/// serialises as a plain JSON string, so an event's JSON and
+/// [`MatchEvent::render`] line read as they did with `String` fields.
+#[derive(Clone, PartialEq, Eq)]
+pub struct SharedStr(Arc<str>);
+
+impl SharedStr {
+    /// The text.
+    pub fn as_str(&self) -> &str {
+        &self.0
+    }
+}
+
+impl Deref for SharedStr {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        &self.0
+    }
+}
+
+impl fmt::Display for SharedStr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(self.as_str(), f)
+    }
+}
+
+impl fmt::Debug for SharedStr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+impl From<&str> for SharedStr {
+    fn from(s: &str) -> Self {
+        SharedStr(Arc::from(s))
+    }
+}
+
+impl From<String> for SharedStr {
+    fn from(s: String) -> Self {
+        SharedStr(Arc::from(s))
+    }
+}
+
+impl PartialEq<&str> for SharedStr {
+    fn eq(&self, other: &&str) -> bool {
+        self.as_str() == *other
+    }
+}
+
+impl PartialEq<String> for SharedStr {
+    fn eq(&self, other: &String) -> bool {
+        self.as_str() == other
+    }
+}
+
+impl Serialize for SharedStr {
+    fn to_value(&self) -> serde::Value {
+        self.as_str().to_value()
+    }
+}
+
+impl Deserialize for SharedStr {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        String::from_value(v).map(SharedStr::from)
+    }
+}
+
 /// One binding of a query variable in a match event.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BoundVertex {
-    /// The query variable name.
-    pub variable: String,
+    /// The query variable name, shared by every event of its query.
+    pub variable: SharedStr,
     /// The data vertex bound to it.
     pub vertex: VertexId,
     /// The data vertex's external key (e.g. IP address, article URI).
-    pub key: String,
+    pub key: SharedStr,
 }
 
 /// A complete match of a registered query, reported as it is discovered.
@@ -57,44 +131,93 @@ pub struct MatchEvent {
     pub edges: Vec<EdgeId>,
 }
 
+/// The shared keys of the data vertices that emitted matches bind, by
+/// vertex slot, filled as matches name them.
+///
+/// An entry is reused only while its text still equals the graph's key for
+/// the slot: a slot the graph recycled for another key gets a new entry on
+/// its next use. The table is indexed by [`VertexId`], so it is never longer
+/// than the graph's slot vector.
+#[derive(Debug, Default)]
+pub(crate) struct KeyCache {
+    keys: Vec<Option<SharedStr>>,
+}
+
+impl KeyCache {
+    /// The shared key of `v` as `graph` names it now.
+    pub(crate) fn key(&mut self, graph: &DynamicGraph, v: VertexId) -> SharedStr {
+        let Some(text) = graph.vertex_key(v) else {
+            return SharedStr::from(UNKNOWN_KEY);
+        };
+        if v.index() >= self.keys.len() {
+            self.keys.resize(v.index() + 1, None);
+        }
+        match &mut self.keys[v.index()] {
+            Some(key) if key.as_str() == text => key.clone(),
+            entry => entry.insert(SharedStr::from(text)).clone(),
+        }
+    }
+
+    /// Entries held: at most the graph's vertex slots.
+    pub(crate) fn len(&self) -> usize {
+        self.keys.len()
+    }
+}
+
+/// What an event shows as the key of a vertex the graph no longer holds.
+const UNKNOWN_KEY: &str = "<unknown>";
+
 impl MatchEvent {
-    /// Builds an event from a root-level partial match.
+    /// Builds an event from a root-level partial match, resolving variable
+    /// names through `query` and vertex keys through `graph`. Each call
+    /// allocates its own names and keys; the engine emits through shared
+    /// ones instead.
     pub fn from_match(
         handle: QueryHandle,
         query: &QueryGraph,
         graph: &DynamicGraph,
         m: &PartialMatch,
     ) -> Self {
-        let bindings = m
-            .binding
-            .iter()
-            .map(|(qv, dv)| BoundVertex {
-                variable: query.vertex(qv).name.clone(),
-                vertex: dv,
-                key: graph.vertex_key(dv).unwrap_or("<unknown>").to_owned(),
-            })
-            .collect();
-        MatchEvent {
-            query: handle.id(),
-            query_generation: handle.generation(),
-            query_name: query.name().to_owned(),
-            at: m.latest,
-            span: m.span(),
-            bindings,
-            edges: m.edges.iter().map(|(_, e)| *e).collect(),
-        }
+        Self::of_match(
+            handle,
+            query.name(),
+            m,
+            |qv| query.vertex(qv).name.as_str().into(),
+            |v| graph.vertex_key(v).unwrap_or(UNKNOWN_KEY).into(),
+        )
     }
 
-    /// Builds an event from an RPQ path match: `src`/`dst` bindings for the
-    /// path endpoints, the witness edges in path order, `at` the freshest
-    /// witness timestamp and `span` the witness's temporal extent. Witness
-    /// edges are live at emission time (the matcher emits only inside the
-    /// window), so their timestamps resolve against the graph.
+    /// Builds an event from a root-level partial match, with `name` giving
+    /// a query vertex's variable name and `key` a data vertex's key.
+    pub(crate) fn of_match(
+        handle: QueryHandle,
+        query_name: &str,
+        m: &PartialMatch,
+        mut name: impl FnMut(QueryVertexId) -> SharedStr,
+        key: impl FnMut(VertexId) -> SharedStr,
+    ) -> Self {
+        Self::build(
+            handle,
+            query_name,
+            (m.latest, m.span()),
+            m.binding.iter().map(|(qv, dv)| (name(qv), dv)),
+            key,
+            m.edges.iter().map(|(_, e)| *e).collect(),
+        )
+    }
+
+    /// Builds an event from an RPQ path match: `names` (`src`, `dst`) bind
+    /// the path endpoints, the witness edges are in path order, `at` is the
+    /// freshest witness timestamp and `span` the witness's temporal extent.
+    /// Witness edges are live at emission time (the matcher emits only
+    /// inside the window), so their timestamps resolve against the graph.
     pub(crate) fn from_path(
         handle: QueryHandle,
         query_name: &str,
+        names: &[SharedStr],
         graph: &DynamicGraph,
         path: &crate::rpq::RpqPathMatch,
+        key: impl FnMut(VertexId) -> SharedStr,
     ) -> Self {
         let mut earliest = Timestamp(i64::MAX);
         let mut latest = Timestamp(i64::MIN);
@@ -109,19 +232,41 @@ impl MatchEvent {
             earliest = graph.now();
             latest = earliest;
         }
-        let bind = |variable: &str, v: VertexId| BoundVertex {
-            variable: variable.to_owned(),
-            vertex: v,
-            key: graph.vertex_key(v).unwrap_or("<unknown>").to_owned(),
-        };
+        Self::build(
+            handle,
+            query_name,
+            (latest, latest.since(earliest)),
+            names.iter().cloned().zip([path.source, path.target]),
+            key,
+            path.edges.clone(),
+        )
+    }
+
+    /// The one constructor behind [`Self::of_match`] and [`Self::from_path`]:
+    /// each binding is a variable name from `bound` and the key `key` gives.
+    fn build(
+        handle: QueryHandle,
+        query_name: &str,
+        (at, span): (Timestamp, Duration),
+        bound: impl Iterator<Item = (SharedStr, VertexId)>,
+        mut key: impl FnMut(VertexId) -> SharedStr,
+        edges: Vec<EdgeId>,
+    ) -> Self {
+        // One allocation: the upper bound is the query's vertex count.
+        let mut bindings = Vec::with_capacity(bound.size_hint().1.unwrap_or(0));
+        bindings.extend(bound.map(|(variable, vertex)| BoundVertex {
+            variable,
+            vertex,
+            key: key(vertex),
+        }));
         MatchEvent {
             query: handle.id(),
             query_generation: handle.generation(),
             query_name: query_name.to_owned(),
-            at: latest,
-            span: latest.since(earliest),
-            bindings: vec![bind("src", path.source), bind("dst", path.target)],
-            edges: path.edges.clone(),
+            at,
+            span,
+            bindings,
+            edges,
         }
     }
 
@@ -585,6 +730,31 @@ mod tests {
         let line = ev.render();
         assert!(line.contains("demo"));
         assert!(line.contains("a=a1"));
+    }
+
+    #[test]
+    fn key_cache_shares_a_key_until_its_slot_changes_hands() {
+        // A 1 s retention: each pair's vertices are evicted by the next
+        // pair, and their slots go to new keys once the quarantine passes.
+        let retention = Duration::from_secs(1);
+        let mut g = DynamicGraph::new(streamworks_graph::GraphConfig::with_retention(retention));
+        let mut cache = KeyCache::default();
+        let mut recycled = 0;
+        let mut seen = std::collections::HashMap::new();
+        for i in 0..40i64 {
+            let (src, dst) = (format!("x{i}"), format!("y{i}"));
+            let t = Timestamp::from_secs(10 * i);
+            let r = g.ingest(&EdgeEvent::new(&src, "A", &dst, "B", "e", t));
+            for (v, key) in [(r.src, &src), (r.dst, &dst)] {
+                let first = cache.key(&g, v);
+                assert_eq!(first, *key);
+                // A second look-up shares the entry instead of copying it.
+                assert!(Arc::ptr_eq(&first.0, &cache.key(&g, v).0));
+                recycled += usize::from(seen.insert(v, key.clone()).is_some());
+            }
+            assert!(cache.len() as u64 <= g.stats().vertex_slots);
+        }
+        assert!(recycled > 20, "only {recycled} slots changed hands");
     }
 
     #[test]

@@ -78,7 +78,7 @@ pub use engine::{ContinuousQueryEngine, SubscriptionHealth};
 pub use error::EngineError;
 pub use event::{
     BoundVertex, BufferingSink, CallbackSink, ChannelSink, CollectingSink, CountingSink, EventSink,
-    MatchBuffer, MatchCounter, MatchEvent, QueryId, SinkOverflow,
+    MatchBuffer, MatchCounter, MatchEvent, QueryId, SharedStr, SinkOverflow,
 };
 pub use handle::{QueryHandle, SubscriptionId};
 pub use ingest::{EventBatch, Ingest};

@@ -235,6 +235,10 @@ pub struct EngineMetrics {
     /// (`GraphStats::vertex_slots`) — the length of every vertex-indexed
     /// table, the RPQ product index included.
     pub vertex_slots: u64,
+    /// Gauge: entries of the table of shared vertex keys that emitted
+    /// matches carry, indexed by vertex slot — never more than
+    /// `vertex_slots`.
+    pub key_cache_entries: u64,
 }
 
 impl EngineMetrics {

@@ -88,7 +88,7 @@ impl EventTableSpec {
             EventColumn::SpanSecs => event.span.as_secs().to_string(),
             EventColumn::Binding(var) => event
                 .binding(var)
-                .map(|b| b.key.clone())
+                .map(|b| b.key.to_string())
                 .unwrap_or_default(),
             EventColumn::AllBindings => event
                 .bindings

@@ -32,7 +32,7 @@ impl GeoView {
     pub fn observe(&mut self, event: &MatchEvent) {
         let location = event
             .binding(&self.location_variable)
-            .map(|b| b.key.clone())
+            .map(|b| b.key.to_string())
             .unwrap_or_else(|| "<unlocated>".to_owned());
         self.counts.entry(location).or_default().push(event.clone());
     }
@@ -218,9 +218,9 @@ mod tests {
                 .iter()
                 .enumerate()
                 .map(|(i, (var, key))| BoundVertex {
-                    variable: (*var).to_owned(),
+                    variable: (*var).into(),
                     vertex: VertexId(i as u32),
-                    key: (*key).to_owned(),
+                    key: (*key).into(),
                 })
                 .collect(),
             edges: Vec::new(),

@@ -43,6 +43,10 @@ impl GraphSummary {
     ///   [`DegreeDistribution::live_edges`] — count the live edges, as a
     ///   hand-fed summary does. The degree histograms hold one sample per
     ///   live vertex.
+    /// * Live vertex counts per type
+    ///   ([`TypeDistribution::live_vertex_count`]) are
+    ///   [`DynamicGraph::vertices_of_type`]; [`Self::estimated_fanout`]
+    ///   divides by them.
     /// * Cumulative statistics come from the graph's counters: per-type
     ///   vertex counts and `total_vertices` are
     ///   [`DynamicGraph::vertices_created_of_type`] (a key counts again when
@@ -64,7 +68,11 @@ impl GraphSummary {
             (summary.degrees).record_degree_sample(v.vtype, v.degree() as u64);
         }
         for t in (0..graph.vertex_type_count() as u32).map(TypeId) {
-            (summary.types).observe_vertices(t, graph.vertices_created_of_type(t));
+            (summary.types).observe_vertices(
+                t,
+                graph.vertices_created_of_type(t),
+                graph.vertices_of_type(t),
+            );
         }
         summary.triads = TriadDistribution::of(graph);
         summary.edges_observed = graph.retained_edge_count();
@@ -165,9 +173,11 @@ impl GraphSummary {
     }
 
     /// Estimated average fan-out of expanding from a vertex of type `vtype`
-    /// along `etype` in direction `dir`.
+    /// along `etype` in direction `dir`: the live typed endpoint count over
+    /// the live vertices of `vtype`, so the estimate does not sink as the
+    /// vertices ever created outgrow the live ones.
     pub fn estimated_fanout(&self, vtype: TypeId, dir: Direction, etype: TypeId) -> f64 {
-        let population = self.types.vertex_count(vtype);
+        let population = self.types.live_vertex_count(vtype);
         self.degrees
             .avg_typed_degree(vtype, dir, etype, population)
             .max(0.01)

@@ -25,6 +25,7 @@ pub struct EdgeTripleKey {
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct TypeDistribution {
     vertex_counts: Vec<u64>,
+    live_vertex_counts: Vec<u64>,
     edge_counts: Vec<u64>,
     triple_counts: FxHashMap<EdgeTripleKey, u64>,
     total_vertices: u64,
@@ -48,15 +49,18 @@ impl TypeDistribution {
         }
     }
 
-    /// Records a newly observed vertex of type `vtype`.
+    /// Records a newly observed vertex of type `vtype`. Fed this way a
+    /// distribution sees no vertex leave, so the vertex counts as live too.
     pub fn observe_vertex(&mut self, vtype: TypeId) {
-        self.observe_vertices(vtype, 1);
+        self.observe_vertices(vtype, 1, 1);
     }
 
-    /// Records `count` newly observed vertices of type `vtype`.
-    pub(crate) fn observe_vertices(&mut self, vtype: TypeId, count: u64) {
-        Self::bump(&mut self.vertex_counts, vtype.index(), count as i64);
-        self.total_vertices += count;
+    /// Records `created` newly observed vertices of type `vtype`, `live` of
+    /// which are still in the graph.
+    pub(crate) fn observe_vertices(&mut self, vtype: TypeId, created: u64, live: u64) {
+        Self::bump(&mut self.vertex_counts, vtype.index(), created as i64);
+        Self::bump(&mut self.live_vertex_counts, vtype.index(), live as i64);
+        self.total_vertices += created;
     }
 
     /// Records a newly inserted edge.
@@ -86,9 +90,19 @@ impl TypeDistribution {
         }
     }
 
-    /// Count of vertices with the given type.
+    /// Count of vertices with the given type observed so far (created, not
+    /// necessarily live).
     pub fn vertex_count(&self, vtype: TypeId) -> u64 {
         self.vertex_counts.get(vtype.index()).copied().unwrap_or(0)
+    }
+
+    /// Count of live vertices with the given type: those still in the graph
+    /// a summary was built from, every observed one for a hand-fed summary.
+    pub fn live_vertex_count(&self, vtype: TypeId) -> u64 {
+        self.live_vertex_counts
+            .get(vtype.index())
+            .copied()
+            .unwrap_or(0)
     }
 
     /// Count of live edges with the given type.

@@ -59,7 +59,7 @@ fn main() {
     let mut incidents: Vec<MatchEvent> = Vec::new();
     for ev in &workload.events {
         for m in engine.ingest(ev).unwrap() {
-            let mut key: Vec<String> = m.bindings.iter().map(|b| b.key.clone()).collect();
+            let mut key: Vec<String> = m.bindings.iter().map(|b| b.key.to_string()).collect();
             key.sort();
             key.push(m.query.0.to_string());
             if seen.insert(key) {

@@ -13,6 +13,8 @@
 # (BENCHMARK.json). With [out.json] the comparison is appended to that
 # document's `comparisons` instead (created if missing), so one file can hold
 # several workloads. Progress goes to stderr. Run it on an otherwise idle box.
+# Building `benchmark/` may re-resolve its tracked Cargo.lock; the script puts
+# the file back as it found it when it exits.
 set -euo pipefail
 
 if [ "$#" -lt 5 ] || [ "$#" -gt 6 ]; then
@@ -29,12 +31,14 @@ if [ ! -d "$base" ]; then
     mkdir -p "$base"
     git archive "$sha" | tar -x -C "$base"
 fi
+runs=$(mktemp)
+lock=$(mktemp)
+cp benchmark/Cargo.lock "$lock"
+trap 'cmp -s "$lock" benchmark/Cargo.lock || cp "$lock" benchmark/Cargo.lock; rm -f "$runs" "$lock"' EXIT
 for side in "$base" .; do
     cargo build --release --offline --quiet --manifest-path "$side/benchmark/Cargo.toml"
 done
 
-runs=$(mktemp)
-trap 'rm -f "$runs"' EXIT
 for pair in $(seq 0 $((pairs - 1))); do
     if [ $((pair % 2)) -eq 0 ]; then order="parent change"; else order="change parent"; fi
     for side in $order; do

@@ -139,8 +139,8 @@ pub use streamworks_core::{
     AdaptiveConfig, AdaptiveReplanner, BufferingSink, CallbackSink, ChannelSink, CollectingSink,
     ContinuousQueryEngine, CountingSink, DeliveryCursor, EngineBuilder, EngineConfig, EngineError,
     EngineMetrics, EventBatch, EventSink, Ingest, MatchBuffer, MatchCounter, MatchEvent,
-    QueryHandle, QueryId, QueryMetrics, RetryPolicy, RpqEnd, SinkOverflow, SinkSpec, Stage,
-    StageSnapshot, SubscriptionHealth, SubscriptionId, TelemetryLevel, TelemetrySnapshot,
+    QueryHandle, QueryId, QueryMetrics, RetryPolicy, RpqEnd, SharedStr, SinkOverflow, SinkSpec,
+    Stage, StageSnapshot, SubscriptionHealth, SubscriptionId, TelemetryLevel, TelemetrySnapshot,
     TraceSpan, Transport,
 };
 pub use streamworks_graph::{

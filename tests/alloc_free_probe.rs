@@ -56,8 +56,18 @@ use streamworks::engine::{JoinSide, PartialMatch, SharedJoinStore, SjTreeMatcher
 use streamworks::graph::GraphConfig;
 use streamworks::query::{ManualDecomposition, QueryEdgeId, QueryVertexId};
 use streamworks::{
-    Duration, DynamicGraph, EdgeEvent, EdgeId, Planner, QueryGraphBuilder, Timestamp, VertexId,
+    ContinuousQueryEngine, Duration, DynamicGraph, EdgeEvent, EdgeId, EventSink, MatchEvent,
+    Planner, QueryGraphBuilder, QueryPlan, Timestamp, VertexId,
 };
+
+/// A sink that drops each event as it arrives.
+struct Discard;
+
+impl EventSink for Discard {
+    fn on_match(&mut self, event: MatchEvent) {
+        drop(event);
+    }
+}
 
 fn pair_match(a: u32, b: u32, edge: u64, ts: i64) -> PartialMatch {
     let mut m = PartialMatch::seed(
@@ -130,14 +140,12 @@ fn probe_then_insert_is_allocation_free_once_warm() {
     assert_eq!(hits, 64, "every probe scans its key's 4 left candidates");
 }
 
-#[test]
-fn whole_join_climb_is_allocation_free_once_warm() {
-    // The hot-wedge pattern pinned to three single-edge leaves, left-deep:
-    // ((e0 ⋈ e1 on k) ⋈ e2 on a1). Every mention edge files two leaf matches,
-    // each of which merges with the sibling side's matches under its keyword
-    // and files every joined pair at the root's left side; a located edge
-    // probes those pairs and emits complete matches.
-    let window = Duration::from_secs(96);
+/// The hot-wedge pattern pinned to three single-edge leaves, left-deep:
+/// ((e0 ⋈ e1 on k) ⋈ e2 on a1). Every mention edge files two leaf matches,
+/// each of which merges with the sibling side's matches under its keyword
+/// and files every joined pair at the root's left side; a located edge
+/// probes those pairs and emits complete matches.
+fn hot_wedge_plan(window: Duration) -> QueryPlan {
     let query = QueryGraphBuilder::new("hot_wedge")
         .window(window)
         .vertex("a1", "Article")
@@ -156,21 +164,28 @@ fn whole_join_climb_is_allocation_free_once_warm() {
     ]);
     let plan = Planner::new().plan_with(query, &leaves).unwrap();
     assert_eq!(plan.shape.node_count(), 5);
+    plan
+}
 
-    // A periodic stream (period 384 s): 16 articles, 4 keywords, 2 cities,
-    // one located edge in eight. Every join key recurs well within the
-    // window, so after a few periods every key is indexed and every ring
-    // has seen its largest population.
-    let event = |i: u64| {
-        let t = Timestamp::from_secs(i as i64);
-        if i % 8 == 7 {
-            let (article, city) = (format!("a{}", (i / 8) % 16), format!("city{}", (i / 8) % 2));
-            EdgeEvent::new(article, "Article", city, "Location", "located", t)
-        } else {
-            let (article, keyword) = (format!("a{}", i % 16), format!("k{}", (i / 3) % 4));
-            EdgeEvent::new(article, "Article", keyword, "Keyword", "mentions", t)
-        }
-    };
+/// A periodic stream (period 384 s): 16 articles, 4 keywords, 2 cities, one
+/// located edge in eight.
+fn hot_wedge_event(i: u64) -> EdgeEvent {
+    let t = Timestamp::from_secs(i as i64);
+    if i % 8 == 7 {
+        let (article, city) = (format!("a{}", (i / 8) % 16), format!("city{}", (i / 8) % 2));
+        EdgeEvent::new(article, "Article", city, "Location", "located", t)
+    } else {
+        let (article, keyword) = (format!("a{}", i % 16), format!("k{}", (i / 3) % 4));
+        EdgeEvent::new(article, "Article", keyword, "Keyword", "mentions", t)
+    }
+}
+
+#[test]
+fn whole_join_climb_is_allocation_free_once_warm() {
+    let plan = hot_wedge_plan(Duration::from_secs(96));
+    // Every join key of the periodic stream recurs well within the window,
+    // so after a few periods every key is indexed and every ring has seen
+    // its largest population.
     let mut graph = DynamicGraph::unbounded();
     let mut matcher = SjTreeMatcher::new(plan, &graph);
     let mut out = Vec::new();
@@ -178,7 +193,7 @@ fn whole_join_climb_is_allocation_free_once_warm() {
     const WARM_UP: u64 = 2_000;
     const MEASURED: u64 = 2_000;
     for i in 0..WARM_UP + MEASURED {
-        let ingested = graph.ingest(&event(i));
+        let ingested = graph.ingest(&hot_wedge_event(i));
         let edge = graph.edge(ingested.edge).unwrap().clone();
         out.clear();
         let before = allocations();
@@ -205,6 +220,78 @@ fn whole_join_climb_is_allocation_free_once_warm() {
         allocated, 0,
         "SjTreeMatcher::process_edge allocated {allocated} times over {MEASURED} steady-state events"
     );
+}
+
+#[test]
+fn an_emitted_match_costs_three_allocations_once_warm() {
+    // The engine's whole emission path: ingest front, shared-index climb,
+    // and one `MatchEvent` per complete match, built with the query's
+    // shared variable names and the engine's shared vertex keys. What is
+    // left per match is the event's own query name, bindings and edges;
+    // copying each name and key again would cost 2 more per vertex.
+    // The window outlasts the 128 s between an article's located edges,
+    // so no adjacency bucket of the graph empties and is built again.
+    let mut engine = ContinuousQueryEngine::builder().build().unwrap();
+    engine.register_plan(hot_wedge_plan(Duration::from_secs(160)));
+    let events: Vec<EdgeEvent> = (0..8_000).map(hot_wedge_event).collect();
+    let (warm, measured) = events.split_at(6_000);
+    for event in warm {
+        engine.ingest_with(event, &mut Discard).unwrap();
+    }
+    let (mut allocated, mut emitted) = (0u64, 0u64);
+    for event in measured {
+        let before = allocations();
+        emitted += engine.ingest_with(event, &mut Discard).unwrap() as u64;
+        allocated += allocations() - before;
+    }
+    assert!(emitted > 1_000, "only {emitted} matches");
+    assert!(
+        allocated <= 3 * emitted,
+        "{allocated} allocations for {emitted} emitted matches"
+    );
+}
+
+#[test]
+fn shared_vertex_keys_stay_within_the_vertex_slots() {
+    // Ten windows of ever-new articles, each mentioning one of 4 keywords
+    // and then located: every located edge completes wedges binding new
+    // keys, and evicted slots go to new keys after their quarantine. The
+    // key table follows the slot vector, and a recycled slot never shows
+    // the key of the vertex it held before.
+    const WINDOW: i64 = 60;
+    let mut engine = ContinuousQueryEngine::builder().build().unwrap();
+    engine.register_plan(hot_wedge_plan(Duration::from_secs(WINDOW)));
+    let mut sizes = Vec::new();
+    for t in 0..10 * WINDOW {
+        let (article, at) = (format!("a{t}"), Timestamp::from_secs(t));
+        let keyword = format!("k{}", t % 4);
+        let city = format!("city{}", t % 2);
+        let mention = EdgeEvent::new(&article, "Article", keyword, "Keyword", "mentions", at);
+        let located = EdgeEvent::new(&article, "Article", city, "Location", "located", at);
+        engine.ingest(&mention).unwrap();
+        for m in engine.ingest(&located).unwrap() {
+            assert_eq!(m.binding("a1").unwrap().key, article);
+            let a2 = &m.binding("a2").unwrap().key;
+            let born: i64 = a2[1..].parse().unwrap();
+            assert!(
+                born % 4 == t % 4 && t - born <= WINDOW,
+                "{article} with {a2}"
+            );
+        }
+        if (t + 1) % WINDOW == 0 {
+            let metrics = engine.engine_metrics();
+            assert!(
+                metrics.key_cache_entries <= metrics.vertex_slots,
+                "{} cached keys for {} vertex slots",
+                metrics.key_cache_entries,
+                metrics.vertex_slots
+            );
+            sizes.push(metrics.key_cache_entries);
+        }
+    }
+    let (two, ten) = (sizes[1], sizes[9]);
+    assert!(two > 60, "{sizes:?}");
+    assert!(2 * ten <= 3 * two, "cached keys {sizes:?}");
 }
 
 #[test]

@@ -88,8 +88,8 @@ impl Oracle {
 
 pub fn pair_of(m: &MatchEvent) -> (String, String) {
     (
-        m.bindings.first().expect("src binding").key.clone(),
-        m.bindings.last().expect("dst binding").key.clone(),
+        m.bindings.first().expect("src binding").key.to_string(),
+        m.bindings.last().expect("dst binding").key.to_string(),
     )
 }
 

@@ -83,7 +83,7 @@ fn key_signatures(
             let mut bindings: Vec<(String, String)> = m
                 .bindings
                 .iter()
-                .map(|b| (b.variable.clone(), b.key.clone()))
+                .map(|b| (b.variable.to_string(), b.key.to_string()))
                 .collect();
             bindings.sort();
             out.insert((bindings, m.at.as_micros(), m.span.as_micros()));

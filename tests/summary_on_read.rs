@@ -9,8 +9,13 @@
 //! exactly as the engine drives its own, feeds a hand-fed summary that way,
 //! and at 20 points of each stream every statistic must agree exactly:
 //! vertex counts per type, `total_vertices`, triples, edge counts,
-//! `total_edges`, `estimated_fanout` for every (vertex type, direction, edge
-//! type), `live_edges` and `edges_observed`.
+//! `total_edges`, `live_edges` and `edges_observed`.
+//!
+//! The fan-out estimate and the live vertex counts it divides by are held
+//! to the live graph instead: `estimated_fanout` for every (vertex type,
+//! direction, edge type) must equal the average walked over the live
+//! vertices, and the hand-fed estimate only while no vertex has left (the
+//! hand-fed summary divides by every vertex it ever saw).
 //!
 //! Triads are the one statistic whose meaning changed: the summary counts
 //! the live wedges, where the hand-fed one counts every wedge as its edge
@@ -29,7 +34,7 @@ use std::collections::{BTreeMap, HashMap};
 use streamworks::engine::EngineCheckpoint;
 use streamworks::graph::{EdgeId, GraphConfig, TypeId};
 use streamworks::summarize::{Orientation, WedgeKey};
-use streamworks::workloads::queries::{labelled_news_query, smurf_ddos_query};
+use streamworks::workloads::queries::{labelled_news_query, news_triple_query, smurf_ddos_query};
 use streamworks::workloads::{CyberConfig, CyberTrafficGenerator, NewsConfig, NewsStreamGenerator};
 use streamworks::{
     ContinuousQueryEngine, Direction, Duration, DynamicGraph, EdgeEvent, GraphSummary, QueryGraph,
@@ -184,13 +189,36 @@ fn assert_same_statistics(engine: &ContinuousQueryEngine, fed: &HandFed, at: &st
         "{at}"
     );
     for &v in &vtypes {
+        // The live population and the live average fan-out, walked vertex
+        // by vertex and edge by edge on the hand-fed graph.
+        let live: Vec<_> = (fed.graph.vertices())
+            .filter(|x| x.vtype == v)
+            .map(|x| x.id)
+            .collect();
+        let population = got.types().live_vertex_count(v);
+        assert_eq!(
+            population,
+            live.len() as u64,
+            "{at}: live vertices of {v:?}"
+        );
         for dir in [Direction::Out, Direction::In] {
             for &e in &etypes {
-                let (g, w) = (
-                    got.estimated_fanout(v, dir, e),
-                    want.estimated_fanout(v, dir, e),
-                );
-                assert_eq!(g, w, "{at}: fan-out of {v:?} {dir:?} {e:?}");
+                let endpoints: usize = (live.iter())
+                    .map(|&x| fed.graph.incident_edges(x, dir, e).count())
+                    .sum();
+                let average = if live.is_empty() {
+                    1.0
+                } else {
+                    (endpoints as f64 / live.len() as f64).max(0.01)
+                };
+                let g = got.estimated_fanout(v, dir, e);
+                assert_eq!(g, average, "{at}: fan-out of {v:?} {dir:?} {e:?}");
+                // The hand-fed summary sees no vertex leave: while none has,
+                // its fan-out is the same.
+                if population == want.types().vertex_count(v) {
+                    let w = want.estimated_fanout(v, dir, e);
+                    assert_eq!(g, w, "{at}: hand-fed fan-out of {v:?} {dir:?} {e:?}");
+                }
             }
         }
     }
@@ -386,5 +414,64 @@ fn keys_that_go_quiet_come_back_and_change_type_across_a_restore() {
         } = cases;
         assert!(too_late > 10 && self_loops > 10, "{cases:?}");
         assert!(resumed > 10 && retyped > 10, "{cases:?}");
+    }
+}
+
+#[test]
+fn news_triple_fan_outs_track_the_live_average_over_twenty_windows() {
+    // Plans made mid-stream (registration, `replan`, the adaptive
+    // replanner) read these fan-outs: they must follow the live graph, not
+    // sink as the number of vertices ever created grows.
+    let window = Duration::from_mins(30);
+    let query = news_triple_query(window);
+    let mut engine = ContinuousQueryEngine::builder()
+        .retention(window)
+        .build()
+        .unwrap();
+    engine.register_query(query.clone()).unwrap();
+    let events = news(2_000, 5);
+    let mut next = events[0].timestamp + window;
+    let mut windows = 0;
+    for event in &events {
+        if event.timestamp >= next {
+            assert_fan_outs_near_the_live_average(&engine, &query, windows);
+            windows += 1;
+            next = next + window;
+        }
+        engine.ingest(event).unwrap();
+    }
+    assert!(windows >= 20, "the stream spans only {windows} windows");
+}
+
+/// Every fan-out the planner reads for `query` — each edge expanded from
+/// either end — within 2x of the average walked over the live graph.
+fn assert_fan_outs_near_the_live_average(
+    engine: &ContinuousQueryEngine,
+    query: &QueryGraph,
+    window: usize,
+) {
+    let (graph, summary) = (engine.graph(), engine.summary());
+    for edge in query.edges() {
+        let etype = graph.edge_type_id(edge.etype.as_deref().unwrap()).unwrap();
+        for (end, dir) in [(edge.src, Direction::Out), (edge.dst, Direction::In)] {
+            let name = query.vertex(end).vtype.as_deref().unwrap();
+            let vtype = graph.vertex_type_id(name).unwrap();
+            let live: Vec<_> = (graph.vertices())
+                .filter(|v| v.vtype == vtype)
+                .map(|v| v.id)
+                .collect();
+            let endpoints: usize = (live.iter())
+                .map(|&v| graph.incident_edges(v, dir, etype).count())
+                .sum();
+            let observed = endpoints as f64 / live.len() as f64;
+            let estimate = summary.estimated_fanout(vtype, dir, etype);
+            assert!(
+                observed > 0.0 && estimate <= 2.0 * observed && observed <= 2.0 * estimate,
+                "window {window}: {name} {dir:?} {:?}: estimate {estimate}, live average \
+                 {observed} over {} vertices",
+                edge.etype,
+                live.len()
+            );
+        }
     }
 }
