@@ -5,6 +5,10 @@
 //! plan, the adaptively chosen plan, and — for reference — an engine that was
 //! given the statistics-driven plan from the start.
 //!
+//! The `cold` rows are the case a caller hits: `register_query` on an empty
+//! engine, whose summary holds nothing to plan from, never re-planned and
+//! checked once by the replanner after phase 1.
+//!
 //! ```text
 //! cargo run --release -p streamworks-bench --bin exp_adaptive [-- small|medium|large]
 //! ```
@@ -12,21 +16,27 @@
 use streamworks_bench::{measure, PresetSize, Table};
 use streamworks_core::{
     AdaptiveConfig, AdaptiveReplanner, ContinuousQueryEngine, EngineConfig, QueryHandle,
+    ReplanDecision,
 };
-use streamworks_graph::{Duration, EdgeEvent};
+use streamworks_graph::{Duration, EdgeEvent, Timestamp};
 use streamworks_query::{ManualDecomposition, TreeShapeKind};
 use streamworks_workloads::queries::news_triple_query;
 use streamworks_workloads::{NewsConfig, NewsStreamGenerator};
 
-fn phase(seed: u64, articles: usize) -> Vec<EdgeEvent> {
-    NewsStreamGenerator::new(NewsConfig {
+/// One phase of the news stream, its clock moved to start at `start`.
+fn phase(seed: u64, articles: usize, start: Timestamp) -> Vec<EdgeEvent> {
+    let mut events = NewsStreamGenerator::new(NewsConfig {
         articles,
         planted_events: vec![("politics".into(), 3)],
         seed,
         ..Default::default()
     })
     .generate()
-    .events
+    .events;
+    for ev in &mut events {
+        ev.timestamp = Timestamp::from_micros(ev.timestamp.as_micros() + start.as_micros());
+    }
+    events
 }
 
 fn run_phase(
@@ -57,6 +67,30 @@ fn run_phase(
     ]);
 }
 
+/// Streams both phases through `engine` with an `AdaptiveReplanner` that
+/// snapshots the statistics before phase 1 and checks once after it.
+fn run_adaptive(
+    engine: &mut ContinuousQueryEngine,
+    id: QueryHandle,
+    phases: [&[EdgeEvent]; 2],
+    label: &str,
+    initial_plan: &str,
+    table: &mut Table,
+) -> Vec<ReplanDecision> {
+    let mut replanner = AdaptiveReplanner::new(AdaptiveConfig {
+        min_edges_between_replans: 1_000,
+        drift_threshold: 0.05,
+        min_improvement: 1.1,
+        ..AdaptiveConfig::default()
+    });
+    replanner.check(engine);
+    run_phase(engine, id, phases[0], label, initial_plan, table);
+    let decisions = replanner.check(engine);
+    let plan_after = engine.plan(id).unwrap().strategy.clone();
+    run_phase(engine, id, phases[1], label, &plan_after, table);
+    decisions
+}
+
 fn main() {
     let size = PresetSize::parse(&std::env::args().nth(1).unwrap_or_else(|| "small".into()));
     let articles = match size {
@@ -64,8 +98,10 @@ fn main() {
         PresetSize::Medium => 8_000,
         PresetSize::Large => 20_000,
     };
-    let phase1 = phase(11, articles);
-    let phase2 = phase(12, articles);
+    let phase1 = phase(11, articles, Timestamp::from_micros(0));
+    // Phase 2 continues the stream where phase 1 ends, so no event of it
+    // arrives late.
+    let phase2 = phase(12, articles, phase1.last().unwrap().timestamp);
     let query = news_triple_query(Duration::from_mins(30));
     let config = EngineConfig::default();
 
@@ -110,29 +146,12 @@ fn main() {
     let adaptive_id = adaptive
         .register_query_with(query.clone(), &blind_plan, TreeShapeKind::LeftDeep)
         .unwrap();
-    let mut replanner = AdaptiveReplanner::new(AdaptiveConfig {
-        min_edges_between_replans: 1_000,
-        drift_threshold: 0.05,
-        min_improvement: 1.1,
-        ..AdaptiveConfig::default()
-    });
-    replanner.check(&mut adaptive);
-    run_phase(
+    let decisions = run_adaptive(
         &mut adaptive,
         adaptive_id,
-        &phase1,
+        [&phase1, &phase2],
         "adaptive",
         "blind",
-        &mut table,
-    );
-    let decisions = replanner.check(&mut adaptive);
-    let plan_after = adaptive.plan(adaptive_id).unwrap().strategy.clone();
-    run_phase(
-        &mut adaptive,
-        adaptive_id,
-        &phase2,
-        "adaptive",
-        &plan_after,
         &mut table,
     );
 
@@ -142,7 +161,7 @@ fn main() {
     for ev in &phase1 {
         informed.ingest(ev).unwrap();
     }
-    let informed_id = informed.register_query(query).unwrap();
+    let informed_id = informed.register_query(query.clone()).unwrap();
     run_phase(
         &mut informed,
         informed_id,
@@ -152,11 +171,36 @@ fn main() {
         &mut table,
     );
 
+    // (d) Registered on an empty engine, as a caller registers: the
+    // summary holds nothing yet, so the cost-based plan is made blind.
+    let mut cold = ContinuousQueryEngine::new(config);
+    let cold_id = cold.register_query(query.clone()).unwrap();
+    run_phase(&mut cold, cold_id, &phase1, "cold", "cold", &mut table);
+    run_phase(&mut cold, cold_id, &phase2, "cold", "cold", &mut table);
+
+    // (e) The same registration, checked once by the replanner after phase 1.
+    let mut cold_adaptive = ContinuousQueryEngine::new(config);
+    let cold_adaptive_id = cold_adaptive.register_query(query).unwrap();
+    let cold_decisions = run_adaptive(
+        &mut cold_adaptive,
+        cold_adaptive_id,
+        [&phase1, &phase2],
+        "cold-adaptive",
+        "cold",
+        &mut table,
+    );
+
     println!("{}", table.render());
-    for d in &decisions {
-        println!(
-            "replan decision: query={} drift={:.3} current_cost={:.1} candidate_cost={:.1} replanned={} ({})",
-            d.query, d.drift, d.current_cost, d.candidate_cost, d.replanned, d.reason
-        );
+    println!(
+        "phase-2 match counts differ: an engine that re-plans, or registers, after phase 1 \
+         starts phase 2 without the partial matches that span the phase boundary"
+    );
+    for (engine, decisions) in [("adaptive", decisions), ("cold-adaptive", cold_decisions)] {
+        for d in &decisions {
+            println!(
+                "replan decision ({engine}): query={} drift={:.3} current_cost={:.1} candidate_cost={:.1} replanned={} ({})",
+                d.query, d.drift, d.current_cost, d.candidate_cost, d.replanned, d.reason
+            );
+        }
     }
 }

@@ -71,16 +71,6 @@ impl Table {
         self.rows.push(cells.to_vec());
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True if the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders the table with aligned columns.
     pub fn render(&self) -> String {
         let cols = self.header.len();
@@ -150,8 +140,6 @@ mod tests {
         let s = t.render();
         assert!(s.contains("workload"));
         assert!(s.contains("cyber"));
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
         // All lines of the body have the same width as the header line.
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines[0].len(), lines[2].len());

@@ -1,8 +1,6 @@
-//! Workload presets shared by benches and experiment binaries.
+//! Workload presets shared by the experiment binaries.
 
-use streamworks_workloads::{
-    cyber::CyberConfig, news::NewsConfig, random::RandomConfig, AttackKind,
-};
+use streamworks_workloads::{cyber::CyberConfig, news::NewsConfig, AttackKind};
 
 /// Coarse workload scale selector used by the experiment binaries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,15 +56,6 @@ pub fn news_preset(size: PresetSize) -> NewsConfig {
     }
 }
 
-/// Uniform random stream preset.
-pub fn random_preset(size: PresetSize) -> RandomConfig {
-    RandomConfig {
-        vertices: 2_000 * size.scale(),
-        edges: 20_000 * size.scale(),
-        ..Default::default()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -78,7 +67,6 @@ mod tests {
                 > cyber_preset(PresetSize::Small).background_edges
         );
         assert!(news_preset(PresetSize::Medium).articles > news_preset(PresetSize::Small).articles);
-        assert!(random_preset(PresetSize::Large).edges > random_preset(PresetSize::Medium).edges);
     }
 
     #[test]

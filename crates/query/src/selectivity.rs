@@ -263,14 +263,14 @@ impl<'a> SelectivityEstimator<'a> {
         }
         let base = match self.summary {
             Some(summary) => {
-                let total = summary.types().total_vertices().max(1) as f64;
+                let total = summary.types().total_live_vertices().max(1) as f64;
                 match qv
                     .vtype
                     .as_deref()
                     .and_then(|n| self.resolver.resolve_vertex_type(n))
                 {
                     Some(t) => {
-                        let count = summary.types().vertex_count(t) as f64;
+                        let count = summary.types().live_vertex_count(t) as f64;
                         if count > 0.0 {
                             count
                         } else {

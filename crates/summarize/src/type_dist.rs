@@ -127,6 +127,11 @@ impl TypeDistribution {
         self.total_vertices
     }
 
+    /// Total live vertices, over every type.
+    pub fn total_live_vertices(&self) -> u64 {
+        self.live_vertex_counts.iter().sum()
+    }
+
     /// Total live edges.
     pub fn total_edges(&self) -> u64 {
         self.total_edges
@@ -177,6 +182,7 @@ mod tests {
         assert_eq!(d.triple_count(K, MENTIONS, A), 0);
         assert_eq!(d.total_edges(), 3);
         assert_eq!(d.total_vertices(), 3);
+        assert_eq!(d.total_live_vertices(), 3);
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! data (paper §5–§6); neither is redistributable, so this crate provides
 //! generators that preserve the structural properties the matcher exercises
 //! (type schema, hub skew, burstiness, injected target patterns with ground
-//! truth) — see DESIGN.md for the substitution rationale.
+//! truth). The experiments that run on them are indexed in the
+//! `streamworks-bench` crate docs (`crates/bench/src/lib.rs`).
 //!
 //! * [`CyberTrafficGenerator`] — flow-level network traffic with injected
 //!   Smurf DDoS / worm / port-scan motifs.

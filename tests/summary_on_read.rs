@@ -33,6 +33,7 @@ use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, HashMap};
 use streamworks::engine::EngineCheckpoint;
 use streamworks::graph::{EdgeId, GraphConfig, TypeId};
+use streamworks::query::SelectivityEstimator;
 use streamworks::summarize::{Orientation, WedgeKey};
 use streamworks::workloads::queries::{labelled_news_query, news_triple_query, smurf_ddos_query};
 use streamworks::workloads::{CyberConfig, CyberTrafficGenerator, NewsConfig, NewsStreamGenerator};
@@ -422,6 +423,20 @@ fn news_triple_fan_outs_track_the_live_average_over_twenty_windows() {
     // Plans made mid-stream (registration, `replan`, the adaptive
     // replanner) read these fan-outs: they must follow the live graph, not
     // sink as the number of vertices ever created grows.
+    at_twenty_news_windows(assert_fan_outs_near_the_live_average);
+}
+
+#[test]
+fn news_triple_vertex_domains_track_the_live_population_over_twenty_windows() {
+    // The planner's other per-vertex statistic: how many data vertices can
+    // bind a query variable. It must follow the live population, not the
+    // vertices ever created.
+    at_twenty_news_windows(assert_vertex_domains_near_the_live_population);
+}
+
+/// Streams 20+ windows of news through an engine running `news_triple` and
+/// hands the engine and the query to `check` at every window boundary.
+fn at_twenty_news_windows(check: fn(&ContinuousQueryEngine, &QueryGraph, usize)) {
     let window = Duration::from_mins(30);
     let query = news_triple_query(window);
     let mut engine = ContinuousQueryEngine::builder()
@@ -434,13 +449,48 @@ fn news_triple_fan_outs_track_the_live_average_over_twenty_windows() {
     let mut windows = 0;
     for event in &events {
         if event.timestamp >= next {
-            assert_fan_outs_near_the_live_average(&engine, &query, windows);
+            check(&engine, &query, windows);
             windows += 1;
             next = next + window;
         }
         engine.ingest(event).unwrap();
     }
     assert!(windows >= 20, "the stream spans only {windows} windows");
+}
+
+/// Every vertex domain the planner reads for `query`, and the domain of an
+/// untyped variable, within 2x of the live vertices it could bind.
+fn assert_vertex_domains_near_the_live_population(
+    engine: &ContinuousQueryEngine,
+    query: &QueryGraph,
+    window: usize,
+) {
+    let (graph, summary) = (engine.graph(), engine.summary());
+    let estimator = SelectivityEstimator::with_summary(summary, graph);
+    let untyped = QueryGraphBuilder::new("untyped")
+        .any_vertex("x")
+        .any_vertex("y")
+        .edge("x", "mentions", "y")
+        .build()
+        .unwrap();
+    let domains = (query.vertices())
+        .map(|v| (query, v, v.vtype.as_deref()))
+        .chain(untyped.vertices().map(|v| (&untyped, v, None)));
+    for (q, vertex, vtype) in domains {
+        let live = match vtype {
+            Some(name) => {
+                let t = graph.vertex_type_id(name).unwrap();
+                graph.vertices().filter(|v| v.vtype == t).count()
+            }
+            None => graph.vertices().count(),
+        } as f64;
+        let estimate = estimator.vertex_domain(q, vertex.id);
+        assert!(
+            live > 0.0 && estimate <= 2.0 * live && live <= 2.0 * estimate,
+            "window {window}: {} ({vtype:?}): domain {estimate}, {live} live vertices",
+            vertex.name
+        );
+    }
 }
 
 /// Every fan-out the planner reads for `query` — each edge expanded from
