@@ -47,7 +47,6 @@ use crate::config::EngineConfig;
 use crate::delivery::DeliveryCursor;
 use crate::engine::ContinuousQueryEngine;
 use crate::error::EngineError;
-use crate::event::{EventSink, MatchEvent};
 use crate::handle::QueryHandle;
 use serde::{Deserialize, Serialize};
 use streamworks_graph::{EdgeEvent, Timestamp};
@@ -120,13 +119,6 @@ pub struct EngineCheckpoint {
     /// from the captured ones.
     #[serde(default)]
     pub telemetry: Option<crate::TelemetryCheckpoint>,
-}
-
-/// Sink that drops every event (used while replaying a checkpoint).
-struct NullSink;
-
-impl EventSink for NullSink {
-    fn on_match(&mut self, _event: MatchEvent) {}
 }
 
 impl EngineCheckpoint {
@@ -349,13 +341,12 @@ impl EngineCheckpoint {
         // engine that wrote the checkpoint, whose stage counters are merged
         // back in below.
         let telemetry = engine.suspend_telemetry();
-        let mut sink = NullSink;
         let mut start = 0usize;
         for (bound, qi, _, kind) in actions {
             let cut = (bound as usize).min(self.live_edges.len());
             if cut > start {
                 engine
-                    .ingest_with(&self.live_edges[start..cut], &mut sink)
+                    .ingest_with(&self.live_edges[start..cut], &mut |_| {})
                     .expect("ingest reports no error");
                 start = cut;
             }
@@ -368,7 +359,7 @@ impl EngineCheckpoint {
         }
         if start < self.live_edges.len() {
             engine
-                .ingest_with(&self.live_edges[start..], &mut sink)
+                .ingest_with(&self.live_edges[start..], &mut |_| {})
                 .expect("ingest reports no error");
         }
         // Keep the original pause times (not the replay's clock), so a
@@ -441,16 +432,12 @@ impl ContinuousQueryEngine {
     pub fn checkpoint(&self) -> EngineCheckpoint {
         EngineCheckpoint::capture(self)
     }
-
-    /// Convenience wrapper for [`EngineCheckpoint::restore`].
-    pub fn from_checkpoint(checkpoint: &EngineCheckpoint) -> ContinuousQueryEngine {
-        checkpoint.restore()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::MatchEvent;
     use streamworks_graph::Duration;
     use streamworks_query::QueryGraphBuilder;
 
@@ -544,7 +531,7 @@ mod tests {
         assert_eq!(parsed.live_edges, checkpoint.live_edges);
         assert_eq!(parsed.taken_at, checkpoint.taken_at);
 
-        let restored = ContinuousQueryEngine::from_checkpoint(&parsed);
+        let restored = parsed.restore();
         assert_eq!(restored.query_count(), 1);
         assert_eq!(restored.graph().live_edge_count(), 1);
     }

@@ -43,8 +43,6 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
-use crate::event::SinkOverflow;
-
 /// Retry schedule for a failing durable subscription.
 ///
 /// An attempt that fails schedules the next one `backoff_base_ms ·
@@ -404,6 +402,24 @@ pub(crate) enum DeliveryStatus {
         /// Description of the final failure.
         reason: String,
     },
+}
+
+/// What a durable subscription's outbox does when it is full (see
+/// [`crate::ContinuousQueryEngine::subscribe_durable_with`]). Every
+/// discarded match is counted on the subscription and in
+/// [`crate::QueryMetrics::sink_events_dropped`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum SinkOverflow {
+    /// Drain the outbox inline (one synchronous delivery round) before
+    /// admitting the new match; if the destination is down, evict the
+    /// oldest pending match instead. Delivery runs on the ingest thread, so
+    /// waiting for the destination would deadlock the stream.
+    Block,
+    /// Evict the oldest pending match to admit the new one (the destination
+    /// sees the freshest window of matches).
+    DropOldest,
+    /// Discard the new match (the destination sees the oldest matches).
+    DropNewest,
 }
 
 /// Serialized state of one durable subscription inside an

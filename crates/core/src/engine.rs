@@ -19,12 +19,10 @@
 use crate::binding::PartialMatch;
 use crate::config::{EngineBuilder, EngineConfig};
 use crate::delivery::{
-    ConnectError, DeliveryCursor, DeliveryStatus, DurableSub, RetryPolicy, SinkSpec,
+    ConnectError, DeliveryCursor, DeliveryStatus, DurableSub, RetryPolicy, SinkOverflow, SinkSpec,
 };
 use crate::error::EngineError;
-use crate::event::{
-    CollectingSink, EventSink, KeyCache, MatchEvent, QueryId, SharedStr, SinkOverflow,
-};
+use crate::event::{EventSink, KeyCache, MatchEvent, QueryId, SharedStr};
 use crate::handle::{QueryHandle, SubscriptionId};
 use crate::ingest::Ingest;
 use crate::metrics::{EngineMetrics, QueryMetrics};
@@ -144,9 +142,6 @@ struct Subscription {
     /// The failure that quarantined the sink, queryable through
     /// [`ContinuousQueryEngine::subscription_health`].
     error: Option<String>,
-    /// Drop counter frozen from the sink at quarantine time (live sinks are
-    /// read directly via [`EventSink::events_dropped`]).
-    dropped: u64,
 }
 
 /// Health of one subscription (see
@@ -250,10 +245,6 @@ fn deliver_event(
                 .map(|payload| panic_message(payload.as_ref()))
         };
         if let Some(message) = failure {
-            sub.dropped = sub
-                .sink
-                .as_ref()
-                .map_or(sub.dropped, |s| s.events_dropped_for(event.query));
             sub.sink = None;
             sub.error = Some(message);
         }
@@ -819,16 +810,6 @@ impl ContinuousQueryEngine {
             m.edges_processed += shared_edges;
             m.local_search_candidates += self.shared.slot_candidates(handle.id().0 as u32);
         }
-        m.sink_events_dropped += state
-            .subscribers
-            .iter()
-            .map(|s| {
-                s.dropped
-                    + s.sink
-                        .as_ref()
-                        .map_or(0, |sink| sink.events_dropped_for(handle.id()))
-            })
-            .sum::<u64>();
         m.sink_events_dropped += state.durables.iter().map(|d| d.dropped).sum::<u64>();
         [
             m.delivery_attempts,
@@ -988,9 +969,13 @@ impl ContinuousQueryEngine {
 
     /// Attaches a sink to one query: every future match of that query is
     /// delivered to it (in addition to whatever sink an `ingest_with` call
-    /// passes). Use [`crate::CountingSink`], [`crate::BufferingSink`],
-    /// [`crate::ChannelSink`] or [`crate::CallbackSink`] to observe the
-    /// delivery while the engine owns the sink.
+    /// passes), on the ingest thread and in stream order. The sink is
+    /// usually a closure, e.g. `move |m: MatchEvent| { let _ = tx.send(m); }`
+    /// over a `std::sync::mpsc` sender, or one that bumps a shared
+    /// `AtomicU64`. The engine owns it from here on; a sink that panics is
+    /// quarantined (see [`Self::subscription_health`]). For bounded delivery
+    /// with a declared overflow policy and counted drops, see
+    /// [`Self::subscribe_durable_with`].
     pub fn subscribe(
         &mut self,
         handle: QueryHandle,
@@ -1002,7 +987,6 @@ impl ContinuousQueryEngine {
             token,
             sink: Some(Box::new(sink)),
             error: None,
-            dropped: 0,
         });
         self.next_subscription += 1;
         Ok(SubscriptionId {
@@ -1277,9 +1261,9 @@ impl ContinuousQueryEngine {
     /// fail. The `Result` is kept so that a later failure mode is not a
     /// breaking change.
     pub fn ingest<B: Ingest>(&mut self, batch: B) -> Result<Vec<MatchEvent>, EngineError> {
-        let mut sink = CollectingSink::new();
-        self.ingest_with(batch, &mut sink)?;
-        Ok(sink.into_events())
+        let mut matches = Vec::new();
+        self.ingest_with(batch, &mut matches)?;
+        Ok(matches)
     }
 
     /// Like [`Self::ingest`], but delivers matches to `sink` instead of
@@ -1509,7 +1493,8 @@ impl std::fmt::Debug for ContinuousQueryEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{BufferingSink, CountingSink};
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::{mpsc, Arc};
     use streamworks_graph::Timestamp;
     use streamworks_query::QueryGraphBuilder;
 
@@ -1795,10 +1780,19 @@ mod tests {
                 "QUERY colocated WINDOW 1h MATCH (a1:Article)-[:located]->(l:Location), (a2:Article)-[:located]->(l)",
             )
             .unwrap();
-        let (count_sink, keyword_count) = CountingSink::new();
-        engine.subscribe(keyword_q, count_sink).unwrap();
-        let (buffer_sink, location_buffer) = BufferingSink::new();
-        let location_sub = engine.subscribe(location_q, buffer_sink).unwrap();
+        let keyword_count = Arc::new(AtomicU64::new(0));
+        let counter = keyword_count.clone();
+        engine
+            .subscribe(keyword_q, move |_: MatchEvent| {
+                counter.fetch_add(1, Ordering::Relaxed);
+            })
+            .unwrap();
+        let (tx, location_feed) = mpsc::channel();
+        let location_sub = engine
+            .subscribe(location_q, move |m: MatchEvent| {
+                let _ = tx.send(m);
+            })
+            .unwrap();
         assert_eq!(engine.subscription_count(keyword_q).unwrap(), 1);
 
         engine
@@ -1810,8 +1804,8 @@ mod tests {
             ])
             .unwrap();
         // Each tenant saw only its own query's matches.
-        assert_eq!(keyword_count.get(), 2);
-        let location_events = location_buffer.drain();
+        assert_eq!(keyword_count.load(Ordering::Relaxed), 2);
+        let location_events: Vec<MatchEvent> = location_feed.try_iter().collect();
         assert_eq!(location_events.len(), 2);
         assert!(location_events.iter().all(|e| e.query == location_q.id()));
 
@@ -1824,7 +1818,7 @@ mod tests {
                 ev("a4", "Article", "paris", "Location", "located", 6),
             ])
             .unwrap();
-        assert!(location_buffer.is_empty());
+        assert!(location_feed.try_recv().is_err());
         assert_eq!(engine.subscription_count(location_q).unwrap(), 0);
     }
 
@@ -1916,34 +1910,5 @@ mod tests {
         assert_eq!(engine.live_durables, 0);
         engine.ingest(&events).unwrap();
         reset_memory_sink(key);
-    }
-
-    #[test]
-    fn shared_buffer_drops_attribute_to_the_evicted_query_via_metrics() {
-        let mut engine = engine();
-        let q_kw = engine
-            .register_query(common_keyword_query(Duration::from_hours(1)))
-            .unwrap();
-        let q_loc = engine
-            .register_dsl(
-                "QUERY colocated WINDOW 1h MATCH (a1:Article)-[:located]->(l:Location), (a2:Article)-[:located]->(l)",
-            )
-            .unwrap();
-        // Both queries share one 2-slot DropOldest buffer.
-        let (sink, _buffer) = BufferingSink::bounded(2, SinkOverflow::DropOldest);
-        let shared = sink.share();
-        engine.subscribe(q_kw, sink).unwrap();
-        engine.subscribe(q_loc, shared).unwrap();
-        // Two keyword matches fill the buffer, then two location matches
-        // evict them: the drops belong to the *evicted* keyword query.
-        let events = [
-            ev("a1", "Article", "k1", "Keyword", "mentions", 1),
-            ev("a2", "Article", "k1", "Keyword", "mentions", 2),
-            ev("a1", "Article", "paris", "Location", "located", 3),
-            ev("a2", "Article", "paris", "Location", "located", 4),
-        ];
-        engine.ingest(&events).unwrap();
-        assert_eq!(engine.metrics(q_kw).unwrap().sink_events_dropped, 2);
-        assert_eq!(engine.metrics(q_loc).unwrap().sink_events_dropped, 0);
     }
 }

@@ -15,7 +15,9 @@
 //! engine spawns no threads of its own.
 //!
 //! ```
-//! use streamworks_core::{ContinuousQueryEngine, CountingSink};
+//! use std::sync::atomic::{AtomicU64, Ordering};
+//! use std::sync::Arc;
+//! use streamworks_core::{ContinuousQueryEngine, MatchEvent};
 //! use streamworks_graph::{EdgeEvent, Timestamp};
 //!
 //! let mut engine = ContinuousQueryEngine::builder().build().unwrap();
@@ -24,16 +26,19 @@
 //!      MATCH (a1:Article)-[:mentions]->(k:Keyword), (a2:Article)-[:mentions]->(k)",
 //! ).unwrap();
 //!
-//! // A per-query subscription observes matches while the engine owns the sink.
-//! let (sink, seen) = CountingSink::new();
-//! engine.subscribe(pairs, sink).unwrap();
+//! // A per-query subscription: a closure the engine owns, counting here.
+//! let seen = Arc::new(AtomicU64::new(0));
+//! let counter = seen.clone();
+//! engine.subscribe(pairs, move |_: MatchEvent| {
+//!     counter.fetch_add(1, Ordering::Relaxed);
+//! }).unwrap();
 //!
 //! let matches = engine.ingest(&[
 //!     EdgeEvent::new("a1", "Article", "rust", "Keyword", "mentions", Timestamp::from_secs(10)),
 //!     EdgeEvent::new("a2", "Article", "rust", "Keyword", "mentions", Timestamp::from_secs(20)),
 //! ]).unwrap();
 //! assert_eq!(matches.len(), 2); // (a1, a2) and (a2, a1)
-//! assert_eq!(seen.get(), 2);
+//! assert_eq!(seen.load(Ordering::Relaxed), 2);
 //!
 //! // Full lifecycle: pause, resume, deregister — the handle goes stale.
 //! engine.pause(pairs).unwrap();
@@ -72,14 +77,11 @@ pub use checkpoint::EngineCheckpoint;
 pub use config::{EngineBuilder, EngineConfig};
 pub use delivery::{
     clear_endpoint, memory_sink_contents, register_endpoint, reset_memory_sink, DeliveryCursor,
-    RetryPolicy, SinkSpec, Transport, TransportFactory,
+    RetryPolicy, SinkOverflow, SinkSpec, Transport, TransportFactory,
 };
 pub use engine::{ContinuousQueryEngine, SubscriptionHealth};
 pub use error::EngineError;
-pub use event::{
-    BoundVertex, BufferingSink, CallbackSink, ChannelSink, CollectingSink, CountingSink, EventSink,
-    MatchBuffer, MatchCounter, MatchEvent, QueryId, SharedStr, SinkOverflow,
-};
+pub use event::{BoundVertex, EventSink, MatchEvent, QueryId, SharedStr};
 pub use handle::{QueryHandle, SubscriptionId};
 pub use ingest::{EventBatch, Ingest};
 pub use match_store::{JoinSide, SharedJoinStore};

@@ -71,10 +71,10 @@ pub struct QueryMetrics {
     /// silently paying a per-match allocation the paper-sized fast path
     /// avoids.
     pub binding_spills: u64,
-    /// Match events dropped by this query's subscriber sinks under a
-    /// `DropOldest`/`DropNewest` overflow policy (see
-    /// `streamworks_core::SinkOverflowPolicy`). Sinks with the `Block`
-    /// policy — and unbounded sinks — never contribute here.
+    /// Matches dropped by the outboxes of this query's durable
+    /// subscriptions under their [`crate::SinkOverflow`] policy (`Block`
+    /// drops only while the destination is down). In-process subscribers
+    /// have no outbox and never contribute here.
     pub sink_events_dropped: u64,
     /// RPQ only: product-graph spanning-tree nodes currently live across the
     /// query's trees (0 for SJ-Tree queries). Exact after a prune: reads 0

@@ -9,13 +9,14 @@
 //! The example registers the Fig. 2-style news query with a deliberately bad
 //! (frequency-blind) plan, streams a first phase of traffic whose skew makes
 //! that plan expensive, lets the [`AdaptiveReplanner`] observe the drift and
-//! swap in a cost-based plan, then streams a second phase and compares the
-//! partial-match effort before and after the switch.
+//! swap in a cost-based plan, then streams a second phase — continuing the
+//! stream's clock where the first one ends — and compares the partial-match
+//! effort before and after the switch.
 
 use streamworks::query::ManualDecomposition;
 use streamworks::workloads::{NewsConfig, NewsStreamGenerator};
 use streamworks::{
-    AdaptiveConfig, AdaptiveReplanner, ContinuousQueryEngine, Duration, TreeShapeKind,
+    AdaptiveConfig, AdaptiveReplanner, ContinuousQueryEngine, Duration, Timestamp, TreeShapeKind,
 };
 
 fn main() {
@@ -89,14 +90,21 @@ fn main() {
             .render(&engine.plan(id).unwrap().query)
     );
 
-    // Phase 2: more traffic with the same skew, now under the new plan.
-    let phase2 = NewsStreamGenerator::new(NewsConfig {
+    // Phase 2: more traffic with the same skew, now under the new plan. The
+    // generator starts its clock at 0, so its events are moved to begin at
+    // phase 1's last timestamp: phase 2 continues the stream instead of
+    // replaying late events behind it.
+    let mut phase2 = NewsStreamGenerator::new(NewsConfig {
         articles: 3_000,
         planted_events: vec![("politics".into(), 3)],
         seed: 12,
         ..Default::default()
     })
     .generate();
+    let start = phase1.events.last().expect("phase 1 has events").timestamp;
+    for ev in &mut phase2.events {
+        ev.timestamp = Timestamp::from_micros(ev.timestamp.as_micros() + start.as_micros());
+    }
     let inserted_before_phase2 = engine.metrics(id).unwrap().partial_matches_inserted;
     let mut matches_phase2 = 0usize;
     for ev in &phase2.events {

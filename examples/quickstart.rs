@@ -6,11 +6,11 @@
 //! ```
 //!
 //! The example registers the simplest interesting query — two articles that
-//! mention the same keyword within one hour — subscribes a callback to it,
+//! mention the same keyword within one hour — subscribes a closure to it,
 //! pushes a batch of edge events through the engine, and then walks the query
 //! through its lifecycle (pause, resume, deregister).
 
-use streamworks::{CallbackSink, ContinuousQueryEngine, EdgeEvent, Timestamp};
+use streamworks::{ContinuousQueryEngine, EdgeEvent, MatchEvent, Timestamp};
 
 fn main() {
     // 1. Build the engine. The builder validates every setting up front; the
@@ -38,13 +38,13 @@ fn main() {
         engine.plan(pairs).unwrap().explain()
     );
 
-    // 3. Subscribe to the query: the engine owns the sink and delivers every
-    //    future match of *this* query to it, independent of other tenants.
+    // 3. Subscribe to the query: the engine owns the closure and calls it
+    //    with every future match of *this* query, independent of other
+    //    tenants.
     let subscription = engine
-        .subscribe(
-            pairs,
-            CallbackSink::new(|m| println!("subscriber saw: {}", m.render())),
-        )
+        .subscribe(pairs, |m: MatchEvent| {
+            println!("subscriber saw: {}", m.render())
+        })
         .unwrap();
 
     // 4. Feed a stream of timestamped edge events. `ingest` accepts a single

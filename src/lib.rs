@@ -34,7 +34,9 @@
 //! through the unified `ingest` surface:
 //!
 //! ```
-//! use streamworks::{ContinuousQueryEngine, CountingSink, EdgeEvent, Timestamp};
+//! use std::sync::atomic::{AtomicU64, Ordering};
+//! use std::sync::Arc;
+//! use streamworks::{ContinuousQueryEngine, EdgeEvent, MatchEvent, Timestamp};
 //!
 //! let mut engine = ContinuousQueryEngine::builder().build().unwrap();
 //!
@@ -43,16 +45,20 @@
 //!      MATCH (a1:Article)-[:mentions]->(k:Keyword), (a2:Article)-[:mentions]->(k)",
 //! ).unwrap();
 //!
-//! // Per-query subscription: this tenant sees only `pairs` matches.
-//! let (sink, seen) = CountingSink::new();
-//! engine.subscribe(pairs, sink).unwrap();
+//! // Per-query subscription: this tenant sees only `pairs` matches. A
+//! // subscriber is a closure; this one counts.
+//! let seen = Arc::new(AtomicU64::new(0));
+//! let counter = seen.clone();
+//! engine.subscribe(pairs, move |_: MatchEvent| {
+//!     counter.fetch_add(1, Ordering::Relaxed);
+//! }).unwrap();
 //!
 //! let matches = engine.ingest(&[
 //!     EdgeEvent::new("a1", "Article", "rust", "Keyword", "mentions", Timestamp::from_secs(10)),
 //!     EdgeEvent::new("a2", "Article", "rust", "Keyword", "mentions", Timestamp::from_secs(20)),
 //! ]).unwrap();
 //! assert_eq!(matches.len(), 2); // (a1, a2) and (a2, a1)
-//! assert_eq!(seen.get(), 2);
+//! assert_eq!(seen.load(Ordering::Relaxed), 2);
 //!
 //! // Lifecycle: paused queries cost nothing per event; deregistering frees
 //! // all partial-match memory and makes the handle permanently stale.
@@ -67,19 +73,22 @@
 //! The engine spawns no threads of its own: an `ingest` call updates the
 //! graph, searches, joins and delivers for every registered query on the
 //! calling thread, so a subscription sees exactly the matches `ingest`
-//! returns, in the same order. A [`ChannelSink`] hands them to another
-//! thread:
+//! returns, in the same order. A closure over a `std::sync::mpsc` sender
+//! hands them to another thread:
 //!
 //! ```
-//! use streamworks::{ChannelSink, ContinuousQueryEngine, EdgeEvent, Timestamp};
+//! use std::sync::mpsc;
+//! use streamworks::{ContinuousQueryEngine, EdgeEvent, MatchEvent, Timestamp};
 //!
 //! let mut engine = ContinuousQueryEngine::builder().build().unwrap();
 //! let pairs = engine.register_dsl(
 //!     "QUERY pair WINDOW 1h \
 //!      MATCH (a1:Article)-[:mentions]->(k:Keyword), (a2:Article)-[:mentions]->(k)",
 //! ).unwrap();
-//! let (sink, feed) = ChannelSink::unbounded();
-//! engine.subscribe(pairs, sink).unwrap();
+//! let (tx, feed) = mpsc::channel();
+//! engine.subscribe(pairs, move |m: MatchEvent| {
+//!     let _ = tx.send(m);
+//! }).unwrap();
 //! let consumer = std::thread::spawn(move || feed.iter().count());
 //!
 //! let matches = engine.ingest(&[
@@ -136,9 +145,8 @@ pub mod report {
 
 pub use streamworks_core::{
     clear_endpoint, failpoint, memory_sink_contents, register_endpoint, reset_memory_sink,
-    AdaptiveConfig, AdaptiveReplanner, BufferingSink, CallbackSink, ChannelSink, CollectingSink,
-    ContinuousQueryEngine, CountingSink, DeliveryCursor, EngineBuilder, EngineConfig, EngineError,
-    EngineMetrics, EventBatch, EventSink, Ingest, MatchBuffer, MatchCounter, MatchEvent,
+    AdaptiveConfig, AdaptiveReplanner, ContinuousQueryEngine, DeliveryCursor, EngineBuilder,
+    EngineConfig, EngineError, EngineMetrics, EventBatch, EventSink, Ingest, MatchEvent,
     QueryHandle, QueryId, QueryMetrics, RetryPolicy, RpqEnd, SharedStr, SinkOverflow, SinkSpec,
     Stage, StageSnapshot, SubscriptionHealth, SubscriptionId, TelemetryLevel, TelemetrySnapshot,
     TraceSpan, Transport,

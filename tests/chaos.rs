@@ -10,9 +10,10 @@
 //! `streamworks::failpoint`), drives the engine, and pins down the exact
 //! containment contract of ARCHITECTURE.md's "Failure model":
 //!
-//! * Sink quarantine: a panicking subscriber is detached and recorded, and
-//!   neither the engine nor the other subscribers miss a single event.
-//! * Drop counters are exact under declared overflow policies.
+//! * Sink quarantine: a subscriber hit by an injected delivery error is
+//!   detached and recorded, and the other subscribers miss no event. (A
+//!   subscriber that panics needs no failpoint; `tests/lifecycle.rs`
+//!   checks it.)
 //! * Durable delivery: a flaky transport storm converges back to `Active`
 //!   within the retry budget, quarantine recovers through probation, and a
 //!   crash at *any* failpoint site followed by checkpoint-restore leaves
@@ -22,15 +23,15 @@
 
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration as StdDuration;
 
 use streamworks::engine::EngineCheckpoint;
 use streamworks::failpoint::{self, FailAction};
 use streamworks::{
-    clear_endpoint, memory_sink_contents, register_endpoint, reset_memory_sink, BufferingSink,
-    CallbackSink, ContinuousQueryEngine, EdgeEvent, MatchEvent, QueryHandle, RetryPolicy,
-    SinkOverflow, SinkSpec, SubscriptionHealth, Timestamp, Transport,
+    clear_endpoint, memory_sink_contents, register_endpoint, reset_memory_sink,
+    ContinuousQueryEngine, EdgeEvent, MatchEvent, QueryHandle, RetryPolicy, SinkSpec,
+    SubscriptionHealth, Timestamp, Transport,
 };
 
 /// The failpoint registry is process-global; chaos scenarios must not run
@@ -100,56 +101,22 @@ fn reference_multiset(events: &[EdgeEvent], batch: usize) -> Vec<String> {
 }
 
 #[test]
-fn panicking_sink_is_quarantined_without_poisoning_anything() {
-    let _guard = serial();
-    let mut engine = ContinuousQueryEngine::builder().build().unwrap();
-    let handle = register_pair(&mut engine);
-    let bad = engine
-        .subscribe(
-            handle,
-            CallbackSink::new(|_e| panic!("subscriber exploded")),
-        )
-        .unwrap();
-    let (sink, seen) = BufferingSink::new();
-    let good = engine.subscribe(handle, sink).unwrap();
-
-    let events = stream(8, 2);
-    let matches = engine.ingest(&events[..]).unwrap();
-    assert!(!matches.is_empty());
-    // The healthy subscriber and the call-level collection saw everything.
-    assert_eq!(seen.drain().len(), matches.len());
-    // The panicking sink is quarantined with its panic message recorded...
-    match engine.subscription_health(bad).unwrap() {
-        SubscriptionHealth::Quarantined(message) => {
-            assert!(message.contains("subscriber exploded"), "got: {message}")
-        }
-        // In-process sinks never retry: Degraded is a durable-only state.
-        SubscriptionHealth::Active | SubscriptionHealth::Degraded { .. } => {
-            panic!("panicking sink must be quarantined")
-        }
-    }
-    assert_eq!(
-        engine.subscription_health(good).unwrap(),
-        SubscriptionHealth::Active
-    );
-    // ...and stays registered (health queryable) but silent from then on.
-    assert_eq!(engine.subscription_count(handle).unwrap(), 2);
-    let more = engine.ingest(&stream(8, 2)[..]).unwrap();
-    assert_eq!(seen.drain().len(), more.len());
-    // Unsubscribing the quarantined sink works like any other.
-    engine.unsubscribe(bad).unwrap();
-    assert_eq!(engine.subscription_count(handle).unwrap(), 1);
-}
-
-#[test]
 fn injected_sink_delivery_error_quarantines_exactly_the_target_token() {
     let _guard = serial();
     let mut engine = ContinuousQueryEngine::builder().build().unwrap();
     let handle = register_pair(&mut engine);
-    let (sink_a, seen_a) = BufferingSink::new();
-    let sub_a = engine.subscribe(handle, sink_a).unwrap();
-    let (sink_b, seen_b) = BufferingSink::new();
-    let sub_b = engine.subscribe(handle, sink_b).unwrap();
+    let (tx_a, seen_a) = mpsc::channel();
+    let sub_a = engine
+        .subscribe(handle, move |m: MatchEvent| {
+            let _ = tx_a.send(m);
+        })
+        .unwrap();
+    let (tx_b, seen_b) = mpsc::channel();
+    let sub_b = engine
+        .subscribe(handle, move |m: MatchEvent| {
+            let _ = tx_b.send(m);
+        })
+        .unwrap();
 
     // Token indexes select the victim: quarantine b, leave a alone.
     failpoint::clear();
@@ -161,9 +128,9 @@ fn injected_sink_delivery_error_quarantines_exactly_the_target_token() {
     );
     let matches = engine.ingest(&stream(8, 2)[..]).unwrap();
     assert!(!matches.is_empty());
-    assert_eq!(seen_a.drain().len(), matches.len());
+    assert_eq!(seen_a.try_iter().count(), matches.len());
     assert!(
-        seen_b.drain().len() < matches.len(),
+        seen_b.try_iter().count() < matches.len(),
         "the quarantined sink stopped receiving at the injected failure"
     );
     assert_eq!(
@@ -175,27 +142,6 @@ fn injected_sink_delivery_error_quarantines_exactly_the_target_token() {
         SubscriptionHealth::Quarantined(_)
     ));
     failpoint::clear();
-}
-
-#[test]
-fn sink_drop_counters_are_exact() {
-    let _guard = serial();
-    let mut engine = ContinuousQueryEngine::builder().build().unwrap();
-    let handle = register_pair(&mut engine);
-    let cap = 3usize;
-    let (sink, buffer) = BufferingSink::bounded(cap, SinkOverflow::DropNewest);
-    engine.subscribe(handle, sink).unwrap();
-
-    let matches = engine.ingest(&stream(16, 2)[..]).unwrap();
-    assert!(matches.len() > cap);
-    let expected_drops = (matches.len() - cap) as u64;
-    assert_eq!(buffer.len(), cap);
-    assert_eq!(buffer.dropped(), expected_drops);
-    assert_eq!(
-        engine.metrics(handle).unwrap().sink_events_dropped,
-        expected_drops,
-        "QueryMetrics folds per-subscriber drop counters exactly"
-    );
 }
 
 #[test]

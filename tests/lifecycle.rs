@@ -5,11 +5,14 @@
 //! can be registered, matched against, paused, resumed and deregistered at
 //! runtime; after deregistration its join-store memory is gone (observed
 //! through the engine's live partial-match accounting) and its handle is
-//! permanently stale.
+//! permanently stale. A subscriber that panics is detached without
+//! poisoning the engine or the query's other subscribers.
 
+use std::sync::mpsc;
 use streamworks::query::{CostBasedOrdered, QueryGraphBuilder};
 use streamworks::{
-    ContinuousQueryEngine, CountingSink, Duration, EdgeEvent, QueryGraph, Timestamp, TreeShapeKind,
+    ContinuousQueryEngine, Duration, EdgeEvent, MatchEvent, QueryGraph, SubscriptionHealth,
+    Timestamp, TreeShapeKind,
 };
 
 fn ev(src: &str, dst: &str, dt: &str, et: &str, t: i64) -> EdgeEvent {
@@ -214,8 +217,7 @@ fn pause_resume_round_trip_is_equivalent_to_never_pausing() {
 fn stale_handles_error_cleanly_everywhere() {
     let mut engine = ContinuousQueryEngine::builder().build().unwrap();
     let handle = engine.register_query(keyword_pair(60)).unwrap();
-    let (sink, _count) = CountingSink::new();
-    let subscription = engine.subscribe(handle, sink).unwrap();
+    let subscription = engine.subscribe(handle, |_: MatchEvent| {}).unwrap();
     engine.deregister(handle).unwrap();
 
     assert!(engine.plan(handle).is_err());
@@ -232,8 +234,7 @@ fn stale_handles_error_cleanly_everywhere() {
             TreeShapeKind::LeftDeep
         )
         .is_err());
-    let (sink2, _c2) = CountingSink::new();
-    assert!(engine.subscribe(handle, sink2).is_err());
+    assert!(engine.subscribe(handle, |_: MatchEvent| {}).is_err());
     assert!(
         engine.unsubscribe(subscription).is_err(),
         "subscriptions died with the query"
@@ -297,4 +298,57 @@ fn handles_enumerate_live_queries_in_registration_order() {
     assert_eq!(metrics.len(), 2);
     assert_eq!(metrics[0].0, first);
     assert_eq!(metrics[1].0, third);
+}
+
+/// Article `a{i}` mentions keyword `k{i % collisions}` at second `i`: every
+/// repeated keyword completes pair matches.
+fn mentions(n: usize, collisions: usize) -> Vec<EdgeEvent> {
+    (0..n)
+        .map(|i| {
+            let (article, keyword) = (format!("a{i}"), format!("k{}", i % collisions));
+            ev(&article, &keyword, "Keyword", "mentions", i as i64)
+        })
+        .collect()
+}
+
+#[test]
+fn panicking_sink_is_quarantined_without_poisoning_anything() {
+    let mut engine = ContinuousQueryEngine::builder().build().unwrap();
+    let handle = register_storing(&mut engine, keyword_pair(3_600));
+    let bad = engine
+        .subscribe(handle, |_: MatchEvent| panic!("subscriber exploded"))
+        .unwrap();
+    let (tx, seen) = mpsc::channel();
+    let good = engine
+        .subscribe(handle, move |m: MatchEvent| {
+            let _ = tx.send(m);
+        })
+        .unwrap();
+
+    let events = mentions(8, 2);
+    let matches = engine.ingest(&events[..]).unwrap();
+    assert!(!matches.is_empty());
+    // The healthy subscriber and the call-level collection saw everything.
+    assert_eq!(seen.try_iter().count(), matches.len());
+    // The panicking sink is quarantined with its panic message recorded...
+    match engine.subscription_health(bad).unwrap() {
+        SubscriptionHealth::Quarantined(message) => {
+            assert!(message.contains("subscriber exploded"), "got: {message}")
+        }
+        // In-process sinks never retry: Degraded is a durable-only state.
+        SubscriptionHealth::Active | SubscriptionHealth::Degraded { .. } => {
+            panic!("panicking sink must be quarantined")
+        }
+    }
+    assert_eq!(
+        engine.subscription_health(good).unwrap(),
+        SubscriptionHealth::Active
+    );
+    // ...and stays registered (health queryable) but silent from then on.
+    assert_eq!(engine.subscription_count(handle).unwrap(), 2);
+    let more = engine.ingest(&mentions(8, 2)[..]).unwrap();
+    assert_eq!(seen.try_iter().count(), more.len());
+    // Unsubscribing the quarantined sink works like any other.
+    engine.unsubscribe(bad).unwrap();
+    assert_eq!(engine.subscription_count(handle).unwrap(), 1);
 }

@@ -9,11 +9,11 @@
 //! from the sharded era so their history stays traceable.
 
 use std::collections::BTreeMap;
+use std::sync::mpsc;
 use streamworks::workloads::queries::labelled_news_query;
 use streamworks::workloads::{NewsConfig, NewsStreamGenerator};
 use streamworks::{
-    BufferingSink, ContinuousQueryEngine, Duration, EdgeEvent, MatchEvent, QueryGraph, QueryHandle,
-    Timestamp,
+    ContinuousQueryEngine, Duration, EdgeEvent, MatchEvent, QueryGraph, QueryHandle, Timestamp,
 };
 
 /// Canonical multiset of matches: how often each (query name, data-edge
@@ -147,8 +147,12 @@ fn sharded_subscription_sees_one_ordered_stream() {
     let query = labelled_news_query("politics", Duration::from_mins(30));
     let mut engine = ContinuousQueryEngine::builder().build().unwrap();
     let handle = engine.register_query(query).unwrap();
-    let (sink, buffer) = BufferingSink::new();
-    let sub = engine.subscribe(handle, sink).unwrap();
+    let (tx, feed) = mpsc::channel();
+    let sub = engine
+        .subscribe(handle, move |m: MatchEvent| {
+            let _ = tx.send(m);
+        })
+        .unwrap();
 
     let events = news_events();
     let mut returned = Vec::new();
@@ -160,7 +164,7 @@ fn sharded_subscription_sees_one_ordered_stream() {
     // The tenant's subscription got exactly the returned stream, in the same
     // order, and ordered by stream time (each match is stamped with the
     // timestamp of its completing edge, and edges arrive in time order).
-    let seen = buffer.drain();
+    let seen: Vec<MatchEvent> = feed.try_iter().collect();
     assert_eq!(seen, returned);
     for pair in seen.windows(2) {
         assert!(
