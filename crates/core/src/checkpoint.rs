@@ -8,7 +8,7 @@
 //! * the engine configuration,
 //! * every registered query's *plan* (so the SJ-Tree shapes — possibly the
 //!   product of statistics that have since drifted — are preserved verbatim)
-//!   together with its **paused flag**,
+//!   together with the intervals of the stream it observed,
 //! * the live (non-expired) edges of the data graph, re-expressed as
 //!   [`EdgeEvent`]s,
 //! * every **durable subscription** — its serialisable [`crate::SinkSpec`],
@@ -38,16 +38,20 @@
 //! just as the original engine held them and a query **never** observes an
 //! edge the original engine never showed it. Arrival-order cuts are exact
 //! even for events sharing a boundary timestamp and for bounded skew,
-//! where timestamp cuts would straddle the boundary. Checkpoints written
-//! before the field existed fall back to the old conservative behaviour:
-//! running queries get the whole replay, paused queries skip it entirely
-//! and start empty.
+//! where timestamp cuts would straddle the boundary. The intervals are also
+//! the only record of whether a query is paused: an even number of
+//! boundaries (none at all included) means the last interval is closed.
+//!
+//! **There is one format.** Every field is required: a document missing
+//! one fails [`EngineCheckpoint::load`] with
+//! [`EngineError::CorruptCheckpoint`] instead of restoring under different
+//! semantics. Unknown keys are ignored, so documents carrying settings that
+//! have since been removed still load.
 
 use crate::config::EngineConfig;
 use crate::delivery::DeliveryCursor;
 use crate::engine::ContinuousQueryEngine;
 use crate::error::EngineError;
-use crate::handle::QueryHandle;
 use serde::{Deserialize, Serialize};
 use streamworks_graph::{EdgeEvent, Timestamp};
 use streamworks_query::{QueryPlan, RpqQuery};
@@ -59,38 +63,27 @@ pub struct EngineCheckpoint {
     pub config: EngineConfig,
     /// Plans of every registered subgraph query, in registration (query-id)
     /// order. Regular path queries are captured in [`Self::rpqs`]; the
-    /// `paused` / `paused_at` / `observed` lists run over the *combined*
-    /// query sequence in query-id order.
+    /// `paused_at` / `observed` lists run over the *combined* query sequence
+    /// in query-id order.
     pub plans: Vec<QueryPlan>,
     /// Registered regular path queries, as `(position, query)` where
     /// `position` is the query's index in the combined query-id order (the
-    /// indexing of `paused` / `paused_at` / `observed`). Restore re-registers
-    /// plans and RPQs interleaved at these positions, so query ids — and the
-    /// replay choreography — come back exactly as captured. Defaults to
-    /// empty, so checkpoints written before RPQs existed keep restoring.
-    #[serde(default)]
+    /// indexing of `paused_at` / `observed`). Restore re-registers plans and
+    /// RPQs interleaved at these positions, so query ids — and the replay
+    /// choreography — come back exactly as captured.
     pub rpqs: Vec<(u64, RpqQuery)>,
-    /// Paused flag per entry of `plans` (same order). Defaults to
-    /// all-running when absent, so checkpoints written before the field
-    /// existed keep restoring.
-    #[serde(default)]
-    pub paused: Vec<bool>,
-    /// Stream time at which each paused query was paused (same order as
-    /// `plans`; `None` for running queries). Informational and round-tripped
+    /// Stream time at which each paused query was paused (combined query
+    /// order; `None` for running queries). Informational and round-tripped
     /// verbatim; the replay cuts themselves use [`Self::observed`], which is
     /// exact where a timestamp is ambiguous (events at a boundary timestamp,
-    /// bounded skew). Defaults to empty for older checkpoints.
-    #[serde(default)]
+    /// bounded skew).
     pub paused_at: Vec<Option<Timestamp>>,
-    /// Arrival-order observation intervals per entry of `plans`: indices
-    /// into [`Self::live_edges`], alternating open/close boundaries
-    /// (registration and every resume open, every pause closes; an odd
-    /// length means the query was observing at capture time). Restore
-    /// dispatches each query exactly the edges inside its intervals.
-    /// Defaults to empty for checkpoints written before the field existed;
-    /// such queries fall back to the old behaviour (running queries get the
-    /// whole replay, paused queries skip it entirely).
-    #[serde(default)]
+    /// Arrival-order observation intervals per query (combined query
+    /// order): indices into [`Self::live_edges`], alternating open/close
+    /// boundaries (registration and every resume open, every pause closes).
+    /// An odd length means the query was observing at capture time, an even
+    /// one (empty included) that it was paused. Restore dispatches each
+    /// query exactly the edges inside its intervals.
     pub observed: Vec<Vec<u64>>,
     /// Live edges of the data graph, in arrival order (the order the
     /// original engine ingested them — also the replay order, so a restored
@@ -106,18 +99,13 @@ pub struct EngineCheckpoint {
     /// cursor of the last acknowledged match and the undelivered outbox.
     /// Durable subscribers are re-attached *after* the suppressed replay, so
     /// a restored engine resumes each exactly after its cursor — no
-    /// duplicates, no losses. Defaults to empty, so checkpoints written
-    /// before durable delivery existed keep restoring (in-process sinks were
-    /// never captured, and still are not).
-    #[serde(default)]
+    /// duplicates, no losses. In-process sinks are not captured.
     pub durable: Vec<DeliveryCursor>,
     /// Stage latency histograms captured at checkpoint time (`None` while
-    /// telemetry is off, and for checkpoints written before telemetry
-    /// existed). Restore folds these counters into the fresh engine's
-    /// histograms *after* the suppressed replay — the driver-side replay is
-    /// not re-measured, so the restored engine's stage counters continue
-    /// from the captured ones.
-    #[serde(default)]
+    /// telemetry is off). Restore folds these counters into the fresh
+    /// engine's histograms *after* the suppressed replay — the driver-side
+    /// replay is not re-measured, so the restored engine's stage counters
+    /// continue from the captured ones.
     pub telemetry: Option<crate::TelemetryCheckpoint>,
 }
 
@@ -129,9 +117,8 @@ impl EngineCheckpoint {
     /// dense again. Because of that compaction, `QueryHandle`s issued by the
     /// checkpointed engine are meaningless on the restored one (and the
     /// mismatch is not detectable) — always re-obtain handles from the
-    /// restored engine's `handles()`. Paused queries are captured with their
-    /// flag and come back paused (see the module docs for the replay
-    /// semantics).
+    /// restored engine's `handles()`. Paused queries come back paused (see
+    /// the module docs for the replay semantics).
     pub fn capture(engine: &ContinuousQueryEngine) -> Self {
         let graph = engine.graph();
         // Arrival (edge-id) order: the replay then reproduces the exact
@@ -170,7 +157,6 @@ impl EngineCheckpoint {
         with_ids.sort_by_key(|(id, _)| *id);
         let mut plans = Vec::new();
         let mut rpqs = Vec::new();
-        let mut paused = Vec::new();
         let mut paused_at = Vec::new();
         let mut observed = Vec::new();
         let mut durable = Vec::new();
@@ -180,18 +166,18 @@ impl EngineCheckpoint {
             if let Ok(plan) = engine.plan(h) {
                 plans.push(plan.clone());
             } else if let Ok(rpq) = engine.rpq_query(h) {
-                rpqs.push((paused.len() as u64, rpq.clone()));
+                rpqs.push((observed.len() as u64, rpq.clone()));
             } else {
                 continue;
             }
-            durable.extend(engine.capture_durables(h, paused.len()));
-            paused.push(engine.is_paused(h).unwrap_or(false));
+            durable.extend(engine.capture_durables(h, observed.len()));
             paused_at.push(engine.pause_time(h).unwrap_or(None));
             // Map the query's arrival-order observation boundaries (edge-id
             // bounds) onto the retained edge list: edges with id below a
             // bound sit before its partition point. Intervals left empty by
-            // expiry are dropped so the boundary list stays bounded across
-            // repeated checkpoint/restore generations.
+            // expiry are dropped whole (keeping the parity that says whether
+            // the query is paused), so the boundary list stays bounded
+            // across repeated checkpoint/restore generations.
             let mapped: Vec<u64> = engine
                 .observed_bounds(h)
                 .iter()
@@ -215,7 +201,6 @@ impl EngineCheckpoint {
             config: *engine.config(),
             plans,
             rpqs,
-            paused,
             paused_at,
             observed,
             live_edges: with_ids.into_iter().map(|(_, e)| e).collect(),
@@ -230,63 +215,21 @@ impl EngineCheckpoint {
     /// exact semantics of the replay). The retained edges are replayed as one
     /// batch through the unified ingest path, with event emission suppressed.
     /// Durable subscriptions are re-attached *after* the suppressed replay
-    /// and resume from their cursors; a destination that cannot be connected
-    /// (transient outage, or a delivery log truncated below its cursor) is
-    /// left for the first delivery attempt to retry through the engine's
-    /// [`crate::RetryPolicy`] — use [`Self::try_restore`] to surface a
-    /// corrupt delivery log as an error instead.
+    /// and resume from their cursors.
     ///
-    /// # Panics
+    /// A document that fails the checks of [`Self::load`] is an
+    /// [`EngineError::CorruptCheckpoint`] before anything is rebuilt. So is
+    /// a durable subscription whose destination has lost part of the
+    /// acknowledged prefix (a delivery log truncated below the cursor), with
+    /// the byte offset where the acknowledged prefix ends. Transient
+    /// connection failures are left for the first delivery attempt to retry
+    /// through the engine's [`crate::RetryPolicy`].
     ///
-    /// Panics if the checkpointed configuration fails
-    /// [`EngineConfig::validate`] (possible only for hand-edited JSON);
-    /// validate the config first to recover gracefully. Does not check the
-    /// queries either: a document from outside this process goes through
-    /// [`Self::load`] or [`Self::try_restore`].
-    pub fn restore(&self) -> ContinuousQueryEngine {
-        let (mut engine, handles) = self.rebuild();
-        for cursor in &self.durable {
-            if let Some(&handle) = handles.get(cursor.query) {
-                let _ = engine.attach_durable(handle, cursor, false);
-            }
-        }
-        engine
-    }
-
-    /// Like [`Self::restore`], but strict about the queries and durable
-    /// delivery state. A query no planner or parser could have produced —
-    /// the checks of [`Self::load`] — surfaces as
-    /// [`EngineError::CorruptCheckpoint`] before anything is rebuilt. So
-    /// does a durable subscription whose destination has lost part of the
-    /// acknowledged prefix (a delivery log truncated below the cursor) — or
-    /// whose cursor references a query position the checkpoint does not
-    /// contain — with the byte offset where the acknowledged prefix ends.
-    /// Transient connection failures are still tolerated and retried on the
-    /// first delivery attempt.
+    /// To restore past a damaged destination, remove its entry from
+    /// [`Self::durable`] and call this again: the query comes back without
+    /// that subscription.
     pub fn try_restore(&self) -> Result<ContinuousQueryEngine, EngineError> {
         self.validate()?;
-        let (mut engine, handles) = self.rebuild();
-        for cursor in &self.durable {
-            let Some(&handle) = handles.get(cursor.query) else {
-                return Err(EngineError::CorruptCheckpoint {
-                    offset: None,
-                    detail: format!(
-                        "durable cursor for subscription {} references query position {} but \
-                         the checkpoint holds {} queries",
-                        cursor.token,
-                        cursor.query,
-                        handles.len()
-                    ),
-                });
-            };
-            engine.attach_durable(handle, cursor, true)?;
-        }
-        Ok(engine)
-    }
-
-    /// The restore body shared by [`Self::restore`] and
-    /// [`Self::try_restore`]: everything except durable re-attachment.
-    fn rebuild(&self) -> (ContinuousQueryEngine, Vec<QueryHandle>) {
         let mut engine = ContinuousQueryEngine::new(self.config);
         // Re-register both query classes interleaved at their captured
         // positions, so slot ids — and the index-aligned lifecycle lists —
@@ -308,12 +251,10 @@ impl EngineCheckpoint {
                 }
             })
             .collect();
-        // Queries with recorded observation intervals start dormant and are
-        // resumed/paused at exactly their boundaries as the (arrival-order)
-        // replay walks forward, so each observes precisely the retained
-        // edges it saw live. Queries without intervals (legacy checkpoints)
-        // keep the old behaviour: running ones observe the whole replay,
-        // paused ones none of it (see the module docs).
+        // Every query starts dormant and is resumed/paused at exactly its
+        // boundaries as the (arrival-order) replay walks forward, so each
+        // observes precisely the retained edges it saw live, and ends paused
+        // iff its boundary count is even.
         //
         // Actions are (boundary, query, per-query sequence): sorting keeps
         // each query's resume/pause alternation in order even when several
@@ -322,14 +263,7 @@ impl EngineCheckpoint {
         const ACT_RESUME: u8 = 0;
         const ACT_PAUSE: u8 = 1;
         let mut actions: Vec<(u64, usize, usize, u8)> = Vec::new();
-        for (i, handle) in handles.iter().enumerate() {
-            let bounds = self.observed.get(i).map(Vec::as_slice).unwrap_or(&[]);
-            if bounds.is_empty() {
-                if self.paused.get(i).copied().unwrap_or(false) {
-                    engine.pause(*handle).expect("freshly registered handle");
-                }
-                continue;
-            }
+        for (i, (handle, bounds)) in handles.iter().zip(&self.observed).enumerate() {
             engine.pause(*handle).expect("freshly registered handle");
             for (k, &bound) in bounds.iter().enumerate() {
                 let kind = if k % 2 == 0 { ACT_RESUME } else { ACT_PAUSE };
@@ -364,16 +298,30 @@ impl EngineCheckpoint {
         }
         // Keep the original pause times (not the replay's clock), so a
         // second capture round-trips them verbatim.
-        for (i, handle) in handles.iter().enumerate() {
-            if self.paused.get(i).copied().unwrap_or(false) {
-                engine.set_pause_time(*handle, self.paused_at.get(i).copied().flatten());
+        for (handle, &at) in handles.iter().zip(&self.paused_at) {
+            if matches!(engine.is_paused(*handle), Ok(true)) {
+                engine.set_pause_time(*handle, at);
             }
         }
         engine.resume_telemetry(telemetry, self.telemetry.as_ref());
         // The replayed matches were suppressed; continue the emitted-event
         // counter from where the checkpointed engine left off.
         engine.set_events_emitted(self.events_emitted);
-        (engine, handles)
+        for cursor in &self.durable {
+            engine.attach_durable(handles[cursor.query], cursor)?;
+        }
+        Ok(engine)
+    }
+
+    /// [`Self::try_restore`], for callers that treat a bad checkpoint as a
+    /// bug.
+    ///
+    /// # Panics
+    ///
+    /// Panics wherever [`Self::try_restore`] returns an error.
+    #[doc(hidden)]
+    pub fn restore(&self) -> ContinuousQueryEngine {
+        self.try_restore().expect("checkpoint restores")
     }
 
     /// Serialises the checkpoint as JSON.
@@ -387,12 +335,14 @@ impl EngineCheckpoint {
     /// carrying the byte offset where parsing stopped: loading never
     /// panics, and the offset pinpoints how much of the file survived.
     ///
-    /// A document that parses but carries an SJ-Tree shape no planner could
-    /// have built (`SjTreeShape::validate` — the join climb indexes its
-    /// stores by the shape's node order), or a regular path query
-    /// `RpqQuery::new` would have refused (`RpqQuery::validate`: a pattern
-    /// matching the empty path), is rejected the same way, without an
-    /// offset.
+    /// A document missing a field is rejected the same way. So is one that
+    /// parses but carries a configuration [`EngineConfig::validate`]
+    /// refuses, an SJ-Tree shape no planner could have built
+    /// (`SjTreeShape::validate` — the join climb indexes its stores by the
+    /// shape's node order), a regular path query `RpqQuery::new` would have
+    /// refused (`RpqQuery::validate`: a pattern matching the empty path),
+    /// per-query lists that do not cover every query, or a durable cursor
+    /// naming a query the document does not hold; these carry no offset.
     pub fn load(json: &str) -> Result<EngineCheckpoint, crate::EngineError> {
         let checkpoint: EngineCheckpoint =
             serde_json::from_str(json).map_err(|e| crate::EngineError::CorruptCheckpoint {
@@ -403,12 +353,33 @@ impl EngineCheckpoint {
         Ok(checkpoint)
     }
 
-    /// The query checks of [`Self::load`] and [`Self::try_restore`].
+    /// The document checks of [`Self::load`] and [`Self::try_restore`].
     fn validate(&self) -> Result<(), EngineError> {
         let corrupt = |detail: String| EngineError::CorruptCheckpoint {
             offset: None,
             detail,
         };
+        self.config
+            .validate()
+            .map_err(|e| corrupt(format!("config: {e}")))?;
+        let total = self.plans.len() + self.rpqs.len();
+        for (field, len) in [
+            ("observed", self.observed.len()),
+            ("paused_at", self.paused_at.len()),
+        ] {
+            if len != total {
+                return Err(corrupt(format!(
+                    "{field} has {len} entries for {total} queries"
+                )));
+            }
+        }
+        if let Some(cursor) = self.durable.iter().find(|c| c.query >= total) {
+            return Err(corrupt(format!(
+                "durable cursor for subscription {} references query position {} but the \
+                 checkpoint holds {total} queries",
+                cursor.token, cursor.query
+            )));
+        }
         for plan in &self.plans {
             plan.shape
                 .validate(&plan.query)
@@ -473,7 +444,7 @@ mod tests {
         assert_eq!(checkpoint.plans.len(), 1);
         assert_eq!(checkpoint.live_edges.len(), 1);
 
-        let mut restored = checkpoint.restore();
+        let mut restored = checkpoint.try_restore().unwrap();
         assert_eq!(restored.query_count(), 1);
         // The pre-checkpoint partial state was rebuilt: a second article now
         // completes the pair exactly as it would have without the restart.
@@ -496,7 +467,7 @@ mod tests {
         assert_eq!(matched.len(), 2);
 
         let checkpoint = engine.checkpoint();
-        let restored = checkpoint.restore();
+        let restored = checkpoint.try_restore().unwrap();
         // Replay suppressed the already-completed matches and the counter
         // continues from the checkpointed value rather than double-counting.
         assert_eq!(checkpoint.events_emitted, 2);
@@ -531,7 +502,7 @@ mod tests {
         assert_eq!(parsed.live_edges, checkpoint.live_edges);
         assert_eq!(parsed.taken_at, checkpoint.taken_at);
 
-        let restored = parsed.restore();
+        let restored = parsed.try_restore().unwrap();
         assert_eq!(restored.query_count(), 1);
         assert_eq!(restored.graph().live_edge_count(), 1);
     }
@@ -640,6 +611,54 @@ mod tests {
     }
 
     #[test]
+    fn lists_short_of_the_queries_a_dangling_cursor_or_a_bad_config_are_refused() {
+        use crate::delivery::{reset_memory_sink, SinkSpec};
+        let key = "checkpoint_refused_documents";
+        reset_memory_sink(key);
+        let mut engine = ContinuousQueryEngine::builder().build().unwrap();
+        let handle = engine
+            .register_query(pair_query(Duration::from_secs(60)))
+            .unwrap();
+        engine
+            .subscribe_durable(handle, SinkSpec::Memory { key: key.into() })
+            .unwrap();
+        let json = engine.checkpoint().to_json().unwrap();
+        for (honest, tampered, expected) in [
+            (
+                r#""observed":[[0]]"#,
+                r#""observed":[]"#,
+                "observed has 0 entries",
+            ),
+            (
+                r#""paused_at":[null]"#,
+                r#""paused_at":[]"#,
+                "paused_at has 0",
+            ),
+            (
+                r#""query":0,"#,
+                r#""query":1,"#,
+                "references query position 1",
+            ),
+            (
+                r#""telemetry_sample_every":64"#,
+                r#""telemetry_sample_every":0"#,
+                "config: telemetry_sample_every",
+            ),
+        ] {
+            assert_eq!(json.matches(honest).count(), 1, "{honest} in {json}");
+            let tampered = json.replace(honest, tampered);
+            match EngineCheckpoint::load(&tampered) {
+                Err(EngineError::CorruptCheckpoint {
+                    offset: None,
+                    detail,
+                }) => assert!(detail.contains(expected), "{detail}"),
+                other => panic!("{tampered} loaded to {other:?}"),
+            }
+        }
+        reset_memory_sink(key);
+    }
+
+    #[test]
     fn corrupt_bytes_load_to_an_error_with_an_offset() {
         let err = EngineCheckpoint::load("{\"config\": garbage").unwrap_err();
         let crate::EngineError::CorruptCheckpoint { offset, .. } = err else {
@@ -665,7 +684,7 @@ mod tests {
                 .and_then(|v| v.as_str()),
             Some("politics")
         );
-        let restored = checkpoint.restore();
+        let restored = checkpoint.try_restore().unwrap();
         let stored = restored.graph().edges().next().unwrap();
         assert_eq!(
             stored.attrs.get("label").and_then(|v| v.as_str()),
@@ -690,7 +709,7 @@ mod tests {
         let checkpoint = engine.checkpoint();
         assert_eq!(checkpoint.plans.len(), 1);
         assert_eq!(checkpoint.plans[0].query.name(), "keeper");
-        let restored = checkpoint.restore();
+        let restored = checkpoint.try_restore().unwrap();
         assert_eq!(restored.query_count(), 1);
         assert_eq!(
             restored.handles()[0].id().0,
@@ -716,9 +735,14 @@ mod tests {
         // Through JSON, like a real restart.
         let json = engine.checkpoint().to_json().unwrap();
         let checkpoint = EngineCheckpoint::load(&json).unwrap();
-        assert_eq!(checkpoint.paused, vec![false, true]);
+        let paused: Vec<bool> = checkpoint
+            .observed
+            .iter()
+            .map(|b| b.len().is_multiple_of(2))
+            .collect();
+        assert_eq!(paused, vec![false, true]);
 
-        let mut restored = checkpoint.restore();
+        let mut restored = checkpoint.try_restore().unwrap();
         let handles = restored.handles();
         assert_eq!(handles.len(), 2);
         assert!(!restored.is_paused(handles[0]).unwrap());
@@ -810,7 +834,6 @@ mod tests {
         // Through JSON, like a real restart.
         let json = engine.checkpoint().to_json().unwrap();
         let checkpoint = EngineCheckpoint::load(&json).unwrap();
-        assert_eq!(checkpoint.paused, vec![true]);
         assert_eq!(checkpoint.paused_at, vec![Some(Timestamp::from_secs(10))]);
         assert_eq!(
             checkpoint.observed,
@@ -818,7 +841,7 @@ mod tests {
             "only the edge ingested before the pause is in the observed window"
         );
 
-        let mut restored = checkpoint.restore();
+        let mut restored = checkpoint.try_restore().unwrap();
         let h = restored.handles()[0];
         assert!(restored.is_paused(h).unwrap());
         // The pause time survives the restore (and a re-capture) verbatim.
@@ -845,50 +868,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_checkpoints_without_pause_timestamps_skip_the_replay() {
-        // A checkpoint written before `paused_at` existed restores with the
-        // old conservative behaviour: the paused query observes nothing.
-        let mut engine = ContinuousQueryEngine::builder().build().unwrap();
-        let handle = register_stateful(&mut engine, "pair");
-        engine.ingest(&ev("a1", "rust", "mentions", 10)).unwrap();
-        engine.pause(handle).unwrap();
-
-        let mut legacy = engine.checkpoint().to_json().unwrap();
-        for field in ["paused_at", "observed"] {
-            assert!(legacy.contains(&format!("\"{field}\"")));
-            let start = legacy.find(&format!(",\"{field}\":[")).unwrap();
-            // Skip to the matching close bracket (`observed` nests arrays).
-            let mut depth = 0usize;
-            let mut end = start;
-            for (off, c) in legacy[start..].char_indices() {
-                match c {
-                    '[' => depth += 1,
-                    ']' => {
-                        depth -= 1;
-                        if depth == 0 {
-                            end = start + off + 1;
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            legacy = format!("{}{}", &legacy[..start], &legacy[end..]);
-            assert!(!legacy.contains(&format!("\"{field}\"")));
-        }
-
-        let checkpoint = EngineCheckpoint::load(&legacy).unwrap();
-        assert!(checkpoint.paused_at.is_empty());
-        assert!(checkpoint.observed.is_empty());
-        let restored = checkpoint.restore();
-        let h = restored.handles()[0];
-        assert!(restored.is_paused(h).unwrap());
-        let m = restored.metrics(h).unwrap();
-        assert_eq!(m.edges_processed, 0, "legacy restore replays nothing");
-        assert_eq!(m.partial_matches_live, 0);
-    }
-
-    #[test]
     fn multiple_pause_timestamps_split_the_replay_per_query() {
         // Windows one second apart: entries are interned per window, so the
         // two otherwise identical join trees share nothing and each query's
@@ -903,7 +882,7 @@ mod tests {
         engine.pause(late).unwrap();
         engine.ingest(&ev("c1", "zig", "mentions", 30)).unwrap();
 
-        let restored = engine.checkpoint().restore();
+        let restored = engine.checkpoint().try_restore().unwrap();
         let handles = restored.handles();
         let m_early = restored.metrics(handles[0]).unwrap();
         let m_late = restored.metrics(handles[1]).unwrap();
@@ -942,7 +921,7 @@ mod tests {
             vec![vec![1, 2]],
             "the query observed only the second retained edge"
         );
-        let mut restored = checkpoint.restore();
+        let mut restored = checkpoint.try_restore().unwrap();
         let h = restored.handles()[0];
         let m = restored.metrics(h).unwrap();
         assert_eq!(m.edges_processed, 1);
@@ -975,13 +954,12 @@ mod tests {
         engine.ingest(&ev("a2", "zig", "mentions", 30)).unwrap();
 
         let checkpoint = engine.checkpoint();
-        assert_eq!(checkpoint.paused, vec![false]);
         assert_eq!(
             checkpoint.observed,
             vec![vec![0, 1, 2]],
             "observed [0,1) and [2, open): the gap edge is excluded"
         );
-        let mut restored = checkpoint.restore();
+        let mut restored = checkpoint.try_restore().unwrap();
         let h = restored.handles()[0];
         assert!(!restored.is_paused(h).unwrap());
         let m = restored.metrics(h).unwrap();
@@ -1024,7 +1002,7 @@ mod tests {
             vec![vec![1]],
             "the observed window restarts at the replan"
         );
-        let mut restored = checkpoint.restore();
+        let mut restored = checkpoint.try_restore().unwrap();
         let h = restored.handles()[0];
         assert_eq!(
             restored.metrics(h).unwrap().partial_matches_live,
@@ -1039,22 +1017,133 @@ mod tests {
         assert_eq!(replayed.len(), live.len());
     }
 
+    /// `json` without its one `"key":value` member (and the comma that
+    /// separated it).
+    fn without_member(json: &str, key: &str) -> String {
+        let name = format!("\"{key}\":");
+        assert_eq!(json.matches(&name).count(), 1, "{key} occurs once");
+        let value = json.find(&name).unwrap() + name.len();
+        let (mut depth, mut in_str, mut escaped) = (0usize, false, false);
+        let mut end = json.len();
+        for (off, c) in json[value..].char_indices() {
+            match c {
+                _ if escaped => escaped = false,
+                '\\' if in_str => escaped = true,
+                '"' => in_str = !in_str,
+                _ if in_str => {}
+                '[' | '{' => depth += 1,
+                ']' | '}' if depth > 0 => depth -= 1,
+                ',' | '}' if depth == 0 => {
+                    end = value + off;
+                    break;
+                }
+                _ => {}
+            }
+        }
+        let start = value - name.len();
+        match json[end..].strip_prefix(',') {
+            Some(rest) => format!("{}{rest}", &json[..start]),
+            None => format!("{}{}", json[..start].trim_end_matches(','), &json[end..]),
+        }
+    }
+
     #[test]
-    fn checkpoints_without_paused_field_still_restore() {
-        // A checkpoint written before the `paused` field existed has no such
-        // key; it must deserialize to all-running.
-        let mut engine = ContinuousQueryEngine::builder().build().unwrap();
-        engine
-            .register_query(pair_query(Duration::from_secs(60)))
+    fn a_checkpoint_missing_any_field_is_corrupt() {
+        use crate::delivery::{reset_memory_sink, SinkSpec};
+        let key = "checkpoint_missing_fields";
+        reset_memory_sink(key);
+        let mut engine = ContinuousQueryEngine::builder()
+            .telemetry_level(crate::TelemetryLevel::Sampled)
+            .build()
             .unwrap();
+        let pair = engine
+            .register_query(pair_query(Duration::from_secs(100)))
+            .unwrap();
+        let rpq = engine
+            .register_rpq_dsl("RPQ p WINDOW 1m PATH cites")
+            .unwrap();
+        engine
+            .subscribe_durable(pair, SinkSpec::Memory { key: key.into() })
+            .unwrap();
+        engine.ingest(&ev("a1", "rust", "mentions", 10)).unwrap();
+        engine.pause(rpq).unwrap();
+        let checkpoint = engine.checkpoint();
+        assert!(checkpoint.telemetry.is_some() && !checkpoint.durable.is_empty());
+        let json = checkpoint.to_json().unwrap();
+        assert!(EngineCheckpoint::load(&json).is_ok());
+
+        let keys = |value: serde_json::Value| -> Vec<String> {
+            let object = value.as_object().expect("an object");
+            object.iter().map(|(k, _)| k.clone()).collect()
+        };
+        let top = keys(serde_json::to_value(&checkpoint).unwrap());
+        let config = keys(serde_json::to_value(&checkpoint.config).unwrap());
+        assert_eq!(top.len(), 10);
+        assert_eq!(config.len(), 4);
+        // A durable cursor's pending outbox is required like the rest.
+        let nested = ["outbox".to_owned()];
+        for field in top.iter().chain(&config).chain(&nested) {
+            match EngineCheckpoint::load(&without_member(&json, field)) {
+                Err(EngineError::CorruptCheckpoint { detail, .. }) => {
+                    assert!(detail.contains(field.as_str()), "{field}: {detail}");
+                }
+                other => panic!("a checkpoint without {field} loaded: {other:?}"),
+            }
+        }
+        reset_memory_sink(key);
+    }
+
+    #[test]
+    fn a_paused_query_whose_observed_edges_all_expired_restores_paused_and_empty() {
+        let mut engine = ContinuousQueryEngine::builder().build().unwrap();
+        let handle = register_stateful_windowed(&mut engine, "pair", 10);
+        engine.ingest(&ev("a1", "rust", "mentions", 0)).unwrap();
+        engine.pause(handle).unwrap();
+        // Past the window: a1 expires, and this gap edge is never observed.
+        engine.ingest(&ev("g1", "rust", "mentions", 100)).unwrap();
+
         let json = engine.checkpoint().to_json().unwrap();
-        assert!(json.contains("\"paused\""));
-        let legacy = json.replace(",\"paused\":[false]", "");
-        assert!(!legacy.contains("\"paused\""));
-        let checkpoint = EngineCheckpoint::load(&legacy).unwrap();
-        assert!(checkpoint.paused.is_empty());
-        let restored = checkpoint.restore();
-        assert!(!restored.is_paused(restored.handles()[0]).unwrap());
+        let checkpoint = EngineCheckpoint::load(&json).unwrap();
+        assert_eq!(checkpoint.live_edges.len(), 1);
+        assert_eq!(
+            checkpoint.observed,
+            vec![Vec::<u64>::new()],
+            "the expired interval is compacted away, leaving an even (empty) list"
+        );
+        let mut restored = checkpoint.try_restore().unwrap();
+        let h = restored.handles()[0];
+        assert!(restored.is_paused(h).unwrap());
+        assert_eq!(
+            restored.pause_time(h).unwrap(),
+            Some(Timestamp::from_secs(0))
+        );
+        let m = restored.metrics(h).unwrap();
+        assert_eq!(
+            (m.edges_processed, m.partial_matches_live),
+            (0, 0),
+            "no replayed edge was shown to the paused query"
+        );
+
+        engine.resume(handle).unwrap();
+        restored.resume(h).unwrap();
+        let keys = |ms: Vec<MatchEvent>| -> Vec<(Timestamp, Vec<String>)> {
+            let mut v: Vec<_> = (ms.iter())
+                .map(|m| (m.at, m.bindings.iter().map(|b| b.key.to_string()).collect()))
+                .collect();
+            v.sort();
+            v
+        };
+        let mut emitted = 0;
+        for event in [
+            ev("a2", "rust", "mentions", 101),
+            ev("g2", "go", "mentions", 102),
+            ev("a3", "go", "mentions", 103),
+        ] {
+            let live = keys(engine.ingest(&event).unwrap());
+            assert_eq!(keys(restored.ingest(&event).unwrap()), live);
+            emitted += live.len();
+        }
+        assert_eq!(emitted, 2, "g2 and a3 pair in both orders");
     }
 
     #[test]
@@ -1127,29 +1216,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_checkpoints_without_the_durable_field_still_restore() {
-        let mut engine = ContinuousQueryEngine::builder().build().unwrap();
-        engine
-            .register_query(pair_query(Duration::from_secs(60)))
-            .unwrap();
-        engine.ingest(&ev("a1", "rust", "mentions", 5)).unwrap();
-        let json = engine.checkpoint().to_json().unwrap();
-        assert!(json.contains("\"durable\""));
-        let legacy = json.replace(",\"durable\":[]", "");
-        assert!(!legacy.contains("\"durable\""));
-        let checkpoint = EngineCheckpoint::load(&legacy).unwrap();
-        assert!(checkpoint.durable.is_empty());
-        // Both restore paths behave exactly as before the field existed.
-        let restored = checkpoint.try_restore().unwrap();
-        assert_eq!(restored.query_count(), 1);
-        let restored = checkpoint.restore();
-        assert_eq!(
-            restored.subscription_count(restored.handles()[0]).unwrap(),
-            0
-        );
-    }
-
-    #[test]
     fn a_truncated_delivery_log_is_a_corrupt_checkpoint_with_a_byte_offset() {
         use crate::delivery::SinkSpec;
         let dir = std::env::temp_dir().join("sw_checkpoint_tests");
@@ -1181,7 +1247,7 @@ mod tests {
 
         let err = match checkpoint.try_restore() {
             Err(err) => err,
-            Ok(_) => panic!("strict restore rejects the truncated delivery log"),
+            Ok(_) => panic!("restore rejects the truncated delivery log"),
         };
         match err {
             EngineError::CorruptCheckpoint { offset, detail } => {
@@ -1191,13 +1257,6 @@ mod tests {
             }
             other => panic!("expected CorruptCheckpoint, got {other:?}"),
         }
-        // The non-strict path still restores; the subscription reports its
-        // failure through the delivery state machine instead.
-        let restored = checkpoint.restore();
-        assert_eq!(
-            restored.subscription_count(restored.handles()[0]).unwrap(),
-            1
-        );
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -1207,7 +1266,7 @@ mod tests {
         let checkpoint = engine.checkpoint();
         assert!(checkpoint.plans.is_empty());
         assert!(checkpoint.live_edges.is_empty());
-        let restored = checkpoint.restore();
+        let restored = checkpoint.try_restore().unwrap();
         assert_eq!(restored.query_count(), 0);
         assert_eq!(restored.graph().live_edge_count(), 0);
     }
@@ -1275,7 +1334,10 @@ mod tests {
         // query-id order, so the advertise-then-promote choreography — and
         // with it every sharing role — reproduces exactly.
         let json = engine.checkpoint().to_json().unwrap();
-        let mut restored = EngineCheckpoint::load(&json).unwrap().restore();
+        let mut restored = EngineCheckpoint::load(&json)
+            .unwrap()
+            .try_restore()
+            .unwrap();
         assert_eq!(
             dedup(restored.engine_metrics()),
             ((2, 3, 2), (2, 3)),
@@ -1321,7 +1383,10 @@ mod tests {
         engine.ingest(&ev("g1", "go", "mentions", 20)).unwrap();
 
         let json = engine.checkpoint().to_json().unwrap();
-        let mut restored = EngineCheckpoint::load(&json).unwrap().restore();
+        let mut restored = EngineCheckpoint::load(&json)
+            .unwrap()
+            .try_restore()
+            .unwrap();
         // One entry for pair1's two leaves, one — advertised by pair1,
         // promoted by pair2 — serving pair2 whole.
         let m = restored.engine_metrics();

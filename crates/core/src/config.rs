@@ -34,17 +34,13 @@ pub struct EngineConfig {
     /// [`RetryPolicy`] and
     /// [`crate::ContinuousQueryEngine::subscribe_durable`]): max consecutive
     /// attempts before quarantine, exponential backoff with a cap, and the
-    /// per-attempt delivery timeout. Defaults to [`RetryPolicy::default`]
-    /// when absent from serialized form.
-    #[serde(default = "default_retry_policy")]
+    /// per-attempt delivery timeout. Defaults to [`RetryPolicy::default`].
     pub retry_policy: RetryPolicy,
     /// How much observability the engine records while streaming (see
     /// [`TelemetryLevel`] and `crates/core/src/telemetry.rs`): per-stage
     /// latency histograms plus one end-to-end trace span set per sampled
     /// event. Defaults to [`TelemetryLevel::Off`], which costs a single
-    /// branch per instrumentation site; absent from legacy serialized form
-    /// it stays off.
-    #[serde(default)]
+    /// branch per instrumentation site.
     pub telemetry_level: TelemetryLevel,
     /// Sampling cadence when `telemetry_level` is
     /// [`TelemetryLevel::Sampled`]: every `telemetry_sample_every`-th
@@ -52,22 +48,7 @@ pub struct EngineConfig {
     /// coarse enough to keep the hot path at parity, fine enough that every
     /// active stage accumulates observations within a few thousand events.
     /// Validated to be at least 1.
-    #[serde(default = "default_telemetry_sample_every")]
     pub telemetry_sample_every: u64,
-}
-
-/// Serde fallback for [`EngineConfig::retry_policy`]: checkpoints written
-/// before durable delivery existed restore with the default retry schedule
-/// (they contain no durable subscriptions, so the policy is dormant anyway).
-fn default_retry_policy() -> RetryPolicy {
-    RetryPolicy::default()
-}
-
-/// Serde fallback for [`EngineConfig::telemetry_sample_every`]: checkpoints
-/// written before telemetry existed restore with the default cadence (the
-/// level defaults to `Off`, so the cadence is dormant until switched on).
-fn default_telemetry_sample_every() -> u64 {
-    64
 }
 
 impl Default for EngineConfig {
@@ -163,13 +144,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Lets the engine derive retention from the largest registered query
-    /// window (the default).
-    pub fn auto_retention(mut self) -> Self {
-        self.config.retention = None;
-        self
-    }
-
     /// Accepts any count and changes nothing: every query runs in-process.
     /// Kept, hidden, only because the pinned `benchmark/` package calls
     /// `.shards(workload.shards())` when it opens a session; it goes in the
@@ -220,7 +194,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_prunes_with_auto_retention() {
+    fn default_config_derives_retention_from_the_windows() {
         let c = EngineConfig::default();
         assert!(c.retention.is_none());
         assert!(c.validate().is_ok());
@@ -236,15 +210,6 @@ mod tests {
         assert_eq!(c.telemetry_sample_every, 1_000);
         let engine = builder.build().unwrap();
         assert_eq!(engine.config().telemetry_sample_every, 1_000);
-    }
-
-    #[test]
-    fn builder_round_trips_auto_settings() {
-        let c = *EngineBuilder::new()
-            .retention(Duration::from_secs(5))
-            .auto_retention()
-            .config();
-        assert!(c.retention.is_none());
     }
 
     #[test]
@@ -359,20 +324,6 @@ mod tests {
     }
 
     #[test]
-    fn configs_serialized_before_the_retry_policy_field_still_deserialize() {
-        // A checkpoint written before durable delivery has no `retry_policy`
-        // key; it must come back with the default schedule.
-        let mut json = serde_json::to_string(&EngineConfig::default()).unwrap();
-        assert!(json.contains("\"retry_policy\""));
-        let serialized = serde_json::to_string(&RetryPolicy::default()).unwrap();
-        json = json.replace(&format!(",\"retry_policy\":{serialized}"), "");
-        assert!(!json.contains("retry_policy"));
-        let config: EngineConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(config.retry_policy, RetryPolicy::default());
-        assert!(config.validate().is_ok());
-    }
-
-    #[test]
     fn telemetry_settings_are_validated_and_default_off() {
         let c = EngineConfig::default();
         assert_eq!(c.telemetry_level, TelemetryLevel::Off);
@@ -388,21 +339,5 @@ mod tests {
             .unwrap();
         assert_eq!(engine.config().telemetry_level, TelemetryLevel::Sampled);
         assert_eq!(engine.config().telemetry_sample_every, 8);
-    }
-
-    #[test]
-    fn configs_serialized_before_the_telemetry_fields_still_deserialize() {
-        // A checkpoint written before the observability layer has neither
-        // key; it must come back with telemetry off and the default cadence.
-        let mut json = serde_json::to_string(&EngineConfig::default()).unwrap();
-        assert!(json.contains("\"telemetry_level\""));
-        assert!(json.contains("\"telemetry_sample_every\""));
-        json = json.replace(",\"telemetry_level\":\"Off\"", "");
-        json = json.replace(",\"telemetry_sample_every\":64", "");
-        assert!(!json.contains("telemetry"));
-        let config: EngineConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(config.telemetry_level, TelemetryLevel::Off);
-        assert_eq!(config.telemetry_sample_every, 64);
-        assert!(config.validate().is_ok());
     }
 }

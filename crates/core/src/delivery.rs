@@ -7,8 +7,8 @@
 //! - A serialisable [`SinkSpec`] names a delivery destination that can be
 //!   rebuilt after a restart: an owned append-only log file, a socket-like
 //!   endpoint behind the [`Transport`] trait (tests inject faulty transports
-//!   through [`register_endpoint`]), a process-global named memory buffer,
-//!   or a discard sink.
+//!   through [`register_endpoint`]) or a process-global named memory
+//!   buffer.
 //! - Each durable subscription keeps a **delivery cursor** — the count of
 //!   acknowledged deliveries, i.e. the monotone position of the last match
 //!   the destination has confirmed — plus a bounded outbox of rendered but
@@ -216,9 +216,6 @@ pub enum SinkSpec {
         /// Buffer name in the process-global registry.
         key: String,
     },
-    /// Acknowledges everything without storing it (a durable `/dev/null`;
-    /// useful for throughput measurements of the delivery path itself).
-    Discard,
 }
 
 /// Why a [`SinkSpec`] could not be connected.
@@ -271,14 +268,6 @@ struct EndpointTarget {
 impl DeliveryTarget for EndpointTarget {
     fn deliver(&mut self, line: &str, timeout: Duration) -> Result<(), String> {
         self.transport.send(line, timeout)
-    }
-}
-
-struct DiscardTarget;
-
-impl DeliveryTarget for DiscardTarget {
-    fn deliver(&mut self, _line: &str, _timeout: Duration) -> Result<(), String> {
-        Ok(())
     }
 }
 
@@ -362,13 +351,12 @@ fn connect_endpoint(address: &str) -> Result<Box<dyn DeliveryTarget>, ConnectErr
 impl SinkSpec {
     /// Human-readable destination description for observability exports
     /// (`telemetry_snapshot()`'s delivery section): `log:<path>`,
-    /// `memory:<key>`, `endpoint:<address>` or `discard`.
+    /// `memory:<key>` or `endpoint:<address>`.
     pub fn describe(&self) -> String {
         match self {
             SinkSpec::LogFile { path } => format!("log:{path}"),
             SinkSpec::Memory { key } => format!("memory:{key}"),
             SinkSpec::Endpoint { address } => format!("endpoint:{address}"),
-            SinkSpec::Discard => "discard".to_string(),
         }
     }
 
@@ -380,7 +368,6 @@ impl SinkSpec {
             SinkSpec::LogFile { path } => connect_log_file(path, cursor),
             SinkSpec::Memory { key } => connect_memory(key, cursor),
             SinkSpec::Endpoint { address } => connect_endpoint(address),
-            SinkSpec::Discard => Ok(Box::new(DiscardTarget)),
         }
     }
 }
@@ -443,7 +430,6 @@ pub struct DeliveryCursor {
     /// Matches dropped by the outbox overflow policy before delivery.
     pub dropped: u64,
     /// Rendered match lines routed but not yet acknowledged.
-    #[serde(default)]
     pub outbox: Vec<String>,
     /// Outbox capacity.
     pub capacity: usize,
@@ -760,7 +746,6 @@ mod tests {
                 address: "alerts:9".into(),
             },
             SinkSpec::Memory { key: "k".into() },
-            SinkSpec::Discard,
         ];
         let json = serde_json::to_string(&specs).unwrap();
         let back: Vec<SinkSpec> = serde_json::from_str(&json).unwrap();
@@ -846,15 +831,18 @@ mod tests {
 
     #[test]
     fn outbox_overflow_policies_count_exactly() {
+        let key = "delivery_unit_overflow";
+        reset_memory_sink(key);
+        let spec = SinkSpec::Memory { key: key.into() };
         let policy = RetryPolicy::default();
-        let mut sub = DurableSub::new(0, SinkSpec::Discard, 2, SinkOverflow::DropOldest);
+        let mut sub = DurableSub::new(0, spec.clone(), 2, SinkOverflow::DropOldest);
         for line in ["a", "b", "c"] {
             sub.enqueue(line.into(), &policy);
         }
         assert_eq!(sub.dropped, 1);
         assert_eq!(sub.outbox, ["b", "c"]);
 
-        let mut sub = DurableSub::new(0, SinkSpec::Discard, 2, SinkOverflow::DropNewest);
+        let mut sub = DurableSub::new(0, spec.clone(), 2, SinkOverflow::DropNewest);
         for line in ["a", "b", "c"] {
             sub.enqueue(line.into(), &policy);
         }
@@ -862,7 +850,7 @@ mod tests {
         assert_eq!(sub.outbox, ["a", "b"]);
 
         // Block drains inline against a healthy destination: nothing drops.
-        let mut sub = DurableSub::new(0, SinkSpec::Discard, 2, SinkOverflow::Block);
+        let mut sub = DurableSub::new(0, spec, 2, SinkOverflow::Block);
         for line in ["a", "b", "c", "d", "e"] {
             sub.enqueue(line.into(), &policy);
         }
@@ -871,6 +859,7 @@ mod tests {
         assert_eq!(sub.cursor, 5);
         assert_eq!(sub.routed, 5);
         assert_eq!(sub.lag(), 0);
+        reset_memory_sink(key);
     }
 
     #[test]
@@ -933,7 +922,10 @@ mod tests {
 
     #[test]
     fn cursors_round_trip_and_restore_on_probation() {
-        let mut sub = DurableSub::new(3, SinkSpec::Discard, 4, SinkOverflow::DropOldest);
+        let key = "delivery_unit_cursor";
+        reset_memory_sink(key);
+        let spec = SinkSpec::Memory { key: key.into() };
+        let mut sub = DurableSub::new(3, spec, 4, SinkOverflow::DropOldest);
         let policy = RetryPolicy::default();
         sub.enqueue("a".into(), &policy);
         sub.drain(&policy, false);
@@ -954,5 +946,6 @@ mod tests {
         assert_eq!(restored.status, DeliveryStatus::Active);
         assert_eq!(restored.cursor, 1);
         assert_eq!(restored.outbox, ["b"]);
+        reset_memory_sink(key);
     }
 }

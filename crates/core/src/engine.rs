@@ -99,14 +99,15 @@ impl QueryExec {
 /// The live state of one registered query.
 struct QueryState {
     exec: QueryExec,
-    paused: bool,
-    /// Stream time when the query was paused (`None` while running). Carried
-    /// into checkpoints so restore can replay exactly the pre-pause prefix.
+    /// Stream time when the query was paused (`None` while running), for
+    /// operators; checkpoints carry it verbatim.
     paused_at: Option<Timestamp>,
     /// Arrival-order boundaries of the intervals this query has observed:
     /// registration and every resume push an opening bound (the graph's
     /// ingested-edge count), every pause pushes a closing bound — so an odd
-    /// length means the query is currently observing. An edge was shown to
+    /// length means the query is currently observing, and this list is the
+    /// only record of whether it is paused ([`QueryState::is_paused`];
+    /// trimming drops whole closed pairs only). An edge was shown to
     /// the query iff its id falls in one of the `[open, close)` intervals.
     /// Checkpoint restore replays exactly these intervals to the query;
     /// timestamps alone could not cut a replay exactly (ties and bounded
@@ -129,6 +130,13 @@ struct QueryState {
     /// The query's variable names in query-vertex order (`src`, `dst` for
     /// an RPQ), built once at registration and shared by every event.
     names: Vec<SharedStr>,
+}
+
+impl QueryState {
+    /// Paused iff the last observation interval is closed.
+    fn is_paused(&self) -> bool {
+        self.observed.len().is_multiple_of(2)
+    }
 }
 
 /// One per-query subscription. Delivery to its sink is supervised: a sink
@@ -418,28 +426,26 @@ impl ContinuousQueryEngine {
     /// Re-attaches one captured durable subscription during checkpoint
     /// restore. The destination is reconnected and truncated to exactly
     /// `cursor` acknowledged matches, discarding any unacknowledged writes
-    /// a crashed run raced in after the snapshot. In strict mode a
-    /// destination shorter than the cursor (evidence of external
-    /// tampering or loss) surfaces as [`EngineError::CorruptCheckpoint`];
-    /// otherwise connection problems are left for the first delivery
-    /// attempt to retry.
+    /// a crashed run raced in after the snapshot. A destination shorter
+    /// than the cursor (evidence of external tampering or loss) surfaces as
+    /// [`EngineError::CorruptCheckpoint`]; transient connection problems
+    /// are left for the first delivery attempt to retry.
     pub(crate) fn attach_durable(
         &mut self,
         handle: QueryHandle,
         cursor: &DeliveryCursor,
-        strict: bool,
     ) -> Result<(), EngineError> {
         self.next_subscription = self.next_subscription.max(cursor.token + 1);
         let mut sub = DurableSub::from_cursor(cursor);
         match cursor.spec.connect(cursor.cursor) {
             Ok(target) => sub.target = Some(target),
-            Err(ConnectError::Corrupt { offset, detail }) if strict => {
+            Err(ConnectError::Corrupt { offset, detail }) => {
                 return Err(EngineError::CorruptCheckpoint {
                     offset: Some(offset),
                     detail,
                 });
             }
-            Err(_) => {}
+            Err(ConnectError::Transient(_)) => {}
         }
         self.state_mut(handle)?.durables.push(sub);
         self.live_durables += 1;
@@ -478,7 +484,6 @@ impl ContinuousQueryEngine {
         let state = QueryState {
             names,
             exec: self.build_exec(plan, &fed),
-            paused: false,
             paused_at: None,
             observed: vec![self.graph.ingested_edge_count()],
             shared_edges_accum: 0,
@@ -539,7 +544,6 @@ impl ContinuousQueryEngine {
         let state = QueryState {
             names: vec!["src".into(), "dst".into()],
             exec: QueryExec::Rpq(Box::new(RpqMatcher::new(rpq, &self.graph))),
-            paused: false,
             paused_at: None,
             observed: vec![self.graph.ingested_edge_count()],
             shared_edges_accum: 0,
@@ -613,7 +617,8 @@ impl ContinuousQueryEngine {
     }
 
     /// Stops routing events to a query. Its accumulated partial matches stay
-    /// (and keep being swept on the engine's cadence); the per-event cost of a
+    /// in their join stores, which reclaim the expired ones when a filing
+    /// finds them full (or on [`Self::prune_now`]); the per-event cost of a
     /// paused query is zero because the dispatch table is rebuilt without it.
     /// Pausing an already-paused query is a no-op.
     pub fn pause(&mut self, handle: QueryHandle) -> Result<(), EngineError> {
@@ -622,8 +627,7 @@ impl ContinuousQueryEngine {
         let live_horizon = self.observed_live_horizon();
         let shared_events = self.shared.events();
         let state = self.state_mut(handle)?;
-        if !state.paused {
-            state.paused = true;
+        if !state.is_paused() {
             state.paused_at = Some(now);
             state.observed.push(bound);
             trim_observed(&mut state.observed, live_horizon);
@@ -643,8 +647,7 @@ impl ContinuousQueryEngine {
         let live_horizon = self.observed_live_horizon();
         let shared_events = self.shared.events();
         let state = self.state_mut(handle)?;
-        if state.paused {
-            state.paused = false;
+        if state.is_paused() {
             state.paused_at = None;
             state.observed.push(bound);
             trim_observed(&mut state.observed, live_horizon);
@@ -657,13 +660,12 @@ impl ContinuousQueryEngine {
 
     /// Whether the query is currently paused.
     pub fn is_paused(&self, handle: QueryHandle) -> Result<bool, EngineError> {
-        Ok(self.state(handle)?.paused)
+        Ok(self.state(handle)?.is_paused())
     }
 
     /// Stream time at which the query was paused, `None` while it is
-    /// running. Captured into [`crate::EngineCheckpoint`] so a restore can
-    /// replay exactly the pre-pause prefix of the retained edges to a paused
-    /// query.
+    /// running. [`crate::EngineCheckpoint`] carries it verbatim; the restore
+    /// replay is cut by the observation intervals, not by this timestamp.
     pub fn pause_time(&self, handle: QueryHandle) -> Result<Option<Timestamp>, EngineError> {
         Ok(self.state(handle)?.paused_at)
     }
@@ -703,7 +705,7 @@ impl ContinuousQueryEngine {
     }
 
     /// Re-plans an already-registered query using the engine's *current*
-    /// statistics and replaces its matcher. Subscriptions and the paused flag
+    /// statistics and replaces its matcher. Subscriptions and the pause state
     /// survive the re-plan.
     ///
     /// Paper §4.3 lists "continuously collecting the statistics information
@@ -750,13 +752,13 @@ impl ContinuousQueryEngine {
         // docs), so the observed-replay window restarts here too: a
         // checkpoint restore must not reconstruct partials from edges whose
         // state this replan just dropped.
+        let paused = state.is_paused();
         state.observed.clear();
-        if !state.paused {
-            state.observed.push(bound);
-        }
-        if state.paused {
+        if paused {
             // Subscribing activates; a paused query stays out of fan-out.
             self.shared.set_active(id, false);
+        } else {
+            state.observed.push(bound);
         }
         Ok(())
     }
@@ -804,7 +806,7 @@ impl ContinuousQueryEngine {
         let mut m = state.exec.metrics(self.graph.now());
         if state.exec.plan().is_some() {
             let mut shared_edges = state.shared_edges_accum;
-            if !state.paused {
+            if !state.is_paused() {
                 shared_edges += self.shared.events() - state.shared_edges_base;
             }
             m.edges_processed += shared_edges;
@@ -875,7 +877,7 @@ impl ContinuousQueryEngine {
             if let Ok(metrics) = self.metrics(handle) {
                 queries.push(QuerySnapshot {
                     name: name.clone(),
-                    paused: state.paused,
+                    paused: state.is_paused(),
                     metrics,
                 });
             }
@@ -1199,7 +1201,7 @@ impl ContinuousQueryEngine {
         self.rpq_dispatch.clear();
         for (i, slot) in self.queries.iter().enumerate() {
             if let Some(state) = &slot.state {
-                if !state.paused && matches!(state.exec, QueryExec::Rpq(_)) {
+                if !state.is_paused() && matches!(state.exec, QueryExec::Rpq(_)) {
                     self.rpq_dispatch.push(i as u32);
                 }
             }

@@ -96,8 +96,7 @@ pub struct QueryMetrics {
     /// module docs, "Which end roots the trees").
     pub rpq_end_switches: u64,
     /// RPQ only: the end of the path the spanning trees are rooted at now
-    /// ([`RpqEnd::Source`] for SJ-Tree queries). A gauge: [`Self::absorb`]
-    /// keeps the receiver's.
+    /// ([`RpqEnd::Source`] for SJ-Tree queries). A gauge.
     pub rpq_end: RpqEnd,
     /// Durable delivery attempts performed for this query's durable
     /// subscriptions (every try counts: first attempts, retries and
@@ -121,53 +120,6 @@ pub struct QueryMetrics {
     /// one per match filed there without a probe (it binds the parent's cut
     /// itself), one per sibling candidate passed over without a merge.
     pub merges_skipped_cold: u64,
-}
-
-impl QueryMetrics {
-    /// Join success ratio (1.0 when no joins were attempted).
-    pub fn join_success_rate(&self) -> f64 {
-        if self.joins_attempted == 0 {
-            1.0
-        } else {
-            self.joins_succeeded as f64 / self.joins_attempted as f64
-        }
-    }
-
-    /// Complete matches per processed edge.
-    pub fn matches_per_edge(&self) -> f64 {
-        if self.edges_processed == 0 {
-            0.0
-        } else {
-            self.complete_matches as f64 / self.edges_processed as f64
-        }
-    }
-
-    /// Adds another metrics snapshot into this one (used to aggregate across
-    /// queries or runs).
-    pub fn absorb(&mut self, other: &QueryMetrics) {
-        self.edges_processed += other.edges_processed;
-        self.local_search_candidates += other.local_search_candidates;
-        self.primitive_matches += other.primitive_matches;
-        self.partial_matches_inserted += other.partial_matches_inserted;
-        self.partial_matches_live += other.partial_matches_live;
-        self.partial_matches_expired += other.partial_matches_expired;
-        self.joins_attempted += other.joins_attempted;
-        self.joins_succeeded += other.joins_succeeded;
-        self.complete_matches += other.complete_matches;
-        self.binding_spills += other.binding_spills;
-        self.sink_events_dropped += other.sink_events_dropped;
-        self.rpq_tree_nodes_live += other.rpq_tree_nodes_live;
-        self.rpq_relaxations += other.rpq_relaxations;
-        self.rpq_expansions += other.rpq_expansions;
-        self.rpq_accepts += other.rpq_accepts;
-        self.rpq_end_switches += other.rpq_end_switches;
-        self.delivery_attempts += other.delivery_attempts;
-        self.delivery_retries += other.delivery_retries;
-        self.delivery_recoveries += other.delivery_recoveries;
-        self.cursor_lag += other.cursor_lag;
-        self.lazy_materialisations += other.lazy_materialisations;
-        self.merges_skipped_cold += other.merges_skipped_cold;
-    }
 }
 
 /// Engine-level counters of the multi-query sharing subsystem (the interning
@@ -273,51 +225,5 @@ impl EngineMetrics {
         } else {
             self.searches_saved as f64 / total as f64
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn ratios_handle_zero_denominators() {
-        let m = QueryMetrics::default();
-        assert_eq!(m.join_success_rate(), 1.0);
-        assert_eq!(m.matches_per_edge(), 0.0);
-    }
-
-    #[test]
-    fn ratios_compute() {
-        let m = QueryMetrics {
-            edges_processed: 100,
-            joins_attempted: 10,
-            joins_succeeded: 4,
-            complete_matches: 2,
-            ..Default::default()
-        };
-        assert!((m.join_success_rate() - 0.4).abs() < 1e-12);
-        assert!((m.matches_per_edge() - 0.02).abs() < 1e-12);
-    }
-
-    #[test]
-    fn absorb_sums_counters() {
-        let mut a = QueryMetrics {
-            edges_processed: 1,
-            complete_matches: 2,
-            ..Default::default()
-        };
-        let b = QueryMetrics {
-            edges_processed: 3,
-            complete_matches: 4,
-            partial_matches_expired: 7,
-            binding_spills: 5,
-            ..Default::default()
-        };
-        a.absorb(&b);
-        assert_eq!(a.edges_processed, 4);
-        assert_eq!(a.complete_matches, 6);
-        assert_eq!(a.partial_matches_expired, 7);
-        assert_eq!(a.binding_spills, 5);
     }
 }

@@ -340,7 +340,7 @@ fn checkpoint_restore_re_interns_the_index() {
     let mut direct = engine.ingest(&events[..split]).unwrap();
 
     let checkpoint = engine.checkpoint();
-    let mut restored = checkpoint.restore();
+    let mut restored = checkpoint.try_restore().unwrap();
     // The index is rebuilt by re-registration: same dedup structure.
     let before = engine.engine_metrics();
     let after = restored.engine_metrics();

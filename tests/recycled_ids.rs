@@ -517,7 +517,7 @@ fn a_restore_during_a_quarantine_emits_what_the_original_does() {
         let checkpoint =
             EngineCheckpoint::load(&original.engine.checkpoint().to_json().unwrap()).unwrap();
         let mut restored = Run {
-            engine: checkpoint.restore(),
+            engine: checkpoint.try_restore().unwrap(),
             queries: original.queries.clone(),
             rpq: original.rpq,
             sweep_each_event,

@@ -285,7 +285,10 @@ fn checkpoint_restore_preserves_future_matches_on_a_cyber_stream() {
     let first_half = key_signatures(&mut engine, &workload.events[..half]);
     let checkpoint = EngineCheckpoint::capture(&engine);
     let json = checkpoint.to_json().unwrap();
-    let mut restored = EngineCheckpoint::load(&json).unwrap().restore();
+    let mut restored = EngineCheckpoint::load(&json)
+        .unwrap()
+        .try_restore()
+        .unwrap();
     let second_half = key_signatures(&mut restored, &workload.events[half..]);
 
     assert_eq!(first_half, first_half_ref);
@@ -338,7 +341,7 @@ fn checkpoints_written_with_the_removed_sharing_knobs_still_load() {
             (m.distinct_subtrees, m.subscribed_subtrees, m.lifted_entries),
         )
     };
-    let mut restored = checkpoint.restore();
+    let mut restored = checkpoint.try_restore().unwrap();
     let mut fresh = ContinuousQueryEngine::builder().build().unwrap();
     for plan in &checkpoint.plans {
         fresh.register_plan(plan.clone());
@@ -541,7 +544,7 @@ fn checkpoint_restore_is_transparent() {
         let mut engine = ContinuousQueryEngine::builder().build().unwrap();
         engine.register_query(query).unwrap();
         let _ = key_signatures(&mut engine, &events[..split]);
-        let mut restored = engine.checkpoint().restore();
+        let mut restored = engine.checkpoint().try_restore().unwrap();
         let tail = key_signatures(&mut restored, &events[split..]);
 
         assert_eq!(tail, tail_ref);

@@ -500,7 +500,10 @@ fn checkpoint_round_trip_mid_stream_preserves_rpq_semantics() {
     // Cut: capture, serialise, restore. The restored engine must carry the
     // RPQ (as an RPQ, not a plan) and its reconstructed tree state.
     let json = EngineCheckpoint::capture(&original).to_json().unwrap();
-    let mut restored = EngineCheckpoint::load(&json).unwrap().restore();
+    let mut restored = EngineCheckpoint::load(&json)
+        .unwrap()
+        .try_restore()
+        .unwrap();
     let restored_handle = restored.handles()[0];
     assert!(restored.is_rpq(restored_handle).unwrap());
     assert_eq!(
@@ -561,7 +564,7 @@ fn checkpoint_interleaves_both_query_classes() {
     engine.pause(paused).unwrap();
     engine.ingest(&chain("seed", 1_000)[0]).unwrap();
 
-    let restored = EngineCheckpoint::capture(&engine).restore();
+    let restored = EngineCheckpoint::capture(&engine).try_restore().unwrap();
     let handles: Vec<QueryHandle> = restored.handles();
     assert_eq!(handles.len(), 4);
     let kinds: Vec<bool> = handles

@@ -276,7 +276,7 @@ fn run(
             expired += engine.graph_stats().expired_edges;
             let json = engine.checkpoint().to_json().unwrap();
             let checkpoint = EngineCheckpoint::load(&json).unwrap();
-            engine = checkpoint.restore();
+            engine = checkpoint.try_restore().unwrap();
             // The restored engine replays the live edges into a fresh graph.
             let cases = std::mem::take(&mut fed.cases);
             fed = HandFed::new(retention, window);

@@ -418,7 +418,10 @@ fn stage_counters_survive_checkpoint_restore() {
     // Round-trip through JSON to also pin the checkpoint serialisation of
     // the telemetry payload.
     let json = EngineCheckpoint::capture(&engine).to_json().unwrap();
-    let restored = EngineCheckpoint::load(&json).unwrap().restore();
+    let restored = EngineCheckpoint::load(&json)
+        .unwrap()
+        .try_restore()
+        .unwrap();
     assert_eq!(
         stage_counts(&restored.telemetry_snapshot()),
         captured,
