@@ -1093,6 +1093,112 @@ mod tests {
         reset_memory_sink(key);
     }
 
+    /// `json` with the `"key":value` member written first, the way
+    /// `docs/MIGRATION.md` has a document written before `key` existed
+    /// brought up to the current format.
+    fn with_member(json: &str, key: &str, value: &str) -> String {
+        json.replacen('{', &format!("{{\"{key}\":{value},"), 1)
+    }
+
+    fn assert_refused_naming(json: &str, fields: &[&str]) {
+        match EngineCheckpoint::load(json) {
+            Err(EngineError::CorruptCheckpoint { detail, .. }) => assert!(
+                fields.iter().any(|field| detail.contains(field)),
+                "{fields:?}: {detail}"
+            ),
+            other => panic!("a checkpoint without {fields:?} loaded: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn checkpoints_without_paused_field_still_restore() {
+        // The format has no `paused` key: a query is paused iff its
+        // observation intervals have an even number of boundaries. Documents
+        // written while the key existed still carry it; it is ignored, even
+        // where it disagrees with the intervals.
+        let mut engine = ContinuousQueryEngine::builder().build().unwrap();
+        let running = register_stateful(&mut engine, "running");
+        let paused = register_stateful_windowed(&mut engine, "stopped", 999);
+        engine.ingest(&ev("a1", "rust", "mentions", 10)).unwrap();
+        engine.pause(paused).unwrap();
+        assert!(!engine.is_paused(running).unwrap());
+        let checkpoint = engine.checkpoint();
+        assert_eq!(checkpoint.observed, vec![vec![0], vec![0, 1]]);
+        let json = checkpoint.to_json().unwrap();
+        assert!(!json.contains("\"paused\""));
+
+        let stale = with_member(&json, "paused", "[true,false]");
+        for document in [json, stale] {
+            let restored = EngineCheckpoint::load(&document)
+                .unwrap()
+                .try_restore()
+                .unwrap();
+            let h = restored.handles();
+            assert!(!restored.is_paused(h[0]).unwrap());
+            assert!(restored.is_paused(h[1]).unwrap());
+        }
+    }
+
+    #[test]
+    fn legacy_checkpoints_without_pause_timestamps_skip_the_replay() {
+        // A checkpoint written before `paused_at` and `observed` existed has
+        // no record of what each query saw, so it is refused instead of
+        // replayed under a guess. Written as `docs/MIGRATION.md` says, with
+        // an empty interval list for the paused query, it restores with the
+        // old conservative behaviour: the paused query observes nothing.
+        let mut engine = ContinuousQueryEngine::builder().build().unwrap();
+        let handle = register_stateful(&mut engine, "pair");
+        engine.ingest(&ev("a1", "rust", "mentions", 10)).unwrap();
+        engine.pause(handle).unwrap();
+
+        let json = engine.checkpoint().to_json().unwrap();
+        let legacy = without_member(&without_member(&json, "paused_at"), "observed");
+        assert!(!legacy.contains("\"paused_at\"") && !legacy.contains("\"observed\""));
+        assert_refused_naming(&legacy, &["paused_at", "observed"]);
+
+        let migrated = with_member(
+            &with_member(&legacy, "observed", "[[]]"),
+            "paused_at",
+            "[null]",
+        );
+        let checkpoint = EngineCheckpoint::load(&migrated).unwrap();
+        assert_eq!(checkpoint.live_edges.len(), 1);
+        let restored = checkpoint.try_restore().unwrap();
+        let h = restored.handles()[0];
+        assert!(restored.is_paused(h).unwrap());
+        let m = restored.metrics(h).unwrap();
+        assert_eq!(m.edges_processed, 0, "the paused query skips the replay");
+        assert_eq!(m.partial_matches_live, 0);
+    }
+
+    #[test]
+    fn legacy_checkpoints_without_the_durable_field_still_restore() {
+        // A checkpoint written before durable delivery has no `durable` key:
+        // refused as it is, and restored without subscriptions once the
+        // empty list is written in.
+        let mut engine = ContinuousQueryEngine::builder().build().unwrap();
+        engine
+            .register_query(pair_query(Duration::from_secs(60)))
+            .unwrap();
+        engine.ingest(&ev("a1", "rust", "mentions", 5)).unwrap();
+        let json = engine.checkpoint().to_json().unwrap();
+        let legacy = without_member(&json, "durable");
+        assert!(!legacy.contains("\"durable\""));
+        assert_refused_naming(&legacy, &["durable"]);
+
+        let checkpoint = EngineCheckpoint::load(&with_member(&legacy, "durable", "[]")).unwrap();
+        assert!(checkpoint.durable.is_empty());
+        let mut restored = checkpoint.try_restore().unwrap();
+        assert_eq!(restored.query_count(), 1);
+        let h = restored.handles()[0];
+        assert_eq!(restored.subscription_count(h).unwrap(), 0);
+        // The window state came back with the rest of the document.
+        let replayed = restored.ingest(&ev("a2", "rust", "mentions", 6)).unwrap();
+        let live = engine.ingest(&ev("a2", "rust", "mentions", 6)).unwrap();
+        assert_eq!(replayed.len(), 2);
+        assert_eq!(replayed.len(), live.len());
+    }
+
     #[test]
     fn a_paused_query_whose_observed_edges_all_expired_restores_paused_and_empty() {
         let mut engine = ContinuousQueryEngine::builder().build().unwrap();

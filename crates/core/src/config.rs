@@ -265,6 +265,54 @@ mod tests {
         }
     }
 
+    /// Parses `json` as it stands, which must fail naming `field`, and again
+    /// with `members` written in, the way `docs/MIGRATION.md` brings a config
+    /// written before `field` existed up to the current format.
+    fn refused_then_migrated(json: &str, field: &str, members: &str) -> EngineConfig {
+        let err = serde_json::from_str::<EngineConfig>(json).unwrap_err();
+        assert!(err.to_string().contains(field), "{field}: {err}");
+        let migrated = json.replacen('{', &format!("{{{members},"), 1);
+        serde_json::from_str(&migrated).unwrap()
+    }
+
+    #[test]
+    fn configs_serialized_before_the_retry_policy_field_still_deserialize() {
+        // A config written before durable delivery has no `retry_policy`
+        // key. It is refused rather than defaulted; with the key written as
+        // the default config serialises it, the default schedule comes back.
+        let json = serde_json::to_string(&EngineConfig::default()).unwrap();
+        let serialized = serde_json::to_string(&RetryPolicy::default()).unwrap();
+        let member = format!("\"retry_policy\":{serialized}");
+        assert!(json.contains(&format!(",{member}")));
+        let legacy = json.replace(&format!(",{member}"), "");
+        assert!(!legacy.contains("retry_policy"));
+        let config = refused_then_migrated(&legacy, "retry_policy", &member);
+        assert_eq!(config.retry_policy, RetryPolicy::default());
+        assert!(config.validate().is_ok());
+    }
+
+    #[test]
+    fn configs_serialized_before_the_telemetry_fields_still_deserialize() {
+        // A config written before the observability layer has neither
+        // telemetry key. It is refused rather than defaulted; with both keys
+        // written as the default config serialises them, telemetry comes
+        // back off at the default cadence.
+        let json = serde_json::to_string(&EngineConfig::default()).unwrap();
+        let (level, every) = (
+            "\"telemetry_level\":\"Off\"",
+            "\"telemetry_sample_every\":64",
+        );
+        assert!(json.contains(level) && json.contains(every));
+        let legacy = json
+            .replace(&format!(",{level}"), "")
+            .replace(&format!(",{every}"), "");
+        assert!(!legacy.contains("telemetry"));
+        let config = refused_then_migrated(&legacy, "telemetry", &format!("{level},{every}"));
+        assert_eq!(config.telemetry_level, TelemetryLevel::Off);
+        assert_eq!(config.telemetry_sample_every, 64);
+        assert!(config.validate().is_ok());
+    }
+
     #[test]
     fn invalid_settings_fail_at_build_time() {
         assert!(EngineBuilder::new()
