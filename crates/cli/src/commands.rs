@@ -192,12 +192,15 @@ fn load_query(path: &str) -> Result<QueryGraph, CliError> {
 }
 
 /// `true` if the query text is in the RPQ dialect (`RPQ <name> ... PATH ...`)
-/// rather than the fixed-shape `QUERY ... MATCH ...` DSL.
+/// rather than the fixed-shape `QUERY ... MATCH ...` DSL. The first word
+/// after whitespace and `#` comments is read by the query lexer's rule: the
+/// keyword in any ASCII case, ending at a word boundary.
 fn is_rpq_text(text: &str) -> bool {
     text.lines()
         .map(str::trim)
         .find(|l| !l.is_empty() && !l.starts_with('#'))
-        .is_some_and(|l| l.starts_with("RPQ"))
+        .and_then(|l| l.split(|c: char| !c.is_alphanumeric() && c != '_').next())
+        .is_some_and(|word| word.eq_ignore_ascii_case("RPQ"))
 }
 
 /// Ingests a trace into a fresh engine (no queries registered) so its summary
@@ -1001,6 +1004,32 @@ mod tests {
         // A malformed RPQ file surfaces as a query error.
         let bad = write_query("bad.rpq", "RPQ broken WINDOW 1h PATH (((\n");
         assert!(dispatch(&args(&["run", "--query", &bad, "--trace", &trace2])).is_err());
+    }
+
+    #[test]
+    fn the_dialect_sniff_reads_the_keyword_in_any_case() {
+        // The RPQ keyword is case-insensitive, so a lower-case RPQ goes to
+        // the RPQ parser, and a name that merely starts with `rpq` does not.
+        assert!(is_rpq_text("rpq p PATH a b"));
+        assert!(is_rpq_text("# header\n\n  Rpq\tp PATH a"));
+        assert!(!is_rpq_text("RPQS p PATH a"));
+        assert!(!is_rpq_text("QUERY rpq MATCH (a)-[:t]->(b)"));
+        let trace = scratch("tiny_rpq_case.jsonl");
+        let events = [streamworks_graph::EdgeEvent::new(
+            "a1",
+            "Article",
+            "rust",
+            "Keyword",
+            "mentions",
+            streamworks_graph::Timestamp::from_secs(1),
+        )];
+        streamworks_workloads::write_trace_file(&trace, events.iter()).unwrap();
+        let trace = trace.to_string_lossy().into_owned();
+        let rpq = write_query("lower.rpq", "rpq chain window 1h path mentions\n");
+        for command in ["run", "stats"] {
+            let out = dispatch(&args(&[command, "--query", &rpq, "--trace", &trace])).unwrap();
+            assert!(out.contains("chain"), "{command} output: {out}");
+        }
     }
 
     #[test]

@@ -611,6 +611,42 @@ mod tests {
     }
 
     #[test]
+    fn an_rpq_whose_automata_pass_the_state_bound_is_refused_by_load_and_try_restore() {
+        use streamworks_query::PathExpr;
+        let mut engine = ContinuousQueryEngine::builder().build().unwrap();
+        engine.register_rpq_dsl("RPQ p WINDOW 1m PATH a").unwrap();
+        let json = engine.checkpoint().to_json().unwrap();
+        let honest = r#""pattern":{"Label":"a"}"#;
+        // `(a|b)* a (a|b){14}` needs 32 768 DFA states and its reverse a
+        // handful; the reversed pattern has it the other way round, and
+        // `a{5000,}` needs 10 002 NFA states. Restoring any of them would
+        // build them all.
+        let label = |l: &str| PathExpr::Label(l.into());
+        let ab = || Box::new(PathExpr::Alt(vec![label("a"), label("b")]));
+        let forward = PathExpr::Concat(vec![
+            PathExpr::Star(ab()),
+            label("a"),
+            PathExpr::Repeat(ab(), 14, Some(14)),
+        ]);
+        let long = PathExpr::Repeat(Box::new(label("a")), 5_000, None);
+        for pattern in [forward.reversed(), forward, long] {
+            let pattern = serde_json::to_string(&pattern).unwrap();
+            let tampered = json.replace(honest, &format!(r#""pattern":{pattern}"#));
+            let checkpoint: EngineCheckpoint = serde_json::from_str(&tampered).unwrap();
+            for err in [
+                EngineCheckpoint::load(&tampered).unwrap_err(),
+                checkpoint.try_restore().unwrap_err(),
+            ] {
+                let EngineError::CorruptCheckpoint { offset, detail } = err else {
+                    panic!("expected CorruptCheckpoint, got {err:?}");
+                };
+                assert_eq!(offset, None);
+                assert!(detail.contains("more than 256"), "{detail}");
+            }
+        }
+    }
+
+    #[test]
     fn lists_short_of_the_queries_a_dangling_cursor_or_a_bad_config_are_refused() {
         use crate::delivery::{reset_memory_sink, SinkSpec};
         let key = "checkpoint_refused_documents";

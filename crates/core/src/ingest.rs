@@ -10,8 +10,9 @@
 //! axis (collected vector vs. caller-supplied sink; per-query subscriptions
 //! are fanned out either way). How the events arrive changes nothing but the
 //! per-call overheads: a batch emits exactly what the same events fed one at
-//! a time do, and the engine sweeps its join stores on one cadence either
-//! way.
+//! a time do, and the join stores reclaim what they hide the same way
+//! either way (when a filing finds its side full; nothing sweeps on a
+//! schedule).
 
 use streamworks_graph::EdgeEvent;
 

@@ -48,14 +48,15 @@ pub struct QueryMetrics {
     pub primitive_matches: u64,
     /// Partial matches inserted across all SJ-Tree nodes (including leaves).
     pub partial_matches_inserted: u64,
-    /// Partial matches currently *materialised* in the join stores (updated
-    /// on insert/expiry). A lazy join side holds its matches only under the
-    /// keys its sibling holds, so this counts what is built, not every
-    /// within-window partial embedding.
+    /// Partial matches currently *materialised* in the join stores. A lazy
+    /// join side holds its matches only under the keys its sibling holds,
+    /// so this counts what is built, not every within-window partial
+    /// embedding.
     ///
-    /// **Exact**: the shared join store's expiry sweep visits every held
-    /// match, so it never retains stale matches behind an in-window head,
-    /// and this reads 0 after a full-window drain.
+    /// **Exact** on every read: it counts the matches a probe could still
+    /// offer, those neither behind the store's horizon nor older than the
+    /// window at the graph's current time, whether or not their store has
+    /// reclaimed the hidden ones yet. It reads 0 after a full-window drain.
     pub partial_matches_live: u64,
     /// Partial matches removed by window expiry.
     pub partial_matches_expired: u64,
@@ -88,8 +89,7 @@ pub struct QueryMetrics {
     /// timestamp (the RPQ analogue of `joins_succeeded`).
     pub rpq_expansions: u64,
     /// RPQ only: accepting-state arrivals, i.e. path matches emitted. Equal
-    /// to `complete_matches` for a pure RPQ query; kept separate so absorbed
-    /// mixed-kind aggregates can still attribute accepts.
+    /// to `complete_matches` for an RPQ; zero for a subgraph query.
     pub rpq_accepts: u64,
     /// RPQ only: times the matcher turned its spanning trees around to the
     /// other end of the path (at most one per query window; see the `rpq`

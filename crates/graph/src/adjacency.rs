@@ -234,16 +234,17 @@ impl AdjacencyList {
         self.dead = 0;
     }
 
-    /// Removes every entry for which `is_live` returns `false`.
+    /// Removes every entry for which `is_live` returns `false`. A bucket
+    /// left empty stays, with its buffer, as in [`Self::clear`]: a vertex
+    /// whose edges of one type come and go refills it without allocating.
     pub fn compact(&mut self, mut is_live: impl FnMut(EdgeId) -> bool) {
         for side in [&mut self.out, &mut self.inc] {
-            side.retain_mut(|(_, b)| {
+            for (_, b) in side.iter_mut() {
                 b.entries.retain(|e| is_live(e.edge));
                 b.live = b.entries.len() as u32;
                 b.disordered =
                     b.disordered && (b.entries.windows(2)).any(|w| w[1].timestamp < w[0].timestamp);
-                !b.entries.is_empty()
-            });
+            }
         }
         self.dead = 0;
     }
@@ -376,6 +377,25 @@ mod tests {
         assert_eq!(adj.live_count(Direction::In, TypeId(1)), 1);
         let bucket = adj.bucket(Direction::In, TypeId(1)).unwrap();
         assert_eq!(bucket.entries.capacity(), held);
+    }
+
+    #[test]
+    fn a_bucket_emptied_by_compaction_keeps_its_buffer() {
+        let mut adj = AdjacencyList::new();
+        for i in 0..4 {
+            adj.push(Direction::Out, TypeId(1), entry(i, 0));
+        }
+        let held = adj
+            .bucket(Direction::Out, TypeId(1))
+            .unwrap()
+            .entries
+            .capacity();
+        adj.compact(|_| false);
+        let bucket = adj.bucket(Direction::Out, TypeId(1)).unwrap();
+        assert_eq!((bucket.entries.len(), bucket.entries.capacity()), (0, held));
+        assert_eq!(adj.live_counts(Direction::Out).count(), 0);
+        adj.push(Direction::Out, TypeId(1), entry(9, 0));
+        assert_eq!(adj.live_count(Direction::Out, TypeId(1)), 1);
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //! WHERE k.label = "politics"
 //! ```
 //!
-//! * `QUERY <name>` — query name; optional `WINDOW <n>(ms|s|m|h)` sets `tW`.
+//! * `QUERY <name>` — query name; optional `WINDOW <n>(ms|s|m|min|h)` sets
+//!   `tW` (one hour by default).
 //! * `MATCH` — comma-separated path patterns. A pattern element is
 //!   `(var[:Type])-[:etype]->(var[:Type])` or the mirrored `<-[:etype]-`
 //!   form; `[:etype]` may be `[]` to match any relation. Chains like
@@ -21,15 +22,91 @@
 //! * `WHERE` — optional conjunction of `var.attr <op> literal` predicates
 //!   with `op` in `=, !=, <, <=, >, >=` and literals being double-quoted
 //!   strings, integers, floats or `true`/`false`.
+//!
+//! # Lexical rules
+//!
+//! This DSL and the RPQ dialect (`RPQ <name> [WINDOW <d>] PATH <regex>`,
+//! see [`crate::parse_rpq`]) read their text with one lexer, by these rules:
+//!
+//! * Whitespace (any Unicode white space) and `#` comments, which run to the
+//!   end of the line, may stand between any two tokens. Errors name the
+//!   1-based line they were found on.
+//! * Keywords (`QUERY`, `RPQ`, `WINDOW`, `MATCH`, `WHERE`, `AND`, `PATH`,
+//!   `true`, `false`) match in any ASCII case and end at a word boundary:
+//!   `PATHS` is an identifier, not `PATH` followed by `S`.
+//! * An identifier is a run of Unicode letters, digits and `_`.
+//! * A number is a run of ASCII digits; a duration is a number followed at
+//!   once by `ms`, `s`, `m`, `min` or `h` (none means seconds). A duration
+//!   past `i64::MAX` microseconds is an error, not a wrap.
+//! * Both dialects open with the same header: `QUERY` or `RPQ`, the name,
+//!   then an optional `WINDOW <duration>`.
 
 use crate::error::QueryError;
+use crate::lex::Lexer;
 use crate::predicate::{CompareOp, Predicate};
 use crate::query_graph::QueryGraph;
-use streamworks_graph::{AttrValue, Duration};
+use streamworks_graph::AttrValue;
+#[cfg(test)]
+use streamworks_graph::Duration;
 
 /// Parses a query written in the StreamWorks DSL.
 pub fn parse_query(text: &str) -> Result<QueryGraph, QueryError> {
-    Parser::new(text).parse()
+    let mut lex = Lexer::new(text);
+    let (name, window) = lex.parse_header("QUERY")?;
+    let mut query = QueryGraph::new(name, window);
+    if !lex.eat_keyword("MATCH") {
+        return Err(lex.error("expected `MATCH`"));
+    }
+    loop {
+        // One path: node (relation node)+
+        let (mut prev_name, mut prev_type) = parse_node(&mut lex)?;
+        loop {
+            let (etype, forward) = parse_relation(&mut lex)?;
+            let (next_name, next_type) = parse_node(&mut lex)?;
+            let src_v = query
+                .add_vertex(prev_name, prev_type, vec![])
+                .map_err(|e| lex.error(e.to_string()))?;
+            let dst_v = query
+                .add_vertex(next_name.clone(), next_type.clone(), vec![])
+                .map_err(|e| lex.error(e.to_string()))?;
+            if forward {
+                query.add_edge(src_v, dst_v, etype, vec![]);
+            } else {
+                query.add_edge(dst_v, src_v, etype, vec![]);
+            }
+            (prev_name, prev_type) = (next_name, next_type);
+            // Another relation continues the chain.
+            if !matches!(lex.peek(), Some('-' | '<')) {
+                break;
+            }
+        }
+        if !lex.eat_char(',') {
+            break;
+        }
+    }
+
+    if lex.eat_keyword("WHERE") {
+        loop {
+            let var = lex.parse_identifier()?;
+            lex.expect_char('.')?;
+            let key = lex.parse_identifier()?;
+            let op = parse_compare_op(&mut lex)?;
+            let value = parse_literal(&mut lex)?;
+            if query.vertex_by_name(&var).is_none() {
+                return Err(lex.error(format!("WHERE references unknown variable `{var}`")));
+            }
+            let predicate = Predicate::Compare { key, op, value };
+            query
+                .add_vertex(var, None, vec![predicate])
+                .map_err(|e| lex.error(e.to_string()))?;
+            if !lex.eat_keyword("AND") {
+                break;
+            }
+        }
+    }
+    lex.finish()?;
+    query.validate()?;
+    Ok(query)
 }
 
 /// Pretty-prints a query graph back into DSL-ish text (for plan explain output).
@@ -67,339 +144,96 @@ pub fn format_query(query: &QueryGraph) -> String {
     out
 }
 
-struct Parser<'a> {
-    text: &'a str,
-    pos: usize,
-    line: usize,
+/// Parses `(name[:Type])`, returning `(name, Option<Type>)`.
+fn parse_node(lex: &mut Lexer<'_>) -> Result<(String, Option<String>), QueryError> {
+    lex.expect_char('(')?;
+    let name = lex.parse_identifier()?;
+    let vtype = if lex.eat_char(':') {
+        Some(lex.parse_identifier()?)
+    } else {
+        None
+    };
+    lex.expect_char(')')?;
+    Ok((name, vtype))
 }
 
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Parser {
-            text,
-            pos: 0,
-            line: 1,
-        }
+/// Parses `-[:etype]->` or `<-[:etype]-`, returning `(etype, forward)`.
+fn parse_relation(lex: &mut Lexer<'_>) -> Result<(Option<String>, bool), QueryError> {
+    let backward = lex.eat_char('<');
+    lex.expect_char('-')?;
+    lex.expect_char('[')?;
+    // Accept `[:etype]`, `[etype]`, `[*]` and `[]`.
+    let _ = lex.eat_char(':');
+    let etype = if lex.peek() == Some(']') || lex.eat_char('*') {
+        None
+    } else {
+        Some(lex.parse_identifier()?)
+    };
+    lex.expect_char(']')?;
+    lex.expect_char('-')?;
+    if !backward {
+        lex.expect_char('>')?;
     }
+    Ok((etype, !backward))
+}
 
-    fn error(&self, message: impl Into<String>) -> QueryError {
-        QueryError::Parse {
-            line: self.line,
-            message: message.into(),
-        }
+fn parse_literal(lex: &mut Lexer<'_>) -> Result<AttrValue, QueryError> {
+    if lex.eat_char('"') {
+        let len = (lex.rest().find('"')).ok_or_else(|| lex.error("unterminated string literal"))?;
+        let s = lex.bump(len).to_owned();
+        lex.bump(1);
+        return Ok(AttrValue::Str(s));
     }
-
-    fn rest(&self) -> &'a str {
-        &self.text[self.pos..]
+    if lex.eat_keyword("true") {
+        return Ok(AttrValue::Bool(true));
     }
-
-    fn skip_ws(&mut self) {
-        while let Some(c) = self.rest().chars().next() {
-            if c == '\n' {
-                self.line += 1;
-                self.pos += 1;
-            } else if c.is_whitespace() {
-                self.pos += c.len_utf8();
-            } else if c == '#' {
-                // Comment to end of line.
-                while let Some(c) = self.rest().chars().next() {
-                    self.pos += c.len_utf8();
-                    if c == '\n' {
-                        self.line += 1;
-                        break;
-                    }
-                }
-            } else {
-                break;
-            }
-        }
+    if lex.eat_keyword("false") {
+        return Ok(AttrValue::Bool(false));
     }
-
-    fn eat_keyword(&mut self, kw: &str) -> bool {
-        self.skip_ws();
-        let rest = self.rest();
-        if rest.len() >= kw.len() && rest[..kw.len()].eq_ignore_ascii_case(kw) {
-            // Keyword must not be a prefix of a longer identifier.
-            let after = rest[kw.len()..].chars().next();
-            if after
-                .map(|c| !c.is_alphanumeric() && c != '_')
-                .unwrap_or(true)
-            {
-                self.pos += kw.len();
-                return true;
-            }
-        }
-        false
-    }
-
-    fn eat_char(&mut self, c: char) -> bool {
-        self.skip_ws();
-        if self.rest().starts_with(c) {
-            self.pos += c.len_utf8();
-            true
+    // Number: digits, a leading `-` and at most one `.`.
+    let (mut len, mut saw_dot) = (0, false);
+    for c in lex.rest().chars() {
+        if c.is_ascii_digit() || c == '-' && len == 0 {
+            len += 1;
+        } else if c == '.' && !saw_dot {
+            saw_dot = true;
+            len += 1;
         } else {
-            false
+            break;
         }
     }
-
-    fn expect_char(&mut self, c: char) -> Result<(), QueryError> {
-        if self.eat_char(c) {
-            Ok(())
-        } else {
-            Err(self.error(format!(
-                "expected `{c}`, found `{}`",
-                self.rest()
-                    .chars()
-                    .next()
-                    .map(String::from)
-                    .unwrap_or_else(|| "end of input".into())
-            )))
-        }
+    if len == 0 {
+        return Err(lex.error("expected literal"));
     }
-
-    fn parse_identifier(&mut self) -> Result<String, QueryError> {
-        self.skip_ws();
-        let start = self.pos;
-        for c in self.rest().chars() {
-            if c.is_alphanumeric() || c == '_' {
-                self.pos += c.len_utf8();
-            } else {
-                break;
-            }
-        }
-        if self.pos == start {
-            Err(self.error("expected identifier"))
-        } else {
-            Ok(self.text[start..self.pos].to_owned())
-        }
+    let raw = lex.bump(len);
+    if saw_dot {
+        raw.parse::<f64>()
+            .map(AttrValue::Float)
+            .map_err(|_| lex.error("invalid float literal"))
+    } else {
+        raw.parse::<i64>()
+            .map(AttrValue::Int)
+            .map_err(|_| lex.error("invalid integer literal"))
     }
+}
 
-    fn parse_duration(&mut self) -> Result<Duration, QueryError> {
-        self.skip_ws();
-        let start = self.pos;
-        for c in self.rest().chars() {
-            if c.is_ascii_digit() {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        if self.pos == start {
-            return Err(self.error("expected duration value"));
-        }
-        let value: i64 = self.text[start..self.pos]
-            .parse()
-            .map_err(|_| self.error("invalid duration number"))?;
-        // Unit suffix.
-        let unit_start = self.pos;
-        for c in self.rest().chars() {
-            if c.is_ascii_alphabetic() {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        let unit = &self.text[unit_start..self.pos];
-        match unit {
-            "ms" => Ok(Duration::from_millis(value)),
-            "s" | "" => Ok(Duration::from_secs(value)),
-            "m" | "min" => Ok(Duration::from_mins(value)),
-            "h" => Ok(Duration::from_hours(value)),
-            other => Err(self.error(format!("unknown duration unit `{other}`"))),
-        }
-    }
-
-    /// Parses `(name[:Type])`, returning `(name, Option<Type>)`.
-    fn parse_node(&mut self) -> Result<(String, Option<String>), QueryError> {
-        self.expect_char('(')?;
-        let name = self.parse_identifier()?;
-        let vtype = if self.eat_char(':') {
-            Some(self.parse_identifier()?)
-        } else {
-            None
-        };
-        self.expect_char(')')?;
-        Ok((name, vtype))
-    }
-
-    /// Parses `-[:etype]->` or `<-[:etype]-`, returning `(etype, forward)`.
-    fn parse_relation(&mut self) -> Result<(Option<String>, bool), QueryError> {
-        self.skip_ws();
-        let backward = self.eat_char('<');
-        self.expect_char('-')?;
-        self.expect_char('[')?;
-        // Accept `[:etype]`, `[etype]`, `[*]` and `[]`.
-        let _ = self.eat_char(':');
-        self.skip_ws();
-        let etype = if self.rest().starts_with(']') || self.eat_char('*') {
-            None
-        } else {
-            Some(self.parse_identifier()?)
-        };
-        self.expect_char(']')?;
-        self.expect_char('-')?;
-        let forward = if backward {
-            false
-        } else {
-            self.expect_char('>')?;
-            true
-        };
-        Ok((etype, forward))
-    }
-
-    fn parse_literal(&mut self) -> Result<AttrValue, QueryError> {
-        self.skip_ws();
-        let rest = self.rest();
-        if rest.starts_with('"') {
-            let inner_start = self.pos + 1;
-            let mut end = None;
-            for (i, c) in rest.char_indices().skip(1) {
-                if c == '"' {
-                    end = Some(self.pos + i);
-                    break;
-                }
-            }
-            let end = end.ok_or_else(|| self.error("unterminated string literal"))?;
-            let s = self.text[inner_start..end].to_owned();
-            self.pos = end + 1;
-            return Ok(AttrValue::Str(s));
-        }
-        if self.eat_keyword("true") {
-            return Ok(AttrValue::Bool(true));
-        }
-        if self.eat_keyword("false") {
-            return Ok(AttrValue::Bool(false));
-        }
-        // Number.
-        let start = self.pos;
-        let mut saw_dot = false;
-        for c in self.rest().chars() {
-            if c.is_ascii_digit() || c == '-' && self.pos == start {
-                self.pos += 1;
-            } else if c == '.' && !saw_dot {
-                saw_dot = true;
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        if self.pos == start {
-            return Err(self.error("expected literal"));
-        }
-        let raw = &self.text[start..self.pos];
-        if saw_dot {
-            raw.parse::<f64>()
-                .map(AttrValue::Float)
-                .map_err(|_| self.error("invalid float literal"))
-        } else {
-            raw.parse::<i64>()
-                .map(AttrValue::Int)
-                .map_err(|_| self.error("invalid integer literal"))
-        }
-    }
-
-    fn parse_compare_op(&mut self) -> Result<CompareOp, QueryError> {
-        self.skip_ws();
-        let rest = self.rest();
-        let (op, len) = if rest.starts_with("!=") {
-            (CompareOp::Ne, 2)
-        } else if rest.starts_with("<=") {
-            (CompareOp::Le, 2)
-        } else if rest.starts_with(">=") {
-            (CompareOp::Ge, 2)
-        } else if rest.starts_with('=') {
-            (CompareOp::Eq, 1)
-        } else if rest.starts_with('<') {
-            (CompareOp::Lt, 1)
-        } else if rest.starts_with('>') {
-            (CompareOp::Gt, 1)
-        } else {
-            return Err(self.error("expected comparison operator"));
-        };
-        self.pos += len;
-        Ok(op)
-    }
-
-    fn parse(mut self) -> Result<QueryGraph, QueryError> {
-        if !self.eat_keyword("QUERY") {
-            return Err(self.error("query must start with `QUERY <name>`"));
-        }
-        let name = self.parse_identifier()?;
-        let window = if self.eat_keyword("WINDOW") {
-            self.parse_duration()?
-        } else {
-            Duration::from_hours(1)
-        };
-        let mut query = QueryGraph::new(name, window);
-
-        if !self.eat_keyword("MATCH") {
-            return Err(self.error("expected `MATCH`"));
-        }
-        loop {
-            // One path: node (relation node)+
-            let (mut prev_name, mut prev_type) = self.parse_node()?;
-            loop {
-                let (etype, forward) = self.parse_relation()?;
-                let (next_name, next_type) = self.parse_node()?;
-                let src_v = query
-                    .add_vertex(prev_name.clone(), prev_type.clone(), vec![])
-                    .map_err(|e| self.error(e.to_string()))?;
-                let dst_v = query
-                    .add_vertex(next_name.clone(), next_type.clone(), vec![])
-                    .map_err(|e| self.error(e.to_string()))?;
-                if forward {
-                    query.add_edge(src_v, dst_v, etype, vec![]);
-                } else {
-                    query.add_edge(dst_v, src_v, etype, vec![]);
-                }
-                prev_name = next_name;
-                prev_type = next_type;
-                // Peek: another relation continues the chain.
-                self.skip_ws();
-                let rest = self.rest();
-                if !(rest.starts_with('-') || rest.starts_with('<')) {
-                    break;
-                }
-            }
-            if !self.eat_char(',') {
-                break;
-            }
-        }
-
-        if self.eat_keyword("WHERE") {
-            loop {
-                let var = self.parse_identifier()?;
-                self.expect_char('.')?;
-                let attr = self.parse_identifier()?;
-                let op = self.parse_compare_op()?;
-                let value = self.parse_literal()?;
-                let predicate = Predicate::Compare {
-                    key: attr,
-                    op,
-                    value,
-                };
-                if query.vertex_by_name(&var).is_none() {
-                    return Err(self.error(format!("WHERE references unknown variable `{var}`")));
-                }
-                query
-                    .add_vertex(var, None, vec![predicate])
-                    .map_err(|e| self.error(e.to_string()))?;
-                if !self.eat_keyword("AND") {
-                    break;
-                }
-            }
-        }
-
-        self.skip_ws();
-        if !self.rest().is_empty() {
-            return Err(self.error(format!(
-                "unexpected trailing input: `{}`",
-                self.rest().chars().take(20).collect::<String>()
-            )));
-        }
-        query.validate()?;
-        Ok(query)
-    }
+fn parse_compare_op(lex: &mut Lexer<'_>) -> Result<CompareOp, QueryError> {
+    lex.skip_ws();
+    // Two-character operators first, so `<=` is not read as `<`.
+    let op = [
+        CompareOp::Ne,
+        CompareOp::Le,
+        CompareOp::Ge,
+        CompareOp::Eq,
+        CompareOp::Lt,
+        CompareOp::Gt,
+    ]
+    .into_iter()
+    .into_iter()
+    .find(|op| lex.rest().starts_with(op.symbol()))
+    .ok_or_else(|| lex.error("expected comparison operator"))?;
+    lex.bump(op.symbol().len());
+    Ok(op)
 }
 
 #[cfg(test)]

@@ -27,6 +27,7 @@ mod cost;
 mod decompose;
 mod dsl;
 mod error;
+mod lex;
 mod plan;
 mod predicate;
 mod query_graph;

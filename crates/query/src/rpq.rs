@@ -16,6 +16,13 @@
 //! The incremental product-graph evaluation lives in `streamworks-core`
 //! (`rpq` module); this crate only knows about labels and states.
 //!
+//! The text syntax ([`parse_rpq`]) shares its lexer and header with the
+//! subgraph DSL; the `dsl` module docs state the lexical rules. A query is
+//! refused, never compiled without bound, when its pattern nests deeper than
+//! 64 levels (`MAX_PATH_NESTING`) or when its automata, or those of its
+//! reverse, need more than 256 states (`MAX_RPQ_STATES`,
+//! [`RpqQuery::validate`]).
+//!
 //! ```
 //! use streamworks_query::parse_rpq;
 //!
@@ -27,10 +34,24 @@
 //! ```
 
 use crate::error::QueryError;
+use crate::lex::{is_ident_char, Lexer};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 use streamworks_graph::Duration;
+
+/// Most states a regular path query's automata may have: its Thompson NFA,
+/// counted before anything is built, and the subset construction of its
+/// pattern and of the reversed pattern (the matcher compiles both), which
+/// stops at this many states. Like `MAX_CANONICAL_ASSIGNMENTS`, it bounds
+/// the work a query's text can ask for; [`RpqQuery::validate`] refuses a
+/// pattern past it.
+pub(crate) const MAX_RPQ_STATES: usize = 256;
+
+/// Deepest a parsed path pattern may nest: every enclosing parenthesis and
+/// every postfix operator counts one level. It keeps the recursive passes
+/// over a [`PathExpr`] (and the parser's own) shallow.
+pub(crate) const MAX_PATH_NESTING: usize = 64;
 
 /// A regular expression over edge labels.
 ///
@@ -95,6 +116,26 @@ impl PathExpr {
             PathExpr::Star(_) | PathExpr::Optional(_) => true,
             PathExpr::Plus(inner) => inner.matches_empty(),
             PathExpr::Repeat(inner, min, _) => *min == 0 || inner.matches_empty(),
+        }
+    }
+
+    /// Number of states [`RpqDfa::compile`]'s Thompson NFA has for the
+    /// expression, saturating.
+    fn nfa_states(&self) -> u64 {
+        let sum = |parts: &[PathExpr]| {
+            (parts.iter()).fold(0, |n: u64, p| n.saturating_add(p.nfa_states()))
+        };
+        match self {
+            PathExpr::Label(_) => 2,
+            PathExpr::Concat(parts) => sum(parts).saturating_add(1),
+            PathExpr::Alt(parts) => sum(parts).saturating_add(2),
+            PathExpr::Star(inner) => inner.nfa_states().saturating_add(2),
+            PathExpr::Plus(inner) => inner.nfa_states().saturating_add(1),
+            PathExpr::Optional(inner) => inner.nfa_states(),
+            PathExpr::Repeat(inner, min, max) => {
+                let copies = max.map_or(u64::from(*min) + 1, u64::from);
+                (inner.nfa_states().saturating_mul(copies)).saturating_add(1)
+            }
         }
     }
 
@@ -184,10 +225,24 @@ impl RpqQuery {
 
     /// The check [`Self::new`] applies, for a query that reached this type
     /// another way (deserialised from a checkpoint): a pattern matching the
-    /// empty path is [`QueryError::EmptyQuery`].
+    /// empty path is [`QueryError::EmptyQuery`], and one whose automata
+    /// would pass 256 states (`MAX_RPQ_STATES`) is a [`QueryError::Parse`]
+    /// (at line 1: a pattern displays on one line).
     pub fn validate(&self) -> Result<(), QueryError> {
         if self.pattern.matches_empty() {
             return Err(QueryError::EmptyQuery);
+        }
+        let too_large = |automaton: &str| QueryError::Parse {
+            line: 1,
+            message: format!("path pattern needs more than {MAX_RPQ_STATES} {automaton} states"),
+        };
+        if self.pattern.nfa_states() > MAX_RPQ_STATES as u64 {
+            return Err(too_large("NFA"));
+        }
+        for pattern in [&self.pattern, &self.pattern.reversed()] {
+            if RpqDfa::compile_within(pattern, MAX_RPQ_STATES).is_none() {
+                return Err(too_large("DFA"));
+            }
         }
         Ok(())
     }
@@ -252,10 +307,9 @@ impl Nfa {
                 (start, accept)
             }
             PathExpr::Concat(parts) => {
-                debug_assert!(!parts.is_empty(), "parser never emits empty Concat");
-                let mut iter = parts.iter();
-                let (start, mut accept) = self.build(iter.next().unwrap(), alphabet);
-                for part in iter {
+                let start = self.add_state();
+                let mut accept = start;
+                for part in parts {
                     let (s, a) = self.build(part, alphabet);
                     self.add_edge(accept, EPSILON, s);
                     accept = a;
@@ -370,7 +424,15 @@ pub struct RpqDfa {
 impl RpqDfa {
     /// Compiles a pattern: Thompson NFA → subset construction → Moore
     /// minimization → reachable-state renumbering with start state `0`.
+    /// The work is not bounded here: [`RpqQuery::validate`] bounds a
+    /// query's pattern.
     pub fn compile(pattern: &PathExpr) -> RpqDfa {
+        Self::compile_within(pattern, usize::MAX).expect("no state bound")
+    }
+
+    /// [`Self::compile`], or `None` once the subset construction reaches
+    /// `max_states` states.
+    fn compile_within(pattern: &PathExpr, max_states: usize) -> Option<RpqDfa> {
         let labels = pattern.labels();
         let alphabet: BTreeMap<&str, u32> = labels
             .iter()
@@ -381,7 +443,7 @@ impl RpqDfa {
         let mut nfa = Nfa::new();
         let (start, accept) = nfa.build(pattern, &alphabet);
 
-        // Subset construction.
+        // Subset construction, one pass over each subset's labelled moves.
         let nsym = labels.len();
         let mut dfa_of: BTreeMap<Vec<usize>, u32> = BTreeMap::new();
         let mut subsets: Vec<Vec<usize>> = Vec::new();
@@ -391,22 +453,18 @@ impl RpqDfa {
         subsets.push(start_set);
         transitions.push(vec![None; nsym]);
         let mut frontier = vec![0u32];
+        let mut moves: Vec<(u32, usize)> = Vec::new();
         while let Some(d) = frontier.pop() {
-            for sym in 0..nsym as u32 {
-                let mut next: Vec<usize> = Vec::new();
-                for &s in &subsets[d as usize] {
-                    for &(edge_sym, to) in &nfa.transitions[s] {
-                        if edge_sym == sym {
-                            next.push(to);
-                        }
-                    }
-                }
-                if next.is_empty() {
-                    continue;
-                }
-                let next = nfa.closure(next);
+            moves.clear();
+            for &s in &subsets[d as usize] {
+                moves.extend(nfa.transitions[s].iter().filter(|(sym, _)| *sym != EPSILON));
+            }
+            moves.sort_unstable();
+            for group in moves.chunk_by(|a, b| a.0 == b.0) {
+                let next = nfa.closure(group.iter().map(|&(_, to)| to).collect());
                 let id = match dfa_of.get(&next) {
                     Some(&id) => id,
+                    None if subsets.len() >= max_states => return None,
                     None => {
                         let id = subsets.len() as u32;
                         dfa_of.insert(next.clone(), id);
@@ -416,12 +474,12 @@ impl RpqDfa {
                         id
                     }
                 };
-                transitions[d as usize][sym as usize] = Some(id);
+                transitions[d as usize][group[0].0 as usize] = Some(id);
             }
         }
         let accepting: Vec<bool> = subsets.iter().map(|set| set.contains(&accept)).collect();
 
-        Self::minimize(labels, transitions, accepting)
+        Some(Self::minimize(labels, transitions, accepting))
     }
 
     /// Moore partition refinement on a partial DFA. `None` successors form
@@ -563,262 +621,131 @@ impl RpqDfa {
 ///
 /// where `<pattern>` is a regular expression over edge-type names:
 /// juxtaposition concatenates, `|` alternates, postfix `*` `+` `?` and
-/// `{m,n}` / `{m,}` repeat, and parentheses group. `#` starts a line
-/// comment. The window defaults to one hour, mirroring the SJ-Tree DSL.
+/// `{m,n}` / `{m,}` / `{m}` repeat (bounds up to `u32::MAX`), and
+/// parentheses group. Tokens, comments and the header follow the subgraph
+/// DSL's lexical rules (see [`crate::parse_query`]); the window defaults to
+/// one hour. The query must pass [`RpqQuery::validate`].
 pub fn parse_rpq(text: &str) -> Result<RpqQuery, QueryError> {
-    RpqParser {
-        text: text.as_bytes(),
-        pos: 0,
-        line: 1,
+    let mut lex = Lexer::new(text);
+    let (name, window) = lex.parse_header("RPQ")?;
+    if !lex.eat_keyword("PATH") {
+        return Err(lex.error("expected `PATH`"));
     }
-    .parse()
+    let (pattern, _) = parse_alt(&mut lex, 0)?;
+    lex.finish()?;
+    RpqQuery::new(name, window, pattern).map_err(|e| match e {
+        QueryError::Parse { message, .. } => lex.error(message),
+        other => other,
+    })
 }
 
-struct RpqParser<'a> {
-    text: &'a [u8],
-    pos: usize,
-    line: usize,
+/// A parsed sub-pattern and how deep it nests: the most parentheses and
+/// postfix operators around one of its labels.
+type Nested = Result<(PathExpr, usize), QueryError>;
+
+/// alt := concat ('|' concat)*, inside `open` parentheses.
+fn parse_alt(lex: &mut Lexer<'_>, open: usize) -> Nested {
+    let (mut parts, mut nesting) = (Vec::new(), 0);
+    loop {
+        let (part, n) = parse_concat(lex, open)?;
+        parts.push(part);
+        nesting = nesting.max(n);
+        if !lex.eat_char('|') {
+            return Ok((one_or(parts, PathExpr::Alt), nesting));
+        }
+    }
 }
 
-impl<'a> RpqParser<'a> {
-    fn error(&self, message: impl Into<String>) -> QueryError {
-        QueryError::Parse {
-            line: self.line,
-            message: message.into(),
-        }
+/// concat := postfix+
+fn parse_concat(lex: &mut Lexer<'_>, open: usize) -> Nested {
+    let (mut parts, mut nesting) = (Vec::new(), 0);
+    while lex.peek().is_some_and(|c| is_ident_char(c) || c == '(') {
+        let (part, n) = parse_postfix(lex, open)?;
+        parts.push(part);
+        nesting = nesting.max(n);
     }
+    if parts.is_empty() {
+        return Err(lex.error("expected a label or `(` in path pattern"));
+    }
+    Ok((one_or(parts, PathExpr::Concat), nesting))
+}
 
-    fn skip_ws(&mut self) {
-        while self.pos < self.text.len() {
-            match self.text[self.pos] {
-                b'\n' => {
-                    self.line += 1;
-                    self.pos += 1;
-                }
-                b' ' | b'\t' | b'\r' => self.pos += 1,
-                b'#' => {
-                    while self.pos < self.text.len() && self.text[self.pos] != b'\n' {
-                        self.pos += 1;
-                    }
-                }
-                _ => break,
+/// The single part itself, or `join` of several.
+fn one_or(mut parts: Vec<PathExpr>, join: fn(Vec<PathExpr>) -> PathExpr) -> PathExpr {
+    match parts.len() {
+        1 => parts.pop().expect("one part"),
+        _ => join(parts),
+    }
+}
+
+fn too_deep(lex: &Lexer<'_>) -> QueryError {
+    lex.error(format!(
+        "path pattern nests deeper than {MAX_PATH_NESTING} levels"
+    ))
+}
+
+/// postfix := atom ('*' | '+' | '?' | '{m,n}')*
+fn parse_postfix(lex: &mut Lexer<'_>, open: usize) -> Nested {
+    let (mut expr, mut nesting) = parse_atom(lex, open)?;
+    loop {
+        let op = lex.peek();
+        if !matches!(op, Some('*' | '+' | '?' | '{')) {
+            return Ok((expr, nesting));
+        }
+        nesting += 1;
+        if open + nesting > MAX_PATH_NESTING {
+            return Err(too_deep(lex));
+        }
+        lex.bump(1);
+        let inner = Box::new(expr);
+        expr = match op {
+            Some('*') => PathExpr::Star(inner),
+            Some('+') => PathExpr::Plus(inner),
+            Some('?') => PathExpr::Optional(inner),
+            _ => {
+                let (min, max) = parse_bounds(lex)?;
+                PathExpr::Repeat(inner, min, max)
             }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.text.get(self.pos).copied()
-    }
-
-    fn eat_char(&mut self, c: u8) -> bool {
-        if self.peek() == Some(c) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn eat_keyword(&mut self, keyword: &str) -> bool {
-        let bytes = keyword.as_bytes();
-        let end = self.pos + bytes.len();
-        if end > self.text.len() {
-            return false;
-        }
-        if !self.text[self.pos..end].eq_ignore_ascii_case(bytes) {
-            return false;
-        }
-        // Word boundary.
-        if let Some(&next) = self.text.get(end) {
-            if next.is_ascii_alphanumeric() || next == b'_' {
-                return false;
-            }
-        }
-        self.pos = end;
-        true
-    }
-
-    fn parse_identifier(&mut self) -> Result<String, QueryError> {
-        let start = self.pos;
-        while self
-            .peek()
-            .map(|c| c.is_ascii_alphanumeric() || c == b'_')
-            .unwrap_or(false)
-        {
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return Err(self.error("expected identifier"));
-        }
-        Ok(std::str::from_utf8(&self.text[start..self.pos])
-            .expect("identifier bytes are ASCII")
-            .to_string())
-    }
-
-    fn parse_number(&mut self) -> Result<i64, QueryError> {
-        let start = self.pos;
-        while self.peek().map(|c| c.is_ascii_digit()).unwrap_or(false) {
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return Err(self.error("expected number"));
-        }
-        std::str::from_utf8(&self.text[start..self.pos])
-            .expect("digit bytes are ASCII")
-            .parse()
-            .map_err(|_| self.error("number out of range"))
-    }
-
-    fn parse_duration(&mut self) -> Result<Duration, QueryError> {
-        let value = self.parse_number()?;
-        let unit_start = self.pos;
-        while self
-            .peek()
-            .map(|c| c.is_ascii_alphabetic())
-            .unwrap_or(false)
-        {
-            self.pos += 1;
-        }
-        let unit = std::str::from_utf8(&self.text[unit_start..self.pos]).unwrap();
-        match unit {
-            "ms" => Ok(Duration::from_millis(value)),
-            "s" | "" => Ok(Duration::from_secs(value)),
-            "m" | "min" => Ok(Duration::from_mins(value)),
-            "h" => Ok(Duration::from_hours(value)),
-            other => Err(self.error(format!("unknown duration unit '{other}'"))),
-        }
-    }
-
-    fn parse(mut self) -> Result<RpqQuery, QueryError> {
-        self.skip_ws();
-        if !self.eat_keyword("RPQ") {
-            return Err(self.error("expected RPQ keyword"));
-        }
-        self.skip_ws();
-        let name = self.parse_identifier()?;
-        self.skip_ws();
-        let window = if self.eat_keyword("WINDOW") {
-            self.skip_ws();
-            self.parse_duration()?
-        } else {
-            Duration::from_hours(1)
         };
-        self.skip_ws();
-        if !self.eat_keyword("PATH") {
-            return Err(self.error("expected PATH keyword"));
-        }
-        let pattern = self.parse_alt()?;
-        self.skip_ws();
-        if self.pos != self.text.len() {
-            return Err(self.error("unexpected trailing input after pattern"));
-        }
-        RpqQuery::new(name, window, pattern)
     }
+}
 
-    /// alt := concat ('|' concat)*
-    fn parse_alt(&mut self) -> Result<PathExpr, QueryError> {
-        let mut parts = vec![self.parse_concat()?];
-        loop {
-            self.skip_ws();
-            if self.eat_char(b'|') {
-                parts.push(self.parse_concat()?);
-            } else {
-                break;
-            }
+/// The rest of a repetition after its `{`: `m}`, `m,}` or `m,n}`.
+fn parse_bounds(lex: &mut Lexer<'_>) -> Result<(u32, Option<u32>), QueryError> {
+    let bound = |lex: &mut Lexer<'_>| {
+        let n = lex.parse_number()?;
+        u32::try_from(n)
+            .map_err(|_| lex.error(format!("repetition bound {n} exceeds {}", u32::MAX)))
+    };
+    let min = bound(lex)?;
+    let max = if !lex.eat_char(',') {
+        Some(min)
+    } else if lex.peek().is_some_and(|c| c.is_ascii_digit()) {
+        Some(bound(lex)?)
+    } else {
+        None
+    };
+    lex.expect_char('}')?;
+    match max {
+        Some(max) if max < min => {
+            Err(lex.error(format!("repetition bound {{{min},{max}}} has max < min")))
         }
-        Ok(if parts.len() == 1 {
-            parts.pop().unwrap()
-        } else {
-            PathExpr::Alt(parts)
-        })
+        Some(0) => Err(lex.error("repetition bound {0,0} matches nothing")),
+        _ => Ok((min, max)),
     }
+}
 
-    /// concat := postfix+
-    fn parse_concat(&mut self) -> Result<PathExpr, QueryError> {
-        let mut parts = Vec::new();
-        loop {
-            self.skip_ws();
-            match self.peek() {
-                Some(c) if c.is_ascii_alphanumeric() || c == b'_' || c == b'(' => {
-                    parts.push(self.parse_postfix()?);
-                }
-                _ => break,
-            }
-        }
-        match parts.len() {
-            0 => Err(self.error("expected a label or '(' in path pattern")),
-            1 => Ok(parts.pop().unwrap()),
-            _ => Ok(PathExpr::Concat(parts)),
-        }
+/// atom := label | '(' alt ')'
+fn parse_atom(lex: &mut Lexer<'_>, open: usize) -> Nested {
+    if !lex.eat_char('(') {
+        return Ok((PathExpr::Label(lex.parse_identifier()?), 0));
     }
-
-    /// postfix := atom ('*' | '+' | '?' | '{m,n}')*
-    fn parse_postfix(&mut self) -> Result<PathExpr, QueryError> {
-        let mut expr = self.parse_atom()?;
-        loop {
-            match self.peek() {
-                Some(b'*') => {
-                    self.pos += 1;
-                    expr = PathExpr::Star(Box::new(expr));
-                }
-                Some(b'+') => {
-                    self.pos += 1;
-                    expr = PathExpr::Plus(Box::new(expr));
-                }
-                Some(b'?') => {
-                    self.pos += 1;
-                    expr = PathExpr::Optional(Box::new(expr));
-                }
-                Some(b'{') => {
-                    self.pos += 1;
-                    self.skip_ws();
-                    let min = self.parse_number()? as u32;
-                    self.skip_ws();
-                    let max = if self.eat_char(b',') {
-                        self.skip_ws();
-                        if self.peek().map(|c| c.is_ascii_digit()).unwrap_or(false) {
-                            Some(self.parse_number()? as u32)
-                        } else {
-                            None
-                        }
-                    } else {
-                        Some(min)
-                    };
-                    self.skip_ws();
-                    if !self.eat_char(b'}') {
-                        return Err(self.error("expected '}' in repetition bound"));
-                    }
-                    if let Some(max) = max {
-                        if max < min {
-                            return Err(self
-                                .error(format!("repetition bound {{{min},{max}}} has max < min")));
-                        }
-                        if max == 0 {
-                            return Err(self.error("repetition bound {0,0} matches nothing"));
-                        }
-                    }
-                    expr = PathExpr::Repeat(Box::new(expr), min, max);
-                }
-                _ => break,
-            }
-        }
-        Ok(expr)
+    if open >= MAX_PATH_NESTING {
+        return Err(too_deep(lex));
     }
-
-    /// atom := label | '(' alt ')'
-    fn parse_atom(&mut self) -> Result<PathExpr, QueryError> {
-        self.skip_ws();
-        if self.eat_char(b'(') {
-            let inner = self.parse_alt()?;
-            self.skip_ws();
-            if !self.eat_char(b')') {
-                return Err(self.error("expected ')'"));
-            }
-            Ok(inner)
-        } else {
-            Ok(PathExpr::Label(self.parse_identifier()?))
-        }
-    }
+    let (inner, nesting) = parse_alt(lex, open + 1)?;
+    lex.expect_char(')')?;
+    Ok((inner, nesting + 1))
 }
 
 #[cfg(test)]
@@ -991,6 +918,30 @@ mod tests {
             }
             assert!(accepted > 0, "`{text}`: no random word was accepted");
             assert_eq!(q.pattern().reversed().reversed(), *q.pattern());
+        }
+    }
+
+    #[test]
+    fn the_nfa_state_count_is_that_of_the_built_nfa() {
+        for text in [
+            "a",
+            "a b c",
+            "a | b",
+            "(a b)* c+ d?",
+            "(a | b c){2,3} a{2,}",
+            "a{1}",
+        ] {
+            let pattern = parse_rpq(&format!("RPQ p PATH {text}"))
+                .unwrap()
+                .pattern()
+                .clone();
+            let labels = pattern.labels();
+            let alphabet = (labels.iter().enumerate())
+                .map(|(i, l)| (l.as_str(), i as u32))
+                .collect();
+            let mut nfa = Nfa::new();
+            nfa.build(&pattern, &alphabet);
+            assert_eq!(pattern.nfa_states(), nfa.transitions.len() as u64, "{text}");
         }
     }
 

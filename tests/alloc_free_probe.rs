@@ -8,7 +8,8 @@
 //! through both internal nodes, joined pairs and complete matches included.
 //! The ingest front in front of it does not allocate either once warm:
 //! `DynamicGraph::ingest` of a stream of ever-new vertices recycles evicted
-//! vertex slots, key buffers and adjacency buffers.
+//! vertex slots, key buffers and adjacency buffers, and a live vertex whose
+//! edges of one type come and go refills the bucket a compaction emptied.
 //! Uses a counting global allocator, so this test lives in its own
 //! integration-test binary. The count is per thread: the harness runs the
 //! tests of this file on parallel threads, and a process-wide counter would
@@ -229,10 +230,8 @@ fn an_emitted_match_costs_three_allocations_once_warm() {
     // shared variable names and the engine's shared vertex keys. What is
     // left per match is the event's own query name, bindings and edges;
     // copying each name and key again would cost 2 more per vertex.
-    // The window outlasts the 128 s between an article's located edges,
-    // so no adjacency bucket of the graph empties and is built again.
     let mut engine = ContinuousQueryEngine::builder().build().unwrap();
-    engine.register_plan(hot_wedge_plan(Duration::from_secs(160)));
+    engine.register_plan(hot_wedge_plan(Duration::from_secs(96)));
     let events: Vec<EdgeEvent> = (0..8_000).map(hot_wedge_event).collect();
     let (warm, measured) = events.split_at(6_000);
     for event in warm {
@@ -332,6 +331,28 @@ fn graph_ingest_is_allocation_free_once_warm() {
     assert_eq!(
         allocated, 0,
         "DynamicGraph::ingest allocated {allocated} times over 10 000 steady-state events"
+    );
+}
+
+#[test]
+fn graph_ingest_of_the_hot_wedge_stream_is_allocation_free_once_warm() {
+    // An article's located edge comes every 128 s and expires after 96 s,
+    // so its located bucket empties between two of them; compaction keeps
+    // the emptied bucket and its buffer for the next one.
+    let mut graph = DynamicGraph::new(GraphConfig::with_retention(Duration::from_secs(96)));
+    for i in 0..6_000 {
+        graph.ingest(&hot_wedge_event(i));
+    }
+    let events: Vec<EdgeEvent> = (6_000..8_000).map(hot_wedge_event).collect();
+    let before = allocations();
+    for event in &events {
+        graph.ingest(event);
+    }
+    let allocated = allocations() - before;
+    assert!(graph.stats().expired_edges > 5_000, "the window slid");
+    assert_eq!(
+        allocated, 0,
+        "DynamicGraph::ingest allocated {allocated} times over 2 000 steady-state events"
     );
 }
 
