@@ -340,7 +340,8 @@ impl EngineCheckpoint {
     /// refuses, an SJ-Tree shape no planner could have built
     /// (`SjTreeShape::validate` — the join climb indexes its stores by the
     /// shape's node order), a regular path query `RpqQuery::new` would have
-    /// refused (`RpqQuery::validate`: a pattern matching the empty path),
+    /// refused (`RpqQuery::validate`: a pattern matching the empty path, or
+    /// one whose automata, forward or reversed, pass 256 states),
     /// per-query lists that do not cover every query, or a durable cursor
     /// naming a query the document does not hold; these carry no offset.
     pub fn load(json: &str) -> Result<EngineCheckpoint, crate::EngineError> {
@@ -619,8 +620,10 @@ mod tests {
         let honest = r#""pattern":{"Label":"a"}"#;
         // `(a|b)* a (a|b){14}` needs 32 768 DFA states and its reverse a
         // handful; the reversed pattern has it the other way round, and
-        // `a{5000,}` needs 10 002 NFA states. Restoring any of them would
-        // build them all.
+        // `a{5000,}` needs 10 002 NFA states. `a{200,1}`, whose bounds no
+        // text parses, builds 200 copies of `a`: 401 NFA states, though only
+        // 201 DFA states (were it counted as one copy, `a{4000000000,1}`
+        // would reach the build). Restoring any of them would build them all.
         let label = |l: &str| PathExpr::Label(l.into());
         let ab = || Box::new(PathExpr::Alt(vec![label("a"), label("b")]));
         let forward = PathExpr::Concat(vec![
@@ -629,7 +632,8 @@ mod tests {
             PathExpr::Repeat(ab(), 14, Some(14)),
         ]);
         let long = PathExpr::Repeat(Box::new(label("a")), 5_000, None);
-        for pattern in [forward.reversed(), forward, long] {
+        let inverted = PathExpr::Repeat(Box::new(label("a")), 200, Some(1));
+        for pattern in [forward.reversed(), forward, long, inverted] {
             let pattern = serde_json::to_string(&pattern).unwrap();
             let tampered = json.replace(honest, &format!(r#""pattern":{pattern}"#));
             let checkpoint: EngineCheckpoint = serde_json::from_str(&tampered).unwrap();

@@ -229,7 +229,6 @@ fn parse_compare_op(lex: &mut Lexer<'_>) -> Result<CompareOp, QueryError> {
         CompareOp::Gt,
     ]
     .into_iter()
-    .into_iter()
     .find(|op| lex.rest().starts_with(op.symbol()))
     .ok_or_else(|| lex.error("expected comparison operator"))?;
     lex.bump(op.symbol().len());

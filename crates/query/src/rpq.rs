@@ -133,7 +133,9 @@ impl PathExpr {
             PathExpr::Plus(inner) => inner.nfa_states().saturating_add(1),
             PathExpr::Optional(inner) => inner.nfa_states(),
             PathExpr::Repeat(inner, min, max) => {
-                let copies = max.map_or(u64::from(*min) + 1, u64::from);
+                // `build` makes `min` copies when `max < min`, which only a
+                // deserialised pattern can carry.
+                let copies = max.map_or(u64::from(*min) + 1, |max| u64::from(max.max(*min)));
                 (inner.nfa_states().saturating_mul(copies)).saturating_add(1)
             }
         }
@@ -443,7 +445,7 @@ impl RpqDfa {
         let mut nfa = Nfa::new();
         let (start, accept) = nfa.build(pattern, &alphabet);
 
-        // Subset construction, one pass over each subset's labelled moves.
+        // Subset construction.
         let nsym = labels.len();
         let mut dfa_of: BTreeMap<Vec<usize>, u32> = BTreeMap::new();
         let mut subsets: Vec<Vec<usize>> = Vec::new();
@@ -453,15 +455,20 @@ impl RpqDfa {
         subsets.push(start_set);
         transitions.push(vec![None; nsym]);
         let mut frontier = vec![0u32];
-        let mut moves: Vec<(u32, usize)> = Vec::new();
         while let Some(d) = frontier.pop() {
-            moves.clear();
-            for &s in &subsets[d as usize] {
-                moves.extend(nfa.transitions[s].iter().filter(|(sym, _)| *sym != EPSILON));
-            }
-            moves.sort_unstable();
-            for group in moves.chunk_by(|a, b| a.0 == b.0) {
-                let next = nfa.closure(group.iter().map(|&(_, to)| to).collect());
+            for sym in 0..nsym as u32 {
+                let mut next: Vec<usize> = Vec::new();
+                for &s in &subsets[d as usize] {
+                    for &(edge_sym, to) in &nfa.transitions[s] {
+                        if edge_sym == sym {
+                            next.push(to);
+                        }
+                    }
+                }
+                if next.is_empty() {
+                    continue;
+                }
+                let next = nfa.closure(next);
                 let id = match dfa_of.get(&next) {
                     Some(&id) => id,
                     None if subsets.len() >= max_states => return None,
@@ -474,7 +481,7 @@ impl RpqDfa {
                         id
                     }
                 };
-                transitions[d as usize][group[0].0 as usize] = Some(id);
+                transitions[d as usize][sym as usize] = Some(id);
             }
         }
         let accepting: Vec<bool> = subsets.iter().map(|set| set.contains(&accept)).collect();
@@ -785,6 +792,16 @@ mod tests {
     }
 
     #[test]
+    fn an_empty_concatenation_inside_a_pattern_compiles_as_the_empty_path() {
+        // No text parses to it, but a checkpoint can carry it; `a ()` does
+        // not match the empty path, so `validate` goes on to compile it.
+        let a = || PathExpr::Label("a".into());
+        let pattern = PathExpr::Concat(vec![a(), PathExpr::Concat(vec![])]);
+        let q = RpqQuery::new("p", Duration::from_secs(60), pattern).unwrap();
+        assert_eq!(q.compile(), RpqDfa::compile(&a()));
+    }
+
+    #[test]
     fn rejects_malformed_input() {
         assert!(parse_rpq("QUERY p PATH a").is_err());
         assert!(parse_rpq("RPQ p PATH (a").is_err());
@@ -923,6 +940,7 @@ mod tests {
 
     #[test]
     fn the_nfa_state_count_is_that_of_the_built_nfa() {
+        let mut patterns = Vec::new();
         for text in [
             "a",
             "a b c",
@@ -935,13 +953,25 @@ mod tests {
                 .unwrap()
                 .pattern()
                 .clone();
+            patterns.push(pattern);
+        }
+        // Bounds with max < min and an empty concatenation reach `build`
+        // only from a deserialised pattern.
+        let a = || Box::new(PathExpr::Label("a".into()));
+        patterns.push(PathExpr::Repeat(a(), 3, Some(1)));
+        patterns.push(PathExpr::Concat(vec![*a(), PathExpr::Concat(vec![])]));
+        for pattern in patterns {
             let labels = pattern.labels();
             let alphabet = (labels.iter().enumerate())
                 .map(|(i, l)| (l.as_str(), i as u32))
                 .collect();
             let mut nfa = Nfa::new();
             nfa.build(&pattern, &alphabet);
-            assert_eq!(pattern.nfa_states(), nfa.transitions.len() as u64, "{text}");
+            assert_eq!(
+                pattern.nfa_states(),
+                nfa.transitions.len() as u64,
+                "{pattern}"
+            );
         }
     }
 
