@@ -708,6 +708,53 @@ mod tests {
     }
 
     #[test]
+    fn ten_thousand_open_brackets_are_a_corrupt_checkpoint_not_a_stack_overflow() {
+        let err = EngineCheckpoint::load(&"[".repeat(10_000)).unwrap_err();
+        let crate::EngineError::CorruptCheckpoint { offset, detail } = err else {
+            panic!("expected CorruptCheckpoint, got {err:?}");
+        };
+        assert!(offset.is_some_and(|at| at < 10_000), "{offset:?}");
+        assert!(detail.contains("nesting"), "{detail}");
+    }
+
+    #[test]
+    fn a_path_pattern_of_a_thousand_nested_stars_is_a_corrupt_checkpoint() {
+        let mut engine = ContinuousQueryEngine::builder().build().unwrap();
+        engine.register_rpq_dsl("RPQ p WINDOW 1m PATH a").unwrap();
+        let json = engine.checkpoint().to_json().unwrap();
+        let honest = r#""pattern":{"Label":"a"}"#;
+        let (open, close) = (r#"{"Star":"#.repeat(1_000), "}".repeat(1_000));
+        let stars = format!(r#""pattern":{open}{{"Label":"a"}}{close}"#);
+        let tampered = json.replace(honest, &stars);
+        assert!(tampered.len() > 9_000);
+        let err = EngineCheckpoint::load(&tampered).unwrap_err();
+        let EngineError::CorruptCheckpoint { offset, .. } = err else {
+            panic!("expected CorruptCheckpoint, got {err:?}");
+        };
+        assert!(offset.is_some(), "a scanner error carries its byte offset");
+    }
+
+    #[test]
+    fn the_deepest_path_pattern_a_query_can_have_round_trips() {
+        // 64 nested groups, each a concatenation: about two JSON levels per
+        // group, the deepest document an engine writes.
+        let path = format!("{}a{}", "(a ".repeat(64), ")".repeat(64));
+        let mut engine = ContinuousQueryEngine::builder().build().unwrap();
+        engine
+            .register_rpq_dsl(&format!("RPQ deep WINDOW 1m PATH {path}"))
+            .unwrap();
+        let json = engine.checkpoint().to_json().unwrap();
+        let depth = json.bytes().fold((0, 0), |(depth, deepest), b| match b {
+            b'[' | b'{' => (depth + 1, deepest.max(depth + 1)),
+            b']' | b'}' => (depth - 1, deepest),
+            _ => (depth, deepest),
+        });
+        assert!(depth.1 > 128, "{} levels", depth.1);
+        let restored = EngineCheckpoint::load(&json).unwrap().try_restore();
+        assert!(restored.is_ok());
+    }
+
+    #[test]
     fn checkpoint_preserves_edge_attributes() {
         let mut engine = ContinuousQueryEngine::builder().build().unwrap();
         engine

@@ -69,17 +69,39 @@
 //!   the lazy node's own store files without probing and threads a **second
 //!   chain** through one side, keyed on the parent's cut vertices that side
 //!   binds, so rebuilding one parent key walks only the matches under it.
+//! * The parent's **awaited side** (the one whose visible matches make a
+//!   key hot) keeps a **recency table**, so that most *cold* answers skip
+//!   the hash index: a power-of-two array of timestamps indexed by a hash of
+//!   the join key, each entry the largest `earliest` filed on the side under
+//!   any key of its bucket since the last `clear`. `holds` answers "no"
+//!   when the key's entry lies behind the horizon, and walks the chain
+//!   otherwise. **Invariant:** a visible match has `earliest ≥ horizon`,
+//!   and it raised its bucket's entry when it was filed. Withdrawal, expiry
+//!   and compaction only remove matches, and an entry falls only when the
+//!   table is refilled from every live match, so an entry behind the
+//!   horizon proves every key of its bucket cold, whatever order the
+//!   horizon, `withdraw`, expiry and compaction ran in. The table has at
+//!   least `RECENT_PER_SLOT` buckets per slot of the side's ring (a side
+//!   holds at most one key per slot); when the ring grows, the table is
+//!   re-sized and refilled. The table and the second chain share one box
+//!   that only a lazy join's sides allocate, so a plain side's filing tests
+//!   one empty pointer, as it did before the table. On `join_hot` (about 20
+//!   checks per event, most of them cold) the table took `ingest_p50_us`
+//!   from 1.40 to 1.30 µs, 10 of 10 interleaved pairs (BENCH_PR46.json).
 //! * The store maintains a histogram of covered query edges over live
 //!   matches, so "best partial match" queries are O(1) reads and an expiry
 //!   burst never rescans the store to restore the maximum.
 //!
-//! Tried on `join_hot` (cycles/event; per-key `Vec` pairs + a min-heap of side
-//! minima: 17.4 k): slab + free list 19.6 k, append log compacted when half
-//! dead 13.9 k, `VecDeque` ring 14.6 k, this ring 12.3–13.7 k, no filing 8.5 k.
+//! Measured in interleaved pairs of the benchmark's `join_hot` unit
+//! (BENCH_PR20.json): against per-key `Vec` pairs swept under a min-heap of
+//! side minima, this ring reads 1.26–1.29× the events/s on three seeds, 30 of
+//! 30 pairs won. A slab with a free list, an append log compacted when half
+//! dead and a `VecDeque` ring were tried first, in single runs only.
 
 use crate::binding::PartialMatch;
 use smallvec::SmallVec;
-use streamworks_graph::hash::FxHashMap;
+use std::hash::Hasher;
+use streamworks_graph::hash::{FxHashMap, FxHasher};
 use streamworks_graph::{EdgeId, Timestamp, VertexId};
 use streamworks_query::{QueryEdgeId, QueryVertexId};
 
@@ -130,6 +152,25 @@ const DEAD: u32 = u32::MAX;
 /// live matches + `COMPACT_FLOOR`.
 const COMPACT_FACTOR: usize = 2;
 const COMPACT_FLOOR: usize = 64;
+/// Slots a ring's first growth makes.
+const FIRST_SLOTS: usize = 16;
+/// Recency buckets per ring slot: a cold key shares its bucket with a hot
+/// one in at most about one check in this many.
+const RECENT_PER_SLOT: usize = 8;
+
+/// Length of a recency table for a ring of `slots` slots.
+fn recent_len(slots: usize) -> usize {
+    (RECENT_PER_SLOT * slots.max(FIRST_SLOTS)).next_power_of_two()
+}
+
+/// The bucket of `key` in a recency table of `len` (a power of two)
+/// entries: the top bits of its hash.
+#[inline]
+fn recent_bucket(len: usize, key: &[VertexId]) -> usize {
+    let mut hasher = FxHasher::default();
+    key.iter().for_each(|v| hasher.write_u32(v.0));
+    (hasher.finish() >> (64 - len.trailing_zeros())) as usize
+}
 
 /// What a sweep and a chain walk read of a match, without its payload.
 #[derive(Debug, Clone, Copy, Default)]
@@ -147,8 +188,19 @@ fn stale_match() -> PartialMatch {
     PartialMatch::seed(0, QueryEdgeId(0), EdgeId(0), Timestamp(0))
 }
 
+/// What a side keeps for lazy joins beyond its ring. Boxed, and absent on
+/// every other side, so a plain side pays one branch per filing.
+#[derive(Debug, Default)]
+struct LazySide {
+    /// The lazy node's second chain (see
+    /// [`SharedJoinStore::thread_scan_chain`]).
+    scan: Option<ScanChain>,
+    /// The awaited side's recency table (module docs), or empty.
+    recent: Box<[Timestamp]>,
+}
+
 /// A second chain through one ring, keyed on `vertices` instead of the
-/// store's cut (see [`SharedJoinStore::thread_scan_chain`]).
+/// store's cut.
 #[derive(Debug)]
 struct ScanChain {
     vertices: Vec<QueryVertexId>,
@@ -165,7 +217,7 @@ struct ScanChain {
 struct Ring {
     slots: Vec<PartialMatch>,
     meta: Vec<Meta>,
-    scan: Option<Box<ScanChain>>,
+    lazy: Option<Box<LazySide>>,
     /// Position of the oldest slot still held.
     head: u64,
     head_slot: usize,
@@ -182,12 +234,32 @@ impl Ring {
         Ring {
             slots: Vec::new(),
             meta: Vec::new(),
-            scan: None,
+            lazy: None,
             head: 0,
             head_slot: 0,
             held: 0,
             live: 0,
             min_earliest: Timestamp(i64::MAX),
+        }
+    }
+
+    fn scan_mut(&mut self) -> Option<&mut ScanChain> {
+        self.lazy.as_deref_mut()?.scan.as_mut()
+    }
+
+    /// Buckets of the side's recency table (0 if it keeps none).
+    fn recent_buckets(&self) -> usize {
+        self.lazy.as_deref().map_or(0, |lazy| lazy.recent.len())
+    }
+
+    /// Raises `key`'s recency entry to `earliest`, if the side keeps a table.
+    #[inline]
+    fn note_recent(&mut self, key: &[VertexId], earliest: Timestamp) {
+        if let Some(LazySide { recent, .. }) = self.lazy.as_deref_mut() {
+            if !recent.is_empty() {
+                let entry = &mut recent[recent_bucket(recent.len(), key)];
+                *entry = (*entry).max(earliest);
+            }
         }
     }
 
@@ -259,7 +331,7 @@ impl Ring {
         // Below `held`, which `grow` keeps within 32 bits.
         let (head, held) = (self.head, self.held as u64);
         let link = |to: u64| (to.wrapping_sub(head) < held).then(|| (position - to) as u32);
-        if let Some(scan) = self.scan.as_deref_mut() {
+        if let Some(scan) = self.scan_mut() {
             let key = project(&scan.vertices, &m).expect("a match binds its side's scan key");
             let newest = scan.newest.entry(key).or_insert(NONE);
             scan.back[slot] = link(*newest).unwrap_or(0);
@@ -283,14 +355,15 @@ impl Ring {
     /// cycles through stay close to its peak.
     #[cold]
     fn grow(&mut self) {
-        let len = self.slots.len() + (self.slots.len() / 8).max(16);
+        let len = self.slots.len() + (self.slots.len() / 8).max(FIRST_SLOTS);
         assert!(len <= u32::MAX as usize, "chain links are 32-bit distances");
         self.slots.rotate_left(self.head_slot);
         self.slots.resize(len, stale_match());
         self.meta.rotate_left(self.head_slot);
         self.meta.resize(len, Meta::default());
-        if let Some(scan) = self.scan.as_deref_mut() {
-            scan.back.rotate_left(self.head_slot);
+        let head_slot = self.head_slot;
+        if let Some(scan) = self.scan_mut() {
+            scan.back.rotate_left(head_slot);
             scan.back.resize(len, 0);
         }
         self.head_slot = 0;
@@ -330,7 +403,7 @@ impl Ring {
         self.min_earliest = min;
         // Dead scan keys leave the way dead keys leave the store's index.
         let (head, held) = (self.head, self.held as u64);
-        if let Some(scan) = self.scan.as_deref_mut() {
+        if let Some(scan) = self.scan_mut() {
             if scan.newest.len() > 2 * held as usize + COMPACT_FLOOR {
                 scan.newest
                     .retain(|_, newest| newest.wrapping_sub(head) < held);
@@ -354,9 +427,12 @@ impl Ring {
     fn clear(&mut self) {
         self.slots.clear();
         self.meta.clear();
-        if let Some(scan) = self.scan.as_deref_mut() {
-            scan.newest.clear();
-            scan.back.clear();
+        if let Some(lazy) = self.lazy.as_deref_mut() {
+            if let Some(scan) = &mut lazy.scan {
+                scan.newest.clear();
+                scan.back.clear();
+            }
+            lazy.recent.fill(Timestamp(i64::MIN));
         }
         (self.head_slot, self.held, self.live) = (0, 0, 0);
         self.min_earliest = Timestamp(i64::MAX);
@@ -482,6 +558,7 @@ impl SharedJoinStore {
         F: FnMut(&PartialMatch, &PartialMatch),
     {
         let edge_count = m.edge_count();
+        self.rings[side.index()].note_recent(&key, m.earliest);
         let newest = self.chains.entry(key).or_insert([NONE; 2]);
         let sibling = &self.rings[side.other().index()];
         for candidate in sibling.chain(newest[side.other().index()], self.horizon) {
@@ -495,9 +572,16 @@ impl SharedJoinStore {
     /// True while `side` holds a visible match under `key`: the chain walk
     /// a probe from the other side would make reaches one. A tombstone or a
     /// match behind the horizon does not count, so the answer does not
-    /// depend on when the store was last swept. One hash look-up, then the
+    /// depend on when the store was last swept. On a side that keeps a
+    /// recency table, a key whose entry lies behind the horizon is cold
+    /// without further look-up; otherwise one hash look-up, then the
     /// chain's hidden head, if any.
     pub(crate) fn holds(&self, side: JoinSide, key: &[VertexId]) -> bool {
+        if let Some(LazySide { recent, .. }) = self.rings[side.index()].lazy.as_deref() {
+            if !recent.is_empty() && recent[recent_bucket(recent.len(), key)] < self.horizon {
+                return false;
+            }
+        }
         self.candidates(side.other(), key).next().is_some()
     }
 
@@ -516,6 +600,7 @@ impl SharedJoinStore {
     /// Files `m` under `key` on `side` without probing the sibling side.
     pub(crate) fn insert(&mut self, side: JoinSide, key: JoinKey, m: PartialMatch) {
         let edge_count = m.edge_count();
+        self.rings[side.index()].note_recent(&key, m.earliest);
         let newest = self.chains.entry(key).or_insert([NONE; 2]);
         newest[side.index()] = self.rings[side.index()].push(m, newest[side.index()]);
         self.inserted_total += 1;
@@ -552,11 +637,27 @@ impl SharedJoinStore {
     /// parent's cut vertices that `side` binds. Set while the store is empty.
     pub(crate) fn thread_scan_chain(&mut self, side: JoinSide, vertices: Vec<QueryVertexId>) {
         debug_assert!(self.is_empty(), "a scan chain is threaded from the start");
-        self.rings[side.index()].scan = Some(Box::new(ScanChain {
+        let ring = &mut self.rings[side.index()];
+        ring.lazy.get_or_insert_default().scan = Some(ScanChain {
             vertices,
             newest: FxHashMap::default(),
-            back: vec![0; self.rings[side.index()].slots.len()],
-        }));
+            back: vec![0; ring.slots.len()],
+        });
+    }
+
+    /// Keeps a recency table on `side` (module docs), for [`Self::holds`]
+    /// to answer most cold keys from. Set while the store is empty.
+    pub(crate) fn keep_recency(&mut self, side: JoinSide) {
+        debug_assert!(self.is_empty(), "a recency table is kept from the start");
+        let ring = &mut self.rings[side.index()];
+        let recent = vec![Timestamp(i64::MIN); recent_len(ring.slots.len())];
+        ring.lazy.get_or_insert_default().recent = recent.into();
+    }
+
+    /// Buckets of `side`'s recency table (0 if it keeps none).
+    #[cfg(test)]
+    pub(crate) fn recency_buckets(&self, side: JoinSide) -> usize {
+        self.rings[side.index()].recent_buckets()
     }
 
     /// The side threading the scan chain, and its live matches that bind
@@ -571,7 +672,7 @@ impl SharedJoinStore {
             .into_iter()
             .find_map(|side| {
                 let ring = &self.rings[side.index()];
-                Some((side, ring, ring.scan.as_deref()?))
+                Some((side, ring, ring.lazy.as_deref()?.scan.as_ref()?))
             })
             .expect("the store threads a scan chain");
         let at = |v| cut.iter().position(|c| *c == v).expect("a cut vertex");
@@ -633,7 +734,7 @@ impl SharedJoinStore {
     /// reclaim when full): one compare while the side has a free slot; when
     /// it is full, the exact pass of [`Self::expire_older_than`] on it with
     /// the horizon as the cutoff, then growth only if it is still more than
-    /// three quarters full.
+    /// three quarters full. A recency table grows with its ring.
     pub(crate) fn make_room(&mut self, side: JoinSide) {
         let ring = &self.rings[side.index()];
         if ring.held == ring.slots.len() {
@@ -641,6 +742,28 @@ impl SharedJoinStore {
             let ring = &mut self.rings[side.index()];
             if 4 * ring.held > 3 * ring.slots.len() {
                 ring.grow();
+                if (1..recent_len(ring.slots.len())).contains(&ring.recent_buckets()) {
+                    self.rebuild_recency(side.index());
+                }
+            }
+        }
+    }
+
+    /// Re-sizes one side's recency table to its ring and refills it from
+    /// every live match, hidden or not (the horizon a later `holds` reads
+    /// may lie behind today's).
+    #[cold]
+    fn rebuild_recency(&mut self, side: usize) {
+        let ring = &mut self.rings[side];
+        let lazy = ring.lazy.as_deref_mut().expect("the side keeps a table");
+        lazy.recent = vec![Timestamp(i64::MIN); recent_len(ring.slots.len())].into();
+        for offset in 0..ring.held {
+            let slot = ring.slot_at(offset);
+            let meta = ring.meta[slot];
+            if meta.edges != DEAD {
+                let key = project(&self.key_vertices, &ring.slots[slot]);
+                let key = key.expect("stored match binds its join key");
+                ring.note_recent(&key, meta.earliest);
             }
         }
     }
@@ -682,7 +805,7 @@ impl SharedJoinStore {
             newest[side] = NONE;
         }
         let ring = &mut self.rings[side];
-        if let Some(scan) = ring.scan.as_deref_mut() {
+        if let Some(scan) = ring.scan_mut() {
             scan.newest.clear();
         }
         let held = std::mem::take(&mut ring.held);
@@ -1059,6 +1182,39 @@ mod tests {
         }
     }
 
+    #[test]
+    fn a_recency_table_grows_with_its_ring_and_answers_like_the_chain_walk() {
+        let mut store = SharedJoinStore::new(vec![QueryVertexId(0)]);
+        store.keep_recency(JoinSide::Right);
+        let first = store.recency_buckets(JoinSide::Right);
+        assert_eq!(
+            store.recency_buckets(JoinSide::Left),
+            0,
+            "one side keeps one"
+        );
+        for i in 0..1_000i64 {
+            store.make_room(JoinSide::Right);
+            file(
+                &mut store,
+                JoinSide::Right,
+                m(&[(0, i as u32)], i as u64, i),
+            );
+        }
+        let buckets = store.recency_buckets(JoinSide::Right);
+        assert!(buckets > first && buckets >= RECENT_PER_SLOT * store.rings[1].slots.len());
+        let hot = |store: &SharedJoinStore, i: u32| store.holds(JoinSide::Right, &[VertexId(i)]);
+        // A key filed at or after the horizon is hot, before or after the
+        // rebuilds; one filed only behind it, or never, is not.
+        store.set_horizon(Timestamp::from_secs(500));
+        assert!((0..1_000).all(|i| hot(&store, i) == (i >= 500)));
+        assert!(!hot(&store, 5_000));
+        store.clear();
+        assert_eq!(store.recency_buckets(JoinSide::Right), buckets);
+        let recent = &store.rings[1].lazy.as_ref().unwrap().recent;
+        assert!(recent.iter().all(|&t| t == Timestamp(i64::MIN)));
+        assert!((0..1_000).all(|i| !hot(&store, i)));
+    }
+
     /// splitmix64.
     struct Rng(u64);
 
@@ -1148,9 +1304,10 @@ mod tests {
             removed
         }
 
-        fn expire(&mut self, cutoff: Timestamp) -> usize {
+        fn expire(&mut self, sides: &[usize], cutoff: Timestamp) -> usize {
             let mut removed = 0;
-            for (side, filed) in self.sides.iter_mut().enumerate() {
+            for &side in sides {
+                let filed = &mut self.sides[side];
                 if self.min_earliest[side] >= cutoff {
                     continue;
                 }
@@ -1202,6 +1359,19 @@ mod tests {
         }
     }
 
+    /// `holds` on both sides under each of `keys` against the chain walk
+    /// alone: the recency table may only ever save the walk. A table that
+    /// skips its update in `insert`, or reads an entry equal to the horizon
+    /// as cold, fails here within the seeds below.
+    fn check_holds(store: &SharedJoinStore, keys: &[JoinKey]) {
+        for key in keys {
+            for side in [JoinSide::Left, JoinSide::Right] {
+                let walked = store.candidates(side.other(), key).next().is_some();
+                assert_eq!(store.holds(side, key), walked, "holds {key:?} on {side:?}");
+            }
+        }
+    }
+
     /// Drives a store and the model through `operations` random operations
     /// and compares them after each.
     fn differential_run(seed: u64, operations: usize, first_position: u64) {
@@ -1222,8 +1392,10 @@ mod tests {
             .map(|&qv| QueryVertexId(qv))
             .collect::<Vec<_>>();
         let scan_side = [JoinSide::Left, JoinSide::Right][(seed / 3 % 2) as usize];
+        let recent_side = [JoinSide::Left, JoinSide::Right][(seed / 5 % 2) as usize];
         let mut store = SharedJoinStore::new(key_vertices.clone());
         store.thread_scan_chain(scan_side, scan_vertices.clone());
+        store.keep_recency(recent_side);
         // Nothing is held yet, so the rings may number their slots from anywhere.
         store
             .rings
@@ -1249,12 +1421,27 @@ mod tests {
             }
             pm
         };
+        // The keys `holds` is checked under after every step: the last few
+        // the run touched, and two drawn at random.
+        let mut touched: Vec<JoinKey> = Vec::new();
         for _ in 0..operations {
             let side = [JoinSide::Left, JoinSide::Right][rng.below(2) as usize];
-            match rng.below(100) {
+            let operation = rng.below(100);
+            if operation < 68 && rng.below(2) == 0 {
+                // A matcher makes room before it files: when the side is
+                // full, a sweep at the horizon, then growth (and the
+                // recency table's rebuild) if it is still crowded.
+                let ring = &store.rings[side.index()];
+                if ring.held == ring.slots.len() {
+                    model.expire(&[side.index()], store.horizon);
+                }
+                store.make_room(side);
+            }
+            match operation {
                 0..=59 => {
                     let pm = random_match(&mut rng, now);
                     let key = key_of(&store, &pm);
+                    touched.push(key.clone());
                     let expected = model.under(side.other().index(), &key);
                     let mut offered = 0;
                     store.probe_then_insert(side, key.clone(), pm.clone(), |filed, candidate| {
@@ -1275,6 +1462,7 @@ mod tests {
                     // Filing without a probe.
                     let pm = random_match(&mut rng, now);
                     let key = key_of(&store, &pm);
+                    touched.push(key.clone());
                     store.insert(side, key.clone(), pm.clone());
                     model.file(side.index(), key, pm);
                     model.inserted += 1;
@@ -1313,16 +1501,28 @@ mod tests {
                     assert_eq!(side, scan_side);
                     assert_eq!(scanned.collect::<Vec<_>>(), expected);
                 }
-                84..=90 => {
+                84..=87 => {
                     // Around `now - window`, sometimes behind the last one.
                     let horizon = Timestamp::from_secs(now - rng.below(2 * window) as i64);
                     store.set_horizon(horizon);
                     model.horizon = horizon;
                 }
+                88..=90 => {
+                    // Exactly at a live match's `earliest`: the match stays
+                    // visible, its key hot.
+                    let live: Vec<_> = model.live().map(|(_, f)| (&f.key, f.pm.earliest)).collect();
+                    if let Some(&(key, earliest)) =
+                        live.get(rng.below(live.len().max(1) as u64) as usize)
+                    {
+                        touched.push(key.clone());
+                        store.set_horizon(earliest);
+                        model.horizon = earliest;
+                    }
+                }
                 91..=98 => {
                     // Around `now - window`, sometimes behind the last cutoff.
                     let cutoff = Timestamp::from_secs(now - rng.below(2 * window) as i64);
-                    let removed = model.expire(cutoff);
+                    let removed = model.expire(&[0, 1], cutoff);
                     assert_eq!(store.expire_older_than(cutoff), removed);
                 }
                 _ => {
@@ -1331,6 +1531,11 @@ mod tests {
                 }
             }
             model.check(&store);
+            let drawn = [(); 2].map(|_| key_of(&store, &random_match(&mut rng, now)));
+            let last = touched.len().saturating_sub(4);
+            touched.drain(..last);
+            check_holds(&store, &touched);
+            check_holds(&store, &drawn);
         }
     }
 

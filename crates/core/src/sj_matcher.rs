@@ -42,8 +42,12 @@
 //! the S or V match arriving last meets the other filed or rebuilt, never
 //! both, and a climb that reaches S never enters V's subtree, so the
 //! rebuild reads V's store as it was.
-//! Prototype on `join_hot` (this box): 148–154 k → 271–278 k ev/s,
-//! p50 4.5 → 1.7 µs, live matches 10 503 → 1 879.
+//! Whether a key is hot is asked of P's store (`SharedJoinStore::holds`),
+//! which keeps a recency table on S's side only: most keys asked about are
+//! cold, and the table decides most of those without the key index.
+//! Measured in interleaved pairs of the benchmark's `join_hot` unit
+//! (BENCH_PR21.json): lazy sides took it from 153 k to 278 k events/s,
+//! `ingest_p50_us` 4.53 → 1.70 µs and the live-match peak 10 503 → 1 879.
 
 use crate::anchors::AnchorIndex;
 use crate::binding::PartialMatch;
@@ -180,12 +184,19 @@ impl SjTreeMatcher {
         let shape = &plan.shape;
         // One shared store per internal node, keyed on that node's cut (the
         // join key both children project onto). A lazy node's is walked by
-        // its parent's key too, on the side binding more of the parent's cut.
+        // its parent's key too, on the side binding more of the parent's cut;
+        // its parent keeps a recency table on the awaited side, the one
+        // whose keys `holds` is asked about.
         let stores = shape
             .nodes()
             .map(|n| {
                 let (left, right) = n.children?;
                 let mut store = SharedJoinStore::new(n.cut_vertices.clone());
+                for (child, side) in [(left, JoinSide::Left), (right, JoinSide::Right)] {
+                    if matches!(roles[child.0], Role::Awaited(_)) {
+                        store.keep_recency(side);
+                    }
+                }
                 if roles[n.id.0] == Role::Lazy {
                     let cut = &shape.node(n.parent?).cut_vertices;
                     let [l, r] = [left, right].map(|child| -> Vec<_> {
@@ -801,6 +812,39 @@ mod tests {
         feed(&mut g2, &mut small, "a1", "k1", "mentions", 1);
         feed(&mut g2, &mut small, "a2", "k1", "mentions", 2);
         assert_eq!(small.metrics().binding_spills, 0);
+    }
+
+    #[test]
+    fn only_the_awaited_side_of_a_lazy_nodes_parent_keeps_a_recency_table() {
+        let graph = DynamicGraph::unbounded();
+        let tables = |matcher: &SjTreeMatcher| -> Vec<(usize, JoinSide)> {
+            let stores = matcher.stores.iter().enumerate();
+            let stores = stores.filter_map(|(n, store)| Some((n, store.as_ref()?)));
+            stores
+                .flat_map(|(n, store)| {
+                    [JoinSide::Left, JoinSide::Right]
+                        .into_iter()
+                        .filter(|&side| store.recency_buckets(side) > 0)
+                        .map(move |side| (n, side))
+                })
+                .collect()
+        };
+        assert!(tables(&SjTreeMatcher::new(wedge_query(60), &graph)).is_empty());
+        for kind in [TreeShapeKind::Balanced, TreeShapeKind::LeftDeep] {
+            let plan = four_leaf_plan(kind);
+            let matcher = SjTreeMatcher::new(plan.clone(), &graph);
+            let awaited: Vec<_> = (0..plan.shape.node_count())
+                .filter(|&n| matches!(matcher.roles[n], Role::Awaited(_)))
+                .map(|n| (matcher.routes[n].parent as usize, matcher.routes[n].side))
+                .collect();
+            assert_eq!(awaited.len(), 1, "{kind:?}: one lazy node");
+            assert_eq!(tables(&matcher), awaited, "{kind:?}");
+            // Fed at the lazy node's parent, nothing is lazy and no store
+            // keeps a table.
+            let fed = [SjNodeId(awaited[0].0)];
+            let fed = SjTreeMatcher::fed_at(plan, &graph, &fed);
+            assert!(tables(&fed).is_empty(), "{kind:?}, fed");
+        }
     }
 
     /// Two articles sharing a keyword *and* a location, one leaf per edge.

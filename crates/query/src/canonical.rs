@@ -62,7 +62,7 @@ pub struct CanonicalPrimitive {
     edge_order: Vec<QueryEdgeId>,
 }
 
-/// Deterministic token for a predicate ([`Predicate::canonical_token`], a
+/// Deterministic token for a predicate ([`crate::predicate::Predicate::canonical_token`], a
 /// hand-written stable rendering — *not* derived `Debug`, which a future
 /// custom impl could silently change and thereby weaken fingerprints).
 /// Predicates are compared as *sets* — conjunction order is irrelevant — so

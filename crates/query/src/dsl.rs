@@ -110,13 +110,17 @@ pub fn parse_query(text: &str) -> Result<QueryGraph, QueryError> {
 }
 
 /// Pretty-prints a query graph back into DSL-ish text (for plan explain output).
+/// The window is written in whole seconds, or in milliseconds when it is not
+/// a whole number of seconds (the DSL's finest unit).
 pub fn format_query(query: &QueryGraph) -> String {
     let mut out = String::new();
-    out.push_str(&format!(
-        "QUERY {} WINDOW {}s\nMATCH ",
-        query.name(),
-        query.window().as_secs()
-    ));
+    let micros = query.window().as_micros();
+    let window = if micros % 1_000_000 == 0 {
+        format!("{}s", micros / 1_000_000)
+    } else {
+        format!("{}ms", micros / 1_000)
+    };
+    out.push_str(&format!("QUERY {} WINDOW {window}\nMATCH ", query.name()));
     let lines: Vec<String> = query.edge_ids().map(|e| query.describe_edge(e)).collect();
     out.push_str(&lines.join(",\n      "));
     let fmt_literal = |value: &AttrValue| match value {
@@ -336,5 +340,18 @@ mod tests {
         assert_eq!(q2.vertex_count(), q.vertex_count());
         assert_eq!(q2.window(), q.window());
         assert_eq!(q2.vertex_by_name("k").unwrap().predicates.len(), 1);
+    }
+
+    #[test]
+    fn format_keeps_a_window_that_is_not_whole_seconds() {
+        for (window, text) in [("1500ms", "WINDOW 1500ms\n"), ("30min", "WINDOW 1800s\n")] {
+            let q = parse_query(&format!(
+                "QUERY w WINDOW {window} MATCH (a:Article)-[:mentions]->(k:Keyword)"
+            ))
+            .unwrap();
+            let formatted = format_query(&q);
+            assert!(formatted.contains(text), "{formatted}");
+            assert_eq!(parse_query(&formatted).unwrap().window(), q.window());
+        }
     }
 }

@@ -898,6 +898,34 @@ mod tests {
     }
 
     #[test]
+    fn the_deepest_pattern_json_accepts_deserialises_on_a_small_stack() {
+        // Stars nest one JSON level each: 255 of them around a label are
+        // the deepest document the reader accepts, one more is refused.
+        // Deserialising, validating and dropping the deepest take a
+        // 2 MiB thread's stack, not more.
+        let stars = |n: usize| {
+            format!(
+                r#"{}{{"Label":"a"}}{}"#,
+                r#"{"Star":"#.repeat(n),
+                "}".repeat(n)
+            )
+        };
+        let deepest = stars(255);
+        let refused = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                let pattern: PathExpr = serde_json::from_str(&deepest).unwrap();
+                let q = RpqQuery::new("deep", Duration::from_secs(60), pattern);
+                q.is_err()
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+        assert!(refused, "a starred pattern matches the empty path");
+        assert!(serde_json::from_str::<PathExpr>(&stars(256)).is_err());
+    }
+
+    #[test]
     fn the_reversed_pattern_accepts_exactly_the_reversed_words() {
         // One pattern per operator, plus nestings that reverse a
         // concatenation inside a repetition and inside an alternation.

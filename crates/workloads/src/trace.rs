@@ -258,6 +258,18 @@ mod tests {
     }
 
     #[test]
+    fn a_line_of_a_hundred_thousand_open_brackets_is_a_parse_error() {
+        let text = "[".repeat(100_000);
+        match read_trace(text.as_bytes()) {
+            Err(TraceError::Parse { line, message }) => {
+                assert_eq!(line, 1);
+                assert!(message.contains("nesting"), "{message}");
+            }
+            other => panic!("expected parse error, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn file_round_trip() {
         let events = sample_events();
         let dir = std::env::temp_dir().join("streamworks-trace-test");

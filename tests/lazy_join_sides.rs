@@ -375,3 +375,29 @@ fn the_sweep_cadence_decides_nothing() {
         }
     }
 }
+
+#[test]
+fn the_cold_key_check_changes_no_work_counter() {
+    // `join_hot`'s shape, a hot wedge over three single-edge leaves, on
+    // streams where few articles are located at a time, so most keys the
+    // climb asks about are cold. The counters are the ones recorded before
+    // the awaited side kept a recency table; deciding a key cold sooner
+    // may change none of them.
+    let plan = single_edge_plan(query(40, HOT_WEDGE), TreeShapeKind::LeftDeep);
+    for (seed, skew, prune_every, recorded) in [
+        (46, 0, 256, [26_847, 126, 28_120, 17_935, 13_005]),
+        (47, 6, 1, [26_641, 133, 38_137, 21_290, 15_504]),
+    ] {
+        let events = stream(seed, 3_000, 5, skew);
+        let (emitted, expected, m) = run(&plan, &events, prune_every, skew);
+        assert_eq!(emitted, expected, "seed {seed}");
+        let counters = [
+            m.merges_skipped_cold,
+            m.lazy_materialisations,
+            m.joins_attempted,
+            m.partial_matches_inserted,
+            m.complete_matches,
+        ];
+        assert_eq!(counters, recorded, "seed {seed}");
+    }
+}
