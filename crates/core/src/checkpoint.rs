@@ -736,22 +736,74 @@ mod tests {
 
     #[test]
     fn the_deepest_path_pattern_a_query_can_have_round_trips() {
-        // 64 nested groups, each a concatenation: about two JSON levels per
-        // group, the deepest document an engine writes.
-        let path = format!("{}a{}", "(a ".repeat(64), ")".repeat(64));
-        let mut engine = ContinuousQueryEngine::builder().build().unwrap();
-        engine
-            .register_rpq_dsl(&format!("RPQ deep WINDOW 1m PATH {path}"))
-            .unwrap();
-        let json = engine.checkpoint().to_json().unwrap();
-        let depth = json.bytes().fold((0, 0), |(depth, deepest), b| match b {
-            b'[' | b'{' => (depth + 1, deepest.max(depth + 1)),
-            b']' | b'}' => (depth - 1, deepest),
-            _ => (depth, deepest),
+        use streamworks_query::{PathExpr, QueryError};
+
+        // `RpqQuery::validate` lets a label sit under 64 operators, and an
+        // operator writes two JSON levels at most, so these are the deepest
+        // documents an engine writes: 64 one-part concatenations built in
+        // code, and from text an alternation around a concatenation per
+        // group with a `{1}` chain innermost (2 + 30 × 2 + 2 operators).
+        let label = PathExpr::Label("a".into());
+        let in_code = (0..64).fold(label, |p, _| PathExpr::Concat(vec![p]));
+        let in_code = RpqQuery::new("code", Duration::from_secs(60), in_code).unwrap();
+        let groups = 30;
+        let text = format!(
+            "RPQ text WINDOW 1m PATH b | a {}a{{1}}{{1}}{}",
+            "(b | a ".repeat(groups),
+            ")".repeat(groups)
+        );
+        let from_text = streamworks_query::parse_rpq(&text).unwrap();
+        let deepest = |json: &str| {
+            let depth = json.bytes().fold((0, 0), |(depth, deepest), b| match b {
+                b'[' | b'{' => (depth + 1, deepest.max(depth + 1)),
+                b']' | b'}' => (depth - 1, deepest),
+                _ => (depth, deepest),
+            });
+            depth.1
+        };
+        for query in [in_code, from_text] {
+            let mut engine = ContinuousQueryEngine::builder().build().unwrap();
+            let handle = engine.register_rpq(query.clone());
+            let json = engine.checkpoint().to_json().unwrap();
+            let pattern = serde_json::to_string(query.pattern()).unwrap();
+            assert_eq!(deepest(&pattern), 2 * 64 + 1, "{}", query.name());
+            // 133 levels with the checkpoint's own: about half of the 256
+            // the JSON reader accepts.
+            assert!(deepest(&json) <= 140, "{}", query.name());
+            let restored = EngineCheckpoint::load(&json)
+                .unwrap()
+                .try_restore()
+                .unwrap();
+            assert_eq!(restored.rpq_query(handle).unwrap(), &query);
+        }
+        // One operator more is refused by `validate`, built in code, parsed
+        // or loaded, before any document that deep is written or read.
+        let past = (0..65).fold(PathExpr::Label("a".into()), |p, _| {
+            PathExpr::Concat(vec![p])
         });
-        assert!(depth.1 > 128, "{} levels", depth.1);
-        let restored = EngineCheckpoint::load(&json).unwrap().try_restore();
-        assert!(restored.is_ok());
+        let refused = RpqQuery::new("past", Duration::from_secs(60), past.clone());
+        assert!(
+            matches!(refused, Err(QueryError::Parse { .. })),
+            "{refused:?}"
+        );
+        let text = text.replace("{1}{1}", "{1}{1}{1}");
+        let message = streamworks_query::parse_rpq(&text).unwrap_err().to_string();
+        assert!(message.contains("nests deeper"), "{message}");
+        let mut engine = ContinuousQueryEngine::builder().build().unwrap();
+        engine.register_rpq_dsl("RPQ p WINDOW 1m PATH a").unwrap();
+        let json = engine.checkpoint().to_json().unwrap();
+        let past = serde_json::to_string(&past).unwrap();
+        let tampered = json.replace(
+            r#""pattern":{"Label":"a"}"#,
+            &format!(r#""pattern":{past}"#),
+        );
+        assert_ne!(tampered, json);
+        match EngineCheckpoint::load(&tampered) {
+            Err(EngineError::CorruptCheckpoint { detail, .. }) => {
+                assert!(detail.contains("nests deeper"), "{detail}")
+            }
+            other => panic!("loaded to {other:?}"),
+        }
     }
 
     #[test]

@@ -83,11 +83,18 @@
 //!   horizon, `withdraw`, expiry and compaction ran in. The table has at
 //!   least `RECENT_PER_SLOT` buckets per slot of the side's ring (a side
 //!   holds at most one key per slot); when the ring grows, the table is
-//!   re-sized and refilled. The table and the second chain share one box
-//!   that only a lazy join's sides allocate, so a plain side's filing tests
-//!   one empty pointer, as it did before the table. On `join_hot` (about 20
-//!   checks per event, most of them cold) the table took `ingest_p50_us`
-//!   from 1.40 to 1.30 µs, 10 of 10 interleaved pairs (BENCH_PR46.json).
+//!   re-sized and refilled. The ring raises a match's entry as it files it,
+//!   where it threads the second chain: the two share one box that only a
+//!   lazy join's sides allocate, so a plain side's filing tests one empty
+//!   pointer, as it did before the table. Counted in an instrumented build:
+//!   on `join_hot` (seed 5) 97 % of `holds` calls find the key cold and the
+//!   table answers 97 % of those (91 % of all calls); with half the
+//!   stream `located` (`examples/lazy_join_sides.rs --located 50`) 22 % of
+//!   calls are cold and the table answers nearly all of them. On
+//!   `join_hot` it took `ingest_p50_us` from 1.375 to 1.268 µs, 10 of 10
+//!   interleaved pairs; per layer, the climb's time per event fell in 8 of
+//!   10 trace pairs, by less than the spread between runs
+//!   (BENCH_PR46.json).
 //! * The store maintains a histogram of covered query edges over live
 //!   matches, so "best partial match" queries are O(1) reads and an expiry
 //!   burst never rescans the store to restore the maximum.
@@ -154,8 +161,8 @@ const COMPACT_FACTOR: usize = 2;
 const COMPACT_FLOOR: usize = 64;
 /// Slots a ring's first growth makes.
 const FIRST_SLOTS: usize = 16;
-/// Recency buckets per ring slot: a cold key shares its bucket with a hot
-/// one in at most about one check in this many.
+/// Recency buckets per ring slot: a side holds at most one key per slot, so
+/// at most about one bucket in this many is raised past the horizon.
 const RECENT_PER_SLOT: usize = 8;
 
 /// Length of a recency table for a ring of `slots` slots.
@@ -188,15 +195,48 @@ fn stale_match() -> PartialMatch {
     PartialMatch::seed(0, QueryEdgeId(0), EdgeId(0), Timestamp(0))
 }
 
-/// What a side keeps for lazy joins beyond its ring. Boxed, and absent on
-/// every other side, so a plain side pays one branch per filing.
+/// What a side keeps for lazy joins beyond its ring, upkept as it files.
+/// Boxed, and absent on every other side, so a plain side pays one branch
+/// per filing.
 #[derive(Debug, Default)]
 struct LazySide {
     /// The lazy node's second chain (see
     /// [`SharedJoinStore::thread_scan_chain`]).
     scan: Option<ScanChain>,
-    /// The awaited side's recency table (module docs), or empty.
-    recent: Box<[Timestamp]>,
+    /// The awaited side's recency table (see
+    /// [`SharedJoinStore::keep_recency`]).
+    recent: Option<Recency>,
+}
+
+/// A recency table (module docs): per bucket of join-key hashes, the
+/// largest `earliest` filed under a key of the bucket.
+#[derive(Debug)]
+struct Recency {
+    /// The store's cut, which a filed match is projected onto.
+    vertices: Vec<QueryVertexId>,
+    latest: Box<[Timestamp]>,
+}
+
+impl Recency {
+    /// An empty table for a ring of `slots` slots.
+    fn new(vertices: Vec<QueryVertexId>, slots: usize) -> Self {
+        let latest = vec![Timestamp(i64::MIN); recent_len(slots)].into();
+        Recency { vertices, latest }
+    }
+
+    /// Raises the entry of `m`'s key to `m.earliest`.
+    #[inline]
+    fn raise(&mut self, m: &PartialMatch) {
+        let key = project(&self.vertices, m).expect("a match binds its join key");
+        let entry = &mut self.latest[recent_bucket(self.latest.len(), &key)];
+        *entry = (*entry).max(m.earliest);
+    }
+
+    /// True if nothing under `key` was filed at or after `horizon`.
+    #[inline]
+    fn cold(&self, key: &[VertexId], horizon: Timestamp) -> bool {
+        self.latest[recent_bucket(self.latest.len(), key)] < horizon
+    }
 }
 
 /// A second chain through one ring, keyed on `vertices` instead of the
@@ -247,20 +287,13 @@ impl Ring {
         self.lazy.as_deref_mut()?.scan.as_mut()
     }
 
-    /// Buckets of the side's recency table (0 if it keeps none).
-    fn recent_buckets(&self) -> usize {
-        self.lazy.as_deref().map_or(0, |lazy| lazy.recent.len())
+    fn recency(&self) -> Option<&Recency> {
+        self.lazy.as_deref()?.recent.as_ref()
     }
 
-    /// Raises `key`'s recency entry to `earliest`, if the side keeps a table.
-    #[inline]
-    fn note_recent(&mut self, key: &[VertexId], earliest: Timestamp) {
-        if let Some(LazySide { recent, .. }) = self.lazy.as_deref_mut() {
-            if !recent.is_empty() {
-                let entry = &mut recent[recent_bucket(recent.len(), key)];
-                *entry = (*entry).max(earliest);
-            }
-        }
+    /// Buckets of the side's recency table (0 if it keeps none).
+    fn recent_buckets(&self) -> usize {
+        self.recency().map_or(0, |recent| recent.latest.len())
     }
 
     /// The slot `offset` positions behind the front.
@@ -319,8 +352,9 @@ impl Ring {
     }
 
     /// Appends `m` at the tail, linked behind `newest` (the key's chain so
-    /// far), and returns its position. Overwriting the slot drops the stale
-    /// payload left there.
+    /// far), threads the side's scan chain and raises its recency entry, if
+    /// it keeps them, and returns its position. Overwriting the slot drops
+    /// the stale payload left there.
     #[inline]
     fn push(&mut self, m: PartialMatch, newest: u64) -> u64 {
         if self.held == self.slots.len() {
@@ -331,11 +365,16 @@ impl Ring {
         // Below `held`, which `grow` keeps within 32 bits.
         let (head, held) = (self.head, self.held as u64);
         let link = |to: u64| (to.wrapping_sub(head) < held).then(|| (position - to) as u32);
-        if let Some(scan) = self.scan_mut() {
-            let key = project(&scan.vertices, &m).expect("a match binds its side's scan key");
-            let newest = scan.newest.entry(key).or_insert(NONE);
-            scan.back[slot] = link(*newest).unwrap_or(0);
-            *newest = position;
+        if let Some(lazy) = self.lazy.as_deref_mut() {
+            if let Some(scan) = &mut lazy.scan {
+                let key = project(&scan.vertices, &m).expect("a match binds its side's scan key");
+                let newest = scan.newest.entry(key).or_insert(NONE);
+                scan.back[slot] = link(*newest).unwrap_or(0);
+                *newest = position;
+            }
+            if let Some(recent) = &mut lazy.recent {
+                recent.raise(&m);
+            }
         }
         self.meta[slot] = Meta {
             earliest: m.earliest,
@@ -352,7 +391,9 @@ impl Ring {
     /// Makes room behind a ring reclaiming left over three quarters full: an
     /// eighth more slots, so the moves of straightening the ring are
     /// amortised and — unlike doubling — the slots a steady population
-    /// cycles through stay close to its peak.
+    /// cycles through stay close to its peak. A recency table grows with
+    /// the ring, refilled from every live match, hidden or not (the horizon
+    /// a later `holds` reads may lie behind today's).
     #[cold]
     fn grow(&mut self) {
         let len = self.slots.len() + (self.slots.len() / 8).max(FIRST_SLOTS);
@@ -367,6 +408,13 @@ impl Ring {
             scan.back.resize(len, 0);
         }
         self.head_slot = 0;
+        if (1..recent_len(len)).contains(&self.recent_buckets()) {
+            let mut lazy = self.lazy.take().expect("the side keeps a table");
+            let recent = lazy.recent.as_mut().expect("the side keeps a table");
+            *recent = Recency::new(std::mem::take(&mut recent.vertices), len);
+            self.live().for_each(|m| recent.raise(m));
+            self.lazy = Some(lazy);
+        }
     }
 
     /// Tombstones every live match with `earliest < cutoff`, taking it out
@@ -432,7 +480,9 @@ impl Ring {
                 scan.newest.clear();
                 scan.back.clear();
             }
-            lazy.recent.fill(Timestamp(i64::MIN));
+            if let Some(recent) = &mut lazy.recent {
+                recent.latest.fill(Timestamp(i64::MIN));
+            }
         }
         (self.head_slot, self.held, self.live) = (0, 0, 0);
         self.min_earliest = Timestamp(i64::MAX);
@@ -558,7 +608,6 @@ impl SharedJoinStore {
         F: FnMut(&PartialMatch, &PartialMatch),
     {
         let edge_count = m.edge_count();
-        self.rings[side.index()].note_recent(&key, m.earliest);
         let newest = self.chains.entry(key).or_insert([NONE; 2]);
         let sibling = &self.rings[side.other().index()];
         for candidate in sibling.chain(newest[side.other().index()], self.horizon) {
@@ -577,10 +626,9 @@ impl SharedJoinStore {
     /// without further look-up; otherwise one hash look-up, then the
     /// chain's hidden head, if any.
     pub(crate) fn holds(&self, side: JoinSide, key: &[VertexId]) -> bool {
-        if let Some(LazySide { recent, .. }) = self.rings[side.index()].lazy.as_deref() {
-            if !recent.is_empty() && recent[recent_bucket(recent.len(), key)] < self.horizon {
-                return false;
-            }
+        let recent = self.rings[side.index()].recency();
+        if recent.is_some_and(|recent| recent.cold(key, self.horizon)) {
+            return false;
         }
         self.candidates(side.other(), key).next().is_some()
     }
@@ -600,7 +648,6 @@ impl SharedJoinStore {
     /// Files `m` under `key` on `side` without probing the sibling side.
     pub(crate) fn insert(&mut self, side: JoinSide, key: JoinKey, m: PartialMatch) {
         let edge_count = m.edge_count();
-        self.rings[side.index()].note_recent(&key, m.earliest);
         let newest = self.chains.entry(key).or_insert([NONE; 2]);
         newest[side.index()] = self.rings[side.index()].push(m, newest[side.index()]);
         self.inserted_total += 1;
@@ -650,8 +697,8 @@ impl SharedJoinStore {
     pub(crate) fn keep_recency(&mut self, side: JoinSide) {
         debug_assert!(self.is_empty(), "a recency table is kept from the start");
         let ring = &mut self.rings[side.index()];
-        let recent = vec![Timestamp(i64::MIN); recent_len(ring.slots.len())];
-        ring.lazy.get_or_insert_default().recent = recent.into();
+        let recent = Recency::new(self.key_vertices.clone(), ring.slots.len());
+        ring.lazy.get_or_insert_default().recent = Some(recent);
     }
 
     /// Buckets of `side`'s recency table (0 if it keeps none).
@@ -734,7 +781,7 @@ impl SharedJoinStore {
     /// reclaim when full): one compare while the side has a free slot; when
     /// it is full, the exact pass of [`Self::expire_older_than`] on it with
     /// the horizon as the cutoff, then growth only if it is still more than
-    /// three quarters full. A recency table grows with its ring.
+    /// three quarters full.
     pub(crate) fn make_room(&mut self, side: JoinSide) {
         let ring = &self.rings[side.index()];
         if ring.held == ring.slots.len() {
@@ -742,28 +789,6 @@ impl SharedJoinStore {
             let ring = &mut self.rings[side.index()];
             if 4 * ring.held > 3 * ring.slots.len() {
                 ring.grow();
-                if (1..recent_len(ring.slots.len())).contains(&ring.recent_buckets()) {
-                    self.rebuild_recency(side.index());
-                }
-            }
-        }
-    }
-
-    /// Re-sizes one side's recency table to its ring and refills it from
-    /// every live match, hidden or not (the horizon a later `holds` reads
-    /// may lie behind today's).
-    #[cold]
-    fn rebuild_recency(&mut self, side: usize) {
-        let ring = &mut self.rings[side];
-        let lazy = ring.lazy.as_deref_mut().expect("the side keeps a table");
-        lazy.recent = vec![Timestamp(i64::MIN); recent_len(ring.slots.len())].into();
-        for offset in 0..ring.held {
-            let slot = ring.slot_at(offset);
-            let meta = ring.meta[slot];
-            if meta.edges != DEAD {
-                let key = project(&self.key_vertices, &ring.slots[slot]);
-                let key = key.expect("stored match binds its join key");
-                ring.note_recent(&key, meta.earliest);
             }
         }
     }
@@ -1210,8 +1235,8 @@ mod tests {
         assert!(!hot(&store, 5_000));
         store.clear();
         assert_eq!(store.recency_buckets(JoinSide::Right), buckets);
-        let recent = &store.rings[1].lazy.as_ref().unwrap().recent;
-        assert!(recent.iter().all(|&t| t == Timestamp(i64::MIN)));
+        let recent = store.rings[1].recency().unwrap();
+        assert!(recent.latest.iter().all(|&t| t == Timestamp(i64::MIN)));
         assert!((0..1_000).all(|i| !hot(&store, i)));
     }
 

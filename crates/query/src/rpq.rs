@@ -19,9 +19,10 @@
 //! The text syntax ([`parse_rpq`]) shares its lexer and header with the
 //! subgraph DSL; the `dsl` module docs state the lexical rules. A query is
 //! refused, never compiled without bound, when its pattern nests deeper than
-//! 64 levels (`MAX_PATH_NESTING`) or when its automata, or those of its
-//! reverse, need more than 256 states (`MAX_RPQ_STATES`,
-//! [`RpqQuery::validate`]).
+//! 64 levels (`MAX_PATH_NESTING`: in text, parentheses and postfix
+//! operators; in a [`PathExpr`], however built, every node but a label) or
+//! when its automata, or those of its reverse, need more than 256 states
+//! (`MAX_RPQ_STATES`, [`RpqQuery::validate`]).
 //!
 //! ```
 //! use streamworks_query::parse_rpq;
@@ -48,9 +49,12 @@ use streamworks_graph::Duration;
 /// pattern past it.
 pub(crate) const MAX_RPQ_STATES: usize = 256;
 
-/// Deepest a parsed path pattern may nest: every enclosing parenthesis and
-/// every postfix operator counts one level. It keeps the recursive passes
-/// over a [`PathExpr`] (and the parser's own) shallow.
+/// Deepest a path pattern may nest. In text every enclosing parenthesis and
+/// every postfix operator counts one level, and the parser refuses a deeper
+/// pattern; in a [`PathExpr`] every node but a label counts one, and
+/// [`RpqQuery::validate`] refuses a deeper one, however it was built. It
+/// keeps the parser, the recursive passes over a pattern and the JSON of a
+/// checkpoint carrying one (two levels per node at most) shallow.
 pub(crate) const MAX_PATH_NESTING: usize = 64;
 
 /// A regular expression over edge labels.
@@ -117,6 +121,20 @@ impl PathExpr {
             PathExpr::Plus(inner) => inner.matches_empty(),
             PathExpr::Repeat(inner, min, _) => *min == 0 || inner.matches_empty(),
         }
+    }
+
+    /// True if no label lies under more than `levels` operators. Recurses
+    /// at most `levels` deep, whatever the depth of the expression.
+    fn nests_within(&self, levels: usize) -> bool {
+        let parts = match self {
+            PathExpr::Label(_) => return true,
+            PathExpr::Concat(parts) | PathExpr::Alt(parts) => parts.as_slice(),
+            PathExpr::Star(inner)
+            | PathExpr::Plus(inner)
+            | PathExpr::Optional(inner)
+            | PathExpr::Repeat(inner, _, _) => std::slice::from_ref(inner.as_ref()),
+        };
+        levels > 0 && parts.iter().all(|p| p.nests_within(levels - 1))
     }
 
     /// Number of states [`RpqDfa::compile`]'s Thompson NFA has for the
@@ -226,17 +244,25 @@ impl RpqQuery {
     }
 
     /// The check [`Self::new`] applies, for a query that reached this type
-    /// another way (deserialised from a checkpoint): a pattern matching the
-    /// empty path is [`QueryError::EmptyQuery`], and one whose automata
-    /// would pass 256 states (`MAX_RPQ_STATES`) is a [`QueryError::Parse`]
-    /// (at line 1: a pattern displays on one line).
+    /// another way (deserialised from a checkpoint): a pattern nesting more
+    /// than 64 operators deep (`MAX_PATH_NESTING`) or whose automata would
+    /// pass 256 states (`MAX_RPQ_STATES`) is a [`QueryError::Parse`] (at
+    /// line 1: a pattern displays on one line), and one matching the empty
+    /// path is [`QueryError::EmptyQuery`].
     pub fn validate(&self) -> Result<(), QueryError> {
+        let refused = |message| QueryError::Parse { line: 1, message };
+        if !self.pattern.nests_within(MAX_PATH_NESTING) {
+            return Err(refused(format!(
+                "path pattern nests deeper than {MAX_PATH_NESTING} levels"
+            )));
+        }
         if self.pattern.matches_empty() {
             return Err(QueryError::EmptyQuery);
         }
-        let too_large = |automaton: &str| QueryError::Parse {
-            line: 1,
-            message: format!("path pattern needs more than {MAX_RPQ_STATES} {automaton} states"),
+        let too_large = |automaton: &str| {
+            refused(format!(
+                "path pattern needs more than {MAX_RPQ_STATES} {automaton} states"
+            ))
         };
         if self.pattern.nfa_states() > MAX_RPQ_STATES as u64 {
             return Err(too_large("NFA"));
@@ -921,8 +947,32 @@ mod tests {
             .unwrap()
             .join()
             .unwrap();
-        assert!(refused, "a starred pattern matches the empty path");
+        assert!(refused, "255 operators nest past the bound");
         assert!(serde_json::from_str::<PathExpr>(&stars(256)).is_err());
+    }
+
+    #[test]
+    fn a_pattern_nesting_past_the_bound_is_refused_however_built() {
+        let label = || PathExpr::Label("a".into());
+        let concats = |n| (0..n).fold(label(), |p, _| PathExpr::Concat(vec![p]));
+        let pluses = |n| (0..n).fold(label(), |p, _| PathExpr::Plus(Box::new(p)));
+        let query = |pattern| RpqQuery::new("deep", Duration::from_secs(60), pattern);
+        assert!(query(concats(MAX_PATH_NESTING)).is_ok());
+        assert!(query(pluses(MAX_PATH_NESTING)).is_ok());
+        for pattern in [concats(MAX_PATH_NESTING + 1), concats(127), pluses(252)] {
+            let refused = query(pattern).unwrap_err().to_string();
+            assert!(refused.contains("nests deeper than 64 levels"), "{refused}");
+        }
+        // In text, 31 groups of an alternation around a concatenation nest
+        // 31 levels for the parser and 64 operators deep; one group more is
+        // refused by the check on the built pattern.
+        let groups = |n| {
+            let path = format!("b | a {}a{}", "(b | a ".repeat(n), ")".repeat(n));
+            parse_rpq(&format!("RPQ q PATH {path}"))
+        };
+        assert!(groups(31).is_ok());
+        let refused = groups(32).unwrap_err().to_string();
+        assert!(refused.contains("nests deeper than 64 levels"), "{refused}");
     }
 
     #[test]
